@@ -1688,6 +1688,14 @@ let microbench () =
   let weights10 =
     Array.init 10 (fun _ -> Array.init 10 (fun _ -> 0.1 +. Prng.float prng 1.0))
   in
+  (* Six position classes of five positions: 6^6 = 46,656 DP states, just
+     under the 50,000 beyond which a walk level uses the swap chain. *)
+  let placement40k =
+    Placement.build
+      ~identities:(Array.init 30 (fun i -> i mod 6))
+      ~positions:(Array.init 30 (fun j -> (j / 5, 0)))
+      ~weight:(fun ~v ~p ~q:_ -> 0.1 +. float_of_int (((7 * v) + (3 * p)) mod 11))
+  in
   let tests =
     [
       Test.make ~name:"mat-mul-64" (Staged.stage (fun () -> ignore (Mat.mul m64 m64)));
@@ -1700,6 +1708,8 @@ let microbench () =
              ignore
                (Cc_matching.Sampler.exact prng
                   (Array.init 8 (fun _ -> Array.init 8 (fun _ -> 0.1 +. Prng.float prng 1.0))))));
+      Test.make ~name:"placement-dp-40k"
+        (Staged.stage (fun () -> ignore (Placement.sample_exact prng placement40k)));
       Test.make ~name:"aldous-broder-lollipop-32"
         (Staged.stage (fun () -> ignore (Cc_walks.Aldous_broder.sample_tree g32 prng)));
       Test.make ~name:"wilson-lollipop-32"

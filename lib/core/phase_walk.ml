@@ -42,48 +42,42 @@ type level_pairs = {
   counts : int array; (* class index -> total occurrences *)
 }
 
-let index_pairs walk =
+(* Classes are numbered in order of first appearance. [table] maps the pair
+   code p * width + q to its class and is all -1 between calls. *)
+let index_pairs table ~width walk =
   let l = Array.length walk - 1 in
-  let table = Hashtbl.create (2 * l) in
-  let classes = ref [] in
-  let next_class = ref 0 in
-  let class_of = Array.make l 0 in
-  let rank = Array.make l 0 in
-  let count_so_far = Hashtbl.create (2 * l) in
+  let class_of = Array.make l 0 and rank = Array.make l 0 in
+  let counts = Array.make l 0 and classes = ref [] and nclasses = ref 0 in
   for i = 0 to l - 1 do
-    let key = (walk.(i), walk.(i + 1)) in
-    let k =
-      match Hashtbl.find_opt table key with
-      | Some k -> k
-      | None ->
-          let k = !next_class in
-          Hashtbl.add table key k;
-          classes := key :: !classes;
-          incr next_class;
-          k
-    in
+    let key = (walk.(i) * width) + walk.(i + 1) in
+    if table.(key) < 0 then begin
+      table.(key) <- !nclasses;
+      classes := (walk.(i), walk.(i + 1)) :: !classes;
+      incr nclasses
+    end;
+    let k = table.(key) in
     class_of.(i) <- k;
-    let r = Option.value ~default:0 (Hashtbl.find_opt count_so_far k) in
-    rank.(i) <- r;
-    Hashtbl.replace count_so_far k (r + 1)
+    rank.(i) <- counts.(k);
+    counts.(k) <- counts.(k) + 1
   done;
   let classes = Array.of_list (List.rev !classes) in
-  let counts = Array.make (Array.length classes) 0 in
-  Array.iter (fun k -> counts.(k) <- counts.(k) + 1) class_of;
-  { classes; class_of; rank; counts }
+  Array.iter (fun (p, q) -> table.((p * width) + q) <- -1) classes;
+  { classes; class_of; rank; counts = Array.sub counts 0 !nclasses }
 
 (* Book a routed pattern given per-machine word loads (avoids materializing
    huge packet lists for dense request patterns). *)
-let book_loads net ~label ~sent ~recv ~messages =
+let book_loads net ~label ~sent ~recv =
   let n = Net.n net in
   let load = ref 0 in
   for i = 0 to n - 1 do
     load := max !load (max sent.(i) recv.(i))
   done;
-  if !load > 0 then begin
-    Net.charge net ~label (Float.of_int ((!load + n - 1) / n));
-    ignore messages
-  end
+  if !load > 0 then Net.charge net ~label (Float.of_int ((!load + n - 1) / n))
+
+(* The exact DP runs only while the placement is this small; beyond it the
+   swap chain places the midpoints. *)
+let dp_max_k = 512
+let dp_max_states = 50_000
 
 let run net prng ~backend ?bits ?powers_slot ~trans ~machine_of ~start ~rho
     ~target_len ~matching () =
@@ -122,32 +116,48 @@ let run net prng ~backend ?bits ?powers_slot ~trans ~machine_of ~start ~rho
   in
   Net.charge net ~label:"init endpoint" 1.0;
 
+  (* Scratch shared by every level. Per-machine loads are cleared before
+     each booking; the vertex sets are cleared in O(1) by taking a fresh
+     stamp, which the marks of every earlier set differ from. *)
+  let sent = Array.make n 0 and recv = Array.make n 0 in
+  let clear_loads () =
+    Array.fill sent 0 n 0;
+    Array.fill recv 0 n 0
+  in
+  let pair_table = Array.make (s_count * s_count) (-1) in
+  let stamp = ref 0 in
+  let fresh () =
+    incr stamp;
+    !stamp
+  in
+  let in_prefix = Array.make s_count 0 and prefix_count = Array.make s_count 0 in
+  let prefix_vertices = Array.make s_count 0 in
+  let seen = Array.make s_count 0 in
   (* One level: walk with entries spaced 2^gap apart -> entries spaced
      2^(gap-1), truncated at the rho-th distinct vertex. *)
   let level walk gap =
     let half = powers.(gap - 1) in
     let l = Array.length walk - 1 in
-    let pairs = index_pairs walk in
+    let pairs = index_pairs pair_table ~width:s_count walk in
     let nclasses = Array.length pairs.classes in
     let pair_machine k = k mod n in
     (* --- Algorithm 2: midpoint requests + distribution acquisition. --- *)
     (* M sends each pair machine its count (O(1) words each). *)
-    let sent = Array.make n 0 and recv = Array.make n 0 in
+    clear_loads ();
+    sent.(leader) <- 3 * nclasses;
     for k = 0 to nclasses - 1 do
-      sent.(leader) <- sent.(leader) + 3;
       recv.(pair_machine k) <- recv.(pair_machine k) + 3
     done;
-    book_loads net ~label:"midpoint counts" ~sent ~recv ~messages:nclasses;
-    (* Every machine j sends the pair machine its Formula 1 factor. *)
-    let sent = Array.make n 0 and recv = Array.make n 0 in
-    for k = 0 to nclasses - 1 do
-      for j = 0 to s_count - 1 do
-        sent.(machine_of j) <- sent.(machine_of j) + ew;
-        recv.(pair_machine k) <- recv.(pair_machine k) + ew
-      done
+    book_loads net ~label:"midpoint counts" ~sent ~recv;
+    (* Every machine j sends each pair machine its Formula 1 factor. *)
+    clear_loads ();
+    for j = 0 to s_count - 1 do
+      sent.(machine_of j) <- sent.(machine_of j) + (nclasses * ew)
     done;
-    book_loads net ~label:"midpoint distributions" ~sent ~recv
-      ~messages:(nclasses * s_count);
+    for k = 0 to nclasses - 1 do
+      recv.(pair_machine k) <- recv.(pair_machine k) + (s_count * ew)
+    done;
+    book_loads net ~label:"midpoint distributions" ~sent ~recv;
     (* Pair machines sample their midpoint sequences Pi_{p,q}. *)
     let pi =
       Array.init nclasses (fun k ->
@@ -170,72 +180,85 @@ let run net prng ~backend ?bits ?powers_slot ~trans ~machine_of ~start ~rho
         let i = (pos - 1) / 2 in
         pi.(pairs.class_of.(i)).(pairs.rank.(i))
     in
+    let c = Array.make nclasses 0 in
     (* --- Algorithm 3: Check(l') — is l' <= t? --- *)
     let check l' =
       counters.c_checks <- counters.c_checks + 1;
-      let sent = Array.make n 0 and recv = Array.make n 0 in
+      clear_loads ();
       (* Step 1: M sends c_{p,q}(l') to pair machines. *)
+      sent.(leader) <- nclasses;
       for k = 0 to nclasses - 1 do
-        sent.(leader) <- sent.(leader) + 1;
         recv.(pair_machine k) <- recv.(pair_machine k) + 1
       done;
       (* Prefix counts per class: midpoints at odd positions <= l'. (Guard
          l' = 0 explicitly: OCaml truncates (-1)/2 to 0, which would wrongly
          count pair 0.) *)
-      let c = Array.make nclasses 0 in
+      Array.fill c 0 nclasses 0;
       let i_max_mid = if l' < 1 then -1 else min (l - 1) ((l' - 1) / 2) in
       for i = 0 to i_max_mid do
         c.(pairs.class_of.(i)) <- c.(pairs.class_of.(i)) + 1
       done;
-      (* Step 2: a(p,q,v,l') flows to machine v; step 3: sums flow to M. *)
-      let a = Hashtbl.create 64 in
-      let seen_kv = Hashtbl.create 64 in
+      (* Step 2: a(p,q,v,l') flows to machine v, once per distinct (class,
+         v); step 3: the per-vertex sums flow to M. *)
+      let prefix = fresh () and distinct = ref 0 in
       for k = 0 to nclasses - 1 do
+        let in_class = fresh () in
         for r = 0 to c.(k) - 1 do
           let v = pi.(k).(r) in
-          Hashtbl.replace a v (1 + Option.value ~default:0 (Hashtbl.find_opt a v));
-          if not (Hashtbl.mem seen_kv (k, v)) then begin
-            Hashtbl.add seen_kv (k, v) ();
+          if in_prefix.(v) <> prefix then begin
+            in_prefix.(v) <- prefix;
+            prefix_count.(v) <- 0;
+            prefix_vertices.(!distinct) <- v;
+            incr distinct
+          end;
+          prefix_count.(v) <- prefix_count.(v) + 1;
+          if seen.(v) <> in_class then begin
+            seen.(v) <- in_class;
             sent.(pair_machine k) <- sent.(pair_machine k) + 2;
             recv.(machine_of v) <- recv.(machine_of v) + 2
           end
         done
       done;
-      Hashtbl.iter
-        (fun v _ ->
-          sent.(machine_of v) <- sent.(machine_of v) + 2;
-          recv.(leader) <- recv.(leader) + 2)
-        a;
+      for x = 0 to !distinct - 1 do
+        let v = prefix_vertices.(x) in
+        sent.(machine_of v) <- sent.(machine_of v) + 2;
+        recv.(leader) <- recv.(leader) + 2
+      done;
       (* m(l') query. *)
       sent.(leader) <- sent.(leader) + 2;
       recv.(leader) <- recv.(leader) + 2;
-      book_loads net ~label:"binary-search check" ~sent ~recv
-        ~messages:(nclasses + Hashtbl.length seen_kv + Hashtbl.length a + 2);
+      book_loads net ~label:"binary-search check" ~sent ~recv;
       (* Step 4: d = distinct vertices in the prefix. *)
-      let distinct = Hashtbl.copy a in
       for i = 0 to l' / 2 do
-        if not (Hashtbl.mem distinct walk.(i)) then Hashtbl.add distinct walk.(i) 0
+        let v = walk.(i) in
+        if in_prefix.(v) <> prefix then begin
+          in_prefix.(v) <- prefix;
+          prefix_count.(v) <- 0;
+          incr distinct
+        end
       done;
-      let d = Hashtbl.length distinct in
-      if d > rho then false
+      if !distinct > rho then false
       else begin
         (* Step 6: o = occurrences of m(l') in the prefix. *)
         let v = magical l' in
-        let o = ref (Option.value ~default:0 (Hashtbl.find_opt a v)) in
+        let o = ref (if in_prefix.(v) = prefix then prefix_count.(v) else 0) in
         for i = 0 to l' / 2 do
           if walk.(i) = v then incr o
         done;
-        d < rho || !o = 1
+        !distinct < rho || !o = 1
       end
     in
     (* Binary search for the largest l' with Check(l') = true. Check 0 is
        trivially true (one distinct vertex, rho >= 2). *)
-    let lo = ref 0 and hi = ref (2 * l) in
-    while !lo < !hi do
-      let mid = (!lo + !hi + 1) / 2 in
-      if check mid then lo := mid else hi := mid - 1
-    done;
-    let t = !lo in
+    let search () =
+      let lo = ref 0 and hi = ref (2 * l) in
+      while !lo < !hi do
+        let mid = (!lo + !hi + 1) / 2 in
+        if check mid then lo := mid else hi := mid - 1
+      done;
+      !lo
+    in
+    let t = Cc_obs.Trace.with_span "phase_walk.search" search in
     (* --- Midpoint Placement. --- *)
     let new_walk = Array.make (t + 1) (-1) in
     let n_even = (t / 2) + 1 in
@@ -248,74 +271,65 @@ let run net prng ~backend ?bits ?powers_slot ~trans ~machine_of ~start ~rho
       new_walk.(t) <- magical t;
       Net.charge net ~label:"final midpoint query" 1.0
     end;
-    (* Positions to fill by matching: odd positions strictly below t. *)
-    let match_positions =
-      Array.of_list
-        (List.filter (fun pos -> pos < t) (List.init ((t + 1) / 2) (fun i -> (2 * i) + 1)))
-    in
-    let k_match = Array.length match_positions in
+    (* Positions to fill by matching: the odd positions 2j+1 strictly below
+       t, i.e. the midpoints of pairs j < t/2. *)
+    let k_match = t / 2 in
     counters.c_midpoints <- counters.c_midpoints + k_match + (if final_is_midpoint then 1 else 0);
     if k_match > 0 then begin
       (* M receives the multiset (2 words per distinct identity, combinable)
          and the P^(gap-1) submatrix on the involved vertices (O(n) words). *)
-      let involved = Hashtbl.create 64 in
+      let involved_set = fresh () and involved = ref [] and sub = ref 0 in
       for pos = 0 to t do
-        Hashtbl.replace involved (magical pos) ()
+        let v = magical pos in
+        if seen.(v) <> involved_set then begin
+          seen.(v) <- involved_set;
+          involved := v :: !involved;
+          incr sub
+        end
       done;
-      let sub = Hashtbl.length involved in
+      let words = (!sub * ew) + 2 in
       Net.exchange net ~label:"multiset+submatrix gather"
-        (Hashtbl.fold
-           (fun v _ acc ->
-             { Net.src = machine_of v; dst = leader; words = (sub * ew) + 2 } :: acc)
-           involved []);
+        (List.map (fun v -> { Net.src = machine_of v; dst = leader; words }) !involved);
       match matching with
       | Magical ->
-          Array.iter (fun pos -> new_walk.(pos) <- magical pos) match_positions
+          for j = 0 to k_match - 1 do
+            new_walk.((2 * j) + 1) <- magical ((2 * j) + 1)
+          done
       | Resample { mcmc_steps } ->
           (* Instances: the multiset of midpoints in the truncated prefix,
              excluding the final midpoint; the magical assignment orders them
              per position, giving a feasible MCMC start. The exact DP ignores
              the ordering (identities are exchangeable). *)
-          let identities = Array.map magical match_positions in
-          let positions =
-            Array.map
-              (fun pos ->
-                let i = (pos - 1) / 2 in
-                (walk.(i), walk.(i + 1)))
-              match_positions
-          in
+          let identities = Array.init k_match (fun j -> magical ((2 * j) + 1)) in
+          let positions = Array.init k_match (fun j -> (walk.(j), walk.(j + 1))) in
           let instance =
             Placement.build ~identities ~positions ~weight:(fun ~v ~p ~q ->
                 Mat.get half p v *. Mat.get half v q)
           in
-          let init = Array.init k_match (fun j -> j) in
-          let dp_attempt () =
-            (* Exact DP only while the instance is genuinely small; the
-               budget keeps a single placement cheap relative to the level. *)
-            if k_match > 512 then invalid_arg "placement too large for DP"
-            else Placement.sample_exact ~max_states:50_000 prng instance
-          in
           let sigma =
-            match dp_attempt () with
-            | sigma ->
-                counters.c_exact <- counters.c_exact + 1;
-                sigma
-            | exception Invalid_argument _ ->
-                counters.c_mcmc <- counters.c_mcmc + 1;
-                let steps =
-                  match mcmc_steps with
-                  | Some s -> s
-                  | None ->
-                      let kf = Float.of_int k_match in
-                      int_of_float
-                        (Float.ceil (60.0 *. kf *. Float.max 1.0 (Float.log kf)))
-                in
-                Cc_matching.Sampler.mcmc ~init prng instance.Placement.weights
-                  ~steps
+            if k_match <= dp_max_k && Placement.dp_states instance <= dp_max_states
+            then begin
+              counters.c_exact <- counters.c_exact + 1;
+              Placement.sample_exact ~max_states:dp_max_states prng instance
+            end
+            else begin
+              counters.c_mcmc <- counters.c_mcmc + 1;
+              let steps =
+                match mcmc_steps with
+                | Some s -> s
+                | None ->
+                    let kf = Float.of_int k_match in
+                    int_of_float
+                      (Float.ceil (60.0 *. kf *. Float.max 1.0 (Float.log kf)))
+              in
+              Cc_obs.Trace.with_span "placement.mcmc" (fun () ->
+                  Cc_matching.Sampler.mcmc ~init:(Array.init k_match Fun.id) prng
+                    (Placement.dense instance) ~steps)
+            end
           in
           Array.iteri
-            (fun j pos -> new_walk.(pos) <- identities.(sigma.(j)))
-            match_positions
+            (fun j i -> new_walk.((2 * j) + 1) <- identities.(i))
+            sigma
     end;
     new_walk
   in
@@ -324,13 +338,16 @@ let run net prng ~backend ?bits ?powers_slot ~trans ~machine_of ~start ~rho
     if Array.length !walk > max_materialized then
       failwith "Phase_walk.run: materialized walk exceeds cap";
     Log.debug (fun m -> m "level gap=2^%d, %d entries" gap (Array.length !walk));
-    Cc_obs.Trace.with_span "phase_walk.level"
-      ~args:
+    let args =
+      if Cc_obs.Trace.enabled () then
         [
           ("gap", string_of_int gap);
           ("entries", string_of_int (Array.length !walk));
         ]
-      (fun () -> walk := level !walk gap)
+      else []
+    in
+    Cc_obs.Trace.with_span "phase_walk.level" ~args (fun () ->
+        walk := level !walk gap)
   done;
   Cc_obs.Metrics.incr ~by:counters.c_checks "phase_walk.checks";
   Cc_obs.Metrics.incr ~by:counters.c_midpoints "phase_walk.midpoints";

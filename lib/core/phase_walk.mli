@@ -37,7 +37,9 @@ type stats = {
   checks : int;  (** total binary-search probes across levels *)
   midpoints_placed : int;
   matchings_exact : int;  (** placements solved by the exact DP *)
-  matchings_mcmc : int;  (** placements that fell back to the swap chain *)
+  matchings_mcmc : int;
+      (** placements that fell back to the swap chain: more than 512
+          midpoints, or more than 50,000 DP states *)
 }
 
 (** [run net prng ~backend ?bits ~trans ~machine_of ~start ~rho ~target_len

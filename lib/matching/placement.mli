@@ -20,17 +20,22 @@
     then assigns labeled instances/positions uniformly within classes. This
     is {e exact} and handles instances with thousands of midpoints as long as
     the class structure is small; when the DP state space exceeds the cap the
-    caller should fall back to the generic samplers in {!Sampler}. *)
+    caller should fall back to the generic samplers in {!Sampler} on
+    {!dense}.
 
-type t = {
-  identities : int array;  (** identity class of each instance *)
-  positions : (int * int) array;  (** (start,end) pair of each position *)
-  weights : float array array;
-      (** [weights.(i).(j)]: instance i at position j; derived from classes *)
-}
+    {b Storage.} An instance is kept as its contingency table: one weight per
+    (distinct identity, position class), so [build] calls [weight] once per
+    such pair rather than once per (instance, position), and the exact path
+    never forms the k×k matrix. *)
 
-(** [build ~identities ~positions ~weight] constructs the dense instance;
-    lengths must agree; weights must be nonnegative (zeros mark unreachable
+type t
+
+(** [build ~identities ~positions ~weight] constructs the instance with
+    [identities.(i)] the identity of instance i and [positions.(j)] the
+    (start,end) pair of position j. [weight ~v ~p ~q] must depend only on its
+    arguments; it is evaluated once per distinct identity and distinct pair.
+    @raise Invalid_argument if the instance is empty, the lengths differ, or
+    a weight is negative or not finite (zeros mark unreachable
     identity/position combinations). *)
 val build :
   identities:int array ->
@@ -38,24 +43,21 @@ val build :
   weight:(v:int -> p:int -> q:int -> float) ->
   t
 
-(** [dp_states t] is the size of the DP state space
-    (product over position classes of (count + 1)) — the feasibility
-    predictor for [sample_exact]. *)
+(** [dp_states t] is the size of the DP state space, the product over
+    position classes of (class size + 1), saturated at [max_int]. It is the
+    exact cost predictor of [sample_exact]: one pass over that many states,
+    each visiting every position class. *)
 val dp_states : t -> int
+
+(** [dense t] materializes the k×k matrix [w.(instance).(position)] for the
+    generic samplers of {!Sampler}; each cell is the contingency table's
+    weight for the instance's identity and the position's pair. *)
+val dense : t -> float array array
 
 (** [sample_exact prng t] draws a matching sigma (position j -> instance
     sigma.(j)) exactly proportional to weight, via the contingency-table DP.
-    @raise Invalid_argument if [dp_states t] exceeds [max_states]
-    (default 2_000_000). *)
+    It holds [dp_states t] floats while it runs (8 MB at the default bound).
+    @raise Invalid_argument iff [dp_states t] exceeds [max_states]
+    (default 1_000_000), before drawing anything.
+    @raise Failure if no matching has positive weight. *)
 val sample_exact : ?max_states:int -> Cc_util.Prng.t -> t -> int array
-
-(** [sample ?mcmc_steps ?init prng t] uses [sample_exact] when feasible,
-    otherwise {!Sampler.mcmc} on the dense weights, started from [init]
-    (which must be a positive-weight matching when given — callers with a
-    witness assignment should pass it so the chain starts feasible even when
-    the support is sparse). *)
-val sample :
-  ?mcmc_steps:int -> ?init:int array -> Cc_util.Prng.t -> t -> int array
-
-(** [matching_weight t sigma] is the product weight of an assignment. *)
-val matching_weight : t -> int array -> float

@@ -179,11 +179,12 @@ let test_mcmc_sparse_support_with_init () =
 
 (* --- Placement --- *)
 
+let figure_identities = [| 4; 5; 4; 5; 6 |]
+
 let figure_instance () =
   (* Mirrors Figure 1: identities with repeats, positions with repeated
      (p,q) pairs. *)
-  Placement.build
-    ~identities:[| 4; 5; 4; 5; 6 |]
+  Placement.build ~identities:figure_identities
     ~positions:[| (1, 3); (3, 2); (2, 1); (1, 2); (1, 3) |]
     ~weight:(fun ~v ~p ~q ->
       (* Any positive deterministic function of (v,p,q). *)
@@ -191,8 +192,11 @@ let figure_instance () =
 
 let test_placement_build () =
   let t = figure_instance () in
-  Alcotest.(check int) "square" 5 (Array.length t.Placement.weights);
-  Alcotest.(check bool) "dp_states modest" true (Placement.dp_states t <= 3 * 3 * 2 * 2)
+  let w = Placement.dense t in
+  Alcotest.(check int) "square" 5 (Array.length w);
+  Array.iter (fun row -> Alcotest.(check int) "row length" 5 (Array.length row)) w;
+  check_float "weight of identity 4 at (1,3)" (1.0 /. 35.0) w.(0).(4);
+  Alcotest.(check int) "dp_states" (3 * 2 * 2 * 2) (Placement.dp_states t)
 
 let test_placement_exact_is_valid_matching () =
   let prng = Prng.create ~seed:10 in
@@ -209,9 +213,7 @@ let test_placement_matches_generic_exact () =
      via the profile histogram (identities are interchangeable, so compare
      the observable: which identity sits at each position). *)
   let t = figure_instance () in
-  let profile sigma =
-    Array.map (fun i -> t.Placement.identities.(i)) sigma
-  in
+  let profile sigma = Array.map (fun i -> figure_identities.(i)) sigma in
   let histo sampler trials seed =
     let prng = Prng.create ~seed in
     let h = Hashtbl.create 64 in
@@ -223,7 +225,7 @@ let test_placement_matches_generic_exact () =
   in
   let trials = 20_000 in
   let h1 = histo (fun prng -> Placement.sample_exact prng t) trials 11 in
-  let h2 = histo (fun prng -> Sampler.exact prng t.Placement.weights) trials 12 in
+  let h2 = histo (fun prng -> Sampler.exact prng (Placement.dense t)) trials 12 in
   let keys =
     List.sort_uniq compare
       (Hashtbl.fold (fun k _ acc -> k :: acc) h1 []
@@ -255,20 +257,28 @@ let test_placement_large_instance () =
   Alcotest.(check int) "permutation" k
     (List.length (List.sort_uniq compare (Array.to_list sigma)))
 
-let test_placement_sample_fallback () =
-  (* Make classes all distinct so dp_states = 2^k: must fall back to MCMC and
-     still return a valid matching. *)
-  let prng = Prng.create ~seed:14 in
-  let k = 24 in
-  let identities = Array.init k (fun i -> i) in
-  let positions = Array.init k (fun i -> (i, i + 1)) in
-  let t =
-    Placement.build ~identities ~positions ~weight:(fun ~v ~p ~q ->
-        1.0 +. (float_of_int ((v + p + q) mod 5) /. 10.0))
+let test_placement_state_bound () =
+  (* All classes distinct: dp_states = 2^k, so the DP refuses before drawing
+     anything, at the default bound and at an explicit one. 2^80 saturates
+     instead of wrapping. *)
+  let instance k =
+    Placement.build
+      ~identities:(Array.init k (fun i -> i))
+      ~positions:(Array.init k (fun i -> (i, i + 1)))
+      ~weight:(fun ~v ~p ~q -> 1.0 +. (float_of_int ((v + p + q) mod 5) /. 10.0))
   in
-  let sigma = Placement.sample prng t in
-  Alcotest.(check int) "fallback valid" k
-    (List.length (List.sort_uniq compare (Array.to_list sigma)))
+  Alcotest.(check int) "2^24 states" (1 lsl 24) (Placement.dp_states (instance 24));
+  Alcotest.(check int) "saturated" max_int (Placement.dp_states (instance 80));
+  let prng = Prng.create ~seed:14 and fresh = Prng.create ~seed:14 in
+  let t = instance 24 in
+  Alcotest.check_raises "default bound"
+    (Invalid_argument "Placement.sample_exact: state space too large") (fun () ->
+      ignore (Placement.sample_exact prng t));
+  Alcotest.check_raises "explicit bound"
+    (Invalid_argument "Placement.sample_exact: state space too large") (fun () ->
+      ignore (Placement.sample_exact ~max_states:((1 lsl 24) - 1) prng t));
+  Alcotest.(check int) "no draw consumed" (Prng.bits fresh ~width:30)
+    (Prng.bits prng ~width:30)
 
 let test_placement_dp_with_zero_weights () =
   (* Class-compressed DP on a sparse-support instance must match the exact
@@ -322,6 +332,211 @@ let test_placement_dp_sparse_distribution () =
     true
     (Float.abs (freq -. 0.6) < 0.015)
 
+(* --- Reference DP ---
+
+   The memoised recursion that [Placement.sample_exact] used before its
+   bottom-up pass, kept verbatim over the dense instance (minus its metrics
+   counter and trace span) so the property below can pin the new pass to it
+   sample for sample. *)
+module Reference = struct
+  type t = {
+    identities : int array;
+    positions : (int * int) array;
+    weights : float array array;
+  }
+
+  exception Too_large
+
+  let build ~identities ~positions ~weight =
+    let k = Array.length identities in
+    if k = 0 then invalid_arg "Placement.build: empty instance";
+    if Array.length positions <> k then
+      invalid_arg "Placement.build: instance/position count mismatch";
+    let weights =
+      Array.map
+        (fun v ->
+          Array.map
+            (fun (p, q) ->
+              let w = weight ~v ~p ~q in
+              if w < 0.0 || not (Float.is_finite w) then
+                invalid_arg "Placement.build: weights must be nonnegative";
+              w)
+            positions)
+        identities
+    in
+    { identities; positions; weights }
+
+  (* Distinct position classes with counts and, per class, the member position
+     indexes. *)
+  let position_classes t =
+    let table = Hashtbl.create 16 in
+    Array.iteri
+      (fun j pq ->
+        let members = try Hashtbl.find table pq with Not_found -> [] in
+        Hashtbl.replace table pq (j :: members))
+      t.positions;
+    Hashtbl.fold (fun pq members acc -> (pq, List.rev members) :: acc) table []
+    |> List.sort compare
+    |> Array.of_list
+
+  let dp_states t =
+    Array.fold_left
+      (fun acc (_, members) -> acc * (List.length members + 1))
+      1 (position_classes t)
+
+  (* log-sum-exp of a list that may contain neg_infinity. *)
+  let log_sum_exp xs =
+    let m = List.fold_left Float.max neg_infinity xs in
+    if m = neg_infinity then neg_infinity
+    else
+      m
+      +. Float.log
+           (List.fold_left (fun acc x -> acc +. Float.exp (x -. m)) 0.0 xs)
+
+  let sample_exact ?(max_states = 2_000_000) prng t =
+    let classes = position_classes t in
+    let tcount = Array.length classes in
+    let capacities = Array.map (fun (_, members) -> List.length members) classes in
+    let states = dp_states t in
+    if states > max_states then raise Too_large;
+    let k = Array.length t.identities in
+    (* Class weight a(v, class t): all positions in a class share a weight
+       column; take it from the first member. *)
+    let log_class_weight =
+      Array.init k (fun i ->
+          Array.init tcount (fun c ->
+              let _, members = classes.(c) in
+              let w = t.weights.(i).(List.hd members) in
+              if w = 0.0 then neg_infinity else Float.log w))
+    in
+    (* Process instances in identity order so memoization keys collapse for
+       equal-identity runs; order does not affect correctness. *)
+    let order = Array.init k (fun i -> i) in
+    Array.sort (fun a b -> compare t.identities.(a) t.identities.(b)) order;
+    (* Mixed-radix encoding of capacity vectors. *)
+    let radix = Array.make tcount 1 in
+    for c = 1 to tcount - 1 do
+      radix.(c) <- radix.(c - 1) * (capacities.(c - 1) + 1)
+    done;
+    let encode caps =
+      let acc = ref 0 in
+      Array.iteri (fun c v -> acc := !acc + (v * radix.(c))) caps;
+      !acc
+    in
+    let memo : (int, float) Hashtbl.t = Hashtbl.create 4096 in
+    (* The memo is keyed by (layer, capacity-vector); layers multiply the state
+       count, so cap the total table size to bound memory, falling back to the
+       MCMC sampler beyond it. *)
+    let budget = ref (min (10 * max_states) 1_000_000) in
+    (* logZ u caps: log total weight of completions placing instances
+       order.(u..) into remaining capacities. *)
+    let rec log_z u caps =
+      if u = k then 0.0 (* capacities sum to zero exactly when u = k *)
+      else begin
+        let key = (u * states) + encode caps in
+        match Hashtbl.find_opt memo key with
+        | Some z -> z
+        | None ->
+            decr budget;
+            if !budget <= 0 then raise Too_large;
+            let inst = order.(u) in
+            let options = ref [] in
+            for c = 0 to tcount - 1 do
+              if caps.(c) > 0 then begin
+                caps.(c) <- caps.(c) - 1;
+                options := (log_class_weight.(inst).(c) +. log_z (u + 1) caps) :: !options;
+                caps.(c) <- caps.(c) + 1
+              end
+            done;
+            let z = log_sum_exp !options in
+            Hashtbl.add memo key z;
+            z
+      end
+    in
+    let caps = Array.copy capacities in
+    let total = log_z 0 caps in
+    if total = neg_infinity then failwith "Placement.sample_exact: infeasible";
+    (* Forward sampling of a position class per instance. *)
+    let chosen_class = Array.make k (-1) in
+    for u = 0 to k - 1 do
+      let inst = order.(u) in
+      let logw = Array.make tcount neg_infinity in
+      for c = 0 to tcount - 1 do
+        if caps.(c) > 0 then begin
+          caps.(c) <- caps.(c) - 1;
+          logw.(c) <- log_class_weight.(inst).(c) +. log_z (u + 1) caps;
+          caps.(c) <- caps.(c) + 1
+        end
+      done;
+      let m = Array.fold_left Float.max neg_infinity logw in
+      let probs = Array.map (fun x -> if x = neg_infinity then 0.0 else Float.exp (x -. m)) logw in
+      let c = Cc_util.Dist.sample_weights probs prng in
+      chosen_class.(inst) <- c;
+      caps.(c) <- caps.(c) - 1
+    done;
+    (* Uniformly assign the instances of each class to its labeled positions. *)
+    let sigma = Array.make k (-1) in
+    Array.iteri
+      (fun c (_, members) ->
+        let insts =
+          Array.of_list
+            (List.filter (fun i -> chosen_class.(i) = c) (List.init k (fun i -> i)))
+        in
+        let member_arr = Array.of_list members in
+        Prng.shuffle prng member_arr;
+        Array.iteri (fun idx i -> sigma.(member_arr.(idx)) <- i) insts)
+      classes;
+    sigma
+
+  (* Re-raise Too_large as Invalid_argument at the documented boundary. *)
+  let sample_exact ?max_states prng t =
+    try sample_exact ?max_states prng t
+    with Too_large -> invalid_arg "Placement.sample_exact: state space too large"
+end
+
+(* A random instance: k <= 40 instances over at most 6 identities, positions
+   over at most 6 (p,q) pairs, weights per (identity, pair) drawn from
+   {0} U [1e-3, 1e3] (log-uniform). *)
+let random_instance prng =
+  let k = 1 + Prng.int prng 40 in
+  let n_ids = 1 + Prng.int prng 6 in
+  let identities = Array.init k (fun _ -> 10 * Prng.int prng n_ids) in
+  let positions = Array.init k (fun _ -> (Prng.int prng 3, 5 + Prng.int prng 2)) in
+  let table =
+    Array.init 6 (fun _ ->
+        Array.init 6 (fun _ ->
+            if Prng.int prng 5 = 0 then 0.0
+            else Float.pow 10.0 (Prng.float prng 6.0 -. 3.0)))
+  in
+  let weight ~v ~p ~q = table.(v / 10).((2 * p) + q - 5) in
+  (identities, positions, weight)
+
+(* Same sigma (or the same failure), and the same PRNG state afterwards. *)
+let agrees_with_reference (identities, positions, weight) seed =
+  let t = Placement.build ~identities ~positions ~weight in
+  let r = Reference.build ~identities ~positions ~weight in
+  let states = Placement.dp_states t in
+  let run sample max_states =
+    let prng = Prng.create ~seed in
+    let result =
+      match sample ~max_states prng with
+      | sigma -> Ok sigma
+      | exception Failure msg -> Error msg
+    in
+    (result, Array.init 4 (fun _ -> Prng.bits prng ~width:30))
+  in
+  let rejects sample =
+    match sample ~max_states:(states - 1) (Prng.create ~seed) with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  let ours ~max_states prng = Placement.sample_exact ~max_states prng t in
+  let theirs ~max_states prng = Reference.sample_exact ~max_states prng r in
+  states = Reference.dp_states r
+  && Placement.dense t = r.Reference.weights
+  && run ours states = run theirs states
+  && rejects ours && rejects theirs
+
 (* --- qcheck --- *)
 
 let qcheck_tests =
@@ -359,6 +574,10 @@ let qcheck_tests =
         in
         let sigma = Placement.sample_exact prng t in
         List.length (List.sort_uniq compare (Array.to_list sigma)) = k);
+    Test.make ~name:"placement DP matches the memoised reference" ~count:100
+      (make Gen.(pair (int_range 0 100_000) (int_range 0 100_000)))
+      (fun (shape, seed) ->
+        agrees_with_reference (random_instance (Prng.create ~seed:shape)) seed);
   ]
 
 let () =
@@ -389,7 +608,7 @@ let () =
           Alcotest.test_case "valid matchings" `Quick test_placement_exact_is_valid_matching;
           Alcotest.test_case "matches generic exact" `Slow test_placement_matches_generic_exact;
           Alcotest.test_case "large instance" `Quick test_placement_large_instance;
-          Alcotest.test_case "fallback to mcmc" `Quick test_placement_sample_fallback;
+          Alcotest.test_case "state bound" `Quick test_placement_state_bound;
           Alcotest.test_case "zero-weight DP" `Quick test_placement_dp_with_zero_weights;
           Alcotest.test_case "sparse DP law" `Slow test_placement_dp_sparse_distribution;
         ] );

@@ -49,6 +49,30 @@ let test_phase_walk_is_valid_walk () =
     Alcotest.(check bool) "<= rho distinct" true (Walk.distinct_count w <= 3)
   done
 
+let test_phase_walk_mcmc_fallback () =
+  (* On K12 with rho = 12 the late levels hold placements whose position
+     classes are mostly distinct, so their DP state count passes 50,000: the
+     swap chain places them, and the filled walk must still be valid. *)
+  let g = Gen.complete 12 in
+  let net = Net.create ~n:12 in
+  let prng = Prng.create ~seed:1 in
+  let w, stats =
+    Phase_walk.run net prng ~backend:(Matmul.charged ())
+      ~trans:(Graph.transition_matrix g)
+      ~machine_of:(fun i -> i)
+      ~start:0 ~rho:12 ~target_len:1024
+      ~matching:(Phase_walk.Resample { mcmc_steps = None })
+      ()
+  in
+  Alcotest.(check bool) "swap chain used" true (stats.Phase_walk.matchings_mcmc > 0);
+  Alcotest.(check bool) "exact DP used" true (stats.Phase_walk.matchings_exact > 0);
+  Alcotest.(check int) "starts at start" 0 w.(0);
+  for i = 1 to Array.length w - 1 do
+    if not (Graph.has_edge g w.(i - 1) w.(i)) then
+      Alcotest.failf "invalid step %d -> %d" w.(i - 1) w.(i)
+  done;
+  Alcotest.(check bool) "<= rho distinct" true (Walk.distinct_count w <= 12)
+
 let test_phase_walk_ends_at_fresh_vertex () =
   let g = Gen.complete 6 in
   let prng = Prng.create ~seed:2 in
@@ -366,7 +390,7 @@ let test_phase_walk_stats_sanity () =
   Alcotest.(check int) "levels = log2 256" 8 stats.Phase_walk.levels;
   Alcotest.(check bool) "binary search probed" true (stats.Phase_walk.checks > 0);
   Alcotest.(check bool) "placements recorded" true
-    (stats.Phase_walk.matchings_exact + stats.Phase_walk.matchings_mcmc >= 0)
+    (stats.Phase_walk.matchings_exact + stats.Phase_walk.matchings_mcmc > 0)
 
 (* --- failure injection / argument validation --- *)
 
@@ -658,6 +682,7 @@ let () =
         [
           Alcotest.test_case "valid walk" `Quick test_phase_walk_is_valid_walk;
           Alcotest.test_case "ends fresh" `Quick test_phase_walk_ends_at_fresh_vertex;
+          Alcotest.test_case "fallback to mcmc" `Quick test_phase_walk_mcmc_fallback;
           Alcotest.test_case "tau law vs sequential" `Slow test_phase_walk_tau_matches_sequential;
           Alcotest.test_case "magical = resampled" `Slow test_phase_walk_magical_equals_resampled_in_law;
         ] );
