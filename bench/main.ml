@@ -779,172 +779,6 @@ let f2 () =
      modest fraction of the fault-free rounds until drops are frequent\n\
      enough to trigger second-wave retries and their exponential backoff."
 
-(* ---------------------------------------------------------------- F3 --- *)
-
-(* Transport overhead and recovery cost: the same doubling workload on the
-   in-process transport and on the multi-process one — fault-free, under
-   wire-level drops/corruption, and with a worker SIGKILLed mid-run by the
-   fault schedule. Wall-clock rows carry no bound, so the ccprof diff gate
-   stays hardware-independent; the health column is the correctness signal
-   (every faulted mode must end recovered, never degraded), and the
-   cross-transport CI job pins the digests. *)
-
-let f3 () =
-  section "F3" "multi-process transport: overhead and recovery cost";
-  let n = if !fast then 16 else 32 in
-  let tau = 4 * n in
-  let module Transport = Cc_transport.Transport in
-  let module Supervisor = Cc_transport.Supervisor in
-  let module CP = Cc_obs.Critical_path in
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "doubling walks on cycle(%d), tau = %d, same seed per mode:\n\
-            in-process vs supervised worker processes (4 workers), with\n\
-            wire faults and a real mid-run SIGKILL"
-           n tau)
-      ~columns:
-        [ "mode"; "rounds"; "wall (s)"; "respawns"; "reroutes"; "retries";
-          "recovery (ms)"; "events"; "worker.*"; "cp cover %"; "cp top";
-          "health" ]
-  in
-  List.iter
-    (fun (mode_name, mode) ->
-      (* Isolate the merged worker.<shard>.* namespace per mode (the
-         registry is process-global; nothing else reads it back). *)
-      Cc_obs.Metrics.reset ();
-      let g = Gen.cycle n in
-      let prng = Prng.create ~seed:13 in
-      let net = Net.create ~n in
-      (* Distributed trace per mode: the collector must be live before the
-         transport spawns (span-id bases ride in Hello), and the root [run]
-         span closes only after shutdown's final flush — the same wiring as
-         the binaries' --trace-out. Observability-only: the rounds column
-         is the proof it doesn't perturb the run. *)
-      let tracer = Cc_obs.Trace.create () in
-      Cc_obs.Trace.install tracer;
-      Cc_obs.Trace.open_span tracer "run";
-      let net =
-        match mode with
-        | `Kill ->
-            (* Model-level crash schedule: machine 3 crashes at round 2; the
-               transport turns that into a SIGKILL of its owning worker. *)
-            Net.with_faults
-              (Fault.create (Fault.spec ~crashes:[ (3, 2.0) ] ~seed:7 ()))
-              net
-        | _ -> net
-      in
-      let tr =
-        match mode with
-        | `Inproc -> Transport.inproc ()
-        | `Mpproc | `Kill -> Transport.mpproc ~machines:n ()
-        | `Drop ->
-            Transport.mpproc
-              ~config:
-                {
-                  Supervisor.default_config with
-                  wire_drop_prob = 0.05;
-                  wire_corrupt_prob = 0.02;
-                  wire_seed = 13;
-                }
-              ~machines:n ()
-      in
-      Net.set_transport net tr;
-      let t0 = Unix.gettimeofday () in
-      let r = Doubling.run net prng g ~tau ~scheme:(Doubling.default_scheme ~n) in
-      tr.Transport.sync ();
-      let wall = Unix.gettimeofday () -. t0 in
-      let health = tr.Transport.health () in
-      let snap = tr.Transport.snapshot () in
-      tr.Transport.shutdown ();
-      Cc_obs.Trace.close_span tracer;
-      Cc_obs.Trace.uninstall ();
-      let cp_cover, cp_top =
-        match CP.compute tracer with
-        | None -> (0.0, "-")
-        | Some c ->
-            ( (if c.CP.total_s > 0.0 then
-                 100.0 *. c.CP.covered_s /. c.CP.total_s
-               else 100.0),
-              match c.CP.rows with
-              | r :: _ ->
-                  Printf.sprintf "%s %.0f%%" r.CP.phase (100.0 *. r.CP.share)
-              | [] -> "-" )
-      in
-      Report.observe_net ~id:"F3" net;
-      let zero =
-        {
-          Supervisor.books = 0; kills = 0; respawns = 0; reroutes = 0;
-          wire_drops = 0; wire_corrupts = 0; wire_retries = 0; syncs = 0;
-          recovery_s = 0.0;
-        }
-      in
-      let s = Option.value ~default:zero snap in
-      (* Journal length after shutdown includes the worker_stop records;
-         the merged-metric count shows the telemetry plane end to end. *)
-      let journal_events =
-        match tr.Transport.journal () with
-        | Some j -> Cc_obs.Journal.length j
-        | None -> 0
-      in
-      let worker_merged =
-        List.length
-          (List.filter
-             (fun (name, _) -> String.starts_with ~prefix:"worker." name)
-             (Cc_obs.Metrics.snapshot ()))
-      in
-      Report.record ~id:"F3"
-        ~params:[ ("n", Report.int n); ("mode", Report.str mode_name) ]
-        ~extra:
-          [
-            ("rounds", Report.flt r.Doubling.rounds);
-            ("health", Report.str (Transport.health_summary health));
-            ("books", Report.int s.Supervisor.books);
-            ("kills", Report.int s.Supervisor.kills);
-            ("respawns", Report.int s.Supervisor.respawns);
-            ("reroutes", Report.int s.Supervisor.reroutes);
-            ("wire_drops", Report.int s.Supervisor.wire_drops);
-            ("wire_corrupts", Report.int s.Supervisor.wire_corrupts);
-            ("wire_retries", Report.int s.Supervisor.wire_retries);
-            ("syncs", Report.int s.Supervisor.syncs);
-            ("recovery_s", Report.flt s.Supervisor.recovery_s);
-            ("journal_events", Report.int journal_events);
-            ("worker_metrics", Report.int worker_merged);
-            ("cp_cover", Report.flt cp_cover);
-            ("cp_top_phase", Report.str cp_top);
-          ]
-        wall;
-      Table.add_row table
-        [
-          mode_name;
-          Table.cell_float ~decimals:0 r.Doubling.rounds;
-          Table.cell_float ~decimals:3 wall;
-          Table.cell_int s.Supervisor.respawns;
-          Table.cell_int s.Supervisor.reroutes;
-          Table.cell_int s.Supervisor.wire_retries;
-          Table.cell_float ~decimals:1 (1000.0 *. s.Supervisor.recovery_s);
-          Table.cell_int journal_events;
-          Table.cell_int worker_merged;
-          Table.cell_float ~decimals:1 cp_cover;
-          cp_top;
-          Transport.health_summary health;
-        ])
-    [
-      ("inproc", `Inproc);
-      ("mpproc", `Mpproc);
-      ("mpproc+drop", `Drop);
-      ("mpproc+kill", `Kill);
-    ];
-  Table.print table;
-  print_endline
-    "Expected shape: rounds depend only on the model fault schedule, never\n\
-     on the transport (the kill row's extra rounds are the model's own\n\
-     crash recovery); mpproc pays a constant wall-clock factor for\n\
-     serialization + syncs; the drop mode heals through retransmission\n\
-     alone (no respawns); the kill mode shows one kill healed by a respawn.\n\
-     Any 'degraded' in the health column is a supervision regression."
-
 (* ---------------------------------------------------------------- D1 --- *)
 
 (* The replay workflow (ccreplay, CI determinism job) relies on the event
@@ -1766,9 +1600,6 @@ let microbench () =
 (* ------------------------------------------------------------- driver --- *)
 
 let () =
-  (* Must run before argv parsing: the mpproc transport of F3 re-execs this
-     binary as a shard worker. *)
-  Cc_transport.Worker.maybe_run_as_worker ();
   let rec parse = function
     | [] -> ()
     | "--fast" :: rest ->
@@ -1814,7 +1645,6 @@ let () =
   run_exp "E11" e11;
   run_exp "F1" f1;
   run_exp "F2" f2;
-  run_exp "F3" f3;
   run_exp "D1" d1;
   run_exp "A1" a1;
   run_exp "A2" a2;

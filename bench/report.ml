@@ -104,9 +104,9 @@ let quality kvs =
 (* Every [--json] run also appends one env-fingerprinted line to the bench
    trajectory (default bench/HISTORY/history.jsonl, overridable or disabled
    — set to empty — via CC_BENCH_HISTORY): timestamp, host, OCaml version,
-   domain count, transport, and per-experiment wall plus mean paper-bound
-   ratio. [ccprof history] renders the trends. Strictly best-effort: an
-   unwritable path never fails the bench run. *)
+   domain count, and per-experiment wall plus mean paper-bound ratio.
+   [ccprof history] renders the trends. Strictly best-effort: an unwritable
+   path never fails the bench run. *)
 let append_history ~fast =
   let file =
     match Sys.getenv_opt "CC_BENCH_HISTORY" with
@@ -143,11 +143,6 @@ let append_history ~fast =
               str (try Unix.gethostname () with Unix.Unix_error _ -> "?") );
             ("ocaml", str Sys.ocaml_version);
             ("domains", int (Cc_engine.domains (Cc_engine.get ())));
-            ( "transport",
-              str
-                (match Sys.getenv_opt "CC_TRANSPORT" with
-                | Some s when s <> "" -> s
-                | _ -> "inproc") );
             ("fast", Json.Bool fast);
             ( "experiments",
               Json.List

@@ -7,14 +7,11 @@
      diff BASELINE NEW     regression gate on measured/bound ratios
      heatmap FILE          render a profile JSONL (cctree --profile FILE)
      trace FILE            top spans/events of a trace JSONL
-     events FILE           render a supervision-event journal JSONL
-                           (cctree/ccreplay --health-log FILE)
-     watch SOCK            live terminal view of a running mpproc
-                           supervisor (cctree --stats-sock SOCK)
-     timeline FILE         merged Chrome/Perfetto JSON from a distributed
-                           trace artifact (--trace-out), one process lane
-                           per shard, optionally annotated with a health log
-     critical-path FILE    longest dependent chain across all lanes with
+     events FILE           render a lifecycle-event journal JSONL
+                           (ccserve --health-log FILE)
+     timeline FILE         Chrome/Perfetto JSON from a trace artifact
+                           (--trace-out)
+     critical-path FILE    longest dependent chain through the spans with
                            per-phase self-time/rounds attribution
      history FILE          per-experiment trend deltas over an appended
                            bench trajectory (bench/HISTORY)
@@ -23,9 +20,8 @@
                            ranking, convergence sparklines
 
    Exit codes: 0 ok; 1 diff found a regression (unless --warn-only),
-   events --assert-clean saw a recovery event, critical-path --budget
-   saw a phase share exceeded, or audit saw a statistical breach;
-   2 unreadable or malformed input. *)
+   critical-path --budget saw a phase share exceeded, or audit saw a
+   statistical breach; 2 unreadable or malformed input. *)
 
 module Json = Cc_obs.Json
 module Benchdata = Cc_obs.Benchdata
@@ -379,49 +375,12 @@ let timeline_cmd =
   let file_t =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
   in
-  let health_t =
-    let doc =
-      "Merge a supervision-event journal (cctree/ccreplay --health-log) into \
-       the supervisor lane as instant events, so respawns and reroutes show \
-       up on the timeline next to the spans they interrupted."
-    in
-    Arg.(value & opt (some file) None & info [ "health-log" ] ~doc ~docv:"FILE")
-  in
   let out_t =
     let doc = "Write the Chrome JSON to $(docv) instead of stdout." in
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~doc ~docv:"FILE")
   in
-  let run file health out =
+  let run file out =
     let tr = load_trace file in
-    (match health with
-    | None -> ()
-    | Some h -> (
-        match Journal.of_jsonl (read_file h) with
-        | Error msg ->
-            Printf.eprintf "ccprof: %s: %s\n" h msg;
-            exit exit_bad_input
-        | Ok events ->
-            (* Journal stamps are seconds since supervisor creation; the
-               artifact's are seconds since trace origin. Both clocks start
-               within the same process a few microseconds apart, so plotting
-               them on one axis is aligned to well under a heartbeat. *)
-            List.iter
-              (fun (e : Journal.event) ->
-                Trace.add_remote_event tr ~pid:Trace.local_pid
-                  {
-                    Trace.ts = e.Journal.t_s;
-                    span_id = None;
-                    kind = "journal";
-                    label =
-                      (if e.Journal.cause = "" then e.Journal.kind
-                       else e.Journal.kind ^ ": " ^ e.Journal.cause);
-                    rounds = 0.0;
-                    messages = 0;
-                    words = 0;
-                    max_load = 0;
-                    round_clock = e.Journal.round;
-                  })
-              events));
     let json = Trace.to_chrome_json tr in
     match out with
     | None -> print_endline json
@@ -438,12 +397,10 @@ let timeline_cmd =
   let info =
     Cmd.info "timeline"
       ~doc:
-        "Convert a distributed trace artifact (--trace-out) into one merged \
-         Chrome/Perfetto JSON timeline: the supervisor plus one process lane \
-         per worker shard, clock-rebased, optionally annotated with the \
-         supervision journal."
+        "Convert a trace artifact (--trace-out) into a Chrome/Perfetto JSON \
+         timeline."
   in
-  Cmd.v info Term.(const run $ file_t $ health_t $ out_t)
+  Cmd.v info Term.(const run $ file_t $ out_t)
 
 (* --- critical-path --- *)
 
@@ -454,8 +411,7 @@ let critical_path_cmd =
   let budget_t =
     let doc =
       "Fail (exit 1) when phase $(i,NAME)'s share of the critical path \
-       exceeds $(i,FRAC) (a fraction in (0,1]). Repeatable; summed over \
-       lanes."
+       exceeds $(i,FRAC) (a fraction in (0,1]). Repeatable."
     in
     Arg.(value & opt_all string [] & info [ "budget" ] ~doc ~docv:"NAME=FRAC")
   in
@@ -495,14 +451,13 @@ let critical_path_cmd =
         let table =
           Table.create
             ~title:(Printf.sprintf "%s — critical-path attribution" file)
-            ~columns:[ "phase"; "process"; "self s"; "rounds"; "% of run" ]
+            ~columns:[ "phase"; "self s"; "rounds"; "% of run" ]
         in
         List.iter
           (fun (r : Critical_path.row) ->
             Table.add_row table
               [
                 r.Critical_path.phase;
-                r.Critical_path.process;
                 Printf.sprintf "%.4f" r.Critical_path.self_s;
                 Printf.sprintf "%.1f" r.Critical_path.rounds;
                 Printf.sprintf "%.1f" (100.0 *. r.Critical_path.share);
@@ -536,92 +491,60 @@ let critical_path_cmd =
   let info =
     Cmd.info "critical-path"
       ~doc:
-        "Extract the longest dependent chain from a distributed trace \
-         artifact (--trace-out) and attribute it per phase and per process \
-         lane; --budget gates a phase's share of the run."
+        "Extract the longest dependent chain from a trace artifact \
+         (--trace-out) and attribute it per phase; --budget gates a phase's \
+         share of the run."
   in
   Cmd.v info Term.(const run $ file_t $ budget_t $ warn_only_t)
 
 (* --- events --- *)
 
-let clean_kind k = String.equal k "worker_start" || String.equal k "worker_stop"
-
 let events_cmd =
   let file_t =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
-  in
-  let assert_clean_t =
-    let doc =
-      "Exit 1 if the journal holds any event other than worker_start / \
-       worker_stop — the clean-run gate CI applies to deterministic jobs."
-    in
-    Arg.(value & flag & info [ "assert-clean" ] ~doc)
   in
   let json_t =
     let doc = "Print the events as a JSON array instead of a table." in
     Arg.(value & flag & info [ "json" ] ~doc)
   in
-  let run file assert_clean json =
+  let run file json =
     match Journal.of_jsonl (read_file file) with
     | Error msg ->
         Printf.eprintf "ccprof: %s: %s\n" file msg;
         exit exit_bad_input
+    | Ok events when json ->
+        print_endline
+          (Json.to_string (Json.List (List.map Journal.event_to_json events)))
     | Ok events ->
-        if json then
-          print_endline
-            (Json.to_string
-               (Json.List (List.map Journal.event_to_json events)))
-        else begin
-          let table =
-            Table.create
-              ~title:(Printf.sprintf "%s — supervision events" file)
-              ~columns:
-                [ "seq"; "t s"; "round"; "kind"; "worker"; "shard"; "attempt";
-                  "budget"; "cause" ]
-          in
-          List.iter
-            (fun (e : Journal.event) ->
-              Table.add_row table
-                [
-                  Table.cell_int e.Journal.seq;
-                  Printf.sprintf "%.3f" e.Journal.t_s;
-                  Printf.sprintf "%.0f" e.Journal.round;
-                  e.Journal.kind;
-                  opt_i e.Journal.worker;
-                  opt_i e.Journal.shard;
-                  opt_i e.Journal.attempt;
-                  opt_i e.Journal.budget;
-                  e.Journal.cause;
-                ])
-            events;
-          Table.print table
-        end;
-        let recovery =
-          List.filter (fun e -> not (clean_kind e.Journal.kind)) events
+        let table =
+          Table.create
+            ~title:(Printf.sprintf "%s — lifecycle events" file)
+            ~columns:[ "seq"; "t s"; "round"; "kind"; "worker"; "cause" ]
         in
-        if not json then
-          Printf.printf "%d event(s), %d recovery event(s) — %s\n"
-            (List.length events) (List.length recovery)
-            (if recovery = [] then "clean run" else "recovery happened");
-        if assert_clean && recovery <> [] then begin
-          let e = List.hd recovery in
-          Printf.eprintf
-            "ccprof: journal not clean: seq %d is %S (worker %s, cause %S)\n"
-            e.Journal.seq e.Journal.kind (opt_i e.Journal.worker)
-            e.Journal.cause;
-          exit exit_regression
-        end
+        List.iter
+          (fun (e : Journal.event) ->
+            Table.add_row table
+              [
+                Table.cell_int e.Journal.seq;
+                Printf.sprintf "%.3f" e.Journal.t_s;
+                Printf.sprintf "%.0f" e.Journal.round;
+                e.Journal.kind;
+                opt_i e.Journal.worker;
+                e.Journal.cause;
+              ])
+          events;
+        Table.print table;
+        Printf.printf "%d event(s)\n" (List.length events)
   in
   let info =
     Cmd.info "events"
       ~doc:
-        "Render a supervision-event journal (cctree/ccreplay --health-log); \
-         with --assert-clean, exit 1 unless the run needed no recovery; \
-         --json emits the raw events instead of the table."
+        "Render a lifecycle-event journal (ccserve --health-log); --json \
+         emits the raw events instead of the table."
   in
-  Cmd.v info Term.(const run $ file_t $ assert_clean_t $ json_t)
+  Cmd.v info Term.(const run $ file_t $ json_t)
 
-(* --- watch --- *)
+(* --- sparklines (history, audit) --- *)
 
 let spark_levels = [| "▁"; "▂"; "▃"; "▄"; "▅"; "▆"; "▇"; "█" |]
 
@@ -639,222 +562,6 @@ let sparkline xs =
                            (int_of_float (x /. hi *. 7.99)))
        )
        xs)
-
-let watch_cmd =
-  let sock_t =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"SOCK")
-  in
-  let once_t =
-    let doc = "Print one snapshot and exit (no screen clearing)." in
-    Arg.(value & flag & info [ "once" ] ~doc)
-  in
-  let interval_t =
-    let doc = "Seconds between polls." in
-    Arg.(value & opt float 1.0 & info [ "interval" ] ~doc ~docv:"S")
-  in
-  let count_t =
-    let doc = "Stop after $(docv) snapshots (0 = until the endpoint goes away)." in
-    Arg.(value & opt int 0 & info [ "count" ] ~doc ~docv:"N")
-  in
-  let json_t =
-    let doc =
-      "Print one raw snapshot JSON object per line per poll instead of \
-       rendering the terminal view (for piping into other tools). Exit \
-       codes are unchanged."
-    in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let fetch sock =
-    match
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Fun.protect
-        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (fun () ->
-          Unix.connect fd (Unix.ADDR_UNIX sock);
-          let buf = Buffer.create 4096 in
-          let chunk = Bytes.create 4096 in
-          let rec drain () =
-            let k = Unix.read fd chunk 0 (Bytes.length chunk) in
-            if k > 0 then begin
-              Buffer.add_subbytes buf chunk 0 k;
-              drain ()
-            end
-          in
-          drain ();
-          Buffer.contents buf)
-    with
-    | s -> Some s
-    | exception (Unix.Unix_error _ | Sys_error _) -> None
-  in
-  let jint ?(default = 0) key v =
-    match Json.member key v with
-    | Some (Json.Int i) -> i
-    | Some (Json.Float f) -> int_of_float f
-    | _ -> default
-  in
-  let jnum key v =
-    Option.bind (Json.member key v) Json.to_float_opt
-  in
-  let jstr key v =
-    Option.value ~default:""
-      (Option.bind (Json.member key v) Json.to_string_opt)
-  in
-  let jlist key v =
-    Option.value ~default:[]
-      (Option.bind (Json.member key v) Json.to_list_opt)
-  in
-  (* Per-worker rolling windows for the sparklines, newest last. *)
-  let push tbl wid x =
-    let window = 24 in
-    let xs = match Hashtbl.find_opt tbl wid with Some l -> l | None -> [] in
-    let xs = xs @ [ x ] in
-    let xs =
-      if List.length xs > window then
-        List.filteri (fun i _ -> i >= List.length xs - window) xs
-      else xs
-    in
-    Hashtbl.replace tbl wid xs;
-    xs
-  in
-  let render ~clear rtt_hist q_hist snap =
-    if clear then print_string "\027[2J\027[H";
-    Printf.printf "ccprof watch — %s | machines %d | rounds %.0f\n"
-      (jstr "health" snap) (jint "machines" snap)
-      (Option.value ~default:0.0 (jnum "rounds" snap));
-    (match Json.member "counters" snap with
-    | None -> ()
-    | Some c ->
-        Printf.printf
-          "books %d  syncs %d  kills %d  respawns %d  reroutes %d  \
-           wire drops/corrupts/retries %d/%d/%d\n"
-          (jint "books" c) (jint "syncs" c) (jint "kills" c)
-          (jint "respawns" c) (jint "reroutes" c) (jint "wire_drops" c)
-          (jint "wire_corrupts" c) (jint "wire_retries" c));
-    (* queue depth per worker = pending frames summed over owned shards *)
-    let queue_of = Hashtbl.create 8 in
-    List.iter
-      (fun sh ->
-        let owner = jint "owner" sh in
-        let pending = jint "pending" sh in
-        Hashtbl.replace queue_of owner
-          (pending
-          + Option.value ~default:0 (Hashtbl.find_opt queue_of owner)))
-      (jlist "shards" snap);
-    let table =
-      Table.create ~title:"workers"
-        ~columns:
-          [ "wid"; "alive"; "pid"; "respawns"; "rtt ms"; "rtt"; "queue";
-            "shards" ]
-    in
-    List.iter
-      (fun w ->
-        let wid = jint "wid" w in
-        let rtt = jnum "rtt_ms" w in
-        let rtts =
-          match rtt with
-          | Some x when Float.is_finite x -> push rtt_hist wid x
-          | _ -> Option.value ~default:[] (Hashtbl.find_opt rtt_hist wid)
-        in
-        let q =
-          float_of_int
-            (Option.value ~default:0 (Hashtbl.find_opt queue_of wid))
-        in
-        let qs = push q_hist wid q in
-        let alive =
-          match Json.member "alive" w with
-          | Some (Json.Bool b) -> b
-          | _ -> false
-        in
-        Table.add_row table
-          [
-            Table.cell_int wid;
-            (if alive then "up" else "DOWN");
-            (match Json.member "pid" w with
-            | Some (Json.Int p) -> string_of_int p
-            | _ -> "-");
-            Table.cell_int (jint "respawns_used" w);
-            (match rtt with
-            | Some x when Float.is_finite x -> Printf.sprintf "%.2f" x
-            | _ -> "-");
-            sparkline rtts;
-            sparkline qs;
-            String.concat ","
-              (List.map
-                 (fun s -> match s with Json.Int i -> string_of_int i | _ -> "?")
-                 (jlist "shards" w));
-          ])
-      (jlist "workers" snap);
-    Table.print table;
-    (match jlist "events" snap with
-    | [] -> ()
-    | evs ->
-        print_endline "recent events:";
-        List.iter
-          (fun ev ->
-            match Journal.event_of_json ev with
-            | Error _ -> ()
-            | Ok e ->
-                Printf.printf "  [%d] t=%.3f round=%.0f %s%s%s\n"
-                  e.Journal.seq e.Journal.t_s e.Journal.round e.Journal.kind
-                  (match e.Journal.worker with
-                  | Some w -> Printf.sprintf " worker=%d" w
-                  | None -> "")
-                  (if e.Journal.cause = "" then ""
-                   else Printf.sprintf " (%s)" e.Journal.cause))
-          evs);
-    flush stdout
-  in
-  let run sock once interval count json =
-    if interval <= 0.0 then begin
-      Printf.eprintf "ccprof: --interval must be positive\n";
-      exit exit_bad_input
-    end;
-    let rtt_hist = Hashtbl.create 8 and q_hist = Hashtbl.create 8 in
-    let budget = if once then 1 else count in
-    let seen = ref 0 in
-    let rec loop () =
-      (match fetch sock with
-      | None ->
-          if !seen = 0 then begin
-            Printf.eprintf
-              "ccprof: cannot connect to %s (is a supervisor running with \
-               --stats-sock?)\n"
-              sock;
-            exit exit_bad_input
-          end
-          else begin
-            if not json then
-              Printf.printf "endpoint %s gone — supervisor exited\n" sock;
-            exit 0
-          end
-      | Some body -> (
-          match Json.of_string (String.trim body) with
-          | Error msg ->
-              Printf.eprintf "ccprof: %s: malformed snapshot: %s\n" sock msg;
-              exit exit_bad_input
-          | Ok snap ->
-              incr seen;
-              if json then begin
-                print_endline (Json.to_string snap);
-                flush stdout
-              end
-              else render ~clear:(not once && !seen > 1) rtt_hist q_hist snap));
-      if budget = 0 || !seen < budget then begin
-        Unix.sleepf interval;
-        loop ()
-      end
-    in
-    loop ()
-  in
-  let info =
-    Cmd.info "watch"
-      ~doc:
-        "Live terminal view of a running mpproc supervisor: poll the stats \
-         socket (cctree --stats-sock) for worker liveness, RTT and queue \
-         sparklines, and recent supervision events; --json streams the raw \
-         snapshots instead."
-  in
-  Cmd.v info Term.(const run $ sock_t $ once_t $ interval_t $ count_t $ json_t)
 
 (* --- history --- *)
 
@@ -940,9 +647,9 @@ let history_cmd =
       runs;
     let last = List.nth runs (List.length runs - 1) in
     Printf.printf
-      "%s — %d run(s); last: host %s, ocaml %s, %d domain(s), transport %s%s\n"
+      "%s — %d run(s); last: host %s, ocaml %s, %d domain(s)%s\n"
       file (List.length runs) (jstr "host" last) (jstr "ocaml" last)
-      (jint "domains" last) (jstr "transport" last)
+      (jint "domains" last)
       (match Json.member "fast" last with
       | Some (Json.Bool true) -> ", fast"
       | _ -> "");
@@ -1146,7 +853,7 @@ let main =
   Cmd.group info
     [
       summary_cmd; diff_cmd; heatmap_cmd; trace_cmd; timeline_cmd;
-      critical_path_cmd; history_cmd; events_cmd; watch_cmd; audit_cmd;
+      critical_path_cmd; history_cmd; events_cmd; audit_cmd;
     ]
 
 let () = exit (Cmd.eval main)

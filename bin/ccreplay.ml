@@ -20,7 +20,6 @@ module Sampler = Cc_sampler.Sampler
 module Doubling = Cc_doubling.Doubling
 module Recorder = Cc_obs.Recorder
 module Invariant = Cc_obs.Invariant
-module Transport = Cc_transport.Transport
 open Cmdliner
 
 let exit_divergence = 1
@@ -95,82 +94,22 @@ let record_cmd =
        the determinism CI job checks with $(b,ccreplay diff)."
     in
     let install spec =
-      let chosen =
-        match spec with
-        | Some s -> (
-            match Cc_engine.parse_domains s with
-            | Ok d -> Some d
-            | Error e -> fail_usage ("--domains: " ^ e))
-        | None -> (
-            match Sys.getenv_opt Cc_engine.env_var with
-            | None -> None
-            | Some s -> (
-                match Cc_engine.parse_domains s with
-                | Ok _ -> None
-                | Error e -> fail_usage (Cc_engine.env_var ^ ": " ^ e)))
-      in
-      match chosen with
-      | None -> ()
-      | Some d ->
-          let e = Cc_engine.create ~domains:d () in
-          Cc_engine.set_default e;
-          at_exit (fun () -> Cc_engine.shutdown e)
+      match Cc_engine.install_domains spec with
+      | Ok () -> ()
+      | Error e -> fail_usage e
     in
     Term.(
       const install
       $ Arg.(
           value & opt (some string) None & info [ "domains" ] ~doc ~docv:"N"))
   in
-  let transport_t =
-    let doc =
-      "Execution transport for the recorded run: $(b,inproc) or \
-       $(b,mpproc). The recorded log and its digest are bit-identical on \
-       both — that is the cross-transport determinism contract the CI job \
-       checks with $(b,ccreplay diff)."
-    in
-    let resolve spec =
-      match spec with
-      | Some s -> (
-          match Transport.kind_of_string s with
-          | Ok k -> k
-          | Error e -> fail_usage ("--transport: " ^ e))
-      | None -> (
-          match Transport.kind_from_env () with
-          | Ok (Some k) -> k
-          | Ok None -> Transport.Inproc
-          | Error e -> fail_usage e)
-    in
-    Term.(
-      const resolve
-      $ Arg.(
-          value & opt (some string) None & info [ "transport" ] ~doc ~docv:"T"))
-  in
-  let no_telemetry_t =
-    let doc =
-      "Disable worker telemetry on the mpproc transport. The recorded log \
-       and its digest are bit-identical with telemetry on and off — the \
-       zero-perturbation contract CI checks with $(b,ccreplay diff)."
-    in
-    Arg.(value & flag & info [ "no-telemetry" ] ~doc)
-  in
-  let health_log_t =
-    let doc =
-      "Write the transport's supervision-event journal as JSON lines to \
-       $(docv) after the run (empty on inproc) — readable by \
-       $(b,ccprof events)."
-    in
-    Arg.(
-      value & opt (some string) None & info [ "health-log" ] ~doc ~docv:"FILE")
-  in
   let trace_out_t =
     let doc =
-      "Write the distributed trace artifact (JSON lines, readable by \
-       $(b,ccprof timeline) and $(b,ccprof critical-path)) to $(docv). \
-       Installs a trace collector and wraps the recorded run — transport \
-       shutdown included — in a root $(i,run) span; on mpproc with \
-       telemetry on, worker span trees merge in as per-shard process \
-       lanes. The recorded log and its digest are bit-identical with and \
-       without it — the zero-perturbation contract CI enforces."
+      "Write the trace artifact (JSON lines, readable by $(b,ccprof \
+       timeline) and $(b,ccprof critical-path)) to $(docv). Installs a \
+       trace collector and wraps the recorded run in a root $(i,run) span. \
+       The recorded log and its digest are bit-identical with and without \
+       it — the zero-perturbation contract CI enforces."
     in
     Arg.(
       value & opt (some string) None & info [ "trace-out" ] ~doc ~docv:"FILE")
@@ -185,8 +124,7 @@ let record_cmd =
     in
     Arg.(value & opt (some string) None & info [ "audit" ] ~doc ~docv:"FILE")
   in
-  let run () algo family size seed drop_prob fault_seed out transport
-      no_telemetry health_log trace_out audit =
+  let run () algo family size seed drop_prob fault_seed out trace_out audit =
     let prng = Prng.create ~seed in
     let g =
       match Gen.family_of_string family with
@@ -208,33 +146,6 @@ let record_cmd =
     let inv = Invariant.create ~machines:n () in
     ignore (Net.attach_recorder net recorder);
     ignore (Net.attach_invariant net inv);
-    (* The distributed-trace collector must be live before the transport
-       spawns: span-id bases ride in the workers' Hello frames. The root
-       [run] span is closed only after shutdown's final flush, so the
-       artifact's critical path tiles the whole recorded run. *)
-    let tracer =
-      match trace_out with
-      | None -> None
-      | Some _ ->
-          let t = Cc_obs.Trace.create () in
-          Cc_obs.Trace.install t;
-          Cc_obs.Trace.open_span t "run";
-          Some t
-    in
-    let tr =
-      match transport with
-      | Transport.Inproc -> None
-      | Transport.Mpproc ->
-          let config =
-            {
-              Cc_transport.Supervisor.default_config with
-              telemetry = not no_telemetry;
-            }
-          in
-          let tr = Transport.mpproc ~config ~machines:n () in
-          Net.set_transport net tr;
-          Some tr
-    in
     let auditor =
       match audit with
       | None -> None
@@ -243,15 +154,27 @@ let record_cmd =
           Cc_audit.Audit.install a;
           Some (path, a)
     in
-    (match String.lowercase_ascii algo with
-    | "sample" -> ignore (Sampler.sample net prng g)
-    | "doubling" ->
-        ignore (Doubling.sample_tree net prng g ~tau0:n)
-    | a ->
-        Printf.eprintf "ccreplay: unknown workload %S\n" a;
-        exit exit_bad_input);
-    (* The audit trailer goes to stderr for the same reason the transport
-       trailer does: stdout and the log must stay byte-identical. *)
+    let workload =
+      match String.lowercase_ascii algo with
+      | "sample" -> fun () -> ignore (Sampler.sample net prng g)
+      | "doubling" -> fun () -> ignore (Doubling.sample_tree net prng g ~tau0:n)
+      | a ->
+          Printf.eprintf "ccreplay: unknown workload %S\n" a;
+          exit exit_bad_input
+    in
+    (match trace_out with
+    | None -> workload ()
+    | Some path ->
+        (* The root [run] span wraps the whole workload, so the artifact's
+           critical path tiles the recorded run. *)
+        let t = Cc_obs.Trace.create () in
+        Cc_obs.Trace.with_trace t (fun () ->
+            Cc_obs.Trace.with_span "run" workload);
+        let oc = open_out path in
+        output_string oc (Cc_obs.Trace.to_jsonl t);
+        close_out oc);
+    (* The audit trailer goes to stderr: stdout and the log must stay
+       byte-identical with and without it. *)
     (match auditor with
     | None -> ()
     | Some (path, a) ->
@@ -263,46 +186,6 @@ let record_cmd =
         Printf.eprintf "# audit: %s after %d tree(s) -> %s\n"
           (if v.Cc_audit.Audit.pass then "PASS" else "FAIL")
           v.Cc_audit.Audit.at_trials path);
-    (* Transport health and the journal trailer go to stderr: stdout (and
-       the log itself) must be byte-identical across transports. *)
-    (match tr with
-    | None -> ()
-    | Some tr ->
-        tr.Transport.sync ();
-        Printf.eprintf "# transport: %s (%s)\n" tr.Transport.name
-          (Transport.health_summary (tr.Transport.health ()));
-        tr.Transport.shutdown ();
-        match tr.Transport.journal () with
-        | None -> ()
-        | Some j ->
-            let module J = Cc_obs.Journal in
-            Printf.eprintf
-              "# journal: %d event(s)%s, %s\n" (J.length j)
-              (if J.dropped j > 0 then
-                 Printf.sprintf " (+%d dropped)" (J.dropped j)
-               else "")
-              (if J.is_clean j then "clean (worker start/stop only)"
-               else "recovery events present");
-            (match health_log with
-            | None -> ()
-            | Some path ->
-                let oc = open_out path in
-                output_string oc (J.to_jsonl j);
-                close_out oc));
-    (match (tr, health_log) with
-    | None, Some path ->
-        (* Inproc: no supervision happens; write the file empty so scripted
-           pipelines need not special-case the transport. *)
-        close_out (open_out path)
-    | _ -> ());
-    (match (tracer, trace_out) with
-    | Some t, Some path ->
-        Cc_obs.Trace.close_span t;
-        Cc_obs.Trace.uninstall ();
-        let oc = open_out path in
-        output_string oc (Cc_obs.Trace.to_jsonl t);
-        close_out oc
-    | _ -> ());
     let lv = Net.ledger_violations net inv in
     let oc = open_out out in
     output_string oc (Recorder.to_jsonl recorder);
@@ -326,8 +209,7 @@ let record_cmd =
   Cmd.v info
     Term.(
       const run $ domains_t $ algo_t $ family_t $ size_t $ seed_t $ drop_t
-      $ fault_seed_t $ out_t $ transport_t $ no_telemetry_t $ health_log_t
-      $ trace_out_t $ audit_t)
+      $ fault_seed_t $ out_t $ trace_out_t $ audit_t)
 
 (* --- check --- *)
 
@@ -421,8 +303,4 @@ let main =
   let info = Cmd.info "ccreplay" ~version:"1.0.0" ~doc in
   Cmd.group info [ record_cmd; check_cmd; diff_cmd; timeline_cmd ]
 
-let () =
-  (* Worker entrypoint first: when re-exec'd by the Mpproc supervisor this
-     process is a shard worker, not a CLI. *)
-  Cc_transport.Worker.maybe_run_as_worker ();
-  exit (Cmd.eval main)
+let () = exit (Cmd.eval main)

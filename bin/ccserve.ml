@@ -8,8 +8,6 @@
    requests for the same graph skip preprocessing and pay only the walk +
    matching phases. [cctree sample --connect SOCK] is the bundled client. *)
 
-module Net = Cc_clique.Net
-module Transport = Cc_transport.Transport
 module Server = Cc_serve.Server
 open Cmdliner
 
@@ -30,54 +28,13 @@ let domains_t =
      Responses are bit-identical for any value."
   in
   let install spec =
-    let chosen =
-      match spec with
-      | Some s -> (
-          match Cc_engine.parse_domains s with
-          | Ok d -> Some d
-          | Error e -> fail_usage ("--domains: " ^ e))
-      | None -> (
-          match Sys.getenv_opt Cc_engine.env_var with
-          | None -> None
-          | Some s -> (
-              match Cc_engine.parse_domains s with
-              | Ok _ -> None
-              | Error e -> fail_usage (Cc_engine.env_var ^ ": " ^ e)))
-    in
-    match chosen with
-    | None -> ()
-    | Some d ->
-        let e = Cc_engine.create ~domains:d () in
-        Cc_engine.set_default e;
-        at_exit (fun () -> Cc_engine.shutdown e)
+    match Cc_engine.install_domains spec with
+    | Ok () -> ()
+    | Error e -> fail_usage e
   in
   Term.(
     const install
     $ Arg.(value & opt (some string) None & info [ "domains" ] ~doc ~docv:"N"))
-
-let transport_kind_t =
-  let doc =
-    "Execution transport for each request's clique: $(b,inproc) \
-     (single-process simulator) or $(b,mpproc) (supervised OS worker \
-     processes, spawned per request). Defaults to $(b,CC_TRANSPORT) when \
-     set, else inproc. Recorder digests are identical on both."
-  in
-  let resolve spec =
-    match spec with
-    | Some s -> (
-        match Transport.kind_of_string s with
-        | Ok k -> k
-        | Error e -> fail_usage ("--transport: " ^ e))
-    | None -> (
-        match Transport.kind_from_env () with
-        | Ok (Some k) -> k
-        | Ok None -> Transport.Inproc
-        | Error e -> fail_usage e)
-  in
-  Term.(
-    const resolve
-    $ Arg.(
-        value & opt (some string) None & info [ "transport" ] ~doc ~docv:"T"))
 
 let sock_t =
   let doc = "Unix-domain socket path to serve on." in
@@ -118,23 +75,12 @@ let health_log_t =
 let verbose_t =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Enable debug logging.")
 
-let run () verbose sock cache_cap max_requests transport metrics_json
-    health_log =
+let run () verbose sock cache_cap max_requests metrics_json health_log =
   setup_logs verbose;
   if cache_cap < 1 then fail_usage "--cache-cap must be >= 1";
   let journal = Cc_obs.Journal.create () in
-  let on_net =
-    match transport with
-    | Transport.Inproc -> None
-    | Transport.Mpproc ->
-        Some
-          (fun net ->
-            let tr = Transport.mpproc ~machines:(Net.n net) () in
-            Net.set_transport net tr;
-            fun () -> tr.Transport.shutdown ())
-  in
   let config =
-    { Server.sock; cache_cap; max_requests; journal = Some journal; on_net }
+    { Server.sock; cache_cap; max_requests; journal = Some journal }
   in
   let srv = try Server.create config with Failure m -> fail_usage m in
   List.iter
@@ -164,10 +110,6 @@ let main =
   Cmd.v info
     Term.(
       const run $ domains_t $ verbose_t $ sock_t $ cache_cap_t
-      $ max_requests_t $ transport_kind_t $ metrics_json_t $ health_log_t)
+      $ max_requests_t $ metrics_json_t $ health_log_t)
 
-let () =
-  (* Worker entrypoint first: when re-exec'd by the Mpproc supervisor this
-     process is a shard worker, not a CLI. *)
-  Cc_transport.Worker.maybe_run_as_worker ();
-  exit (Cmd.eval main)
+let () = exit (Cmd.eval main)

@@ -20,7 +20,6 @@ module Fault = Cc_clique.Fault
 module Prng = Cc_util.Prng
 module Sampler = Cc_sampler.Sampler
 module Doubling = Cc_doubling.Doubling
-module Transport = Cc_transport.Transport
 open Cmdliner
 
 let setup_logs verbose =
@@ -44,9 +43,8 @@ let seed_t =
 (* Evaluating the term installs the requested engine as the process default;
    without --domains the lazy default (CC_DOMAINS, else the runtime's
    recommendation) stands. Results are bit-identical for any domain count.
-   Validation is by hand (the flag is a plain string): empty or non-numeric
-   values — on the flag or in CC_DOMAINS — get the one-line error and exit
-   code 2. *)
+   Empty or non-numeric values — on the flag or in CC_DOMAINS — get the
+   one-line error and exit code 2. *)
 let domains_t =
   let doc =
     "Number of OCaml domains for local per-machine computation (including \
@@ -55,150 +53,14 @@ let domains_t =
      value."
   in
   let install spec =
-    let chosen =
-      match spec with
-      | Some s -> (
-          match Cc_engine.parse_domains s with
-          | Ok d -> Some d
-          | Error e -> fail_usage ("--domains: " ^ e))
-      | None -> (
-          (* No flag: the engine's lazy default will consult CC_DOMAINS, so
-             surface a bad value now, as a usage error rather than a
-             mid-run Invalid_argument. *)
-          match Sys.getenv_opt Cc_engine.env_var with
-          | None -> None
-          | Some s -> (
-              match Cc_engine.parse_domains s with
-              | Ok _ -> None
-              | Error e -> fail_usage (Cc_engine.env_var ^ ": " ^ e)))
-    in
-    match chosen with
-    | None -> ()
-    | Some d ->
-        let e = Cc_engine.create ~domains:d () in
-        Cc_engine.set_default e;
-        at_exit (fun () -> Cc_engine.shutdown e)
+    match Cc_engine.install_domains spec with
+    | Ok () -> ()
+    | Error e -> fail_usage e
   in
   Term.(
     const install
     $ Arg.(
         value & opt (some string) None & info [ "domains" ] ~doc ~docv:"N"))
-
-(* --- transport selection (shared by sample / doubling) --- *)
-
-let transport_kind_t =
-  let doc =
-    "Execution transport: $(b,inproc) (single-process simulator) or \
-     $(b,mpproc) (machines sharded across supervised OS worker processes \
-     with heartbeats, retransmission, and respawn-or-reroute recovery). \
-     Defaults to $(b,CC_TRANSPORT) when set, else inproc. Ledger and \
-     recorder digests are identical on both."
-  in
-  let resolve spec =
-    match spec with
-    | Some s -> (
-        match Transport.kind_of_string s with
-        | Ok k -> k
-        | Error e -> fail_usage ("--transport: " ^ e))
-    | None -> (
-        match Transport.kind_from_env () with
-        | Ok (Some k) -> k
-        | Ok None -> Transport.Inproc
-        | Error e -> fail_usage e)
-  in
-  Term.(
-    const resolve
-    $ Arg.(
-        value & opt (some string) None & info [ "transport" ] ~doc ~docv:"T"))
-
-(* Telemetry-plane options riding along with --transport. *)
-type topts = {
-  no_telemetry : bool;
-  stats_sock : string option;
-  health_log : string option;
-}
-
-let topts_t =
-  let no_telemetry_t =
-    let doc =
-      "Disable worker telemetry on the mpproc transport (no registry/GC/span \
-       reports on Status heartbeats, no worker.<shard>.* merge). \
-       Zero-perturbation either way: ledger, rounds, and recorder digests \
-       are identical on and off."
-    in
-    Arg.(value & flag & info [ "no-telemetry" ] ~doc)
-  in
-  let stats_sock_t =
-    let doc =
-      "Serve a live JSON status snapshot (workers, shards, counters, recent \
-       supervision events) on a Unix-domain socket at $(docv) — the endpoint \
-       $(b,ccprof watch) polls. Mpproc only; an unusable path is ignored."
-    in
-    Arg.(
-      value & opt (some string) None & info [ "stats-sock" ] ~doc ~docv:"PATH")
-  in
-  let health_log_t =
-    let doc =
-      "Write the supervision-event journal (worker start/stop, kills, \
-       heartbeat timeouts, respawns, installs, reroutes, degrades) as JSON \
-       lines to $(docv) after the run — readable by $(b,ccprof events). On \
-       inproc the file is written empty (no supervision happens)."
-    in
-    Arg.(
-      value & opt (some string) None & info [ "health-log" ] ~doc ~docv:"FILE")
-  in
-  let combine no_telemetry stats_sock health_log =
-    { no_telemetry; stats_sock; health_log }
-  in
-  Term.(const combine $ no_telemetry_t $ stats_sock_t $ health_log_t)
-
-let write_health_log topts journal =
-  match topts.health_log with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      (match journal with
-      | Some j -> output_string oc (Cc_obs.Journal.to_jsonl j)
-      | None -> ());
-      close_out oc
-
-(* Run [f] with the requested transport installed on [net]; at end of run,
-   sync the workers, report health, and shut the pool down. Returns [true]
-   when the transport degraded (no live workers left) — the transport-level
-   Unrecoverable, mapped to the same exit code. *)
-let with_transport kind topts net f =
-  match kind with
-  | Transport.Inproc ->
-      f ();
-      write_health_log topts None;
-      false
-  | Transport.Mpproc ->
-      let config =
-        {
-          Cc_transport.Supervisor.default_config with
-          telemetry = not topts.no_telemetry;
-          stats_sock = topts.stats_sock;
-        }
-      in
-      let tr = Transport.mpproc ~config ~machines:(Net.n net) () in
-      Net.set_transport net tr;
-      Fun.protect
-        ~finally:(fun () ->
-          tr.Transport.shutdown ();
-          (* After shutdown so the journal holds the worker_stop records
-             and the final telemetry flush has run. *)
-          write_health_log topts (tr.Transport.journal ()))
-        (fun () ->
-          f ();
-          tr.Transport.sync ();
-          let h = tr.Transport.health () in
-          Format.printf "# transport: %s (%s)@." tr.Transport.name
-            (Transport.health_summary h);
-          match h with
-          | Cc_transport.Supervisor.Degraded _ -> true
-          | Cc_transport.Supervisor.All_healthy
-          | Cc_transport.Supervisor.Recovered _ ->
-              false)
 
 let verbose_t =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Enable debug logging.")
@@ -315,7 +177,7 @@ let print_fault_summary faults net =
 
 type obs = {
   trace_file : string option;
-  trace_out : string option;  (* distributed trace artifact (JSONL) path *)
+  trace_out : string option;  (* trace artifact (JSONL) path *)
   trace_tree : bool;
   metrics : bool;
   metrics_json : string option;  (* registry JSON dump path *)
@@ -335,12 +197,9 @@ let obs_t =
   in
   let trace_out_t =
     let doc =
-      "Write the distributed trace artifact (JSON lines, readable by \
-       $(b,ccprof timeline) and $(b,ccprof critical-path)) to $(docv). \
-       Installs a trace collector and wraps the whole run — transport \
-       lifecycle included — in a root $(i,run) span; on the mpproc \
-       transport with telemetry on, worker span trees arrive on heartbeats \
-       and land in the artifact as clock-rebased per-shard process lanes."
+      "Write the trace artifact (JSON lines, readable by $(b,ccprof \
+       timeline) and $(b,ccprof critical-path)) to $(docv). Installs a \
+       trace collector and wraps the whole run in a root $(i,run) span."
     in
     Arg.(
       value & opt (some string) None & info [ "trace-out" ] ~doc ~docv:"FILE")
@@ -355,8 +214,7 @@ let obs_t =
   let metrics_t =
     let doc =
       "Print the metrics registry (counters/gauges/histograms; histograms \
-       with p50/p95/p99). On the mpproc transport with telemetry on this \
-       includes the merged worker.<shard>.* namespace."
+       with p50/p95/p99)."
     in
     Arg.(value & flag & info [ "metrics" ] ~doc)
   in
@@ -475,9 +333,8 @@ let with_obs obs net f =
         output_string oc (Cc_obs.Profile.to_jsonl (Net.obs_profile net));
         close_out oc
   in
-  (* The artifact gets a root [run] span covering everything — including
-     transport shutdown, whose final status poll flushes the last worker
-     trees — so the critical-path chain can tile end-to-end wall. *)
+  (* The artifact gets a root [run] span covering everything, so the
+     critical-path chain can tile end-to-end wall. *)
   let f =
     if obs.trace_out <> None then fun () -> Cc_obs.Trace.with_span "run" f
     else f
@@ -492,21 +349,31 @@ let exit_for_health = function
   | Fault.Unrecoverable _ -> true
   | Fault.Healthy | Fault.Healed _ -> false
 
+(* A graph that cannot be built — unknown family, bad family parameter, a
+   size the family rejects, a malformed -g file — is a usage error. *)
 let load_graph ?weights ~family ~size ~file ~prng () =
+  let usage what = function
+    | Invalid_argument m | Failure m -> fail_usage (what ^ ": " ^ m)
+    | e -> raise e
+  in
   let g =
     match (file, family) with
-    | Some path, _ ->
+    | Some path, _ -> (
         let ic = open_in path in
         let len = in_channel_length ic in
         let s = really_input_string ic len in
         close_in ic;
-        Graph.of_string s
-    | None, Some fam -> Gen.build prng (Gen.family_of_string fam) ~n:size
-    | None, None -> Gen.build prng Gen.Lollipop ~n:size
+        try Graph.of_string s with e -> usage ("-g " ^ path) e)
+    | None, fam -> (
+        let fam = Option.value fam ~default:"lollipop" in
+        try Gen.build prng (Gen.family_of_string fam) ~n:size
+        with e -> usage (Printf.sprintf "-f %s -n %d" fam size) e)
   in
   match weights with
   | None -> g
-  | Some w -> Gen.random_weights prng g ~max_weight:w
+  | Some w -> (
+      try Gen.random_weights prng g ~max_weight:w
+      with e -> usage "--weights" e)
 
 let print_tree tree =
   List.iter (fun (u, v) -> Printf.printf "%d %d\n" u v) (Tree.edges tree)
@@ -646,8 +513,22 @@ let sample_cmd =
       & info [ "audit" ] ~doc ~docv:"FILE")
   in
   let run () seed verbose family size file weights trials ledger alpha bits
-      method_ count connect audit faults obs transport topts =
+      method_ count connect audit faults obs =
     setup_logs verbose;
+    let method_ = String.lowercase_ascii method_ in
+    let methods =
+      if count > 0 || connect <> None then [ "cc"; "sequential"; "doubling" ]
+      else
+        [ "cc"; "sequential"; "ab"; "wilson"; "updown"; "determinantal";
+          "biased" ]
+    in
+    if not (List.mem method_ methods) then
+      fail_usage
+        (Printf.sprintf "--method: expected %s%s, got %S"
+           (String.concat "|" methods)
+           (if count > 0 || connect <> None then " with --count/--connect"
+            else "")
+           method_);
     let prng = Prng.create ~seed in
     let g = load_graph ?weights ~family ~size ~file ~prng () in
     let n = Graph.n g in
@@ -674,17 +555,13 @@ let sample_cmd =
       }
     in
     let unrecoverable = ref false in
-    (* Observability wraps the transport so the metrics dump (--metrics /
-       --metrics-json) sees the final telemetry flush merged at shutdown. *)
-    let degraded =
-      with_obs obs net (fun () ->
-    with_transport transport topts net (fun () ->
+    with_obs obs net (fun () ->
     (if count > 0 then
       (* Prepare once, draw [count] times. Tree t draws from the t-th
          sequential split of the master stream, so its bytes don't depend
          on count — and match what a ccserve request with the same seed
          streams back. *)
-      match String.lowercase_ascii method_ with
+      match method_ with
       | "cc" ->
           let plan = Sampler.prepare ~config g in
           for t = 1 to count do
@@ -715,10 +592,10 @@ let sample_cmd =
             Printf.printf "# tree %d: %d walk steps\n" t steps;
             print_tree tree
           done
-      | m -> fail_usage ("--count supports cc|sequential|doubling, got " ^ m)
+      | _ -> assert false (* --method validated above *)
     else
     for t = 1 to trials do
-      (match String.lowercase_ascii method_ with
+      (match method_ with
       | "cc" ->
           let r = Sampler.sample ~config net prng g in
           Printf.printf "# tree %d: %d phases, %.0f rounds, walk length %d\n" t
@@ -750,11 +627,10 @@ let sample_cmd =
       | "biased" ->
           Printf.printf "# tree %d (biased fixture; see --audit)\n" t;
           print_tree (Cc_walks.Wilson.sample_biased g prng)
-      | m -> failwith ("unknown method: " ^ m))
+      | _ -> assert false (* --method validated above *))
     done);
     print_fault_summary faults net;
-    if ledger then Format.printf "%a@." Net.pp_ledger net))
-    in
+    if ledger then Format.printf "%a@." Net.pp_ledger net);
     (match auditor with
     | None -> ()
     | Some (spec, a) ->
@@ -765,7 +641,7 @@ let sample_cmd =
           close_out oc
         end;
         print_audit_summary a);
-    if !unrecoverable || degraded then exit exit_unrecoverable
+    if !unrecoverable then exit exit_unrecoverable
   in
   let info =
     Cmd.info "sample"
@@ -775,8 +651,7 @@ let sample_cmd =
     Term.(
       const run $ domains_t $ seed_t $ verbose_t $ family_t $ size_t $ file_t
       $ weights_t $ trials_t $ ledger_t $ alpha_t $ bits_t $ method_t
-      $ count_t $ connect_t $ audit_t $ faults_t $ obs_t $ transport_kind_t
-      $ topts_t)
+      $ count_t $ connect_t $ audit_t $ faults_t $ obs_t)
 
 (* --- doubling --- *)
 
@@ -784,15 +659,13 @@ let doubling_cmd =
   let tau_t =
     Arg.(value & opt int 0 & info [ "tau" ] ~doc:"Walk length (0 = sample a tree instead).")
   in
-  let run () seed family size file tau faults obs transport topts =
+  let run () seed family size file tau faults obs =
     let prng = Prng.create ~seed in
     let g = load_graph ~family ~size ~file ~prng () in
     let n = Graph.n g in
     let net = arm_faults faults (Net.create ~n) in
     let unrecoverable = ref false in
-    let degraded =
-      with_obs obs net (fun () ->
-    with_transport transport topts net (fun () ->
+    with_obs obs net (fun () ->
     if tau > 0 then begin
       let r = Doubling.run net prng g ~tau ~scheme:(Doubling.default_scheme ~n) in
       Printf.printf "# %d iterations, %.0f rounds; walk from vertex 0:\n"
@@ -809,9 +682,8 @@ let doubling_cmd =
         (Net.rounds net) walk_len;
       print_tree tree
     end;
-    print_fault_summary faults net))
-    in
-    if !unrecoverable || degraded then exit exit_unrecoverable
+    print_fault_summary faults net);
+    if !unrecoverable then exit exit_unrecoverable
   in
   let info =
     Cmd.info "doubling"
@@ -820,7 +692,7 @@ let doubling_cmd =
   Cmd.v info
     Term.(
       const run $ domains_t $ seed_t $ family_t $ size_t $ file_t $ tau_t
-      $ faults_t $ obs_t $ transport_kind_t $ topts_t)
+      $ faults_t $ obs_t)
 
 (* --- walk --- *)
 
@@ -974,8 +846,4 @@ let main =
     [ sample_cmd; doubling_cmd; walk_cmd; schur_cmd; count_cmd; pagerank_cmd;
       sparsify_cmd; congest_cmd ]
 
-let () =
-  (* Worker entrypoint first: when re-exec'd by the Mpproc supervisor this
-     process is a shard worker, not a CLI. *)
-  Cc_transport.Worker.maybe_run_as_worker ();
-  exit (Cmd.eval main)
+let () = exit (Cmd.eval main)

@@ -2,7 +2,7 @@
 
     The paper's headline claim is distributional: the algorithm outputs a tree
     drawn from the (weighted) uniform spanning-tree distribution. The systems
-    planes (traces, telemetry, replay) say nothing about whether that claim
+    planes (traces, metrics, replay) say nothing about whether that claim
     holds, so this module watches the {e statistical} plane. By Kirchhoff's
     theorem the marginal inclusion probability of edge [e] under the UST
     distribution is exactly its leverage score [w_e * R_eff(e)], which

@@ -37,18 +37,9 @@ type t = {
   m_sent_messages : int array;
   m_recv_messages : int array;
   mutable injected : Fault.t option;
-  (* Sinks in subscription order; the compat slot tracks the subscription
-     installed through the legacy set_sink interface. *)
+  (* Sinks in subscription order. *)
   mutable sinks : (sink_id * (event -> unit)) list;
   mutable next_sink : sink_id;
-  mutable compat_sink : sink_id option;
-  (* Execution transport. The default in-process transport is a no-op; an
-     Mpproc transport mirrors every booked primitive to its worker pool and
-     SIGKILLs workers when the fault schedule crashes their machines. The
-     transport never feeds back into the ledger, so digests are
-     transport-independent by construction. *)
-  mutable transport : Cc_transport.Transport.t;
-  mutable announced_crashed : int list;
 }
 
 let create ~n =
@@ -70,20 +61,10 @@ let create ~n =
     injected = None;
     sinks = [];
     next_sink = 0;
-    compat_sink = None;
-    transport = Cc_transport.Transport.inproc ();
-    announced_crashed = [];
   }
 
 let n t = t.n
 let faults t = t.injected
-
-let set_transport t tr =
-  if Cc_transport.Transport.is_mpproc tr then
-    Cc_obs.Metrics.incr "net.transport.mpproc";
-  t.transport <- tr
-
-let transport t = t.transport
 
 let add_sink t f =
   let id = t.next_sink in
@@ -92,16 +73,6 @@ let add_sink t f =
   id
 
 let remove_sink t id = t.sinks <- List.filter (fun (i, _) -> i <> id) t.sinks
-
-let set_sink t sink =
-  (match t.compat_sink with
-  | Some id ->
-      remove_sink t id;
-      t.compat_sink <- None
-  | None -> ());
-  match sink with
-  | Some f -> t.compat_sink <- Some (add_sink t f)
-  | None -> ()
 
 let kind_name = function
   | Exchange -> "exchange"
@@ -186,40 +157,10 @@ let book ?(sent = [||]) ?(recv = [||]) t ~kind ~label ~rounds ~messages ~words
   if Cc_obs.Trace.enabled () then
     Cc_obs.Trace.net_event ~kind:(kind_name kind) ~label ~rounds ~messages
       ~words ~max_load ~round_clock:t.total_rounds ();
-  (* Mirror the booked primitive to the execution transport (a no-op on the
-     in-process transport). Strictly after the ledger and the sinks: the
-     transport observes the model, never the other way around. *)
-  if Cc_transport.Transport.is_mpproc t.transport then
-    t.transport.Cc_transport.Transport.emit
-      {
-        Cc_transport.Wire.kind = kind_name kind;
-        label;
-        rounds;
-        messages;
-        words;
-        max_load;
-        sent;
-        recv;
-      };
   (* Crash-stop failures fire at round boundaries: booking a primitive ends
      its rounds, so scheduled crashes up to the new clock take effect now. *)
   match t.injected with
-  | Some f ->
-      Fault.advance f ~now:t.total_rounds;
-      (* Newly crashed machines take their transport workers down with them:
-         a real mid-round SIGKILL, followed by the supervisor's
-         respawn-or-reroute recovery. *)
-      if Cc_transport.Transport.is_mpproc t.transport && Fault.any_crashed f
-      then begin
-        let crashed = Fault.crashed f in
-        let fresh =
-          List.filter (fun m -> not (List.mem m t.announced_crashed)) crashed
-        in
-        if fresh <> [] then begin
-          t.announced_crashed <- crashed;
-          t.transport.Cc_transport.Transport.crash fresh
-        end
-      end
+  | Some f -> Fault.advance f ~now:t.total_rounds
   | None -> ()
 
 let exchange t ~label packets =

@@ -35,24 +35,6 @@ val n : t -> int
 (** [faults t] is the injector the net is armed with, if any. *)
 val faults : t -> Fault.t option
 
-(** {1 Execution transport}
-
-    The net books costs the same way on every transport; a non-default
-    transport additionally {e mirrors} each booked primitive to a pool of
-    supervised OS worker processes ({!Cc_transport.Transport.mpproc}) and
-    SIGKILLs the owning worker when the fault schedule crashes a machine.
-    The mirror is write-only from the model's point of view — ledger,
-    per-machine profile, and recorder digests are identical across
-    transports, the contract the cross-transport CI diff enforces. *)
-
-(** [set_transport t tr] installs the execution transport (default:
-    {!Cc_transport.Transport.inproc}). The caller owns [tr]'s lifecycle —
-    call [tr.sync] at end of run before reading its health, and
-    [tr.shutdown] when done. *)
-val set_transport : t -> Cc_transport.Transport.t -> unit
-
-val transport : t -> Cc_transport.Transport.t
-
 (** {1 Packets and exchanges} *)
 
 type packet = { src : int; dst : int; words : int }
@@ -208,12 +190,6 @@ val add_sink : t -> (event -> unit) -> sink_id
 (** [remove_sink t id] cancels a subscription (idempotent). *)
 val remove_sink : t -> sink_id -> unit
 
-(** [set_sink t sink] installs (or with [None] removes) a single callback —
-    a thin compatibility wrapper over {!add_sink} / {!remove_sink} that
-    manages one dedicated subscription slot. Other {!add_sink} subscribers
-    are unaffected. *)
-val set_sink : t -> (event -> unit) option -> unit
-
 (** [attach_recorder t r] subscribes the flight recorder [r] to the event
     bus: every booked primitive is appended to [r] as a canonical
     {!Cc_obs.Recorder.record} (per-machine words copied, fault counters
@@ -282,8 +258,8 @@ val pp_profile : Format.formatter -> t -> unit
 
 (** [reset t] zeroes all counters — the totals, the fault-overhead counters,
     every per-label entry, and the per-machine load profile. Event-bus
-    subscriptions ({!add_sink} and the {!set_sink} slot) are wiring, not
-    state, and survive a reset. *)
+    subscriptions ({!add_sink}) are wiring, not state, and survive a
+    reset. *)
 val reset : t -> unit
 
 (** [words_for_bits t bits] is the number of O(log n)-bit words needed to

@@ -86,7 +86,7 @@ exception Degrade of Fault.failure
 
 (* ------------------------------------------------------------------ *)
 (* Prepared plans: the graph-only half of the pipeline, computed once   *)
-(* and shared across draws (Section "prepare/draw" of DESIGN.md §15).   *)
+(* and shared across draws (Section "prepare/draw" of DESIGN.md §13).   *)
 
 (* Per-phase memo entry for one vertex set S of a later phase: the
    shortcut matrix Q, the sanitized (and lazy-mixed) Schur transition, and

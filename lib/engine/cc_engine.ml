@@ -167,6 +167,25 @@ let get () =
 
 let set_default e = installed := Some e
 
+let install_domains = function
+  | Some s -> (
+      match parse_domains s with
+      | Error e -> Error ("--domains: " ^ e)
+      | Ok d ->
+          let e = create ~domains:d () in
+          set_default e;
+          at_exit (fun () -> shutdown e);
+          Ok ())
+  | None -> (
+      (* No flag: the lazy default will read the variable, so report a bad
+         value now instead of as a mid-run Invalid_argument. *)
+      match Sys.getenv_opt env_var with
+      | None -> Ok ()
+      | Some s -> (
+          match parse_domains s with
+          | Ok _ -> Ok ()
+          | Error e -> Error (env_var ^ ": " ^ e)))
+
 let with_engine e f =
   let prev = !installed in
   installed := Some e;

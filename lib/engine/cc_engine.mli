@@ -64,8 +64,8 @@ val env_var : string
 
 (** [parse_domains s] validates a user-supplied domain count: an integer
     [>= 1]; empty (after trimming) and non-numeric values are errors with a
-    one-line message. Shared by the [--domains] flags of
-    cctree/ccreplay/bench and the environment fallback. *)
+    one-line message. Shared by {!install_domains}, bench's [--domains]
+    and the environment fallback. *)
 val parse_domains : string -> (int, string) result
 
 (** [default_domains ()] is the domain count used when none is given
@@ -87,6 +87,15 @@ val get : unit -> t
     default is {e not} shut down — the caller that created it owns its
     lifetime. *)
 val set_default : t -> unit
+
+(** [install_domains spec] resolves a binary's [--domains] flag. With
+    [Some s], it parses [s] ({!parse_domains}), installs an engine of that
+    many domains as the process default ({!set_default}) and shuts it down
+    at exit. With [None], it leaves the lazy default in place but validates
+    [$CC_DOMAINS] now, so a bad value is a usage error rather than a mid-run
+    [Invalid_argument]. The error is one line, prefixed with ["--domains: "]
+    or ["CC_DOMAINS: "]. *)
+val install_domains : string option -> (unit, string) result
 
 (** [with_engine e f] runs [f] with [e] as the default engine, restoring the
     previous default afterwards (exceptions included). *)

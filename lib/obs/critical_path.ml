@@ -1,16 +1,7 @@
-type segment = {
-  span_id : int;
-  name : string;
-  pid : int;
-  process : string;
-  start_s : float;
-  stop_s : float;
-}
+type segment = { span_id : int; name : string; start_s : float; stop_s : float }
 
 type row = {
   phase : string;
-  pid : int;
-  process : string;
   self_s : float;
   rounds : float;
   share : float;
@@ -24,41 +15,28 @@ type t = {
   rows : row list;
 }
 
-(* One completed span with its lane identity and pre-computed self-rounds. *)
-type node = {
-  sp : Trace.span;
-  n_pid : int;
-  n_process : string;
-  self_rounds : float;
-}
+(* One completed span with its pre-computed self-rounds. *)
+type node = { sp : Trace.span; self_rounds : float }
 
 let completed sp =
   (not (Float.is_nan sp.Trace.stop_ts)) && sp.Trace.stop_ts >= sp.Trace.start_ts
 
 let flatten trace =
-  List.concat_map
-    (fun (pid, pname, roots, _) ->
-      let rec go acc sp =
-        let acc =
-          if completed sp then
-            let child_rounds =
-              List.fold_left
-                (fun a (c : Trace.span) -> a +. c.Trace.net_rounds)
-                0.0 sp.Trace.children
-            in
-            {
-              sp;
-              n_pid = pid;
-              n_process = pname;
-              self_rounds = Float.max 0.0 (sp.Trace.net_rounds -. child_rounds);
-            }
-            :: acc
-          else acc
+  let rec go acc sp =
+    let acc =
+      if completed sp then
+        let child_rounds =
+          List.fold_left
+            (fun a (c : Trace.span) -> a +. c.Trace.net_rounds)
+            0.0 sp.Trace.children
         in
-        List.fold_left go acc sp.Trace.children
-      in
-      List.fold_left go [] roots)
-    (Trace.lanes trace)
+        { sp; self_rounds = Float.max 0.0 (sp.Trace.net_rounds -. child_rounds) }
+        :: acc
+      else acc
+    in
+    List.fold_left go acc sp.Trace.children
+  in
+  List.fold_left go [] (Trace.roots trace)
 
 let compute trace =
   match flatten trace with
@@ -81,9 +59,8 @@ let compute trace =
          {e later-started} span's end (below which that span wins the same
          selection) or the chosen span's own start, whichever comes last —
          so an enclosing phase is charged only the slices where none of its
-         children (on any lane) were running. With no active span the
-         interval back to the nearest earlier span end is a gap (nothing was
-         running anywhere). *)
+         children were running. With no active span the interval back to the
+         nearest earlier span end is a gap (nothing was running). *)
       let chain = ref [] in
       let cursor = ref t_end in
       let gap = ref 0.0 in
@@ -126,8 +103,6 @@ let compute trace =
               {
                 span_id = n.sp.Trace.id;
                 name = n.sp.Trace.name;
-                pid = n.n_pid;
-                process = n.n_process;
                 start_s = lo -. t_start;
                 stop_s = c -. t_start;
               }
@@ -156,14 +131,14 @@ let compute trace =
       let covered_s =
         List.fold_left (fun a s -> a +. (s.stop_s -. s.start_s)) 0.0 chain
       in
-      (* Attribution rows: chain time by (phase, lane); a span's self-rounds
-         are charged once, on its first chain segment. *)
+      (* Attribution rows: chain time by phase; a span's self-rounds are
+         charged once, on its first chain segment. *)
       let by_id : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-      let tbl : (string * int, row ref) Hashtbl.t = Hashtbl.create 32 in
+      let tbl : (string, row ref) Hashtbl.t = Hashtbl.create 32 in
       let order = ref [] in
       List.iter
         (fun s ->
-          let key = (s.name, s.pid) in
+          let key = s.name in
           let rounds =
             if Hashtbl.mem by_id s.span_id then 0.0
             else begin
@@ -188,8 +163,6 @@ let compute trace =
                 (ref
                    {
                      phase = s.name;
-                     pid = s.pid;
-                     process = s.process;
                      self_s = s.stop_s -. s.start_s;
                      rounds;
                      share = 0.0;
@@ -208,6 +181,6 @@ let compute trace =
       Some { total_s; covered_s; gap_s = total_s -. covered_s; chain; rows }
 
 let share rows ~phase =
-  List.fold_left
-    (fun a r -> if r.phase = phase then a +. r.share else a)
-    0.0 rows
+  match List.find_opt (fun r -> r.phase = phase) rows with
+  | Some r -> r.share
+  | None -> 0.0

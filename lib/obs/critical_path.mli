@@ -1,24 +1,17 @@
-(** Critical-path extraction over a merged multi-process trace.
+(** Critical-path extraction over a trace.
 
-    Given a {!Trace.t} holding the supervisor plus every worker shard as
-    process lanes, the analysis asks: {e which span, on which process, was
-    the system waiting on at each instant of the run?} It answers with the
-    longest dependent chain — a backward sweep from the last span end, at
-    each step attributing the interval to the {b innermost most-recently
-    started} span active across {e any} lane, back to the point where a
-    later-started span (a child, or concurrent work on another lane) last
-    ended and takes over. An enclosing phase is therefore charged only the
-    slices where none of its descendants were running — self time, not
-    inclusive time. Span begin/end are the synchronization edges; exchange barriers
-    appear implicitly because the metering layer books each primitive into
-    every lane's open spans at the barrier instant, so lanes' span
-    boundaries line up at exchanges and the chain hops to whichever process
-    bounded the barrier.
+    Given a {!Trace.t}, the analysis asks: {e which span was the run waiting
+    on at each instant?} It answers with the longest dependent chain — a
+    backward sweep from the last span end, at each step attributing the
+    interval to the {b innermost most-recently started} active span, back to
+    the point where a later-started span (a child) last ended and takes
+    over. An enclosing phase is therefore charged only the slices where none
+    of its descendants were running — self time, not inclusive time.
 
     The chain tiles the run: the sum of segment walls plus uncovered gaps
     equals end-to-end wall. With a root span wrapping the workload (the
     binaries' [--trace-out] paths install one), the chain covers end-to-end
-    wall exactly up to clock-alignment error (DESIGN.md §13).
+    wall exactly.
 
     Attribution is {e self}-based so nested phases don't double-count: a
     segment belongs to the innermost active span, and a span's rounds are
@@ -27,18 +20,14 @@
 type segment = {
   span_id : int;
   name : string;
-  pid : int;  (** lane pid ({!Trace.local_pid} = supervisor). *)
-  process : string;  (** lane name ("main", "shard 0", ...). *)
   start_s : float;  (** seconds from the trace origin. *)
   stop_s : float;
 }
 
-(** One (phase name × lane) attribution row. *)
+(** One attribution row per phase name. *)
 type row = {
   phase : string;
-  pid : int;
-  process : string;
-  self_s : float;  (** chain time attributed to this phase on this lane. *)
+  self_s : float;  (** chain time attributed to this phase. *)
   rounds : float;  (** self-rounds (span rounds minus children's). *)
   share : float;  (** [self_s /. total_s]. *)
 }
@@ -54,6 +43,7 @@ type t = {
 (** [compute trace] is [None] when [trace] holds no completed span. *)
 val compute : Trace.t -> t option
 
-(** [share rows ~phase] sums {!row.share} over rows whose phase is [phase]
-    — the quantity [ccprof critical-path --budget phase=frac] gates on. *)
+(** [share rows ~phase] is the {!row.share} of phase [phase] ([0.] when it
+    is not on the chain) — the quantity [ccprof critical-path --budget
+    phase=frac] gates on. *)
 val share : row list -> phase:string -> float

@@ -3,9 +3,6 @@ type event = {
   t_s : float;
   kind : string;
   worker : int option;
-  shard : int option;
-  attempt : int option;
-  budget : int option;
   round : float;
   cause : string;
 }
@@ -22,19 +19,9 @@ type t = {
 let create ?(cap = 4096) ?(clock = Unix.gettimeofday) () =
   { cap = max 1 cap; clock; t0 = clock (); q = Queue.create (); next_seq = 0; n_dropped = 0 }
 
-let record t ?worker ?shard ?attempt ?budget ?(round = 0.) ?(cause = "") kind =
+let record t ?worker ?(round = 0.) ?(cause = "") kind =
   let e =
-    {
-      seq = t.next_seq;
-      t_s = t.clock () -. t.t0;
-      kind;
-      worker;
-      shard;
-      attempt;
-      budget;
-      round;
-      cause;
-    }
+    { seq = t.next_seq; t_s = t.clock () -. t.t0; kind; worker; round; cause }
   in
   t.next_seq <- t.next_seq + 1;
   Queue.push e t.q;
@@ -47,11 +34,6 @@ let events t = List.of_seq (Queue.to_seq t.q)
 let length t = Queue.length t.q
 let dropped t = t.n_dropped
 
-let is_clean t =
-  Queue.fold
-    (fun acc e -> acc && (e.kind = "worker_start" || e.kind = "worker_stop"))
-    true t.q
-
 (* --- serialization --- *)
 
 let event_to_json e =
@@ -63,9 +45,6 @@ let event_to_json e =
        ("kind", Json.String e.kind);
      ]
     @ opt "worker" e.worker
-    @ opt "shard" e.shard
-    @ opt "attempt" e.attempt
-    @ opt "budget" e.budget
     @ [ ("round", Json.float_opt e.round) ]
     @ (if e.cause = "" then [] else [ ("cause", Json.String e.cause) ]))
 
@@ -100,9 +79,6 @@ let event_of_json v =
       t_s = float_field "t_s";
       kind;
       worker = int_opt "worker";
-      shard = int_opt "shard";
-      attempt = int_opt "attempt";
-      budget = int_opt "budget";
       round = float_field "round";
       cause;
     }

@@ -1,34 +1,28 @@
-(** Bounded, structured supervision-event journal.
+(** Bounded, structured lifecycle-event journal.
 
-    Every health transition in the multi-process transport — worker start and
-    stop, kill detected, heartbeat timeout, respawn attempt, checkpoint
-    install, reroute, degrade — is appended here as one timestamped record
-    carrying the cause, the worker/shard involved, the recovery attempt and
-    its remaining budget, and the simulated round clock at the time. The log
-    is bounded (drop-oldest beyond [cap], with a counter of what was lost) so
-    a long-running supervisor can keep one without unbounded growth.
+    [ccserve] appends one timestamped record per lifecycle transition —
+    start, accept, request, done, error, close, drain, stop — carrying the
+    connection involved and a free-form cause. The log is bounded
+    (drop-oldest beyond [cap], with a counter of what was lost) so a
+    long-running daemon can keep one without unbounded growth.
 
     The journal is pure observability: recording draws no randomness and
-    never touches transport or model state, so runs with and without a
-    journal are bit-identical.
+    never touches model state, so runs with and without a journal are
+    bit-identical.
 
-    Export is JSONL, one event per line ([cctree --health-log],
-    [ccreplay record --health-log]); [ccprof events] renders and gates on
-    the same format. *)
+    Export is JSONL, one event per line ([ccserve --health-log]);
+    [ccprof events] renders the same format. *)
 
 type event = {
   seq : int;  (** global append index, monotone even across drops. *)
   t_s : float;  (** seconds since the journal was created. *)
   kind : string;
-      (** ["worker_start"], ["worker_stop"], ["kill"],
-          ["heartbeat_timeout"], ["respawn"], ["install"], ["reroute"],
-          ["degrade"]. *)
-  worker : int option;  (** worker slot id, when one is involved. *)
-  shard : int option;  (** shard id, when one is involved. *)
-  attempt : int option;  (** recovery attempt number (1-based). *)
-  budget : int option;  (** attempts remaining after this one. *)
+      (** ["serve_start"], ["serve_accept"], ["serve_request"],
+          ["serve_done"], ["serve_error"], ["serve_close"], ["serve_drain"],
+          ["serve_stop"]. *)
+  worker : int option;  (** connection id, when one is involved. *)
   round : float;  (** simulated round clock at record time. *)
-  cause : string;  (** free-form detail (["sigkill"], ["status timeout"]). *)
+  cause : string;  (** free-form detail (["cc k=4 hit"], ["12.3ms"]). *)
 }
 
 type t
@@ -39,18 +33,9 @@ type t
     tests). *)
 val create : ?cap:int -> ?clock:(unit -> float) -> unit -> t
 
-(** [record t ?worker ?shard ?attempt ?budget ?round ?cause kind] appends one
-    event ([round] defaults to [0.], [cause] to [""]). *)
-val record :
-  t ->
-  ?worker:int ->
-  ?shard:int ->
-  ?attempt:int ->
-  ?budget:int ->
-  ?round:float ->
-  ?cause:string ->
-  string ->
-  unit
+(** [record t ?worker ?round ?cause kind] appends one event ([round]
+    defaults to [0.], [cause] to [""]). *)
+val record : t -> ?worker:int -> ?round:float -> ?cause:string -> string -> unit
 
 (** [events t] is the retained events, oldest first. *)
 val events : t -> event list
@@ -60,11 +45,6 @@ val length : t -> int
 
 (** [dropped t] counts events evicted by the [cap] bound. *)
 val dropped : t -> int
-
-(** [is_clean t] is [true] when every retained event is a plain
-    ["worker_start"] / ["worker_stop"] — i.e. the run needed no recovery.
-    The clean-run CI gate hard-fails on [false]. *)
-val is_clean : t -> bool
 
 (** {1 Serialization} *)
 

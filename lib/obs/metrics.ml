@@ -146,17 +146,6 @@ let value_of_entry = function
   | G r -> Gauge r.g
   | H st -> Histogram (summary_of_hstate st)
 
-let entry_of_value = function
-  | Counter c -> C { c }
-  | Gauge g -> G { g }
-  | Histogram h ->
-      H
-        {
-          hcount = h.count;
-          moments = [| h.sum; h.min; h.max |];
-          hbuckets = dense_of_sparse h.buckets;
-        }
-
 let get name = Option.map value_of_entry (Hashtbl.find_opt registry name)
 
 let snapshot () =
@@ -164,22 +153,6 @@ let snapshot () =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let reset () = Hashtbl.reset registry
-
-(* --- merge API --- *)
-
-let set name v = Hashtbl.replace registry name (entry_of_value v)
-
-let merge a b =
-  match (a, b) with
-  | Counter x, Counter y -> Some (Counter (x + y))
-  | Gauge _, Gauge y -> Some (Gauge y)
-  | Histogram x, Histogram y ->
-      let dense = dense_of_sparse (x.buckets @ y.buckets) in
-      Some
-        (Histogram
-           (summary_of_dense ~count:(x.count + y.count) ~sum:(x.sum +. y.sum)
-              ~min:(Float.min x.min y.min) ~max:(Float.max x.max y.max) dense))
-  | _ -> None
 
 (* --- rendering --- *)
 

@@ -7,18 +7,6 @@
     state, so instrumented runs are bit-identical to bare ones. The registry
     is global: benchmarks and tests that need isolation call {!reset} first.
 
-    {b Process-locality.} The registry is per-OS-process. Code running inside
-    an [Mpproc] transport worker (see {!Cc_transport.Worker}) records into
-    {e that worker's} registry, not the parent's: before the telemetry plane
-    existed those counts were silently invisible. Workers now snapshot their
-    registry into the [Status] heartbeat and the supervisor merges the
-    reports into the parent registry under a [worker.<shard>.] namespace via
-    {!Cc_obs.Telemetry} — with epoch-aware monotone merge, so counts survive
-    respawn/reroute without double-counting. A worker's registry is reset at
-    every [Install] (checkpoint restore) so a restored worker never reports
-    stale pre-checkpoint counts on top of the epoch the parent already
-    committed.
-
     Conventions: dotted lowercase names, [subsystem.metric] (e.g.
     ["net.retransmits"], ["sampler.phases"], ["fixed.round_error"]). A name
     is permanently bound to its first-used instrument kind; mixing kinds
@@ -78,26 +66,11 @@ val snapshot : unit -> (string * value) list
 (** [reset ()] empties the registry. *)
 val reset : unit -> unit
 
-(** {1 Merge API}
-
-    Used by the telemetry plane to fold a remote (worker) registry into this
-    process's registry; see {!Cc_obs.Telemetry}. *)
-
-(** [set name v] binds [name] to exactly [v], replacing any existing binding
-    regardless of kind. For merge layers — instrumented code should use the
-    incremental operations above. *)
-val set : string -> value -> unit
-
-(** [merge a b] combines two values of the same kind: counters add, gauges
-    take [b] (the later report), histograms merge bucket-wise (percentiles
-    re-derived). [None] on a kind mismatch. *)
-val merge : value -> value -> value option
-
 (** {1 Serialization} *)
 
 (** [value_to_json v] / [value_of_json j] round-trip one instrument value —
-    the wire form telemetry reports use. Histogram buckets serialize as
-    sparse [[index, count]] pairs. *)
+    the per-instrument form of {!to_json}, which [ccprof summary] reads
+    back. Histogram buckets serialize as sparse [[index, count]] pairs. *)
 val value_to_json : value -> Json.t
 
 val value_of_json : Json.t -> (value, string) result

@@ -1,7 +1,7 @@
 type span = {
   id : int;
   name : string;
-  mutable args : (string * string) list;
+  args : (string * string) list;
   depth : int;
   start_ts : float;
   mutable stop_ts : float;
@@ -29,16 +29,6 @@ type event = {
    in at close time. *)
 type open_span = { span : span; alloc_at_open : float }
 
-(* A remote process lane: completed root spans and events shipped from
-   another OS process (an mpproc worker), already rebased into this
-   collector's clock by the supervisor. *)
-type lane = {
-  lane_pid : int;
-  mutable lane_name : string;
-  mutable lane_roots : span list; (* reversed *)
-  mutable lane_events : event list; (* reversed *)
-}
-
 type t = {
   clock : unit -> float;
   max_events : int;
@@ -48,25 +38,18 @@ type t = {
   mutable events : event list; (* reversed *)
   mutable n_events : int;
   mutable n_dropped : int;
-  mutable local_name : string;
-  mutable remote : lane list; (* unordered *)
 }
 
-let local_pid = 1
-
-let create ?(clock = Unix.gettimeofday) ?(max_events = 200_000) ?(first_id = 0)
-    () =
+let create ?(clock = Unix.gettimeofday) ?(max_events = 200_000) () =
   {
     clock;
     max_events;
-    next_id = first_id;
+    next_id = 0;
     stack = [];
     roots = [];
     events = [];
     n_events = 0;
     n_dropped = 0;
-    local_name = "main";
-    remote = [];
   }
 
 let active : t option ref = ref None
@@ -105,28 +88,24 @@ let push_span t ~name ~args =
   in
   t.stack <- { span = sp; alloc_at_open = allocated_words () } :: t.stack
 
-let pop_span ~extra t =
+let pop_span t =
   match t.stack with
   | [] -> () (* unbalanced close: collector was swapped mid-span; ignore *)
   | { span = sp; alloc_at_open } :: rest ->
       sp.stop_ts <- t.clock ();
       sp.alloc_words <- allocated_words () -. alloc_at_open;
       sp.children <- List.rev sp.children;
-      if extra <> [] then sp.args <- sp.args @ extra;
       t.stack <- rest;
       (match rest with
       | { span = parent; _ } :: _ -> parent.children <- sp :: parent.children
       | [] -> t.roots <- sp :: t.roots)
-
-let open_span t ?(args = []) name = push_span t ~name ~args
-let close_span ?(args = []) t = pop_span ~extra:args t
 
 let with_span ?(args = []) name f =
   match !active with
   | None -> f ()
   | Some t ->
       push_span t ~name ~args;
-      Fun.protect ~finally:(fun () -> pop_span ~extra:[] t) f
+      Fun.protect ~finally:(fun () -> pop_span t) f
 
 let record_event t ev =
   if t.n_events < t.max_events then begin
@@ -192,207 +171,6 @@ let dropped_events t = t.n_dropped
 let total_rounds t =
   List.fold_left (fun acc sp -> acc +. sp.net_rounds) 0.0 t.roots
 
-(* --- incremental shipping --- *)
-
-let drain_roots t =
-  let r = List.rev t.roots in
-  t.roots <- [];
-  r
-
-let drain_events t =
-  let e = List.rev t.events in
-  t.events <- [];
-  t.n_events <- 0;
-  e
-
-(* --- process lanes --- *)
-
-let set_process_name t name = t.local_name <- name
-
-let find_lane t ~pid ~process =
-  match List.find_opt (fun l -> l.lane_pid = pid) t.remote with
-  | Some l ->
-      (match process with Some n -> l.lane_name <- n | None -> ());
-      l
-  | None ->
-      let l =
-        {
-          lane_pid = pid;
-          lane_name =
-            (match process with
-            | Some n -> n
-            | None -> Printf.sprintf "pid %d" pid);
-          lane_roots = [];
-          lane_events = [];
-        }
-      in
-      t.remote <- l :: t.remote;
-      l
-
-let add_remote_span t ~pid ?process sp =
-  if pid = local_pid then begin
-    (match process with Some n -> t.local_name <- n | None -> ());
-    t.roots <- sp :: t.roots
-  end
-  else begin
-    let l = find_lane t ~pid ~process in
-    l.lane_roots <- sp :: l.lane_roots
-  end
-
-let add_remote_event t ~pid ?process ev =
-  if pid = local_pid then begin
-    (match process with Some n -> t.local_name <- n | None -> ());
-    record_event t ev
-  end
-  else begin
-    let l = find_lane t ~pid ~process in
-    l.lane_events <- ev :: l.lane_events
-  end
-
-let lanes t =
-  let remote =
-    List.sort (fun a b -> compare a.lane_pid b.lane_pid) t.remote
-  in
-  (local_pid, t.local_name, roots t, events t)
-  :: List.map
-       (fun l ->
-         (l.lane_pid, l.lane_name, List.rev l.lane_roots,
-          List.rev l.lane_events))
-       remote
-
-let rec rebase_span ~offset sp =
-  {
-    sp with
-    start_ts = sp.start_ts +. offset;
-    stop_ts = sp.stop_ts +. offset;
-    children = List.map (rebase_span ~offset) sp.children;
-  }
-
-let rebase_event ~offset ev = { ev with ts = ev.ts +. offset }
-
-(* --- wire codec ---
-
-   Timestamps travel as hex-float strings ("%h") so the supervisor rebases
-   the exact bits the worker measured — the Json emitter's decimal floats
-   would quantize epoch-scale timestamps to ~microseconds. *)
-
-let hexf x = Json.String (Printf.sprintf "%h" x)
-
-let ( let* ) = Result.bind
-
-let get name conv j what =
-  match Json.member name j with
-  | None -> Error (Printf.sprintf "%s: missing %S" what name)
-  | Some v -> (
-      match conv v with
-      | Some x -> Ok x
-      | None -> Error (Printf.sprintf "%s: bad %S" what name))
-
-let to_int = function
-  | Json.Int i -> Some i
-  | Json.Float f -> Some (int_of_float f)
-  | _ -> None
-
-let to_hexf = function
-  | Json.String s -> ( try Some (float_of_string s) with _ -> None)
-  | Json.Int i -> Some (float_of_int i)
-  | Json.Float f -> Some f
-  | _ -> None
-
-let to_args = function
-  | Json.Obj kvs ->
-      let rec go acc = function
-        | [] -> Some (List.rev acc)
-        | (k, Json.String v) :: rest -> go ((k, v) :: acc) rest
-        | _ -> None
-      in
-      go [] kvs
-  | _ -> None
-
-let rec span_to_json sp =
-  Json.Obj
-    [
-      ("id", Json.Int sp.id);
-      ("name", Json.String sp.name);
-      ("args", Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) sp.args));
-      ("depth", Json.Int sp.depth);
-      ("start", hexf sp.start_ts);
-      ("stop", hexf sp.stop_ts);
-      ("alloc", hexf sp.alloc_words);
-      ("rounds", hexf sp.net_rounds);
-      ("messages", Json.Int sp.net_messages);
-      ("words", Json.Int sp.net_words);
-      ("max_load", Json.Int sp.net_max_load);
-      ("children", Json.List (List.map span_to_json sp.children));
-    ]
-
-let rec span_of_json j =
-  let* id = get "id" to_int j "span" in
-  let* name = get "name" Json.to_string_opt j "span" in
-  let* args = get "args" to_args j "span" in
-  let* depth = get "depth" to_int j "span" in
-  let* start_ts = get "start" to_hexf j "span" in
-  let* stop_ts = get "stop" to_hexf j "span" in
-  let* alloc_words = get "alloc" to_hexf j "span" in
-  let* net_rounds = get "rounds" to_hexf j "span" in
-  let* net_messages = get "messages" to_int j "span" in
-  let* net_words = get "words" to_int j "span" in
-  let* net_max_load = get "max_load" to_int j "span" in
-  let* kids = get "children" Json.to_list_opt j "span" in
-  let rec decode acc = function
-    | [] -> Ok (List.rev acc)
-    | k :: rest ->
-        let* c = span_of_json k in
-        decode (c :: acc) rest
-  in
-  let* children = decode [] kids in
-  Ok
-    {
-      id;
-      name;
-      args;
-      depth;
-      start_ts;
-      stop_ts;
-      alloc_words;
-      net_rounds;
-      net_messages;
-      net_words;
-      net_max_load;
-      children;
-    }
-
-let event_to_json ev =
-  Json.Obj
-    [
-      ("ts", hexf ev.ts);
-      ( "span",
-        match ev.span_id with None -> Json.Null | Some i -> Json.Int i );
-      ("kind", Json.String ev.kind);
-      ("label", Json.String ev.label);
-      ("rounds", hexf ev.rounds);
-      ("messages", Json.Int ev.messages);
-      ("words", Json.Int ev.words);
-      ("max_load", Json.Int ev.max_load);
-      ("round_clock", hexf ev.round_clock);
-    ]
-
-let event_of_json j =
-  let* ts = get "ts" to_hexf j "event" in
-  let span_id =
-    match Json.member "span" j with
-    | Some (Json.Int i) -> Some i
-    | _ -> None
-  in
-  let* kind = get "kind" Json.to_string_opt j "event" in
-  let* label = get "label" Json.to_string_opt j "event" in
-  let* rounds = get "rounds" to_hexf j "event" in
-  let* messages = get "messages" to_int j "event" in
-  let* words = get "words" to_int j "event" in
-  let* max_load = get "max_load" to_int j "event" in
-  let* round_clock = get "round_clock" to_hexf j "event" in
-  Ok { ts; span_id; kind; label; rounds; messages; words; max_load; round_clock }
-
 (* --- exporters --- *)
 
 let span_wall sp =
@@ -435,16 +213,13 @@ let pp_tree fmt t =
   Format.fprintf fmt "@]"
 
 (* Chrome trace_event timestamps are microseconds; use the earliest span or
-   event timestamp across every lane as the origin so traces start near 0. *)
+   event timestamp as the origin so traces start near 0. *)
 let origin t =
   let cands =
-    List.concat_map
-      (fun (_, _, roots, events) ->
-        List.filter_map
-          (fun x -> if Float.is_nan x then None else Some x)
-          (List.map (fun sp -> sp.start_ts) roots
-          @ List.map (fun (ev : event) -> ev.ts) events))
-      (lanes t)
+    List.filter
+      (fun x -> not (Float.is_nan x))
+      (List.map (fun sp -> sp.start_ts) t.roots
+      @ List.map (fun (ev : event) -> ev.ts) t.events)
   in
   match cands with [] -> 0.0 | x :: rest -> List.fold_left Float.min x rest
 
@@ -452,70 +227,57 @@ let to_chrome_json t =
   let t0 = origin t in
   let us x = (x -. t0) *. 1e6 in
   let acc = ref [] in
-  let emit_lane (pid, pname, roots, events) =
+  let rec span_events sp =
     acc :=
       Json.Obj
         [
-          ("name", Json.String "process_name");
-          ("ph", Json.String "M");
-          ("pid", Json.Int pid);
+          ("name", Json.String sp.name);
+          ("cat", Json.String "span");
+          ("ph", Json.String "X");
+          ("ts", Json.float_opt (us sp.start_ts));
+          ("dur", Json.float_opt (Float.max 0.01 (span_wall sp *. 1e6)));
+          ("pid", Json.Int 1);
           ("tid", Json.Int 1);
-          ("args", Json.Obj [ ("name", Json.String pname) ]);
+          ( "args",
+            Json.Obj
+              (List.map (fun (k, v) -> (k, Json.String v)) sp.args
+              @ [
+                  ("id", Json.Int sp.id);
+                  ("rounds", Json.float_opt sp.net_rounds);
+                  ("messages", Json.Int sp.net_messages);
+                  ("words", Json.Int sp.net_words);
+                  ("max_load", Json.Int sp.net_max_load);
+                  ("alloc_words", Json.float_opt sp.alloc_words);
+                ]) );
         ]
       :: !acc;
-    let rec span_events sp =
+    List.iter span_events sp.children
+  in
+  List.iter span_events (roots t);
+  List.iter
+    (fun ev ->
       acc :=
         Json.Obj
           [
-            ("name", Json.String sp.name);
-            ("cat", Json.String "span");
-            ("ph", Json.String "X");
-            ("ts", Json.float_opt (us sp.start_ts));
-            ("dur", Json.float_opt (Float.max 0.01 (span_wall sp *. 1e6)));
-            ("pid", Json.Int pid);
+            ("name", Json.String (ev.kind ^ ":" ^ ev.label));
+            ("cat", Json.String "net");
+            ("ph", Json.String "i");
+            ("s", Json.String "t");
+            ("ts", Json.float_opt (us ev.ts));
+            ("pid", Json.Int 1);
             ("tid", Json.Int 1);
             ( "args",
               Json.Obj
-                (List.map (fun (k, v) -> (k, Json.String v)) sp.args
-                @ [
-                    ("id", Json.Int sp.id);
-                    ("rounds", Json.float_opt sp.net_rounds);
-                    ("messages", Json.Int sp.net_messages);
-                    ("words", Json.Int sp.net_words);
-                    ("max_load", Json.Int sp.net_max_load);
-                    ("alloc_words", Json.float_opt sp.alloc_words);
-                  ]) );
+                [
+                  ("rounds", Json.float_opt ev.rounds);
+                  ("messages", Json.Int ev.messages);
+                  ("words", Json.Int ev.words);
+                  ("max_load", Json.Int ev.max_load);
+                  ("round_clock", Json.float_opt ev.round_clock);
+                ] );
           ]
-        :: !acc;
-      List.iter span_events sp.children
-    in
-    List.iter span_events roots;
-    List.iter
-      (fun ev ->
-        acc :=
-          Json.Obj
-            [
-              ("name", Json.String (ev.kind ^ ":" ^ ev.label));
-              ("cat", Json.String "net");
-              ("ph", Json.String "i");
-              ("s", Json.String "t");
-              ("ts", Json.float_opt (us ev.ts));
-              ("pid", Json.Int pid);
-              ("tid", Json.Int 1);
-              ( "args",
-                Json.Obj
-                  [
-                    ("rounds", Json.float_opt ev.rounds);
-                    ("messages", Json.Int ev.messages);
-                    ("words", Json.Int ev.words);
-                    ("max_load", Json.Int ev.max_load);
-                    ("round_clock", Json.float_opt ev.round_clock);
-                  ] );
-            ]
-          :: !acc)
-      events
-  in
-  List.iter emit_lane (lanes t);
+        :: !acc)
+    (events t);
   Json.to_string
     (Json.Obj
        [
@@ -530,80 +292,80 @@ let to_jsonl t =
     Buffer.add_string buf (Json.to_string v);
     Buffer.add_char buf '\n'
   in
-  let all = lanes t in
+  let rec span_lines sp =
+    line
+      (Json.Obj
+         [
+           ("type", Json.String "span");
+           ("id", Json.Int sp.id);
+           ("name", Json.String sp.name);
+           ("depth", Json.Int sp.depth);
+           ( "args",
+             Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) sp.args) );
+           ("start_s", Json.float_opt (sp.start_ts -. t0));
+           ("wall_s", Json.float_opt (span_wall sp));
+           ("alloc_words", Json.float_opt sp.alloc_words);
+           ("rounds", Json.float_opt sp.net_rounds);
+           ("messages", Json.Int sp.net_messages);
+           ("words", Json.Int sp.net_words);
+           ("max_load", Json.Int sp.net_max_load);
+         ]);
+    List.iter span_lines sp.children
+  in
+  List.iter span_lines (roots t);
   List.iter
-    (fun (pid, pname, _, _) ->
+    (fun ev ->
       line
         (Json.Obj
            [
-             ("type", Json.String "process");
-             ("pid", Json.Int pid);
-             ("name", Json.String pname);
+             ("type", Json.String "event");
+             ("ts_s", Json.float_opt (ev.ts -. t0));
+             ( "span",
+               match ev.span_id with None -> Json.Null | Some i -> Json.Int i );
+             ("kind", Json.String ev.kind);
+             ("label", Json.String ev.label);
+             ("rounds", Json.float_opt ev.rounds);
+             ("messages", Json.Int ev.messages);
+             ("words", Json.Int ev.words);
+             ("max_load", Json.Int ev.max_load);
+             ("round_clock", Json.float_opt ev.round_clock);
            ]))
-    all;
-  List.iter
-    (fun (pid, _, roots, events) ->
-      let rec span_lines sp =
-        line
-          (Json.Obj
-             [
-               ("type", Json.String "span");
-               ("pid", Json.Int pid);
-               ("id", Json.Int sp.id);
-               ("name", Json.String sp.name);
-               ("depth", Json.Int sp.depth);
-               ( "args",
-                 Json.Obj (List.map (fun (k, v) -> (k, Json.String v)) sp.args)
-               );
-               ("start_s", Json.float_opt (sp.start_ts -. t0));
-               ("wall_s", Json.float_opt (span_wall sp));
-               ("alloc_words", Json.float_opt sp.alloc_words);
-               ("rounds", Json.float_opt sp.net_rounds);
-               ("messages", Json.Int sp.net_messages);
-               ("words", Json.Int sp.net_words);
-               ("max_load", Json.Int sp.net_max_load);
-             ]);
-        List.iter span_lines sp.children
-      in
-      List.iter span_lines roots;
-      List.iter
-        (fun ev ->
-          line
-            (Json.Obj
-               [
-                 ("type", Json.String "event");
-                 ("pid", Json.Int pid);
-                 ("ts_s", Json.float_opt (ev.ts -. t0));
-                 ( "span",
-                   match ev.span_id with
-                   | None -> Json.Null
-                   | Some i -> Json.Int i );
-                 ("kind", Json.String ev.kind);
-                 ("label", Json.String ev.label);
-                 ("rounds", Json.float_opt ev.rounds);
-                 ("messages", Json.Int ev.messages);
-                 ("words", Json.Int ev.words);
-                 ("max_load", Json.Int ev.max_load);
-                 ("round_clock", Json.float_opt ev.round_clock);
-               ]))
-        events)
-    all;
+    (events t);
   Buffer.contents buf
+
+(* --- reload --- *)
+
+let ( let* ) = Result.bind
+
+let get name conv j what =
+  match Json.member name j with
+  | None -> Error (Printf.sprintf "%s: missing %S" what name)
+  | Some v -> (
+      match conv v with
+      | Some x -> Ok x
+      | None -> Error (Printf.sprintf "%s: bad %S" what name))
+
+let to_int = function
+  | Json.Int i -> Some i
+  | Json.Float f -> Some (int_of_float f)
+  | _ -> None
+
+let to_args = function
+  | Json.Obj kvs ->
+      let rec go acc = function
+        | [] -> Some (List.rev acc)
+        | (k, Json.String v) :: rest -> go ((k, v) :: acc) rest
+        | _ -> None
+      in
+      go [] kvs
+  | _ -> None
 
 let of_jsonl s =
   let t = create ~max_events:max_int () in
-  (* Per-lane stack of open ancestors, innermost first, for rebuilding the
-     tree from the depth-first flattening. Children are accumulated reversed
-     and flipped once the whole artifact is read. *)
-  let stacks : (int, span list ref) Hashtbl.t = Hashtbl.create 8 in
-  let stack_for pid =
-    match Hashtbl.find_opt stacks pid with
-    | Some r -> r
-    | None ->
-        let r = ref [] in
-        Hashtbl.add stacks pid r;
-        r
-  in
+  (* Stack of open ancestors, innermost first, for rebuilding the tree from
+     the depth-first flattening. Children are accumulated reversed and
+     flipped once the whole artifact is read. *)
+  let stack = ref [] in
   let float_field name j what =
     match Json.member name j with
     | Some v -> (
@@ -615,20 +377,9 @@ let of_jsonl s =
             | _ -> Error (Printf.sprintf "%s: bad %S" what name)))
     | None -> Error (Printf.sprintf "%s: missing %S" what name)
   in
-  let pid_of j = match Json.member "pid" j with
-    | Some v -> ( match to_int v with Some p -> p | None -> local_pid)
-    | None -> local_pid
-  in
   let add_line j =
     match Json.member "type" j with
-    | Some (Json.String "process") ->
-        let pid = pid_of j in
-        let* name = get "name" Json.to_string_opt j "process" in
-        if pid = local_pid then t.local_name <- name
-        else ignore (find_lane t ~pid ~process:(Some name));
-        Ok ()
     | Some (Json.String "span") ->
-        let pid = pid_of j in
         let* id = get "id" to_int j "span" in
         let* name = get "name" Json.to_string_opt j "span" in
         let* depth = get "depth" to_int j "span" in
@@ -657,7 +408,6 @@ let of_jsonl s =
           }
         in
         t.next_id <- max t.next_id (id + 1);
-        let stack = stack_for pid in
         let rec unwind = function
           | top :: rest when top.depth >= depth -> unwind rest
           | st -> st
@@ -665,11 +415,10 @@ let of_jsonl s =
         stack := unwind !stack;
         (match !stack with
         | parent :: _ -> parent.children <- sp :: parent.children
-        | [] -> add_remote_span t ~pid sp);
+        | [] -> t.roots <- sp :: t.roots);
         stack := sp :: !stack;
         Ok ()
     | Some (Json.String "event") ->
-        let pid = pid_of j in
         let* ts = float_field "ts_s" j "event" in
         let span_id =
           match Json.member "span" j with
@@ -683,7 +432,7 @@ let of_jsonl s =
         let* words = get "words" to_int j "event" in
         let* max_load = get "max_load" to_int j "event" in
         let* round_clock = float_field "round_clock" j "event" in
-        add_remote_event t ~pid
+        record_event t
           { ts; span_id; kind; label; rounds; messages; words; max_load;
             round_clock };
         Ok ()
@@ -711,5 +460,4 @@ let of_jsonl s =
   | Error _ as e -> e
   | Ok () ->
       List.iter fix t.roots;
-      List.iter (fun l -> List.iter fix l.lane_roots) t.remote;
       Ok t

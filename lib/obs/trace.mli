@@ -22,29 +22,12 @@
     Exporters: a human-readable span tree ({!pp_tree}), JSON-lines
     ({!to_jsonl}, reloadable with {!of_jsonl}), and Chrome [trace_event] JSON
     ({!to_chrome_json}) loadable in [chrome://tracing] or
-    {{:https://ui.perfetto.dev}Perfetto}.
-
-    {b Process-locality and distributed reconstruction.} The active collector
-    is per-OS-process: spans opened inside an [Mpproc] transport worker land
-    in {e that worker's} collector, not the parent's. Workers ship their
-    {b complete} span trees and events incrementally ({!drain_roots} /
-    {!drain_events}) inside their telemetry reports on [Status] heartbeats
-    and the final pre-[Shutdown] flush; the supervisor rebases the remote
-    timestamps into its own clock (offset estimated from the heartbeat round
-    trip, see DESIGN.md §13) and merges them into the parent collector as
-    per-shard {e process lanes} ({!add_remote_span}). Span ids never collide
-    across processes because every worker's collector starts at a
-    parent-assigned id base ([?first_id]). One merged collector therefore
-    holds the whole system — supervisor plus every shard — and the exporters
-    render each lane as its own process. Flattened top-level span aggregates
-    additionally flow through {!Cc_obs.Telemetry} as [worker.<shard>.span.*]
-    metrics. *)
+    {{:https://ui.perfetto.dev}Perfetto}. *)
 
 type span = {
   id : int;
   name : string;
-  mutable args : (string * string) list;
-      (** key/value annotations; set at open, optionally extended at close. *)
+  args : (string * string) list;  (** key/value annotations, set at open. *)
   depth : int;  (** 0 for top-level spans. *)
   start_ts : float;  (** clock seconds at open. *)
   mutable stop_ts : float;  (** clock seconds at close. *)
@@ -74,14 +57,12 @@ type event = {
 
 type t
 
-(** [create ?clock ?max_events ?first_id ()] builds an empty collector.
-    [clock] returns seconds (default [Unix.gettimeofday]; inject a counter
-    for deterministic tests). At most [max_events] net events are kept
-    (default [200_000]); excess events still update span totals but are
-    dropped from the timeline and counted in {!dropped_events}. [first_id]
-    (default 0) is the id of the first span — transport workers receive a
-    disjoint id base from the supervisor so merged traces never collide. *)
-val create : ?clock:(unit -> float) -> ?max_events:int -> ?first_id:int -> unit -> t
+(** [create ?clock ?max_events ()] builds an empty collector. [clock]
+    returns seconds (default [Unix.gettimeofday]; inject a counter for
+    deterministic tests). At most [max_events] net events are kept (default
+    [200_000]); excess events still update span totals but are dropped from
+    the timeline and counted in {!dropped_events}. *)
+val create : ?clock:(unit -> float) -> ?max_events:int -> unit -> t
 
 (** [install t] makes [t] the process-wide active collector. *)
 val install : t -> unit
@@ -100,16 +81,6 @@ val with_trace : t -> (unit -> 'a) -> 'a
     active collector this is just [f ()]. The span is closed (and recorded)
     even if [f] raises. *)
 val with_span : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
-
-(** [open_span t ?args name] pushes an open span by hand — for callers whose
-    span boundaries are message-driven rather than lexically scoped (the
-    transport worker's per-shard book batches). Pair with {!close_span}. *)
-val open_span : t -> ?args:(string * string) list -> string -> unit
-
-(** [close_span ?args t] closes the innermost open span, appending [args]
-    (default none) to its annotations — how a batch span records its final
-    count. Ignored when no span is open. *)
-val close_span : ?args:(string * string) list -> t -> unit
 
 (** [instant ?args name] records a zero-duration marker event attributed to
     the innermost open span. No-op without an active collector. *)
@@ -133,96 +104,39 @@ val net_event :
 
 (** {1 Inspection} *)
 
-(** [roots t] is the completed local top-level spans, in start order. Spans
-    still open are not included. *)
+(** [roots t] is the completed top-level spans, in start order. Spans still
+    open are not included. *)
 val roots : t -> span list
 
-(** [events t] is the recorded local net-event timeline, in order. *)
+(** [events t] is the recorded net-event timeline, in order. *)
 val events : t -> event list
 
 (** [dropped_events t] counts events beyond [max_events] that were dropped
     from the timeline (span totals still include them). *)
 val dropped_events : t -> int
 
-(** [total_rounds t] sums [net_rounds] over the local top-level spans. *)
+(** [total_rounds t] sums [net_rounds] over the top-level spans. *)
 val total_rounds : t -> float
-
-(** {1 Incremental shipping (worker side)} *)
-
-(** [drain_roots t] removes and returns the completed local top-level spans,
-    in start order. Each completed span is returned by exactly one drain —
-    the exactly-once contract the worker's heartbeat shipping relies on.
-    Spans still open stay and complete later. *)
-val drain_roots : t -> span list
-
-(** [drain_events t] removes and returns the recorded net events, in order
-    (same exactly-once contract). The dropped-events counter is kept. *)
-val drain_events : t -> event list
-
-(** {1 Process lanes (supervisor side)} *)
-
-(** The merged collector renders as one process per lane. The local lane —
-    the collector's own spans and events — always has pid {!local_pid}. *)
-val local_pid : int
-
-(** [set_process_name t name] names the local lane (default ["main"]). *)
-val set_process_name : t -> string -> unit
-
-(** [add_remote_span t ~pid ?process span] appends a completed root [span]
-    (its subtree included) to the lane [pid], creating the lane (named
-    [process], default ["pid <pid>"]) on first use. The caller is
-    responsible for rebasing timestamps ({!rebase_span}) and for id
-    uniqueness (parent-assigned [first_id] bases). *)
-val add_remote_span : t -> pid:int -> ?process:string -> span -> unit
-
-(** [add_remote_event t ~pid ?process event] appends an event to lane
-    [pid]. *)
-val add_remote_event : t -> pid:int -> ?process:string -> event -> unit
-
-(** [lanes t] is every lane — the local one (pid {!local_pid}) first, then
-    remote lanes sorted by pid — as [(pid, process name, completed roots,
-    events)]. *)
-val lanes : t -> (int * string * span list * event list) list
-
-(** [rebase_span ~offset span] is a copy of [span] (subtree included) with
-    every timestamp shifted by [offset] seconds — how the supervisor maps a
-    worker's clock into its own. *)
-val rebase_span : offset:float -> span -> span
-
-val rebase_event : offset:float -> event -> event
-
-(** {1 Wire codec}
-
-    Lossless JSON forms for shipping spans and events across the transport:
-    timestamps serialize as hex-float strings so rebasing works on exact
-    bits. Used by {!Cc_obs.Telemetry}. *)
-
-val span_to_json : span -> Json.t
-val span_of_json : Json.t -> (span, string) result
-val event_to_json : event -> Json.t
-val event_of_json : Json.t -> (event, string) result
 
 (** {1 Exporters} *)
 
-(** [pp_tree fmt t] renders the local span tree with per-span wall-clock,
+(** [pp_tree fmt t] renders the span tree with per-span wall-clock,
     allocation, and rounds/messages/words. *)
 val pp_tree : Format.formatter -> t -> unit
 
 (** [to_chrome_json t] is Chrome [trace_event] JSON ([{"traceEvents": ...}]):
-    one process per lane (named by [process_name] metadata events), spans as
-    complete (["ph":"X"]) events with microsecond timestamps relative to the
-    trace start, net events as instant (["ph":"i"]) events carrying
-    rounds/words in [args]. *)
+    spans as complete (["ph":"X"]) events with microsecond timestamps
+    relative to the trace start, net events as instant (["ph":"i"]) events
+    carrying rounds/words in [args]. *)
 val to_chrome_json : t -> string
 
-(** [to_jsonl t] is one JSON object per line: a [process] line per lane,
-    then every span (depth-first, in start order) and every net event, each
-    carrying its lane [pid]. Timestamps are seconds relative to the trace
-    origin. The format {!of_jsonl} reloads. *)
+(** [to_jsonl t] is one JSON object per line: every span (depth-first, in
+    start order), then every net event. Timestamps are seconds relative to
+    the trace origin. The format {!of_jsonl} reloads. *)
 val to_jsonl : t -> string
 
-(** [of_jsonl s] reconstructs a merged collector from a {!to_jsonl} artifact
-    — lanes, span trees (rebuilt from the depth-first flattening), and
-    events — for offline analysis ([ccprof timeline] / [critical-path]).
-    The error names the first offending line. *)
+(** [of_jsonl s] reconstructs a collector from a {!to_jsonl} artifact — span
+    trees (rebuilt from the depth-first flattening) and events — for offline
+    analysis ([ccprof timeline] / [critical-path]). The error names the
+    first offending line. *)
 val of_jsonl : string -> (t, string) result

@@ -18,11 +18,10 @@ type config = {
   cache_cap : int;
   max_requests : int option;
   journal : Journal.t option;
-  on_net : (Net.t -> unit -> unit) option;
 }
 
 let default_config ~sock =
-  { sock; cache_cap = 8; max_requests = None; journal = None; on_net = None }
+  { sock; cache_cap = 8; max_requests = None; journal = None }
 
 (* A cached plan. The three samplers expose the same prepare/draw shape but
    distinct plan types; the cache stores the sum. *)
@@ -37,7 +36,6 @@ type job = {
   cache_hit : bool;
   net : Net.t;
   recorder : Recorder.t;
-  teardown : unit -> unit;  (* transport shutdown, when one was installed *)
   master : Prng.t;  (* tree i draws from the i-th sequential split *)
   mutable drawn : int;
   started : float;
@@ -92,6 +90,10 @@ let claim_socket path =
   end
 
 let create config =
+  (* A client that hangs up mid-stream must cost only its own connection:
+     with SIGPIPE ignored, the write fails with EPIPE and [flush_conn]
+     closes that connection instead of the signal killing the daemon. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   claim_socket config.sock;
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try
@@ -142,9 +144,6 @@ let start_job t conn (req : Protocol.request) =
   let net = Net.create ~n in
   let recorder = Recorder.create ~machines:n () in
   ignore (Net.attach_recorder net recorder);
-  let teardown =
-    match t.config.on_net with Some f -> f net | None -> fun () -> ()
-  in
   Metrics.incr "server.requests";
   journal_record t "serve_request" ~worker:conn.cid
     ~cause:
@@ -158,7 +157,6 @@ let start_job t conn (req : Protocol.request) =
         cache_hit;
         net;
         recorder;
-        teardown;
         master = Prng.create ~seed:req.seed;
         drawn = 0;
         started = Unix.gettimeofday ();
@@ -191,7 +189,6 @@ let draw_tree job =
       (header, Tree.edges tree)
 
 let finish_job t conn job =
-  (try job.teardown () with _ -> ());
   let ms = 1000.0 *. (Unix.gettimeofday () -. job.started) in
   Metrics.observe "server.request_ms" ms;
   conn.out <-
@@ -209,7 +206,6 @@ let finish_job t conn job =
   | _ -> ()
 
 let fail_job t conn job message =
-  (try job.teardown () with _ -> ());
   conn.out <- conn.out ^ Protocol.error_line ?id:job.req.Protocol.id message;
   conn.job <- None;
   t.served <- t.served + 1;

@@ -28,11 +28,6 @@ type config = {
       (** stop (drain) after this many completed requests — for tests and
           the CI smoke job. *)
   journal : Cc_obs.Journal.t option;
-  on_net : (Cc_clique.Net.t -> unit -> unit) option;
-      (** called on each request's freshly created net before any draw —
-          the hook [ccserve --transport mpproc] uses to install a
-          supervised transport; the returned thunk tears it down when the
-          request completes. *)
 }
 
 val default_config : sock:string -> config
@@ -41,7 +36,9 @@ type t
 
 (** [create config] binds and listens on [config.sock]. A stale socket file
     (left by a crashed server) is detected by a probe connect and removed;
-    a live one raises.
+    a live one raises. It also sets SIGPIPE to ignored for the process, so
+    a client hanging up mid-stream surfaces as [EPIPE] on that connection
+    only.
     @raise Failure if another server is accepting on the path, or on bind
     errors. *)
 val create : config -> t

@@ -209,7 +209,7 @@ let test_sink_sees_max_load () =
   let n = 8 in
   let net = Net.create ~n in
   let seen = ref [] in
-  Net.set_sink net (Some (fun ev -> seen := ev.Net.max_load :: !seen));
+  ignore (Net.add_sink net (fun ev -> seen := ev.Net.max_load :: !seen));
   Net.exchange net ~label:"t"
     (List.init (n - 1) (fun i -> { Net.src = i + 1; dst = 0; words = n }));
   Net.charge net ~label:"free" 2.0;
@@ -233,7 +233,7 @@ let test_reset_keeps_sink () =
      an installed callback active. *)
   let net = Net.create ~n:4 in
   let count = ref 0 in
-  Net.set_sink net (Some (fun _ -> incr count));
+  ignore (Net.add_sink net (fun _ -> incr count));
   Net.exchange net ~label:"t" [ { Net.src = 0; dst = 1; words = 1 } ];
   Alcotest.(check int) "sink saw the first booking" 1 !count;
   Net.reset net;
@@ -457,7 +457,7 @@ let qcheck_tests =
           (Matmul.mul net Matmul.Routed_broadcast a b));
   ]
 
-(* --- event bus (add_sink / remove_sink / set_sink compat) --- *)
+(* --- event bus (add_sink / remove_sink) --- *)
 
 let test_add_sink_ordering () =
   let net = Net.create ~n:4 in
@@ -474,31 +474,35 @@ let test_add_sink_ordering () =
   Net.exchange net ~label:"t" [ { Net.src = 0; dst = 1; words = 1 } ];
   Alcotest.(check (list string)) "removed sink is silent" [ "b" ] !order
 
-let test_set_sink_coexists_with_add_sink () =
-  (* The legacy set_sink slot is one subscription among many: installing or
-     clearing it must not disturb add_sink subscribers. *)
+let test_resubscribe_and_detach () =
+  (* Swapping one subscription for another must not disturb the others: a
+     re-subscription moves to the back, and removing it leaves the rest. *)
   let net = Net.create ~n:4 in
   let order = ref [] in
+  let book () =
+    order := [];
+    Net.exchange net ~label:"t" [ { Net.src = 0; dst = 1; words = 1 } ];
+    List.rev !order
+  in
   ignore (Net.add_sink net (fun _ -> order := "bus" :: !order));
-  Net.set_sink net (Some (fun _ -> order := "compat" :: !order));
-  Net.exchange net ~label:"t" [ { Net.src = 0; dst = 1; words = 1 } ];
+  let first = Net.add_sink net (fun _ -> order := "first" :: !order) in
   Alcotest.(check (list string))
-    "both fire, earlier subscription first" [ "bus"; "compat" ]
-    (List.rev !order);
-  (* Replacing the compat sink re-subscribes it (moves to the back), and
-     clearing it leaves the bus subscriber alone. *)
-  Net.set_sink net (Some (fun _ -> order := "compat2" :: !order));
-  Net.set_sink net None;
-  order := [];
-  Net.exchange net ~label:"t" [ { Net.src = 0; dst = 1; words = 1 } ];
-  Alcotest.(check (list string)) "compat slot cleared" [ "bus" ] !order
+    "both fire, earlier subscription first" [ "bus"; "first" ] (book ());
+  Net.remove_sink net first;
+  let second = Net.add_sink net (fun _ -> order := "second" :: !order) in
+  ignore (Net.add_sink net (fun _ -> order := "late" :: !order));
+  Alcotest.(check (list string))
+    "replacement joins at the back" [ "bus"; "second"; "late" ] (book ());
+  Net.remove_sink net second;
+  Alcotest.(check (list string)) "detached sink is silent" [ "bus"; "late" ]
+    (book ())
 
 let test_reset_keeps_all_sinks () =
   let net = Net.create ~n:4 in
   let hits = ref 0 in
   ignore (Net.add_sink net (fun _ -> incr hits));
   ignore (Net.add_sink net (fun _ -> incr hits));
-  Net.set_sink net (Some (fun _ -> incr hits));
+  ignore (Net.add_sink net (fun _ -> incr hits));
   Net.reset net;
   Net.exchange net ~label:"t" [ { Net.src = 0; dst = 1; words = 1 } ];
   Alcotest.(check int) "all three subscriptions survive reset" 3 !hits
@@ -627,8 +631,8 @@ let () =
         [
           Alcotest.test_case "add_sink ordering + remove" `Quick
             test_add_sink_ordering;
-          Alcotest.test_case "set_sink compat slot" `Quick
-            test_set_sink_coexists_with_add_sink;
+          Alcotest.test_case "re-subscribe and detach" `Quick
+            test_resubscribe_and_detach;
           Alcotest.test_case "all sinks survive reset" `Quick
             test_reset_keeps_all_sinks;
           Alcotest.test_case "per-machine words on events" `Quick

@@ -51,6 +51,47 @@ let test_parse_domains () =
       | Ok d -> Alcotest.failf "parse %S accepted as %d" s d)
     [ "0"; "-2"; "abc"; "" ]
 
+let test_install_domains_messages () =
+  let expect_error spec ~prefix =
+    match Cc_engine.install_domains spec with
+    | Ok () -> Alcotest.failf "accepted a bad count (expected %s...)" prefix
+    | Error e ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%S starts with %S" e prefix)
+          true
+          (String.starts_with ~prefix e);
+        Alcotest.(check bool) "one line" false (String.contains e '\n')
+  in
+  List.iter
+    (fun s -> expect_error (Some s) ~prefix:"--domains: ")
+    [ "0"; "-2"; "abc"; ""; "  " ];
+  (* A valid flag installs that engine as the process default. *)
+  let before = Cc_engine.get () in
+  Cc_engine.with_engine before (fun () ->
+      Alcotest.(check bool) "valid flag accepted" true
+        (Cc_engine.install_domains (Some "1") = Ok ());
+      Alcotest.(check int) "installed" 1 (Cc_engine.domains (Cc_engine.get ())));
+  Alcotest.(check bool) "default restored" true (Cc_engine.get () == before);
+  (* Without the flag the variable is validated up front. The stdlib cannot
+     unset a variable, so an unset one is restored to the count the lazy
+     default would pick anyway. *)
+  let restore =
+    match Sys.getenv_opt Cc_engine.env_var with
+    | Some v -> v
+    | None -> string_of_int (Cc_engine.default_domains ())
+  in
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv Cc_engine.env_var restore)
+    (fun () ->
+      List.iter
+        (fun v ->
+          Unix.putenv Cc_engine.env_var v;
+          expect_error None ~prefix:"CC_DOMAINS: ")
+        [ "zero"; ""; "0" ];
+      Unix.putenv Cc_engine.env_var "3";
+      Alcotest.(check bool) "valid variable accepted" true
+        (Cc_engine.install_domains None = Ok ()))
+
 let test_shutdown_idempotent_and_degrades_inline () =
   let e = Cc_engine.create ~domains:3 () in
   Alcotest.(check bool) "parallel before" true (Cc_engine.is_parallel e);
@@ -200,6 +241,8 @@ let () =
           Alcotest.test_case "rejects domains < 1" `Quick
             test_create_rejects_nonpositive;
           Alcotest.test_case "parse_domains" `Quick test_parse_domains;
+          Alcotest.test_case "install_domains messages" `Quick
+            test_install_domains_messages;
           Alcotest.test_case "shutdown idempotent, degrades inline" `Quick
             test_shutdown_idempotent_and_degrades_inline;
           Alcotest.test_case "with_engine restores default" `Quick

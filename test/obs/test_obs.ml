@@ -28,23 +28,16 @@ let counter_clock () =
     t := !t +. 1.0;
     !t
 
-(* A hand-built completed span — what a transport worker would ship. *)
-let mkspan ?(id = 7) ?(name = "w") ?(args = []) ?(depth = 0) ~start ~stop
-    ?(rounds = 2.5) ?(children = []) () =
-  {
-    Trace.id;
-    name;
-    args;
-    depth;
-    start_ts = start;
-    stop_ts = stop;
-    alloc_words = 0.0;
-    net_rounds = rounds;
-    net_messages = 3;
-    net_words = 9;
-    net_max_load = 4;
-    children;
-  }
+(* A clock that replays [ts] in order, one timestamp per call — spans read
+   it at open and close, net events once. *)
+let scripted_clock ts =
+  let q = ref ts in
+  fun () ->
+    match !q with
+    | x :: rest ->
+        q := rest;
+        x
+    | [] -> Alcotest.fail "scripted clock exhausted"
 
 (* --- Trace: span tree shape and determinism --------------------------- *)
 
@@ -123,112 +116,7 @@ let test_disabled_is_transparent () =
     ~round_clock:1.0 ();
   Alcotest.(check (option reject)) "still no collector" None (Trace.current ())
 
-(* --- Trace: distributed reconstruction --------------------------------- *)
-
-let test_trace_drain_exactly_once () =
-  let base = 1 lsl 30 in
-  let t = Trace.create ~clock:(counter_clock ()) ~first_id:base () in
-  Trace.with_trace t (fun () ->
-      Trace.with_span "a" (fun () ->
-          Trace.net_event ~kind:"exchange" ~label:"x" ~rounds:1.0 ~messages:2
-            ~words:4 ~round_clock:1.0 ());
-      Trace.with_span "b" (fun () -> ()));
-  (match Trace.drain_roots t with
-  | [ a; b ] ->
-      Alcotest.(check int) "parent-assigned id base" base a.Trace.id;
-      Alcotest.(check bool) "ids ascend from base" true (b.Trace.id > base)
-  | l -> Alcotest.failf "expected 2 roots, got %d" (List.length l));
-  Alcotest.(check int) "second drain empty" 0
-    (List.length (Trace.drain_roots t));
-  Alcotest.(check int) "events drained once" 1
-    (List.length (Trace.drain_events t));
-  Alcotest.(check int) "events gone" 0 (List.length (Trace.drain_events t));
-  (* A span still open at drain time stays and completes later — the
-     heartbeat-shipping contract. *)
-  Trace.open_span t "late";
-  Alcotest.(check int) "open span survives the drain" 0
-    (List.length (Trace.drain_roots t));
-  Trace.close_span t;
-  Alcotest.(check int) "and ships on the next one" 1
-    (List.length (Trace.drain_roots t))
-
-let test_trace_lanes_and_rebase () =
-  let t = Trace.create ~clock:(counter_clock ()) () in
-  Trace.with_trace t (fun () -> Trace.with_span "local" (fun () -> ()));
-  let base = 1 lsl 30 in
-  let w =
-    mkspan ~id:base ~start:10.0 ~stop:12.0
-      ~children:[ mkspan ~id:(base + 1) ~depth:1 ~start:10.5 ~stop:11.0 () ]
-      ()
-  in
-  (* The supervisor rebases into its own clock before delivery. *)
-  Trace.add_remote_span t ~pid:2 ~process:"shard 0"
-    (Trace.rebase_span ~offset:(-10.0) w);
-  Trace.add_remote_event t ~pid:2
-    (Trace.rebase_event ~offset:(-10.0)
-       {
-         Trace.ts = 10.25;
-         span_id = Some base;
-         kind = "exchange";
-         label = "x";
-         rounds = 1.0;
-         messages = 2;
-         words = 4;
-         max_load = 3;
-         round_clock = 7.0;
-       });
-  match Trace.lanes t with
-  | [ (p1, n1, local_roots, _); (2, "shard 0", [ w' ], [ ev' ]) ] ->
-      Alcotest.(check int) "local lane first" Trace.local_pid p1;
-      Alcotest.(check string) "local lane name" "main" n1;
-      Alcotest.(check (list string))
-        "local roots intact" [ "local" ]
-        (List.map (fun (s : Trace.span) -> s.Trace.name) local_roots);
-      Alcotest.(check (float 0.0)) "root rebased" 0.0 w'.Trace.start_ts;
-      Alcotest.(check (float 0.0)) "subtree rebased" 0.5
-        (List.hd w'.Trace.children).Trace.start_ts;
-      Alcotest.(check (float 0.0)) "event rebased" 0.25 ev'.Trace.ts;
-      Alcotest.(check int) "remote ids preserved" base w'.Trace.id
-  | lanes -> Alcotest.failf "expected 2 lanes, got %d" (List.length lanes)
-
-let test_trace_span_codec_exact () =
-  (* The wire codec must round-trip exact float bits: timestamps serialize
-     as hex floats precisely because the pretty emitters quantize. *)
-  let start = 0x1.123456789abcdp20 and stop = 0x1.123456789abcep20 in
-  let sp =
-    mkspan ~id:3 ~name:"worker.books"
-      ~args:[ ("shard", "1"); ("books", "17") ]
-      ~start ~stop
-      ~children:[ mkspan ~id:4 ~depth:1 ~start ~stop () ]
-      ()
-  in
-  (match Trace.span_of_json (Trace.span_to_json sp) with
-  | Error e -> Alcotest.failf "span roundtrip: %s" e
-  | Ok sp' ->
-      Alcotest.(check bool) "start bits exact" true (sp'.Trace.start_ts = start);
-      Alcotest.(check bool) "stop bits exact" true (sp'.Trace.stop_ts = stop);
-      Alcotest.(check (list (pair string string)))
-        "args" sp.Trace.args sp'.Trace.args;
-      Alcotest.(check int) "children ride along" 1
-        (List.length sp'.Trace.children));
-  let ev =
-    {
-      Trace.ts = start;
-      span_id = Some 3;
-      kind = "broadcast";
-      label = "b";
-      rounds = 1.5;
-      messages = 4;
-      words = 8;
-      max_load = 2;
-      round_clock = 9.0;
-    }
-  in
-  match Trace.event_of_json (Trace.event_to_json ev) with
-  | Error e -> Alcotest.failf "event roundtrip: %s" e
-  | Ok ev' ->
-      Alcotest.(check bool) "event ts exact" true (ev'.Trace.ts = start);
-      Alcotest.(check (option int)) "span id" (Some 3) ev'.Trace.span_id
+(* --- Trace: artifact reload --------------------------------------------- *)
 
 let test_trace_of_jsonl_roundtrip () =
   let t = Trace.create ~clock:(counter_clock ()) () in
@@ -236,29 +124,31 @@ let test_trace_of_jsonl_roundtrip () =
       Trace.with_span "run" (fun () ->
           Trace.with_span "inner" ~args:[ ("k", "v") ] (fun () -> ());
           Trace.net_event ~kind:"exchange" ~label:"x" ~rounds:1.0 ~messages:2
-            ~words:4 ~round_clock:1.0 ()));
-  Trace.add_remote_span t ~pid:2 ~process:"shard 0"
-    (mkspan ~id:(1 lsl 30) ~start:0.5 ~stop:1.5 ());
+            ~words:4 ~round_clock:1.0 ());
+      Trace.with_span "second" (fun () -> ()));
   let artifact = Trace.to_jsonl t in
   (match Trace.of_jsonl artifact with
   | Error e -> Alcotest.failf "of_jsonl: %s" e
   | Ok t' ->
-      let shape tr =
-        List.map
-          (fun (pid, name, roots, evs) ->
-            ( pid,
-              name,
-              List.map
-                (fun (s : Trace.span) ->
-                  ( s.Trace.name,
-                    List.length s.Trace.children,
-                    s.Trace.stop_ts -. s.Trace.start_ts ))
-                roots,
-              List.length evs ))
-          (Trace.lanes tr)
+      (* depth-first flattening of every tree *)
+      let rec shape (s : Trace.span) =
+        ( s.Trace.depth,
+          s.Trace.name,
+          s.Trace.args,
+          s.Trace.stop_ts -. s.Trace.start_ts,
+          s.Trace.net_rounds )
+        :: List.concat_map shape s.Trace.children
       in
-      Alcotest.(check bool) "lanes, trees, walls survive" true
-        (shape t = shape t');
+      let events tr =
+        List.map
+          (fun (e : Trace.event) -> (e.Trace.kind, e.Trace.label, e.Trace.span_id))
+          (Trace.events tr)
+      in
+      Alcotest.(check bool) "trees, args, walls, rounds survive" true
+        (List.concat_map shape (Trace.roots t)
+        = List.concat_map shape (Trace.roots t'));
+      Alcotest.(check bool) "events and span links survive" true
+        (events t = events t');
       (* reconstructed ids stay unique and the chrome export still works *)
       (match Json.of_string (Trace.to_chrome_json t') with
       | Ok _ -> ()
@@ -310,13 +200,13 @@ let test_event_timeline_and_kinds () =
   Alcotest.(check (float 1e-9)) "round clock" (Net.rounds net)
     last.Trace.round_clock
 
-let test_set_sink_receives_events () =
+let test_add_sink_receives_events () =
   let net = Net.create ~n:4 in
   let seen = ref [] in
-  Net.set_sink net (Some (fun (e : Net.event) -> seen := e :: !seen));
+  let id = Net.add_sink net (fun (e : Net.event) -> seen := e :: !seen) in
   Net.broadcast net ~label:"b" ~src:0 ~words:5;
   Net.charge net ~label:"c" 1.0;
-  Net.set_sink net None;
+  Net.remove_sink net id;
   Net.charge net ~label:"after" 1.0;
   let evs = List.rev !seen in
   Alcotest.(check (list string))
@@ -386,11 +276,11 @@ let test_jsonl_export () =
     String.split_on_char '\n' (Trace.to_jsonl t)
     |> List.filter (fun l -> l <> "")
   in
-  (* 1 process-lane header + 2 spans + 2 net events, one object per line. *)
-  Alcotest.(check int) "one object per record" 5 (List.length lines);
-  Alcotest.(check bool) "lane header first" true
-    (contains_substring ~needle:{|"type":"process"|} (List.hd lines)
-    || contains_substring ~needle:{|"type": "process"|} (List.hd lines));
+  (* 2 spans + 2 net events, one object per line, spans first. *)
+  Alcotest.(check int) "one object per record" 4 (List.length lines);
+  Alcotest.(check bool) "spans first" true
+    (contains_substring ~needle:{|"type":"span"|} (List.hd lines)
+    || contains_substring ~needle:{|"type": "span"|} (List.hd lines));
   List.iter
     (fun l ->
       Alcotest.(check bool) "line is an object" true
@@ -488,16 +378,17 @@ let test_chrome_export_escapes_args () =
 
 module CP = Cc_obs.Critical_path
 
-let test_critical_path_crosses_lanes () =
-  let t = Trace.create ~clock:(fun () -> 0.0) () in
-  (* Local lane: run [0,10] with child a [1,3]. Shard lane: w [4,9]. The
-     chain must be run / a / run / w / run — self time, never inclusive. *)
-  Trace.add_remote_span t ~pid:Trace.local_pid
-    (mkspan ~id:0 ~name:"run" ~start:0.0 ~stop:10.0
-       ~children:[ mkspan ~id:1 ~name:"a" ~depth:1 ~start:1.0 ~stop:3.0 () ]
-       ());
-  Trace.add_remote_span t ~pid:2 ~process:"shard 0"
-    (mkspan ~id:(1 lsl 30) ~name:"w" ~start:4.0 ~stop:9.0 ());
+let test_critical_path_nested_chain () =
+  (* run [0,10] with children a [1,3] (which books 2.5 rounds) and b [4,9].
+     The chain must be run / a / run / b / run — self time, never
+     inclusive. *)
+  let t = Trace.create ~clock:(scripted_clock [ 0.; 1.; 2.; 3.; 4.; 9.; 10. ]) () in
+  Trace.with_trace t (fun () ->
+      Trace.with_span "run" (fun () ->
+          Trace.with_span "a" (fun () ->
+              Trace.net_event ~kind:"exchange" ~label:"x" ~rounds:2.5
+                ~messages:3 ~words:9 ~round_clock:2.5 ());
+          Trace.with_span "b" (fun () -> ())));
   match CP.compute t with
   | None -> Alcotest.fail "expected a chain"
   | Some cp ->
@@ -506,30 +397,29 @@ let test_critical_path_crosses_lanes () =
       Alcotest.(check (float 1e-9)) "no gaps" 0.0 cp.CP.gap_s;
       Alcotest.(check (list string))
         "chain order"
-        [ "run"; "a"; "run"; "w"; "run" ]
+        [ "run"; "a"; "run"; "b"; "run" ]
         (List.map (fun (s : CP.segment) -> s.name) cp.CP.chain);
       let row name = List.find (fun (r : CP.row) -> r.phase = name) cp.CP.rows in
       Alcotest.(check (float 1e-9)) "run self" 3.0 (row "run").CP.self_s;
       Alcotest.(check (float 1e-9)) "a self" 2.0 (row "a").CP.self_s;
-      Alcotest.(check (float 1e-9)) "w self" 5.0 (row "w").CP.self_s;
+      Alcotest.(check (float 1e-9)) "b self" 5.0 (row "b").CP.self_s;
       (match cp.CP.rows with
-      | top :: _ -> Alcotest.(check string) "largest first" "w" top.CP.phase
+      | top :: _ -> Alcotest.(check string) "largest first" "b" top.CP.phase
       | [] -> Alcotest.fail "no rows");
-      Alcotest.(check (float 1e-9)) "share sums lanes" 0.3
+      Alcotest.(check (float 1e-9)) "share of run's three slices" 0.3
         (CP.share cp.CP.rows ~phase:"run");
-      Alcotest.(check int) "shard lane pid" 2 (row "w").CP.pid;
-      Alcotest.(check string) "shard lane name" "shard 0" (row "w").CP.process;
+      Alcotest.(check (float 1e-9)) "absent phase has no share" 0.0
+        (CP.share cp.CP.rows ~phase:"nope");
       (* self-rounds: run's 2.5 are all inside child a, so a carries them *)
       Alcotest.(check (float 1e-9)) "run self-rounds" 0.0 (row "run").CP.rounds;
       Alcotest.(check (float 1e-9)) "a self-rounds" 2.5 (row "a").CP.rounds
 
 let test_critical_path_gap_and_empty () =
-  let t = Trace.create ~clock:(fun () -> 0.0) () in
+  let t = Trace.create ~clock:(scripted_clock [ 0.; 2.; 5.; 8. ]) () in
   Alcotest.(check bool) "no spans -> None" true (CP.compute t = None);
-  Trace.add_remote_span t ~pid:Trace.local_pid
-    (mkspan ~id:0 ~name:"a" ~start:0.0 ~stop:2.0 ());
-  Trace.add_remote_span t ~pid:Trace.local_pid
-    (mkspan ~id:1 ~name:"b" ~start:5.0 ~stop:8.0 ());
+  Trace.with_trace t (fun () ->
+      Trace.with_span "a" (fun () -> ());
+      Trace.with_span "b" (fun () -> ()));
   match CP.compute t with
   | None -> Alcotest.fail "chain expected"
   | Some cp ->
@@ -924,44 +814,6 @@ let test_metrics_bucket_of () =
     (Metrics.n_buckets - 1)
     (Metrics.bucket_of Float.infinity)
 
-let test_metrics_merge () =
-  (* counters add *)
-  (match Metrics.merge (Metrics.Counter 3) (Metrics.Counter 4) with
-  | Some (Metrics.Counter 7) -> ()
-  | _ -> Alcotest.fail "counters must add");
-  (* gauges take the later report *)
-  (match Metrics.merge (Metrics.Gauge 1.0) (Metrics.Gauge 9.0) with
-  | Some (Metrics.Gauge g) -> Alcotest.(check (float 0.0)) "gauge" 9.0 g
-  | _ -> Alcotest.fail "gauges must take b");
-  (* kind mismatch refuses *)
-  Alcotest.(check bool) "mismatch" true
-    (Metrics.merge (Metrics.Counter 1) (Metrics.Gauge 1.0) = None);
-  (* histograms merge bucket-wise: build two, merge, compare against the
-     histogram of the concatenated stream *)
-  Metrics.reset ();
-  for i = 1 to 50 do
-    Metrics.observe "a" (Float.of_int i)
-  done;
-  for i = 51 to 100 do
-    Metrics.observe "b" (Float.of_int i)
-  done;
-  for i = 1 to 100 do
-    Metrics.observe "ab" (Float.of_int i)
-  done;
-  (match (Metrics.get "a", Metrics.get "b", Metrics.get "ab") with
-  | Some va, Some vb, Some (Metrics.Histogram want) -> (
-      match Metrics.merge va vb with
-      | Some (Metrics.Histogram got) ->
-          Alcotest.(check int) "count" want.Metrics.count got.Metrics.count;
-          Alcotest.(check (float 1e-9)) "sum" want.Metrics.sum got.Metrics.sum;
-          Alcotest.(check (float 0.0)) "min" want.Metrics.min got.Metrics.min;
-          Alcotest.(check (float 0.0)) "max" want.Metrics.max got.Metrics.max;
-          Alcotest.(check (float 0.0)) "p50" want.Metrics.p50 got.Metrics.p50;
-          Alcotest.(check (float 0.0)) "p99" want.Metrics.p99 got.Metrics.p99
-      | _ -> Alcotest.fail "histogram merge failed")
-  | _ -> Alcotest.fail "setup failed");
-  Metrics.reset ()
-
 let test_metrics_value_json_roundtrip () =
   Metrics.reset ();
   for i = 1 to 30 do
@@ -992,124 +844,6 @@ let test_metrics_value_json_roundtrip () =
     [ "h"; "c"; "g" ];
   Metrics.reset ()
 
-(* --- Telemetry --------------------------------------------------------- *)
-
-module Telemetry = Cc_obs.Telemetry
-
-let wire ?(books = 0) ?(gaps = 0) ?(bytes_in = 0) ?(installs = 0) shard =
-  { Telemetry.shard; books; gaps; bytes_in; installs }
-
-let test_telemetry_capture_and_roundtrip () =
-  Metrics.reset ();
-  Metrics.incr ~by:3 "wire.frames_in";
-  Metrics.observe "apply_ms" 1.5;
-  (* pre-merged worker.* entries must not be re-captured (no recursion) *)
-  Metrics.set "worker.0.wire.books" (Metrics.Counter 99);
-  let r = Telemetry.capture ~shards:[ wire ~books:5 ~bytes_in:640 0 ] () in
-  Alcotest.(check bool) "gc captured" true (r.Telemetry.gc.heap_words > 0);
-  Alcotest.(check bool) "registry captured" true
-    (List.mem_assoc "wire.frames_in" r.Telemetry.registry);
-  Alcotest.(check bool) "worker.* excluded" false
-    (List.mem_assoc "worker.0.wire.books" r.Telemetry.registry);
-  (match Telemetry.of_json (Telemetry.to_json r) with
-  | Error e -> Alcotest.failf "roundtrip: %s" e
-  | Ok r' ->
-      Alcotest.(check int) "shards" 1 (List.length r'.Telemetry.shards);
-      Alcotest.(check int) "books" 5
-        (List.hd r'.Telemetry.shards).Telemetry.books;
-      Alcotest.(check int) "registry size"
-        (List.length r.Telemetry.registry)
-        (List.length r'.Telemetry.registry));
-  Metrics.reset ()
-
-let get_counter name =
-  match Metrics.get name with
-  | Some (Metrics.Counter c) -> c
-  | _ -> Alcotest.failf "counter %s missing" name
-
-let test_telemetry_merge_epochs () =
-  Metrics.reset ();
-  let m = Telemetry.Merge.create () in
-  let report ?(registry = []) books =
-    {
-      Telemetry.gc =
-        {
-          minor_words = 0.;
-          major_words = 0.;
-          heap_words = 1;
-          minor_collections = 0;
-          major_collections = 0;
-          compactions = 0;
-        };
-      registry;
-      spans = [];
-      shards = [ wire ~books 0 ];
-      ts = Float.nan;
-      trees = [];
-      events = [];
-    }
-  in
-  (* Within one epoch reports are cumulative: observing 5 then 8 publishes
-     8, not 13. *)
-  Telemetry.Merge.observe m (report 5);
-  Telemetry.Merge.observe m (report 8);
-  Alcotest.(check int) "cumulative within epoch" 8
-    (get_counter "worker.0.wire.books");
-  (* A commit closes the epoch; the next epoch's reports add on top. *)
-  Telemetry.Merge.commit m ~shard:0;
-  Alcotest.(check int) "commit leaves published value" 8
-    (get_counter "worker.0.wire.books");
-  Telemetry.Merge.observe m (report 3);
-  Alcotest.(check int) "epochs sum" 11 (get_counter "worker.0.wire.books");
-  (* Double commit must not double-count. *)
-  Telemetry.Merge.commit m ~shard:0;
-  Telemetry.Merge.commit m ~shard:0;
-  Telemetry.Merge.observe m (report 0);
-  Alcotest.(check int) "no double count" 11
-    (get_counter "worker.0.wire.books");
-  (* Worker registry entries ride under worker.<shard>.m.* *)
-  Telemetry.Merge.observe m
-    (report ~registry:[ ("wire.frames_in", Metrics.Counter 4) ] 0);
-  Alcotest.(check int) "registry namespaced" 4
-    (get_counter "worker.0.m.wire.frames_in");
-  Metrics.reset ()
-
-let test_telemetry_ships_trees () =
-  Metrics.reset ();
-  let tree =
-    mkspan ~id:(1 lsl 30) ~name:"phase_walk"
-      ~args:[ ("level", "3") ]
-      ~start:0x1.8p10 ~stop:0x1.9p10
-      ~children:[ mkspan ~id:((1 lsl 30) + 1) ~name:"level" ~depth:1
-                    ~start:0x1.84p10 ~stop:0x1.88p10 () ]
-      ()
-  in
-  let ev =
-    { Trace.ts = 0x1.85p10; span_id = Some (1 lsl 30); kind = "exchange";
-      label = "walk"; rounds = 1.0; messages = 4; words = 16; max_load = 4;
-      round_clock = 7.0 }
-  in
-  let r = Telemetry.capture ~trees:[ tree ] ~events:[ ev ] ~shards:[] () in
-  Alcotest.(check bool) "ts stamped" true (Float.is_finite r.Telemetry.ts);
-  (match Telemetry.of_json (Telemetry.to_json r) with
-  | Error e -> Alcotest.failf "roundtrip: %s" e
-  | Ok r' -> (
-      (match r'.Telemetry.trees with
-      | [ t ] ->
-          Alcotest.(check bool) "tree timestamps exact" true
-            (t.Trace.start_ts = 0x1.8p10 && t.Trace.stop_ts = 0x1.9p10);
-          Alcotest.(check int) "tree ids survive" (1 lsl 30) t.Trace.id;
-          Alcotest.(check int) "children survive" 1
-            (List.length t.Trace.children)
-      | l -> Alcotest.failf "expected 1 tree, got %d" (List.length l));
-      match r'.Telemetry.events with
-      | [ e ] ->
-          Alcotest.(check bool) "event ts exact" true (e.Trace.ts = 0x1.85p10);
-          Alcotest.(check (option int)) "event span link" (Some (1 lsl 30))
-            e.Trace.span_id
-      | l -> Alcotest.failf "expected 1 event, got %d" (List.length l)));
-  Metrics.reset ()
-
 (* --- Journal ----------------------------------------------------------- *)
 
 module Journal = Cc_obs.Journal
@@ -1121,18 +855,17 @@ let test_journal_record_and_roundtrip () =
     !t
   in
   let j = Journal.create ~clock () in
-  Journal.record j ~worker:0 ~cause:"spawn" "worker_start";
-  Journal.record j ~worker:1 ~shard:1 ~attempt:2 ~budget:1 ~round:12.5
-    ~cause:"status poll timeout" "heartbeat_timeout";
-  Journal.record j ~worker:1 "respawn";
+  Journal.record j ~cause:"/tmp/cc.sock" "serve_start";
+  Journal.record j ~worker:1 ~round:12.5 ~cause:"cc k=4 miss" "serve_request";
+  Journal.record j ~worker:1 "serve_close";
   Alcotest.(check int) "length" 3 (Journal.length j);
-  Alcotest.(check bool) "not clean" false (Journal.is_clean j);
   (match Journal.events j with
   | [ e0; e1; e2 ] ->
       Alcotest.(check int) "seq monotone" 0 e0.Journal.seq;
       Alcotest.(check int) "seq monotone" 2 e2.Journal.seq;
       Alcotest.(check bool) "time monotone" true (e1.Journal.t_s > e0.Journal.t_s);
-      Alcotest.(check (option int)) "shard" (Some 1) e1.Journal.shard;
+      Alcotest.(check (option int)) "no worker" None e0.Journal.worker;
+      Alcotest.(check (option int)) "worker" (Some 1) e1.Journal.worker;
       Alcotest.(check (float 0.0)) "round" 12.5 e1.Journal.round
   | _ -> Alcotest.fail "wrong event count");
   match Journal.of_jsonl (Journal.to_jsonl j) with
@@ -1140,36 +873,35 @@ let test_journal_record_and_roundtrip () =
   | Ok evs ->
       Alcotest.(check int) "roundtrip count" 3 (List.length evs);
       let e1 = List.nth evs 1 in
-      Alcotest.(check string) "kind" "heartbeat_timeout" e1.Journal.kind;
-      Alcotest.(check (option int)) "attempt" (Some 2) e1.Journal.attempt;
-      Alcotest.(check (option int)) "budget" (Some 1) e1.Journal.budget;
-      Alcotest.(check string) "cause" "status poll timeout" e1.Journal.cause
+      Alcotest.(check string) "kind" "serve_request" e1.Journal.kind;
+      Alcotest.(check (option int)) "worker" (Some 1) e1.Journal.worker;
+      Alcotest.(check (float 0.0)) "round" 12.5 e1.Journal.round;
+      Alcotest.(check string) "cause" "cc k=4 miss" e1.Journal.cause
 
 let test_journal_bounded () =
   let j = Journal.create ~cap:4 ~clock:(fun () -> 0.0) () in
   for i = 1 to 10 do
-    Journal.record j ~worker:i "worker_start"
+    Journal.record j ~worker:i "serve_accept"
   done;
   Alcotest.(check int) "capped" 4 (Journal.length j);
   Alcotest.(check int) "dropped counted" 6 (Journal.dropped j);
   (match Journal.events j with
   | e :: _ -> Alcotest.(check int) "oldest dropped first" 6 e.Journal.seq
-  | [] -> Alcotest.fail "empty");
-  Alcotest.(check bool) "clean (only starts)" true (Journal.is_clean j)
+  | [] -> Alcotest.fail "empty")
 
 let test_journal_drop_oldest_boundary () =
   (* Exercise the capacity edge exactly: nothing drops at cap, the single
      oldest event drops at cap+1. *)
   let j = Journal.create ~cap:4 ~clock:(fun () -> 0.0) () in
   for i = 0 to 3 do
-    Journal.record j ~worker:i "worker_start"
+    Journal.record j ~worker:i "serve_accept"
   done;
   Alcotest.(check int) "full, nothing dropped" 0 (Journal.dropped j);
   Alcotest.(check int) "length at cap" 4 (Journal.length j);
   (match Journal.events j with
   | e :: _ -> Alcotest.(check int) "seq 0 still present" 0 e.Journal.seq
   | [] -> Alcotest.fail "empty");
-  Journal.record j ~worker:4 "worker_start";
+  Journal.record j ~worker:4 "serve_accept";
   Alcotest.(check int) "one over cap drops one" 1 (Journal.dropped j);
   Alcotest.(check int) "length still cap" 4 (Journal.length j);
   match Journal.events j with
@@ -1184,16 +916,16 @@ let test_journal_reload_torn_tail () =
      the intact prefix. A line that parses as JSON but has the wrong shape
      is corruption, not a torn tail, and must still error. *)
   let j = Journal.create ~clock:(fun () -> 1.0) () in
-  Journal.record j ~worker:0 ~cause:"spawn" "worker_start";
-  Journal.record j ~worker:1 ~cause:"spawn" "worker_start";
-  Journal.record j ~worker:1 ~cause:"status poll timeout" "heartbeat_timeout";
+  Journal.record j ~worker:0 "serve_accept";
+  Journal.record j ~worker:1 "serve_accept";
+  Journal.record j ~worker:1 ~cause:"cc k=4 hit" "serve_request";
   let whole = Journal.to_jsonl j in
   let torn = String.sub whole 0 (String.length whole - 15) in
   (match Journal.of_jsonl torn with
   | Error e -> Alcotest.failf "torn tail must salvage: %s" e
   | Ok evs ->
       Alcotest.(check int) "intact prefix kept" 2 (List.length evs);
-      Alcotest.(check string) "last intact event" "worker_start"
+      Alcotest.(check string) "last intact event" "serve_accept"
         (List.nth evs 1).Journal.kind);
   match Journal.of_jsonl (whole ^ "{\"x\":0}\n") with
   | Ok _ -> Alcotest.fail "well-formed wrong-shape line must error"
@@ -1481,19 +1213,13 @@ let () =
             test_with_span_closes_on_exception;
           Alcotest.test_case "disabled tracing is transparent" `Quick
             test_disabled_is_transparent;
-          Alcotest.test_case "drain ships each tree exactly once" `Quick
-            test_trace_drain_exactly_once;
-          Alcotest.test_case "lanes and timestamp rebase" `Quick
-            test_trace_lanes_and_rebase;
-          Alcotest.test_case "span wire codec is lossless" `Quick
-            test_trace_span_codec_exact;
           Alcotest.test_case "artifact of_jsonl roundtrip" `Quick
             test_trace_of_jsonl_roundtrip;
         ] );
       ( "critical-path",
         [
-          Alcotest.test_case "chain crosses process lanes" `Quick
-            test_critical_path_crosses_lanes;
+          Alcotest.test_case "chain through nested spans" `Quick
+            test_critical_path_nested_chain;
           Alcotest.test_case "gaps and empty traces" `Quick
             test_critical_path_gap_and_empty;
         ] );
@@ -1503,8 +1229,8 @@ let () =
             test_net_events_attributed_to_open_spans;
           Alcotest.test_case "event timeline kinds and clock" `Quick
             test_event_timeline_and_kinds;
-          Alcotest.test_case "set_sink delivers and detaches" `Quick
-            test_set_sink_receives_events;
+          Alcotest.test_case "add_sink delivers and detaches" `Quick
+            test_add_sink_receives_events;
           Alcotest.test_case "sampler root spans sum to Net.rounds" `Quick
             test_sampler_root_span_matches_ledger;
           Alcotest.test_case "tracing does not perturb the ledger" `Quick
@@ -1602,18 +1328,8 @@ let () =
           Alcotest.test_case "log-bucket percentiles" `Quick
             test_metrics_percentiles;
           Alcotest.test_case "bucket_of" `Quick test_metrics_bucket_of;
-          Alcotest.test_case "merge" `Quick test_metrics_merge;
           Alcotest.test_case "value json roundtrip" `Quick
             test_metrics_value_json_roundtrip;
-        ] );
-      ( "telemetry",
-        [
-          Alcotest.test_case "capture and roundtrip" `Quick
-            test_telemetry_capture_and_roundtrip;
-          Alcotest.test_case "epoch-aware merge" `Quick
-            test_telemetry_merge_epochs;
-          Alcotest.test_case "span trees and events ride reports" `Quick
-            test_telemetry_ships_trees;
         ] );
       ( "journal",
         [

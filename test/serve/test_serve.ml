@@ -365,6 +365,44 @@ let test_serve_drain_finishes_active_job () =
     | exception Unix.Unix_error _ -> true);
   Unix.close c.fd
 
+let test_serve_survives_client_hangup () =
+  let srv = make_server () in
+  let c = connect srv in
+  send srv c (req ~k:400 ~seed:6 ());
+  (* Read the first bytes of the stream, then hang up mid-request. *)
+  let chunk = Bytes.create 64 in
+  let got = ref 0 and steps = ref 0 in
+  while !got = 0 && !steps < 200_000 do
+    ignore (Server.step srv);
+    (match Unix.read c.fd chunk 0 (Bytes.length chunk) with
+    | n -> got := n
+    | exception
+        Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+      ->
+        ());
+    incr steps
+  done;
+  Alcotest.(check bool) "stream started" true (!got > 0);
+  (* Empty the receive queue before closing: closing over unread bytes makes
+     the server's next read fail with ECONNRESET, which never reaches the
+     write path this test is about. *)
+  ignore (drain c);
+  Unix.close c.fd;
+  (* The server keeps writing trees into the dead connection. The write
+     must fail with EPIPE and close that connection only — a SIGPIPE would
+     kill this whole test process. *)
+  for _ = 1 to 20 do
+    ignore (Server.step srv)
+  done;
+  Alcotest.(check int) "dead connection dropped" 0 (Server.connections srv);
+  let c2 = connect srv in
+  send srv c2 (req ~k:2 ~seed:5 ());
+  let _, d = check_trees_then_done ~g:test_graph ~k:2 (collect srv c2 ~n:3) in
+  Alcotest.(check string) "next client served" (oneshot_digest ~k:2 ~seed:5) d;
+  Server.request_stop srv;
+  while Server.step srv do () done;
+  Unix.close c2.fd
+
 let test_serve_max_requests_and_methods () =
   let srv = make_server ~max_requests:3 () in
   let c = connect srv in
@@ -406,6 +444,8 @@ let () =
             test_serve_stale_socket_cleanup;
           Alcotest.test_case "drain finishes active job" `Quick
             test_serve_drain_finishes_active_job;
+          Alcotest.test_case "client hang-up mid-stream" `Quick
+            test_serve_survives_client_hangup;
           Alcotest.test_case "max requests + methods" `Quick
             test_serve_max_requests_and_methods;
         ] );
