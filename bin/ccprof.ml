@@ -6,7 +6,8 @@
                            (cctree --metrics-json FILE)
      diff BASELINE NEW     regression gate on measured/bound ratios
      heatmap FILE          render a profile JSONL (cctree --profile FILE)
-     trace FILE            top spans/events of a trace JSONL
+     trace FILE            top spans/events of a trace artifact
+                           (--trace-out)
      events FILE           render a lifecycle-event journal JSONL
                            (ccserve --health-log FILE)
      timeline FILE         Chrome/Perfetto JSON from a trace artifact
@@ -15,9 +16,9 @@
                            per-phase self-time/rounds attribution
      history FILE          per-experiment trend deltas over an appended
                            bench trajectory (bench/HISTORY)
-     audit FILE            statistical audit verdicts (cctree --audit /
-                           ccreplay record --audit): gate table, worst-edge
-                           ranking, convergence sparklines
+     audit FILE            statistical audit verdicts (cctree sample
+                           --audit): gate table, worst-edge ranking,
+                           convergence sparklines
 
    Exit codes: 0 ok; 1 diff found a regression (unless --warn-only),
    critical-path --budget saw a phase share exceeded, or audit saw a
@@ -278,7 +279,14 @@ let heatmap_cmd =
   in
   Cmd.v info Term.(const run $ file_t $ width_t)
 
-(* --- trace --- *)
+(* --- trace artifacts (cctree --trace-out) --- *)
+
+let load_trace file =
+  match Trace.of_jsonl (read_file file) with
+  | Error msg ->
+      Printf.eprintf "ccprof: %s: %s\n" file msg;
+      exit exit_bad_input
+  | Ok tr -> tr
 
 let trace_cmd =
   let file_t =
@@ -288,30 +296,13 @@ let trace_cmd =
     Arg.(value & opt int 15 & info [ "top" ] ~doc:"Rows to show per table.")
   in
   let run file top =
-    let lines =
-      String.split_on_char '\n' (read_file file)
-      |> List.filter (fun l -> l <> "")
-    in
-    let parsed =
-      List.filter_map
-        (fun l -> match Json.of_string l with Ok v -> Some v | Error _ -> None)
-        lines
-    in
-    let typed ty =
-      List.filter
-        (fun v ->
-          Option.bind (Json.member "type" v) Json.to_string_opt = Some ty)
-        parsed
-    in
-    let fnum key v =
-      Option.value ~default:0.0 (Option.bind (Json.member key v) Json.to_float_opt)
-    in
-    let str key v =
-      Option.value ~default:"" (Option.bind (Json.member key v) Json.to_string_opt)
-    in
+    let tr = load_trace file in
     let take n xs = List.filteri (fun i _ -> i < n) xs in
+    let rec flatten (sp : Trace.span) = sp :: List.concat_map flatten sp.children in
     let spans =
-      List.sort (fun a b -> compare (fnum "rounds" b) (fnum "rounds" a)) (typed "span")
+      List.stable_sort
+        (fun (a : Trace.span) b -> compare b.net_rounds a.net_rounds)
+        (List.concat_map flatten (Trace.roots tr))
     in
     let span_table =
       Table.create
@@ -319,22 +310,22 @@ let trace_cmd =
         ~columns:[ "span"; "depth"; "rounds"; "words"; "peak load"; "wall s" ]
     in
     List.iter
-      (fun v ->
+      (fun (sp : Trace.span) ->
         Table.add_row span_table
           [
-            str "name" v;
-            Printf.sprintf "%.0f" (fnum "depth" v);
-            Printf.sprintf "%.1f" (fnum "rounds" v);
-            Printf.sprintf "%.0f" (fnum "words" v);
-            Printf.sprintf "%.0f" (fnum "max_load" v);
-            Printf.sprintf "%.4f" (fnum "wall_s" v);
+            sp.name;
+            string_of_int sp.depth;
+            Printf.sprintf "%.1f" sp.net_rounds;
+            string_of_int sp.net_words;
+            string_of_int sp.net_max_load;
+            Printf.sprintf "%.4f" (sp.stop_ts -. sp.start_ts);
           ])
       (take top spans);
     Table.print span_table;
     let events =
-      List.sort
-        (fun a b -> compare (fnum "max_load" b) (fnum "max_load" a))
-        (typed "event")
+      List.stable_sort
+        (fun (a : Trace.event) b -> compare b.max_load a.max_load)
+        (Trace.events tr)
     in
     let event_table =
       Table.create
@@ -342,14 +333,14 @@ let trace_cmd =
         ~columns:[ "kind"; "label"; "rounds"; "words"; "max load" ]
     in
     List.iter
-      (fun v ->
+      (fun (ev : Trace.event) ->
         Table.add_row event_table
           [
-            str "kind" v;
-            str "label" v;
-            Printf.sprintf "%.1f" (fnum "rounds" v);
-            Printf.sprintf "%.0f" (fnum "words" v);
-            Printf.sprintf "%.0f" (fnum "max_load" v);
+            ev.kind;
+            ev.label;
+            Printf.sprintf "%.1f" ev.rounds;
+            string_of_int ev.words;
+            string_of_int ev.max_load;
           ])
       (take top events);
     Table.print event_table;
@@ -358,18 +349,13 @@ let trace_cmd =
   in
   let info =
     Cmd.info "trace"
-      ~doc:"Show the hottest spans and net events of a trace JSONL export."
+      ~doc:
+        "Show the hottest spans and net events of a trace artifact \
+         (--trace-out)."
   in
   Cmd.v info Term.(const run $ file_t $ top_t)
 
 (* --- timeline --- *)
-
-let load_trace file =
-  match Trace.of_jsonl (read_file file) with
-  | Error msg ->
-      Printf.eprintf "ccprof: %s: %s\n" file msg;
-      exit exit_bad_input
-  | Ok tr -> tr
 
 let timeline_cmd =
   let file_t =
@@ -730,9 +716,8 @@ let audit_cmd =
            edge-marginal TV %.4f, KL %.5f\n"
           file r.Audit.r_trials r.Audit.r_n r.Audit.r_m r.Audit.r_alpha
           r.Audit.r_ess r.Audit.r_tv_edges r.Audit.r_kl_edges;
-        if r.Audit.r_invalid > 0 || r.Audit.r_skipped > 0 then
-          Printf.printf "invalid trees %d, skipped (graph mismatch) %d\n"
-            r.Audit.r_invalid r.Audit.r_skipped;
+        if r.Audit.r_invalid > 0 then
+          Printf.printf "invalid trees %d\n" r.Audit.r_invalid;
         (match r.Audit.r_verdict with
         | None -> ()
         | Some v ->
@@ -839,8 +824,8 @@ let audit_cmd =
   let info =
     Cmd.info "audit"
       ~doc:
-        "Render a statistical audit artifact (cctree --audit FILE / ccreplay \
-         record --audit FILE): gate verdicts against the exact \
+        "Render a statistical audit artifact (cctree sample --audit FILE): \
+         gate verdicts against the exact \
          leverage-score oracle, worst-edge ranking, convergence sparklines. \
          Exit 1 on a statistical breach unless --warn-only; --assert also \
          fails inconclusive artifacts."

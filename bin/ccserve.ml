@@ -49,8 +49,8 @@ let cache_cap_t =
 
 let max_requests_t =
   let doc =
-    "Drain and exit after $(docv) completed requests (tests and CI; the \
-     default is to serve until SIGTERM/SIGINT)."
+    "Drain and exit after $(docv) answered requests, served or failed \
+     (tests and CI; the default is to serve until SIGTERM/SIGINT)."
   in
   Arg.(value & opt (some int) None & info [ "max-requests" ] ~doc ~docv:"N")
 
@@ -78,6 +78,9 @@ let verbose_t =
 let run () verbose sock cache_cap max_requests metrics_json health_log =
   setup_logs verbose;
   if cache_cap < 1 then fail_usage "--cache-cap must be >= 1";
+  (match max_requests with
+  | Some n when n < 1 -> fail_usage "--max-requests must be >= 1"
+  | _ -> ());
   let journal = Cc_obs.Journal.create () in
   let config =
     { Server.sock; cache_cap; max_requests; journal = Some journal }

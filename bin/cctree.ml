@@ -8,6 +8,8 @@
      schur     print SCHUR(G,S) and SHORTCUT(G,S) transition matrices
      count     count spanning trees (Matrix-Tree)
      pagerank  estimate PageRank from doubling walks
+     sparsify  sparsify by a reweighted union of random spanning trees
+     congest   compare the CONGEST-model walk baselines
 
    Graphs come either from a named family (-f family -n size) or from a file
    in the line format of Graph.of_string ("n <count>" then "e u v [w]"). *)
@@ -168,7 +170,11 @@ let faults_t =
     $ max_retries_t)
 
 let arm_faults faults net =
-  match faults with Some f -> Net.with_faults f net | None -> net
+  match faults with
+  | None -> net
+  | Some f -> (
+      try Net.with_faults f net
+      with Invalid_argument m -> fail_usage ("--crash: " ^ m))
 
 let print_fault_summary faults net =
   if faults <> None then Format.printf "# %a@." Net.pp_fault_summary net
@@ -176,7 +182,6 @@ let print_fault_summary faults net =
 (* --- observability options (shared by sample / doubling / pagerank) --- *)
 
 type obs = {
-  trace_file : string option;
   trace_out : string option;  (* trace artifact (JSONL) path *)
   trace_tree : bool;
   metrics : bool;
@@ -186,20 +191,12 @@ type obs = {
 }
 
 let obs_t =
-  let trace_t =
-    let doc =
-      "Write a Chrome trace_event JSON of the run to $(docv) (load in \
-       chrome://tracing or Perfetto): one complete event per span, one \
-       instant event per metered Net primitive. A $(docv) ending in .jsonl \
-       gets the JSON-lines export instead (readable by ccprof trace)."
-    in
-    Arg.(value & opt (some string) None & info [ "trace" ] ~doc ~docv:"FILE")
-  in
   let trace_out_t =
     let doc =
-      "Write the trace artifact (JSON lines, readable by $(b,ccprof \
-       timeline) and $(b,ccprof critical-path)) to $(docv). Installs a \
-       trace collector and wraps the whole run in a root $(i,run) span."
+      "Write the trace artifact (JSON lines) to $(docv): one line per span \
+       and per metered Net primitive, under a root $(i,run) span covering \
+       the whole run. $(b,ccprof timeline) turns it into Chrome/Perfetto \
+       JSON; $(b,ccprof trace) and $(b,ccprof critical-path) analyze it."
     in
     Arg.(
       value & opt (some string) None & info [ "trace-out" ] ~doc ~docv:"FILE")
@@ -244,26 +241,30 @@ let obs_t =
       "Attach the flight recorder and the online invariant monitor to the \
        run and write the recorded event log (JSON lines with a chain \
        digest) to $(docv) — replayable with ccreplay check/diff/timeline. \
-       Invariant violations are reported on stderr."
+       Invariant violations are listed on stderr and the run exits 1."
     in
     Arg.(value & opt (some string) None & info [ "record" ] ~doc ~docv:"FILE")
   in
-  let combine trace_file trace_out trace_tree metrics metrics_json profile
-      record =
-    { trace_file; trace_out; trace_tree; metrics; metrics_json; profile;
-      record }
+  let combine trace_out trace_tree metrics metrics_json profile record =
+    { trace_out; trace_tree; metrics; metrics_json; profile; record }
   in
   Term.(
-    const combine $ trace_t $ trace_out_t $ tree_t $ metrics_t
-    $ metrics_json_t $ profile_t $ record_t)
+    const combine $ trace_out_t $ tree_t $ metrics_t $ metrics_json_t
+    $ profile_t $ record_t)
+
+(* Exit code for a recorded run whose log breaks an invariant (online
+   monitor or [Net.ledger_violations]): the log is still written, but the
+   run's accounting cannot be trusted. *)
+let exit_violation = 1
 
 (* Run [f] with a trace collector installed when requested, then write the
    requested exports — including [net]'s load profile. Observability never
    perturbs the run: spans, events, and the profile only observe the booked
-   costs. *)
+   costs. A recording with invariant violations exits [exit_violation] once
+   every export is written. *)
 let with_obs obs net f =
   let tr =
-    if obs.trace_file <> None || obs.trace_out <> None || obs.trace_tree then
+    if obs.trace_out <> None || obs.trace_tree then
       Some (Cc_obs.Trace.create ())
     else None
   in
@@ -278,20 +279,12 @@ let with_obs obs net f =
         ignore (Net.attach_invariant net inv);
         Some (path, r, inv)
   in
+  let violated = ref false in
   let finish () =
     Cc_obs.Trace.uninstall ();
     (match tr with
     | None -> ()
     | Some t ->
-        (match obs.trace_file with
-        | Some path ->
-            let oc = open_out path in
-            output_string oc
-              (if Filename.check_suffix path ".jsonl" then
-                 Cc_obs.Trace.to_jsonl t
-               else Cc_obs.Trace.to_chrome_json t);
-            close_out oc
-        | None -> ());
         (match obs.trace_out with
         | Some path ->
             let oc = open_out path in
@@ -320,6 +313,7 @@ let with_obs obs net f =
           (Cc_obs.Recorder.total r) path
           (Cc_obs.Recorder.digest_hex r);
         if vs <> [] then begin
+          violated := true;
           Format.eprintf "# %d invariant violation(s):@." (List.length vs);
           List.iter
             (fun v -> Format.eprintf "#   %a@." Cc_obs.Invariant.pp_violation v)
@@ -339,7 +333,9 @@ let with_obs obs net f =
     if obs.trace_out <> None then fun () -> Cc_obs.Trace.with_span "run" f
     else f
   in
-  Fun.protect ~finally:finish f
+  let r = Fun.protect ~finally:finish f in
+  if !violated then exit exit_violation;
+  r
 
 (* Exit code for a run whose health degraded to [Unrecoverable]: the tree is
    still exact (sequential fallback), but the distributed pipeline gave up. *)
@@ -378,10 +374,16 @@ let load_graph ?weights ~family ~size ~file ~prng () =
 let print_tree tree =
   List.iter (fun (u, v) -> Printf.printf "%d %d\n" u v) (Tree.edges tree)
 
-(* --- audit summary (stderr, so stdout stays byte-identical) --- *)
+(* --- audit trailer (stderr, so stdout stays byte-identical) --- *)
 
-let print_audit_summary a =
+(* Write the artifact unless [spec] is "-", then print the verdict. *)
+let finish_audit (spec, a) =
   let module Audit = Cc_audit.Audit in
+  if spec <> "-" then begin
+    let oc = open_out spec in
+    output_string oc (Audit.to_jsonl a);
+    close_out oc
+  end;
   let v = Audit.verdict a in
   Format.eprintf "# audit: %s after %d tree(s); max |z| %.2f (threshold %.2f)%s@."
     (if v.Audit.pass then "PASS" else "FAIL")
@@ -529,6 +531,9 @@ let sample_cmd =
            (if count > 0 || connect <> None then " with --count/--connect"
             else "")
            method_);
+    (match bits with
+    | Some b when b < 1 -> fail_usage "--bits must be >= 1"
+    | _ -> ());
     let prng = Prng.create ~seed in
     let g = load_graph ?weights ~family ~size ~file ~prng () in
     let n = Graph.n g in
@@ -538,15 +543,13 @@ let sample_cmd =
           ~k:(if count > 0 then count else trials)
           ~seed ~method_
     | None ->
-    let auditor =
-      match audit with
-      | None -> None
-      | Some spec ->
-          let a = Cc_audit.Audit.create g in
-          Cc_audit.Audit.install a;
-          Some (spec, a)
-    in
     let net = arm_faults faults (Net.create ~n) in
+    let auditor = Option.map (fun spec -> (spec, Cc_audit.Audit.create g)) audit in
+    (* Every printed tree is also the auditor's next observation. *)
+    let emit tree =
+      print_tree tree;
+      Option.iter (fun (_, a) -> Cc_audit.Audit.observe a tree) auditor
+    in
     let config =
       {
         Sampler.default_config with
@@ -572,7 +575,7 @@ let sample_cmd =
             if faults <> None then
               Format.printf "# health: %a@." Fault.pp_health r.Sampler.health;
             if exit_for_health r.Sampler.health then unrecoverable := true;
-            print_tree r.Sampler.tree
+            emit r.Sampler.tree
           done
       | "sequential" ->
           let plan = Cc_sampler.Sequential.prepare g in
@@ -582,7 +585,7 @@ let sample_cmd =
             Printf.printf "# tree %d: %d phases, walk length %d\n" t
               r.Cc_sampler.Sequential.phases
               r.Cc_sampler.Sequential.walk_total;
-            print_tree r.Cc_sampler.Sequential.tree
+            emit r.Cc_sampler.Sequential.tree
           done
       | "doubling" ->
           let plan = Doubling.prepare g ~tau0:n in
@@ -590,7 +593,7 @@ let sample_cmd =
             let p = Prng.split prng in
             let tree, steps = Doubling.draw plan net p in
             Printf.printf "# tree %d: %d walk steps\n" t steps;
-            print_tree tree
+            emit tree
           done
       | _ -> assert false (* --method validated above *)
     else
@@ -603,44 +606,35 @@ let sample_cmd =
           if faults <> None then
             Format.printf "# health: %a@." Fault.pp_health r.Sampler.health;
           if exit_for_health r.Sampler.health then unrecoverable := true;
-          print_tree r.Sampler.tree
+          emit r.Sampler.tree
       | "sequential" ->
           let r = Cc_sampler.Sequential.sample g prng in
           Printf.printf "# tree %d: %d phases, walk length %d\n" t
             r.Cc_sampler.Sequential.phases r.Cc_sampler.Sequential.walk_total;
-          print_tree r.Cc_sampler.Sequential.tree
+          emit r.Cc_sampler.Sequential.tree
       | "ab" ->
           let tree, steps = Cc_walks.Aldous_broder.sample g prng ~start:0 in
           Printf.printf "# tree %d: %d walk steps\n" t steps;
-          print_tree tree
+          emit tree
       | "wilson" ->
           let tree, steps = Cc_walks.Wilson.sample g prng ~root:0 in
           Printf.printf "# tree %d: %d walk steps\n" t steps;
-          print_tree tree
+          emit tree
       | "updown" ->
           Printf.printf "# tree %d: %d chain steps\n" t
             (Cc_walks.Updown.default_steps g);
-          print_tree (Cc_walks.Updown.sample_tree g prng)
+          emit (Cc_walks.Updown.sample_tree g prng)
       | "determinantal" ->
           Printf.printf "# tree %d (exact, leverage-score chain rule)\n" t;
-          print_tree (Cc_walks.Determinantal.sample_tree g prng)
+          emit (Cc_walks.Determinantal.sample_tree g prng)
       | "biased" ->
           Printf.printf "# tree %d (biased fixture; see --audit)\n" t;
-          print_tree (Cc_walks.Wilson.sample_biased g prng)
+          emit (Cc_walks.Wilson.sample_biased g prng)
       | _ -> assert false (* --method validated above *))
     done);
     print_fault_summary faults net;
-    if ledger then Format.printf "%a@." Net.pp_ledger net);
-    (match auditor with
-    | None -> ()
-    | Some (spec, a) ->
-        Cc_audit.Audit.uninstall ();
-        if spec <> "-" then begin
-          let oc = open_out spec in
-          output_string oc (Cc_audit.Audit.to_jsonl a);
-          close_out oc
-        end;
-        print_audit_summary a);
+    if ledger then Format.printf "%a@." Net.pp_ledger net;
+    Option.iter finish_audit auditor);
     if !unrecoverable then exit exit_unrecoverable
   in
   let info =
@@ -700,6 +694,7 @@ let walk_cmd =
   let len_t = Arg.(value & opt int 0 & info [ "len" ] ~doc:"Walk length (0 = measure cover time).") in
   let trials_t = Arg.(value & opt int 20 & info [ "trials" ] ~doc:"Cover-time trials.") in
   let run seed family size file len trials =
+    if trials < 1 then fail_usage "--trials must be >= 1";
     let prng = Prng.create ~seed in
     let g = load_graph ~family ~size ~file ~prng () in
     if len > 0 then begin
@@ -729,14 +724,21 @@ let schur_cmd =
     let prng = Prng.create ~seed in
     let g = load_graph ~family ~size ~file ~prng () in
     let n = Graph.n g in
+    let vertex x =
+      match int_of_string_opt x with
+      | Some v -> v
+      | None -> fail_usage (Printf.sprintf "--subset: %S is not a vertex" x)
+    in
     let s =
       match s_spec with
-      | Some spec ->
-          Array.of_list (List.map int_of_string (String.split_on_char ',' spec))
+      | Some spec -> Array.of_list (List.map vertex (String.split_on_char ',' spec))
       | None -> Array.of_list (List.filter (fun v -> v mod 2 = 0) (List.init n (fun v -> v)))
     in
     Array.sort compare s;
-    let in_s = Cc_schur.Schur.members ~n ~s in
+    let in_s =
+      try Cc_schur.Schur.members ~n ~s
+      with Invalid_argument m -> fail_usage ("--subset: " ^ m)
+    in
     Format.printf "S = [%s]@."
       (String.concat "; " (List.map string_of_int (Array.to_list s)));
     Format.printf "@.SCHUR(G,S) transition matrix (rows/cols in S order):@.%a@."
@@ -768,6 +770,9 @@ let pagerank_cmd =
   let eps_t = Arg.(value & opt float 0.15 & info [ "epsilon" ] ~doc:"Restart probability.") in
   let walks_t = Arg.(value & opt int 32 & info [ "walks" ] ~doc:"Walks per vertex.") in
   let run () seed family size file epsilon walks obs =
+    if not (epsilon > 0.0 && epsilon < 1.0) then
+      fail_usage "--epsilon must be in (0, 1)";
+    if walks < 1 then fail_usage "--walks must be >= 1";
     let prng = Prng.create ~seed in
     let g = load_graph ~family ~size ~file ~prng () in
     let n = Graph.n g in
@@ -819,6 +824,7 @@ let sparsify_cmd =
     Arg.(value & opt int 4 & info [ "trees" ] ~doc:"Number of spanning trees to union.")
   in
   let run seed family size file trees =
+    if trees < 1 then fail_usage "--trees must be >= 1";
     let prng = Prng.create ~seed in
     let g = load_graph ~family ~size ~file ~prng () in
     let h =

@@ -56,7 +56,6 @@ let feature_names = [| "max_degree"; "leaf_count"; "diameter"; "root_depth" |]
 
 type t = {
   graph : Graph.t;
-  fingerprint : string; (* Graph.fingerprint, cached for the sink's fast path *)
   n : int;
   m : int;
   alpha : float;
@@ -72,7 +71,6 @@ type t = {
   lag1 : int array;
   mutable trials : int;
   mutable invalid : int;
-  mutable skipped : int;
   (* Feature histograms, indexed as [feature_names]; values are in [0, n]. *)
   feat_hist : int array array;
   feat_expected : (int * float) list array;
@@ -182,7 +180,6 @@ let create ?(alpha = 1e-3) ?(min_trials = 32) ?(small_limit = 8)
   in
   {
     graph = g;
-    fingerprint = Graph.fingerprint g;
     n;
     m;
     alpha;
@@ -196,7 +193,6 @@ let create ?(alpha = 1e-3) ?(min_trials = 32) ?(small_limit = 8)
     lag1 = Array.make m 0;
     trials = 0;
     invalid = 0;
-    skipped = 0;
     feat_hist =
       Array.init (Array.length feature_names) (fun _ -> Array.make (n + 1) 0);
     feat_expected;
@@ -210,7 +206,6 @@ let create ?(alpha = 1e-3) ?(min_trials = 32) ?(small_limit = 8)
 let trials t = t.trials
 let alpha t = t.alpha
 let invalid_trees t = t.invalid
-let skipped t = t.skipped
 
 let z_of t i =
   if t.is_bridge.(i) || t.trials = 0 then 0.0
@@ -422,34 +417,6 @@ let observe t tree =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Global sink                                                         *)
-
-let current : t option ref = ref None
-
-let install t = current := Some t
-let uninstall () = current := None
-let installed () = !current
-
-(* Physical equality is the fast path; otherwise the canonical digest decides,
-   so two structurally identical graphs built independently (e.g. one parsed
-   off the ccserve wire) feed the same audit. *)
-let same_graph t g =
-  t.graph == g
-  || (Graph.n g = t.n
-     && Graph.num_edges g = t.m
-     && String.equal (Graph.fingerprint g) t.fingerprint)
-
-let observe_sink g tree =
-  match !current with
-  | None -> ()
-  | Some t ->
-      if same_graph t g then observe t tree
-      else begin
-        t.skipped <- t.skipped + 1;
-        Metrics.incr "audit.skipped"
-      end
-
-(* ------------------------------------------------------------------ *)
 (* Artifact                                                            *)
 
 type feature = {
@@ -473,7 +440,6 @@ type report = {
   r_alpha : float;
   r_trials : int;
   r_invalid : int;
-  r_skipped : int;
   r_ess : float;
   r_tv_edges : float;
   r_kl_edges : float;
@@ -530,7 +496,6 @@ let to_jsonl t =
          ("min_trials", Json.Int t.min_trials);
          ("trials", Json.Int t.trials);
          ("invalid", Json.Int t.invalid);
-         ("skipped", Json.Int t.skipped);
          ("ess", Json.float_opt (ess t));
          ("tv_edges", Json.float_opt (tv_edges t));
          ("kl_edges", Json.float_opt (kl_edges t));
@@ -695,11 +660,10 @@ let of_jsonl s =
               let* al = j_float "alpha" obj in
               let* trials = j_int "trials" obj in
               let* invalid = j_int ~default:0 "invalid" obj in
-              let* skipped = j_int ~default:0 "skipped" obj in
               let* ess = j_float ~default:Float.nan "ess" obj in
               let* tv = j_float ~default:Float.nan "tv_edges" obj in
               let* kl = j_float ~default:Float.nan "kl_edges" obj in
-              header := Some (n, m, al, trials, invalid, skipped, ess, tv, kl);
+              header := Some (n, m, al, trials, invalid, ess, tv, kl);
               Ok ()
           | Some "edge" ->
               let* u = j_int "u" obj in
@@ -777,8 +741,7 @@ let of_jsonl s =
   in
   match !header with
   | None -> Error "no audit-header line"
-  | Some (r_n, r_m, r_alpha, r_trials, r_invalid, r_skipped, r_ess, r_tv, r_kl)
-    ->
+  | Some (r_n, r_m, r_alpha, r_trials, r_invalid, r_ess, r_tv, r_kl) ->
       Ok
         {
           r_n;
@@ -786,7 +749,6 @@ let of_jsonl s =
           r_alpha;
           r_trials;
           r_invalid;
-          r_skipped;
           r_ess;
           r_tv_edges = r_tv;
           r_kl_edges = r_kl;

@@ -27,9 +27,9 @@
 
     Observation is zero-perturbation by construction: it draws no randomness,
     touches no [Net], and never mutates the graph or tree, so audited and
-    unaudited runs produce byte-identical recorder digests. Samplers report
-    through the process-global sink ({!install} / {!observe_sink}), mirroring
-    [Trace.install]: when no auditor is installed the sink is a no-op. *)
+    unaudited runs produce byte-identical recorder digests. The caller feeds
+    the trees it draws to {!observe}; the samplers themselves know nothing
+    of the auditor. *)
 
 type t
 
@@ -65,26 +65,6 @@ val create :
     statistics; a nonzero invalid count breaches the verdict. *)
 val observe : t -> Cc_graph.Tree.t -> unit
 
-(** {1 Global sink}
-
-    Sampler entry points report through a process-global optional auditor so
-    instrumentation can be switched on without threading a handle through
-    every call site — the same pattern as [Trace.install]. *)
-
-(** [install t] makes [t] the process auditor. *)
-val install : t -> unit
-
-(** [uninstall ()] removes the process auditor (idempotent). *)
-val uninstall : unit -> unit
-
-val installed : unit -> t option
-
-(** [observe_sink g tree] forwards to the installed auditor when its audited
-    graph matches [g] (physical equality, else an (n, edges, total-weight)
-    fingerprint); mismatches are counted as [skipped] and otherwise ignored.
-    No-op when no auditor is installed. *)
-val observe_sink : Cc_graph.Graph.t -> Cc_graph.Tree.t -> unit
-
 (** {1 Statistics} *)
 
 type edge_stat = {
@@ -99,7 +79,6 @@ type edge_stat = {
 val trials : t -> int
 val alpha : t -> float
 val invalid_trees : t -> int
-val skipped : t -> int
 
 (** [edge_stats t] is one entry per graph edge, in {!Cc_graph.Graph.edges}
     order. *)
@@ -204,7 +183,6 @@ type report = {
   r_alpha : float;
   r_trials : int;
   r_invalid : int;
-  r_skipped : int;
   r_ess : float;
   r_tv_edges : float;
   r_kl_edges : float;

@@ -82,6 +82,14 @@ let kind_name = function
   | Charge -> "charge"
 
 let with_faults f t =
+  List.iter
+    (fun (m, _) ->
+      if m >= t.n then
+        invalid_arg
+          (Printf.sprintf
+             "Net.with_faults: crash of machine %d, outside the clique [0, %d)"
+             m t.n))
+    (Fault.spec_of f).Fault.crashes;
   t.injected <- Some f;
   t
 

@@ -27,7 +27,8 @@ val create : n:int -> t
     booked primitive advances the injector's round clock — firing scheduled
     crash-stop failures at round boundaries — and the {!reliable_exchange} /
     {!reliable_broadcast} primitives draw per-message drop/corruption
-    verdicts from it. *)
+    verdicts from it.
+    @raise Invalid_argument if the crash schedule names a machine [>= n]. *)
 val with_faults : Fault.t -> t -> t
 
 val n : t -> int

@@ -462,10 +462,6 @@ let draw plan ?faults net prng =
   done;
   let tree = Tree.of_edges ~n !tree_edges in
   assert (Tree.is_spanning_tree g tree);
-  (* The Degrade path below must NOT also report: its Sequential.sample call
-     already reaches the audit sink, and reporting twice would double-count
-     the degraded tree. *)
-  Cc_audit.Audit.observe_sink g tree;
   Cc_obs.Metrics.observe "sampler.walk_total" (Float.of_int !walk_total);
   let health =
     match faults with

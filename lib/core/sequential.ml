@@ -191,7 +191,6 @@ let draw plan prng =
   done;
   let tree = Tree.of_edges ~n !tree_edges in
   assert (Tree.is_spanning_tree g tree);
-  Cc_audit.Audit.observe_sink g tree;
   { tree; phases = !phases; walk_total = !walk_total }
 
 let sample ?rho ?target_len ?(lazy_walk = true) g prng =

@@ -407,9 +407,7 @@ let sample_tree ?faults net prng g ~tau0 =
     total := !total + Array.length segment - 1;
     tau := 2 * !tau
   done;
-  let tree = Tree.of_edges ~n !tree_edges in
-  Cc_audit.Audit.observe_sink g tree;
-  (tree, !total)
+  (Tree.of_edges ~n !tree_edges, !total)
 
 (* Prepared plans, mirroring Sampler/Sequential for the ccserve cache. The
    doubling pipeline has no reusable graph-only factorization — walks are

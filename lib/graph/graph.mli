@@ -85,8 +85,8 @@ val effective_resistance : t -> int -> int -> float
 (** [fingerprint g] is a canonical digest of the graph ("fnv64:<16 hex>"):
     FNV-1a 64 over the vertex count and the sorted edge list with weights at
     full precision. Edge-order permutations of the same graph fingerprint
-    identically; any weight or topology change does not. Shared by the
-    ccserve plan cache and [Cc_audit]'s graph-identity check. *)
+    identically; any weight or topology change does not. Keys the ccserve
+    plan cache. *)
 val fingerprint : t -> string
 
 (** {1 Serialization} *)

@@ -188,6 +188,14 @@ let draw_tree job =
       let header = Printf.sprintf "# tree %d: %d walk steps\n" (i + 1) steps in
       (header, Tree.edges tree)
 
+(* Every request that leaves the queue counts, done or failed; reaching
+   [max_requests] starts the drain. *)
+let count_served t =
+  t.served <- t.served + 1;
+  match t.config.max_requests with
+  | Some n when t.served >= n -> t.stop <- true
+  | _ -> ()
+
 let finish_job t conn job =
   let ms = 1000.0 *. (Unix.gettimeofday () -. job.started) in
   Metrics.observe "server.request_ms" ms;
@@ -198,17 +206,14 @@ let finish_job t conn job =
         ~digest:(Recorder.digest_hex job.recorder)
         ~rounds:(Net.rounds job.net) ();
   conn.job <- None;
-  t.served <- t.served + 1;
+  count_served t;
   journal_record t "serve_done" ~worker:conn.cid
-    ~cause:(Printf.sprintf "%.1fms" ms);
-  match t.config.max_requests with
-  | Some n when t.served >= n -> t.stop <- true
-  | _ -> ()
+    ~cause:(Printf.sprintf "%.1fms" ms)
 
 let fail_job t conn job message =
   conn.out <- conn.out ^ Protocol.error_line ?id:job.req.Protocol.id message;
   conn.job <- None;
-  t.served <- t.served + 1;
+  count_served t;
   journal_record t "serve_error" ~worker:conn.cid ~cause:message
 
 (* --- input handling --- *)
@@ -331,21 +336,20 @@ let step t =
       (fun c -> if c.alive && List.mem c.fd rd then read_conn t c)
       t.conns;
     (* Start queued requests (skipped while draining). *)
-    if not t.stop then
-      List.iter
-        (fun c ->
-          if c.alive && c.job = None then
-            match List.rev c.queue with
-            | [] -> ()
-            | req :: rest -> (
-                c.queue <- List.rev rest;
-                try start_job t c req
-                with
-                | Invalid_argument m | Failure m ->
-                    c.out <- c.out ^ Protocol.error_line ?id:req.Protocol.id m;
-                    t.served <- t.served + 1;
-                    journal_record t "serve_error" ~worker:c.cid ~cause:m))
-        t.conns;
+    List.iter
+      (fun c ->
+        if c.alive && c.job = None && not t.stop then
+          match List.rev c.queue with
+          | [] -> ()
+          | req :: rest -> (
+              c.queue <- List.rev rest;
+              try start_job t c req
+              with
+              | Invalid_argument m | Failure m ->
+                  c.out <- c.out ^ Protocol.error_line ?id:req.Protocol.id m;
+                  count_served t;
+                  journal_record t "serve_error" ~worker:c.cid ~cause:m))
+      t.conns;
     (* One tree for one job, round-robin across connections. *)
     (match active_jobs t with
     | [] -> ()

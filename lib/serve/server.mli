@@ -25,8 +25,9 @@ type config = {
   sock : string;  (** Unix-domain socket path. *)
   cache_cap : int;  (** plan-cache capacity (entries). *)
   max_requests : int option;
-      (** stop (drain) after this many completed requests — for tests and
-          the CI smoke job. *)
+      (** stop (drain) after this many answered requests, whether they
+          streamed trees or failed with an error — for tests and the CI
+          smoke job. *)
   journal : Cc_obs.Journal.t option;
 }
 

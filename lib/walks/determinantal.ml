@@ -79,9 +79,7 @@ let sample_tree g prng =
         end
       end)
     (Graph.edges g);
-  let tree = Tree.of_edges ~n !chosen in
-  Cc_audit.Audit.observe_sink g tree;
-  tree
+  Tree.of_edges ~n !chosen
 
 let empirical_marginals ~trials sampler g =
   if trials <= 0 then invalid_arg "Determinantal.empirical_marginals";

@@ -1,10 +1,7 @@
 module Graph = Cc_graph.Graph
 module Tree = Cc_graph.Tree
 
-(* The unaudited core. [sample] wraps it with a single report to the audit
-   sink; [sample_biased] redraws through the core so only the tree it finally
-   returns is audited. *)
-let sample_raw g prng ~root =
+let sample g prng ~root =
   let n = Graph.n g in
   if not (Graph.is_connected g) then
     invalid_arg "Wilson.sample: graph must be connected";
@@ -39,11 +36,6 @@ let sample_raw g prng ~root =
   done;
   (Tree.of_edges ~n !tree_edges, !steps)
 
-let sample g prng ~root =
-  let ((tree, _) as r) = sample_raw g prng ~root in
-  Cc_audit.Audit.observe_sink g tree;
-  r
-
 let sample_tree g prng = fst (sample g prng ~root:0)
 
 let sample_biased g prng =
@@ -54,9 +46,7 @@ let sample_biased g prng =
          three times) whenever the tree contains it, deflating its marginal
          from p to roughly p^4 — far outside any honest gate. *)
       let rec go k =
-        let tree, _ = sample_raw g prng ~root:0 in
+        let tree, _ = sample g prng ~root:0 in
         if k = 0 || not (Tree.mem tree u0 v0) then tree else go (k - 1)
       in
-      let tree = go 3 in
-      Cc_audit.Audit.observe_sink g tree;
-      tree
+      go 3

@@ -18,6 +18,5 @@ val sample_tree : Cc_graph.Graph.t -> Cc_util.Prng.t -> Cc_graph.Tree.t
     trees containing the lexicographically least edge of [g] (up to three
     redraws), deflating that edge's marginal from its leverage [p] to about
     [p^4]. It exists as the negative fixture for the statistical audit plane
-    ({!Cc_audit.Audit}): an auditor that accepts it is broken. Only the
-    returned tree is reported to the audit sink. *)
+    ([Cc_audit.Audit]): an auditor that accepts it is broken. *)
 val sample_biased : Cc_graph.Graph.t -> Cc_util.Prng.t -> Cc_graph.Tree.t

@@ -104,6 +104,18 @@ let test_scheduled_crash_fires_at_round_boundary () =
   Alcotest.(check bool) "crashed at round 8" true (Fault.is_crashed f 2);
   Alcotest.(check (list int)) "crash list" [ 2 ] (Fault.crashed f)
 
+let test_crash_outside_net_rejected () =
+  (* A schedule naming a machine the net does not have is a caller error,
+     not a crash that silently never fires. *)
+  let arm crashes =
+    Net.with_faults (Fault.create (Fault.spec ~crashes ())) (Net.create ~n:4)
+  in
+  Alcotest.check_raises "machine n"
+    (Invalid_argument
+       "Net.with_faults: crash of machine 4, outside the clique [0, 4)")
+    (fun () -> ignore (arm [ (1, 0.0); (4, 2.0) ]));
+  ignore (arm [ (3, 0.0) ])
+
 let test_reliable_broadcast_crashed_source () =
   let f = Fault.create (Fault.spec ()) in
   let net = Net.with_faults f (Net.create ~n:4) in
@@ -277,6 +289,8 @@ let () =
         [
           Alcotest.test_case "crash loses packets" `Quick test_crash_loses_packets_no_exception;
           Alcotest.test_case "scheduled crash" `Quick test_scheduled_crash_fires_at_round_boundary;
+          Alcotest.test_case "crash outside the net rejected" `Quick
+            test_crash_outside_net_rejected;
           Alcotest.test_case "crashed broadcast source" `Quick test_reliable_broadcast_crashed_source;
           Alcotest.test_case "next_live" `Quick test_next_live;
           Alcotest.test_case "next_live all crashed, any start" `Quick

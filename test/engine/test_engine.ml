@@ -165,7 +165,7 @@ let test_exception_propagates_smallest_index_wins () =
 let build_graph ~seed ~n =
   Gen.build (Prng.create ~seed) (Gen.family_of_string "lollipop") ~n
 
-(* Mirror of the [ccreplay record --algo sample] workload: run the Theorem 2
+(* Mirror of the [cctree sample --record] workload: run the Theorem 2
    sampler with the flight recorder attached and return the sampled tree
    plus the digest of the recorded event stream. *)
 let sampler_run engine ~seed ~n =

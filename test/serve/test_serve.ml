@@ -404,7 +404,7 @@ let test_serve_survives_client_hangup () =
   Unix.close c2.fd
 
 let test_serve_max_requests_and_methods () =
-  let srv = make_server ~max_requests:3 () in
+  let srv = make_server ~max_requests:4 () in
   let c = connect srv in
   send srv c (req ~seed:1 ~meth:Protocol.Cc ());
   ignore (check_trees_then_done ~g:test_graph ~k:1 (collect srv c ~n:2));
@@ -412,18 +412,26 @@ let test_serve_max_requests_and_methods () =
   ignore (check_trees_then_done ~g:test_graph ~k:1 (collect srv c ~n:2));
   send srv c (req ~seed:1 ~meth:Protocol.Doubling ());
   ignore (check_trees_then_done ~g:test_graph ~k:1 (collect srv c ~n:2));
-  (* Three requests served: the server drains itself. *)
+  (* The last counted request fails: a disconnected graph parses, but
+     prepare rejects it. *)
+  let disconnected = Graph.of_unweighted_edges ~n:4 [ (0, 1); (2, 3) ] in
+  send srv c (Protocol.request_line ~graph:disconnected ~k:1 ~seed:1 ~meth:Protocol.Cc ());
+  (match collect srv c ~n:1 with
+  | [ Protocol.Error _ ] -> ()
+  | _ -> Alcotest.fail "expected error response");
+  (* Four requests answered, the last with an error: the server still
+     drains itself, in a handful of steps. *)
   let steps = ref 0 in
-  while Server.step srv && !steps < 200_000 do
+  while Server.step srv && !steps < 1_000 do
     incr steps
   done;
-  Alcotest.(check int) "served" 3 (Server.served srv);
+  Alcotest.(check int) "served" 4 (Server.served srv);
   Alcotest.(check bool) "drained" false
     (Sys.file_exists (Server.sock_path srv));
-  (* Distinct methods prepare distinct plans: all three were cold. *)
+  (* Distinct methods prepare distinct plans: all three were cold, and so
+     was the failed prepare. *)
   let hits, misses, _ = Server.cache_stats srv in
-  Alcotest.(check (pair int int)) "three method-keyed misses" (0, 3)
-    (hits, misses);
+  Alcotest.(check (pair int int)) "four misses" (0, 4) (hits, misses);
   Unix.close c.fd
 
 let () =
