@@ -89,8 +89,8 @@ let e1 () =
       List.iter
         (fun tau ->
           let net = Net.create ~n in
+          Report.attach_profile ~id:"E1" net;
           let r = Doubling.run net prng g ~tau ~scheme:(Doubling.default_scheme ~n) in
-          Report.observe_net ~id:"E1" net;
           let log_n = Float.log2 (float_of_int n) in
           let log_tau = Float.max 1.0 (Float.log2 (float_of_int tau)) in
           let low_regime = float_of_int tau < float_of_int n /. log_n in
@@ -142,10 +142,9 @@ let e2 () =
   let g = Gen.star n in
   let run scheme seed =
     let net = Net.create ~n in
+    Report.attach_profile ~id:"E2" net;
     let prng = Prng.create ~seed in
-    let r = (Doubling.run net prng g ~tau ~scheme).Doubling.max_tuples_received in
-    Report.observe_net ~id:"E2" net;
-    r
+    (Doubling.run net prng g ~tau ~scheme).Doubling.max_tuples_received
   in
   let lb = run (Doubling.default_scheme ~n) 2 in
   let ub = run Doubling.Unbalanced 2 in
@@ -206,8 +205,8 @@ let e3 () =
       let g = Gen.lollipop ~clique:(n / 2) ~tail:(n - (n / 2)) in
       let prng = Prng.create ~seed:3 in
       let net = Net.create ~n in
+      Report.attach_profile ~id:"E3" net;
       let r = Sampler.sample net prng g in
-      Report.observe_net ~id:"E3" net;
       let naive = Walk.mean_cover_time g prng ~trials:(if n <= 48 then 20 else 5) in
       let nf = float_of_int n in
       let normal = (nf ** 0.658) *. (Float.log2 nf ** 2.0) in
@@ -287,8 +286,8 @@ let e4 () =
             | `Reg -> Gen.random_regular prng ~n ~d:6
           in
           let net = Net.create ~n in
+          Report.attach_profile ~id:"E4" net;
           let _, walk_len = Doubling.sample_tree net prng g ~tau0:(2 * n) in
-          Report.observe_net ~id:"E4" net;
           let l3 = Float.log2 (float_of_int n) ** 3.0 in
           Report.record ~id:"E4"
             ~params:[ ("family", Report.str name); ("n", Report.int n) ]
@@ -366,13 +365,13 @@ let e5 () =
         (fun (sname, sampler) ->
           let prng = Prng.create ~seed:5 in
           let net = Net.create ~n in
+          Report.attach_profile ~id:"E5" net;
           let counts = Array.make support 0 in
           for _ = 1 to trials do
             let t = sampler net prng g in
             counts.(lookup t) <- counts.(lookup t) + 1
           done;
           let tv = Dist.tv_counts ~counts target in
-          Report.observe_net ~id:"E5" net;
           let floor = 3.0 *. Stats.tv_noise_floor ~samples:trials ~support in
           Report.record ~id:"E5"
             ~params:
@@ -613,8 +612,8 @@ let e10 () =
   List.iter
     (fun walks ->
       let net = Net.create ~n in
+      Report.attach_profile ~id:"E10" net;
       let est = Doubling.pagerank net prng g ~walks_per_node:walks ~epsilon in
-      Report.observe_net ~id:"E10" net;
       let l1 =
         Array.fold_left ( +. ) 0.0
           (Array.mapi (fun i x -> Float.abs (x -. exact.(i))) est)
@@ -738,6 +737,7 @@ let f2 () =
       let g = Gen.cycle n in
       let prng = Prng.create ~seed:11 in
       let net = Net.create ~n in
+      Report.attach_profile ~id:"F2" net;
       let net =
         if drop_prob > 0.0 then
           Net.with_faults (Fault.create (Fault.spec ~drop_prob ~seed:7 ())) net
@@ -748,7 +748,6 @@ let f2 () =
       in
       let total = Net.rounds net in
       let overhead = Net.overhead_rounds net in
-      Report.observe_net ~id:"F2" net;
       Report.record ~id:"F2"
         ~params:[ ("n", Report.int n); ("drop_prob", Report.flt drop_prob) ]
         ~bound:total
@@ -796,6 +795,7 @@ let d1 () =
     let prng = Prng.create ~seed in
     let g = Gen.build prng Gen.Lollipop ~n in
     let net = Net.create ~n:(Graph.n g) in
+    Report.attach_profile ~id:"D1" net;
     let recorder = Cc_obs.Recorder.create ~machines:(Graph.n g) () in
     let inv = Cc_obs.Invariant.create ~machines:(Graph.n g) () in
     ignore (Net.attach_recorder net recorder);
@@ -805,13 +805,12 @@ let d1 () =
       Cc_obs.Invariant.count inv + List.length (Net.ledger_violations net inv)
     in
     (Cc_obs.Recorder.digest_hex recorder, Cc_obs.Recorder.total recorder,
-     violations, net)
+     violations)
   in
-  let d_a, total_a, viol_a, net = run () in
-  let d_b, total_b, viol_b, _ = run () in
+  let d_a, total_a, viol_a = run () in
+  let d_b, total_b, viol_b = run () in
   let identical = String.equal d_a d_b && total_a = total_b in
   let clean = viol_a = 0 && viol_b = 0 in
-  Report.observe_net ~id:"D1" net;
   Report.record ~id:"D1"
     ~params:[ ("n", Report.int n); ("seed", Report.int seed) ]
     ~bound:1.0
@@ -874,11 +873,11 @@ let e11 () =
         Cc_congest.Congest_walk.das_sarma cnet2 prng ~lambda ~eta:4
       in
       let net_d = Net.create ~n in
+      Report.attach_profile ~id:"E11" net_d;
       ignore (Doubling.sample_tree net_d prng g ~tau0:n);
       let net_s = Net.create ~n in
+      Report.attach_profile ~id:"E11" net_s;
       let r = Sampler.sample net_s prng g in
-      Report.observe_net ~id:"E11" net_d;
-      Report.observe_net ~id:"E11" net_s;
       Report.record ~id:"E11"
         ~params:[ ("n", Report.int n) ]
         ~extra:
@@ -921,6 +920,7 @@ let a1 () =
       ~columns:[ "trees"; "edges kept"; "cut ratio range"; "Rayleigh range" ]
   in
   let net = Net.create ~n in
+  Report.attach_profile ~id:"A1" net;
   let sampler g prng = (Sampler.sample net prng g).Sampler.tree in
   List.iter
     (fun t ->
@@ -946,7 +946,6 @@ let a1 () =
             q.Cc_apps.Sparsifier.rayleigh_max;
         ])
     [ 1; 4; 16 ];
-  Report.observe_net ~id:"A1" net;
   Table.print table;
   print_endline
     "Expected shape: both ranges tighten toward [1,1] as trees accumulate —\n\
@@ -1043,10 +1042,10 @@ let a3 () =
   List.iter
     (fun (name, config) ->
       let net = Net.create ~n in
+      Report.attach_profile ~id:"A3" net;
       let prng = Prng.create ~seed:23 in
       let t0 = Unix.gettimeofday () in
       let r = Sampler.sample ~config net prng g in
-      Report.observe_net ~id:"A3" net;
       Report.record ~id:"A3"
         ~params:[ ("configuration", Report.str name); ("n", Report.int n) ]
         ~extra:
@@ -1079,9 +1078,11 @@ let a4 () =
   let n = if !fast then 32 else 64 in
   let g = Gen.lollipop ~clique:(n / 2) ~tail:(n - (n / 2)) in
   let net = Net.create ~n in
+  Report.attach_profile ~id:"A4" net;
+  let profile = Cc_obs.Profile.create ~machines:n in
+  ignore (Net.attach_profile net profile);
   let prng = Prng.create ~seed:24 in
   let r = Sampler.sample net prng g in
-  Report.observe_net ~id:"A4" net;
   Printf.printf "lollipop n=%d: %d phases, %.0f rounds total\n" n
     r.Sampler.phases r.Sampler.rounds;
   List.iter
@@ -1091,7 +1092,7 @@ let a4 () =
         ~bound:r.Sampler.rounds rounds)
     (Net.ledger net);
   Table.print (Net.ledger_table net);
-  Format.printf "%a" Net.pp_profile net;
+  print_string (Cc_obs.Profile.render profile);
   print_endline
     "Expected shape: the Schur/shortcut powering and the per-phase matrix\n\
      power tables dominate (the paper's \"matrix multiplication time per\n\
@@ -1280,6 +1281,7 @@ let q1 () =
           let aud = Audit.create g in
           let prng = Prng.create ~seed:11 in
           let net = Net.create ~n in
+          Report.attach_profile ~id:"Q1" net;
           let trials =
             run_batches aud
               (fun () -> sampler net prng g)
@@ -1290,7 +1292,6 @@ let q1 () =
                    | Some tv -> tv <= tv_pass
                    | None -> true)
           in
-          Report.observe_net ~id:"Q1" net;
           let decided =
             if
               (Audit.verdict aud).Audit.pass

@@ -33,9 +33,11 @@ let records : Json.t list ref = ref []
 let speedup : float option ref = ref None
 let set_speedup s = speedup := Some s
 
-(* id -> (max per-primitive machine load, worst imbalance) over every net the
-   experiment showed us via [observe_net]. *)
-let loads : (string, int * float) Hashtbl.t = Hashtbl.create 16
+(* (id, load profile) for every net an experiment subscribed via
+   [attach_profile], newest first. An experiment's cc-bench/2 [max_load] is
+   the hottest machine's total load ([Profile.max_load]) over those nets,
+   its [imbalance] the worst imbalance. *)
+let profiles : (string * Cc_obs.Profile.t) list ref = ref []
 
 (* [reset] clears all accumulated rows so a second [write] in the same
    process starts from a clean slate instead of duplicating them. *)
@@ -44,22 +46,18 @@ let reset () =
   records := [];
   speedup := None;
   Hashtbl.reset titles;
-  Hashtbl.reset loads
+  profiles := []
 
 let set_title ~id ~title = Hashtbl.replace titles id title
 
-(* [observe_net ~id net] folds a finished net's load profile into the
-   experiment's cc-bench/2 fields. Experiments call it once per net they
-   build; a no-op without [--json]. *)
-let observe_net ~id net =
+(* [attach_profile ~id net] subscribes a load profile to a freshly created
+   net for the experiment's cc-bench/2 fields. Experiments call it right
+   after every [Net.create]; a no-op without [--json]. *)
+let attach_profile ~id net =
   if enabled () then begin
-    let p = Cc_clique.Net.load_profile net in
-    let prev_load, prev_imb =
-      Option.value ~default:(0, 0.0) (Hashtbl.find_opt loads id)
-    in
-    Hashtbl.replace loads id
-      ( max prev_load p.Cc_clique.Net.max_load,
-        Float.max prev_imb p.Cc_clique.Net.imbalance )
+    let p = Cc_obs.Profile.create ~machines:(Cc_clique.Net.n net) in
+    ignore (Cc_clique.Net.attach_profile net p);
+    profiles := (id, p) :: !profiles
   end
 
 let finish_experiment ~id ~wall_s =
@@ -192,9 +190,19 @@ let write ~fast =
                 (List.rev_map
                    (fun (id, title, wall_s) ->
                      let load_fields =
-                       match Hashtbl.find_opt loads id with
-                       | None -> []
-                       | Some (max_load, imbalance) ->
+                       match List.filter (fun (i, _) -> i = id) !profiles with
+                       | [] -> []
+                       | ps ->
+                           let max_load =
+                             List.fold_left
+                               (fun acc (_, p) -> max acc (Cc_obs.Profile.max_load p))
+                               0 ps
+                           and imbalance =
+                             List.fold_left
+                               (fun acc (_, p) ->
+                                 Float.max acc (Cc_obs.Profile.imbalance p))
+                               0.0 ps
+                           in
                            [
                              ("max_load", Json.Int max_load);
                              ("imbalance", Json.float_opt imbalance);

@@ -5,7 +5,8 @@
                            or the instrument table of a metrics JSON dump
                            (cctree --metrics-json FILE)
      diff BASELINE NEW     regression gate on measured/bound ratios
-     heatmap FILE          render a profile JSONL (cctree --profile FILE)
+     heatmap FILE          machine x label congestion heatmap of a
+                           flight-recorder log (cctree --record FILE)
      trace FILE            top spans/events of a trace artifact
                            (--trace-out)
      events FILE           render a lifecycle-event journal JSONL
@@ -27,6 +28,7 @@
 module Json = Cc_obs.Json
 module Benchdata = Cc_obs.Benchdata
 module Profile = Cc_obs.Profile
+module Recorder = Cc_obs.Recorder
 module Metrics = Cc_obs.Metrics
 module Journal = Cc_obs.Journal
 module Trace = Cc_obs.Trace
@@ -266,16 +268,35 @@ let heatmap_cmd =
       value & opt int 64
       & info [ "width" ] ~doc:"Maximum heatmap columns before bucketing.")
   in
+  (* Only a log whose digest chain verifies is rendered: a truncated or
+     altered log would draw a heatmap of traffic the run never booked. *)
   let run file width =
-    match Profile.of_jsonl (read_file file) with
-    | Error msg ->
-        Printf.eprintf "ccprof: %s: %s\n" file msg;
-        exit exit_bad_input
-    | Ok p -> print_string (Profile.render ~max_width:width p)
+    let bad msg =
+      Printf.eprintf "ccprof: %s: %s\n" file msg;
+      exit exit_bad_input
+    in
+    let l =
+      match Recorder.of_jsonl (read_file file) with
+      | Ok l -> l
+      | Error msg -> bad msg
+    in
+    (match Recorder.verify l with Ok _ -> () | Error msg -> bad msg);
+    let p = Profile.create ~machines:(Recorder.machines l.Recorder.log) in
+    (try
+       List.iter
+         (fun (r : Recorder.record) ->
+           Profile.add p ~label:r.label ~words:r.words ~sent:r.sent
+             ~recv:r.recv)
+         (Recorder.records l.Recorder.log)
+     with Invalid_argument msg -> bad msg);
+    print_string (Profile.render ~max_width:width p)
   in
   let info =
     Cmd.info "heatmap"
-      ~doc:"Render the congestion heatmap of a profile JSONL export."
+      ~doc:
+        "Render the machine x label congestion heatmap of a flight-recorder \
+         log (cctree --record), folding its records the way --profile folds \
+         the live event stream."
   in
   Cmd.v info Term.(const run $ file_t $ width_t)
 

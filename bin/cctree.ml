@@ -148,26 +148,32 @@ let faults_t =
       "Seed of the fault schedule; the same --seed/--fault-seed pair \
        reproduces the run bit-for-bit, faults included."
     in
-    Arg.(value & opt int 0 & info [ "fault-seed" ] ~doc)
+    Arg.(
+      value & opt int Fault.default_spec.seed & info [ "fault-seed" ] ~doc)
   in
   let max_retries_t =
     let doc = "Retransmission budget per packet before it is declared lost." in
-    Arg.(value & opt int 8 & info [ "max-retries" ] ~doc)
+    Arg.(
+      value
+      & opt int Fault.default_spec.max_retries
+      & info [ "max-retries" ] ~doc)
   in
   let combine drop_prob corrupt_prob straggle_prob crashes seed max_retries =
-    if
-      drop_prob = 0.0 && corrupt_prob = 0.0 && straggle_prob = 0.0
-      && crashes = []
-    then None
-    else
-      Some
-        (Fault.create
-           (Fault.spec ~drop_prob ~corrupt_prob ~straggle_prob ~max_retries
-              ~crashes ~seed ()))
+    Fault.spec ~drop_prob ~corrupt_prob ~straggle_prob ~max_retries ~crashes
+      ~seed ()
   in
   Term.(
     const combine $ drop_t $ corrupt_t $ straggle_t $ crash_t $ fault_seed_t
     $ max_retries_t)
+
+(* The net stays reliable (no injector) unless the spec injects something;
+   a fault seed or retry budget alone changes nothing. *)
+let injector (spec : Fault.spec) =
+  if
+    spec.drop_prob = 0.0 && spec.corrupt_prob = 0.0 && spec.straggle_prob = 0.0
+    && spec.crashes = []
+  then None
+  else Some (Fault.create spec)
 
 let arm_faults faults net =
   match faults with
@@ -186,7 +192,7 @@ type obs = {
   trace_tree : bool;
   metrics : bool;
   metrics_json : string option;  (* registry JSON dump path *)
-  profile : string option;  (* "-" = print heatmap; otherwise JSONL path *)
+  profile : bool;  (* print the machine x label heatmap *)
   record : string option;  (* flight-recorder JSONL path *)
 }
 
@@ -227,14 +233,11 @@ let obs_t =
   in
   let profile_t =
     let doc =
-      "Report the per-machine load profile: without $(docv) (or with '-') \
-       print the machine x label congestion heatmap; with a $(docv) write \
-       the profile as JSON lines for ccprof."
+      "Print the per-machine load profile as a machine x label congestion \
+       heatmap after the run. $(b,ccprof heatmap) renders the same heatmap \
+       from a $(b,--record) log."
     in
-    Arg.(
-      value
-      & opt ~vopt:(Some "-") (some string) None
-      & info [ "profile" ] ~doc ~docv:"FILE")
+    Arg.(value & flag & info [ "profile" ] ~doc)
   in
   let record_t =
     let doc =
@@ -257,10 +260,10 @@ let obs_t =
    run's accounting cannot be trusted. *)
 let exit_violation = 1
 
-(* Run [f] with a trace collector installed when requested, then write the
-   requested exports — including [net]'s load profile. Observability never
-   perturbs the run: spans, events, and the profile only observe the booked
-   costs. A recording with invariant violations exits [exit_violation] once
+(* Run [f] with a trace collector, recorder and load profile attached when
+   requested, then write the requested exports and print the heatmap.
+   Observability never perturbs the run: spans, events, and the profile only
+   observe the booked costs. A recording with invariant violations exits [exit_violation] once
    every export is written. *)
 let with_obs obs net f =
   let tr =
@@ -278,6 +281,14 @@ let with_obs obs net f =
         ignore (Net.attach_recorder net r);
         ignore (Net.attach_invariant net inv);
         Some (path, r, inv)
+  in
+  let profile =
+    if obs.profile then begin
+      let p = Cc_obs.Profile.create ~machines:(Net.n net) in
+      ignore (Net.attach_profile net p);
+      Some p
+    end
+    else None
   in
   let violated = ref false in
   let finish () =
@@ -319,13 +330,9 @@ let with_obs obs net f =
             (fun v -> Format.eprintf "#   %a@." Cc_obs.Invariant.pp_violation v)
             vs
         end);
-    match obs.profile with
-    | None -> ()
-    | Some "-" -> Format.printf "%a@?" Net.pp_profile net
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (Cc_obs.Profile.to_jsonl (Net.obs_profile net));
-        close_out oc
+    Option.iter
+      (fun p -> Format.printf "%s@?" (Cc_obs.Profile.render p))
+      profile
   in
   (* The artifact gets a root [run] span covering everything, so the
      critical-path chain can tile end-to-end wall. *)
@@ -399,6 +406,17 @@ let finish_audit (spec, a) =
     v.Audit.gates
 
 (* --- client mode: forward the request to a running ccserve --- *)
+
+(* A request carries only the graph, k, seed and method: a flag it cannot
+   carry is refused (naming the first one given) instead of being dropped. *)
+let refuse_over_connect given =
+  match List.find_opt snd given with
+  | Some (flag, _) ->
+      fail_usage
+        (flag
+       ^ " cannot be used with --connect (a request carries only the graph, \
+          k, seed and method)")
+  | None -> ()
 
 let run_connect ~sock ~g ~k ~seed ~method_ =
   let meth =
@@ -515,7 +533,7 @@ let sample_cmd =
       & info [ "audit" ] ~doc ~docv:"FILE")
   in
   let run () seed verbose family size file weights trials ledger alpha bits
-      method_ count connect audit faults obs =
+      method_ count connect audit (fault_spec : Fault.spec) obs =
     setup_logs verbose;
     let method_ = String.lowercase_ascii method_ in
     let methods =
@@ -539,10 +557,31 @@ let sample_cmd =
     let n = Graph.n g in
     match connect with
     | Some sock ->
+        let d = Fault.default_spec in
+        refuse_over_connect
+          [
+            ("--alpha", alpha <> Cc_clique.Matmul.default_alpha);
+            ("--bits", bits <> None);
+            ("--ledger", ledger);
+            ("--audit", audit <> None);
+            ("--drop-prob", fault_spec.drop_prob <> d.drop_prob);
+            ("--corrupt-prob", fault_spec.corrupt_prob <> d.corrupt_prob);
+            ("--straggle-prob", fault_spec.straggle_prob <> d.straggle_prob);
+            ("--crash", fault_spec.crashes <> d.crashes);
+            ("--fault-seed", fault_spec.seed <> d.seed);
+            ("--max-retries", fault_spec.max_retries <> d.max_retries);
+            ("--trace-out", obs.trace_out <> None);
+            ("--trace-tree", obs.trace_tree);
+            ("--metrics", obs.metrics);
+            ("--metrics-json", obs.metrics_json <> None);
+            ("--profile", obs.profile);
+            ("--record", obs.record <> None);
+          ];
         run_connect ~sock ~g
           ~k:(if count > 0 then count else trials)
           ~seed ~method_
     | None ->
+    let faults = injector fault_spec in
     let net = arm_faults faults (Net.create ~n) in
     let auditor = Option.map (fun spec -> (spec, Cc_audit.Audit.create g)) audit in
     (* Every printed tree is also the auditor's next observation. *)
@@ -653,10 +692,11 @@ let doubling_cmd =
   let tau_t =
     Arg.(value & opt int 0 & info [ "tau" ] ~doc:"Walk length (0 = sample a tree instead).")
   in
-  let run () seed family size file tau faults obs =
+  let run () seed family size file tau fault_spec obs =
     let prng = Prng.create ~seed in
     let g = load_graph ~family ~size ~file ~prng () in
     let n = Graph.n g in
+    let faults = injector fault_spec in
     let net = arm_faults faults (Net.create ~n) in
     let unrecoverable = ref false in
     with_obs obs net (fun () ->

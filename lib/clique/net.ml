@@ -1,9 +1,5 @@
 type entry = { mutable rounds : float; mutable messages : int; mutable words : int }
 
-(* Per-machine word traffic booked under one label — one row of the
-   machine x label congestion matrix. *)
-type lane = { lane_sent : int array; lane_recv : int array }
-
 type event_kind = Exchange | Broadcast | All_to_all | Aggregate | Charge
 
 type event = {
@@ -31,11 +27,6 @@ type t = {
   mutable total_dropped : int;
   mutable overhead_rounds : float;
   by_label : (string, entry) Hashtbl.t;
-  by_machine : (string, lane) Hashtbl.t;
-  m_sent_words : int array;
-  m_recv_words : int array;
-  m_sent_messages : int array;
-  m_recv_messages : int array;
   mutable injected : Fault.t option;
   (* Sinks in subscription order. *)
   mutable sinks : (sink_id * (event -> unit)) list;
@@ -53,11 +44,6 @@ let create ~n =
     total_dropped = 0;
     overhead_rounds = 0.0;
     by_label = Hashtbl.create 16;
-    by_machine = Hashtbl.create 16;
-    m_sent_words = Array.make n 0;
-    m_recv_words = Array.make n 0;
-    m_sent_messages = Array.make n 0;
-    m_recv_messages = Array.make n 0;
     injected = None;
     sinks = [];
     next_sink = 0;
@@ -102,28 +88,6 @@ let entry_for t label =
       let e = { rounds = 0.0; messages = 0; words = 0 } in
       Hashtbl.add t.by_label label e;
       e
-
-let lane_for t label =
-  match Hashtbl.find_opt t.by_machine label with
-  | Some l -> l
-  | None ->
-      let l = { lane_sent = Array.make t.n 0; lane_recv = Array.make t.n 0 } in
-      Hashtbl.add t.by_machine label l;
-      l
-
-(* Attribute one primitive's per-machine word traffic to the running totals
-   and the label's lane. [sent]/[recv] are the words machine [i] sent and
-   received in this primitive; [sent_msgs]/[recv_msgs] the message counts. *)
-let attribute t ~label ~sent ~recv ~sent_msgs ~recv_msgs =
-  let l = lane_for t label in
-  for i = 0 to t.n - 1 do
-    l.lane_sent.(i) <- l.lane_sent.(i) + sent.(i);
-    l.lane_recv.(i) <- l.lane_recv.(i) + recv.(i);
-    t.m_sent_words.(i) <- t.m_sent_words.(i) + sent.(i);
-    t.m_recv_words.(i) <- t.m_recv_words.(i) + recv.(i);
-    t.m_sent_messages.(i) <- t.m_sent_messages.(i) + sent_msgs.(i);
-    t.m_recv_messages.(i) <- t.m_recv_messages.(i) + recv_msgs.(i)
-  done
 
 let book ?(sent = [||]) ?(recv = [||]) t ~kind ~label ~rounds ~messages ~words
     ~max_load =
@@ -173,7 +137,6 @@ let book ?(sent = [||]) ?(recv = [||]) t ~kind ~label ~rounds ~messages ~words
 
 let exchange t ~label packets =
   let sent = Array.make t.n 0 and received = Array.make t.n 0 in
-  let sent_msgs = Array.make t.n 0 and recv_msgs = Array.make t.n 0 in
   let messages = ref 0 and total_words = ref 0 in
   List.iter
     (fun { src; dst; words } ->
@@ -183,8 +146,6 @@ let exchange t ~label packets =
       if src <> dst && words > 0 then begin
         sent.(src) <- sent.(src) + words;
         received.(dst) <- received.(dst) + words;
-        sent_msgs.(src) <- sent_msgs.(src) + 1;
-        recv_msgs.(dst) <- recv_msgs.(dst) + 1;
         incr messages;
         total_words := !total_words + words
       end)
@@ -194,7 +155,6 @@ let exchange t ~label packets =
     load := max !load (max sent.(i) received.(i))
   done;
   if !load > 0 then begin
-    attribute t ~label ~sent ~recv:received ~sent_msgs ~recv_msgs;
     let rounds = Float.of_int ((!load + t.n - 1) / t.n) in
     book t ~kind:Exchange ~label ~rounds ~messages:!messages
       ~words:!total_words ~max_load:!load ~sent ~recv:received
@@ -212,17 +172,13 @@ let broadcast t ~label ~src ~words =
        the two-step tree's constant factor into the big-O (the same
        convention every other collective here uses). *)
     let rounds = Float.of_int (max 1 ((words + t.n - 1) / t.n)) in
-    (* Attribution is the logical pattern — src emits its payload once, every
-       other machine takes a copy — not the tree's relay hops, so the profile
-       points at the source as the hot machine while the booked rounds keep
-       the tree's balanced cost. *)
+    (* The event carries the logical pattern — src emits its payload once,
+       every other machine takes a copy — not the tree's relay hops, so a
+       per-machine profile points at the source as the hot machine while the
+       booked rounds keep the tree's balanced cost. *)
     let sent = Array.make t.n 0 and recv = Array.make t.n words in
-    let sent_msgs = Array.make t.n 0 and recv_msgs = Array.make t.n 1 in
     sent.(src) <- words;
     recv.(src) <- 0;
-    sent_msgs.(src) <- t.n - 1;
-    recv_msgs.(src) <- 0;
-    attribute t ~label ~sent ~recv ~sent_msgs ~recv_msgs;
     book t ~kind:Broadcast ~label ~rounds ~messages:(t.n - 1)
       ~words:(words * (t.n - 1))
       ~max_load:words ~sent ~recv
@@ -234,9 +190,6 @@ let all_to_all t ~label ~words_each =
     let per_machine = words_each * (t.n - 1) in
     let sent = Array.make t.n per_machine
     and recv = Array.make t.n per_machine in
-    attribute t ~label ~sent ~recv
-      ~sent_msgs:(Array.make t.n (t.n - 1))
-      ~recv_msgs:(Array.make t.n (t.n - 1));
     book t ~kind:All_to_all ~label
       ~rounds:(Float.of_int (max 1 words_each))
       ~messages ~words:(messages * words_each) ~max_load:per_machine ~sent
@@ -263,17 +216,10 @@ let aggregate t ~label ?(combinable = true) ~contributors ~dst words_each =
        one combined value when combining is possible, all [k] otherwise. *)
     let received = if combinable then words_each else total in
     let sent = Array.make t.n 0 and recv = Array.make t.n 0 in
-    let sent_msgs = Array.make t.n 0 and recv_msgs = Array.make t.n 0 in
     List.iter
-      (fun src ->
-        if src <> dst then begin
-          sent.(src) <- sent.(src) + words_each;
-          sent_msgs.(src) <- sent_msgs.(src) + 1
-        end)
+      (fun src -> if src <> dst then sent.(src) <- sent.(src) + words_each)
       contributors;
     recv.(dst) <- received;
-    recv_msgs.(dst) <- k;
-    attribute t ~label ~sent ~recv ~sent_msgs ~recv_msgs;
     book t ~kind:Aggregate ~label ~rounds ~messages:k ~words:total
       ~max_load:(Array.fold_left max received sent)
       ~sent ~recv
@@ -429,85 +375,6 @@ let ledger t =
             depends on Hashtbl fold order. *)
          match compare r2 r1 with 0 -> compare l1 l2 | c -> c)
 
-(* --- per-machine load profile --- *)
-
-type machine_load = {
-  machine : int;
-  sent_words : int;
-  recv_words : int;
-  sent_messages : int;
-  recv_messages : int;
-  load : int;
-}
-
-type profile = {
-  machines : int;
-  per_machine : machine_load array;
-  max_load : int;
-  mean_load : float;
-  p50_load : float;
-  p95_load : float;
-  imbalance : float;
-  hot : (int * int) list;
-}
-
-let obs_profile t =
-  let rows =
-    Hashtbl.fold
-      (fun label l acc ->
-        {
-          Cc_obs.Profile.label;
-          sent = Array.copy l.lane_sent;
-          recv = Array.copy l.lane_recv;
-        }
-        :: acc)
-      t.by_machine []
-  in
-  Cc_obs.Profile.create ~machines:t.n ~total_words:t.total_words rows
-
-let load_profile ?(top_k = 3) t =
-  let p = obs_profile t in
-  let per_machine =
-    Array.init t.n (fun i ->
-        {
-          machine = i;
-          sent_words = t.m_sent_words.(i);
-          recv_words = t.m_recv_words.(i);
-          sent_messages = t.m_sent_messages.(i);
-          recv_messages = t.m_recv_messages.(i);
-          load = max t.m_sent_words.(i) t.m_recv_words.(i);
-        })
-  in
-  {
-    machines = t.n;
-    per_machine;
-    max_load = Cc_obs.Profile.max_load p;
-    mean_load = Cc_obs.Profile.mean_load p;
-    p50_load = Cc_obs.Profile.quantile p 0.5;
-    p95_load = Cc_obs.Profile.quantile p 0.95;
-    imbalance = Cc_obs.Profile.imbalance p;
-    hot = Cc_obs.Profile.hot ~k:top_k p;
-  }
-
-let pp_profile fmt t =
-  Format.pp_print_string fmt (Cc_obs.Profile.render (obs_profile t))
-
-let reset t =
-  t.total_rounds <- 0.0;
-  t.total_messages <- 0;
-  t.total_words <- 0;
-  t.total_retransmits <- 0;
-  t.total_dropped <- 0;
-  t.overhead_rounds <- 0.0;
-  Hashtbl.reset t.by_label;
-  (* Per-machine profile state is part of the ledger and resets with it; the
-     observability sink is wiring, not state, and stays installed. *)
-  Hashtbl.reset t.by_machine;
-  Array.fill t.m_sent_words 0 t.n 0;
-  Array.fill t.m_recv_words 0 t.n 0;
-  Array.fill t.m_sent_messages 0 t.n 0;
-  Array.fill t.m_recv_messages 0 t.n 0
-
 let word_bits t = max 8 (int_of_float (Float.ceil (Float.log2 (Float.of_int t.n))))
 
 let words_for_bits t bits =
@@ -553,11 +420,11 @@ let pp_ledger fmt t =
   then Format.fprintf fmt "%a@," pp_fault_summary t;
   Format.fprintf fmt "%s@]" (Cc_util.Table.render (ledger_table t))
 
-(* --- flight recorder / invariant glue ---
+(* --- flight recorder / profile / invariant glue ---
 
-   Cc_obs sits below this library, so the recorder and the invariant
-   monitor define their own canonical record type; these adapters subscribe
-   them to the event bus and translate each event. *)
+   Cc_obs sits below this library, so the recorder, the load profile and the
+   invariant monitor define their own inputs; these adapters subscribe them
+   to the event bus and translate each event. *)
 
 let attach_recorder t r =
   add_sink t (fun e ->
@@ -565,6 +432,11 @@ let attach_recorder t r =
         ~rounds:e.rounds ~round_end:e.total_rounds ~messages:e.messages
         ~words:e.words ~max_load:e.max_load ~sent:e.sent ~recv:e.recv
         ~retransmits:e.total_retransmits ~dropped:e.total_dropped)
+
+let attach_profile t p =
+  add_sink t (fun e ->
+      Cc_obs.Profile.add p ~label:e.label ~words:e.words ~sent:e.sent
+        ~recv:e.recv)
 
 let attach_invariant t inv =
   let seq = ref 0 in

@@ -184,8 +184,7 @@ type event = {
 type sink_id
 
 (** [add_sink t f] subscribes [f] to the event bus: it is invoked once per
-    booked primitive, after earlier subscribers. Subscriptions survive
-    {!reset}. *)
+    booked primitive, after earlier subscribers. *)
 val add_sink : t -> (event -> unit) -> sink_id
 
 (** [remove_sink t id] cancels a subscription (idempotent). *)
@@ -197,6 +196,13 @@ val remove_sink : t -> sink_id -> unit
     snapshotted). *)
 val attach_recorder : t -> Cc_obs.Recorder.t -> sink_id
 
+(** [attach_profile t p] subscribes the load profile [p] to the event bus:
+    every booked primitive's per-machine words are folded into [p] under its
+    label ({!Cc_obs.Profile.add}), building the machine × label congestion
+    matrix. The profile covers the traffic booked after the subscription,
+    so attach it right after {!create}. *)
+val attach_profile : t -> Cc_obs.Profile.t -> sink_id
+
 (** [attach_invariant t inv] subscribes the invariant monitor [inv] to the
     event bus for online checking of every booked primitive (Lenzen cap,
     conservation, round monotonicity). Violations accumulate in [inv] and
@@ -205,63 +211,12 @@ val attach_invariant : t -> Cc_obs.Invariant.t -> sink_id
 
 (** [ledger_violations t inv] reconciles the event stream [inv] has seen
     against [t]'s ledger and totals ({!Cc_obs.Invariant.check_ledger});
-    call once at end of run, with [inv] attached since [t]'s creation (or
-    last {!reset}). *)
+    call once at end of run, with [inv] attached since [t]'s creation. *)
 val ledger_violations : t -> Cc_obs.Invariant.t -> Cc_obs.Invariant.violation list
 
 (** [kind_name k] is the lowercase wire name (["exchange"], ["broadcast"],
     ["all_to_all"], ["aggregate"], ["charge"]). *)
 val kind_name : event_kind -> string
-
-(** {2 Per-machine load profile}
-
-    Alongside the per-label ledger, every routed primitive attributes its
-    word traffic to the machines that carried it: exchanges per packet
-    endpoint, a broadcast to its source (each other machine receiving a
-    copy), an all-to-all evenly, an aggregate to its contributors and
-    destination. Analytic {!charge}s move no attributable words. The profile
-    is pure observation — building it reads the counters and never perturbs
-    the ledger. *)
-
-type machine_load = {
-  machine : int;
-  sent_words : int;  (** words this machine sent, across all labels. *)
-  recv_words : int;
-  sent_messages : int;
-  recv_messages : int;
-  load : int;  (** [max sent_words recv_words] — what rounds are paid for. *)
-}
-
-type profile = {
-  machines : int;
-  per_machine : machine_load array;  (** indexed by machine ID. *)
-  max_load : int;  (** the hottest machine's load. *)
-  mean_load : float;  (** balanced ideal: total booked words / machines. *)
-  p50_load : float;
-  p95_load : float;
-  imbalance : float;
-      (** [max_load /. mean_load]: [~1] for a balanced pattern (all-to-all),
-          [~n] when one machine carries all the traffic. *)
-  hot : (int * int) list;  (** top-k [(machine, load)], descending. *)
-}
-
-(** [load_profile ?top_k t] summarizes the per-machine traffic booked so far
-    ([top_k], default 3, bounds the [hot] list). *)
-val load_profile : ?top_k:int -> t -> profile
-
-(** [obs_profile t] is the full machine × label congestion matrix as a
-    {!Cc_obs.Profile.t}, for heatmap rendering and JSONL export. *)
-val obs_profile : t -> Cc_obs.Profile.t
-
-(** [pp_profile fmt t] renders the congestion heatmap
-    ({!Cc_obs.Profile.render}) for the traffic booked so far. *)
-val pp_profile : Format.formatter -> t -> unit
-
-(** [reset t] zeroes all counters — the totals, the fault-overhead counters,
-    every per-label entry, and the per-machine load profile. Event-bus
-    subscriptions ({!add_sink}) are wiring, not state, and survive a
-    reset. *)
-val reset : t -> unit
 
 (** [words_for_bits t bits] is the number of O(log n)-bit words needed to
     carry [bits] bits at this clique size (word size = max 8 (ceil(log2 n))). *)

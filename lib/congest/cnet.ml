@@ -41,10 +41,6 @@ let create g =
 let graph t = t.graph
 let rounds t = t.total_rounds
 
-let reset t =
-  t.total_rounds <- 0.0;
-  Hashtbl.reset t.by_label
-
 let book t ~label r =
   t.total_rounds <- t.total_rounds +. r;
   Hashtbl.replace t.by_label label

@@ -18,9 +18,6 @@ val create : Cc_graph.Graph.t -> t
 val graph : t -> Cc_graph.Graph.t
 val rounds : t -> float
 
-(** [reset t] zeroes the round counter. *)
-val reset : t -> unit
-
 type packet = { src : int; dst : int; words : int }
 
 (** [exchange t ~label packets] delivers packets between {e adjacent}

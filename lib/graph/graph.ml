@@ -190,22 +190,34 @@ let of_string s =
     |> List.map String.trim
     |> List.filter (fun l -> l <> "" && l.[0] <> '#')
   in
+  (* A line is exactly its blank-separated fields: nothing may trail them. *)
+  let fields line =
+    String.map (fun c -> if c = '\t' then ' ' else c) line
+    |> String.split_on_char ' '
+    |> List.filter (fun f -> f <> "")
+  in
+  let bad_edge () = invalid_arg "Graph.of_string: bad edge line" in
+  let edge u v w =
+    match (int_of_string_opt u, int_of_string_opt v, float_of_string_opt w) with
+    | Some u, Some v, Some w -> (u, v, w)
+    | _ -> bad_edge ()
+  in
   match lines with
   | [] -> invalid_arg "Graph.of_string: empty input"
   | first :: rest ->
       let nv =
-        try Scanf.sscanf first "n %d" (fun n -> n)
-        with Scanf.Scan_failure _ | Failure _ | End_of_file ->
-          invalid_arg "Graph.of_string: expected 'n <count>' header"
+        match fields first with
+        | [ "n"; count ] when int_of_string_opt count <> None ->
+            int_of_string count
+        | _ -> invalid_arg "Graph.of_string: expected 'n <count>' header"
       in
       let edge_list =
         List.map
           (fun line ->
-            try Scanf.sscanf line "e %d %d %f" (fun u v w -> (u, v, w))
-            with Scanf.Scan_failure _ | Failure _ | End_of_file -> (
-              try Scanf.sscanf line "e %d %d" (fun u v -> (u, v, 1.0))
-              with Scanf.Scan_failure _ | Failure _ | End_of_file ->
-                invalid_arg "Graph.of_string: bad edge line"))
+            match fields line with
+            | [ "e"; u; v ] -> edge u v "1"
+            | [ "e"; u; v; w ] -> edge u v w
+            | _ -> bad_edge ())
           rest
       in
       of_edges ~n:nv edge_list

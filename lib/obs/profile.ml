@@ -2,51 +2,65 @@ type row = { label : string; sent : int array; recv : int array }
 
 type t = {
   machines : int;
-  rows : row list;
+  lanes : (string, row) Hashtbl.t;
   total_sent : int array;
   total_recv : int array;
-  total_words : int;
+  mutable total_words : int;
 }
+
+let create ~machines =
+  if machines < 1 then invalid_arg "Profile.create: need at least one machine";
+  {
+    machines;
+    lanes = Hashtbl.create 16;
+    total_sent = Array.make machines 0;
+    total_recv = Array.make machines 0;
+    total_words = 0;
+  }
+
+let add t ~label ~words ~sent ~recv =
+  match (sent, recv) with
+  | [||], [||] -> () (* an analytic charge routes no traffic *)
+  | _ ->
+      if Array.length sent <> t.machines || Array.length recv <> t.machines
+      then
+        invalid_arg
+          (Printf.sprintf "Profile.add: %S arrays must have length %d" label
+             t.machines);
+      let row =
+        match Hashtbl.find_opt t.lanes label with
+        | Some row -> row
+        | None ->
+            let row =
+              {
+                label;
+                sent = Array.make t.machines 0;
+                recv = Array.make t.machines 0;
+              }
+            in
+            Hashtbl.add t.lanes label row;
+            row
+      in
+      for i = 0 to t.machines - 1 do
+        row.sent.(i) <- row.sent.(i) + sent.(i);
+        row.recv.(i) <- row.recv.(i) + recv.(i);
+        t.total_sent.(i) <- t.total_sent.(i) + sent.(i);
+        t.total_recv.(i) <- t.total_recv.(i) + recv.(i)
+      done;
+      t.total_words <- t.total_words + words
 
 let peak_load row =
   let m = ref 0 in
   Array.iteri (fun i s -> m := max !m (max s row.recv.(i))) row.sent;
   !m
 
-let create ~machines ?total_words rows =
-  if machines < 1 then invalid_arg "Profile.create: need at least one machine";
-  List.iter
-    (fun r ->
-      if Array.length r.sent <> machines || Array.length r.recv <> machines
-      then
-        invalid_arg
-          (Printf.sprintf "Profile.create: row %S arrays must have length %d"
-             r.label machines))
-    rows;
-  let total_sent = Array.make machines 0 and total_recv = Array.make machines 0 in
-  List.iter
-    (fun r ->
-      Array.iteri
-        (fun i s ->
-          total_sent.(i) <- total_sent.(i) + s;
-          total_recv.(i) <- total_recv.(i) + r.recv.(i))
-        r.sent)
-    rows;
-  let sum = Array.fold_left ( + ) 0 in
-  let total_words =
-    match total_words with
-    | Some w -> w
-    | None -> max (sum total_sent) (sum total_recv)
-  in
-  let rows =
-    List.sort
-      (fun a b ->
-        match compare (peak_load b) (peak_load a) with
-        | 0 -> compare a.label b.label
-        | c -> c)
-      rows
-  in
-  { machines; rows; total_sent; total_recv; total_words }
+(* Descending by peak load, ties by label: independent of Hashtbl order. *)
+let rows t =
+  Hashtbl.fold (fun _ row acc -> row :: acc) t.lanes []
+  |> List.sort (fun a b ->
+         match compare (peak_load b) (peak_load a) with
+         | 0 -> compare a.label b.label
+         | c -> c)
 
 let machine_load t i = max t.total_sent.(i) t.total_recv.(i)
 
@@ -125,13 +139,14 @@ let render ?(max_width = 64) t =
     Array.init cols (fun c -> max (cell_of t.total_sent c) (cell_of t.total_recv c))
   in
   let scale = Array.fold_left max 0 total_cells in
+  let rows = rows t in
   let scale =
     List.fold_left
       (fun acc row -> Array.fold_left max acc (row_cells row))
-      scale t.rows
+      scale rows
   in
   let label_w =
-    List.fold_left (fun acc r -> max acc (String.length r.label)) 5 t.rows
+    List.fold_left (fun acc r -> max acc (String.length r.label)) 5 rows
   in
   let label_w = min 32 label_w in
   let clip s = if String.length s > label_w then String.sub s 0 label_w else s in
@@ -151,7 +166,7 @@ let render ?(max_width = 64) t =
   Buffer.add_string buf
     (Printf.sprintf "%-*s |%s| %8s\n" label_w "label" (String.make cols '-')
        "peak");
-  List.iter (fun row -> line row.label (row_cells row) (peak_load row)) t.rows;
+  List.iter (fun row -> line row.label (row_cells row) (peak_load row)) rows;
   line "TOTAL" total_cells (max_load t);
   (match hot ~k:1 t with
   | (m, _) :: _ ->
@@ -163,99 +178,3 @@ let render ?(max_width = 64) t =
   Buffer.add_string buf (summary_line t);
   Buffer.add_char buf '\n';
   Buffer.contents buf
-
-(* --- JSONL ------------------------------------------------------------- *)
-
-let int_array arr = Json.List (Array.to_list (Array.map (fun i -> Json.Int i) arr))
-
-let to_jsonl t =
-  let buf = Buffer.create 1024 in
-  let line v =
-    Buffer.add_string buf (Json.to_string v);
-    Buffer.add_char buf '\n'
-  in
-  line
-    (Json.Obj
-       [
-         ("type", Json.String "profile");
-         ("machines", Json.Int t.machines);
-         ("labels", Json.Int (List.length t.rows));
-         ("total_words", Json.Int t.total_words);
-       ]);
-  List.iter
-    (fun row ->
-      line
-        (Json.Obj
-           [
-             ("type", Json.String "label");
-             ("label", Json.String row.label);
-             ("sent", int_array row.sent);
-             ("recv", int_array row.recv);
-           ]))
-    t.rows;
-  line
-    (Json.Obj
-       [
-         ("type", Json.String "summary");
-         ("max_load", Json.Int (max_load t));
-         ("mean_load", Json.float_opt (mean_load t));
-         ("p50", Json.float_opt (quantile t 0.5));
-         ("p95", Json.float_opt (quantile t 0.95));
-         ("imbalance", Json.float_opt (imbalance t));
-         ( "hot",
-           Json.List
-             (List.map
-                (fun (m, load) -> Json.List [ Json.Int m; Json.Int load ])
-                (hot t)) );
-       ]);
-  Buffer.contents buf
-
-let of_jsonl s =
-  let ( let* ) = Result.bind in
-  let lines = String.split_on_char '\n' s |> List.filter (fun l -> l <> "") in
-  let parse_int_array v =
-    match Json.to_list_opt v with
-    | None -> Error "expected an array of integers"
-    | Some xs ->
-        let arr = Array.make (List.length xs) 0 in
-        let rec go i = function
-          | [] -> Ok arr
-          | Json.Int n :: rest ->
-              arr.(i) <- n;
-              go (i + 1) rest
-          | _ -> Error "expected an array of integers"
-        in
-        go 0 xs
-  in
-  let rec go machines total_words rows = function
-    | [] -> (
-        match machines with
-        | None -> Error "no profile header line"
-        | Some machines ->
-            Ok (create ~machines ?total_words (List.rev rows)))
-    | line :: rest -> (
-        let* v = Json.of_string line in
-        match Option.bind (Json.member "type" v) Json.to_string_opt with
-        | Some "profile" ->
-            let int_field key =
-              Option.bind (Json.member key v) (fun x ->
-                  match x with Json.Int i -> Some i | _ -> None)
-            in
-            go (int_field "machines") (int_field "total_words") rows rest
-        | Some "label" -> (
-            match
-              ( Option.bind (Json.member "label" v) Json.to_string_opt,
-                Json.member "sent" v,
-                Json.member "recv" v )
-            with
-            | Some label, Some sent, Some recv ->
-                let* sent = parse_int_array sent in
-                let* recv = parse_int_array recv in
-                go machines total_words ({ label; sent; recv } :: rows) rest
-            | _ -> Error "malformed label line")
-        | Some "summary" -> go machines total_words rows rest
-        | _ -> Error "line is not a profile/label/summary record")
-  in
-  match go None None [] lines with
-  | exception Invalid_argument msg -> Error msg
-  | r -> r

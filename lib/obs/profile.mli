@@ -2,10 +2,10 @@
 
     A profile is the machine × label congestion matrix of one simulated run:
     for every ledger label, how many words each machine sent and received
-    under it. The metering layer ({!Cc_clique.Net}) builds one from its
-    per-machine ledger; this module only aggregates and renders, so it can
-    also reload a profile from its JSONL export ({!of_jsonl}) for offline
-    analysis with [ccprof].
+    under it. It is a fold over the Net event stream, one primitive at a
+    time ({!add}): [Cc_clique.Net.attach_profile] subscribes it to a live
+    net, and [ccprof heatmap] feeds it the records of a flight-recorder log,
+    so both render the same heatmap for the same run.
 
     The load of a machine is [max (sent, received)] words — the quantity
     Lenzen routing charges rounds for. The {e imbalance factor} compares the
@@ -21,27 +21,32 @@ type row = {
   recv : int array;  (** words received per machine. *)
 }
 
-type t = {
+type t = private {
   machines : int;
-  rows : row list;  (** descending by peak load, ties by label. *)
+  lanes : (string, row) Hashtbl.t;  (** each label's row, keyed by label. *)
   total_sent : int array;  (** per-machine totals across all labels. *)
   total_recv : int array;
-  total_words : int;
-      (** words booked by the metering layer — the denominator of the
-          balanced ideal. At least [max (sum sent, sum recv)]. *)
+  mutable total_words : int;
+      (** words booked by the folded primitives — the numerator of the
+          balanced ideal (for Net's primitives, at least
+          [max (sum sent, sum recv)]). *)
 }
 
-(** [create ~machines ?total_words rows] assembles a profile, computing the
-    per-machine totals and sorting rows by descending peak load. When
-    [total_words] is omitted it defaults to
-    [max (sum total_sent, sum total_recv)].
-    @raise Invalid_argument if a row's arrays are not [machines] long. *)
-val create : machines:int -> ?total_words:int -> row list -> t
+(** [create ~machines] is an empty profile of a [machines]-machine clique.
+    @raise Invalid_argument if [machines < 1]. *)
+val create : machines:int -> t
+
+(** [add t ~label ~words ~sent ~recv] folds one booked primitive into [t]:
+    [sent.(i)] / [recv.(i)] words of machine [i] join [label]'s row and the
+    per-machine totals, and [words] (the primitive's booked words) joins the
+    balanced ideal's numerator. An analytic charge — both arrays empty —
+    routes no traffic and is skipped.
+    @raise Invalid_argument if the arrays are not both empty or both
+    [machines] long. *)
+val add :
+  t -> label:string -> words:int -> sent:int array -> recv:int array -> unit
 
 (** {1 Summary statistics} *)
-
-(** [machine_load t i] is [max sent recv] total words at machine [i]. *)
-val machine_load : t -> int -> int
 
 (** [max_load t] is the hottest machine's load. *)
 val max_load : t -> int
@@ -65,21 +70,11 @@ val hot : ?k:int -> t -> (int * int) list
 (** {1 Rendering} *)
 
 (** [render ?max_width t] is an ASCII machine × label heatmap: one row per
-    label plus a totals row, one column per machine (machines are bucketed
-    when there are more than [max_width], default 64, each cell then showing
-    the bucket maximum). Cell intensity uses the ramp [" .:-=+*#%@"] scaled
-    to the global maximum; a [^] marker under the totals row points at the
-    hottest machine. A summary line reports max/mean/p50/p95 load and the
-    imbalance factor. *)
+    label (descending by peak load, ties by label) plus a totals row, one
+    column per machine (machines are bucketed when there are more than
+    [max_width], default 64, each cell then showing the bucket maximum).
+    Cell intensity uses the ramp [" .:-=+*#%@"] scaled to the global
+    maximum; a [^] marker under the totals row points at the hottest
+    machine. A summary line reports max/mean/p50/p95 load and the imbalance
+    factor. *)
 val render : ?max_width:int -> t -> string
-
-(** [summary_line t] is the one-line max/mean/p50/p95/imbalance summary. *)
-val summary_line : t -> string
-
-(** [to_jsonl t] is the profile as JSON lines: one [profile] header, one
-    [label] line per row, one [summary] trailer. *)
-val to_jsonl : t -> string
-
-(** [of_jsonl s] reloads a profile written by {!to_jsonl} (the summary
-    trailer is ignored and recomputed). *)
-val of_jsonl : string -> (t, string) result

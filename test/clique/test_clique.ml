@@ -2,6 +2,7 @@
    aggregation, and the two matrix-multiplication backends. *)
 
 module Net = Cc_clique.Net
+module Profile = Cc_obs.Profile
 module Fault = Cc_clique.Fault
 module Matmul = Cc_clique.Matmul
 module Mat = Cc_linalg.Mat
@@ -87,18 +88,6 @@ let test_ledger_tie_order () =
   Alcotest.(check string) "highest rounds first" "alpha"
     (match Net.ledger net with (l, _, _, _) :: _ -> l | [] -> "")
 
-let test_reset () =
-  let net = Net.create ~n:4 in
-  Net.exchange net ~label:"t" [ { Net.src = 0; dst = 1; words = 5 } ];
-  Net.reset net;
-  check_rounds "after reset" 0.0 net;
-  Alcotest.(check int) "messages" 0 (Net.messages net);
-  Alcotest.(check int) "words" 0 (Net.words net);
-  (* The per-label entries are dropped too, not just the totals. *)
-  Alcotest.(check int) "per-label ledger empty" 0 (List.length (Net.ledger net));
-  Net.exchange net ~label:"t" [ { Net.src = 0; dst = 1; words = 5 } ];
-  Alcotest.(check int) "usable after reset" 1 (List.length (Net.ledger net))
-
 (* --- broadcast / all_to_all / aggregate --- *)
 
 let test_broadcast_small_payload () =
@@ -130,32 +119,36 @@ let test_aggregate_not_combinable () =
   (* 7 contributors * 8 words = 56 words to one machine = ceil(56/8) = 7. *)
   check_rounds "gather" 7.0 net
 
-(* --- per-machine load profile --- *)
+(* --- per-machine load profile (a bus subscriber) --- *)
+
+(* A net with a load profile subscribed from its creation. *)
+let profiled_net n =
+  let net = Net.create ~n in
+  let p = Profile.create ~machines:n in
+  ignore (Net.attach_profile net p);
+  (net, p)
 
 let test_skewed_exchange_imbalance () =
   (* One machine sends n words to each of the n-1 others and nothing flows
      back: its load is the whole run's traffic, so the imbalance factor must
      hit n (the worst case Lenzen routing can be handed). *)
   let n = 8 in
-  let net = Net.create ~n in
+  let net, p = profiled_net n in
   Net.exchange net ~label:"skew"
     (List.init (n - 1) (fun i -> { Net.src = 0; dst = i + 1; words = n }));
-  let p = Net.load_profile net in
   Alcotest.(check int) "hot machine carries everything" (n * (n - 1))
-    p.Net.max_load;
-  Alcotest.(check (float 1e-9)) "imbalance = n" (float_of_int n) p.Net.imbalance;
-  (match p.Net.hot with
+    (Profile.max_load p);
+  Alcotest.(check (float 1e-9)) "imbalance = n" (float_of_int n)
+    (Profile.imbalance p);
+  (match Profile.hot p with
   | (m, load) :: _ ->
       Alcotest.(check int) "hot machine id" 0 m;
       Alcotest.(check int) "hot machine load" (n * (n - 1)) load
   | [] -> Alcotest.fail "no hot machine");
-  Alcotest.(check int) "sender words" (n * (n - 1))
-    p.Net.per_machine.(0).Net.sent_words;
-  Alcotest.(check int) "sender messages" (n - 1)
-    p.Net.per_machine.(0).Net.sent_messages;
-  Alcotest.(check int) "receiver words" n p.Net.per_machine.(1).Net.recv_words;
+  Alcotest.(check int) "sender words" (n * (n - 1)) p.Profile.total_sent.(0);
+  Alcotest.(check int) "receiver words" n p.Profile.total_recv.(1);
   (* The heatmap marks the hot machine's column. *)
-  let rendered = Format.asprintf "%a" Net.pp_profile net in
+  let rendered = Profile.render p in
   Alcotest.(check bool) "heatmap marks machine 0" true
     (let marker = "^ machine 0" in
      let rec contains i =
@@ -168,42 +161,37 @@ let test_skewed_exchange_imbalance () =
 let test_balanced_all_to_all_imbalance () =
   (* Every machine carries exactly the mean: imbalance is exactly 1. *)
   let n = 8 in
-  let net = Net.create ~n in
+  let net, p = profiled_net n in
   Net.all_to_all net ~label:"dense" ~words_each:3;
-  let p = Net.load_profile net in
-  Alcotest.(check int) "per-machine load" (3 * (n - 1)) p.Net.max_load;
-  Alcotest.(check (float 1e-9)) "imbalance = 1" 1.0 p.Net.imbalance;
+  Alcotest.(check int) "per-machine load" (3 * (n - 1)) (Profile.max_load p);
+  Alcotest.(check (float 1e-9)) "imbalance = 1" 1.0 (Profile.imbalance p);
   Alcotest.(check (float 1e-9)) "p50 = max (flat profile)"
-    (float_of_int p.Net.max_load) p.Net.p50_load
+    (float_of_int (Profile.max_load p))
+    (Profile.quantile p 0.5)
 
 let test_broadcast_attributes_source () =
   (* The source emits the payload once, every other machine takes a copy —
      so sends concentrate at the source while receive load is flat. *)
   let n = 16 in
-  let net = Net.create ~n in
+  let net, p = profiled_net n in
   Net.broadcast net ~label:"bc" ~src:3 ~words:160;
-  let p = Net.load_profile net in
-  Alcotest.(check int) "source sends the payload" 160
-    p.Net.per_machine.(3).Net.sent_words;
-  Alcotest.(check int) "source receives nothing" 0
-    p.Net.per_machine.(3).Net.recv_words;
-  Alcotest.(check int) "others send nothing" 0
-    p.Net.per_machine.(0).Net.sent_words;
-  Alcotest.(check int) "receiver load" 160 p.Net.per_machine.(0).Net.recv_words;
-  Alcotest.(check int) "max load = payload" 160 p.Net.max_load
+  Alcotest.(check int) "source sends the payload" 160 p.Profile.total_sent.(3);
+  Alcotest.(check int) "source receives nothing" 0 p.Profile.total_recv.(3);
+  Alcotest.(check int) "others send nothing" 0 p.Profile.total_sent.(0);
+  Alcotest.(check int) "receiver load" 160 p.Profile.total_recv.(0);
+  Alcotest.(check int) "max load = payload" 160 (Profile.max_load p)
 
 let test_aggregate_attributes_destination () =
   let n = 8 in
-  let net = Net.create ~n in
+  let net, p = profiled_net n in
   Net.aggregate net ~label:"agg" ~combinable:false
     ~contributors:(List.init n (fun i -> i))
     ~dst:0 8;
-  let p = Net.load_profile net in
-  (match p.Net.hot with
+  match Profile.hot p with
   | (m, load) :: _ ->
       Alcotest.(check int) "gather destination is hot" 0 m;
       Alcotest.(check int) "destination receives everything" ((n - 1) * 8) load
-  | [] -> Alcotest.fail "no hot machine")
+  | [] -> Alcotest.fail "no hot machine"
 
 let test_sink_sees_max_load () =
   let n = 8 in
@@ -216,46 +204,20 @@ let test_sink_sees_max_load () =
   Alcotest.(check (list int)) "per-primitive loads (charge books none)"
     [ 0; n * (n - 1) ] !seen
 
-let test_reset_clears_profile () =
-  let net = Net.create ~n:4 in
-  Net.exchange net ~label:"t" [ { Net.src = 0; dst = 1; words = 5 } ];
-  Net.reset net;
-  let p = Net.load_profile net in
-  Alcotest.(check int) "max load" 0 p.Net.max_load;
-  Alcotest.(check (float 1e-9)) "imbalance of empty profile" 1.0 p.Net.imbalance;
-  Alcotest.(check (list (pair int int))) "no hot machines" [] p.Net.hot;
-  Array.iter
-    (fun m -> Alcotest.(check int) "per-machine zero" 0 m.Net.load)
-    p.Net.per_machine
-
-let test_reset_keeps_sink () =
-  (* The sink is observability wiring, not ledger state: a reset must leave
-     an installed callback active. *)
-  let net = Net.create ~n:4 in
-  let count = ref 0 in
-  ignore (Net.add_sink net (fun _ -> incr count));
-  Net.exchange net ~label:"t" [ { Net.src = 0; dst = 1; words = 1 } ];
-  Alcotest.(check int) "sink saw the first booking" 1 !count;
-  Net.reset net;
-  Net.exchange net ~label:"t" [ { Net.src = 0; dst = 1; words = 1 } ];
-  Alcotest.(check int) "sink survived the reset" 2 !count
-
 let test_profile_does_not_perturb () =
-  (* Reading the profile mid-run must leave the ledger bit-identical to a
-     run that never looked. *)
+  (* Subscribing a profile and reading it mid-run must leave the ledger
+     bit-identical to a run that never looked. *)
   let drive peek =
     let n = 8 in
     let net = Net.create ~n in
+    let p = Profile.create ~machines:n in
+    if peek then ignore (Net.attach_profile net p);
     Net.exchange net ~label:"a"
       (List.init (n - 1) (fun i -> { Net.src = 0; dst = i + 1; words = 3 }));
-    if peek then begin
-      ignore (Net.load_profile net);
-      ignore (Net.obs_profile net);
-      ignore (Format.asprintf "%a" Net.pp_profile net)
-    end;
+    if peek then ignore (Profile.render p);
     Net.broadcast net ~label:"b" ~src:2 ~words:40;
     Net.aggregate net ~label:"c" ~contributors:[ 1; 2; 3 ] ~dst:0 4;
-    if peek then ignore (Net.load_profile net);
+    if peek then ignore (Profile.render p);
     (Net.rounds net, Net.messages net, Net.words net, Net.ledger net)
   in
   let bare = drive false and observed = drive true in
@@ -497,16 +459,6 @@ let test_resubscribe_and_detach () =
   Alcotest.(check (list string)) "detached sink is silent" [ "bus"; "late" ]
     (book ())
 
-let test_reset_keeps_all_sinks () =
-  let net = Net.create ~n:4 in
-  let hits = ref 0 in
-  ignore (Net.add_sink net (fun _ -> incr hits));
-  ignore (Net.add_sink net (fun _ -> incr hits));
-  ignore (Net.add_sink net (fun _ -> incr hits));
-  Net.reset net;
-  Net.exchange net ~label:"t" [ { Net.src = 0; dst = 1; words = 1 } ];
-  Alcotest.(check int) "all three subscriptions survive reset" 3 !hits
-
 let test_event_per_machine_words () =
   let n = 4 in
   let net = Net.create ~n in
@@ -599,7 +551,6 @@ let () =
           Alcotest.test_case "validation" `Quick test_exchange_validation;
           Alcotest.test_case "ledger" `Quick test_ledger_breakdown;
           Alcotest.test_case "ledger tie order" `Quick test_ledger_tie_order;
-          Alcotest.test_case "reset" `Quick test_reset;
         ] );
       ( "collectives",
         [
@@ -621,9 +572,6 @@ let () =
           Alcotest.test_case "aggregate destination" `Quick
             test_aggregate_attributes_destination;
           Alcotest.test_case "sink max_load" `Quick test_sink_sees_max_load;
-          Alcotest.test_case "reset clears profile" `Quick
-            test_reset_clears_profile;
-          Alcotest.test_case "reset keeps sink" `Quick test_reset_keeps_sink;
           Alcotest.test_case "profile does not perturb" `Quick
             test_profile_does_not_perturb;
         ] );
@@ -633,8 +581,6 @@ let () =
             test_add_sink_ordering;
           Alcotest.test_case "re-subscribe and detach" `Quick
             test_resubscribe_and_detach;
-          Alcotest.test_case "all sinks survive reset" `Quick
-            test_reset_keeps_all_sinks;
           Alcotest.test_case "per-machine words on events" `Quick
             test_event_per_machine_words;
           Alcotest.test_case "invariants clean on primitives" `Quick

@@ -202,15 +202,6 @@ let test_straggler_label () =
 
 (* --- accounting --- *)
 
-let test_reset_zeroes_fault_counters () =
-  let net = mk (Fault.spec ~drop_prob:0.3 ~straggle_prob:0.3 ~seed:6 ()) in
-  ignore (Net.reliable_exchange net ~label:"x" (ring 8 4));
-  Net.reset net;
-  Alcotest.(check int) "retransmits" 0 (Net.retransmits net);
-  Alcotest.(check int) "dropped" 0 (Net.dropped net);
-  Alcotest.(check (float 0.0)) "overhead" 0.0 (Net.overhead_rounds net);
-  Alcotest.(check int) "per-label ledger empty" 0 (List.length (Net.ledger net))
-
 let test_charge_overhead () =
   let net = Net.create ~n:4 in
   Net.charge_overhead net ~label:"recover:retry" 3.0;
@@ -304,7 +295,6 @@ let () =
         ] );
       ( "accounting",
         [
-          Alcotest.test_case "reset zeroes counters" `Quick test_reset_zeroes_fault_counters;
           Alcotest.test_case "charge_overhead" `Quick test_charge_overhead;
           Alcotest.test_case "health classification" `Quick test_health_classification;
           Alcotest.test_case "spec validation" `Quick test_spec_validation;

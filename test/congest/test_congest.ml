@@ -47,16 +47,14 @@ let test_token_route_cost () =
 
 let test_reset_and_ledger () =
   let net = Cnet.create (Gen.cycle 5) in
+  Alcotest.(check int) "fresh ledger empty" 0 (List.length (Cnet.ledger net));
   Cnet.charge net ~label:"a" 3.0;
   Cnet.charge net ~label:"b" 1.0;
   Alcotest.(check int) "two labels" 2 (List.length (Cnet.ledger net));
-  Cnet.reset net;
-  Alcotest.(check (float 1e-9)) "reset" 0.0 (Cnet.rounds net);
-  (* Like Net.reset, the per-label entries are dropped, not just the total. *)
-  Alcotest.(check int) "per-label ledger empty" 0 (List.length (Cnet.ledger net));
   Cnet.charge net ~label:"c" 2.0;
-  Alcotest.(check (list (pair string (float 1e-9)))) "usable after reset"
-    [ ("c", 2.0) ] (Cnet.ledger net)
+  Alcotest.(check (list (pair string (float 1e-9)))) "per label, descending"
+    [ ("a", 3.0); ("c", 2.0); ("b", 1.0) ] (Cnet.ledger net);
+  Alcotest.(check (float 1e-9)) "total rounds" 6.0 (Cnet.rounds net)
 
 (* --- baselines --- *)
 

@@ -239,7 +239,31 @@ let test_of_string_errors () =
     (Invalid_argument "Graph.of_string: expected 'n <count>' header") (fun () ->
       ignore (Graph.of_string "vertices 4\ne 0 1"));
   check_raises "bad edge" (Invalid_argument "Graph.of_string: bad edge line")
-    (fun () -> ignore (Graph.of_string "n 4\nedge 0 1"))
+    (fun () -> ignore (Graph.of_string "n 4\nedge 0 1"));
+  (* Every field must parse and nothing may trail them. *)
+  List.iter
+    (fun (what, s) ->
+      check_raises what (Invalid_argument "Graph.of_string: bad edge line")
+        (fun () -> ignore (Graph.of_string s)))
+    [
+      ("non-numeric weight", "n 3\ne 0 1 abc\ne 1 2 1");
+      ("weight with a unit", "n 3\ne 0 1 2.5kg");
+      ("trailing field", "n 3\ne 0 1 2 3");
+      ("missing endpoint", "n 3\ne 0");
+      ("non-numeric endpoint", "n 3\ne 1 two");
+    ];
+  List.iter
+    (fun (what, s) ->
+      check_raises what
+        (Invalid_argument "Graph.of_string: expected 'n <count>' header")
+        (fun () -> ignore (Graph.of_string s)))
+    [
+      ("header with trailing junk", "n 3 junk\ne 0 1");
+      ("non-numeric count", "n three\ne 0 1");
+    ];
+  (* Tabs separate fields like spaces. *)
+  Alcotest.(check (float 1e-9)) "tab-separated weight" 2.5
+    (Graph.edge_weight (Graph.of_string "n\t2\ne\t0 1\t2.5") 0 1)
 
 let test_of_string_comments_and_unweighted () =
   let g = Graph.of_string "# a comment\nn 3\ne 0 1\ne 1 2 2.5\n" in

@@ -511,10 +511,10 @@ let test_json_parse_errors () =
 (* --- Profile ------------------------------------------------------------ *)
 
 let two_hot_profile () =
-  Profile.create ~machines:4
-    [
-      { Profile.label = "a"; sent = [| 6; 2; 2; 2 |]; recv = [| 2; 6; 2; 2 |] };
-    ]
+  let p = Profile.create ~machines:4 in
+  Profile.add p ~label:"a" ~words:12 ~sent:[| 6; 2; 2; 2 |]
+    ~recv:[| 2; 6; 2; 2 |];
+  p
 
 let test_profile_stats () =
   let p = two_hot_profile () in
@@ -530,20 +530,35 @@ let test_profile_stats () =
     (Profile.hot p)
 
 let test_profile_create_validates () =
-  let bad = { Profile.label = "x"; sent = [| 1 |]; recv = [| 1; 2 |] } in
   (try
-     ignore (Profile.create ~machines:2 [ bad ]);
-     Alcotest.fail "short arrays accepted"
+     ignore (Profile.create ~machines:0);
+     Alcotest.fail "zero machines accepted"
    with Invalid_argument _ -> ());
-  try
-    ignore (Profile.create ~machines:0 []);
-    Alcotest.fail "zero machines accepted"
-  with Invalid_argument _ -> ()
+  let p = Profile.create ~machines:2 in
+  List.iter
+    (fun (what, sent, recv) ->
+      try
+        Profile.add p ~label:"x" ~words:1 ~sent ~recv;
+        Alcotest.failf "%s accepted" what
+      with Invalid_argument _ -> ())
+    [
+      ("short arrays", [| 1 |], [| 1; 2 |]);
+      ("long arrays", [| 1; 2; 3 |], [| 1; 2; 3 |]);
+      ("one empty array", [||], [| 1; 2 |]);
+    ];
+  (* An analytic charge (both arrays empty) routes nothing and is skipped. *)
+  Profile.add p ~label:"charge" ~words:0 ~sent:[||] ~recv:[||];
+  Alcotest.(check int) "no rows" 0 (Hashtbl.length p.Profile.lanes);
+  Alcotest.(check int) "no load" 0 (Profile.max_load p);
+  Alcotest.(check (float 1e-9)) "imbalance of empty profile" 1.0
+    (Profile.imbalance p);
+  Alcotest.(check (list (pair int int))) "no hot machines" [] (Profile.hot p)
 
 let test_profile_render_buckets () =
   let sent = Array.make 10 0 and recv = Array.make 10 1 in
   sent.(9) <- 40;
-  let p = Profile.create ~machines:10 [ { Profile.label = "skew"; sent; recv } ] in
+  let p = Profile.create ~machines:10 in
+  Profile.add p ~label:"skew" ~words:40 ~sent ~recv;
   let s = Profile.render ~max_width:5 p in
   List.iter
     (fun needle ->
@@ -551,37 +566,41 @@ let test_profile_render_buckets () =
         (contains_substring ~needle s))
     [ "(2 per column)"; "TOTAL"; "^ machine 9"; "imbalance" ]
 
-let test_profile_jsonl_roundtrip () =
-  let p =
-    Profile.create ~machines:3 ~total_words:20
-      [
-        { Profile.label = "a"; sent = [| 5; 0; 0 |]; recv = [| 0; 5; 0 |] };
-        { Profile.label = "b"; sent = [| 1; 1; 1 |]; recv = [| 1; 1; 1 |] };
-      ]
-  in
-  match Profile.of_jsonl (Profile.to_jsonl p) with
+let test_profile_recorded_log_fold () =
+  (* Folding a recorded sampler run's log, reloaded from its JSONL export,
+     must rebuild exactly the profile the live subscription accumulated. *)
+  let prng = Prng.create ~seed:3 in
+  let g = Gen.build prng Gen.Lollipop ~n:12 in
+  let n = Graph.n g in
+  let net = Net.create ~n in
+  let live = Profile.create ~machines:n in
+  let r = Recorder.create ~machines:n () in
+  ignore (Net.attach_profile net live);
+  ignore (Net.attach_recorder net r);
+  ignore (Sampler.sample net prng g);
+  match Recorder.of_jsonl (Recorder.to_jsonl r) with
   | Error e -> Alcotest.failf "reload failed: %s" e
-  | Ok q ->
-      Alcotest.(check int) "machines" p.Profile.machines q.Profile.machines;
-      Alcotest.(check int) "total_words" p.Profile.total_words
-        q.Profile.total_words;
-      Alcotest.(check int) "max load" (Profile.max_load p) (Profile.max_load q);
-      Alcotest.(check (float 1e-9))
-        "imbalance" (Profile.imbalance p) (Profile.imbalance q);
-      Alcotest.(check (list string))
-        "rows and order survive"
-        (List.map (fun (r : Profile.row) -> r.Profile.label) p.Profile.rows)
-        (List.map (fun (r : Profile.row) -> r.Profile.label) q.Profile.rows);
-      Alcotest.(check string) "render identical" (Profile.render p)
-        (Profile.render q)
-
-let test_profile_of_jsonl_rejects_garbage () =
-  (match Profile.of_jsonl "" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "empty input accepted");
-  match Profile.of_jsonl "{\"type\":\"label\",\"label\":\"x\"}" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "label without arrays accepted"
+  | Ok l ->
+      Alcotest.(check bool) "digest verifies" true
+        (Result.is_ok (Recorder.verify l));
+      let folded = Profile.create ~machines:(Recorder.machines l.Recorder.log) in
+      List.iter
+        (fun (x : Recorder.record) ->
+          Profile.add folded ~label:x.label ~words:x.words ~sent:x.sent
+            ~recv:x.recv)
+        (Recorder.records l.Recorder.log);
+      Alcotest.(check bool) "the run booked traffic" true
+        (Profile.max_load live > 0);
+      Alcotest.(check int) "total words = Net.words" (Net.words net)
+        live.Profile.total_words;
+      Alcotest.(check int) "total words" live.Profile.total_words
+        folded.Profile.total_words;
+      Alcotest.(check (array int)) "per-machine sent" live.Profile.total_sent
+        folded.Profile.total_sent;
+      Alcotest.(check (array int)) "per-machine recv" live.Profile.total_recv
+        folded.Profile.total_recv;
+      Alcotest.(check string) "heatmap identical" (Profile.render live)
+        (Profile.render folded)
 
 (* --- Benchdata ---------------------------------------------------------- *)
 
@@ -1302,10 +1321,8 @@ let () =
             test_profile_create_validates;
           Alcotest.test_case "heatmap buckets wide profiles" `Quick
             test_profile_render_buckets;
-          Alcotest.test_case "jsonl round-trip" `Quick
-            test_profile_jsonl_roundtrip;
-          Alcotest.test_case "of_jsonl rejects garbage" `Quick
-            test_profile_of_jsonl_rejects_garbage;
+          Alcotest.test_case "recorded log folds to live profile" `Quick
+            test_profile_recorded_log_fold;
         ] );
       ( "benchdata",
         [

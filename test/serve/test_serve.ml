@@ -300,6 +300,14 @@ let test_serve_malformed_and_torn_lines () =
   (match collect srv c ~n:1 with
   | [ Protocol.Error _ ] -> ()
   | _ -> Alcotest.fail "expected error response");
+  (* A graph string with a malformed edge weight: a structured error, not a
+     tree of a silently reweighted graph. *)
+  send srv c "{\"graph\": \"n 3\\ne 0 1 abc\\ne 1 2 1\", \"k\": 1}\n";
+  (match collect srv c ~n:1 with
+  | [ Protocol.Error e ] ->
+      Alcotest.(check string) "names the bad edge line"
+        "bad graph: Graph.of_string: bad edge line" e.message
+  | _ -> Alcotest.fail "expected error response");
   (* A torn request line: half now, half later — served once complete. *)
   let line = req ~k:1 ~seed:3 () in
   let half = String.length line / 2 in
