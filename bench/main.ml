@@ -1531,11 +1531,31 @@ let microbench () =
       ~positions:(Array.init 30 (fun j -> (j / 5, 0)))
       ~weight:(fun ~v ~p ~q:_ -> 0.1 +. float_of_int (((7 * v) + (3 * p)) mod 11))
   in
+  (* One cc_expander phase's dense work at n = 96 (Er_log 6): the shortcut
+     inverse of I - T, with T the transition matrix minus the columns of an
+     S of every other vertex; a dense product; the transition matrix. Their
+     own prng leaves the other rows' inputs as they were. *)
+  let prng96 = Prng.create ~seed:96 in
+  let er96 = Gen.build prng96 (Gen.family_of_string "erlog:6") ~n:96 in
+  let m96 =
+    Mat.normalize_rows
+      (Mat.init ~rows:96 ~cols:96 (fun _ _ -> Prng.float prng96 1.0 +. 0.01))
+  in
+  let i_minus_t96 =
+    let p = Graph.transition_matrix er96 in
+    Mat.init ~rows:96 ~cols:96 (fun w x ->
+        (if w = x then 1.0 else 0.0) -. if x mod 2 = 0 then 0.0 else Mat.get p w x)
+  in
   let tests =
     [
       Test.make ~name:"mat-mul-64" (Staged.stage (fun () -> ignore (Mat.mul m64 m64)));
       Test.make ~name:"lu-inverse-64"
         (Staged.stage (fun () -> ignore (Cc_linalg.Solve.inverse m64)));
+      Test.make ~name:"mat-mul-96" (Staged.stage (fun () -> ignore (Mat.mul m96 m96)));
+      Test.make ~name:"lu-inverse-96"
+        (Staged.stage (fun () -> ignore (Cc_linalg.Solve.inverse i_minus_t96)));
+      Test.make ~name:"transition-96"
+        (Staged.stage (fun () -> ignore (Graph.transition_matrix er96)));
       Test.make ~name:"ryser-permanent-10"
         (Staged.stage (fun () -> ignore (Cc_matching.Permanent.ryser weights10)));
       Test.make ~name:"matching-exact-8"

@@ -55,22 +55,6 @@ let log2_ceil x = (* for x a power of two this is exact *)
   let rec go p e = if p >= x then e else go (2 * p) (e + 1) in
   go 1 0
 
-(* Lazy mixing (I + P) / 2: kills the periodicity of bipartite (sub)graphs
-   so that coarse-level truncation can fire; self-loop steps never produce
-   first-visit edges, and the embedded non-lazy walk is exactly the original
-   walk, so the sampled tree's law is unchanged. *)
-let lazy_mix m =
-  let n = Mat.rows m in
-  Mat.init ~rows:n ~cols:n (fun i j ->
-      (0.5 *. Mat.get m i j) +. if i = j then 0.5 else 0.0)
-
-(* Numeric cleanup: clamp dust and renormalize rows so Phase_walk receives a
-   proper stochastic matrix. *)
-let sanitize_stochastic m =
-  Mat.normalize_rows
-    (Mat.init ~rows:(Mat.rows m) ~cols:(Mat.cols m) (fun i j ->
-         Float.max 0.0 (Mat.get m i j)))
-
 let default_schur_k n = next_pow2 (16 * n * n * n)
 
 (* Rounds for computing SHORTCUT + SCHUR via the paper's powering pipeline:
@@ -151,7 +135,11 @@ let prepare ?(config = default_config) g =
   @@ fun () ->
   let target_len = resolve_target_len config n in
   let trans1 = Graph.transition_matrix g in
-  let trans1 = if config.lazy_walk then lazy_mix trans1 else trans1 in
+  (* Lazy mixing (I + P) / 2 kills the periodicity of bipartite (sub)graphs
+     so that coarse-level truncation can fire; self-loop steps never produce
+     first-visit edges, and the embedded non-lazy walk is exactly the
+     original walk, so the sampled tree's law is unchanged. *)
+  let trans1 = if config.lazy_walk then Mat.half_lazy trans1 else trans1 in
   (* The phase-1 power table is the dominant graph-only cost; computing it
      pure here and replaying its bookings at draw time (Matmul.power_table
      ~reuse) yields bit-identical matrices and bookings to a cold run. *)
@@ -211,8 +199,12 @@ let phase_entry plan ~s =
             let k = Option.value ~default:(default_schur_k n) k in
             Shortcut.approx ?bits:config.bits g ~in_s ~k
       in
-      let trans = sanitize_stochastic (Schur.transition_via_shortcut g q ~s) in
-      let trans = if config.lazy_walk then lazy_mix trans else trans in
+      (* Clamp numeric dust and renormalize, so Phase_walk receives a proper
+         stochastic matrix. *)
+      let trans =
+        Mat.sanitize_stochastic (Schur.transition_via_shortcut g q ~s)
+      in
+      let trans = if config.lazy_walk then Mat.half_lazy trans else trans in
       let e = { e_q = q; e_trans = trans; e_powers = ref None } in
       if Hashtbl.length plan.plan_memo < memo_cap then
         Hashtbl.add plan.plan_memo key e;

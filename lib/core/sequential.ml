@@ -13,11 +13,6 @@ let next_pow2 x =
   let rec go p = if p >= x then p else go (2 * p) in
   go 1
 
-let sanitize m =
-  Mat.normalize_rows
-    (Mat.init ~rows:(Mat.rows m) ~cols:(Mat.cols m) (fun i j ->
-         Float.max 0.0 (Mat.get m i j)))
-
 (* ------------------------------------------------------------------ *)
 (* Prepared plans: mirrors Sampler's prepare/draw split for the
    sequential reference. Everything here is pure compute, so memo hits
@@ -96,7 +91,9 @@ let phase_entry plan ~s =
       let trans =
         if Array.length s = 2 then q (* unused: the phase is a forced step *)
         else begin
-          let t = sanitize (Schur.transition_via_shortcut g q ~s) in
+          let t =
+            Mat.sanitize_stochastic (Schur.transition_via_shortcut g q ~s)
+          in
           if plan.plan_lazy_walk then Mat.half_lazy t else t
         end
       in

@@ -115,15 +115,25 @@ let adjacency_matrix g =
     g.edges;
   m
 
+(* Both builders fill row u from u's adjacency, O(n^2 + m) in all; every
+   entry they leave at its initial value is the one a non-edge gets. *)
 let transition_matrix g =
-  Cc_linalg.Mat.init ~rows:g.n ~cols:g.n (fun u v ->
-      let d = weighted_degree g u in
-      if d = 0.0 then if u = v then 1.0 else 0.0
-      else edge_weight g u v /. d)
+  let p = Cc_linalg.Mat.create ~rows:g.n ~cols:g.n 0.0 in
+  for u = 0 to g.n - 1 do
+    let d = weighted_degree g u in
+    if d = 0.0 then Cc_linalg.Mat.set p u u 1.0
+    else Array.iter (fun (v, w) -> Cc_linalg.Mat.set p u v (w /. d)) g.adj.(u)
+  done;
+  p
 
+(* A non-edge is -.0.0, the negated zero weight of D - A. *)
 let laplacian g =
-  Cc_linalg.Mat.init ~rows:g.n ~cols:g.n (fun u v ->
-      if u = v then weighted_degree g u else -.edge_weight g u v)
+  let l = Cc_linalg.Mat.create ~rows:g.n ~cols:g.n (-0.0) in
+  for u = 0 to g.n - 1 do
+    Cc_linalg.Mat.set l u u (weighted_degree g u);
+    Array.iter (fun (v, w) -> Cc_linalg.Mat.set l u v (-.w)) g.adj.(u)
+  done;
+  l
 
 let of_laplacian ?(tol = 1e-9) l =
   let n = Cc_linalg.Mat.rows l in
@@ -137,6 +147,8 @@ let of_laplacian ?(tol = 1e-9) l =
   of_edges ~n !edge_list
 
 let effective_resistance g u v =
+  if u < 0 || u >= g.n || v < 0 || v >= g.n then
+    invalid_arg "Graph.effective_resistance: vertex out of range";
   if u = v then invalid_arg "Graph.effective_resistance: identical vertices";
   (* Ground at v: R_eff(u,v) = e_u^T (L with row/col v removed)^{-1} e_u. *)
   let keep =

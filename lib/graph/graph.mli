@@ -66,7 +66,8 @@ val transition_matrix : t -> Cc_linalg.Mat.t
 (** [adjacency_matrix g] *)
 val adjacency_matrix : t -> Cc_linalg.Mat.t
 
-(** [laplacian g] is L = D - A with weighted degrees. *)
+(** [laplacian g] is L = D - A with weighted degrees; its non-edge entries
+    are [-0.0]. *)
 val laplacian : t -> Cc_linalg.Mat.t
 
 (** [of_laplacian l] reconstructs the weighted graph from a Laplacian
@@ -77,7 +78,8 @@ val of_laplacian : ?tol:float -> Cc_linalg.Mat.t -> t
 (** {1 Electrical quantities} *)
 
 (** [effective_resistance g u v] between two distinct vertices of a connected
-    graph, via a Laplacian solve. *)
+    graph, via a Laplacian solve. @raise Invalid_argument if [u] or [v] is
+    not a vertex, or [u = v]. *)
 val effective_resistance : t -> int -> int -> float
 
 (** {1 Identity} *)

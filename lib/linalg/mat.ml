@@ -1,5 +1,12 @@
 type t = { rows : int; cols : int; data : float array }
 
+(* Typed so the compiler emits a direct, unboxed float load/store. A [let]
+   alias of [Array.unsafe_get] would stay polymorphic and box every read.
+   Every use below stays in range by the dimensions or indices checked
+   before it. *)
+external unsafe_get : float array -> int -> float = "%array_unsafe_get"
+external unsafe_set : float array -> int -> float -> unit = "%array_unsafe_set"
+
 (* Row kernels below this much work run inline: the engine's dispatch cost
    only pays for itself on large operands. The cutoff gates the execution
    strategy, never the arithmetic, so results are bit-identical either way. *)
@@ -29,6 +36,7 @@ let identity n = init ~rows:n ~cols:n (fun i j -> if i = j then 1.0 else 0.0)
 let copy m = { m with data = Array.copy m.data }
 let rows m = m.rows
 let cols m = m.cols
+let data m = m.data
 
 let get m i j =
   if i < 0 || i >= m.rows || j < 0 || j >= m.cols then
@@ -84,13 +92,15 @@ let transpose m = init ~rows:m.cols ~cols:m.rows (fun i j -> get m j i)
 let mul a b =
   if a.cols <> b.rows then invalid_arg "Mat.mul: dimension mismatch";
   let out = create ~rows:a.rows ~cols:b.cols 0.0 in
+  let ad = a.data and bd = b.data and od = out.data in
   let row i =
     for k = 0 to a.cols - 1 do
-      let aik = a.data.((i * a.cols) + k) in
+      let aik = unsafe_get ad ((i * a.cols) + k) in
       if aik <> 0.0 then
         let brow = k * b.cols and orow = i * b.cols in
         for j = 0 to b.cols - 1 do
-          out.data.(orow + j) <- out.data.(orow + j) +. (aik *. b.data.(brow + j))
+          unsafe_set od (orow + j)
+            (unsafe_get od (orow + j) +. (aik *. unsafe_get bd (brow + j)))
         done
     done
   in
@@ -140,7 +150,7 @@ let power m k =
 let half_lazy m =
   if m.rows <> m.cols then invalid_arg "Mat.half_lazy: not square";
   init ~rows:m.rows ~cols:m.cols (fun i j ->
-      (0.5 *. get m i j) +. if i = j then 0.5 else 0.0)
+      (0.5 *. unsafe_get m.data ((i * m.cols) + j)) +. if i = j then 0.5 else 0.0)
 
 let power_table m ~max_exp =
   if m.rows <> m.cols then invalid_arg "Mat.power_table: not square";
@@ -152,8 +162,14 @@ let power_table m ~max_exp =
   table
 
 let submatrix m ~row_idx ~col_idx =
+  let in_range bound i = i >= 0 && i < bound in
+  if
+    not
+      (Array.for_all (in_range m.rows) row_idx
+      && Array.for_all (in_range m.cols) col_idx)
+  then invalid_arg "Mat.submatrix: index out of bounds";
   init ~rows:(Array.length row_idx) ~cols:(Array.length col_idx) (fun i j ->
-      get m row_idx.(i) col_idx.(j))
+      unsafe_get m.data ((row_idx.(i) * m.cols) + col_idx.(j)))
 
 let max_abs_diff a b =
   dims_must_match a b "Mat.max_abs_diff";
@@ -208,6 +224,26 @@ let normalize_rows m =
     if !s <> 0.0 then
       for j = 0 to m.cols - 1 do
         out.data.((i * m.cols) + j) <- out.data.((i * m.cols) + j) /. !s
+      done
+  done;
+  out
+
+(* One row at a time: clamp each entry at 0, sum the row left to right, then
+   divide — the float operations of [normalize_rows] applied to the clamped
+   matrix, in the same order. *)
+let sanitize_stochastic m =
+  let out = create ~rows:m.rows ~cols:m.cols 0.0 in
+  for i = 0 to m.rows - 1 do
+    let base = i * m.cols in
+    let s = ref 0.0 in
+    for p = base to base + m.cols - 1 do
+      let x = Float.max 0.0 (unsafe_get m.data p) in
+      unsafe_set out.data p x;
+      s := !s +. x
+    done;
+    if !s <> 0.0 then
+      for p = base to base + m.cols - 1 do
+        unsafe_set out.data p (unsafe_get out.data p /. !s)
       done
   done;
   out

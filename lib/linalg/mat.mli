@@ -22,8 +22,17 @@ val identity : int -> t
 val copy : t -> t
 val rows : t -> int
 val cols : t -> int
+
+(** [get m i j] and [set m i j v] check their indices. Outside [lib/linalg]
+    each call also boxes its float (2 words; without flambda no annotation
+    inlines them across modules), so hot loops must not go through them. *)
 val get : t -> int -> int -> float
+
 val set : t -> int -> int -> float -> unit
+
+(** [data m] is [m]'s row-major storage itself, not a copy: entry [(i, j)]
+    is at [i * cols m + j]. For the kernels of [lib/linalg] only. *)
+val data : t -> float array
 
 (** [of_arrays a] builds a matrix from a rectangular array of rows. *)
 val of_arrays : float array array -> t
@@ -43,8 +52,8 @@ val sub : t -> t -> t
 val scale : float -> t -> t
 val transpose : t -> t
 
-(** [mul a b] is the matrix product; O(n^3) with a cache-friendly loop
-    order. *)
+(** [mul a b] is the matrix product; O(n^3) in i-k-j loop order, skipping
+    zero entries of [a]. *)
 val mul : t -> t -> t
 
 (** [mul_vec m v] is [m v]. *)
@@ -67,7 +76,8 @@ val power_table : t -> max_exp:int -> t array
 (** {1 Submatrices} *)
 
 (** [submatrix m ~row_idx ~col_idx] extracts the (possibly permuted)
-    submatrix with the given row and column index arrays. *)
+    submatrix with the given row and column index arrays.
+    @raise Invalid_argument if an index is out of range. *)
 val submatrix : t -> row_idx:int array -> col_idx:int array -> t
 
 (** {1 Predicates and norms} *)
@@ -94,5 +104,10 @@ val is_symmetric : ?tol:float -> t -> bool
 (** [normalize_rows m] divides each row by its sum; rows summing to zero are
     left untouched. *)
 val normalize_rows : t -> t
+
+(** [sanitize_stochastic m] clamps negative entries (numeric dust) to 0, then
+    normalizes the rows as {!normalize_rows} does: the cleanup that turns a
+    computed transition matrix into a proper stochastic one. *)
+val sanitize_stochastic : t -> t
 
 val pp : Format.formatter -> t -> unit

@@ -1,5 +1,12 @@
+(* Every kernel below works on the row-major [float array] behind a [Mat.t]
+   with typed unchecked access, so the inner loops neither bounds-check nor
+   box. Each loop index stays inside the dimensions checked on entry. *)
+external unsafe_get : float array -> int -> float = "%array_unsafe_get"
+external unsafe_set : float array -> int -> float -> unit = "%array_unsafe_set"
+
 type lu = {
-  lu_mat : Mat.t; (* L below diagonal (unit diag implicit), U on and above *)
+  a : float array; (* n x n: L below diagonal (unit diag implicit), U on and above *)
+  n : int;
   perm : int array; (* row permutation *)
   swaps : int; (* number of row swaps, for the determinant sign *)
 }
@@ -9,80 +16,103 @@ let pivot_tol = 1e-13
 let lu m =
   let n = Mat.rows m in
   if Mat.cols m <> n then invalid_arg "Solve.lu: not square";
-  let a = Mat.copy m in
+  let a = Array.copy (Mat.data m) in
   let perm = Array.init n (fun i -> i) in
   let swaps = ref 0 in
   for k = 0 to n - 1 do
-    (* Partial pivoting: pick the largest magnitude in column k at/below k. *)
+    (* Partial pivoting: pick the largest magnitude in column k at/below k;
+       the strict [>] keeps the first of equal candidates. *)
     let best = ref k in
     for i = k + 1 to n - 1 do
-      if Float.abs (Mat.get a i k) > Float.abs (Mat.get a !best k) then best := i
+      if
+        Float.abs (unsafe_get a ((i * n) + k))
+        > Float.abs (unsafe_get a ((!best * n) + k))
+      then best := i
     done;
+    let rk = k * n in
     if !best <> k then begin
+      let rb = !best * n in
       for j = 0 to n - 1 do
-        let tmp = Mat.get a k j in
-        Mat.set a k j (Mat.get a !best j);
-        Mat.set a !best j tmp
+        let tmp = unsafe_get a (rk + j) in
+        unsafe_set a (rk + j) (unsafe_get a (rb + j));
+        unsafe_set a (rb + j) tmp
       done;
       let tmp = perm.(k) in
       perm.(k) <- perm.(!best);
       perm.(!best) <- tmp;
       incr swaps
     end;
-    let pivot = Mat.get a k k in
+    let pivot = unsafe_get a (rk + k) in
     if Float.abs pivot > pivot_tol then
       for i = k + 1 to n - 1 do
-        let factor = Mat.get a i k /. pivot in
-        Mat.set a i k factor;
+        let ri = i * n in
+        let factor = unsafe_get a (ri + k) /. pivot in
+        unsafe_set a (ri + k) factor;
         for j = k + 1 to n - 1 do
-          Mat.set a i j (Mat.get a i j -. (factor *. Mat.get a k j))
+          unsafe_set a (ri + j)
+            (unsafe_get a (ri + j) -. (factor *. unsafe_get a (rk + j)))
         done
       done
   done;
-  { lu_mat = a; perm; swaps = !swaps }
+  { a; n; perm; swaps = !swaps }
 
 let is_singular f =
-  let n = Mat.rows f.lu_mat in
   let rec go k =
-    k < n && (Float.abs (Mat.get f.lu_mat k k) <= pivot_tol || go (k + 1))
+    k < f.n
+    && (Float.abs (unsafe_get f.a ((k * f.n) + k)) <= pivot_tol || go (k + 1))
   in
   go 0
 
-let lu_solve f b =
-  let n = Mat.rows f.lu_mat in
-  if Array.length b <> n then invalid_arg "Solve.lu_solve: dimension mismatch";
-  if is_singular f then failwith "Solve.lu_solve: singular matrix";
-  let y = Array.init n (fun i -> b.(f.perm.(i))) in
-  (* Forward substitution with unit lower-triangular L. *)
-  for i = 1 to n - 1 do
-    for j = 0 to i - 1 do
-      y.(i) <- y.(i) -. (Mat.get f.lu_mat i j *. y.(j))
-    done
-  done;
-  (* Back substitution with U. *)
-  for i = n - 1 downto 0 do
-    for j = i + 1 to n - 1 do
-      y.(i) <- y.(i) -. (Mat.get f.lu_mat i j *. y.(j))
-    done;
-    y.(i) <- y.(i) /. Mat.get f.lu_mat i i
-  done;
-  y
+let check_solvable f ~rhs_rows =
+  if rhs_rows <> f.n then invalid_arg "Solve.lu_solve: dimension mismatch";
+  if is_singular f then failwith "Solve.lu_solve: singular matrix"
 
-let solve m b = lu_solve (lu m) b
+(* Solves in place on the column of [x] that starts at [off] and steps by
+   [stride], which holds the permuted right-hand side on entry: forward
+   substitution with unit lower-triangular L, then back substitution with U.
+   Each entry subtracts its terms in ascending j. *)
+let substitute f x ~off ~stride =
+  let n = f.n and a = f.a in
+  for i = 1 to n - 1 do
+    let ri = i * n and xi = off + (i * stride) in
+    let acc = ref (unsafe_get x xi) in
+    for j = 0 to i - 1 do
+      acc := !acc -. (unsafe_get a (ri + j) *. unsafe_get x (off + (j * stride)))
+    done;
+    unsafe_set x xi !acc
+  done;
+  for i = n - 1 downto 0 do
+    let ri = i * n and xi = off + (i * stride) in
+    let acc = ref (unsafe_get x xi) in
+    for j = i + 1 to n - 1 do
+      acc := !acc -. (unsafe_get a (ri + j) *. unsafe_get x (off + (j * stride)))
+    done;
+    unsafe_set x xi (!acc /. unsafe_get a (ri + i))
+  done
+
+let solve m b =
+  let f = lu m in
+  check_solvable f ~rhs_rows:(Array.length b);
+  let x = Array.init f.n (fun i -> b.(f.perm.(i))) in
+  substitute f x ~off:0 ~stride:1;
+  x
 
 (* The LU factorisation is sequential (loop-carried pivoting), but the [k]
    right-hand sides are independent: each column solve reads the shared
-   factors and writes only its own column of [out], so large systems fan the
-   column loop out over the engine with bit-identical results. *)
+   factors and its own column of [b] and writes only its own column of
+   [out], so large systems fan the column loop out over the engine with
+   bit-identical results. *)
 let solve_mat m b =
   let f = lu m in
-  let n = Mat.rows b and k = Mat.cols b in
+  check_solvable f ~rhs_rows:(Mat.rows b);
+  let n = f.n and k = Mat.cols b in
   let out = Mat.create ~rows:n ~cols:k 0.0 in
+  let bd = Mat.data b and od = Mat.data out in
   let solve_col j =
-    let x = lu_solve f (Mat.col b j) in
     for i = 0 to n - 1 do
-      Mat.set out i j x.(i)
-    done
+      unsafe_set od ((i * k) + j) (unsafe_get bd ((f.perm.(i) * k) + j))
+    done;
+    substitute f od ~off:j ~stride:k
   in
   let engine = Cc_engine.get () in
   if n * n * k >= Mat.par_threshold && Cc_engine.is_parallel engine then
@@ -97,12 +127,11 @@ let inverse m = solve_mat m (Mat.identity (Mat.rows m))
 
 let log_determinant m =
   let f = lu m in
-  let n = Mat.rows f.lu_mat in
   let sign = ref (if f.swaps land 1 = 1 then -1 else 1) in
   let acc = ref 0.0 in
   (try
-     for k = 0 to n - 1 do
-       let d = Mat.get f.lu_mat k k in
+     for k = 0 to f.n - 1 do
+       let d = unsafe_get f.a ((k * f.n) + k) in
        if Float.abs d <= pivot_tol then begin
          sign := 0;
          raise Exit

@@ -3,25 +3,20 @@
     Used for (i) the exact Schur complement
     [M_SS - M_S,Sbar (M_Sbar,Sbar)^{-1} M_Sbar,S] (Section 2.2), (ii) the
     Matrix–Tree theorem (determinant of a Laplacian minor counts spanning
-    trees), and (iii) exact absorbing-chain limits for the shortcut graph. *)
+    trees), and (iii) exact absorbing-chain limits for the shortcut graph.
 
-type lu
-(** An LU factorization with partial pivoting. *)
+    Every solver factors with partial pivoting (the first row of largest
+    magnitude wins) and treats a pivot of magnitude at most 1e-13 as zero. *)
 
-(** [lu m] factors a square matrix. @raise Failure if singular to working
-    precision. *)
-val lu : Mat.t -> lu
-
-(** [lu_solve f b] solves [m x = b]. *)
-val lu_solve : lu -> float array -> float array
-
-(** [solve m b] = [lu_solve (lu m) b]. *)
+(** [solve m b] solves [m x = b].
+    @raise Failure ["Solve.lu_solve: singular matrix"] if a pivot is zero.
+    @raise Invalid_argument if [m] is not square or [b] has the wrong length. *)
 val solve : Mat.t -> float array -> float array
 
-(** [solve_mat m b] solves [m X = B] column by column. *)
+(** [solve_mat m b] solves [m X = B] column by column; raises as {!solve}. *)
 val solve_mat : Mat.t -> Mat.t -> Mat.t
 
-(** [inverse m]. @raise Failure if singular. *)
+(** [inverse m]; raises as {!solve}. *)
 val inverse : Mat.t -> Mat.t
 
 (** [determinant m]; 0 for singular matrices. *)

@@ -37,18 +37,20 @@ let transition_via_shortcut g q ~s =
   let in_s = members ~n ~s in
   let k = Array.length s in
   (* R[u,v] = w(u,v)/w_S(u) for edges u~v with v in S (Corollary 4,
-     generalized to weights; = 1/deg_S(u) when unweighted). *)
-  (* Per-machine S-weights, hoisted out of the n^2 init: each entry of R
-     only needs its row's total edge weight into S. *)
+     generalized to weights; = 1/deg_S(u) when unweighted). Row u is filled
+     from u's adjacency and its total S-weight w_S(u); a row with no S-weight
+     is a self-loop, and every other entry stays 0. *)
   let ws =
     Cc_engine.parallel_map (Cc_engine.get ()) n (Shortcut.s_weight g ~in_s)
   in
-  let r =
-    Mat.init ~rows:n ~cols:n (fun u v ->
-        if ws.(u) = 0.0 then if u = v then 1.0 else 0.0
-        else if in_s.(v) then Graph.edge_weight g u v /. ws.(u)
-        else 0.0)
-  in
+  let r = Mat.create ~rows:n ~cols:n 0.0 in
+  for u = 0 to n - 1 do
+    if ws.(u) = 0.0 then Mat.set r u u 1.0
+    else
+      Array.iter
+        (fun (v, w) -> if in_s.(v) then Mat.set r u v (w /. ws.(u)))
+        (Graph.neighbors g u)
+  done;
   let m = Mat.mul q r in
   Mat.init ~rows:k ~cols:k (fun i j ->
       if i = j then 0.0

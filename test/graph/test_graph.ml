@@ -146,6 +146,61 @@ let test_effective_resistance_cycle () =
         (Graph.effective_resistance g 0 1))
     [ 3; 5; 8 ]
 
+let test_effective_resistance_rejects_bad_vertices () =
+  (* P4 has vertices 0..3: a missing vertex is rejected before any solve. *)
+  let g = Gen.path 4 in
+  let bad = Invalid_argument "Graph.effective_resistance: vertex out of range" in
+  Alcotest.check_raises "ground missing" bad (fun () ->
+      ignore (Graph.effective_resistance g 0 4));
+  Alcotest.check_raises "source missing" bad (fun () ->
+      ignore (Graph.effective_resistance g 4 0));
+  Alcotest.check_raises "negative" bad (fun () ->
+      ignore (Graph.effective_resistance g (-1) 0))
+
+(* The builders fill rows from adjacency arrays; these are the per-entry
+   definitions they must reproduce bit for bit, -0.0 included. *)
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let same_mat a b =
+  Mat.rows a = Mat.rows b
+  && Mat.cols a = Mat.cols b
+  && Array.for_all2 (Array.for_all2 same_bits) (Mat.to_arrays a) (Mat.to_arrays b)
+
+let transition_per_entry g =
+  let n = Graph.n g in
+  Mat.init ~rows:n ~cols:n (fun u v ->
+      let d = Graph.weighted_degree g u in
+      if d = 0.0 then if u = v then 1.0 else 0.0
+      else Graph.edge_weight g u v /. d)
+
+let laplacian_per_entry g =
+  let n = Graph.n g in
+  Mat.init ~rows:n ~cols:n (fun u v ->
+      if u = v then Graph.weighted_degree g u else -.Graph.edge_weight g u v)
+
+(* Real-valued weights on a connected graph, plus one isolated vertex n. *)
+let weighted_with_isolated prng ~n =
+  let base = Gen.random_connected prng ~n ~extra_edges:n in
+  Graph.of_edges ~n:(n + 1)
+    (List.map (fun (u, v, _) -> (u, v, 0.001 +. Prng.float prng 10.0)) (Graph.edges base))
+
+let test_builders_isolated_vertex () =
+  let g = Graph.of_edges ~n:4 [ (0, 1, 2.0); (1, 2, 0.5) ] in
+  let p = Graph.transition_matrix g and l = Graph.laplacian g in
+  Alcotest.(check bool) "transition" true (same_mat p (transition_per_entry g));
+  Alcotest.(check bool) "laplacian" true (same_mat l (laplacian_per_entry g));
+  (* Vertex 3 is isolated: a self-loop row, and a +0.0 Laplacian diagonal. *)
+  Alcotest.(check (array (float 0.0))) "identity row" [| 0.0; 0.0; 0.0; 1.0 |]
+    (Mat.row p 3);
+  Alcotest.(check bool) "zero diagonal" true (same_bits (Mat.get l 3 3) 0.0);
+  (* Non-edges of D - A are the negated zero weight. *)
+  List.iter
+    (fun (u, v) ->
+      Alcotest.(check bool) (Printf.sprintf "L(%d,%d) = -0.0" u v) true
+        (same_bits (Mat.get l u v) (-0.0)))
+    [ (0, 2); (2, 0); (0, 3); (3, 1) ];
+  Alcotest.(check bool) "edge entry" true (same_bits (Mat.get l 1 2) (-0.5))
+
 (* Foster's theorem: on any connected graph, sum_e w_e * R_eff(e) = n - 1.
    This is the identity that makes the audit plane's leverage oracle sum to
    the tree size, so pin it both on closed-form families and at random. *)
@@ -479,6 +534,17 @@ let qcheck_tests =
             ~max_weight:8
         in
         Float.abs (foster_sum g -. float_of_int (n - 1)) < 1e-6);
+    Test.make ~name:"transition and laplacian match their per-entry definitions"
+      ~count:100 params (fun (n, seed) ->
+        let prng = Prng.create ~seed in
+        List.for_all
+          (fun g ->
+            same_mat (Graph.transition_matrix g) (transition_per_entry g)
+            && same_mat (Graph.laplacian g) (laplacian_per_entry g))
+          [
+            weighted_with_isolated prng ~n;
+            Cc_graph.Gen.random_connected prng ~n ~extra_edges:n;
+          ]);
   ]
 
 let () =
@@ -510,6 +576,10 @@ let () =
             test_effective_resistance_weighted_series;
           Alcotest.test_case "resistance cycle" `Quick test_effective_resistance_cycle;
           Alcotest.test_case "Foster closed forms" `Quick test_foster_closed_forms;
+          Alcotest.test_case "resistance rejects bad vertices" `Quick
+            test_effective_resistance_rejects_bad_vertices;
+          Alcotest.test_case "builders on an isolated vertex" `Quick
+            test_builders_isolated_vertex;
         ] );
       ( "generators",
         [

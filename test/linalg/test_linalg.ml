@@ -81,7 +81,13 @@ let test_submatrix () =
   check_float "s00" 30.0 (Mat.get s 0 0);
   check_float "s01" 32.0 (Mat.get s 0 1);
   check_float "s10" 10.0 (Mat.get s 1 0);
-  check_float "s11" 12.0 (Mat.get s 1 1)
+  check_float "s11" 12.0 (Mat.get s 1 1);
+  List.iter
+    (fun (row_idx, col_idx) ->
+      Alcotest.check_raises "index out of range"
+        (Invalid_argument "Mat.submatrix: index out of bounds") (fun () ->
+          ignore (Mat.submatrix a ~row_idx ~col_idx)))
+    [ ([| 0; 4 |], [| 0 |]); ([| 0 |], [| -1; 2 |]) ]
 
 let test_row_stochastic_checks () =
   let prng = Prng.create ~seed:6 in
@@ -236,6 +242,125 @@ let test_rounded_power_rejects_non_power_of_two () =
     (Invalid_argument "Fixed.rounded_power: k must be a positive power of two")
     (fun () -> ignore (Fixed.rounded_power ~bits:10 m 3))
 
+(* --- bit identity with the checked reference kernels --- *)
+
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let same_vec a b = Array.length a = Array.length b && Array.for_all2 same_bits a b
+
+let same_mat a b =
+  Mat.rows a = Mat.rows b
+  && Mat.cols a = Mat.cols b
+  && Array.for_all2 same_vec (Mat.to_arrays a) (Mat.to_arrays b)
+
+(* Both calls return equal values, or both raise the same exception. *)
+let same_outcome eq f g =
+  let run h = try Ok (h ()) with (Failure _ | Invalid_argument _) as e -> Error e in
+  match (run f, run g) with
+  | Ok x, Ok y -> eq x y
+  | Error e, Error e' -> e = e'
+  | _ -> false
+
+(* Entries in [-1, 1], a fifth of them exactly 0: pivots need row swaps and
+   the products skip zero entries. With [~ties] the entries are multiples of
+   1/2, so equal pivot candidates are common and the first one must win. *)
+let kernel_matrix ?(ties = false) prng ~rows ~cols =
+  Mat.init ~rows ~cols (fun _ _ ->
+      if Prng.int prng 5 = 0 then 0.0
+      else if ties then float_of_int (Prng.int prng 5 - 2) /. 2.0
+      else Prng.float prng 2.0 -. 1.0)
+
+let same_logdet (s, l) (s', l') = s = s' && same_bits l l'
+let singular = Failure "Solve.lu_solve: singular matrix"
+
+let raises_singular f =
+  match f () with _ -> false | exception e -> e = singular
+
+(* n up to 40 and k up to 24 right-hand sides: the largest cases pass
+   Mat.par_threshold, so the multi-RHS solve and the products also take
+   their engine branch when the suite runs with several domains. *)
+let kernel_case = QCheck.(make Gen.(triple (int_range 1 40) (int_range 1 24) (int_range 0 1_000_000)))
+
+let kernel_tests =
+  let open QCheck in
+  [
+    Test.make ~name:"dense kernels match the checked reference bit for bit"
+      ~count:300 kernel_case (fun (n, k, seed) ->
+        let prng = Prng.create ~seed in
+        let a = kernel_matrix ~ties:(seed land 1 = 1) prng ~rows:n ~cols:n in
+        let b = kernel_matrix prng ~rows:n ~cols:k in
+        let c = kernel_matrix prng ~rows:k ~cols:(1 + Prng.int prng 40) in
+        (* 0 * inf is NaN, so only a product that skips a's zero entries
+           keeps the rows that meet the infinity through a zero finite. *)
+        let b_inf = Mat.copy b in
+        Mat.set b_inf (Prng.int prng n) (Prng.int prng k) infinity;
+        let v = Array.init n (fun _ -> Prng.float prng 2.0 -. 1.0) in
+        let keep =
+          Prng.subset prng ~size:(1 + Prng.int prng n) (Array.init n Fun.id)
+        in
+        Prng.shuffle prng keep;
+        same_mat (Mat.mul a b) (Reference.mul a b)
+        && same_mat (Mat.mul a b_inf) (Reference.mul a b_inf)
+        && same_mat (Mat.mul b c) (Reference.mul b c)
+        && same_outcome same_vec
+             (fun () -> Solve.solve a v)
+             (fun () -> Reference.solve a v)
+        && same_outcome same_mat
+             (fun () -> Solve.solve_mat a b)
+             (fun () -> Reference.solve_mat a b)
+        && same_outcome same_mat
+             (fun () -> Solve.inverse a)
+             (fun () -> Reference.inverse a)
+        && same_logdet (Solve.log_determinant a) (Reference.log_determinant a)
+        && same_outcome same_mat
+             (fun () -> Solve.schur_complement a ~keep)
+             (fun () -> Reference.schur_complement a ~keep));
+    Test.make ~name:"singular and mismatched systems fail like the reference"
+      ~count:100 kernel_case (fun (n, k, seed) ->
+        let prng = Prng.create ~seed in
+        let a = Mat.to_arrays (kernel_matrix prng ~rows:n ~cols:n) in
+        (* A repeated row, or else an all-zero column, leaves an exact zero
+           pivot whatever the row swaps. *)
+        (if n >= 2 && Prng.bool prng then begin
+           let r = Prng.int prng n in
+           let r' = (r + 1 + Prng.int prng (n - 1)) mod n in
+           a.(r') <- Array.copy a.(r)
+         end
+         else
+           let c = Prng.int prng n in
+           Array.iter (fun row -> row.(c) <- 0.0) a);
+        let a = Mat.of_arrays a in
+        let b = kernel_matrix prng ~rows:n ~cols:k in
+        let v = Array.make n 1.0 in
+        let wide = kernel_matrix prng ~rows:(n + 1) ~cols:k in
+        raises_singular (fun () -> Solve.solve a v)
+        && raises_singular (fun () -> Solve.solve_mat a b)
+        && raises_singular (fun () -> Solve.inverse a)
+        && raises_singular (fun () -> Reference.solve a v)
+        && raises_singular (fun () -> Reference.solve_mat a b)
+        && raises_singular (fun () -> Reference.inverse a)
+        && same_logdet (Solve.log_determinant a) (0, neg_infinity)
+        && same_logdet (Reference.log_determinant a) (0, neg_infinity)
+        && same_outcome same_mat
+             (fun () -> Solve.solve_mat a wide)
+             (fun () -> Reference.solve_mat a wide)
+        && same_outcome same_vec
+             (fun () -> Solve.solve a [| 1.0 |])
+             (fun () -> Reference.solve a [| 1.0 |]));
+    Test.make ~name:"half_lazy and sanitize_stochastic match their definitions"
+      ~count:100 kernel_case (fun (n, _, seed) ->
+        let prng = Prng.create ~seed in
+        let a = kernel_matrix prng ~rows:n ~cols:n in
+        same_mat (Mat.half_lazy a)
+          (Mat.init ~rows:n ~cols:n (fun i j ->
+               (0.5 *. Mat.get a i j) +. if i = j then 0.5 else 0.0))
+        && same_mat
+             (Mat.sanitize_stochastic a)
+             (Mat.normalize_rows
+                (Mat.init ~rows:n ~cols:n (fun i j ->
+                     Float.max 0.0 (Mat.get a i j)))));
+  ]
+
 (* --- qcheck properties --- *)
 
 let qcheck_tests =
@@ -288,6 +413,7 @@ let qcheck_tests =
 
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest qcheck_tests in
+  let ksuite = List.map QCheck_alcotest.to_alcotest kernel_tests in
   Alcotest.run "cc_linalg"
     [
       ( "mat",
@@ -329,4 +455,5 @@ let () =
           Alcotest.test_case "rejects k=3" `Quick test_rounded_power_rejects_non_power_of_two;
         ] );
       ("properties", qsuite);
+      ("kernels", ksuite);
     ]

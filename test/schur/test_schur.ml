@@ -271,6 +271,38 @@ let test_first_visit_weights_empirical () =
   let tv = Dist.tv_counts ~counts expected in
   Alcotest.(check bool) (Printf.sprintf "algorithm 4 tv %.4f" tv) true (tv < 0.02)
 
+(* --- bit identity of the adjacency-driven R --- *)
+
+(* Corollary 4's normalization with R[u,v] = w(u,v)/w_S(u) built entry by
+   entry, as the library built it before filling R from adjacency rows.
+   transition_via_shortcut must agree with it bit for bit. *)
+let transition_via_per_entry_r g q ~s =
+  let n = Graph.n g in
+  let in_s = Schur.members ~n ~s in
+  let ws = Array.init n (Shortcut.s_weight g ~in_s) in
+  let r =
+    Mat.init ~rows:n ~cols:n (fun u v ->
+        if ws.(u) = 0.0 then if u = v then 1.0 else 0.0
+        else if in_s.(v) then Graph.edge_weight g u v /. ws.(u)
+        else 0.0)
+  in
+  let m = Mat.mul q r in
+  let k = Array.length s in
+  Mat.init ~rows:k ~cols:k (fun i j ->
+      if i = j then 0.0
+      else
+        let u = s.(i) and v = s.(j) in
+        let denom = 1.0 -. Mat.get m u u in
+        if denom <= 0.0 then 0.0 else Mat.get m u v /. denom)
+
+let same_mat a b =
+  let bits x = Int64.bits_of_float x in
+  Mat.rows a = Mat.rows b
+  && Mat.cols a = Mat.cols b
+  && Array.for_all2
+       (Array.for_all2 (fun x y -> Int64.equal (bits x) (bits y)))
+       (Mat.to_arrays a) (Mat.to_arrays b)
+
 (* --- qcheck --- *)
 
 let qcheck_tests =
@@ -318,6 +350,27 @@ let qcheck_tests =
         let exact = Schur.transition_exact g ~s in
         let via = Schur.transition_via_shortcut g (Shortcut.exact g ~in_s:(Schur.members ~n ~s)) ~s in
         Mat.max_abs_diff exact via < 1e-7);
+    Test.make ~name:"schur via shortcut matches a per-entry R bit for bit"
+      ~count:50 params (fun (n, seed) ->
+        let prng = Prng.create ~seed in
+        (* Real weights, one isolated vertex n, and a small S, so that some
+           rows have no S-weight and take the self-loop. *)
+        let g =
+          Graph.of_edges ~n:(n + 1)
+            (List.map
+               (fun (u, v, _) -> (u, v, 0.001 +. Prng.float prng 10.0))
+               (Graph.edges (Cc_graph.Gen.random_connected prng ~n ~extra_edges:n)))
+        in
+        let s = Prng.subset prng ~size:(1 + Prng.int prng (n / 2)) (Array.init n Fun.id) in
+        Prng.shuffle prng s;
+        (* Any q will do for R; a random one reaches the isolated row too. *)
+        let q = Mat.init ~rows:(n + 1) ~cols:(n + 1) (fun _ _ -> Prng.float prng 0.2) in
+        let g' = Cc_graph.Gen.random_connected prng ~n ~extra_edges:n in
+        let q' = Shortcut.exact g' ~in_s:(Schur.members ~n ~s) in
+        same_mat (Schur.transition_via_shortcut g q ~s) (transition_via_per_entry_r g q ~s)
+        && same_mat
+             (Schur.transition_via_shortcut g' q' ~s)
+             (transition_via_per_entry_r g' q' ~s));
   ]
 
 let () =
