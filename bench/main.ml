@@ -1533,7 +1533,8 @@ let microbench () =
   in
   (* One cc_expander phase's dense work at n = 96 (Er_log 6): the shortcut
      inverse of I - T, with T the transition matrix minus the columns of an
-     S of every other vertex; a dense product; the transition matrix. Their
+     S of every other vertex, and its LU alone; the Schur transition from
+     that S's shortcut matrix; a dense product; the transition matrix. Their
      own prng leaves the other rows' inputs as they were. *)
   let prng96 = Prng.create ~seed:96 in
   let er96 = Gen.build prng96 (Gen.family_of_string "erlog:6") ~n:96 in
@@ -1546,6 +1547,8 @@ let microbench () =
     Mat.init ~rows:96 ~cols:96 (fun w x ->
         (if w = x then 1.0 else 0.0) -. if x mod 2 = 0 then 0.0 else Mat.get p w x)
   in
+  let s96 = Array.init 48 (fun i -> 2 * i) in
+  let q96 = Shortcut.exact er96 ~in_s:(Schur.members ~n:96 ~s:s96) in
   let tests =
     [
       Test.make ~name:"mat-mul-64" (Staged.stage (fun () -> ignore (Mat.mul m64 m64)));
@@ -1554,6 +1557,10 @@ let microbench () =
       Test.make ~name:"mat-mul-96" (Staged.stage (fun () -> ignore (Mat.mul m96 m96)));
       Test.make ~name:"lu-inverse-96"
         (Staged.stage (fun () -> ignore (Cc_linalg.Solve.inverse i_minus_t96)));
+      Test.make ~name:"lu-only-96"
+        (Staged.stage (fun () -> ignore (Cc_linalg.Solve.log_determinant i_minus_t96)));
+      Test.make ~name:"schur-via-shortcut-96"
+        (Staged.stage (fun () -> ignore (Schur.transition_via_shortcut er96 q96 ~s:s96)));
       Test.make ~name:"transition-96"
         (Staged.stage (fun () -> ignore (Graph.transition_matrix er96)));
       Test.make ~name:"ryser-permanent-10"

@@ -85,32 +85,76 @@ let scale s m = { m with data = Array.map (fun x -> s *. x) m.data }
 
 let transpose m = init ~rows:m.cols ~cols:m.rows (fun i j -> get m j i)
 
-(* i-k-j loop order: the inner loop walks both [b] and [out] row-contiguously.
-   Rows of [out] are independent, so large products fan the row loop out over
-   the engine; each row's k-j accumulation order is unchanged, keeping the
-   floating-point result bit-identical at every domain count. *)
+(* Row [i] of [a * b] into [out]. Entry (i, j) adds [a[i,k] *. b[k,j]] for
+   each nonzero [a[i,k]] in ascending k, one [+.] per term ({!mul}'s
+   contract). [ks] (length [a.cols]) receives those k. Eight of them share
+   one pass over j, which keeps the entry in a register across their eight
+   terms; the fewer than eight left over take one pass each. Neither changes
+   an entry's terms or their order. *)
+let mul_row a b out ks i =
+  let ad = a.data and bd = b.data and od = out.data and bc = b.cols in
+  let arow = i * a.cols and orow = i * bc in
+  let nz = ref 0 in
+  for k = 0 to a.cols - 1 do
+    if unsafe_get ad (arow + k) <> 0.0 then begin
+      Array.unsafe_set ks !nz k;
+      incr nz
+    end
+  done;
+  let nz = !nz in
+  let t = ref 0 in
+  while !t + 8 <= nz do
+    let k0 = Array.unsafe_get ks !t and k1 = Array.unsafe_get ks (!t + 1)
+    and k2 = Array.unsafe_get ks (!t + 2) and k3 = Array.unsafe_get ks (!t + 3)
+    and k4 = Array.unsafe_get ks (!t + 4) and k5 = Array.unsafe_get ks (!t + 5)
+    and k6 = Array.unsafe_get ks (!t + 6) and k7 = Array.unsafe_get ks (!t + 7) in
+    let a0 = unsafe_get ad (arow + k0) and a1 = unsafe_get ad (arow + k1)
+    and a2 = unsafe_get ad (arow + k2) and a3 = unsafe_get ad (arow + k3)
+    and a4 = unsafe_get ad (arow + k4) and a5 = unsafe_get ad (arow + k5)
+    and a6 = unsafe_get ad (arow + k6) and a7 = unsafe_get ad (arow + k7) in
+    let b0 = k0 * bc and b1 = k1 * bc and b2 = k2 * bc and b3 = k3 * bc
+    and b4 = k4 * bc and b5 = k5 * bc and b6 = k6 * bc and b7 = k7 * bc in
+    for j = 0 to bc - 1 do
+      let c = unsafe_get od (orow + j) in
+      let c = c +. (a0 *. unsafe_get bd (b0 + j)) in
+      let c = c +. (a1 *. unsafe_get bd (b1 + j)) in
+      let c = c +. (a2 *. unsafe_get bd (b2 + j)) in
+      let c = c +. (a3 *. unsafe_get bd (b3 + j)) in
+      let c = c +. (a4 *. unsafe_get bd (b4 + j)) in
+      let c = c +. (a5 *. unsafe_get bd (b5 + j)) in
+      let c = c +. (a6 *. unsafe_get bd (b6 + j)) in
+      let c = c +. (a7 *. unsafe_get bd (b7 + j)) in
+      unsafe_set od (orow + j) c
+    done;
+    t := !t + 8
+  done;
+  for t = !t to nz - 1 do
+    let k = Array.unsafe_get ks t in
+    let aik = unsafe_get ad (arow + k) and brow = k * bc in
+    for j = 0 to bc - 1 do
+      unsafe_set od (orow + j)
+        (unsafe_get od (orow + j) +. (aik *. unsafe_get bd (brow + j)))
+    done
+  done
+
+(* Rows of [out] are independent, so large products fan the row loop out over
+   the engine, each row with its own [ks]; every entry's terms are those of
+   the one-domain loop, so the result is bit-identical at every domain
+   count. *)
 let mul a b =
   if a.cols <> b.rows then invalid_arg "Mat.mul: dimension mismatch";
   let out = create ~rows:a.rows ~cols:b.cols 0.0 in
-  let ad = a.data and bd = b.data and od = out.data in
-  let row i =
-    for k = 0 to a.cols - 1 do
-      let aik = unsafe_get ad ((i * a.cols) + k) in
-      if aik <> 0.0 then
-        let brow = k * b.cols and orow = i * b.cols in
-        for j = 0 to b.cols - 1 do
-          unsafe_set od (orow + j)
-            (unsafe_get od (orow + j) +. (aik *. unsafe_get bd (brow + j)))
-        done
-    done
-  in
   let engine = Cc_engine.get () in
   if a.rows * a.cols * b.cols >= par_threshold && Cc_engine.is_parallel engine
-  then Cc_engine.parallel_for engine ~lo:0 ~hi:a.rows row
-  else
+  then
+    Cc_engine.parallel_for engine ~lo:0 ~hi:a.rows (fun i ->
+        mul_row a b out (Array.make a.cols 0) i)
+  else begin
+    let ks = Array.make a.cols 0 in
     for i = 0 to a.rows - 1 do
-      row i
-    done;
+      mul_row a b out ks i
+    done
+  end;
   out
 
 let mul_vec m v =

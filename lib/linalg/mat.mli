@@ -52,8 +52,12 @@ val sub : t -> t -> t
 val scale : float -> t -> t
 val transpose : t -> t
 
-(** [mul a b] is the matrix product; O(n^3) in i-k-j loop order, skipping
-    zero entries of [a]. *)
+(** [mul a b] is the matrix product, O(n^3). Every sample and recorder
+    digest depends on its exact bits, so each entry's value is fixed:
+    entry [(i, j)] starts at [0.0] and adds [a[i,k] *. b[k,j]] for each
+    [k] with [a[i,k] <> 0.0] (so [-0.0] is skipped too), in ascending [k],
+    with a separate multiply and add per term (no fused multiply-add). The
+    result is the same at every domain count. *)
 val mul : t -> t -> t
 
 (** [mul_vec m v] is [m v]. *)

@@ -67,60 +67,98 @@ let check_solvable f ~rhs_rows =
   if rhs_rows <> f.n then invalid_arg "Solve.lu_solve: dimension mismatch";
   if is_singular f then failwith "Solve.lu_solve: singular matrix"
 
-(* Solves in place on the column of [x] that starts at [off] and steps by
-   [stride], which holds the permuted right-hand side on entry: forward
-   substitution with unit lower-triangular L, then back substitution with U.
-   Each entry subtracts its terms in ascending j. *)
-let substitute f x ~off ~stride =
-  let n = f.n and a = f.a in
-  for i = 1 to n - 1 do
-    let ri = i * n and xi = off + (i * stride) in
-    let acc = ref (unsafe_get x xi) in
-    for j = 0 to i - 1 do
-      acc := !acc -. (unsafe_get a (ri + j) *. unsafe_get x (off + (j * stride)))
+(* [x] is an n x [k] row-major block whose row i holds row [perm.(i)] of the
+   right-hand sides. [subtract_rows f x ~k ~c0 ~c1 ~i ~lo ~hi] subtracts
+   [a[i,j] * x[j,c]] from [x[i,c]] for each j in [lo, hi) in ascending order
+   and each column c in [c0, c1). Eight j share one pass over the columns,
+   which keeps the entry in a register across their eight terms. The fewer
+   than eight j left over take one pass over them per column, again with
+   the entry in a register. Every entry sees the same [-.] terms in the
+   same order either way. There is no zero skip: [0 *. inf] must still make
+   a NaN. *)
+let subtract_rows f x ~k ~c0 ~c1 ~i ~lo ~hi =
+  let a = f.a and ri = i * f.n and xi = i * k in
+  let j = ref lo in
+  while !j + 8 <= hi do
+    let j0 = !j in
+    let a0 = unsafe_get a (ri + j0) and a1 = unsafe_get a (ri + j0 + 1)
+    and a2 = unsafe_get a (ri + j0 + 2) and a3 = unsafe_get a (ri + j0 + 3)
+    and a4 = unsafe_get a (ri + j0 + 4) and a5 = unsafe_get a (ri + j0 + 5)
+    and a6 = unsafe_get a (ri + j0 + 6) and a7 = unsafe_get a (ri + j0 + 7) in
+    let x0 = j0 * k in
+    let x1 = x0 + k in
+    let x2 = x1 + k in
+    let x3 = x2 + k in
+    let x4 = x3 + k in
+    let x5 = x4 + k in
+    let x6 = x5 + k in
+    let x7 = x6 + k in
+    for c = c0 to c1 - 1 do
+      let v = unsafe_get x (xi + c) in
+      let v = v -. (a0 *. unsafe_get x (x0 + c)) in
+      let v = v -. (a1 *. unsafe_get x (x1 + c)) in
+      let v = v -. (a2 *. unsafe_get x (x2 + c)) in
+      let v = v -. (a3 *. unsafe_get x (x3 + c)) in
+      let v = v -. (a4 *. unsafe_get x (x4 + c)) in
+      let v = v -. (a5 *. unsafe_get x (x5 + c)) in
+      let v = v -. (a6 *. unsafe_get x (x6 + c)) in
+      let v = v -. (a7 *. unsafe_get x (x7 + c)) in
+      unsafe_set x (xi + c) v
     done;
-    unsafe_set x xi !acc
+    j := j0 + 8
+  done;
+  let rest = !j in
+  if rest < hi then
+    for c = c0 to c1 - 1 do
+      let v = ref (unsafe_get x (xi + c)) in
+      for j = rest to hi - 1 do
+        v := !v -. (unsafe_get a (ri + j) *. unsafe_get x ((j * k) + c))
+      done;
+      unsafe_set x (xi + c) !v
+    done
+
+(* Solves columns [c0, c1) of [x] in place: forward substitution with unit
+   lower-triangular L, then back substitution with U, row by row. *)
+let substitute f x ~k ~c0 ~c1 =
+  let n = f.n in
+  for i = 1 to n - 1 do
+    subtract_rows f x ~k ~c0 ~c1 ~i ~lo:0 ~hi:i
   done;
   for i = n - 1 downto 0 do
-    let ri = i * n and xi = off + (i * stride) in
-    let acc = ref (unsafe_get x xi) in
-    for j = i + 1 to n - 1 do
-      acc := !acc -. (unsafe_get a (ri + j) *. unsafe_get x (off + (j * stride)))
-    done;
-    unsafe_set x xi (!acc /. unsafe_get a (ri + i))
+    subtract_rows f x ~k ~c0 ~c1 ~i ~lo:(i + 1) ~hi:n;
+    let d = unsafe_get f.a ((i * n) + i) and xi = i * k in
+    for c = c0 to c1 - 1 do
+      unsafe_set x (xi + c) (unsafe_get x (xi + c) /. d)
+    done
   done
 
 let solve m b =
   let f = lu m in
   check_solvable f ~rhs_rows:(Array.length b);
   let x = Array.init f.n (fun i -> b.(f.perm.(i))) in
-  substitute f x ~off:0 ~stride:1;
+  substitute f x ~k:1 ~c0:0 ~c1:1;
   x
 
 (* The LU factorisation is sequential (loop-carried pivoting), but the [k]
-   right-hand sides are independent: each column solve reads the shared
-   factors and its own column of [b] and writes only its own column of
-   [out], so large systems fan the column loop out over the engine with
-   bit-identical results. *)
+   right-hand sides are independent: a block of columns reads the shared
+   factors and writes only its own columns of [out], so large systems give
+   each domain a contiguous block of columns, with bit-identical results. *)
 let solve_mat m b =
   let f = lu m in
   check_solvable f ~rhs_rows:(Mat.rows b);
   let n = f.n and k = Mat.cols b in
   let out = Mat.create ~rows:n ~cols:k 0.0 in
   let bd = Mat.data b and od = Mat.data out in
-  let solve_col j =
-    for i = 0 to n - 1 do
-      unsafe_set od ((i * k) + j) (unsafe_get bd ((f.perm.(i) * k) + j))
-    done;
-    substitute f od ~off:j ~stride:k
-  in
+  for i = 0 to n - 1 do
+    Array.blit bd (f.perm.(i) * k) od (i * k) k
+  done;
   let engine = Cc_engine.get () in
-  if n * n * k >= Mat.par_threshold && Cc_engine.is_parallel engine then
-    Cc_engine.parallel_for engine ~lo:0 ~hi:k solve_col
-  else
-    for j = 0 to k - 1 do
-      solve_col j
-    done;
+  if n * n * k >= Mat.par_threshold && Cc_engine.is_parallel engine then begin
+    let blocks = min k (Cc_engine.domains engine) in
+    Cc_engine.parallel_for engine ~lo:0 ~hi:blocks (fun p ->
+        substitute f od ~k ~c0:(p * k / blocks) ~c1:((p + 1) * k / blocks))
+  end
+  else substitute f od ~k ~c0:0 ~c1:k;
   out
 
 let inverse m = solve_mat m (Mat.identity (Mat.rows m))

@@ -13,7 +13,7 @@
     @raise Invalid_argument if [m] is not square or [b] has the wrong length. *)
 val solve : Mat.t -> float array -> float array
 
-(** [solve_mat m b] solves [m X = B] column by column; raises as {!solve}. *)
+(** [solve_mat m b] solves [m X = B]; raises as {!solve}. *)
 val solve_mat : Mat.t -> Mat.t -> Mat.t
 
 (** [inverse m]; raises as {!solve}. *)

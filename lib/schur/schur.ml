@@ -37,28 +37,33 @@ let transition_via_shortcut g q ~s =
   let in_s = members ~n ~s in
   let k = Array.length s in
   (* R[u,v] = w(u,v)/w_S(u) for edges u~v with v in S (Corollary 4,
-     generalized to weights; = 1/deg_S(u) when unweighted). Row u is filled
-     from u's adjacency and its total S-weight w_S(u); a row with no S-weight
-     is a self-loop, and every other entry stays 0. *)
+     generalized to weights; = 1/deg_S(u) when unweighted). Only (QR)[S,S]
+     is read, so R keeps just the columns of S, column j standing for s.(j),
+     and only the rows of S of Q are multiplied: each entry is the same
+     ascending-k sum over the same nonzero Q[u,k] as in the full product.
+     Row u is filled from u's adjacency and its total S-weight w_S(u); a row
+     with no S-weight is a self-loop, which lands in a kept column only when
+     u is in S, and every other entry stays 0. *)
+  let col = Array.make n (-1) in
+  Array.iteri (fun j v -> col.(v) <- j) s;
   let ws =
     Cc_engine.parallel_map (Cc_engine.get ()) n (Shortcut.s_weight g ~in_s)
   in
-  let r = Mat.create ~rows:n ~cols:n 0.0 in
+  let r = Mat.create ~rows:n ~cols:k 0.0 in
   for u = 0 to n - 1 do
-    if ws.(u) = 0.0 then Mat.set r u u 1.0
+    if ws.(u) = 0.0 then (if in_s.(u) then Mat.set r u col.(u) 1.0)
     else
       Array.iter
-        (fun (v, w) -> if in_s.(v) then Mat.set r u v (w /. ws.(u)))
+        (fun (v, w) -> if in_s.(v) then Mat.set r u col.(v) (w /. ws.(u)))
         (Graph.neighbors g u)
   done;
-  let m = Mat.mul q r in
+  let all = Array.init (Mat.cols q) Fun.id in
+  let m = Mat.mul (Mat.submatrix q ~row_idx:s ~col_idx:all) r in
   Mat.init ~rows:k ~cols:k (fun i j ->
       if i = j then 0.0
       else
-        let u = s.(i) and v = s.(j) in
-        let diag = Mat.get m u u in
-        let denom = 1.0 -. diag in
-        if denom <= 0.0 then 0.0 else Mat.get m u v /. denom)
+        let denom = 1.0 -. Mat.get m i i in
+        if denom <= 0.0 then 0.0 else Mat.get m i j /. denom)
 
 let approx ?net ?bits g ~s ~k =
   let in_s = members ~n:(Graph.n g) ~s in

@@ -28,9 +28,12 @@ let exact g ~in_s =
   @@ fun () ->
   let n = Graph.n g in
   let p = Graph.transition_matrix g in
-  (* Transient chain: moves only to vertices outside S. *)
-  let t = Mat.init ~rows:n ~cols:n (fun w x -> if in_s.(x) then 0.0 else Mat.get p w x) in
-  let i_minus_t = Mat.sub (Mat.identity n) t in
+  (* I - T, with T the transient chain: it moves only to vertices outside
+     S. Built in one pass, each entry as I[w,x] -. T[w,x]. *)
+  let i_minus_t =
+    Mat.init ~rows:n ~cols:n (fun w x ->
+        (if w = x then 1.0 else 0.0) -. if in_s.(x) then 0.0 else Mat.get p w x)
+  in
   (* Q = (I - T)^{-1} diag(s_mass). Hoist the per-column S-mass out of the
      n^2 init (it only depends on the column) — one engine pass over the
      machines instead of an O(n) rescan per entry. *)

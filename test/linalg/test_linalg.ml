@@ -291,7 +291,8 @@ let kernel_tests =
         let b = kernel_matrix prng ~rows:n ~cols:k in
         let c = kernel_matrix prng ~rows:k ~cols:(1 + Prng.int prng 40) in
         (* 0 * inf is NaN, so only a product that skips a's zero entries
-           keeps the rows that meet the infinity through a zero finite. *)
+           keeps the rows that meet the infinity through a zero finite, and
+           only a substitution that skips none turns them into NaN. *)
         let b_inf = Mat.copy b in
         Mat.set b_inf (Prng.int prng n) (Prng.int prng k) infinity;
         let v = Array.init n (fun _ -> Prng.float prng 2.0 -. 1.0) in
@@ -308,6 +309,9 @@ let kernel_tests =
         && same_outcome same_mat
              (fun () -> Solve.solve_mat a b)
              (fun () -> Reference.solve_mat a b)
+        && same_outcome same_mat
+             (fun () -> Solve.solve_mat a b_inf)
+             (fun () -> Reference.solve_mat a b_inf)
         && same_outcome same_mat
              (fun () -> Solve.inverse a)
              (fun () -> Reference.inverse a)
