@@ -1549,6 +1549,13 @@ let microbench () =
   in
   let s96 = Array.init 48 (fun i -> 2 * i) in
   let q96 = Shortcut.exact er96 ~in_s:(Schur.members ~n:96 ~s:s96) in
+  (* The exact oracles of an oracle_sparsify job at its largest size: every
+     edge's effective resistance, and one chain-rule tree. Their own prng,
+     again. *)
+  let prng44 = Prng.create ~seed:44 in
+  let er44 =
+    Gen.random_weights prng44 (Gen.build prng44 (Gen.Er_log 3.0) ~n:44) ~max_weight:8
+  in
   let tests =
     [
       Test.make ~name:"mat-mul-64" (Staged.stage (fun () -> ignore (Mat.mul m64 m64)));
@@ -1563,6 +1570,11 @@ let microbench () =
         (Staged.stage (fun () -> ignore (Schur.transition_via_shortcut er96 q96 ~s:s96)));
       Test.make ~name:"transition-96"
         (Staged.stage (fun () -> ignore (Graph.transition_matrix er96)));
+      Test.make ~name:"edge-resistances-44"
+        (Staged.stage (fun () -> ignore (Graph.edge_resistances er44)));
+      Test.make ~name:"determinantal-44"
+        (Staged.stage (fun () ->
+             ignore (Cc_walks.Determinantal.sample_tree er44 prng44)));
       Test.make ~name:"ryser-permanent-10"
         (Staged.stage (fun () -> ignore (Cc_matching.Permanent.ryser weights10)));
       Test.make ~name:"matching-exact-8"

@@ -136,11 +136,10 @@ let create ?(alpha = 1e-3) ?(min_trials = 32) ?(small_limit = 8)
   let m = Array.length edges in
   let edge_u = Array.map (fun (u, _, _) -> u) edges in
   let edge_v = Array.map (fun (_, v, _) -> v) edges in
+  let resistance = Graph.edge_resistances g in
   let leverage =
-    Array.map
-      (fun (u, v, w) ->
-        let r = Graph.effective_resistance g u v in
-        Float.min 1.0 (Float.max 0.0 (w *. r)))
+    Array.mapi
+      (fun i (_, _, w) -> Float.min 1.0 (Float.max 0.0 (w *. resistance.(i))))
       edges
   in
   let is_bridge = Array.map (fun p -> p >= 1.0 -. bridge_eps) leverage in

@@ -6,7 +6,7 @@
     holds, so this module watches the {e statistical} plane. By Kirchhoff's
     theorem the marginal inclusion probability of edge [e] under the UST
     distribution is exactly its leverage score [w_e * R_eff(e)], which
-    {!Cc_graph.Graph.effective_resistance} computes — an exact online oracle
+    {!Cc_graph.Graph.edge_resistances} computes — an exact online oracle
     available for every instance, not just enumerable ones.
 
     An auditor accumulates, tree by tree:
@@ -35,8 +35,10 @@ type t
 
 (** {1 Construction} *)
 
-(** [create g] precomputes the leverage-score oracle (one Laplacian solve per
-    edge) and, when [n <= small_limit] and the spanning-tree count is at most
+(** [create g] precomputes the leverage-score oracle
+    ({!Cc_graph.Graph.edge_resistances}: one grounded Laplacian factored per
+    vertex that is some edge's larger endpoint) and, when
+    [n <= small_limit] and the spanning-tree count is at most
     [small_support], the enumerated support and exact tree distribution.
 
     - [alpha] is the false-positive budget shared by every gate

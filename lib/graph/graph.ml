@@ -146,22 +146,62 @@ let of_laplacian ?(tol = 1e-9) l =
   done;
   of_edges ~n !edge_list
 
+(* The Laplacian [l] of an [n]-vertex graph grounded at [v]: [l] without
+   row and column [v], and [pos], which maps every other vertex to its index
+   in that minor ([-1] for [v]). *)
+let grounded_minor l ~n v =
+  let keep = Array.init (n - 1) (fun i -> if i < v then i else i + 1) in
+  let pos = Array.make n (-1) in
+  Array.iteri (fun i orig -> pos.(orig) <- i) keep;
+  (Cc_linalg.Mat.submatrix l ~row_idx:keep ~col_idx:keep, pos)
+
 let effective_resistance g u v =
   if u < 0 || u >= g.n || v < 0 || v >= g.n then
     invalid_arg "Graph.effective_resistance: vertex out of range";
   if u = v then invalid_arg "Graph.effective_resistance: identical vertices";
   (* Ground at v: R_eff(u,v) = e_u^T (L with row/col v removed)^{-1} e_u. *)
-  let keep =
-    Array.of_list (List.filter (fun i -> i <> v) (List.init g.n (fun i -> i)))
-  in
-  let l = laplacian g in
-  let reduced = Cc_linalg.Mat.submatrix l ~row_idx:keep ~col_idx:keep in
-  let pos = Array.make g.n (-1) in
-  Array.iteri (fun i orig -> pos.(orig) <- i) keep;
-  let b = Array.make (Array.length keep) 0.0 in
+  let reduced, pos = grounded_minor (laplacian g) ~n:g.n v in
+  let b = Array.make (g.n - 1) 0.0 in
   b.(pos.(u)) <- 1.0;
   let x = Cc_linalg.Solve.solve reduced b in
   x.(pos.(u))
+
+(* Each edge (u, v) is listed with u < v, and [effective_resistance g u v]
+   grounds at v: every edge with the same larger endpoint solves against
+   the same minor. So each such v factors its minor once, and [solve_mat]
+   runs one unit right-hand side per edge through that LU, each column with
+   the substitution [solve] would give it. *)
+let edge_resistances g =
+  let edges = Array.of_list g.edges in
+  let by_ground = Array.make g.n [] in
+  for i = Array.length edges - 1 downto 0 do
+    let _, v, _ = edges.(i) in
+    by_ground.(v) <- i :: by_ground.(v)
+  done;
+  let l = laplacian g in
+  let r = Array.make (Array.length edges) 0.0 in
+  Array.iteri
+    (fun v group ->
+      if group <> [] then begin
+        let reduced, pos = grounded_minor l ~n:g.n v in
+        let group = Array.of_list group in
+        let b =
+          Cc_linalg.Mat.create ~rows:(g.n - 1) ~cols:(Array.length group) 0.0
+        in
+        Array.iteri
+          (fun c i ->
+            let u, _, _ = edges.(i) in
+            Cc_linalg.Mat.set b pos.(u) c 1.0)
+          group;
+        let x = Cc_linalg.Solve.solve_mat reduced b in
+        Array.iteri
+          (fun c i ->
+            let u, _, _ = edges.(i) in
+            r.(i) <- Cc_linalg.Mat.get x pos.(u) c)
+          group
+      end)
+    by_ground;
+  r
 
 (* FNV-1a 64 over the canonical serialization. [edges] is stored sorted with
    [u < v], so two graphs built from permuted edge lists serialize — and hash

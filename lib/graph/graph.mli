@@ -82,6 +82,13 @@ val of_laplacian : ?tol:float -> Cc_linalg.Mat.t -> t
     not a vertex, or [u = v]. *)
 val effective_resistance : t -> int -> int -> float
 
+(** [edge_resistances g] is [effective_resistance g u v] for every edge
+    [(u, v, _)], in {!edges} order, each bit for bit. It factors one
+    grounded Laplacian minor per vertex that is the larger endpoint of some
+    edge, instead of one per edge.
+    @raise Failure as {!effective_resistance} does if [g] is disconnected. *)
+val edge_resistances : t -> float array
+
 (** {1 Identity} *)
 
 (** [fingerprint g] is a canonical digest of the graph ("fnv64:<16 hex>"):

@@ -201,6 +201,46 @@ let test_builders_isolated_vertex () =
     [ (0, 2); (2, 0); (0, 3); (3, 1) ];
   Alcotest.(check bool) "edge entry" true (same_bits (Mat.get l 1 2) (-0.5))
 
+(* Log-uniform weights over [1e-3, 1e3]. They are not dyadic, so a sum or
+   a solve taken in another order lands on other bits; integer weights
+   would sum exactly and hide it. *)
+let log_uniform_weights prng g =
+  Graph.of_edges ~n:(Graph.n g)
+    (List.map
+       (fun (u, v, _) -> (u, v, Float.pow 10.0 (Prng.float prng 6.0 -. 3.0)))
+       (Graph.edges g))
+
+(* [edge_resistances] against one [effective_resistance] per edge. *)
+let resistances_match g =
+  let per_edge =
+    List.map (fun (u, v, _) -> Graph.effective_resistance g u v) (Graph.edges g)
+  in
+  let r = Graph.edge_resistances g in
+  Array.length r = List.length per_edge
+  && List.for_all2 same_bits (Array.to_list r) per_edge
+
+let test_edge_resistances_complete () =
+  (* K40's grounds v >= 22 solve v right-hand sides against a 39 x 39
+     minor, enough for Solve.solve_mat's engine branch at CC_DOMAINS > 1. *)
+  let g = log_uniform_weights (Prng.create ~seed:40) (Gen.complete 40) in
+  Alcotest.(check bool) "bit for bit" true (resistances_match g)
+
+let test_edge_resistances_disconnected () =
+  let singular = Failure "Solve.lu_solve: singular matrix" in
+  List.iter
+    (fun (name, g) ->
+      let u, v, _ = List.hd (Graph.edges g) in
+      Alcotest.check_raises (name ^ ": one edge") singular (fun () ->
+          ignore (Graph.effective_resistance g u v));
+      Alcotest.check_raises (name ^ ": every edge") singular (fun () ->
+          ignore (Graph.edge_resistances g)))
+    [
+      ("isolated vertex", Graph.of_edges ~n:4 [ (0, 1, 0.3); (1, 2, 7.1) ]);
+      ( "two triangles",
+        Graph.of_unweighted_edges ~n:6
+          [ (0, 1); (1, 2); (0, 2); (3, 4); (4, 5); (3, 5) ] );
+    ]
+
 (* Foster's theorem: on any connected graph, sum_e w_e * R_eff(e) = n - 1.
    This is the identity that makes the audit plane's leverage oracle sum to
    the tree size, so pin it both on closed-form families and at random. *)
@@ -525,6 +565,18 @@ let qcheck_tests =
         let g = Cc_graph.Gen.random_connected prng ~n ~extra_edges:n in
         (* Rayleigh: resistance between path endpoints is at most its length. *)
         Graph.effective_resistance g 0 (n - 1) <= float_of_int n +. 1e-6);
+    Test.make ~name:"edge resistances match effective_resistance bit for bit"
+      ~count:100 params (fun (n, seed) ->
+        (* Path, lollipop and barbell have bridges. *)
+        let prng = Prng.create ~seed in
+        List.for_all
+          (fun g -> resistances_match (log_uniform_weights prng g))
+          [
+            Cc_graph.Gen.random_connected prng ~n ~extra_edges:(2 * n);
+            Cc_graph.Gen.path n;
+            Cc_graph.Gen.lollipop ~clique:(n / 2) ~tail:(n - (n / 2));
+            Cc_graph.Gen.barbell (n / 2);
+          ]);
     Test.make ~name:"Foster's theorem on random weighted graphs" ~count:50
       params (fun (n, seed) ->
         let prng = Prng.create ~seed in
@@ -580,6 +632,10 @@ let () =
             test_effective_resistance_rejects_bad_vertices;
           Alcotest.test_case "builders on an isolated vertex" `Quick
             test_builders_isolated_vertex;
+          Alcotest.test_case "edge resistances on K40" `Quick
+            test_edge_resistances_complete;
+          Alcotest.test_case "edge resistances when disconnected" `Quick
+            test_edge_resistances_disconnected;
         ] );
       ( "generators",
         [

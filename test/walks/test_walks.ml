@@ -478,6 +478,62 @@ let test_marginal_cross_validation () =
   Alcotest.(check bool) (Printf.sprintf "Wilson gap %.4f" gap_wilson) true
     (gap_wilson < tol)
 
+(* --- the chain rule against Reference, which rebuilds graphs --- *)
+
+(* Log-uniform weights over [1e-3, 1e3]. They are not dyadic, so a merge or
+   a degree sum taken in another order moves p's bits. *)
+let log_uniform_weights prng g =
+  Graph.of_edges ~n:(Graph.n g)
+    (List.map
+       (fun (u, v, _) -> (u, v, Float.pow 10.0 (Prng.float prng 6.0 -. 3.0)))
+       (Graph.edges g))
+
+(* One chain rule under a fresh coin from [coin]: the bits of every p the
+   coin is offered, in order, then the tree's edges or the exception. *)
+let offers chain_rule g coin =
+  let ps = ref [] in
+  let coin = coin () in
+  let outcome =
+    match
+      chain_rule g ~coin:(fun p ->
+          ps := Int64.bits_of_float p :: !ps;
+          coin p)
+    with
+    | t -> Ok (Tree.edges t)
+    | exception e -> Error (Printexc.to_string e)
+  in
+  (List.rev !ps, outcome)
+
+let seeded_coin seed () =
+  let prng = Prng.create ~seed in
+  fun p -> Prng.float prng 1.0 < p
+
+let always_accept () _ = true
+
+let every_other_offer () =
+  let k = ref 0 in
+  fun _ ->
+    incr k;
+    !k land 1 = 1
+
+let same_offers g coin =
+  offers Determinantal.chain_rule g coin = offers Reference.chain_rule g coin
+
+let dense_weighted prng ~n =
+  log_uniform_weights prng (Gen.erdos_renyi_connected prng ~n ~p:0.6)
+
+let test_chain_rule_overflow () =
+  (* Contracting (0, 1) merges the two 1e308 edges into an infinite weight,
+     which Graph.of_edges refuses. *)
+  let g = Graph.of_edges ~n:3 [ (0, 1, 1.0); (0, 2, 1e308); (1, 2, 1e308) ] in
+  let refused =
+    Invalid_argument "Graph.of_edges: weight must be positive and finite"
+  in
+  Alcotest.check_raises "reference" refused (fun () ->
+      ignore (Reference.chain_rule g ~coin:(always_accept ())));
+  Alcotest.check_raises "in place" refused (fun () ->
+      ignore (Determinantal.chain_rule g ~coin:(always_accept ())))
+
 (* --- qcheck --- *)
 
 let qcheck_tests =
@@ -511,6 +567,18 @@ let qcheck_tests =
         let rho = max 2 (n / 2) in
         let w = Topdown.sample_truncated g prng ~start:0 ~target_len:1024 ~rho () in
         Walk.distinct_count w <= rho);
+    Test.make ~name:"chain rule offers the reference's p bit for bit"
+      ~count:100 params (fun (n, seed) ->
+        let g = dense_weighted (Prng.create ~seed) ~n:(n + 6) in
+        same_offers g (seeded_coin seed)
+        && same_offers g always_accept
+        && same_offers g every_other_offer);
+    Test.make ~name:"sample_tree matches the reference, prng state included"
+      ~count:50 params (fun (n, seed) ->
+        let g = dense_weighted (Prng.create ~seed) ~n:(n + 6) in
+        let a = Prng.create ~seed and b = Prng.create ~seed in
+        Tree.equal (Determinantal.sample_tree g a) (Reference.sample_tree g b)
+        && Prng.bits a ~width:30 = Prng.bits b ~width:30);
     Test.make ~name:"first_visit_edges covers all distinct vertices" ~count:50
       params (fun (n, seed) ->
         let prng = Prng.create ~seed in
@@ -580,6 +648,7 @@ let () =
           Alcotest.test_case "uniform on K4" `Slow test_determinantal_uniform_k4;
           Alcotest.test_case "weighted" `Slow test_determinantal_weighted;
           Alcotest.test_case "marginal cross-validation" `Slow test_marginal_cross_validation;
+          Alcotest.test_case "chain rule overflow" `Quick test_chain_rule_overflow;
         ] );
       ("properties", qsuite);
     ]
