@@ -19,7 +19,6 @@
      F1  Figure 1: the midpoint request/multiset/matching pipeline, narrated
      F2  fault injection: recovery overhead vs message-drop probability
      D1  determinism: same-seed runs produce byte-identical recorder digests
-     P1  strong scaling: the same dense workload at 1/2/4/N domains
      Q1  audit plane: samples-to-verdict per sampler + biased-fixture power
      S1  ccserve: plan-cache throughput, cold vs warm, 1 vs 4 clients
 
@@ -28,9 +27,8 @@
      dune exec bench/main.exe -- -e E3        -- one experiment
      dune exec bench/main.exe -- --fast       -- smaller ladders
      dune exec bench/main.exe -- --micro      -- bechamel microbenchmarks too
-     dune exec bench/main.exe -- --domains N  -- run on an N-domain engine
      dune exec bench/main.exe -- --json F     -- also write the rows to F
-                                                (see Report; schema cc-bench/3) *)
+                                                (see Report; schema cc-bench/4) *)
 
 module Graph = Cc_graph.Graph
 module Gen = Cc_graph.Gen
@@ -1099,101 +1097,6 @@ let a4 () =
      phase\"); the walk machinery itself — binary-search checks, midpoint\n\
      traffic, multiset gathers — costs polylog per phase."
 
-(* ---------------------------------------------------------------- P1 --- *)
-
-(* Strong scaling of the engine-instrumented dense kernels: the same
-   workload (repeated squarings + a multi-RHS solve) at 1/2/4/N domains.
-   Wall-clock rows carry no bound, so they never produce ratios — the
-   ccprof diff gate stays hardware-independent — but the run fails loudly
-   if any domain count changes a single bit of the results. *)
-
-let p1 () =
-  section "P1" "strong scaling: dense kernels at 1/2/4/N domains";
-  let dim = if !fast then 160 else 288 in
-  let reps = if !fast then 3 else 5 in
-  let prng = Prng.create ~seed:31 in
-  let a =
-    Mat.normalize_rows
-      (Mat.init ~rows:dim ~cols:dim (fun _ _ -> 0.01 +. Prng.float prng 1.0))
-  in
-  let workload () =
-    let m = ref a in
-    for _ = 1 to reps do
-      m := Mat.mul !m a
-    done;
-    let x = Cc_linalg.Solve.solve_mat (Mat.add a (Mat.identity dim)) a in
-    (!m, x)
-  in
-  let counts =
-    List.sort_uniq compare [ 1; 2; 4; Cc_engine.default_domains () ]
-  in
-  let table =
-    Table.create
-      ~title:
-        (Printf.sprintf
-           "%d reps of a %dx%d matmul + one %d-RHS solve; best of 2 runs \
-            per domain count"
-           reps dim dim dim)
-      ~columns:
-        [ "domains"; "wall (s)"; "speedup"; "efficiency"; "bit-identical" ]
-  in
-  let reference = ref None in
-  let t1 = ref Float.nan in
-  let last_speedup = ref 1.0 in
-  List.iter
-    (fun d ->
-      let engine = Cc_engine.create ~domains:d () in
-      let time_one () =
-        let t0 = Unix.gettimeofday () in
-        let r = Cc_engine.with_engine engine workload in
-        (Unix.gettimeofday () -. t0, r)
-      in
-      let dt_a, result = time_one () in
-      let dt_b, _ = time_one () in
-      Cc_engine.shutdown engine;
-      let dt = Float.min dt_a dt_b in
-      let identical =
-        match !reference with
-        | None ->
-            reference := Some result;
-            true
-        | Some (m0, x0) ->
-            let m, x = result in
-            Mat.max_abs_diff m0 m = 0.0 && Mat.max_abs_diff x0 x = 0.0
-      in
-      if d = 1 then t1 := dt;
-      let speedup = !t1 /. dt in
-      if d = List.fold_left max 1 counts then last_speedup := speedup;
-      let efficiency = speedup /. float_of_int d in
-      Report.record ~id:"P1"
-        ~params:[ ("domains", Report.int d); ("dim", Report.int dim) ]
-        ~extra:
-          [
-            ("speedup", Report.flt speedup);
-            ("efficiency", Report.flt efficiency);
-            ("bit_identical", Cc_obs.Json.Bool identical);
-          ]
-        dt;
-      if not identical then
-        print_endline
-          "DETERMINISM REGRESSION: parallel result differs from domains=1";
-      Table.add_row table
-        [
-          Table.cell_int d;
-          Table.cell_float ~decimals:3 dt;
-          Table.cell_float ~decimals:2 speedup;
-          Table.cell_float ~decimals:2 efficiency;
-          (if identical then "yes" else "NO");
-        ])
-    counts;
-  Report.set_speedup !last_speedup;
-  Table.print table;
-  print_endline
-    "Expected shape: on a machine with >= 4 cores the 4-domain row reaches\n\
-     >= 1.5x speedup; on fewer cores the extra domains only add dispatch\n\
-     overhead (speedup ~= 1). The bit-identical column must always be yes —\n\
-     parallelism changes the schedule, never the arithmetic."
-
 (* ---------------------------------------------------------------- Q1 --- *)
 
 (* Statistical-quality plane (lib/audit): how many samples each sampler needs
@@ -1654,11 +1557,6 @@ let () =
     | "--json" :: file :: rest ->
         Report.enable file;
         parse rest
-    | "--domains" :: v :: rest ->
-        (match Cc_engine.parse_domains v with
-        | Ok d -> Cc_engine.set_default (Cc_engine.create ~domains:d ())
-        | Error msg -> failwith ("--domains: " ^ msg));
-        parse rest
     | arg :: _ -> failwith ("unknown argument: " ^ arg)
   in
   parse (List.tl (Array.to_list Sys.argv));
@@ -1690,7 +1588,6 @@ let () =
   run_exp "A2" a2;
   run_exp "A3" a3;
   run_exp "A4" a4;
-  run_exp "P1" p1;
   run_exp "Q1" q1;
   run_exp "S1" s1;
   if !micro || List.mem "MICRO" !selected then begin

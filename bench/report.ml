@@ -7,10 +7,10 @@
    experiment with its wall-clock time. Without [--json] every call is a
    no-op, so the printed tables are byte-identical either way.
 
-   Schema cc-bench/3 adds a top-level [engine] object: the domain count the
-   run executed with plus the strong-scaling speedup measured by P1 (null
-   when P1 did not run). Wall-clock rows carry no [bound], so they never
-   produce ratios and the ccprof diff gate stays hardware-independent.
+   Schema cc-bench/3 added a top-level [engine] object (domain count and
+   strong-scaling speedup); it is no longer written, and readers skip it in
+   older documents. Wall-clock rows carry no [bound], so they never produce
+   ratios and the ccprof diff gate stays hardware-independent.
 
    Schema cc-bench/4 adds per-record statistical-quality columns: rows may
    carry a flat numeric "quality" object (audit-plane TV / KL / max-z / ESS,
@@ -28,11 +28,6 @@ let experiments : (string * string * float) list ref = ref []
 let titles : (string, string) Hashtbl.t = Hashtbl.create 16
 let records : Json.t list ref = ref []
 
-(* Measured strong-scaling speedup at the largest domain count (set by the
-   P1 experiment); written into the cc-bench/3 [engine] object. *)
-let speedup : float option ref = ref None
-let set_speedup s = speedup := Some s
-
 (* (id, load profile) for every net an experiment subscribed via
    [attach_profile], newest first. An experiment's cc-bench/2 [max_load] is
    the hottest machine's total load ([Profile.max_load]) over those nets,
@@ -44,7 +39,6 @@ let profiles : (string * Cc_obs.Profile.t) list ref = ref []
 let reset () =
   experiments := [];
   records := [];
-  speedup := None;
   Hashtbl.reset titles;
   profiles := []
 
@@ -102,7 +96,7 @@ let quality kvs =
 (* Every [--json] run also appends one env-fingerprinted line to the bench
    trajectory (default bench/HISTORY/history.jsonl, overridable or disabled
    — set to empty — via CC_BENCH_HISTORY): timestamp, host, OCaml version,
-   domain count, and per-experiment wall plus mean paper-bound ratio.
+   and per-experiment wall plus mean paper-bound ratio.
    [ccprof history] renders the trends. Strictly best-effort: an unwritable
    path never fails the bench run. *)
 let append_history ~fast =
@@ -140,7 +134,6 @@ let append_history ~fast =
             ( "host",
               str (try Unix.gethostname () with Unix.Unix_error _ -> "?") );
             ("ocaml", str Sys.ocaml_version);
-            ("domains", int (Cc_engine.domains (Cc_engine.get ())));
             ("fast", Json.Bool fast);
             ( "experiments",
               Json.List
@@ -175,16 +168,6 @@ let write ~fast =
           [
             ("schema", Json.String "cc-bench/4");
             ("fast", Json.Bool fast);
-            ( "engine",
-              Json.Obj
-                [
-                  ( "domains",
-                    Json.Int (Cc_engine.domains (Cc_engine.get ())) );
-                  ( "speedup",
-                    match !speedup with
-                    | None -> Json.Null
-                    | Some s -> Json.float_opt s );
-                ] );
             ( "experiments",
               Json.List
                 (List.rev_map

@@ -97,13 +97,6 @@ let summary_doc path doc =
         ])
     aggs;
   Table.print table;
-  (match doc.Benchdata.engine with
-  | None -> ()
-  | Some e ->
-      Printf.printf "engine: %d domain(s)%s\n" e.Benchdata.domains
-        (match e.Benchdata.speedup with
-        | None -> ""
-        | Some s -> Printf.sprintf ", strong-scaling speedup %.2fx" s));
   Printf.printf
     "%d experiments, %d records (ratio = measured / paper bound; imbalance \
      = hottest machine / balanced ideal)\n"
@@ -161,15 +154,7 @@ let summary_metrics path instruments =
       Table.add_row table row)
     instruments;
   Table.print table;
-  let workers =
-    List.length
-      (List.filter
-         (fun (name, _) -> String.starts_with ~prefix:"worker." name)
-         instruments)
-  in
-  Printf.printf "%d instrument(s), %d under the merged worker.* namespace\n"
-    (List.length instruments)
-    workers
+  Printf.printf "%d instrument(s)\n" (List.length instruments)
 
 let summary_cmd =
   let file_t =
@@ -618,9 +603,6 @@ let history_cmd =
       Option.value ~default:"?"
         (Option.bind (Json.member key v) Json.to_string_opt)
     in
-    let jint key v =
-      match Json.member key v with Some (Json.Int i) -> i | _ -> 0
-    in
     let jnum key v =
       Option.bind (Json.member key v) Json.to_float_opt
     in
@@ -654,9 +636,8 @@ let history_cmd =
       runs;
     let last = List.nth runs (List.length runs - 1) in
     Printf.printf
-      "%s — %d run(s); last: host %s, ocaml %s, %d domain(s)%s\n"
+      "%s — %d run(s); last: host %s, ocaml %s%s\n"
       file (List.length runs) (jstr "host" last) (jstr "ocaml" last)
-      (jint "domains" last)
       (match Json.member "fast" last with
       | Some (Json.Bool true) -> ", fast"
       | _ -> "");

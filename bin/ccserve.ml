@@ -21,21 +21,6 @@ let fail_usage msg =
   prerr_endline ("ccserve: " ^ msg);
   exit exit_usage
 
-let domains_t =
-  let doc =
-    "Number of OCaml domains for local per-machine computation. Defaults to \
-     $(b,CC_DOMAINS) when set, else the runtime's recommended domain count. \
-     Responses are bit-identical for any value."
-  in
-  let install spec =
-    match Cc_engine.install_domains spec with
-    | Ok () -> ()
-    | Error e -> fail_usage e
-  in
-  Term.(
-    const install
-    $ Arg.(value & opt (some string) None & info [ "domains" ] ~doc ~docv:"N"))
-
 let sock_t =
   let doc = "Unix-domain socket path to serve on." in
   Arg.(
@@ -75,7 +60,7 @@ let health_log_t =
 let verbose_t =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Enable debug logging.")
 
-let run () verbose sock cache_cap max_requests metrics_json health_log =
+let run verbose sock cache_cap max_requests metrics_json health_log =
   setup_logs verbose;
   if cache_cap < 1 then fail_usage "--cache-cap must be >= 1";
   (match max_requests with
@@ -112,7 +97,7 @@ let main =
   let info = Cmd.info "ccserve" ~version:"1.0.0" ~doc in
   Cmd.v info
     Term.(
-      const run $ domains_t $ verbose_t $ sock_t $ cache_cap_t
-      $ max_requests_t $ metrics_json_t $ health_log_t)
+      const run $ verbose_t $ sock_t $ cache_cap_t $ max_requests_t
+      $ metrics_json_t $ health_log_t)
 
 let () = exit (Cmd.eval main)

@@ -28,8 +28,8 @@ let setup_logs verbose =
   Logs.set_reporter (Logs.format_reporter ());
   Logs.set_level (if verbose then Some Logs.Debug else Some Logs.Warning)
 
-(* Invalid flag or environment values exit with the conventional usage code
-   2 and a one-line message — not cmdliner's 124, and never a traceback. *)
+(* Invalid flag values exit with the conventional usage code 2 and a
+   one-line message — not cmdliner's 124, and never a traceback. *)
 let exit_usage = 2
 
 let fail_usage msg =
@@ -41,28 +41,6 @@ let fail_usage msg =
 let seed_t =
   let doc = "PRNG seed (runs are deterministic given the seed)." in
   Arg.(value & opt int 1 & info [ "seed" ] ~doc)
-
-(* Evaluating the term installs the requested engine as the process default;
-   without --domains the lazy default (CC_DOMAINS, else the runtime's
-   recommendation) stands. Results are bit-identical for any domain count.
-   Empty or non-numeric values — on the flag or in CC_DOMAINS — get the
-   one-line error and exit code 2. *)
-let domains_t =
-  let doc =
-    "Number of OCaml domains for local per-machine computation (including \
-     the main domain). Defaults to $(b,CC_DOMAINS) when set, else the \
-     runtime's recommended domain count. Output is bit-identical for any \
-     value."
-  in
-  let install spec =
-    match Cc_engine.install_domains spec with
-    | Ok () -> ()
-    | Error e -> fail_usage e
-  in
-  Term.(
-    const install
-    $ Arg.(
-        value & opt (some string) None & info [ "domains" ] ~doc ~docv:"N"))
 
 let verbose_t =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Enable debug logging.")
@@ -532,7 +510,7 @@ let sample_cmd =
       & opt ~vopt:(Some "-") (some string) None
       & info [ "audit" ] ~doc ~docv:"FILE")
   in
-  let run () seed verbose family size file weights trials ledger alpha bits
+  let run seed verbose family size file weights trials ledger alpha bits
       method_ count connect audit (fault_spec : Fault.spec) obs =
     setup_logs verbose;
     let method_ = String.lowercase_ascii method_ in
@@ -682,9 +660,9 @@ let sample_cmd =
   in
   Cmd.v info
     Term.(
-      const run $ domains_t $ seed_t $ verbose_t $ family_t $ size_t $ file_t
-      $ weights_t $ trials_t $ ledger_t $ alpha_t $ bits_t $ method_t
-      $ count_t $ connect_t $ audit_t $ faults_t $ obs_t)
+      const run $ seed_t $ verbose_t $ family_t $ size_t $ file_t $ weights_t
+      $ trials_t $ ledger_t $ alpha_t $ bits_t $ method_t $ count_t
+      $ connect_t $ audit_t $ faults_t $ obs_t)
 
 (* --- doubling --- *)
 
@@ -692,7 +670,7 @@ let doubling_cmd =
   let tau_t =
     Arg.(value & opt int 0 & info [ "tau" ] ~doc:"Walk length (0 = sample a tree instead).")
   in
-  let run () seed family size file tau fault_spec obs =
+  let run seed family size file tau fault_spec obs =
     let prng = Prng.create ~seed in
     let g = load_graph ~family ~size ~file ~prng () in
     let n = Graph.n g in
@@ -725,8 +703,8 @@ let doubling_cmd =
   in
   Cmd.v info
     Term.(
-      const run $ domains_t $ seed_t $ family_t $ size_t $ file_t $ tau_t
-      $ faults_t $ obs_t)
+      const run $ seed_t $ family_t $ size_t $ file_t $ tau_t $ faults_t
+      $ obs_t)
 
 (* --- walk --- *)
 
@@ -760,7 +738,7 @@ let schur_cmd =
       & opt (some string) None
       & info [ "subset" ] ~doc:"Comma-separated vertex subset S (default: even vertices).")
   in
-  let run () seed family size file s_spec =
+  let run seed family size file s_spec =
     let prng = Prng.create ~seed in
     let g = load_graph ~family ~size ~file ~prng () in
     let n = Graph.n g in
@@ -790,26 +768,26 @@ let schur_cmd =
   in
   let info = Cmd.info "schur" ~doc:"Print SCHUR(G,S) and SHORTCUT(G,S)." in
   Cmd.v info
-    Term.(const run $ domains_t $ seed_t $ family_t $ size_t $ file_t $ s_t)
+    Term.(const run $ seed_t $ family_t $ size_t $ file_t $ s_t)
 
 (* --- count --- *)
 
 let count_cmd =
-  let run () seed family size file =
+  let run seed family size file =
     let prng = Prng.create ~seed in
     let g = load_graph ~family ~size ~file ~prng () in
     let log_count = Tree.log_count g in
     Printf.printf "spanning trees: %.6g (log = %.4f)\n" (Float.exp log_count) log_count
   in
   let info = Cmd.info "count" ~doc:"Count spanning trees via the Matrix-Tree theorem." in
-  Cmd.v info Term.(const run $ domains_t $ seed_t $ family_t $ size_t $ file_t)
+  Cmd.v info Term.(const run $ seed_t $ family_t $ size_t $ file_t)
 
 (* --- pagerank --- *)
 
 let pagerank_cmd =
   let eps_t = Arg.(value & opt float 0.15 & info [ "epsilon" ] ~doc:"Restart probability.") in
   let walks_t = Arg.(value & opt int 32 & info [ "walks" ] ~doc:"Walks per vertex.") in
-  let run () seed family size file epsilon walks obs =
+  let run seed family size file epsilon walks obs =
     if not (epsilon > 0.0 && epsilon < 1.0) then
       fail_usage "--epsilon must be in (0, 1)";
     if walks < 1 then fail_usage "--walks must be >= 1";
@@ -826,8 +804,8 @@ let pagerank_cmd =
   let info = Cmd.info "pagerank" ~doc:"PageRank from doubling walks vs power iteration." in
   Cmd.v info
     Term.(
-      const run $ domains_t $ seed_t $ family_t $ size_t $ file_t $ eps_t
-      $ walks_t $ obs_t)
+      const run $ seed_t $ family_t $ size_t $ file_t $ eps_t $ walks_t
+      $ obs_t)
 
 (* --- congest --- *)
 

@@ -77,12 +77,7 @@ let mul net backend a b =
     invalid_arg "Matmul.mul: operands must be square and equal-sized";
   Cc_obs.Metrics.incr "matmul.muls";
   Cc_obs.Trace.with_span "matmul.mul"
-    ~args:
-      [
-        ("dim", string_of_int dim);
-        ("backend", backend_name backend);
-        ("domains", string_of_int (Cc_engine.domains (Cc_engine.get ())));
-      ]
+    ~args:[ ("dim", string_of_int dim); ("backend", backend_name backend) ]
   @@ fun () ->
   book_mul net backend ~dim;
   Mat.mul a b

@@ -82,14 +82,11 @@ let run_multi ?faults net prng g ~tau ~walks_per_node ~scheme =
   let tau_pow = next_pow2 tau in
   let k_init = walks_per_node * tau_pow in
   (* walks.(v) is vertex v's current sequence of walks. The initial one-step
-     segments are each machine's local work: split one stream per vertex up
-     front (in vertex order), then extend all segments through the engine.
-     Pre-splitting pins every machine's draws regardless of the domain count
-     or scheduling order, so the sampled walks are identical at domains=1
-     and domains=N. *)
+     segments are each machine's local work, drawn from its own stream: one
+     stream per vertex, split up front in vertex order. *)
   let streams = Prng.streams prng n in
   let walks =
-    Cc_engine.parallel_map (Cc_engine.get ()) n (fun v ->
+    Array.init n (fun v ->
         let s = streams.(v) in
         Array.init k_init (fun _ -> [| v; Walk.step g s v |]))
   in

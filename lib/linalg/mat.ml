@@ -7,29 +7,17 @@ type t = { rows : int; cols : int; data : float array }
 external unsafe_get : float array -> int -> float = "%array_unsafe_get"
 external unsafe_set : float array -> int -> float -> unit = "%array_unsafe_set"
 
-(* Row kernels below this much work run inline: the engine's dispatch cost
-   only pays for itself on large operands. The cutoff gates the execution
-   strategy, never the arithmetic, so results are bit-identical either way. *)
-let par_threshold = 1 lsl 15
-
 let create ~rows ~cols v =
   if rows <= 0 || cols <= 0 then invalid_arg "Mat.create: nonpositive dims";
   { rows; cols; data = Array.make (rows * cols) v }
 
 let init ~rows ~cols f =
   let m = create ~rows ~cols 0.0 in
-  let fill_row i =
+  for i = 0 to rows - 1 do
     for j = 0 to cols - 1 do
       m.data.((i * cols) + j) <- f i j
     done
-  in
-  let engine = Cc_engine.get () in
-  if rows * cols >= par_threshold && Cc_engine.is_parallel engine then
-    Cc_engine.parallel_for engine ~lo:0 ~hi:rows fill_row
-  else
-    for i = 0 to rows - 1 do
-      fill_row i
-    done;
+  done;
   m
 
 let identity n = init ~rows:n ~cols:n (fun i j -> if i = j then 1.0 else 0.0)
@@ -137,24 +125,13 @@ let mul_row a b out ks i =
     done
   done
 
-(* Rows of [out] are independent, so large products fan the row loop out over
-   the engine, each row with its own [ks]; every entry's terms are those of
-   the one-domain loop, so the result is bit-identical at every domain
-   count. *)
 let mul a b =
   if a.cols <> b.rows then invalid_arg "Mat.mul: dimension mismatch";
   let out = create ~rows:a.rows ~cols:b.cols 0.0 in
-  let engine = Cc_engine.get () in
-  if a.rows * a.cols * b.cols >= par_threshold && Cc_engine.is_parallel engine
-  then
-    Cc_engine.parallel_for engine ~lo:0 ~hi:a.rows (fun i ->
-        mul_row a b out (Array.make a.cols 0) i)
-  else begin
-    let ks = Array.make a.cols 0 in
-    for i = 0 to a.rows - 1 do
-      mul_row a b out ks i
-    done
-  end;
+  let ks = Array.make a.cols 0 in
+  for i = 0 to a.rows - 1 do
+    mul_row a b out ks i
+  done;
   out
 
 let mul_vec m v =

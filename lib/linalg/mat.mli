@@ -7,13 +7,6 @@
 
 type t
 
-(** Minimum work estimate (entries touched) before a row kernel dispatches
-    through {!Cc_engine.parallel_for}. The cutoff picks the execution
-    strategy only — results are bit-identical on either path — and is shared
-    by the other dense kernels ([Solve], [Shortcut]) so the whole linalg
-    layer flips to parallel at a consistent operand size. *)
-val par_threshold : int
-
 (** {1 Construction and access} *)
 
 val create : rows:int -> cols:int -> float -> t
@@ -56,8 +49,7 @@ val transpose : t -> t
     digest depends on its exact bits, so each entry's value is fixed:
     entry [(i, j)] starts at [0.0] and adds [a[i,k] *. b[k,j]] for each
     [k] with [a[i,k] <> 0.0] (so [-0.0] is skipped too), in ascending [k],
-    with a separate multiply and add per term (no fused multiply-add). The
-    result is the same at every domain count. *)
+    with a separate multiply and add per term (no fused multiply-add). *)
 val mul : t -> t -> t
 
 (** [mul_vec m v] is [m v]. *)

@@ -68,15 +68,14 @@ let check_solvable f ~rhs_rows =
   if is_singular f then failwith "Solve.lu_solve: singular matrix"
 
 (* [x] is an n x [k] row-major block whose row i holds row [perm.(i)] of the
-   right-hand sides. [subtract_rows f x ~k ~c0 ~c1 ~i ~lo ~hi] subtracts
+   right-hand sides. [subtract_rows f x ~k ~i ~lo ~hi] subtracts
    [a[i,j] * x[j,c]] from [x[i,c]] for each j in [lo, hi) in ascending order
-   and each column c in [c0, c1). Eight j share one pass over the columns,
-   which keeps the entry in a register across their eight terms. The fewer
-   than eight j left over take one pass over them per column, again with
-   the entry in a register. Every entry sees the same [-.] terms in the
-   same order either way. There is no zero skip: [0 *. inf] must still make
-   a NaN. *)
-let subtract_rows f x ~k ~c0 ~c1 ~i ~lo ~hi =
+   and each column c. Eight j share one pass over the columns, which keeps
+   the entry in a register across their eight terms. The fewer than eight j
+   left over take one pass over them per column, again with the entry in a
+   register. Every entry sees the same [-.] terms in the same order either
+   way. There is no zero skip: [0 *. inf] must still make a NaN. *)
+let subtract_rows f x ~k ~i ~lo ~hi =
   let a = f.a and ri = i * f.n and xi = i * k in
   let j = ref lo in
   while !j + 8 <= hi do
@@ -93,7 +92,7 @@ let subtract_rows f x ~k ~c0 ~c1 ~i ~lo ~hi =
     let x5 = x4 + k in
     let x6 = x5 + k in
     let x7 = x6 + k in
-    for c = c0 to c1 - 1 do
+    for c = 0 to k - 1 do
       let v = unsafe_get x (xi + c) in
       let v = v -. (a0 *. unsafe_get x (x0 + c)) in
       let v = v -. (a1 *. unsafe_get x (x1 + c)) in
@@ -109,7 +108,7 @@ let subtract_rows f x ~k ~c0 ~c1 ~i ~lo ~hi =
   done;
   let rest = !j in
   if rest < hi then
-    for c = c0 to c1 - 1 do
+    for c = 0 to k - 1 do
       let v = ref (unsafe_get x (xi + c)) in
       for j = rest to hi - 1 do
         v := !v -. (unsafe_get a (ri + j) *. unsafe_get x ((j * k) + c))
@@ -117,17 +116,17 @@ let subtract_rows f x ~k ~c0 ~c1 ~i ~lo ~hi =
       unsafe_set x (xi + c) !v
     done
 
-(* Solves columns [c0, c1) of [x] in place: forward substitution with unit
-   lower-triangular L, then back substitution with U, row by row. *)
-let substitute f x ~k ~c0 ~c1 =
+(* Solves [x] in place: forward substitution with unit lower-triangular L,
+   then back substitution with U, row by row. *)
+let substitute f x ~k =
   let n = f.n in
   for i = 1 to n - 1 do
-    subtract_rows f x ~k ~c0 ~c1 ~i ~lo:0 ~hi:i
+    subtract_rows f x ~k ~i ~lo:0 ~hi:i
   done;
   for i = n - 1 downto 0 do
-    subtract_rows f x ~k ~c0 ~c1 ~i ~lo:(i + 1) ~hi:n;
+    subtract_rows f x ~k ~i ~lo:(i + 1) ~hi:n;
     let d = unsafe_get f.a ((i * n) + i) and xi = i * k in
-    for c = c0 to c1 - 1 do
+    for c = 0 to k - 1 do
       unsafe_set x (xi + c) (unsafe_get x (xi + c) /. d)
     done
   done
@@ -136,13 +135,9 @@ let solve m b =
   let f = lu m in
   check_solvable f ~rhs_rows:(Array.length b);
   let x = Array.init f.n (fun i -> b.(f.perm.(i))) in
-  substitute f x ~k:1 ~c0:0 ~c1:1;
+  substitute f x ~k:1;
   x
 
-(* The LU factorisation is sequential (loop-carried pivoting), but the [k]
-   right-hand sides are independent: a block of columns reads the shared
-   factors and writes only its own columns of [out], so large systems give
-   each domain a contiguous block of columns, with bit-identical results. *)
 let solve_mat m b =
   let f = lu m in
   check_solvable f ~rhs_rows:(Mat.rows b);
@@ -152,13 +147,7 @@ let solve_mat m b =
   for i = 0 to n - 1 do
     Array.blit bd (f.perm.(i) * k) od (i * k) k
   done;
-  let engine = Cc_engine.get () in
-  if n * n * k >= Mat.par_threshold && Cc_engine.is_parallel engine then begin
-    let blocks = min k (Cc_engine.domains engine) in
-    Cc_engine.parallel_for engine ~lo:0 ~hi:blocks (fun p ->
-        substitute f od ~k ~c0:(p * k / blocks) ~c1:((p + 1) * k / blocks))
-  end
-  else substitute f od ~k ~c0:0 ~c1:k;
+  substitute f od ~k;
   out
 
 let inverse m = solve_mat m (Mat.identity (Mat.rows m))

@@ -15,12 +15,9 @@ type experiment = {
   imbalance : float option;
 }
 
-type engine_info = { domains : int; speedup : float option }
-
 type doc = {
   schema : string;
   fast : bool;
-  engine : engine_info option;
   experiments : experiment list;
   records : record list;
 }
@@ -114,20 +111,11 @@ let of_json v =
         Option.value ~default:false
           (Option.bind (Json.member "fast" v) Json.to_bool_opt)
       in
-      (* cc-bench/3 adds the engine object; absent in /1 and /2. *)
-      let engine =
-        match Json.member "engine" v with
-        | Some (Json.Obj _ as e) ->
-            Option.map
-              (fun domains -> { domains; speedup = float_field "speedup" e })
-              (int_field "domains" e)
-        | _ -> None
-      in
       let* experiments =
         parse_all parse_experiment (Json.member "experiments" v)
       in
       let* records = parse_all parse_record (Json.member "records" v) in
-      Ok { schema; fast; engine; experiments; records }
+      Ok { schema; fast; experiments; records }
 
 let of_string s =
   let* v = Json.of_string s in

@@ -2,8 +2,9 @@
 
     The bench harness's [--json FILE] flag writes one JSON document per run
     (schema [cc-bench/1]; [cc-bench/2] adds per-experiment load fields;
-    [cc-bench/3] adds the top-level engine object; [cc-bench/4] adds
-    per-record statistical-quality columns from the audit plane).
+    [cc-bench/3] added a top-level engine object, which is no longer
+    written and is not read; [cc-bench/4] adds per-record
+    statistical-quality columns from the audit plane).
     This module reads those documents back, aggregates the per-row records
     into per-experiment summaries, and diffs two runs by their measured/bound
     ratios — the seed-deterministic quantity a regression gate can pin. The
@@ -28,16 +29,9 @@ type experiment = {
   imbalance : float option;  (** cc-bench/2: max over the run's nets. *)
 }
 
-type engine_info = {
-  domains : int;  (** domain count the run executed with. *)
-  speedup : float option;
-      (** strong-scaling speedup at that count (P1); [None] when unmeasured. *)
-}
-
 type doc = {
-  schema : string;  (** ["cc-bench/1"], ["cc-bench/2"], or ["cc-bench/3"]. *)
+  schema : string;  (** ["cc-bench/1"] to ["cc-bench/4"]. *)
   fast : bool;
-  engine : engine_info option;  (** cc-bench/3 only; [None] in /1 and /2. *)
   experiments : experiment list;  (** in run order. *)
   records : record list;  (** in emission order. *)
 }

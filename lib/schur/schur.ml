@@ -46,9 +46,7 @@ let transition_via_shortcut g q ~s =
      u is in S, and every other entry stays 0. *)
   let col = Array.make n (-1) in
   Array.iteri (fun j v -> col.(v) <- j) s;
-  let ws =
-    Cc_engine.parallel_map (Cc_engine.get ()) n (Shortcut.s_weight g ~in_s)
-  in
+  let ws = Array.init n (Shortcut.s_weight g ~in_s) in
   let r = Mat.create ~rows:n ~cols:k 0.0 in
   for u = 0 to n - 1 do
     if ws.(u) = 0.0 then (if in_s.(u) then Mat.set r u col.(u) 1.0)

@@ -35,10 +35,10 @@ let exact g ~in_s =
         (if w = x then 1.0 else 0.0) -. if in_s.(x) then 0.0 else Mat.get p w x)
   in
   (* Q = (I - T)^{-1} diag(s_mass). Hoist the per-column S-mass out of the
-     n^2 init (it only depends on the column) — one engine pass over the
-     machines instead of an O(n) rescan per entry. *)
+     n^2 init (it only depends on the column): one pass over the machines
+     instead of an O(n) rescan per entry. *)
   let fundamental = Solve.inverse i_minus_t in
-  let sm = Cc_engine.parallel_map (Cc_engine.get ()) n (s_mass p ~in_s) in
+  let sm = Array.init n (s_mass p ~in_s) in
   Mat.init ~rows:n ~cols:n (fun u v -> Mat.get fundamental u v *. sm.(v))
 
 (* The 2n x 2n auxiliary chain of Corollary 3: states 0..n-1 are L-copies

@@ -14,10 +14,9 @@ val create : seed:int -> t
     generator advances; repeated splits yield distinct streams. *)
 val split : t -> t
 
-(** [streams t n] is [n] independent generators split off [t] in index order.
-    This is the idiom for deterministic parallelism: split one stream per
-    machine {e before} entering a parallel region, so each machine's draws
-    are the same whatever the domain count or scheduling order. *)
+(** [streams t n] is [n] independent generators split off [t] in index order:
+    one stream per machine, so each machine's draws depend only on its
+    index and not on the order the machines run in. *)
 val streams : t -> int -> t array
 
 (** [int t bound] is uniform on [0, bound). [bound] must be positive. *)

@@ -220,8 +220,8 @@ let resistances_match g =
   && List.for_all2 same_bits (Array.to_list r) per_edge
 
 let test_edge_resistances_complete () =
-  (* K40's grounds v >= 22 solve v right-hand sides against a 39 x 39
-     minor, enough for Solve.solve_mat's engine branch at CC_DOMAINS > 1. *)
+  (* K40's grounds solve up to 39 right-hand sides at once against a
+     39 x 39 minor. *)
   let g = log_uniform_weights (Prng.create ~seed:40) (Gen.complete 40) in
   Alcotest.(check bool) "bit for bit" true (resistances_match g)
 

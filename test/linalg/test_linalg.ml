@@ -276,9 +276,8 @@ let singular = Failure "Solve.lu_solve: singular matrix"
 let raises_singular f =
   match f () with _ -> false | exception e -> e = singular
 
-(* n up to 40 and k up to 24 right-hand sides: the largest cases pass
-   Mat.par_threshold, so the multi-RHS solve and the products also take
-   their engine branch when the suite runs with several domains. *)
+(* n up to 40 and k up to 24 right-hand sides: large enough for several
+   eight-term blocks per row in the products and the multi-RHS solve. *)
 let kernel_case = QCheck.(make Gen.(triple (int_range 1 40) (int_range 1 24) (int_range 0 1_000_000)))
 
 let kernel_tests =

@@ -659,12 +659,33 @@ let test_benchdata_rejects_wrong_schema () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "schema-less document accepted"
 
+(* cc-bench/3 and early cc-bench/4 runs carry a top-level engine object
+   (bench/BENCH_fast.json is one). It is no longer read, and must not stop
+   such a document from loading. *)
+let test_benchdata_skips_engine () =
+  let old =
+    {|{
+  "schema": "cc-bench/4",
+  "fast": true,
+  "engine": {"domains": 1, "speedup": 0.25},
+  "experiments": [{"id": "E1", "title": "first", "wall_s": 1.5}],
+  "records": [
+    {"experiment": "E1", "params": {"n": 8}, "measured": 4.0, "bound": 4.0, "ratio": 1.0}
+  ]
+}|}
+  in
+  match Benchdata.of_string old with
+  | Error e -> Alcotest.failf "document with an engine object rejected: %s" e
+  | Ok doc ->
+      Alcotest.(check string) "schema" "cc-bench/4" doc.Benchdata.schema;
+      Alcotest.(check int) "experiments" 1 (List.length doc.Benchdata.experiments);
+      Alcotest.(check int) "records" 1 (List.length doc.Benchdata.records)
+
 (* A doc with one ratio-bearing record per (id, ratio) pair. *)
 let doc_of_ratios pairs =
   {
     Benchdata.schema = "cc-bench/2";
     fast = true;
-    engine = None;
     experiments =
       List.map
         (fun (id, _) ->
@@ -1330,6 +1351,8 @@ let () =
             test_benchdata_of_string;
           Alcotest.test_case "schema gate" `Quick
             test_benchdata_rejects_wrong_schema;
+          Alcotest.test_case "old engine object is skipped" `Quick
+            test_benchdata_skips_engine;
           Alcotest.test_case "diff partitions by threshold" `Quick
             test_benchdata_diff_partitions;
           Alcotest.test_case "self-diff is clean" `Quick

@@ -102,8 +102,8 @@ let test_prng_parent_stream_after_split () =
       (Prng.int b 1000)
   done
 
-(* [streams] must split in index order off the parent — the engine's
-   determinism contract keys per-machine draws to that order. *)
+(* [streams] must split in index order off the parent: [Doubling] keys each
+   machine's draws to that order. *)
 let test_prng_streams_match_manual_splits () =
   let a = Prng.create ~seed:37 and b = Prng.create ~seed:37 in
   let via_helper = Prng.streams a 8 in
