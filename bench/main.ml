@@ -21,6 +21,7 @@
      D1  determinism: same-seed runs produce byte-identical recorder digests
      Q1  audit plane: samples-to-verdict per sampler + biased-fixture power
      S1  ccserve: plan-cache throughput, cold vs warm, 1 vs 4 clients
+     R1  recording overhead: served draws on a bare vs a recorded net
 
    Usage:
      dune exec bench/main.exe                 -- all experiments
@@ -1411,6 +1412,79 @@ let s1 () =
      Sampler.prepare per request); 4 concurrent clients see round-robin\n\
      fairness, not a 4x collapse."
 
+(* ---------------------------------------------------------------- R1 --- *)
+
+(* What a flight recorder costs a served draw. ccserve attaches a digest-only
+   recorder (~max_records:0) to every request's net and reports only the
+   chain digest, so every booked primitive pays for writing and folding its
+   line. R1 times the same 20 draws from one prepared plan on a bare net and
+   on a recorded one, alternating the two and keeping the best of 5 each,
+   and gates the ratio. *)
+let r1 () =
+  section "R1" "recording overhead: 20 served draws, bare vs digest-only";
+  let n = 40 and draws = 20 and reps = 5 and limit = 2.0 in
+  let g = Gen.build (Prng.create ~seed:3) (Gen.Er_log 3.0) ~n in
+  let plan = Sampler.prepare g in
+  let run ~recorded =
+    let net = Net.create ~n in
+    if recorded then
+      ignore
+        (Net.attach_recorder net
+           (Cc_obs.Recorder.create ~max_records:0 ~machines:n ()));
+    let master = Prng.create ~seed:11 in
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to draws do
+      ignore (Sampler.draw plan net (Prng.split master))
+    done;
+    Unix.gettimeofday () -. t0
+  in
+  (* one untimed pass fills the plan's memo, so neither side pays it *)
+  ignore (run ~recorded:false);
+  let bare = ref infinity and recorded = ref infinity in
+  for _ = 1 to reps do
+    bare := Float.min !bare (run ~recorded:false);
+    recorded := Float.min !recorded (run ~recorded:true)
+  done;
+  let ratio = !recorded /. !bare in
+  let table =
+    Table.create
+      ~title:
+        (Printf.sprintf
+           "Er_log 3 n=%d, one plan, %d draws per run, best of %d" n draws reps)
+      ~columns:[ "net"; "wall (ms)"; "per draw (ms)" ]
+  in
+  List.iter
+    (fun (name, wall) ->
+      Report.record ~id:"R1"
+        ~params:[ ("net", Report.str name); ("n", Report.int n) ]
+        ~extra:[ ("draws", Report.int draws) ]
+        wall;
+      Table.add_row table
+        [
+          name;
+          Table.cell_float ~decimals:1 (1000.0 *. wall);
+          Table.cell_float ~decimals:2 (1000.0 *. wall /. float_of_int draws);
+        ])
+    [ ("bare", !bare); ("recorded", !recorded) ];
+  (* hardware-independent gate row for ccprof diff: 1.0 iff ratio <= limit *)
+  Report.record ~id:"R1"
+    ~params:[ ("net", Report.str "gate"); ("n", Report.int n) ]
+    ~bound:1.0
+    ~extra:[ ("ratio", Report.flt ratio) ]
+    (if ratio <= limit then 1.0 else 0.0);
+  Table.print table;
+  Printf.printf "recorded/bare: %.2fx (gate: <= %.1fx)\n" ratio limit;
+  if ratio > limit then
+    failwith
+      (Printf.sprintf
+         "R1 REGRESSION: served draws on a digest-only recorded net took \
+          %.2fx the bare time (limit %.1fx)"
+         ratio limit);
+  print_endline
+    "Expected shape: the recorder writes one line per booked primitive\n\
+     straight into its own buffer and folds it in place, so recorded draws\n\
+     stay well under twice the bare ones."
+
 (* ------------------------------------------------- bechamel microbench --- *)
 
 let microbench () =
@@ -1590,6 +1664,7 @@ let () =
   run_exp "A4" a4;
   run_exp "Q1" q1;
   run_exp "S1" s1;
+  run_exp "R1" r1;
   if !micro || List.mem "MICRO" !selected then begin
     let t0 = Unix.gettimeofday () in
     microbench ();

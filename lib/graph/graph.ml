@@ -206,18 +206,20 @@ let edge_resistances g =
 (* FNV-1a 64 over the canonical serialization. [edges] is stored sorted with
    [u < v], so two graphs built from permuted edge lists serialize — and hash
    — identically, while any weight change (printed at full [%.17g] precision)
-   lands in the digest. Constants match lib/obs's recorder chain, but the
-   implementation is local: lib/graph sits below the observability stack. *)
+   lands in the digest. Constants and loop match lib/obs's recorder chain,
+   which keeps its fold private (lib/graph does link cc_obs, through
+   cc_linalg). A plain [for] loop keeps the accumulator unboxed. *)
 let fnv_basis = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
 let fnv64_string h s =
   let h = ref h in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h fnv_prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        fnv_prime
+  done;
   !h
 
 let fingerprint g =

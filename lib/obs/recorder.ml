@@ -1,12 +1,17 @@
 (* Flight recorder: a canonical, bounded, digest-chained log of every
    primitive a Net books.
 
-   Each record is serialized to one compact JSON line the moment it is
-   added, and the running digest is an FNV-1a 64-bit fold over those exact
-   line bytes (header line first, then every record line, in order). Two
-   runs therefore agree on the digest iff they agree on every serialized
-   byte of every event — and a reloaded log can re-fold the raw lines it
-   read and verify the trailer without ever re-serializing a float. *)
+   Each record is written to one compact JSON line the moment it is added,
+   and the running digest is an FNV-1a 64-bit fold over those exact line
+   bytes (header line first, then every record line, in order). Two runs
+   therefore agree on the digest iff they agree on every serialized byte of
+   every event — and a reloaded log can re-fold the raw lines it read and
+   verify the trailer without ever re-serializing a float.
+
+   One writer ([write_record]) defines the record line for both the digest
+   and the export. It appends straight into a growable byte buffer, so
+   [add] builds no JSON tree and no intermediate string: the recorder folds
+   its own buffer in place and reuses it for the next line. *)
 
 type record = {
   seq : int;
@@ -24,9 +29,14 @@ type record = {
   dropped : int;
 }
 
+(* An append-only byte buffer whose bytes can be folded in place (a
+   [Buffer.t] only hands them out as a fresh copy). *)
+type out = { mutable bytes : Bytes.t; mutable len : int }
+
 type t = {
   machines : int;
   max_records : int;
+  line : out;  (* the buffer [add] writes each line into *)
   mutable rev_records : record list;
   mutable stored : int;
   mutable total : int;
@@ -38,15 +48,96 @@ type t = {
 let fnv_basis = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
-let fnv64 h s =
+(* A plain loop, so the accumulator stays an unboxed register. *)
+let fnv64_prefix h s len =
   let h = ref h in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    s;
+  for i = 0 to len - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        fnv_prime
+  done;
   !h
 
+let fnv64 h s = fnv64_prefix h s (String.length s)
+
 (* --- canonical serialization --- *)
+
+let out_create size = { bytes = Bytes.create size; len = 0 }
+
+let out_grow o k =
+  let bytes = Bytes.create (max (o.len + k) (2 * Bytes.length o.bytes)) in
+  Bytes.blit o.bytes 0 bytes 0 o.len;
+  o.bytes <- bytes
+
+let out_reserve o k = if o.len + k > Bytes.length o.bytes then out_grow o k
+
+let out_char o c =
+  out_reserve o 1;
+  Bytes.unsafe_set o.bytes o.len c;
+  o.len <- o.len + 1
+
+let out_string o s =
+  let k = String.length s in
+  out_reserve o k;
+  Bytes.unsafe_blit_string s 0 o.bytes o.len k;
+  o.len <- o.len + k
+
+(* Decimal digits of [-n] for [n <= 0], written from the last one back;
+   counting on the negative side makes [min_int] safe. *)
+let out_neg_digits o n =
+  let k = ref 1 and m = ref n in
+  while !m <= -10 do
+    incr k;
+    m := !m / 10
+  done;
+  out_reserve o !k;
+  let m = ref n in
+  for p = o.len + !k - 1 downto o.len do
+    Bytes.unsafe_set o.bytes p (Char.unsafe_chr (48 - (!m mod 10)));
+    m := !m / 10
+  done;
+  o.len <- o.len + !k
+
+(* [string_of_int i]. *)
+let out_int o i =
+  if i < 0 then begin
+    out_char o '-';
+    out_neg_digits o i
+  end
+  else out_neg_digits o (-i)
+
+(* The C primitive behind [Printf.sprintf "%.12g"], without the format
+   interpretation around it: same bytes, half the cost. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* [Json.Float]'s bytes: [null] when not finite, [%.1f] for an integral
+   value below 1e15 (its digits, then [.0]; [-0.0] keeps its sign), and
+   [%.12g] otherwise. *)
+let out_float o x =
+  if not (Float.is_finite x) then out_string o "null"
+  else if Float.is_integer x && Float.abs x < 1e15 then begin
+    if Float.sign_bit x then out_char o '-';
+    out_neg_digits o (-int_of_float (Float.abs x));
+    out_string o ".0"
+  end
+  else out_string o (format_float "%.12g" x)
+
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+(* [Json.String]'s bytes: verbatim unless some byte needs an escape. *)
+let out_json_string o s =
+  out_char o '"';
+  out_string o (if String.exists needs_escape s then Json.escape s else s);
+  out_char o '"'
+
+let out_ints o a =
+  out_char o '[';
+  for i = 0 to Array.length a - 1 do
+    if i > 0 then out_char o ',';
+    out_int o (Array.unsafe_get a i)
+  done;
+  out_char o ']'
 
 let header_line ~machines =
   Json.to_string
@@ -57,47 +148,52 @@ let header_line ~machines =
          ("machines", Json.Int machines);
        ])
 
-let json_of_record r =
-  let ints a =
-    Json.List (Array.to_list (Array.map (fun i -> Json.Int i) a))
-  in
-  Json.Obj
-    [
-      ("type", Json.String "record");
-      ("seq", Json.Int r.seq);
-      ("kind", Json.String r.kind);
-      ("label", Json.String r.label);
-      ("round_start", Json.float_opt r.round_start);
-      ("round_end", Json.float_opt r.round_end);
-      ("rounds", Json.float_opt r.rounds);
-      ("messages", Json.Int r.messages);
-      ("words", Json.Int r.words);
-      ("max_load", Json.Int r.max_load);
-      ("sent", ints r.sent);
-      ("recv", ints r.recv);
-      ("retransmits", Json.Int r.retransmits);
-      ("dropped", Json.Int r.dropped);
-    ]
-
-let line_of_record r = Json.to_string (json_of_record r)
+(* The record line, without its newline. Field order and bytes are the
+   digest contract. *)
+let write_record o ~seq ~kind ~label ~round_start ~round_end ~rounds
+    ~messages ~words ~max_load ~sent ~recv ~retransmits ~dropped =
+  out_string o {|{"type":"record","seq":|};
+  out_int o seq;
+  out_string o {|,"kind":|};
+  out_json_string o kind;
+  out_string o {|,"label":|};
+  out_json_string o label;
+  out_string o {|,"round_start":|};
+  out_float o round_start;
+  out_string o {|,"round_end":|};
+  out_float o round_end;
+  out_string o {|,"rounds":|};
+  out_float o rounds;
+  out_string o {|,"messages":|};
+  out_int o messages;
+  out_string o {|,"words":|};
+  out_int o words;
+  out_string o {|,"max_load":|};
+  out_int o max_load;
+  out_string o {|,"sent":|};
+  out_ints o sent;
+  out_string o {|,"recv":|};
+  out_ints o recv;
+  out_string o {|,"retransmits":|};
+  out_int o retransmits;
+  out_string o {|,"dropped":|};
+  out_int o dropped;
+  out_char o '}'
 
 (* --- construction --- *)
 
 let create ?(max_records = 200_000) ~machines () =
   if machines < 1 then invalid_arg "Recorder.create: machines must be >= 1";
   if max_records < 0 then invalid_arg "Recorder.create: negative max_records";
-  let t =
-    {
-      machines;
-      max_records;
-      rev_records = [];
-      stored = 0;
-      total = 0;
-      digest = fnv_basis;
-    }
-  in
-  t.digest <- fnv64 t.digest (header_line ~machines);
-  t
+  {
+    machines;
+    max_records;
+    line = out_create 256;
+    rev_records = [];
+    stored = 0;
+    total = 0;
+    digest = fnv64 fnv_basis (header_line ~machines);
+  }
 
 let add t ~kind ~label ~rounds ~round_end ~messages ~words ~max_load ~sent
     ~recv ~retransmits ~dropped =
@@ -107,27 +203,31 @@ let add t ~kind ~label ~rounds ~round_end ~messages ~words ~max_load ~sent
   then
     invalid_arg
       "Recorder.add: per-machine arrays must be empty or one slot per machine";
-  let r =
-    {
-      seq = t.total;
-      kind;
-      label;
-      round_start = round_end -. rounds;
-      round_end;
-      rounds;
-      messages;
-      words;
-      max_load;
-      sent = Array.copy sent;
-      recv = Array.copy recv;
-      retransmits;
-      dropped;
-    }
-  in
-  t.digest <- fnv64 t.digest (line_of_record r);
+  let seq = t.total and round_start = round_end -. rounds in
+  let o = t.line in
+  o.len <- 0;
+  write_record o ~seq ~kind ~label ~round_start ~round_end ~rounds ~messages
+    ~words ~max_load ~sent ~recv ~retransmits ~dropped;
+  t.digest <- fnv64_prefix t.digest (Bytes.unsafe_to_string o.bytes) o.len;
   t.total <- t.total + 1;
   if t.stored < t.max_records then begin
-    t.rev_records <- r :: t.rev_records;
+    t.rev_records <-
+      {
+        seq;
+        kind;
+        label;
+        round_start;
+        round_end;
+        rounds;
+        messages;
+        words;
+        max_load;
+        sent = Array.copy sent;
+        recv = Array.copy recv;
+        retransmits;
+        dropped;
+      }
+      :: t.rev_records;
     t.stored <- t.stored + 1
   end
 
@@ -143,15 +243,32 @@ let digest_hex t = Printf.sprintf "fnv64:%016Lx" t.digest
 (* --- JSONL export / reload --- *)
 
 let to_jsonl t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf (header_line ~machines:t.machines);
-  Buffer.add_char buf '\n';
+  let o = out_create 4096 in
+  out_string o (header_line ~machines:t.machines);
+  out_char o '\n';
   List.iter
-    (fun r ->
-      Buffer.add_string buf (line_of_record r);
-      Buffer.add_char buf '\n')
+    (fun
+      {
+        seq;
+        kind;
+        label;
+        round_start;
+        round_end;
+        rounds;
+        messages;
+        words;
+        max_load;
+        sent;
+        recv;
+        retransmits;
+        dropped;
+      }
+    ->
+      write_record o ~seq ~kind ~label ~round_start ~round_end ~rounds
+        ~messages ~words ~max_load ~sent ~recv ~retransmits ~dropped;
+      out_char o '\n')
     (records t);
-  Buffer.add_string buf
+  out_string o
     (Json.to_string
        (Json.Obj
           [
@@ -160,8 +277,8 @@ let to_jsonl t =
             ("records", Json.Int t.total);
             ("stored", Json.Int t.stored);
           ]));
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
+  out_char o '\n';
+  Bytes.sub_string o.bytes 0 o.len
 
 type loaded = {
   log : t;
@@ -224,6 +341,7 @@ let of_jsonl s =
           {
             machines;
             max_records = List.length rest;
+            line = out_create 0;
             rev_records = [];
             stored = 0;
             total = 0;

@@ -10,6 +10,11 @@
     same digest) and the log a replay artifact that {!diff} can compare to
     the first divergent event.
 
+    One writer defines every record line, for the digest and for
+    {!to_jsonl} alike: it appends the line's bytes straight into a buffer
+    the recorder owns, and the digest folds them there, so recording builds
+    no JSON tree and no intermediate string per event.
+
     The recorder is glued to a net with [Cc_clique.Net.attach_recorder]
     (this module cannot depend on [Cc_clique], which sits above it). Like
     every observability layer here it is pure observation: it copies what
@@ -38,12 +43,16 @@ type t
 (** [create ~machines ()] builds an empty recorder for a [machines]-machine
     clique. At most [max_records] records (default [200_000]) are kept in
     memory; excess records still extend the digest chain but are dropped
-    from the log and counted in {!dropped_records}. *)
+    from the log and counted in {!dropped_records}. [~max_records:0] keeps
+    the digest chain and nothing else: that is what ccserve attaches to
+    each request, since it reports only {!digest_hex}. *)
 val create : ?max_records:int -> machines:int -> unit -> t
 
 (** [add t ~kind ~label ~rounds ~round_end …] appends one record
-    ([round_start] is derived as [round_end - rounds]; [seq] is assigned).
-    The per-machine arrays are copied.
+    ([round_start] is derived as [round_end - rounds]; [seq] is assigned)
+    and extends the digest with its line. The record is built, and the
+    per-machine arrays copied, only when it is stored (fewer than
+    [max_records] stored so far); the digest never depends on storage.
     @raise Invalid_argument if [sent]/[recv] are not both empty or both of
     length [machines]. *)
 val add :

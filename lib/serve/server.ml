@@ -142,7 +142,7 @@ let start_job t conn (req : Protocol.request) =
   let plan, cache_hit = Plan_cache.find_or_add t.cache (plan_key req) ~make:(fun () -> make_plan req) in
   let n = Graph.n req.graph in
   let net = Net.create ~n in
-  let recorder = Recorder.create ~machines:n () in
+  let recorder = Recorder.create ~max_records:0 ~machines:n () in
   ignore (Net.attach_recorder net recorder);
   Metrics.incr "server.requests";
   journal_record t "serve_request" ~worker:conn.cid

@@ -88,6 +88,25 @@ let test_fingerprint_sensitivity () =
   Alcotest.(check bool) "vertex-count change" true
     (fp <> Graph.fingerprint padded)
 
+(* Fingerprints key the ccserve plan cache and head every benchmark's
+   [# input] line, so their values are pinned across commits. *)
+let test_fingerprint_pinned () =
+  Alcotest.(check string) "lollipop 8+8" "fnv64:c2dd69e2ea344410"
+    (Graph.fingerprint (Gen.lollipop ~clique:8 ~tail:8));
+  let weighted =
+    Graph.of_edges ~n:6
+      [
+        (0, 1, 2.5);
+        (1, 2, 0.1);
+        (2, 3, 1e-3);
+        (3, 4, 7.0);
+        (0, 5, 1.0 /. 3.0);
+        (4, 5, 12345.678);
+      ]
+  in
+  Alcotest.(check string) "weighted, fractional weights"
+    "fnv64:b5ee0a85adf4cb6f" (Graph.fingerprint weighted)
+
 (* --- Matrices --- *)
 
 let test_transition_matrix_stochastic () =
@@ -615,6 +634,8 @@ let () =
             test_fingerprint_permutation_invariant;
           Alcotest.test_case "fingerprint sensitivity" `Quick
             test_fingerprint_sensitivity;
+          Alcotest.test_case "fingerprint pinned values" `Quick
+            test_fingerprint_pinned;
         ] );
       ( "matrices",
         [

@@ -1111,6 +1111,204 @@ let test_recorder_shape_validation () =
        "Recorder.add: per-machine arrays must be empty or one slot per machine")
     (fun () -> radd r ~round_end:1.0 ~sent:[| 1; 2; 3 |] ())
 
+(* The reference for the recorder's line writer: the record line as a
+   [Json.t] tree, serialized by [Json.to_string]. *)
+let json_of_record (r : Recorder.record) =
+  let ints a =
+    Json.List (Array.to_list (Array.map (fun i -> Json.Int i) a))
+  in
+  Json.Obj
+    [
+      ("type", Json.String "record");
+      ("seq", Json.Int r.seq);
+      ("kind", Json.String r.kind);
+      ("label", Json.String r.label);
+      ("round_start", Json.float_opt r.round_start);
+      ("round_end", Json.float_opt r.round_end);
+      ("rounds", Json.float_opt r.rounds);
+      ("messages", Json.Int r.messages);
+      ("words", Json.Int r.words);
+      ("max_load", Json.Int r.max_load);
+      ("sent", ints r.sent);
+      ("recv", ints r.recv);
+      ("retransmits", Json.Int r.retransmits);
+      ("dropped", Json.Int r.dropped);
+    ]
+
+let reference_header ~machines =
+  Json.to_string
+    (Json.Obj
+       [
+         ("type", Json.String "recorder");
+         ("version", Json.Int 1);
+         ("machines", Json.Int machines);
+       ])
+
+(* FNV-1a 64 written independently of the recorder's loop. *)
+let reference_digest lines =
+  let h =
+    List.fold_left
+      (fun h line ->
+        String.fold_left
+          (fun h c ->
+            Int64.mul
+              (Int64.logxor h (Int64.of_int (Char.code c)))
+              0x100000001b3L)
+          h line)
+      0xcbf29ce484222325L lines
+  in
+  Printf.sprintf "fnv64:%016Lx" h
+
+type event = {
+  e_kind : string;
+  e_label : string;
+  e_rounds : float;
+  e_round_end : float;
+  e_ints : int array;  (* messages, words, max_load, retransmits, dropped *)
+  e_full : bool;  (* per-machine arrays filled, or both empty *)
+  e_sent : int array;
+  e_recv : int array;
+}
+
+let edge_strings =
+  [
+    "";
+    "exchange";
+    "phase:retry";
+    {|say "hi"|};
+    {|back\slash|};
+    "line\nbreak";
+    "tab\there";
+    "\001ctl";
+    "caf\xc3\xa9";
+    "\xff\xfe\x7f";
+  ]
+
+let edge_floats =
+  [
+    0.0;
+    -0.0;
+    -3.0;
+    0.5;
+    1e15 -. 1.0;
+    1e15;
+    -1e15;
+    9007199254740992.0;
+    5e-324;
+    nan;
+    infinity;
+    neg_infinity;
+    3.09942372384;
+  ]
+
+let edge_ints = [ 0; -1; -17; 42; max_int; min_int ]
+
+let gen_stream =
+  let open QCheck.Gen in
+  let str = oneof [ oneofl edge_strings; string_size (int_range 0 6) ] in
+  let flt =
+    oneof
+      [
+        oneofl edge_floats;
+        float;
+        map float_of_int (int_range (-1000) 1000);
+      ]
+  in
+  let int = oneof [ oneofl edge_ints; int; int_range (-100) 100 ] in
+  int_range 1 4 >>= fun machines ->
+  let event =
+    map
+      (fun ( (e_kind, e_label, e_rounds, e_round_end),
+             (e_ints, e_full, e_sent, e_recv) ) ->
+        {
+          e_kind;
+          e_label;
+          e_rounds;
+          e_round_end;
+          e_ints;
+          e_full;
+          e_sent;
+          e_recv;
+        })
+      (pair
+         (quad str str flt flt)
+         (quad (array_size (return 5) int) bool
+            (array_size (return machines) int)
+            (array_size (return machines) int)))
+  in
+  map (fun evs -> (machines, evs)) (list_size (int_range 0 12) event)
+
+let print_stream (machines, evs) =
+  Printf.sprintf "machines=%d, %d events: %s" machines (List.length evs)
+    (String.concat "; "
+       (List.map
+          (fun e ->
+            Printf.sprintf "%S %S rounds=%h end=%h ints=[%s] full=%b" e.e_kind
+              e.e_label e.e_rounds e.e_round_end
+              (String.concat ","
+                 (Array.to_list (Array.map string_of_int e.e_ints)))
+              e.e_full)
+          evs))
+
+let feed r (e : event) =
+  Recorder.add r ~kind:e.e_kind ~label:e.e_label ~rounds:e.e_rounds
+    ~round_end:e.e_round_end ~messages:e.e_ints.(0) ~words:e.e_ints.(1)
+    ~max_load:e.e_ints.(2)
+    ~sent:(if e.e_full then e.e_sent else [||])
+    ~recv:(if e.e_full then e.e_recv else [||])
+    ~retransmits:e.e_ints.(3) ~dropped:e.e_ints.(4)
+
+let prop_writer_matches_reference =
+  QCheck.Test.make ~name:"writer matches the Json.t reference" ~count:300
+    (QCheck.make ~print:print_stream gen_stream)
+    (fun (machines, evs) ->
+      let r = Recorder.create ~machines () in
+      let r0 = Recorder.create ~max_records:0 ~machines () in
+      List.iter
+        (fun e ->
+          feed r e;
+          feed r0 e)
+        evs;
+      let reference =
+        reference_header ~machines
+        :: List.map
+             (fun rc -> Json.to_string (json_of_record rc))
+             (Recorder.records r)
+      in
+      (* header and record lines; the trailer and final newline follow *)
+      let exported =
+        List.filteri
+          (fun i _ -> i <= List.length evs)
+          (String.split_on_char '\n' (Recorder.to_jsonl r))
+      in
+      if exported <> reference then
+        QCheck.Test.fail_reportf "export differs:\n%s\nvs reference\n%s"
+          (String.concat "\n" exported)
+          (String.concat "\n" reference);
+      let digest = Recorder.digest_hex r in
+      if digest <> reference_digest reference then
+        QCheck.Test.fail_reportf "digest %s, reference fold %s" digest
+          (reference_digest reference);
+      if Recorder.digest_hex r0 <> digest then
+        QCheck.Test.fail_reportf "digest-only recorder: %s, storing: %s"
+          (Recorder.digest_hex r0) digest;
+      Recorder.stored r0 = 0
+      && Recorder.total r0 = List.length evs
+      && Recorder.stored r = List.length evs)
+
+(* The stored record owns its arrays: the caller may reuse its own. *)
+let test_recorder_copies_stored_arrays () =
+  let r = Recorder.create ~machines:2 () in
+  let sent = [| 2; 0 |] and recv = [| 0; 2 |] in
+  radd r ~round_end:1.0 ~sent ~recv ();
+  sent.(0) <- 9;
+  recv.(1) <- 9;
+  match Recorder.records r with
+  | [ rc ] ->
+      Alcotest.(check (array int)) "sent kept" [| 2; 0 |] rc.Recorder.sent;
+      Alcotest.(check (array int)) "recv kept" [| 0; 2 |] rc.Recorder.recv
+  | _ -> Alcotest.fail "expected one stored record"
+
 (* --- Invariant ---------------------------------------------------------- *)
 
 (* Literal four-machine records for the synthetic checks. *)
@@ -1319,6 +1517,9 @@ let () =
           Alcotest.test_case "timeline lanes" `Quick test_recorder_timeline;
           Alcotest.test_case "shape validation raises" `Quick
             test_recorder_shape_validation;
+          Alcotest.test_case "stored records own their arrays" `Quick
+            test_recorder_copies_stored_arrays;
+          QCheck_alcotest.to_alcotest prop_writer_matches_reference;
         ] );
       ( "invariant",
         [
