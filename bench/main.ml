@@ -22,6 +22,7 @@
      Q1  audit plane: samples-to-verdict per sampler + biased-fixture power
      S1  ccserve: plan-cache throughput, cold vs warm, 1 vs 4 clients
      R1  recording overhead: served draws on a bare vs a recorded net
+     M1  plan memory: live heap after 1 and 20 draws on one plan
 
    Usage:
      dune exec bench/main.exe                 -- all experiments
@@ -1485,6 +1486,67 @@ let r1 () =
      straight into its own buffer and folds it in place, so recorded draws\n\
      stay well under twice the bare ones."
 
+(* ---------------------------------------------------------------- M1 --- *)
+
+(* What a prepared plan holds after serving draws. The plan's per-S memo
+   retains later phases' state as draws meet new vertex sets; M1 reads the
+   live heap after prepare, after one draw and after 20 draws, and gates the
+   growth over 20 draws at twice the growth over the first. *)
+let m1 () =
+  section "M1" "plan memory: live heap after 1 and 20 draws on one plan";
+  let n = 64 and draws = 20 and limit = 2.0 in
+  let g = Gen.build (Prng.create ~seed:3) (Gen.Er_log 6.0) ~n in
+  let plan = Sampler.prepare g in
+  let master = Prng.create ~seed:11 in
+  let draw () = ignore (Sampler.draw plan (Net.create ~n) (Prng.split master)) in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let l0 = live () in
+  draw ();
+  let l1 = live () in
+  for _ = 2 to draws do
+    draw ()
+  done;
+  let l20 = live () in
+  (* the plan is read after the last reading, so every reading counts it *)
+  let _, hits, misses = Sampler.plan_stats plan in
+  let ratio = float_of_int (l20 - l0) /. float_of_int (max 1 (l1 - l0)) in
+  let table =
+    Table.create
+      ~title:(Printf.sprintf "Er_log 6 n=%d, one plan, live heap after a full major" n)
+      ~columns:[ "after"; "draws"; "live words"; "growth over prepare" ]
+  in
+  List.iter
+    (fun (after, k, words) ->
+      Report.record ~id:"M1"
+        ~params:
+          [ ("after", Report.str after); ("draws", Report.int k); ("n", Report.int n) ]
+        (float_of_int words);
+      Table.add_row table
+        [ after; Table.cell_int k; Table.cell_int words; Table.cell_int (words - l0) ])
+    [ ("prepare", 0, l0); ("one draw", 1, l1); ("20 draws", draws, l20) ];
+  (* hardware-independent gate row for ccprof diff: 1.0 iff ratio <= limit *)
+  Report.record ~id:"M1"
+    ~params:[ ("after", Report.str "gate"); ("n", Report.int n) ]
+    ~bound:1.0
+    ~extra:[ ("ratio", Report.flt ratio) ]
+    (if ratio <= limit then 1.0 else 0.0);
+  Table.print table;
+  Printf.printf "memo: %d hits, %d misses over %d draws\n" hits misses draws;
+  Printf.printf "growth over %d draws / over one draw: %.2fx (gate: <= %.1fx)\n"
+    draws ratio limit;
+  if ratio > limit then
+    failwith
+      (Printf.sprintf
+         "M1 REGRESSION: a plan's live heap grew %.2fx as much over %d draws \
+          as over one (limit %.1fx)"
+         ratio draws limit);
+  print_endline
+    "Expected shape: the first draw fills the plan's word-bounded memo, so\n\
+     later draws on distinct seeds add nothing that stays live."
+
 (* ------------------------------------------------- bechamel microbench --- *)
 
 let microbench () =
@@ -1665,6 +1727,7 @@ let () =
   run_exp "Q1" q1;
   run_exp "S1" s1;
   run_exp "R1" r1;
+  run_exp "M1" m1;
   if !micro || List.mem "MICRO" !selected then begin
     let t0 = Unix.gettimeofday () in
     microbench ();

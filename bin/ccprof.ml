@@ -7,14 +7,13 @@
      diff BASELINE NEW     regression gate on measured/bound ratios
      heatmap FILE          machine x label congestion heatmap of a
                            flight-recorder log (cctree --record FILE)
-     trace FILE            top spans/events of a trace artifact
-                           (--trace-out)
+     trace FILE            self time by span, top spans and events of a
+                           trace artifact (--trace-out); --budget gates
+                           a span's share of the run
      events FILE           render a lifecycle-event journal JSONL
                            (ccserve --health-log FILE)
      timeline FILE         Chrome/Perfetto JSON from a trace artifact
                            (--trace-out)
-     critical-path FILE    longest dependent chain through the spans with
-                           per-phase self-time/rounds attribution
      history FILE          per-experiment trend deltas over an appended
                            bench trajectory (bench/HISTORY)
      audit FILE            statistical audit verdicts (cctree sample
@@ -22,8 +21,8 @@
                            convergence sparklines
 
    Exit codes: 0 ok; 1 diff found a regression (unless --warn-only),
-   critical-path --budget saw a phase share exceeded, or audit saw a
-   statistical breach; 2 unreadable or malformed input. *)
+   trace --budget saw a span's share exceeded, or audit saw a statistical
+   breach; 2 unreadable or malformed input. *)
 
 module Json = Cc_obs.Json
 module Benchdata = Cc_obs.Benchdata
@@ -32,7 +31,6 @@ module Recorder = Cc_obs.Recorder
 module Metrics = Cc_obs.Metrics
 module Journal = Cc_obs.Journal
 module Trace = Cc_obs.Trace
-module Critical_path = Cc_obs.Critical_path
 module Table = Cc_util.Table
 open Cmdliner
 
@@ -301,8 +299,67 @@ let trace_cmd =
   let top_t =
     Arg.(value & opt int 15 & info [ "top" ] ~doc:"Rows to show per table.")
   in
-  let run file top =
+  let budget_t =
+    let doc =
+      "Fail (exit 1) when span $(i,NAME)'s self time exceeds $(i,FRAC) (a \
+       fraction in (0,1]) of the run. Repeatable."
+    in
+    Arg.(value & opt_all string [] & info [ "budget" ] ~doc ~docv:"NAME=FRAC")
+  in
+  let warn_only_t =
+    let doc = "Report budget breaches but exit 0 anyway." in
+    Arg.(value & flag & info [ "warn-only" ] ~doc)
+  in
+  let parse_budget s =
+    match String.index_opt s '=' with
+    | None -> None
+    | Some i -> (
+        let name = String.sub s 0 i in
+        let frac = String.sub s (i + 1) (String.length s - i - 1) in
+        match float_of_string_opt frac with
+        | Some f when name <> "" && f > 0.0 && f <= 1.0 -> Some (name, f)
+        | _ -> None)
+  in
+  let run file top budgets warn_only =
+    let budgets =
+      List.map
+        (fun s ->
+          match parse_budget s with
+          | Some b -> b
+          | None ->
+              Printf.eprintf
+                "ccprof: bad --budget %S (want NAME=FRAC with FRAC in (0,1])\n"
+                s;
+              exit exit_bad_input)
+        budgets
+    in
     let tr = load_trace file in
+    let st = Trace.self_times tr in
+    if st.rows = [] then begin
+      Printf.eprintf "ccprof: %s: no completed spans\n" file;
+      exit exit_bad_input
+    end;
+    let self_table =
+      Table.create
+        ~title:(Printf.sprintf "%s — self time by span" file)
+        ~columns:[ "span"; "self s"; "self alloc"; "rounds"; "% of run" ]
+    in
+    List.iter
+      (fun (r : Trace.self_row) ->
+        Table.add_row self_table
+          [
+            r.span;
+            Printf.sprintf "%.4f" r.self_s;
+            Printf.sprintf "%.0f" r.self_alloc;
+            Printf.sprintf "%.1f" r.self_rounds;
+            Printf.sprintf "%.1f" (100.0 *. r.share);
+          ])
+      st.rows;
+    Table.print self_table;
+    Printf.printf "end-to-end %.4f s; spans cover %.4f s (%.1f%%), %.4f s gaps\n"
+      st.total_s st.covered_s
+      (if st.total_s > 0.0 then 100.0 *. st.covered_s /. st.total_s else 100.0)
+      st.gap_s;
     let take n xs = List.filteri (fun i _ -> i < n) xs in
     let rec flatten (sp : Trace.span) = sp :: List.concat_map flatten sp.children in
     let spans =
@@ -351,15 +408,29 @@ let trace_cmd =
       (take top events);
     Table.print event_table;
     Printf.printf "%d spans, %d events\n" (List.length spans)
-      (List.length events)
+      (List.length events);
+    let breaches =
+      List.filter_map
+        (fun (name, frac) ->
+          let s = Trace.self_share st.rows ~name in
+          if s > frac then Some (name, frac, s) else None)
+        budgets
+    in
+    List.iter
+      (fun (name, frac, s) ->
+        Printf.printf "BUDGET BREACH: %s holds %.1f%% of the run (budget %.1f%%)\n"
+          name (100.0 *. s) (100.0 *. frac))
+      breaches;
+    if breaches <> [] && not warn_only then exit exit_regression
   in
   let info =
     Cmd.info "trace"
       ~doc:
-        "Show the hottest spans and net events of a trace artifact \
-         (--trace-out)."
+        "Show self time by span, then the hottest spans and net events of a \
+         trace artifact (--trace-out); --budget gates a span's share of the \
+         run."
   in
-  Cmd.v info Term.(const run $ file_t $ top_t)
+  Cmd.v info Term.(const run $ file_t $ top_t $ budget_t $ warn_only_t)
 
 (* --- timeline --- *)
 
@@ -393,101 +464,6 @@ let timeline_cmd =
          timeline."
   in
   Cmd.v info Term.(const run $ file_t $ out_t)
-
-(* --- critical-path --- *)
-
-let critical_path_cmd =
-  let file_t =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
-  in
-  let budget_t =
-    let doc =
-      "Fail (exit 1) when phase $(i,NAME)'s share of the critical path \
-       exceeds $(i,FRAC) (a fraction in (0,1]). Repeatable."
-    in
-    Arg.(value & opt_all string [] & info [ "budget" ] ~doc ~docv:"NAME=FRAC")
-  in
-  let warn_only_t =
-    let doc = "Report budget breaches but exit 0 anyway." in
-    Arg.(value & flag & info [ "warn-only" ] ~doc)
-  in
-  let parse_budget s =
-    match String.index_opt s '=' with
-    | None -> None
-    | Some i -> (
-        let name = String.sub s 0 i in
-        let frac = String.sub s (i + 1) (String.length s - i - 1) in
-        match float_of_string_opt frac with
-        | Some f when name <> "" && f > 0.0 && f <= 1.0 -> Some (name, f)
-        | _ -> None)
-  in
-  let run file budgets warn_only =
-    let budgets =
-      List.map
-        (fun s ->
-          match parse_budget s with
-          | Some b -> b
-          | None ->
-              Printf.eprintf
-                "ccprof: bad --budget %S (want NAME=FRAC with FRAC in (0,1])\n"
-                s;
-              exit exit_bad_input)
-        budgets
-    in
-    let tr = load_trace file in
-    match Critical_path.compute tr with
-    | None ->
-        Printf.eprintf "ccprof: %s: no completed spans\n" file;
-        exit exit_bad_input
-    | Some cp ->
-        let table =
-          Table.create
-            ~title:(Printf.sprintf "%s — critical-path attribution" file)
-            ~columns:[ "phase"; "self s"; "rounds"; "% of run" ]
-        in
-        List.iter
-          (fun (r : Critical_path.row) ->
-            Table.add_row table
-              [
-                r.Critical_path.phase;
-                Printf.sprintf "%.4f" r.Critical_path.self_s;
-                Printf.sprintf "%.1f" r.Critical_path.rounds;
-                Printf.sprintf "%.1f" (100.0 *. r.Critical_path.share);
-              ])
-          cp.Critical_path.rows;
-        Table.print table;
-        Printf.printf
-          "end-to-end %.4f s; chain %.4f s over %d segment(s) (%.1f%% \
-           covered, %.4f s gaps)\n"
-          cp.Critical_path.total_s cp.Critical_path.covered_s
-          (List.length cp.Critical_path.chain)
-          (if cp.Critical_path.total_s > 0.0 then
-             100.0 *. cp.Critical_path.covered_s /. cp.Critical_path.total_s
-           else 100.0)
-          cp.Critical_path.gap_s;
-        let breaches =
-          List.filter_map
-            (fun (name, frac) ->
-              let s = Critical_path.share cp.Critical_path.rows ~phase:name in
-              if s > frac then Some (name, frac, s) else None)
-            budgets
-        in
-        List.iter
-          (fun (name, frac, s) ->
-            Printf.printf "BUDGET BREACH: %s holds %.1f%% of the critical \
-                           path (budget %.1f%%)\n"
-              name (100.0 *. s) (100.0 *. frac))
-          breaches;
-        if breaches <> [] && not warn_only then exit exit_regression
-  in
-  let info =
-    Cmd.info "critical-path"
-      ~doc:
-        "Extract the longest dependent chain from a trace artifact \
-         (--trace-out) and attribute it per phase; --budget gates a phase's \
-         share of the run."
-  in
-  Cmd.v info Term.(const run $ file_t $ budget_t $ warn_only_t)
 
 (* --- events --- *)
 
@@ -840,7 +816,7 @@ let main =
   Cmd.group info
     [
       summary_cmd; diff_cmd; heatmap_cmd; trace_cmd; timeline_cmd;
-      critical_path_cmd; history_cmd; events_cmd; audit_cmd;
+      history_cmd; events_cmd; audit_cmd;
     ]
 
 let () = exit (Cmd.eval main)

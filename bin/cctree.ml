@@ -179,8 +179,9 @@ let obs_t =
     let doc =
       "Write the trace artifact (JSON lines) to $(docv): one line per span \
        and per metered Net primitive, under a root $(i,run) span covering \
-       the whole run. $(b,ccprof timeline) turns it into Chrome/Perfetto \
-       JSON; $(b,ccprof trace) and $(b,ccprof critical-path) analyze it."
+       the whole run. $(b,ccprof trace) prints its self time by span and \
+       gates it with $(b,--budget); $(b,ccprof timeline) turns it into \
+       Chrome/Perfetto JSON."
     in
     Arg.(
       value & opt (some string) None & info [ "trace-out" ] ~doc ~docv:"FILE")
@@ -312,8 +313,8 @@ let with_obs obs net f =
       (fun p -> Format.printf "%s@?" (Cc_obs.Profile.render p))
       profile
   in
-  (* The artifact gets a root [run] span covering everything, so the
-     critical-path chain can tile end-to-end wall. *)
+  (* The artifact gets a root [run] span covering everything, so the self
+     times of its spans tile end-to-end wall. *)
   let f =
     if obs.trace_out <> None then fun () -> Cc_obs.Trace.with_span "run" f
     else f

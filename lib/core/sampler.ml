@@ -94,16 +94,18 @@ type plan = {
   plan_trans1 : Mat.t; (* phase-1 (lazy-mixed) transition matrix of G *)
   plan_powers1 : Mat.t array option ref; (* its power table, filled eagerly *)
   plan_memo : (string, phase_entry) Hashtbl.t; (* S-array -> entry *)
+  mutable plan_memo_words : int; (* words the retained entries hold *)
   mutable plan_draws : int;
   mutable plan_memo_hits : int;
   mutable plan_memo_misses : int;
 }
 
-(* Later-phase vertex sets are seed-dependent, so the memo is bounded:
-   beyond [memo_cap] distinct sets, fresh entries are computed but not
-   retained (replaying one seed stays fully memoized; a cap overflow only
-   costs recompute, never correctness). *)
-let memo_cap = 128
+(* Later-phase vertex sets are seed-dependent, so the memo is bounded by
+   the words its entries hold: an entry is retained only while it fits in
+   [memo_budget] words (2 MiB), and none is ever evicted. Past the budget,
+   fresh entries are computed but not retained, which costs recompute,
+   never correctness. *)
+let memo_budget = 1 lsl 18
 
 let resolve_rho config n =
   match config.rho with
@@ -155,6 +157,7 @@ let prepare ?(config = default_config) g =
     plan_trans1 = trans1;
     plan_powers1 = ref (Some powers1);
     plan_memo = Hashtbl.create 32;
+    plan_memo_words = 0;
     plan_draws = 0;
     plan_memo_hits = 0;
     plan_memo_misses = 0;
@@ -206,8 +209,14 @@ let phase_entry plan ~s =
       in
       let trans = if config.lazy_walk then Mat.half_lazy trans else trans in
       let e = { e_q = q; e_trans = trans; e_powers = ref None } in
-      if Hashtbl.length plan.plan_memo < memo_cap then
+      (* Q is n x n; the transition and its power table of [levels + 1]
+         matrices are |S| x |S|. *)
+      let m = Array.length s and levels = log2_ceil plan.plan_target_len in
+      let words = (n * n) + ((levels + 2) * m * m) in
+      if plan.plan_memo_words + words <= memo_budget then begin
         Hashtbl.add plan.plan_memo key e;
+        plan.plan_memo_words <- plan.plan_memo_words + words
+      end;
       e
 
 let draw plan ?faults net prng =

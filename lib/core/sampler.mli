@@ -79,15 +79,17 @@ type result = {
     (lazy-mixed) phase-1 transition matrix and its full power table, plus a
     memo that accumulates later phases' Schur/shortcut state as draws
     encounter them — and [draw] runs the walk + matching phases against a
-    plan. The contract, relied on by the ccserve plan cache:
+    plan. The memo is keyed by a phase's vertex set S and bounded by the
+    words it holds: an entry (Q, the transition and its power table) is
+    retained only while the plan's total stays within 2{^18} words (2 MiB),
+    and none is evicted. The contract, relied on by the ccserve plan cache:
 
     - [draw (prepare g) net prng] consumes exactly the same prng stream and
       books exactly the same Net events as [sample net prng g]; recorder
       digests are byte-identical whether a plan is fresh or reused.
     - A reused plan skips the pure compute (matrix powers, Schur solves —
       no [shortcut.*]/[schur.*] trace spans on a memo hit) but never the
-      communication: the clique pays the paper's rounds on every draw.
-    - Plans are not thread-safe; confine each to one domain at a time. *)
+      communication: the clique pays the paper's rounds on every draw. *)
 
 type plan
 
@@ -114,7 +116,8 @@ val plan_config : plan -> config
 val plan_graph : plan -> Cc_graph.Graph.t
 
 (** [plan_stats plan] is [(draws, memo_hits, memo_misses)] — cumulative
-    draws served and later-phase memo traffic. *)
+    draws served and later-phase memo traffic. A miss computes the phase's
+    state, whether or not the budget lets the memo retain it. *)
 val plan_stats : plan -> int * int * int
 
 (** {1 One-shot sampling} *)

@@ -33,11 +33,14 @@ type plan = {
   plan_trans1 : Mat.t;
   plan_powers1 : Mat.t array;
   plan_memo : (string, phase_entry) Hashtbl.t;
+  mutable plan_memo_words : int;
   mutable plan_draws : int;
 }
 
-(* Bounded like Sampler's memo: overflow recomputes instead of retaining. *)
-let memo_cap = 128
+(* Bounded like Sampler's memo, by the words its entries hold (Q, the
+   transition and its power table): past the budget a phase recomputes
+   instead of retaining, and nothing is evicted. *)
+let memo_budget = 1 lsl 18
 
 let prepare ?rho ?target_len ?(lazy_walk = true) g =
   if not (Graph.is_connected g) then
@@ -68,6 +71,7 @@ let prepare ?rho ?target_len ?(lazy_walk = true) g =
     plan_trans1 = trans1;
     plan_powers1 = powers1;
     plan_memo = Hashtbl.create 32;
+    plan_memo_words = 0;
     plan_draws = 0;
   }
 
@@ -98,8 +102,13 @@ let phase_entry plan ~s =
         end
       in
       let e = { e_q = q; e_trans = trans; e_powers = ref None } in
-      if Hashtbl.length plan.plan_memo < memo_cap then
+      let n = Graph.n g and m = Array.length s in
+      let levels = Topdown.levels_for ~len:plan.plan_target_len in
+      let words = (n * n) + ((levels + 2) * m * m) in
+      if plan.plan_memo_words + words <= memo_budget then begin
         Hashtbl.add plan.plan_memo key e;
+        plan.plan_memo_words <- plan.plan_memo_words + words
+      end;
       e
 
 let draw plan prng =

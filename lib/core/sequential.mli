@@ -27,9 +27,10 @@ type result = {
 
     The same prepare/draw split as {!Sampler}: [prepare] computes the
     phase-1 transition matrix and its power table once and memoizes later
-    phases' Schur/shortcut state as draws encounter them; [draw] consumes
-    exactly the prng stream [sample] would, so a cached plan and a fresh
-    run produce identical trees for the same seed. Plans are not
+    phases' Schur/shortcut state as draws encounter them, within the same
+    word budget as {!Sampler}'s memo (2{^18} words per plan, no eviction);
+    [draw] consumes exactly the prng stream [sample] would, so a cached plan
+    and a fresh run produce identical trees for the same seed. Plans are not
     thread-safe. *)
 
 type plan

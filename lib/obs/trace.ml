@@ -168,13 +168,67 @@ let roots t = List.rev t.roots
 let events t = List.rev t.events
 let dropped_events t = t.n_dropped
 
-let total_rounds t =
-  List.fold_left (fun acc sp -> acc +. sp.net_rounds) 0.0 t.roots
-
-(* --- exporters --- *)
+let sum f spans = List.fold_left (fun a sp -> a +. f sp) 0.0 spans
+let total_rounds t = sum (fun sp -> sp.net_rounds) t.roots
 
 let span_wall sp =
   if Float.is_nan sp.stop_ts then 0.0 else sp.stop_ts -. sp.start_ts
+
+(* --- self time --- *)
+
+type self_row = {
+  span : string;
+  self_s : float;
+  self_alloc : float;
+  self_rounds : float;
+  share : float;
+}
+
+type self_times = {
+  total_s : float;
+  covered_s : float;
+  gap_s : float;
+  rows : self_row list;
+}
+
+let completed sp = (not (Float.is_nan sp.stop_ts)) && sp.stop_ts >= sp.start_ts
+let wall sp = if completed sp then sp.stop_ts -. sp.start_ts else 0.0
+
+let self_times t =
+  let by_name = Hashtbl.create 32 in
+  let first = ref Float.infinity and last = ref Float.neg_infinity in
+  let rec visit sp =
+    if completed sp then begin
+      first := Float.min !first sp.start_ts;
+      last := Float.max !last sp.stop_ts;
+      let s, a, r =
+        Option.value ~default:(0.0, 0.0, 0.0) (Hashtbl.find_opt by_name sp.name)
+      in
+      let kids f = sum f sp.children in
+      Hashtbl.replace by_name sp.name
+        ( s +. (wall sp -. kids wall),
+          a +. (sp.alloc_words -. kids (fun c -> c.alloc_words)),
+          r +. Float.max 0.0 (sp.net_rounds -. kids (fun c -> c.net_rounds)) )
+    end;
+    List.iter visit sp.children
+  in
+  List.iter visit (roots t);
+  let total_s = if Hashtbl.length by_name = 0 then 0.0 else !last -. !first in
+  let row span (self_s, self_alloc, self_rounds) rows =
+    let share = if total_s > 0.0 then self_s /. total_s else 0.0 in
+    { span; self_s; self_alloc; self_rounds; share } :: rows
+  in
+  let by_self a b = compare (b.self_s, a.span) (a.self_s, b.span) in
+  let covered_s = sum wall (roots t) in
+  let rows = List.sort by_self (Hashtbl.fold row by_name []) in
+  { total_s; covered_s; gap_s = total_s -. covered_s; rows }
+
+let self_share rows ~name =
+  match List.find_opt (fun r -> r.span = name) rows with
+  | Some r -> r.share
+  | None -> 0.0
+
+(* --- exporters --- *)
 
 let human_words w =
   if w >= 1e9 then Printf.sprintf "%.2fGw" (w /. 1e9)

@@ -118,6 +118,34 @@ val dropped_events : t -> int
 (** [total_rounds t] sums [net_rounds] over the top-level spans. *)
 val total_rounds : t -> float
 
+(** {1 Self time} *)
+
+(** One row per span name. A span's self cost is its own minus its
+    children's, so a nested phase is never counted twice. A trace has one
+    lane, so the rows say what the run was waiting on. *)
+type self_row = {
+  span : string;  (** the span name. *)
+  self_s : float;  (** wall minus the completed children's walls. *)
+  self_alloc : float;  (** [alloc_words] minus the children's. *)
+  self_rounds : float;  (** [max 0 (net_rounds - children's net_rounds)]. *)
+  share : float;  (** [self_s /. total_s], 0 when [total_s] is 0. *)
+}
+
+type self_times = {
+  total_s : float;  (** last span stop minus first span start. *)
+  covered_s : float;  (** the root spans' summed walls. *)
+  gap_s : float;  (** [total_s -. covered_s]: instants with no open span. *)
+  rows : self_row list;  (** largest [self_s] first, ties by name. *)
+}
+
+(** [self_times t] folds the completed spans of [t] (stop not NaN and not
+    before start); with none, there are no rows and every total is 0. *)
+val self_times : t -> self_times
+
+(** [self_share rows ~name] is [name]'s {!self_row.share}, or 0 when no row
+    has that name: the quantity [ccprof trace --budget NAME=FRAC] gates on. *)
+val self_share : self_row list -> name:string -> float
+
 (** {1 Exporters} *)
 
 (** [pp_tree fmt t] renders the span tree with per-span wall-clock,
@@ -137,6 +165,6 @@ val to_jsonl : t -> string
 
 (** [of_jsonl s] reconstructs a collector from a {!to_jsonl} artifact — span
     trees (rebuilt from the depth-first flattening) and events — for offline
-    analysis ([ccprof timeline] / [critical-path]). The error names the
-    first offending line. *)
+    analysis ([ccprof trace] / [timeline]). The error names the first
+    offending line. *)
 val of_jsonl : string -> (t, string) result

@@ -374,14 +374,11 @@ let test_chrome_export_escapes_args () =
       Alcotest.(check (option string)) "non-BMP text survives" (Some emoji)
         (arg "emoji")
 
-(* --- Critical path ------------------------------------------------------ *)
+(* --- Self time ---------------------------------------------------------- *)
 
-module CP = Cc_obs.Critical_path
-
-let test_critical_path_nested_chain () =
-  (* run [0,10] with children a [1,3] (which books 2.5 rounds) and b [4,9].
-     The chain must be run / a / run / b / run — self time, never
-     inclusive. *)
+let test_self_times_nested () =
+  (* run [0,10] with children a [1,3] (which books 2.5 rounds) and b [4,9]:
+     self time, never inclusive. *)
   let t = Trace.create ~clock:(scripted_clock [ 0.; 1.; 2.; 3.; 4.; 9.; 10. ]) () in
   Trace.with_trace t (fun () ->
       Trace.with_span "run" (fun () ->
@@ -389,46 +386,38 @@ let test_critical_path_nested_chain () =
               Trace.net_event ~kind:"exchange" ~label:"x" ~rounds:2.5
                 ~messages:3 ~words:9 ~round_clock:2.5 ());
           Trace.with_span "b" (fun () -> ())));
-  match CP.compute t with
-  | None -> Alcotest.fail "expected a chain"
-  | Some cp ->
-      Alcotest.(check (float 1e-9)) "total" 10.0 cp.CP.total_s;
-      Alcotest.(check (float 1e-9)) "fully covered" 10.0 cp.CP.covered_s;
-      Alcotest.(check (float 1e-9)) "no gaps" 0.0 cp.CP.gap_s;
-      Alcotest.(check (list string))
-        "chain order"
-        [ "run"; "a"; "run"; "b"; "run" ]
-        (List.map (fun (s : CP.segment) -> s.name) cp.CP.chain);
-      let row name = List.find (fun (r : CP.row) -> r.phase = name) cp.CP.rows in
-      Alcotest.(check (float 1e-9)) "run self" 3.0 (row "run").CP.self_s;
-      Alcotest.(check (float 1e-9)) "a self" 2.0 (row "a").CP.self_s;
-      Alcotest.(check (float 1e-9)) "b self" 5.0 (row "b").CP.self_s;
-      (match cp.CP.rows with
-      | top :: _ -> Alcotest.(check string) "largest first" "b" top.CP.phase
-      | [] -> Alcotest.fail "no rows");
-      Alcotest.(check (float 1e-9)) "share of run's three slices" 0.3
-        (CP.share cp.CP.rows ~phase:"run");
-      Alcotest.(check (float 1e-9)) "absent phase has no share" 0.0
-        (CP.share cp.CP.rows ~phase:"nope");
-      (* self-rounds: run's 2.5 are all inside child a, so a carries them *)
-      Alcotest.(check (float 1e-9)) "run self-rounds" 0.0 (row "run").CP.rounds;
-      Alcotest.(check (float 1e-9)) "a self-rounds" 2.5 (row "a").CP.rounds
+  let st = Trace.self_times t in
+  Alcotest.(check (float 1e-9)) "total" 10.0 st.Trace.total_s;
+  Alcotest.(check (float 1e-9)) "fully covered" 10.0 st.Trace.covered_s;
+  Alcotest.(check (float 1e-9)) "no gaps" 0.0 st.Trace.gap_s;
+  let row name =
+    List.find (fun (r : Trace.self_row) -> r.Trace.span = name) st.Trace.rows
+  in
+  Alcotest.(check (float 1e-9)) "run self" 3.0 (row "run").Trace.self_s;
+  Alcotest.(check (float 1e-9)) "a self" 2.0 (row "a").Trace.self_s;
+  Alcotest.(check (float 1e-9)) "b self" 5.0 (row "b").Trace.self_s;
+  (match st.Trace.rows with
+  | top :: _ -> Alcotest.(check string) "largest first" "b" top.Trace.span
+  | [] -> Alcotest.fail "no rows");
+  Alcotest.(check (float 1e-9)) "share of run's three slices" 0.3
+    (Trace.self_share st.Trace.rows ~name:"run");
+  Alcotest.(check (float 1e-9)) "absent span has no share" 0.0
+    (Trace.self_share st.Trace.rows ~name:"nope");
+  (* self-rounds: run's 2.5 are all inside child a, so a carries them *)
+  Alcotest.(check (float 1e-9)) "run self-rounds" 0.0 (row "run").Trace.self_rounds;
+  Alcotest.(check (float 1e-9)) "a self-rounds" 2.5 (row "a").Trace.self_rounds
 
-let test_critical_path_gap_and_empty () =
+let test_self_times_gap_and_empty () =
   let t = Trace.create ~clock:(scripted_clock [ 0.; 2.; 5.; 8. ]) () in
-  Alcotest.(check bool) "no spans -> None" true (CP.compute t = None);
+  Alcotest.(check int) "no spans -> no rows" 0
+    (List.length (Trace.self_times t).Trace.rows);
   Trace.with_trace t (fun () ->
       Trace.with_span "a" (fun () -> ());
       Trace.with_span "b" (fun () -> ()));
-  match CP.compute t with
-  | None -> Alcotest.fail "chain expected"
-  | Some cp ->
-      Alcotest.(check (float 1e-9)) "total spans idle time" 8.0 cp.CP.total_s;
-      Alcotest.(check (float 1e-9)) "covered" 5.0 cp.CP.covered_s;
-      Alcotest.(check (float 1e-9)) "gap accounted" 3.0 cp.CP.gap_s;
-      Alcotest.(check (list string))
-        "chain skips the gap" [ "a"; "b" ]
-        (List.map (fun (s : CP.segment) -> s.name) cp.CP.chain)
+  let st = Trace.self_times t in
+  Alcotest.(check (float 1e-9)) "total spans idle time" 8.0 st.Trace.total_s;
+  Alcotest.(check (float 1e-9)) "covered" 5.0 st.Trace.covered_s;
+  Alcotest.(check (float 1e-9)) "gap accounted" 3.0 st.Trace.gap_s
 
 (* --- Json -------------------------------------------------------------- *)
 
@@ -1454,12 +1443,12 @@ let () =
           Alcotest.test_case "artifact of_jsonl roundtrip" `Quick
             test_trace_of_jsonl_roundtrip;
         ] );
-      ( "critical-path",
+      ( "self-time",
         [
-          Alcotest.test_case "chain through nested spans" `Quick
-            test_critical_path_nested_chain;
+          Alcotest.test_case "fold over nested spans" `Quick
+            test_self_times_nested;
           Alcotest.test_case "gaps and empty traces" `Quick
-            test_critical_path_gap_and_empty;
+            test_self_times_gap_and_empty;
         ] );
       ( "net",
         [

@@ -279,6 +279,37 @@ let test_plan_reuse_skips_compute () =
   Alcotest.(check (list string)) "no schur/shortcut spans when warm" []
     offenders
 
+(* Distinct seeds on a walk-bound graph revisit vertex sets, so a shared
+   plan serves later phases from its memo. Every such draw must equal a
+   fresh plan's draw, in tree and in recorder digest. *)
+let test_plan_reuse_distinct_seeds () =
+  let g = Gen.lollipop ~clique:8 ~tail:8 in
+  let n = Graph.n g in
+  let plan = Sampler.prepare g in
+  let seq_plan = Sequential.prepare g in
+  for seed = 1 to 30 do
+    let r1, d1 =
+      record_run ~n (fun net -> Sampler.sample net (Prng.create ~seed) g)
+    in
+    let r2, d2 =
+      record_run ~n (fun net -> Sampler.draw plan net (Prng.create ~seed))
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "seed %d: same tree" seed)
+      true
+      (Tree.equal r1.Sampler.tree r2.Sampler.tree);
+    Alcotest.(check string) (Printf.sprintf "seed %d: same digest" seed) d1 d2;
+    let s1 = Sequential.sample g (Prng.create ~seed) in
+    let s2 = Sequential.draw seq_plan (Prng.create ~seed) in
+    Alcotest.(check bool)
+      (Printf.sprintf "seed %d: sequential same tree" seed)
+      true
+      (Tree.equal s1.Sequential.tree s2.Sequential.tree)
+  done;
+  let draws, hits, _ = Sampler.plan_stats plan in
+  Alcotest.(check int) "draws" 30 draws;
+  Alcotest.(check bool) "distinct seeds hit the memo" true (hits > 0)
+
 let test_plan_validation () =
   let disconnected = Graph.of_unweighted_edges ~n:4 [ (0, 1); (2, 3) ] in
   Alcotest.check_raises "prepare rejects disconnected"
@@ -694,6 +725,8 @@ let () =
           Alcotest.test_case "determinism" `Quick test_sampler_deterministic_given_seed;
           Alcotest.test_case "plan draw = sample" `Quick test_plan_draw_matches_sample;
           Alcotest.test_case "plan reuse skips compute" `Quick test_plan_reuse_skips_compute;
+          Alcotest.test_case "plan reuse across distinct seeds" `Quick
+            test_plan_reuse_distinct_seeds;
           Alcotest.test_case "plan validation" `Quick test_plan_validation;
           Alcotest.test_case "sequential plan" `Quick test_sequential_plan_matches_sample;
         ] );
