@@ -1559,15 +1559,23 @@ let microbench () =
   in
   let g32 = Gen.lollipop ~clique:16 ~tail:16 in
   let er32 = Gen.erdos_renyi_connected prng ~n:32 ~p:0.3 in
-  let weights10 =
-    Array.init 10 (fun _ -> Array.init 10 (fun _ -> 0.1 +. Prng.float prng 1.0))
-  in
-  (* Six position classes of five positions: 6^6 = 46,656 DP states, just
-     under the 50,000 beyond which a walk level uses the swap chain. *)
+  (* Six position classes of five positions: 6^6 = 46,656 DP states on the
+     class margin, just under the 50,000 past which a walk level keeps the
+     magical order. Six identities of five instances tie it on the row
+     margin, and a tie runs the class margin. *)
   let placement40k =
     Placement.build
       ~identities:(Array.init 30 (fun i -> i mod 6))
       ~positions:(Array.init 30 (fun j -> (j / 5, 0)))
+      ~weight:(fun ~v ~p ~q:_ -> 0.1 +. float_of_int (((7 * v) + (3 * p)) mod 11))
+  in
+  (* The transposed shape, a walk-bound level's: the same six identities of
+     five instances, now at thirty distinct (start,end) pairs. The class
+     margin has 2^30 states; the row margin, which the walk picks, 46,656. *)
+  let placement_rows =
+    Placement.build
+      ~identities:(Array.init 30 (fun i -> i mod 6))
+      ~positions:(Array.init 30 (fun j -> (j, j + 1)))
       ~weight:(fun ~v ~p ~q:_ -> 0.1 +. float_of_int (((7 * v) + (3 * p)) mod 11))
   in
   (* One cc_expander phase's dense work at n = 96 (Er_log 6): the shortcut
@@ -1614,15 +1622,13 @@ let microbench () =
       Test.make ~name:"determinantal-44"
         (Staged.stage (fun () ->
              ignore (Cc_walks.Determinantal.sample_tree er44 prng44)));
-      Test.make ~name:"ryser-permanent-10"
-        (Staged.stage (fun () -> ignore (Cc_matching.Permanent.ryser weights10)));
-      Test.make ~name:"matching-exact-8"
-        (Staged.stage (fun () ->
-             ignore
-               (Cc_matching.Sampler.exact prng
-                  (Array.init 8 (fun _ -> Array.init 8 (fun _ -> 0.1 +. Prng.float prng 1.0))))));
       Test.make ~name:"placement-dp-40k"
         (Staged.stage (fun () -> ignore (Placement.sample_exact prng placement40k)));
+      Test.make ~name:"placement-rows"
+        (Staged.stage (fun () ->
+             ignore
+               (Placement.sample_exact ~max_states:50_000 ~margin:Placement.Rows
+                  prng placement_rows)));
       Test.make ~name:"aldous-broder-lollipop-32"
         (Staged.stage (fun () -> ignore (Cc_walks.Aldous_broder.sample_tree g32 prng)));
       Test.make ~name:"wilson-lollipop-32"

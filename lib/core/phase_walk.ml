@@ -9,7 +9,7 @@ let log_src = Logs.Src.create "cc.phase_walk" ~doc:"per-level walk filling"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-type matching_mode = Resample of { mcmc_steps : int option } | Magical
+type matching_mode = Resample | Magical
 
 type stats = {
   levels : int;
@@ -30,7 +30,7 @@ type counters = {
   mutable c_checks : int;
   mutable c_midpoints : int;
   mutable c_exact : int;
-  mutable c_mcmc : int;
+  mutable c_magical : int;
 }
 
 (* Pair-class bookkeeping for one level: walk.(i), walk.(i+1) for
@@ -74,10 +74,19 @@ let book_loads net ~label ~sent ~recv =
   done;
   if !load > 0 then Net.charge net ~label (Float.of_int ((!load + n - 1) / n))
 
-(* The exact DP runs only while the placement is this small; beyond it the
-   swap chain places the midpoints. *)
-let dp_max_k = 512
+(* A margin of the placement DP is eligible only while it has at most this
+   many states: about 400 KB of log-Z. States >= k + 1, so this bounds k. *)
 let dp_max_states = 50_000
+
+let place prng ~identities ~positions ~weight =
+  let instance = Placement.build ~identities ~positions ~weight in
+  match Placement.cheaper ~max_states:dp_max_states instance with
+  | Some margin ->
+      let sigma =
+        Placement.sample_exact ~max_states:dp_max_states ~margin prng instance
+      in
+      (Array.map (fun i -> identities.(i)) sigma, true)
+  | None -> (identities, false)
 
 let run net prng ~backend ?bits ?powers_slot ~trans ~machine_of ~start ~rho
     ~target_len ~matching () =
@@ -89,7 +98,7 @@ let run net prng ~backend ?bits ?powers_slot ~trans ~machine_of ~start ~rho
   let n = Net.n net in
   let ew = Net.entry_words net in
   let _, levels = next_pow2 target_len in
-  let counters = { c_checks = 0; c_midpoints = 0; c_exact = 0; c_mcmc = 0 } in
+  let counters = { c_checks = 0; c_midpoints = 0; c_exact = 0; c_magical = 0 } in
   (* Initialization Step (Algorithm 1): distributed power table + endpoint.
      When the caller passes a plan's [powers_slot], a filled slot replays the
      table's bookings without recomputing it, and an empty slot is filled for
@@ -290,46 +299,24 @@ let run net prng ~backend ?bits ?powers_slot ~trans ~machine_of ~start ~rho
       let words = (!sub * ew) + 2 in
       Net.exchange net ~label:"multiset+submatrix gather"
         (List.map (fun v -> { Net.src = machine_of v; dst = leader; words }) !involved);
-      match matching with
-      | Magical ->
-          for j = 0 to k_match - 1 do
-            new_walk.((2 * j) + 1) <- magical ((2 * j) + 1)
-          done
-      | Resample { mcmc_steps } ->
-          (* Instances: the multiset of midpoints in the truncated prefix,
-             excluding the final midpoint; the magical assignment orders them
-             per position, giving a feasible MCMC start. The exact DP ignores
-             the ordering (identities are exchangeable). *)
-          let identities = Array.init k_match (fun j -> magical ((2 * j) + 1)) in
-          let positions = Array.init k_match (fun j -> (walk.(j), walk.(j + 1))) in
-          let instance =
-            Placement.build ~identities ~positions ~weight:(fun ~v ~p ~q ->
-                Mat.get half p v *. Mat.get half v q)
-          in
-          let sigma =
-            if k_match <= dp_max_k && Placement.dp_states instance <= dp_max_states
-            then begin
-              counters.c_exact <- counters.c_exact + 1;
-              Placement.sample_exact ~max_states:dp_max_states prng instance
-            end
-            else begin
-              counters.c_mcmc <- counters.c_mcmc + 1;
-              let steps =
-                match mcmc_steps with
-                | Some s -> s
-                | None ->
-                    let kf = Float.of_int k_match in
-                    int_of_float
-                      (Float.ceil (60.0 *. kf *. Float.max 1.0 (Float.log kf)))
-              in
-              Cc_obs.Trace.with_span "placement.mcmc" (fun () ->
-                  Cc_matching.Sampler.mcmc ~init:(Array.init k_match Fun.id) prng
-                    (Placement.dense instance) ~steps)
-            end
-          in
-          Array.iteri
-            (fun j i -> new_walk.((2 * j) + 1) <- identities.(i))
-            sigma
+      (* The midpoints in their magical order, one per position. *)
+      let midpoints = Array.init k_match (fun j -> magical ((2 * j) + 1)) in
+      let placed =
+        match matching with
+        | Magical -> midpoints
+        | Resample ->
+            let positions =
+              Array.init k_match (fun j -> (walk.(j), walk.(j + 1)))
+            in
+            let placed, exact =
+              place prng ~identities:midpoints ~positions
+                ~weight:(fun ~v ~p ~q -> Mat.get half p v *. Mat.get half v q)
+            in
+            if exact then counters.c_exact <- counters.c_exact + 1
+            else counters.c_magical <- counters.c_magical + 1;
+            placed
+      in
+      Array.iteri (fun j v -> new_walk.((2 * j) + 1) <- v) placed
     end;
     new_walk
   in
@@ -352,12 +339,12 @@ let run net prng ~backend ?bits ?powers_slot ~trans ~machine_of ~start ~rho
   Cc_obs.Metrics.incr ~by:counters.c_checks "phase_walk.checks";
   Cc_obs.Metrics.incr ~by:counters.c_midpoints "phase_walk.midpoints";
   Cc_obs.Metrics.incr ~by:counters.c_exact "phase_walk.matchings_exact";
-  Cc_obs.Metrics.incr ~by:counters.c_mcmc "phase_walk.matchings_mcmc";
+  Cc_obs.Metrics.incr ~by:counters.c_magical "phase_walk.matchings_mcmc";
   ( !walk,
     {
       levels;
       checks = counters.c_checks;
       midpoints_placed = counters.c_midpoints;
       matchings_exact = counters.c_exact;
-      matchings_mcmc = counters.c_mcmc;
+      matchings_mcmc = counters.c_magical;
     } )

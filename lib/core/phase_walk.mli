@@ -16,18 +16,17 @@
     - {b Midpoint Placement}: collect only the multiset of midpoints, place
       the final midpoint exactly, and re-place the rest by sampling a
       weighted perfect matching between midpoint identities and
-      (start,end)-pair positions (class-compressed exact DP with MCMC
-      fallback, or the "magical" assignment for the ablation mode — by
-      Theorem 3 both induce the same walk law).
+      (start,end)-pair positions ({!place}: the exact DP on the cheaper
+      margin of the contingency table, or the "magical" assignment past its
+      state cap and in the ablation mode — by Theorem 3 both induce the same
+      walk law).
 
     All data movement is metered through the [Net] ledger; matrix powers use
     the configured [Matmul] backend and optional Lemma 3 fixed-point
     truncation. *)
 
 type matching_mode =
-  | Resample of { mcmc_steps : int option }
-      (** the paper's pipeline: multiset + perfect matching; [mcmc_steps]
-          overrides the fallback chain length. *)
+  | Resample  (** the paper's pipeline: multiset + perfect matching *)
   | Magical
       (** ablation: keep the original per-pair ordering (never communicated
           in the real algorithm; same distribution by Theorem 3). *)
@@ -38,9 +37,27 @@ type stats = {
   midpoints_placed : int;
   matchings_exact : int;  (** placements solved by the exact DP *)
   matchings_mcmc : int;
-      (** placements that fell back to the swap chain: more than 512
-          midpoints, or more than 50,000 DP states *)
+      (** placements past the DP's cap, more than 50,000 states on both
+          margins, that kept the magical order. The name predates the
+          magical fallback: these once ran a swap chain from that order. *)
 }
+
+(** [place prng ~identities ~positions ~weight] is one level's Midpoint
+    Placement. [identities] are the midpoints in their magical order, one per
+    position, and [weight ~v ~p ~q] is the Formula 1 weight of midpoint [v]
+    between [p] and [q]. It returns the midpoint placed at each position, and
+    [true] if the exact DP drew them: on the cheaper eligible margin of the
+    contingency table ({!Cc_matching.Placement.cheaper}), a margin being
+    eligible with at most 50,000 states. Past that cap on both margins it
+    returns [identities] itself, the magical order, and draws nothing: given
+    the multiset, the magical order is already an exact draw from the
+    placement law (Theorem 3). *)
+val place :
+  Cc_util.Prng.t ->
+  identities:int array ->
+  positions:(int * int) array ->
+  weight:(v:int -> p:int -> q:int -> float) ->
+  int array * bool
 
 (** [run net prng ~backend ?bits ~trans ~machine_of ~start ~rho ~target_len
     ~matching ()] returns the walk (as indices into the phase graph) ending

@@ -33,7 +33,7 @@ let default_config =
     rho = None;
     target_len = None;
     schur = Exact_solve;
-    matching = Phase_walk.Resample { mcmc_steps = None };
+    matching = Phase_walk.Resample;
     max_phases = 0 (* resolved against n at sample time *);
     lazy_walk = true;
   }
@@ -237,7 +237,7 @@ let draw plan ?faults net prng =
           | Powering _ -> "powering" );
         ( "matching",
           match config.matching with
-          | Phase_walk.Resample _ -> "resample"
+          | Phase_walk.Resample -> "resample"
           | Phase_walk.Magical -> "magical" );
       ]
   @@ fun () ->

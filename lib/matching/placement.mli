@@ -1,4 +1,4 @@
-(** Midpoint-placement instances and a class-compressed exact sampler.
+(** Midpoint-placement instances and their exact sampler.
 
     In the Midpoint Placement step (Section 3.1.3), the leader machine M
     receives only a {e multiset} of midpoints and must place them into walk
@@ -15,18 +15,17 @@
 
       P(N)  proportional to  prod_{v,t} a(v,t)^N(v,t) / N(v,t)!
 
-    subject to the row/column margins. [sample_exact] draws N by dynamic
-    programming over row classes (state = remaining column capacities) and
-    then assigns labeled instances/positions uniformly within classes. This
-    is {e exact} and handles instances with thousands of midpoints as long as
-    the class structure is small; when the DP state space exceeds the cap the
-    caller should fall back to the generic samplers in {!Sampler} on
-    {!dense}.
+    subject to the row/column margins. [sample_exact] draws N by one dynamic
+    program over either margin of the table (see {!margin}), then assigns
+    labeled instances and positions uniformly within classes. This is
+    {e exact}, and handles instances with thousands of midpoints as long as
+    one margin has few classes. Past that, [Phase_walk.place] keeps the
+    magical order.
 
     {b Storage.} An instance is kept as its contingency table: one weight per
     (distinct identity, position class), so [build] calls [weight] once per
-    such pair rather than once per (instance, position), and the exact path
-    never forms the k×k matrix. *)
+    such pair rather than once per (instance, position), and no k×k matrix
+    is ever formed. *)
 
 type t
 
@@ -43,21 +42,47 @@ val build :
   weight:(v:int -> p:int -> q:int -> float) ->
   t
 
-(** [dp_states t] is the size of the DP state space, the product over
-    position classes of (class size + 1), saturated at [max_int]. It is the
-    exact cost predictor of [sample_exact]: one pass over that many states,
-    each visiting every position class. *)
-val dp_states : t -> int
+(** [size t] is k, the number of instances (and of positions). *)
+val size : t -> int
 
-(** [dense t] materializes the k×k matrix [w.(instance).(position)] for the
-    generic samplers of {!Sampler}; each cell is the contingency table's
-    weight for the instance's identity and the position's pair. *)
-val dense : t -> float array array
+(** [weight t i j] is the weight of instance [i] at position [j], as the
+    contingency table holds it. *)
+val weight : t -> int -> int -> float
 
-(** [sample_exact prng t] draws a matching sigma (position j -> instance
-    sigma.(j)) exactly proportional to weight, via the contingency-table DP.
-    It holds [dp_states t] floats while it runs (8 MB at the default bound).
-    @raise Invalid_argument iff [dp_states t] exceeds [max_states]
+(** The margin the DP runs over. Both compute the same permanent:
+    z_classes · ∏ (class size)! = z_rows · ∏ (multiplicity)!.
+    - [Classes]: the instances, in identity order, each choose a position
+      class. One state per vector of remaining class capacities,
+      ∏ (class size + 1) states, each trying every class.
+    - [Rows], the transpose: the positions, in class order, each choose a
+      distinct identity. ∏ (multiplicity + 1) states, each trying every
+      distinct identity. *)
+type margin = Classes | Rows
+
+(** [dp_states ?margin t] is the size of the DP state space on [margin]
+    (default [Classes]), saturated at [max_int]. The DP holds that many
+    floats while it runs. *)
+val dp_states : ?margin:margin -> t -> int
+
+(** [cheaper ~max_states t] is the margin the walk places [t] on: of the
+    margins with at most [max_states] states, the one with fewer states ×
+    choices per state (the work of one DP pass), [Classes] on a tie; [None]
+    if neither margin fits. *)
+val cheaper : max_states:int -> t -> margin option
+
+(** [log_z ?margin t] is the log of the DP's total on [margin]: the summed
+    weight of every sequence of choices that fills the margin. Adding
+    Σ log (class size!) on [Classes], or Σ log (multiplicity!) on [Rows],
+    gives the log permanent of the instance.
+    @raise Invalid_argument if [dp_states ?margin t] exceeds 1,000,000. *)
+val log_z : ?margin:margin -> t -> float
+
+(** [sample_exact ?max_states ?margin prng t] draws a matching sigma
+    (position j -> instance sigma.(j)) exactly proportional to weight, by the
+    DP on [margin] (default [Classes]). Both margins count under the
+    [placement.exact_calls] metric and the [placement.exact] span.
+    @raise Invalid_argument iff [dp_states ?margin t] exceeds [max_states]
     (default 1_000_000), before drawing anything.
     @raise Failure if no matching has positive weight. *)
-val sample_exact : ?max_states:int -> Cc_util.Prng.t -> t -> int array
+val sample_exact :
+  ?max_states:int -> ?margin:margin -> Cc_util.Prng.t -> t -> int array

@@ -63,9 +63,12 @@ let with_trace t f =
   active := Some t;
   Fun.protect ~finally:(fun () -> active := prev) f
 
+(* Words allocated so far, counting a promoted word once. [Gc.minor_words]
+   includes the current minor heap's allocation, where [Gc.quick_stat]'s
+   count advances only at a minor collection. *)
 let allocated_words () =
-  let s = Gc.quick_stat () in
-  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
 
 let push_span t ~name ~args =
   let id = t.next_id in

@@ -1,9 +1,17 @@
-(* Tests for Cc_matching: Ryser permanents, the exact JVV sampler, the MCMC
-   swap chain, and the class-compressed placement sampler. *)
+(* Tests for Cc_matching's placement DP on both margins, and for the
+   references it is judged against (reference.ml): Ryser permanents, the
+   exact JVV sampler, the MCMC swap chain and the memoised DP. *)
 
-module Permanent = Cc_matching.Permanent
-module Sampler = Cc_matching.Sampler
-module Placement = Cc_matching.Placement
+module Permanent = Reference.Permanent
+module Sampler = Reference.Sampler
+
+(* The library's placement, with the k×k view the generic samplers take. *)
+module Placement = struct
+  include Cc_matching.Placement
+
+  let dense = Reference.dense
+end
+
 module Prng = Cc_util.Prng
 module Dist = Cc_util.Dist
 
@@ -207,40 +215,94 @@ let test_placement_exact_is_valid_matching () =
       (List.length (List.sort_uniq compare (Array.to_list sigma)))
   done
 
-let test_placement_matches_generic_exact () =
-  (* The class-compressed sampler must induce the same distribution over
-     (identity at position) profiles as the generic exact sampler. Compare
-     via the profile histogram (identities are interchangeable, so compare
-     the observable: which identity sits at each position). *)
-  let t = figure_instance () in
-  let profile sigma = Array.map (fun i -> figure_identities.(i)) sigma in
+(* Total variation between the laws of [key] under two samplers, 20,000
+   draws each. *)
+let histogram_tv key sampler_a seed_a sampler_b seed_b =
   let histo sampler trials seed =
     let prng = Prng.create ~seed in
     let h = Hashtbl.create 64 in
     for _ = 1 to trials do
-      let p = profile (sampler prng) in
+      let p = key (sampler prng) in
       Hashtbl.replace h p (1 + Option.value ~default:0 (Hashtbl.find_opt h p))
     done;
     h
   in
   let trials = 20_000 in
-  let h1 = histo (fun prng -> Placement.sample_exact prng t) trials 11 in
-  let h2 = histo (fun prng -> Sampler.exact prng (Placement.dense t)) trials 12 in
+  let h1 = histo sampler_a trials seed_a in
+  let h2 = histo sampler_b trials seed_b in
   let keys =
     List.sort_uniq compare
       (Hashtbl.fold (fun k _ acc -> k :: acc) h1 []
       @ Hashtbl.fold (fun k _ acc -> k :: acc) h2 [])
   in
+  0.5
+  *. List.fold_left
+       (fun acc k ->
+         let c1 = float_of_int (Option.value ~default:0 (Hashtbl.find_opt h1 k)) in
+         let c2 = float_of_int (Option.value ~default:0 (Hashtbl.find_opt h2 k)) in
+         acc +. Float.abs ((c1 -. c2) /. float_of_int trials))
+       0.0 keys
+
+(* Identities are interchangeable, so the observable of a figure draw is its
+   profile: which identity sits at each position. *)
+let figure_profile sigma = Array.map (fun i -> figure_identities.(i)) sigma
+
+let test_placement_matches_generic_exact () =
+  (* The class-compressed sampler must induce the same distribution over
+     (identity at position) profiles as the generic exact sampler. *)
+  let t = figure_instance () in
   let tv =
-    0.5
-    *. List.fold_left
-         (fun acc k ->
-           let c1 = float_of_int (Option.value ~default:0 (Hashtbl.find_opt h1 k)) in
-           let c2 = float_of_int (Option.value ~default:0 (Hashtbl.find_opt h2 k)) in
-           acc +. Float.abs ((c1 -. c2) /. float_of_int trials))
-         0.0 keys
+    histogram_tv figure_profile
+      (fun prng -> Placement.sample_exact prng t)
+      11
+      (fun prng -> Sampler.exact prng (Placement.dense t))
+      12
   in
   Alcotest.(check bool) (Printf.sprintf "profile tv %.4f" tv) true (tv < 0.05)
+
+let test_placement_rows_match_generic_exact () =
+  (* The figure's identities have multiplicities 2, 2, 1 (18 row states,
+     3 choices each) and its positions classes of 2, 1, 1, 1 (24 states,
+     4 choices), so the walk places it on the row margin. *)
+  let t = figure_instance () in
+  Alcotest.(check bool) "row margin chosen" true
+    (Placement.cheaper ~max_states:50_000 t = Some Placement.Rows);
+  (* Six identities of five at six pairs of five: 6^6 states and 6 choices
+     on either margin, and a tie runs the class margin. *)
+  let tie =
+    Placement.build
+      ~identities:(Array.init 30 (fun i -> i mod 6))
+      ~positions:(Array.init 30 (fun j -> (j / 5, 0)))
+      ~weight:(fun ~v:_ ~p:_ ~q:_ -> 1.0)
+  in
+  Alcotest.(check bool) "tie runs the class margin" true
+    (Placement.cheaper ~max_states:50_000 tie = Some Placement.Classes);
+  let tv =
+    histogram_tv figure_profile
+      (fun prng -> Placement.sample_exact ~margin:Placement.Rows prng t)
+      15
+      (fun prng -> Sampler.exact prng (Placement.dense t))
+      16
+  in
+  Alcotest.(check bool) (Printf.sprintf "profile tv %.4f" tv) true (tv < 0.05);
+  (* sigma itself, not only its profile: a row's instances go to the
+     positions that chose it uniformly, so all 24 bijections of three equal
+     identities and one other keep the generic sampler's law. *)
+  let t =
+    Placement.build ~identities:[| 3; 8; 3; 3 |]
+      ~positions:[| (0, 1); (1, 2); (2, 3); (3, 4) |]
+      ~weight:(fun ~v ~p ~q -> float_of_int (1 + ((v * p) + q) mod 4))
+  in
+  Alcotest.(check bool) "row margin chosen" true
+    (Placement.cheaper ~max_states:50_000 t = Some Placement.Rows);
+  let tv =
+    histogram_tv Fun.id
+      (fun prng -> Placement.sample_exact ~margin:Placement.Rows prng t)
+      17
+      (fun prng -> Sampler.exact prng (Placement.dense t))
+      18
+  in
+  Alcotest.(check bool) (Printf.sprintf "matching tv %.4f" tv) true (tv < 0.05)
 
 let test_placement_large_instance () =
   (* 60 instances over 3 identities and 3 position classes: far beyond
@@ -277,6 +339,28 @@ let test_placement_state_bound () =
   Alcotest.check_raises "explicit bound"
     (Invalid_argument "Placement.sample_exact: state space too large") (fun () ->
       ignore (Placement.sample_exact ~max_states:((1 lsl 24) - 1) prng t));
+  Alcotest.(check int) "no draw consumed" (Prng.bits fresh ~width:30)
+    (Prng.bits prng ~width:30)
+
+let test_placement_over_cap_on_both_margins () =
+  (* 24 distinct identities at 24 distinct pairs: 2^24 states on either
+     margin, so neither is eligible under the walk's 50,000, and each
+     refuses before drawing anything. *)
+  let t =
+    Placement.build
+      ~identities:(Array.init 24 (fun i -> i))
+      ~positions:(Array.init 24 (fun i -> (i, i + 1)))
+      ~weight:(fun ~v ~p ~q -> 1.0 +. (float_of_int ((v + p + q) mod 5) /. 10.0))
+  in
+  Alcotest.(check int) "row states" (1 lsl 24) (Placement.dp_states ~margin:Rows t);
+  Alcotest.(check bool) "no margin" true (Placement.cheaper ~max_states:50_000 t = None);
+  let prng = Prng.create ~seed:17 and fresh = Prng.create ~seed:17 in
+  List.iter
+    (fun margin ->
+      Alcotest.check_raises "over the cap"
+        (Invalid_argument "Placement.sample_exact: state space too large")
+        (fun () -> ignore (Placement.sample_exact ~max_states:50_000 ~margin prng t)))
+    [ Placement.Classes; Placement.Rows ];
   Alcotest.(check int) "no draw consumed" (Prng.bits fresh ~width:30)
     (Prng.bits prng ~width:30)
 
@@ -332,168 +416,6 @@ let test_placement_dp_sparse_distribution () =
     true
     (Float.abs (freq -. 0.6) < 0.015)
 
-(* --- Reference DP ---
-
-   The memoised recursion that [Placement.sample_exact] used before its
-   bottom-up pass, kept verbatim over the dense instance (minus its metrics
-   counter and trace span) so the property below can pin the new pass to it
-   sample for sample. *)
-module Reference = struct
-  type t = {
-    identities : int array;
-    positions : (int * int) array;
-    weights : float array array;
-  }
-
-  exception Too_large
-
-  let build ~identities ~positions ~weight =
-    let k = Array.length identities in
-    if k = 0 then invalid_arg "Placement.build: empty instance";
-    if Array.length positions <> k then
-      invalid_arg "Placement.build: instance/position count mismatch";
-    let weights =
-      Array.map
-        (fun v ->
-          Array.map
-            (fun (p, q) ->
-              let w = weight ~v ~p ~q in
-              if w < 0.0 || not (Float.is_finite w) then
-                invalid_arg "Placement.build: weights must be nonnegative";
-              w)
-            positions)
-        identities
-    in
-    { identities; positions; weights }
-
-  (* Distinct position classes with counts and, per class, the member position
-     indexes. *)
-  let position_classes t =
-    let table = Hashtbl.create 16 in
-    Array.iteri
-      (fun j pq ->
-        let members = try Hashtbl.find table pq with Not_found -> [] in
-        Hashtbl.replace table pq (j :: members))
-      t.positions;
-    Hashtbl.fold (fun pq members acc -> (pq, List.rev members) :: acc) table []
-    |> List.sort compare
-    |> Array.of_list
-
-  let dp_states t =
-    Array.fold_left
-      (fun acc (_, members) -> acc * (List.length members + 1))
-      1 (position_classes t)
-
-  (* log-sum-exp of a list that may contain neg_infinity. *)
-  let log_sum_exp xs =
-    let m = List.fold_left Float.max neg_infinity xs in
-    if m = neg_infinity then neg_infinity
-    else
-      m
-      +. Float.log
-           (List.fold_left (fun acc x -> acc +. Float.exp (x -. m)) 0.0 xs)
-
-  let sample_exact ?(max_states = 2_000_000) prng t =
-    let classes = position_classes t in
-    let tcount = Array.length classes in
-    let capacities = Array.map (fun (_, members) -> List.length members) classes in
-    let states = dp_states t in
-    if states > max_states then raise Too_large;
-    let k = Array.length t.identities in
-    (* Class weight a(v, class t): all positions in a class share a weight
-       column; take it from the first member. *)
-    let log_class_weight =
-      Array.init k (fun i ->
-          Array.init tcount (fun c ->
-              let _, members = classes.(c) in
-              let w = t.weights.(i).(List.hd members) in
-              if w = 0.0 then neg_infinity else Float.log w))
-    in
-    (* Process instances in identity order so memoization keys collapse for
-       equal-identity runs; order does not affect correctness. *)
-    let order = Array.init k (fun i -> i) in
-    Array.sort (fun a b -> compare t.identities.(a) t.identities.(b)) order;
-    (* Mixed-radix encoding of capacity vectors. *)
-    let radix = Array.make tcount 1 in
-    for c = 1 to tcount - 1 do
-      radix.(c) <- radix.(c - 1) * (capacities.(c - 1) + 1)
-    done;
-    let encode caps =
-      let acc = ref 0 in
-      Array.iteri (fun c v -> acc := !acc + (v * radix.(c))) caps;
-      !acc
-    in
-    let memo : (int, float) Hashtbl.t = Hashtbl.create 4096 in
-    (* The memo is keyed by (layer, capacity-vector); layers multiply the state
-       count, so cap the total table size to bound memory, falling back to the
-       MCMC sampler beyond it. *)
-    let budget = ref (min (10 * max_states) 1_000_000) in
-    (* logZ u caps: log total weight of completions placing instances
-       order.(u..) into remaining capacities. *)
-    let rec log_z u caps =
-      if u = k then 0.0 (* capacities sum to zero exactly when u = k *)
-      else begin
-        let key = (u * states) + encode caps in
-        match Hashtbl.find_opt memo key with
-        | Some z -> z
-        | None ->
-            decr budget;
-            if !budget <= 0 then raise Too_large;
-            let inst = order.(u) in
-            let options = ref [] in
-            for c = 0 to tcount - 1 do
-              if caps.(c) > 0 then begin
-                caps.(c) <- caps.(c) - 1;
-                options := (log_class_weight.(inst).(c) +. log_z (u + 1) caps) :: !options;
-                caps.(c) <- caps.(c) + 1
-              end
-            done;
-            let z = log_sum_exp !options in
-            Hashtbl.add memo key z;
-            z
-      end
-    in
-    let caps = Array.copy capacities in
-    let total = log_z 0 caps in
-    if total = neg_infinity then failwith "Placement.sample_exact: infeasible";
-    (* Forward sampling of a position class per instance. *)
-    let chosen_class = Array.make k (-1) in
-    for u = 0 to k - 1 do
-      let inst = order.(u) in
-      let logw = Array.make tcount neg_infinity in
-      for c = 0 to tcount - 1 do
-        if caps.(c) > 0 then begin
-          caps.(c) <- caps.(c) - 1;
-          logw.(c) <- log_class_weight.(inst).(c) +. log_z (u + 1) caps;
-          caps.(c) <- caps.(c) + 1
-        end
-      done;
-      let m = Array.fold_left Float.max neg_infinity logw in
-      let probs = Array.map (fun x -> if x = neg_infinity then 0.0 else Float.exp (x -. m)) logw in
-      let c = Cc_util.Dist.sample_weights probs prng in
-      chosen_class.(inst) <- c;
-      caps.(c) <- caps.(c) - 1
-    done;
-    (* Uniformly assign the instances of each class to its labeled positions. *)
-    let sigma = Array.make k (-1) in
-    Array.iteri
-      (fun c (_, members) ->
-        let insts =
-          Array.of_list
-            (List.filter (fun i -> chosen_class.(i) = c) (List.init k (fun i -> i)))
-        in
-        let member_arr = Array.of_list members in
-        Prng.shuffle prng member_arr;
-        Array.iteri (fun idx i -> sigma.(member_arr.(idx)) <- i) insts)
-      classes;
-    sigma
-
-  (* Re-raise Too_large as Invalid_argument at the documented boundary. *)
-  let sample_exact ?max_states prng t =
-    try sample_exact ?max_states prng t
-    with Too_large -> invalid_arg "Placement.sample_exact: state space too large"
-end
-
 (* A random instance: k <= 40 instances over at most 6 identities, positions
    over at most 6 (p,q) pairs, weights per (identity, pair) drawn from
    {0} U [1e-3, 1e3] (log-uniform). *)
@@ -537,6 +459,37 @@ let agrees_with_reference (identities, positions, weight) seed =
   && run ours states = run theirs states
   && rejects ours && rejects theirs
 
+(* log z_classes + sum log (class size!) = log z_rows + sum log
+   (multiplicity!): both are the log permanent, to 1e-9 relative (both
+   neg_infinity on an infeasible instance). Up to k = 7 they also equal the
+   log of the brute-force permanent of the dense instance. *)
+let margins_agree (identities, positions, weight) =
+  let t = Placement.build ~identities ~positions ~weight in
+  let log_factorials keys =
+    let counts = Hashtbl.create 8 in
+    Array.iter
+      (fun x ->
+        Hashtbl.replace counts x (1 + Option.value ~default:0 (Hashtbl.find_opt counts x)))
+      keys;
+    Hashtbl.fold
+      (fun _ c acc ->
+        let f = ref acc in
+        for i = 2 to c do
+          f := !f +. Float.log (float_of_int i)
+        done;
+        !f)
+      counts 0.0
+  in
+  let by_classes = Placement.log_z ~margin:Classes t +. log_factorials positions in
+  let by_rows = Placement.log_z ~margin:Rows t +. log_factorials identities in
+  let close a b =
+    (a = neg_infinity && b = neg_infinity)
+    || Float.abs (a -. b) <= 1e-9 *. Float.max 1.0 (Float.abs a)
+  in
+  close by_classes by_rows
+  && (Array.length identities > 7
+     || close by_classes (Float.log (permanent_brute (Placement.dense t))))
+
 (* --- qcheck --- *)
 
 let qcheck_tests =
@@ -574,6 +527,9 @@ let qcheck_tests =
         in
         let sigma = Placement.sample_exact prng t in
         List.length (List.sort_uniq compare (Array.to_list sigma)) = k);
+    Test.make ~name:"placement margins compute one permanent" ~count:200
+      (make Gen.(int_range 0 100_000))
+      (fun shape -> margins_agree (random_instance (Prng.create ~seed:shape)));
     Test.make ~name:"placement DP matches the memoised reference" ~count:100
       (make Gen.(pair (int_range 0 100_000) (int_range 0 100_000)))
       (fun (shape, seed) ->
@@ -607,8 +563,12 @@ let () =
           Alcotest.test_case "build" `Quick test_placement_build;
           Alcotest.test_case "valid matchings" `Quick test_placement_exact_is_valid_matching;
           Alcotest.test_case "matches generic exact" `Slow test_placement_matches_generic_exact;
+          Alcotest.test_case "rows match generic exact" `Slow
+            test_placement_rows_match_generic_exact;
           Alcotest.test_case "large instance" `Quick test_placement_large_instance;
           Alcotest.test_case "state bound" `Quick test_placement_state_bound;
+          Alcotest.test_case "over the cap on both margins" `Quick
+            test_placement_over_cap_on_both_margins;
           Alcotest.test_case "zero-weight DP" `Quick test_placement_dp_with_zero_weights;
           Alcotest.test_case "sparse DP law" `Slow test_placement_dp_sparse_distribution;
         ] );

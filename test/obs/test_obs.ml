@@ -116,6 +116,27 @@ let test_disabled_is_transparent () =
     ~round_clock:1.0 ();
   Alcotest.(check (option reject)) "still no collector" None (Trace.current ())
 
+let test_span_counts_allocation () =
+  (* A span's words count what it allocates, also below a minor collection:
+     1,000 cons cells are 3,000 words, a 100,000-float array 100,001. *)
+  let t = Trace.create ~clock:(counter_clock ()) () in
+  Trace.with_trace t (fun () ->
+      Trace.with_span "cons" (fun () ->
+          ignore (Sys.opaque_identity (List.init 1_000 Fun.id)));
+      Trace.with_span "floats" (fun () ->
+          ignore (Sys.opaque_identity (Array.make 100_000 0.5))));
+  match Trace.roots t with
+  | [ cons; floats ] ->
+      Alcotest.(check bool)
+        (Printf.sprintf "cons %.0f words" cons.Trace.alloc_words)
+        true
+        (cons.Trace.alloc_words >= 3_000.0);
+      Alcotest.(check bool)
+        (Printf.sprintf "floats %.0f words" floats.Trace.alloc_words)
+        true
+        (floats.Trace.alloc_words >= 100_000.0)
+  | roots -> Alcotest.failf "expected two roots, got %d" (List.length roots)
+
 (* --- Trace: artifact reload --------------------------------------------- *)
 
 let test_trace_of_jsonl_roundtrip () =
@@ -1440,6 +1461,8 @@ let () =
             test_with_span_closes_on_exception;
           Alcotest.test_case "disabled tracing is transparent" `Quick
             test_disabled_is_transparent;
+          Alcotest.test_case "spans count allocation" `Quick
+            test_span_counts_allocation;
           Alcotest.test_case "artifact of_jsonl roundtrip" `Quick
             test_trace_of_jsonl_roundtrip;
         ] );

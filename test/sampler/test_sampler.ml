@@ -27,7 +27,7 @@ let default = Sampler.default_config
 
 (* --- Phase_walk vs the sequential reference (Lemma 2) --- *)
 
-let phase_walk_once ?(matching = Phase_walk.Resample { mcmc_steps = None }) g
+let phase_walk_once ?(matching = Phase_walk.Resample) g
     ~rho ~target_len prng =
   let n = Graph.n g in
   let net = Net.create ~n in
@@ -50,9 +50,31 @@ let test_phase_walk_is_valid_walk () =
   done
 
 let test_phase_walk_mcmc_fallback () =
+  (* Past the DP's cap on both margins, placement keeps the magical order and
+     draws nothing. 24 distinct midpoints at 24 distinct pairs: 2^24 states
+     either way. *)
+  let identities = Array.init 24 (fun i -> 23 - i) in
+  let positions = Array.init 24 (fun i -> (i, i + 1)) in
+  let weight ~v ~p ~q = 1.0 +. (float_of_int ((v + p + q) mod 5) /. 10.0) in
+  let prng = Prng.create ~seed:3 and fresh = Prng.create ~seed:3 in
+  let placed, exact = Phase_walk.place prng ~identities ~positions ~weight in
+  Alcotest.(check bool) "not the DP" false exact;
+  Alcotest.(check (array int)) "magical order" identities placed;
+  Alcotest.(check int) "no draw consumed" (Prng.bits fresh ~width:30)
+    (Prng.bits prng ~width:30);
+  (* Under the cap the DP draws: a permutation of the same multiset. *)
+  let placed, exact =
+    Phase_walk.place prng ~identities:(Array.sub identities 0 8)
+      ~positions:(Array.sub positions 0 8) ~weight
+  in
+  Alcotest.(check bool) "the DP" true exact;
+  Alcotest.(check (list int)) "same multiset"
+    (List.sort compare (Array.to_list (Array.sub identities 0 8)))
+    (List.sort compare (Array.to_list placed));
   (* On K12 with rho = 12 the late levels hold placements whose position
-     classes are mostly distinct, so their DP state count passes 50,000: the
-     swap chain places them, and the filled walk must still be valid. *)
+     classes and midpoint identities are both many, so both margins pass
+     50,000 states: those keep the magical order, and the filled walk must
+     still be valid. *)
   let g = Gen.complete 12 in
   let net = Net.create ~n:12 in
   let prng = Prng.create ~seed:1 in
@@ -61,10 +83,10 @@ let test_phase_walk_mcmc_fallback () =
       ~trans:(Graph.transition_matrix g)
       ~machine_of:(fun i -> i)
       ~start:0 ~rho:12 ~target_len:1024
-      ~matching:(Phase_walk.Resample { mcmc_steps = None })
+      ~matching:Phase_walk.Resample
       ()
   in
-  Alcotest.(check bool) "swap chain used" true (stats.Phase_walk.matchings_mcmc > 0);
+  Alcotest.(check bool) "magical fallback used" true (stats.Phase_walk.matchings_mcmc > 0);
   Alcotest.(check bool) "exact DP used" true (stats.Phase_walk.matchings_exact > 0);
   Alcotest.(check int) "starts at start" 0 w.(0);
   for i = 1 to Array.length w - 1 do
@@ -142,7 +164,7 @@ let test_phase_walk_magical_equals_resampled_in_law () =
     done;
     h
   in
-  let h1 = histo (Phase_walk.Resample { mcmc_steps = None }) 5 in
+  let h1 = histo Phase_walk.Resample 5 in
   let h2 = histo Phase_walk.Magical 6 in
   let keys =
     List.sort_uniq compare
@@ -415,7 +437,7 @@ let test_phase_walk_stats_sanity () =
     Phase_walk.run net prng ~backend:(Matmul.charged ()) ~trans
       ~machine_of:(fun i -> i)
       ~start:0 ~rho:3 ~target_len:256
-      ~matching:(Phase_walk.Resample { mcmc_steps = None })
+      ~matching:Phase_walk.Resample
       ()
   in
   Alcotest.(check int) "levels = log2 256" 8 stats.Phase_walk.levels;
@@ -434,7 +456,7 @@ let test_phase_walk_argument_validation () =
       (Phase_walk.run net prng ~backend:(Matmul.charged ()) ~trans
          ~machine_of:(fun i -> i)
          ~start ~rho ~target_len
-         ~matching:(Phase_walk.Resample { mcmc_steps = None })
+         ~matching:Phase_walk.Resample
          ())
   in
   Alcotest.check_raises "rho < 2" (Invalid_argument "Phase_walk.run: rho < 2")
