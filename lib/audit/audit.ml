@@ -266,24 +266,27 @@ let kl_edges t =
     | d -> Dist.kl d (Dist.of_weights oracle)
     | exception Invalid_argument _ -> Float.nan
 
+(* One lag-1 autocorrelation pooled over the informative edges: their
+   lag-1 covariances summed over their variances summed. A minimum of
+   per-edge estimates would read the noisiest edge, well below [trials] on
+   independent draws. *)
 let ess t =
   let nf = float_of_int t.trials in
   if t.trials < 2 then Float.max 1.0 nf
   else begin
-    let best = ref nf in
+    let cov = ref 0.0 and var = ref 0.0 in
     let pairs = float_of_int (t.trials - 1) in
     for i = 0 to t.m - 1 do
       let p = float_of_int t.counts.(i) /. nf in
       if p > ess_info_lo && p < ess_info_hi then begin
-        let var = p *. (1.0 -. p) in
-        let rho = ((float_of_int t.lag1.(i) /. pairs) -. (p *. p)) /. var in
-        let rho = Float.min 0.99 (Float.max (-0.99) rho) in
-        let e = nf *. (1.0 -. rho) /. (1.0 +. rho) in
-        let e = Float.min nf (Float.max 1.0 e) in
-        if e < !best then best := e
+        cov := !cov +. ((float_of_int t.lag1.(i) /. pairs) -. (p *. p));
+        var := !var +. (p *. (1.0 -. p))
       end
     done;
-    !best
+    if !var = 0.0 then nf
+    else
+      let rho = Float.min 0.99 (Float.max (-0.99) (!cov /. !var)) in
+      Float.min nf (Float.max 1.0 (nf *. (1.0 -. rho) /. (1.0 +. rho)))
   end
 
 let small_tv t =

@@ -102,10 +102,14 @@ val tv_edges : t -> float
 
 val kl_edges : t -> float
 
-(** [ess t] is the minimum over informative edges (leverage bounded away from
-    0 and 1) of the lag-1 autocorrelation ESS estimate
-    [trials * (1 - rho) / (1 + rho)], clamped to [[1, trials]]; equals
-    [trials] when there is no informative edge or fewer than two trials. *)
+(** [ess t] is the lag-1 autocorrelation ESS estimate
+    [trials * (1 - rho) / (1 + rho)], clamped to [[1, trials]], with one
+    [rho] pooled over the informative edges (empirical marginal p_i strictly
+    between 0.01 and 0.99):
+    [rho = sum_i (lag1_i / (trials - 1) - p_i^2) / sum_i p_i (1 - p_i)],
+    clamped to [[-0.99, 0.99]], where [lag1_i] counts the consecutive pairs
+    of trees that both contain edge i. It equals [trials] when there is no
+    informative edge or fewer than two trials. *)
 val ess : t -> float
 
 (** [small_tv t] is the running TV distance between the empirical tree

@@ -82,6 +82,9 @@ let mul net backend a b =
   book_mul net backend ~dim;
   Mat.mul a b
 
+let maybe_round bits m =
+  match bits with None -> m | Some b -> Fixed.round_mat ~bits:b m
+
 let power_table net backend ?bits ?reuse m ~levels =
   if Mat.rows m <> Mat.cols m then
     invalid_arg "Matmul.power_table: matrix must be square";
@@ -99,6 +102,19 @@ let power_table net backend ?bits ?reuse m ~levels =
         ("reuse", string_of_bool (reuse <> None));
       ]
   @@ fun () ->
+  let dim = Mat.rows m in
+  (* Column redistribution of a level (machine i sends P^k[i,j] to machine
+     j), booked after the base matrix and after every squaring. *)
+  let transpose () =
+    Net.all_to_all net ~label:"power-table transpose"
+      ~words_each:(Net.entry_words net)
+  in
+  (* A level that is not computed books what a computed one does: the
+     product's rounds, then its transpose. *)
+  let book_level () =
+    book_mul net backend ~dim;
+    transpose ()
+  in
   match reuse with
   | Some cached ->
       (* Factorization reuse: the powers are already known (a prepared plan
@@ -107,39 +123,28 @@ let power_table net backend ?bits ?reuse m ~levels =
          no Net events, so the recorder digest chains identically either
          way. *)
       Cc_obs.Metrics.incr "matmul.power_table.reused";
-      Net.all_to_all net ~label:"power-table transpose"
-        ~words_each:(Net.entry_words net);
+      transpose ();
       for _ = 1 to levels do
-        book_mul net backend ~dim:(Mat.rows m);
-        Net.all_to_all net ~label:"power-table transpose"
-          ~words_each:(Net.entry_words net)
+        book_level ()
       done;
       cached
   | None ->
-      let maybe_round x =
-        match bits with None -> x | Some b -> Fixed.round_mat ~bits:b x
-      in
-      let table = Array.make (levels + 1) (maybe_round m) in
-      (* Column redistribution for the base matrix too (machine i sends
-         P[i,j] to machine j). *)
-      Net.all_to_all net ~label:"power-table transpose"
-        ~words_each:(Net.entry_words net);
-      for i = 1 to levels do
-        table.(i) <- maybe_round (mul net backend table.(i - 1) table.(i - 1));
-        Net.all_to_all net ~label:"power-table transpose"
-          ~words_each:(Net.entry_words net)
-      done;
-      table
+      let base = maybe_round bits m in
+      transpose ();
+      Mat.squarings ~exact:(bits <> None)
+        ~square:(fun t ->
+          let t2 = maybe_round bits (mul net backend t t) in
+          transpose ();
+          t2)
+        ~on_skip:(fun () ->
+          Cc_obs.Metrics.incr "matmul.squarings_skipped";
+          book_level ())
+        base ~levels
 
 let power_table_pure ?bits m ~levels =
   if Mat.rows m <> Mat.cols m then
     invalid_arg "Matmul.power_table_pure: matrix must be square";
   if levels < 0 then invalid_arg "Matmul.power_table_pure: negative levels";
-  let maybe_round x =
-    match bits with None -> x | Some b -> Fixed.round_mat ~bits:b x
-  in
-  let table = Array.make (levels + 1) (maybe_round m) in
-  for i = 1 to levels do
-    table.(i) <- maybe_round (Mat.mul table.(i - 1) table.(i - 1))
-  done;
-  table
+  Mat.squarings ~exact:(bits <> None)
+    ~square:(fun t -> maybe_round bits (Mat.mul t t))
+    ~on_skip:ignore (maybe_round bits m) ~levels

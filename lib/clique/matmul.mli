@@ -76,6 +76,14 @@ val book_mul : Net.t -> backend -> dim:int -> unit
     column-redistribution ([all_to_all]) after each level, matching
     Algorithm 1 lines 2–3.
 
+    Squaring goes through {!Cc_linalg.Mat.squarings}: it stops at a level
+    that repeats the previous one bit for bit or, without [bits] and for a
+    row-stochastic [m], whose rows agree to within 1e-12 in l1; the later
+    levels alias that level. A skipped level still books [book_mul] and
+    then its transpose, as a computed one does, and counts one
+    ["matmul.squarings_skipped"]; computed levels go through {!mul}. So the
+    bookings never depend on where the table stopped.
+
     With [?reuse:table] (a table previously produced for the same matrix,
     bits, and levels — the caller's responsibility), the arithmetic is
     skipped and [table] is returned, but the full booking sequence (the
@@ -92,8 +100,8 @@ val power_table :
   Cc_linalg.Mat.t array
 
 (** [power_table_pure ?bits m ~levels] is the arithmetic of [power_table]
-    with no clique attached: used by [prepare] phases that precompute a
-    plan's power table outside any metered run. Combining
+    with no clique attached, with the same stop: used by [prepare] phases
+    that precompute a plan's power table outside any metered run. Combining
     [power_table_pure] at prepare time with [power_table ~reuse] at draw
     time yields the same matrices and the same bookings as a cold
     [power_table]. *)

@@ -210,7 +210,9 @@ let phase_entry plan ~s =
       let trans = if config.lazy_walk then Mat.half_lazy trans else trans in
       let e = { e_q = q; e_trans = trans; e_powers = ref None } in
       (* Q is n x n; the transition and its power table of [levels + 1]
-         matrices are |S| x |S|. *)
+         matrices are |S| x |S|. An upper bound: a table that stopped
+         squaring aliases its later levels (Mat.squarings), but counting
+         only distinct matrices would retain more entries. *)
       let m = Array.length s and levels = log2_ceil plan.plan_target_len in
       let words = (n * n) + ((levels + 2) * m * m) in
       if plan.plan_memo_words + words <= memo_budget then begin

@@ -104,6 +104,8 @@ let phase_entry plan ~s =
       let e = { e_q = q; e_trans = trans; e_powers = ref None } in
       let n = Graph.n g and m = Array.length s in
       let levels = Topdown.levels_for ~len:plan.plan_target_len in
+      (* An upper bound, as in Sampler: a stopped power table aliases its
+         later levels. *)
       let words = (n * n) + ((levels + 2) * m * m) in
       if plan.plan_memo_words + words <= memo_budget then begin
         Hashtbl.add plan.plan_memo key e;

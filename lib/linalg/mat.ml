@@ -173,14 +173,87 @@ let half_lazy m =
   init ~rows:m.rows ~cols:m.cols (fun i j ->
       (0.5 *. unsafe_get m.data ((i * m.cols) + j)) +. if i = j then 0.5 else 0.0)
 
+(* The bound of {!squarings}' rows test, and of its stochastic check on the
+   base matrix. A constant, not a knob: DESIGN.md §17 derives the error it
+   allows. *)
+let converged_tol = 1e-12
+
+(* Every entry is nonnegative and every row sums, left to right, to within
+   [converged_tol] of 1. NaN fails both. Unlike [is_row_stochastic] it
+   allows no negative dust, which the rows test's proof cannot absorb, and
+   boxes no float. *)
+let stochastic_within_tol m =
+  let d = m.data and c = m.cols in
+  let rec from i =
+    i >= m.rows
+    ||
+    let base = i * c in
+    let sum = ref 0.0 and nonneg = ref true in
+    for p = base to base + c - 1 do
+      let x = unsafe_get d p in
+      if not (x >= 0.0) then nonneg := false;
+      sum := !sum +. x
+    done;
+    !nonneg && Float.abs (!sum -. 1.0) <= converged_tol && from (i + 1)
+  in
+  from 0
+
+(* Entry for entry the same bits, stopping at the first difference. *)
+let same_bits a b =
+  let d = a.data and e = b.data in
+  let len = Array.length d in
+  let k = ref 0 in
+  while
+    !k < len
+    && Int64.bits_of_float (unsafe_get d !k)
+       = Int64.bits_of_float (unsafe_get e !k)
+  do
+    incr k
+  done;
+  !k = len
+
+(* Every row within [converged_tol] of row 0 in l1, stopping at the first
+   row past the bound: O(cols) on a level that has not converged. *)
+let rows_agree m =
+  let d = m.data and c = m.cols in
+  let rec from i =
+    i >= m.rows
+    ||
+    let base = i * c in
+    let dist = ref 0.0 in
+    for j = 0 to c - 1 do
+      dist := !dist +. Float.abs (unsafe_get d (base + j) -. unsafe_get d j)
+    done;
+    !dist <= converged_tol && from (i + 1)
+  in
+  from 1
+
+let squarings ~exact ~square ~on_skip m ~levels =
+  if m.rows <> m.cols then invalid_arg "Mat.squarings: not square";
+  if levels < 0 then invalid_arg "Mat.squarings: negative levels";
+  let table = Array.make (levels + 1) m in
+  let rows_may_stop = (not exact) && stochastic_within_tol m in
+  let rec level i =
+    if i <= levels then begin
+      let prev = table.(i - 1) in
+      let t = square prev in
+      table.(i) <- t;
+      if same_bits t prev || (rows_may_stop && rows_agree t) then
+        for j = i + 1 to levels do
+          table.(j) <- t;
+          on_skip ()
+        done
+      else level (i + 1)
+    end
+  in
+  level 1;
+  table
+
 let power_table m ~max_exp =
   if m.rows <> m.cols then invalid_arg "Mat.power_table: not square";
   if max_exp < 0 then invalid_arg "Mat.power_table: negative exponent";
-  let table = Array.make (max_exp + 1) m in
-  for i = 1 to max_exp do
-    table.(i) <- mul table.(i - 1) table.(i - 1)
-  done;
-  table
+  squarings ~exact:false ~square:(fun t -> mul t t) ~on_skip:ignore m
+    ~levels:max_exp
 
 let submatrix m ~row_idx ~col_idx =
   let in_range bound i = i >= 0 && i < bound in

@@ -69,14 +69,18 @@ let approx ?net ?bits g ~in_s ~k =
         Net.charge clique ~label:"shortcut powering"
           (Matmul.mul_cost clique backend ~dim:(2 * n))
   in
-  let rec go m k =
-    if k = 1 then m
-    else begin
-      charge ();
-      go (maybe_round (Mat.mul m m)) (k / 2)
-    end
+  let rec log2 k = if k = 1 then 0 else 1 + log2 (k / 2) in
+  let levels = log2 k in
+  (* R^k by log2 k squarings; a squaring skipped past a fixed point is
+     charged all the same. *)
+  let powers =
+    Mat.squarings ~exact:(bits <> None)
+      ~square:(fun m ->
+        charge ();
+        maybe_round (Mat.mul m m))
+      ~on_skip:charge (maybe_round r) ~levels
   in
-  let rk = go (maybe_round r) k in
+  let rk = powers.(levels) in
   Mat.init ~rows:n ~cols:n (fun u v -> Mat.get rk u (n + v))
 
 (* Total edge weight from u into S (= deg_S(u) on unweighted graphs). *)

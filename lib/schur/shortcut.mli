@@ -27,9 +27,12 @@
 val exact : Cc_graph.Graph.t -> in_s:bool array -> Cc_linalg.Mat.t
 
 (** [approx ?net ?bits g ~in_s ~k] approximates Q by the k-th power of the
-    auxiliary chain ([k] a power of two). With [net = (clique, backend)] each
-    squaring books [Matmul.mul_cost ~dim:2n] rounds under label
-    ["shortcut powering"]. *)
+    auxiliary chain ([k] a power of two), squaring log2 k times through
+    {!Cc_linalg.Mat.squarings}: the squaring stops at a power that repeats
+    the previous one bit for bit (the chain's absorbing rows never agree, so
+    the rows test does not fire here). With [net = (clique, backend)] each
+    of the log2 k squarings, computed or skipped, books
+    [Matmul.mul_cost ~dim:2n] rounds under label ["shortcut powering"]. *)
 val approx :
   ?net:Cc_clique.Net.t * Cc_clique.Matmul.backend ->
   ?bits:int ->

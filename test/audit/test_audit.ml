@@ -137,6 +137,33 @@ let test_ess_bounds () =
   Alcotest.(check bool) "1 <= ess <= trials" true
     (ess >= 1.0 && ess <= float_of_int trials)
 
+let test_ess_pooled () =
+  (* Er_log 4 at n = 48. Wilson's draws are independent, so the pooled
+     estimate reads close to the trial count; feeding each tree four times
+     in a row gives a lag-1 autocorrelation of about 3/4, for an ESS of
+     about trials / 7. *)
+  let trials = 200 in
+  let g = Gen.build (Prng.create ~seed:3) (Gen.Er_log 4.0) ~n:48 in
+  let wilson = feed ~trials (fun g p -> Cc_walks.Wilson.sample_tree g p) g in
+  let ess = Audit.ess wilson in
+  Alcotest.(check bool)
+    (Printf.sprintf "independent draws: ess %.1f >= 0.8 trials" ess)
+    true
+    (ess >= 0.8 *. float_of_int trials);
+  let repeated = Audit.create g in
+  let prng = Prng.create ~seed:7 in
+  for _ = 1 to trials / 4 do
+    let tree = Cc_walks.Wilson.sample_tree g prng in
+    for _ = 1 to 4 do
+      Audit.observe repeated tree
+    done
+  done;
+  let ess = Audit.ess repeated in
+  Alcotest.(check bool)
+    (Printf.sprintf "each tree four times: ess %.1f <= trials / 3" ess)
+    true
+    (ess <= float_of_int trials /. 3.0)
+
 (* --- robustness --- *)
 
 let test_invalid_tree_breaches () =
@@ -251,6 +278,7 @@ let () =
         [
           Alcotest.test_case "star features" `Quick test_features_star;
           Alcotest.test_case "ess bounds" `Quick test_ess_bounds;
+          Alcotest.test_case "ess pooled across edges" `Quick test_ess_pooled;
         ] );
       ( "robustness",
         [

@@ -338,6 +338,99 @@ let test_power_table_reuse_books_identically () =
         (Matmul.power_table (Net.create ~n) (Matmul.charged ())
            ~reuse:(Array.sub pure 0 3) m ~levels:4))
 
+(* The lazy walk on K8: it mixes at rate (3/7)^k, so its table converges
+   within a few levels. *)
+let lazy_k8 () =
+  Mat.half_lazy
+    (Mat.init ~rows:8 ~cols:8 (fun i j -> if i = j then 0.0 else 1.0 /. 7.0))
+
+let counter name =
+  match Cc_obs.Metrics.get name with
+  | Some (Cc_obs.Metrics.Counter c) -> c
+  | _ -> 0
+
+let same_bits a b =
+  let bits m = Array.map (Array.map Int64.bits_of_float) (Mat.to_arrays m) in
+  bits a = bits b
+
+let test_power_table_stop_books_every_level () =
+  (* A table that stops squaring still books every level: the same digest
+     and rounds as the base transpose and 20 x (product; transpose) booked
+     by hand. The skipped levels alias the stop level and are counted. *)
+  let n = 8 and levels = 20 in
+  let m = lazy_k8 () in
+  let backend = Matmul.charged () in
+  let record f =
+    let net = Net.create ~n in
+    let r = Cc_obs.Recorder.create ~machines:n () in
+    ignore (Net.attach_recorder net r);
+    let v = f net in
+    (v, Cc_obs.Recorder.digest_hex r, Net.rounds net)
+  in
+  Cc_obs.Metrics.reset ();
+  let table, d_table, r_table =
+    record (fun net -> Matmul.power_table net backend m ~levels)
+  in
+  let muls = counter "matmul.muls" and skipped = counter "matmul.squarings_skipped" in
+  Cc_obs.Metrics.reset ();
+  let (), d_hand, r_hand =
+    record (fun net ->
+        let transpose () =
+          Net.all_to_all net ~label:"power-table transpose"
+            ~words_each:(Net.entry_words net)
+        in
+        transpose ();
+        for _ = 1 to levels do
+          Matmul.book_mul net backend ~dim:n;
+          transpose ()
+        done)
+  in
+  Alcotest.(check string) "digest" d_hand d_table;
+  Alcotest.(check (float 0.0)) "rounds" r_hand r_table;
+  let stop = levels - skipped in
+  Alcotest.(check bool) "stops early" true (skipped > 0 && stop < 10);
+  Alcotest.(check int) "computed levels" stop muls;
+  for i = stop + 1 to levels do
+    Alcotest.(check bool) (Printf.sprintf "level %d aliases the stop" i) true
+      (table.(i) == table.(stop))
+  done;
+  Alcotest.(check bool) "the stop level was computed" true
+    (table.(stop) != table.(stop - 1));
+  (* A plan's pure table stops at the same level with the same matrices. *)
+  let pure = Matmul.power_table_pure m ~levels in
+  Array.iteri
+    (fun i p ->
+      Alcotest.(check bool) (Printf.sprintf "pure level %d" i) true
+        (same_bits p table.(i) && (i <= stop || p == pure.(stop))))
+    pure
+
+let test_power_table_pure_bits_is_rounded_squaring () =
+  (* Under --bits only an exact repeat stops a table, so every level is the
+     rounded power Lemma 3 defines: round after every squaring. J/8 repeats
+     at level 1. The lazy K5 has dyadic entries, so it is stochastic after
+     rounding and its rows soon agree, but the rounding keeps taking mass
+     from each level until the zero matrix repeats; a rows test would stop
+     it with mass still in it. *)
+  let bits = 20 in
+  List.iter
+    (fun (name, m, levels) ->
+      let table = Matmul.power_table_pure ~bits m ~levels in
+      Alcotest.(check int) (name ^ ": length") (levels + 1) (Array.length table);
+      Array.iteri
+        (fun i t ->
+          if not (same_bits t (Cc_linalg.Fixed.rounded_power ~bits m (1 lsl i)))
+          then Alcotest.failf "%s: level %d differs from the rounded power" name i)
+        table;
+      Alcotest.(check bool) (name ^ ": stops") true
+        (table.(levels) == table.(levels - 1)))
+    [
+      ("J/8", Mat.create ~rows:8 ~cols:8 0.125, 10);
+      ( "lazy K5",
+        Mat.half_lazy
+          (Mat.init ~rows:5 ~cols:5 (fun i j -> if i = j then 0.0 else 0.25)),
+        40 );
+    ]
+
 let test_semiring_backend () =
   let prng = Prng.create ~seed:5 in
   let n = 27 in
@@ -599,6 +692,10 @@ let () =
           Alcotest.test_case "power table rounds" `Quick test_power_table_books_rounds;
           Alcotest.test_case "power table reuse" `Quick
             test_power_table_reuse_books_identically;
+          Alcotest.test_case "power table stop books every level" `Quick
+            test_power_table_stop_books_every_level;
+          Alcotest.test_case "power table bits is rounded squaring" `Quick
+            test_power_table_pure_bits_is_rounded_squaring;
           Alcotest.test_case "off-size cost" `Quick test_mul_cost_off_size;
           Alcotest.test_case "semiring backend" `Quick test_semiring_backend;
         ] );

@@ -1,10 +1,11 @@
 (* The dense kernels as lib/linalg computed them through the checked
    [Mat.get]/[Mat.set]: LU with partial pivoting, forward/back substitution,
    the column-by-column multi-RHS solve, the inverse, the log-determinant,
-   the Schur complement and the i-k-j product. The library's flat-array
-   kernels must perform the same float operations in the same order, so the
-   properties in test_linalg compare them with these bit for bit. Test-only:
-   nothing in lib/ calls this module. *)
+   the Schur complement and the i-k-j product, and the power table squared
+   to its last level. The library's flat-array kernels must perform the same
+   float operations in the same order, so the properties in test_linalg
+   compare them with these bit for bit. Test-only: nothing in lib/ calls
+   this module. *)
 
 module Mat = Cc_linalg.Mat
 
@@ -146,3 +147,12 @@ let schur_complement m ~keep =
     let x = solve_mat m_ee m_es in
     Mat.sub m_ss (mul m_se x)
   end
+
+(* The plain repeated squaring of a power table: [levels] products, each of
+   the level before with itself, with no stop. *)
+let power_table m ~levels =
+  let table = Array.make (levels + 1) m in
+  for i = 1 to levels do
+    table.(i) <- mul table.(i - 1) table.(i - 1)
+  done;
+  table

@@ -364,6 +364,173 @@ let kernel_tests =
                      Float.max 0.0 (Mat.get a i j)))));
   ]
 
+(* --- power tables that stop squaring --- *)
+
+module Graph = Cc_graph.Graph
+module Graph_gen = Cc_graph.Gen
+
+let lazy_chain g = Mat.half_lazy (Graph.transition_matrix g)
+
+(* The last level a table computed: the first level whose successor is
+   itself (a filled level aliases the level it repeats), else the top. *)
+let stop_level table =
+  let top = Array.length table - 1 in
+  let rec from i =
+    if i = top || table.(i + 1) == table.(i) then i else from (i + 1)
+  in
+  from 0
+
+(* pi_j = d_w(j) / sum_k d_w(k), the lazy chain's stationary law. *)
+let stationary g =
+  let d = Array.init (Graph.n g) (Graph.weighted_degree g) in
+  let total = Array.fold_left ( +. ) 0.0 d in
+  Array.map (fun x -> x /. total) d
+
+let max_off_stationary m pi =
+  let worst = ref 0.0 in
+  for i = 0 to Mat.rows m - 1 do
+    for j = 0 to Mat.cols m - 1 do
+      worst := Float.max !worst (Float.abs (Mat.get m i j -. pi.(j)))
+    done
+  done;
+  !worst
+
+(* Two K8 joined at vertices 0 and 8 by one edge of weight [bridge]. *)
+let dumbbell ~bridge =
+  let clique off =
+    List.concat_map
+      (fun i -> List.init (7 - i) (fun d -> (off + i, off + i + 1 + d, 1.0)))
+      (List.init 8 Fun.id)
+  in
+  Graph.of_edges ~n:16 ((0, 8, bridge) :: (clique 0 @ clique 8))
+
+let check_same_table msg table reference =
+  Alcotest.(check int) (msg ^ ": length") (Array.length reference) (Array.length table);
+  Array.iteri
+    (fun i t ->
+      if not (same_mat t reference.(i)) then
+        Alcotest.failf "%s: level %d differs from the reference" msg i)
+    table
+
+let test_dumbbell_never_stops () =
+  (* The halves exchange mass through a 1e-9 bridge and only mix near
+     level 40, where a row of one half is still more than 1e-12 from a row
+     of the other: nothing may stop, and every level is the plain loop's. *)
+  let m = lazy_chain (dumbbell ~bridge:1e-9) in
+  let levels = 40 in
+  let table = Mat.power_table m ~max_exp:levels in
+  let reference = Reference.power_table m ~levels in
+  Alcotest.(check int) "no level skipped" levels (stop_level table);
+  check_same_table "dumbbell" table reference;
+  (* A rule that stops at the first level whose change stops shrinking, once
+     the change is below 1e-9, stops at level 7: each half has mixed, the
+     halves have not (their rows are 2 apart in l1), and the change grows
+     only because mass starts to cross the bridge. Its top level would be
+     P^128's, 0.0625 off the true one. *)
+  let change i = Mat.max_abs_diff reference.(i) reference.(i - 1) in
+  let rec heuristic i =
+    if change i < 1e-9 && change i >= change (i - 1) then i
+    else heuristic (i + 1)
+  in
+  let h = heuristic 2 in
+  let l1 a b =
+    Array.fold_left ( +. ) 0.0 (Array.map2 (fun x y -> Float.abs (x -. y)) a b)
+  in
+  Alcotest.(check int) "the change heuristic stops at level 7" 7 h;
+  Alcotest.(check bool) "before the halves mix" true
+    (l1 (Mat.row reference.(h) 0) (Mat.row reference.(h) 8) > 1.9);
+  Alcotest.(check bool) "so its top level is wrong" true
+    (Mat.max_abs_diff reference.(h) reference.(levels) > 0.06)
+
+let test_unstochastic_and_periodic_never_stop () =
+  (* Equal rows that sum to 2: level i is 2^(2^i - 1) m, so rows agree from
+     level 0, but the matrix is not stochastic and no level repeats. *)
+  let n = 6 in
+  let two_j = Mat.create ~rows:n ~cols:n (2.0 /. float_of_int n) in
+  let table = Mat.power_table two_j ~max_exp:6 in
+  Alcotest.(check int) "2J/n computes every level" 6 (stop_level table);
+  check_same_table "2J/n" table (Reference.power_table two_j ~levels:6);
+  (* The non-lazy cycle 6 is periodic: rows of opposite parity have
+     disjoint supports at every level, so its rows never agree. Its powers
+     do reach an exact fixed point (level 8 repeats level 7 bit for bit),
+     where the table may stop, and every level is still the plain loop's. *)
+  let cycle = Graph.transition_matrix (Graph_gen.cycle 6) in
+  let table = Mat.power_table cycle ~max_exp:24 in
+  let reference = Reference.power_table cycle ~levels:24 in
+  check_same_table "cycle 6" table reference;
+  let stop = stop_level table in
+  Alcotest.(check bool) "cycle 6 stops only where a level repeats" true
+    (stop = 24 || same_mat reference.(stop) reference.(stop - 1))
+
+let test_squarings_stop_and_skip () =
+  let m = lazy_chain (Graph_gen.complete 8) in
+  let levels = 20 in
+  let run ~exact =
+    let skipped = ref 0 in
+    let table =
+      Mat.squarings ~exact ~square:(fun t -> Mat.mul t t)
+        ~on_skip:(fun () -> incr skipped)
+        m ~levels
+    in
+    (table, !skipped)
+  in
+  let table, skipped = run ~exact:false in
+  let stop = stop_level table in
+  Alcotest.(check bool) "lazy K8 stops early" true (stop < 10);
+  Alcotest.(check int) "one on_skip per skipped level" (levels - stop) skipped;
+  check_same_table "up to the stop"
+    (Array.sub table 0 (stop + 1))
+    (Array.sub (Reference.power_table m ~levels) 0 (stop + 1));
+  (* Exact mode waits for a level to repeat bit for bit. *)
+  let exact_table, exact_skipped = run ~exact:true in
+  let exact_stop = stop_level exact_table in
+  Alcotest.(check bool) "exact stops no earlier" true (exact_stop >= stop);
+  Alcotest.(check int) "exact skips the rest" (levels - exact_stop) exact_skipped;
+  if exact_stop < levels then
+    Alcotest.(check bool) "at a level that repeats" true
+      (same_mat exact_table.(exact_stop) exact_table.(exact_stop - 1));
+  Alcotest.check_raises "negative levels"
+    (Invalid_argument "Mat.squarings: negative levels") (fun () ->
+      ignore (Mat.squarings ~exact:false ~square:Fun.id ~on_skip:ignore m ~levels:(-1)))
+
+(* The eleven Gen families at the sizes and weights the sampler sees. *)
+let families =
+  [| "path"; "cycle"; "complete"; "star"; "grid"; "btree"; "lollipop";
+     "barbell"; "er:0.5"; "erlog:3"; "regular:4" |]
+
+let power_table_tests =
+  let open QCheck in
+  [
+    Test.make ~name:"stopped power tables match the plain loop, then pi"
+      ~count:120
+      (make
+         Gen.(
+           quad
+             (int_range 0 (Array.length families - 1))
+             (oneofl [ 6; 9; 12; 16; 20; 24 ])
+             bool (int_range 0 1_000_000)))
+      (fun (f, n, weighted, seed) ->
+        let prng = Prng.create ~seed in
+        let g =
+          Graph_gen.build prng (Graph_gen.family_of_string families.(f)) ~n
+        in
+        let g =
+          if weighted then Graph_gen.random_weights prng g ~max_weight:1000
+          else g
+        in
+        let m = lazy_chain g and levels = 24 in
+        let table = Mat.power_table m ~max_exp:levels in
+        let reference = Reference.power_table m ~levels in
+        let stop = stop_level table and pi = stationary g in
+        let ok = ref (Array.length table = levels + 1) in
+        Array.iteri
+          (fun i t ->
+            if i <= stop then ok := !ok && same_mat t reference.(i)
+            else ok := !ok && max_off_stationary t pi <= 1e-9)
+          table;
+        !ok);
+  ]
+
 (* --- qcheck properties --- *)
 
 let qcheck_tests =
@@ -417,6 +584,7 @@ let qcheck_tests =
 let () =
   let qsuite = List.map QCheck_alcotest.to_alcotest qcheck_tests in
   let ksuite = List.map QCheck_alcotest.to_alcotest kernel_tests in
+  let psuite = List.map QCheck_alcotest.to_alcotest power_table_tests in
   Alcotest.run "cc_linalg"
     [
       ( "mat",
@@ -459,4 +627,12 @@ let () =
         ] );
       ("properties", qsuite);
       ("kernels", ksuite);
+      ( "powers",
+        [
+          Alcotest.test_case "dumbbell never stops" `Quick test_dumbbell_never_stops;
+          Alcotest.test_case "2J/n and cycle 6 rows never agree" `Quick
+            test_unstochastic_and_periodic_never_stop;
+          Alcotest.test_case "stop and skip" `Quick test_squarings_stop_and_skip;
+        ]
+        @ psuite );
     ]
