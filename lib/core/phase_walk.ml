@@ -19,10 +19,6 @@ type stats = {
   matchings_mcmc : int;
 }
 
-let next_pow2 x =
-  let rec go p e = if p >= x then (p, e) else go (2 * p) (e + 1) in
-  go 1 0
-
 let max_materialized = 2_000_000
 
 (* Mutable counters threaded through a run. *)
@@ -97,7 +93,7 @@ let run net prng ~backend ?bits ?powers_slot ~trans ~machine_of ~start ~rho
   if start < 0 || start >= s_count then invalid_arg "Phase_walk.run: bad start";
   let n = Net.n net in
   let ew = Net.entry_words net in
-  let _, levels = next_pow2 target_len in
+  let levels = Cc_walks.Topdown.levels_for ~len:target_len in
   let counters = { c_checks = 0; c_midpoints = 0; c_exact = 0; c_magical = 0 } in
   (* Initialization Step (Algorithm 1): distributed power table + endpoint.
      When the caller passes a plan's [powers_slot], a filled slot replays the

@@ -1,0 +1,92 @@
+(** The graph-only state of a phased sampler, shared by {!Sampler}
+    (Theorem 2) and {!Sequential} (Section 1.2).
+
+    Both samplers run the same phases: phase 1 walks on G from vertex 0, and
+    every later phase walks on SCHUR(G, S) for S = {current} ∪ unvisited
+    and recovers the G-entry edge of each newly visited vertex through
+    Shortcut(G, S) by Algorithm 4. They differ only in how a phase's walk is
+    filled. A plan holds what depends on the graph alone: the resolved rho,
+    target length and levels, the (lazy-mixed) phase-1 transition and its
+    power table, and a memo of later phases' state keyed by S.
+
+    The memo is bounded by the words it holds. An entry holds Q (n² words),
+    the transition and its power table (at most (levels + 2)·|S|² words: a
+    table that stopped squaring aliases its later levels, so the count is
+    an upper bound). An entry is retained only while the plan's total stays
+    within 2{^18} words (2 MiB), and none is evicted: past the budget a
+    phase recomputes its state, which costs time, never correctness. All of
+    it is pure compute, so a hit and a miss yield the same walk, the same
+    tree and the same bookings. Plans are not thread-safe. *)
+
+(** Re-exported, with its documentation, as {!Sampler.schur_mode}. *)
+type schur_mode = Exact_solve | Powering of { k : int option }
+
+(** The per-S memo, the settings its entries are computed with, and the
+    plan's counters. *)
+type memo
+
+type t = private {
+  graph : Cc_graph.Graph.t;
+  rho : int;  (** distinct vertices per phase: ceil(sqrt n) unless set *)
+  target_len : int;
+      (** per-phase walk length, a power of two: next_pow2(n^3 log2 n)
+          unless set *)
+  trans1 : Cc_linalg.Mat.t;  (** phase 1's transition, lazy-mixed if asked *)
+  powers1 : Cc_linalg.Mat.t array;  (** its power table, computed purely *)
+  memo : memo;
+}
+
+(** [create ?rho ?target_len ?bits ?schur ~lazy_walk g] resolves the
+    settings against n and computes the phase-1 state; [bits] rounds every
+    power table (Section 3.5), and [schur] (default [Exact_solve]) picks how
+    a miss computes Q. The caller checks that [g] is connected. *)
+val create :
+  ?rho:int ->
+  ?target_len:int ->
+  ?bits:int ->
+  ?schur:schur_mode ->
+  lazy_walk:bool ->
+  Cc_graph.Graph.t ->
+  t
+
+(** [schur_k t] is the powering depth k: the one [Powering] names, else the
+    power of two at least 16·n³. *)
+val schur_k : t -> int
+
+type stats = {
+  draws : int;
+  hits : int;  (** later phases the memo served *)
+  misses : int;  (** later phases computed, retained or not *)
+  words : int;  (** words the retained entries hold *)
+}
+
+val stats : t -> stats
+val count_draw : t -> unit
+
+(** The state of one later phase. *)
+type phase = {
+  s : int array;  (** S = {current} ∪ unvisited, ascending *)
+  start : int;  (** the index of the walk's current vertex in [s] *)
+  in_s : bool array;
+  q : Cc_linalg.Mat.t;  (** Shortcut(G, S) *)
+  trans : Cc_linalg.Mat.t Lazy.t;
+      (** the transition of SCHUR(G, S), lazy-mixed if the plan is; a
+          two-vertex phase is one forced step and never forces it *)
+  powers : Cc_linalg.Mat.t array option ref;
+      (** its power table, filled by the first walk on S *)
+  hit : bool;  (** whether the memo served S *)
+}
+
+(** [phase t ~visited ~current] is the state of the phase that starts at
+    [current], through the memo. *)
+val phase : t -> visited:bool array -> current:int -> phase
+
+(** [powers t ph] is [ph]'s power table, computed purely on first use. *)
+val powers : t -> phase -> Cc_linalg.Mat.t array
+
+(** [first_visit t ph prng ~prev v] is Algorithm 4 for a vertex [v] that the
+    walk first reaches from [prev]: it draws v's G-neighbour u with
+    probability proportional to Q[prev, u]·w(u, v)/w_S(u), and returns u
+    with the weights it drew from. *)
+val first_visit :
+  t -> phase -> Cc_util.Prng.t -> prev:int -> int -> int * (int * float) array

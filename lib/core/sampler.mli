@@ -17,7 +17,7 @@
     footnote 1 (positive integer-ish weights), with the Algorithm 4 factors
     generalized to [w(u,v)/w_S(u)]. *)
 
-type schur_mode =
+type schur_mode = Plan.schur_mode =
   | Exact_solve
       (** compute SCHUR/SHORTCUT by exact linear algebra; rounds are still
           charged as the paper's powering pipeline (the solve is a simulator
@@ -75,14 +75,11 @@ type result = {
 (** {1 Prepared plans}
 
     The pipeline splits into a graph-only half and a seed-dependent half:
-    [prepare] computes everything that depends on the graph alone — the
-    (lazy-mixed) phase-1 transition matrix and its full power table, plus a
-    memo that accumulates later phases' Schur/shortcut state as draws
-    encounter them — and [draw] runs the walk + matching phases against a
-    plan. The memo is keyed by a phase's vertex set S and bounded by the
-    words it holds: an entry (Q, the transition and its power table) is
-    retained only while the plan's total stays within 2{^18} words (2 MiB),
-    and none is evicted. The contract, relied on by the ccserve plan cache:
+    [prepare] computes everything that depends on the graph alone, a
+    {!Plan.t} (the phase-1 transition matrix and its power table, and the
+    word-bounded memo of later phases' Schur/shortcut state) plus the
+    clique settings, and [draw] runs the walk + matching phases against a
+    plan. The contract, relied on by the ccserve plan cache:
 
     - [draw (prepare g) net prng] consumes exactly the same prng stream and
       books exactly the same Net events as [sample net prng g]; recorder
@@ -115,9 +112,11 @@ val plan_fingerprint : plan -> string
 val plan_config : plan -> config
 val plan_graph : plan -> Cc_graph.Graph.t
 
-(** [plan_stats plan] is [(draws, memo_hits, memo_misses)] — cumulative
-    draws served and later-phase memo traffic. A miss computes the phase's
-    state, whether or not the budget lets the memo retain it. *)
+(** [plan_state plan] is the plan's graph-only state. *)
+val plan_state : plan -> Plan.t
+
+(** [plan_stats plan] is [(draws, memo_hits, memo_misses)] of
+    {!Plan.stats}: cumulative draws served and later-phase memo traffic. *)
 val plan_stats : plan -> int * int * int
 
 (** {1 One-shot sampling} *)

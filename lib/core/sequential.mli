@@ -25,15 +25,13 @@ type result = {
 
 (** {1 Prepared plans}
 
-    The same prepare/draw split as {!Sampler}: [prepare] computes the
-    phase-1 transition matrix and its power table once and memoizes later
-    phases' Schur/shortcut state as draws encounter them, within the same
-    word budget as {!Sampler}'s memo (2{^18} words per plan, no eviction);
-    [draw] consumes exactly the prng stream [sample] would, so a cached plan
-    and a fresh run produce identical trees for the same seed. Plans are not
-    thread-safe. *)
+    The same prepare/draw split as {!Sampler}, whose graph-only state this
+    plan is: a {!Plan.t}, with its phase-1 power table and its word-bounded
+    memo of later phases. [draw] consumes exactly the prng stream [sample]
+    would, so a cached plan and a fresh run produce identical trees for the
+    same seed. *)
 
-type plan
+type plan = Plan.t
 
 (** @raise Invalid_argument on disconnected input. *)
 val prepare :

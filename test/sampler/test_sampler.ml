@@ -22,6 +22,7 @@ module Mat = Cc_linalg.Mat
 module Sampler = Cc_sampler.Sampler
 module Phase_walk = Cc_sampler.Phase_walk
 module Sequential = Cc_sampler.Sequential
+module Plan = Cc_sampler.Plan
 
 let default = Sampler.default_config
 
@@ -356,6 +357,32 @@ let test_sequential_plan_matches_sample () =
     (Tree.equal r2.Sequential.tree r3.Sequential.tree);
   Alcotest.(check int) "same phase count" r1.Sequential.phases
     r2.Sequential.phases
+
+(* Both samplers keep later phases in one Plan memo under one word budget.
+   On lollipop 16 distinct seeds revisit vertex sets, so 400 draws from one
+   plan hit its memo, and neither plan may retain more than 2^18 words. *)
+let test_one_budget_for_both_plans () =
+  let g = Gen.lollipop ~clique:8 ~tail:8 in
+  let n = Graph.n g in
+  let cc = Sampler.prepare g and seq = Sequential.prepare g in
+  for seed = 1 to 400 do
+    ignore (Sampler.draw cc (Net.create ~n) (Prng.create ~seed));
+    ignore (Sequential.draw seq (Prng.create ~seed))
+  done;
+  List.iter
+    (fun (name, plan) ->
+      let st = Plan.stats plan in
+      Alcotest.(check int) (name ^ ": draws") 400 st.Plan.draws;
+      Alcotest.(check bool) (name ^ ": the memo hit") true (st.Plan.hits > 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d words retained, within 2^18" name st.Plan.words)
+        true
+        (st.Plan.words > 0 && st.Plan.words <= 1 lsl 18))
+    [ ("cc", Sampler.plan_state cc); ("sequential", seq) ];
+  let _, hits, misses = Sampler.plan_stats cc in
+  let st = Plan.stats (Sampler.plan_state cc) in
+  Alcotest.(check (pair int int)) "plan_stats reads Plan.stats"
+    (st.Plan.hits, st.Plan.misses) (hits, misses)
 
 (* --- Full sampler: distributional checks (E5 in miniature) --- *)
 
@@ -751,6 +778,8 @@ let () =
             test_plan_reuse_distinct_seeds;
           Alcotest.test_case "plan validation" `Quick test_plan_validation;
           Alcotest.test_case "sequential plan" `Quick test_sequential_plan_matches_sample;
+          Alcotest.test_case "one budget for both plans" `Quick
+            test_one_budget_for_both_plans;
         ] );
       ( "distribution",
         [
