@@ -21,7 +21,7 @@
      D1  determinism: same-seed runs produce byte-identical recorder digests
      Q1  audit plane: samples-to-verdict per sampler + biased-fixture power
      S1  ccserve: plan-cache throughput, cold vs warm, 1 vs 4 clients
-     R1  recording overhead: served draws on a bare vs a recorded net
+     R1  observability overhead: served draws bare, recorded and traced
      M1  plan memory: live heap after 1 and 20 draws on one plan
 
    Usage:
@@ -1334,18 +1334,19 @@ let s1 () =
     done;
     List.iter (fun (fd, _) -> Unix.close fd) fds
   in
-  let reps = if !fast then 3 else 5 in
+  let reps = if !fast then 3 else 5 and passes = 3 in
   let seeds = List.init reps (fun i -> 1 + i) in
   (* cold: fresh server (empty plan cache, cold memo) for every request *)
-  let t0 = Unix.gettimeofday () in
-  List.iter
-    (fun s ->
-      let srv = fresh_server () in
-      run_requests srv ~clients:1 ~seeds:[ s ];
-      shutdown srv)
-    seeds;
-  let cold_wall = Unix.gettimeofday () -. t0 in
-  let cold_tps = float_of_int reps /. cold_wall in
+  let cold () =
+    let t0 = Unix.gettimeofday () in
+    List.iter
+      (fun s ->
+        let srv = fresh_server () in
+        run_requests srv ~clients:1 ~seeds:[ s ];
+        shutdown srv)
+      seeds;
+    Unix.gettimeofday () -. t0
+  in
   (* warm: prime with one pass over the same seeds, then measure a second
      pass — identical walks, but every request is a cache + memo hit *)
   let warm ~clients =
@@ -1356,15 +1357,29 @@ let s1 () =
     let wall = Unix.gettimeofday () -. t0 in
     let hits, misses, _ = Serve.cache_stats srv in
     shutdown srv;
-    (float_of_int (clients * reps) /. wall, wall, hits, misses)
+    (wall, hits, misses)
   in
-  let warm1_tps, warm1_wall, h1, m1 = warm ~clients:1 in
-  let warm4_tps, warm4_wall, h4, m4 = warm ~clients:4 in
+  (* The gated pair alternates and keeps the best of [passes] each, so one
+     descheduled pass cannot decide the gate. *)
+  let cold_wall = ref infinity and warm1 = ref (infinity, 0, 0) in
+  for _ = 1 to passes do
+    cold_wall := Float.min !cold_wall (cold ());
+    let ((wall, _, _) as w) = warm ~clients:1 in
+    let best, _, _ = !warm1 in
+    if wall < best then warm1 := w
+  done;
+  let cold_wall = !cold_wall and warm1_wall, h1, m1 = !warm1 in
+  let cold_tps = float_of_int reps /. cold_wall
+  and warm1_tps = float_of_int reps /. warm1_wall in
+  let warm4_wall, h4, m4 = warm ~clients:4 in
+  let warm4_tps = float_of_int (4 * reps) /. warm4_wall in
   let table =
     Table.create
       ~title:
         (Printf.sprintf
-           "complete graph n=%d, k=1 per request, served over a Unix socket" n)
+           "complete graph n=%d, k=1 per request, served over a Unix socket; \
+            1-client rows best of %d alternating passes"
+           n passes)
       ~columns:
         [ "phase"; "clients"; "requests"; "wall (s)"; "trees/s"; "hit/miss" ]
   in
@@ -1420,38 +1435,49 @@ let s1 () =
 
 (* ---------------------------------------------------------------- R1 --- *)
 
-(* What a flight recorder costs a served draw. ccserve attaches a digest-only
+(* What observability costs a served draw. ccserve attaches a digest-only
    recorder (~max_records:0) to every request's net and reports only the
    chain digest, so every booked primitive pays for writing and folding its
-   line. R1 times the same 20 draws from one prepared plan on a bare net and
-   on a recorded one, alternating the two and keeping the best of 5 each,
-   and gates the ratio. *)
+   line. A trace collector pays for its spans and for adding every booking
+   to the open ones. R1 times the same 20 draws from one prepared plan on a
+   bare net, on a recorded one and on a bare net inside a trace (spans, no
+   export), rotating the three and keeping the best of 5 each, and gates
+   both ratios to bare. *)
 let r1 () =
-  section "R1" "recording overhead: 20 served draws, bare vs digest-only";
-  let n = 40 and draws = 20 and reps = 5 and limit = 2.0 in
+  section "R1"
+    "observability overhead: 20 served draws, bare vs digest-only vs traced";
+  let n = 40 and draws = 20 and reps = 5 in
+  let limit = 2.0 and traced_limit = 1.5 in
   let g = Gen.build (Prng.create ~seed:3) (Gen.Er_log 3.0) ~n in
   let plan = Sampler.prepare g in
-  let run ~recorded =
+  let run mode =
     let net = Net.create ~n in
-    if recorded then
+    if mode = `Recorded then
       ignore
         (Net.attach_recorder net
            (Cc_obs.Recorder.create ~max_records:0 ~machines:n ()));
     let master = Prng.create ~seed:11 in
+    let draw_all () =
+      for _ = 1 to draws do
+        ignore (Sampler.draw plan net (Prng.split master))
+      done
+    in
     let t0 = Unix.gettimeofday () in
-    for _ = 1 to draws do
-      ignore (Sampler.draw plan net (Prng.split master))
-    done;
+    if mode = `Traced then
+      Cc_obs.Trace.with_trace (Cc_obs.Trace.create ()) draw_all
+    else draw_all ();
     Unix.gettimeofday () -. t0
   in
-  (* one untimed pass fills the plan's memo, so neither side pays it *)
-  ignore (run ~recorded:false);
+  (* one untimed pass fills the plan's memo, so no side pays it *)
+  ignore (run `Bare);
   let bare = ref infinity and recorded = ref infinity in
+  let traced = ref infinity in
   for _ = 1 to reps do
-    bare := Float.min !bare (run ~recorded:false);
-    recorded := Float.min !recorded (run ~recorded:true)
+    bare := Float.min !bare (run `Bare);
+    recorded := Float.min !recorded (run `Recorded);
+    traced := Float.min !traced (run `Traced)
   done;
-  let ratio = !recorded /. !bare in
+  let ratio = !recorded /. !bare and traced_ratio = !traced /. !bare in
   let table =
     Table.create
       ~title:
@@ -1471,25 +1497,38 @@ let r1 () =
           Table.cell_float ~decimals:1 (1000.0 *. wall);
           Table.cell_float ~decimals:2 (1000.0 *. wall /. float_of_int draws);
         ])
-    [ ("bare", !bare); ("recorded", !recorded) ];
-  (* hardware-independent gate row for ccprof diff: 1.0 iff ratio <= limit *)
-  Report.record ~id:"R1"
-    ~params:[ ("net", Report.str "gate"); ("n", Report.int n) ]
-    ~bound:1.0
-    ~extra:[ ("ratio", Report.flt ratio) ]
-    (if ratio <= limit then 1.0 else 0.0);
+    [ ("bare", !bare); ("recorded", !recorded); ("traced", !traced) ];
+  (* hardware-independent gate rows for ccprof diff: 1.0 iff ratio <= limit *)
+  let gate name ratio limit =
+    Report.record ~id:"R1"
+      ~params:[ ("net", Report.str name); ("n", Report.int n) ]
+      ~bound:1.0
+      ~extra:[ ("overhead", Report.flt ratio) ]
+      (if ratio <= limit then 1.0 else 0.0)
+  in
+  gate "gate" ratio limit;
+  gate "traced gate" traced_ratio traced_limit;
   Table.print table;
   Printf.printf "recorded/bare: %.2fx (gate: <= %.1fx)\n" ratio limit;
-  if ratio > limit then
-    failwith
-      (Printf.sprintf
-         "R1 REGRESSION: served draws on a digest-only recorded net took \
-          %.2fx the bare time (limit %.1fx)"
-         ratio limit);
+  Printf.printf "traced/bare: %.2fx (gate: <= %.1fx)\n" traced_ratio
+    traced_limit;
+  List.iter
+    (fun (what, ratio, limit) ->
+      if ratio > limit then
+        failwith
+          (Printf.sprintf
+             "R1 REGRESSION: served draws %s took %.2fx the bare time (limit \
+              %.1fx)"
+             what ratio limit))
+    [
+      ("on a digest-only recorded net", ratio, limit);
+      ("inside a trace", traced_ratio, traced_limit);
+    ];
   print_endline
     "Expected shape: the recorder writes one line per booked primitive\n\
      straight into its own buffer and folds it in place, so recorded draws\n\
-     stay well under twice the bare ones."
+     stay well under twice the bare ones; a trace only adds each booking to\n\
+     its open spans, so traced draws stay under 1.5x."
 
 (* ---------------------------------------------------------------- M1 --- *)
 

@@ -7,9 +7,9 @@
      diff BASELINE NEW     regression gate on measured/bound ratios
      heatmap FILE          machine x label congestion heatmap of a
                            flight-recorder log (cctree --record FILE)
-     trace FILE            self time by span, top spans and events of a
-                           trace artifact (--trace-out); --budget gates
-                           a span's share of the run
+     trace FILE            self time by span and top spans of a trace
+                           artifact (--trace-out); --budget gates a
+                           span's share of the run
      events FILE           render a lifecycle-event journal JSONL
                            (ccserve --health-log FILE)
      timeline FILE         Chrome/Perfetto JSON from a trace artifact
@@ -385,30 +385,7 @@ let trace_cmd =
           ])
       (take top spans);
     Table.print span_table;
-    let events =
-      List.stable_sort
-        (fun (a : Trace.event) b -> compare b.max_load a.max_load)
-        (Trace.events tr)
-    in
-    let event_table =
-      Table.create
-        ~title:(Printf.sprintf "%s — top net events by per-machine load" file)
-        ~columns:[ "kind"; "label"; "rounds"; "words"; "max load" ]
-    in
-    List.iter
-      (fun (ev : Trace.event) ->
-        Table.add_row event_table
-          [
-            ev.kind;
-            ev.label;
-            Printf.sprintf "%.1f" ev.rounds;
-            string_of_int ev.words;
-            string_of_int ev.max_load;
-          ])
-      (take top events);
-    Table.print event_table;
-    Printf.printf "%d spans, %d events\n" (List.length spans)
-      (List.length events);
+    Printf.printf "%d spans\n" (List.length spans);
     let breaches =
       List.filter_map
         (fun (name, frac) ->
@@ -426,9 +403,9 @@ let trace_cmd =
   let info =
     Cmd.info "trace"
       ~doc:
-        "Show self time by span, then the hottest spans and net events of a \
-         trace artifact (--trace-out); --budget gates a span's share of the \
-         run."
+        "Show self time by span, then the hottest spans of a trace artifact \
+         (--trace-out); --budget gates a span's share of the run. Per-label \
+         peak load is $(b,ccprof heatmap)'s, on a --record log."
   in
   Cmd.v info Term.(const run $ file_t $ top_t $ budget_t $ warn_only_t)
 

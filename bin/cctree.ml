@@ -177,11 +177,12 @@ type obs = {
 let obs_t =
   let trace_out_t =
     let doc =
-      "Write the trace artifact (JSON lines) to $(docv): one line per span \
-       and per metered Net primitive, under a root $(i,run) span covering \
-       the whole run. $(b,ccprof trace) prints its self time by span and \
-       gates it with $(b,--budget); $(b,ccprof timeline) turns it into \
-       Chrome/Perfetto JSON."
+      "Write the trace artifact (JSON lines) to $(docv): one line per span, \
+       under a root $(i,run) span covering the whole run, each with the \
+       rounds, messages, words and peak load booked while it was open. \
+       $(b,ccprof trace) prints its self time by span and gates it with \
+       $(b,--budget); $(b,ccprof timeline) turns it into Chrome/Perfetto \
+       JSON."
     in
     Arg.(
       value & opt (some string) None & info [ "trace-out" ] ~doc ~docv:"FILE")
@@ -241,7 +242,7 @@ let exit_violation = 1
 
 (* Run [f] with a trace collector, recorder and load profile attached when
    requested, then write the requested exports and print the heatmap.
-   Observability never perturbs the run: spans, events, and the profile only
+   Observability never perturbs the run: spans, records, and the profile only
    observe the booked costs. A recording with invariant violations exits [exit_violation] once
    every export is written. *)
 let with_obs obs net f =
@@ -250,7 +251,6 @@ let with_obs obs net f =
       Some (Cc_obs.Trace.create ())
     else None
   in
-  (match tr with Some t -> Cc_obs.Trace.install t | None -> ());
   let recording =
     match obs.record with
     | None -> None
@@ -271,7 +271,6 @@ let with_obs obs net f =
   in
   let violated = ref false in
   let finish () =
-    Cc_obs.Trace.uninstall ();
     (match tr with
     | None -> ()
     | Some t ->
@@ -316,8 +315,14 @@ let with_obs obs net f =
   (* The artifact gets a root [run] span covering everything, so the self
      times of its spans tile end-to-end wall. *)
   let f =
-    if obs.trace_out <> None then fun () -> Cc_obs.Trace.with_span "run" f
-    else f
+    match tr with
+    | None -> f
+    | Some t ->
+        let f =
+          if obs.trace_out <> None then fun () -> Cc_obs.Trace.with_span "run" f
+          else f
+        in
+        fun () -> Cc_obs.Trace.with_trace t f
   in
   let r = Fun.protect ~finally:finish f in
   if !violated then exit exit_violation;

@@ -127,8 +127,7 @@ let book ?(sent = [||]) ?(recv = [||]) t ~kind ~label ~rounds ~messages ~words
       in
       List.iter (fun (_, f) -> f ev) sinks);
   if Cc_obs.Trace.enabled () then
-    Cc_obs.Trace.net_event ~kind:(kind_name kind) ~label ~rounds ~messages
-      ~words ~max_load ~round_clock:t.total_rounds ();
+    Cc_obs.Trace.net_event ~rounds ~messages ~words ~max_load;
   (* Crash-stop failures fire at round boundaries: booking a primitive ends
      its rounds, so scheduled crashes up to the new clock take effect now. *)
   match t.injected with

@@ -152,8 +152,11 @@ val ledger : t -> (string * float * int * int) list
 
     Every booked primitive is mirrored to two places {e after} the ledger
     update: the per-net event bus ({!add_sink} subscribers, called in
-    subscription order), and the process-wide {!Cc_obs.Trace} collector
-    (when one is installed). Neither path touches the ledger or draws
+    subscription order), which the flight recorder, the invariant monitor
+    and the load profile read, and the process-wide {!Cc_obs.Trace}
+    collector (when one is installed), which adds the primitive's rounds,
+    messages, words and peak load to its open spans and keeps no record of
+    the primitive itself. Neither path touches the ledger or draws
     randomness, so an observed run is bit-identical to a bare one. *)
 
 (** The metering primitive a cost was booked under. *)

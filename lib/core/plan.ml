@@ -105,7 +105,6 @@ type phase = {
   q : Mat.t;
   trans : Mat.t Lazy.t;
   powers : Mat.t array option ref;
-  hit : bool;
 }
 
 (* The pure per-S computation of a later phase. *)
@@ -132,13 +131,15 @@ let phase t ~visited ~current =
   let start = List.length (List.filter (fun v -> v < current) s) in
   let s = Array.of_list s in
   let key = String.init n (fun v -> if in_s.(v) then '1' else '0') in
-  let e, hit =
+  let e =
     match Hashtbl.find_opt m.table key with
     | Some e ->
         m.hits <- m.hits + 1;
-        (e, true)
+        Cc_obs.Metrics.incr "sampler.plan.memo_hit";
+        e
     | None ->
         m.misses <- m.misses + 1;
+        Cc_obs.Metrics.incr "sampler.plan.memo_miss";
         let e = compute t ~s ~in_s in
         (* Q is n x n; the transition and its power table of [levels + 1]
            matrices are |S| x |S|. An upper bound: a table that stopped
@@ -150,9 +151,9 @@ let phase t ~visited ~current =
           Hashtbl.add m.table key e;
           m.words <- m.words + words
         end;
-        (e, false)
+        e
   in
-  { s; start; in_s; q = e.e_q; trans = e.e_trans; powers = e.e_powers; hit }
+  { s; start; in_s; q = e.e_q; trans = e.e_trans; powers = e.e_powers }
 
 let powers t ph =
   match !(ph.powers) with

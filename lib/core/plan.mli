@@ -74,11 +74,12 @@ type phase = {
           two-vertex phase is one forced step and never forces it *)
   powers : Cc_linalg.Mat.t array option ref;
       (** its power table, filled by the first walk on S *)
-  hit : bool;  (** whether the memo served S *)
 }
 
 (** [phase t ~visited ~current] is the state of the phase that starts at
-    [current], through the memo. *)
+    [current], through the memo. Both samplers come here for every later
+    phase, so this is where a hit or a miss is counted: in {!stats} and in
+    the metrics registry as [sampler.plan.memo_hit] or [memo_miss]. *)
 val phase : t -> visited:bool array -> current:int -> phase
 
 (** [powers t ph] is [ph]'s power table, computed purely on first use. *)

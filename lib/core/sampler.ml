@@ -264,8 +264,6 @@ let draw plan ?faults net prng =
          the compute); the clique still pays the paper's pipeline rounds on
          every draw, so hit and miss book identical Net events. *)
       let ph = Plan.phase st ~visited ~current:!current in
-      Cc_obs.Metrics.incr
-        (if ph.hit then "sampler.plan.memo_hit" else "sampler.plan.memo_miss");
       charge_schur_pipeline net config.backend ~k:(Plan.schur_k st);
       heal_matrix_shares ();
       let s = ph.s in

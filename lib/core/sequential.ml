@@ -42,6 +42,7 @@ let draw (plan : plan) prng =
   in
   while !remaining > 0 do
     incr phases;
+    Cc_obs.Metrics.incr "sampler.phases";
     if !phases = 1 then
       claim_walk
         (fun prev _ -> prev)

@@ -6,8 +6,7 @@
    conservation per primitive kind, and a monotone round clock; at the end
    of a run the accumulated per-label costs are reconciled against the
    net's ledger. Violations are structured reports, mirrored into the
-   Metrics registry and (when a collector is installed) the active Trace
-   as instant events. *)
+   Metrics registry. *)
 
 type violation = {
   invariant : string;
@@ -55,25 +54,14 @@ let acc_for t label =
       a
 
 (* Register [vs] (in order): store, count, and mirror each into Metrics
-   counters and a Trace instant event. *)
+   counters. *)
 let report t vs =
   List.iter
     (fun v ->
       t.rev_violations <- v :: t.rev_violations;
       t.count <- t.count + 1;
       Metrics.incr "invariant.violations";
-      Metrics.incr ("invariant." ^ v.invariant);
-      Trace.instant
-        ("invariant:" ^ v.invariant)
-        ~args:
-          ([ ("label", v.label); ("detail", v.detail) ]
-          @ (match v.seq with
-            | Some s -> [ ("seq", string_of_int s) ]
-            | None -> [])
-          @
-          match v.machine with
-          | Some m -> [ ("machine", string_of_int m) ]
-          | None -> []))
+      Metrics.incr ("invariant." ^ v.invariant))
     vs;
   vs
 

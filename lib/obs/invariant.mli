@@ -22,10 +22,10 @@
     - [shape] — structural sanity (array lengths, negative costs,
       [max_load] consistency, unknown kinds).
 
-    Every violation is recorded in the monitor, counted in the Metrics
-    registry ([invariant.violations] plus one counter per catalogue entry),
-    and emitted as a Trace instant event when a collector is installed.
-    Checking is pure observation and never perturbs the run.
+    Every violation is recorded in the monitor and counted in the Metrics
+    registry ([invariant.violations] plus one counter per catalogue entry);
+    [cctree --record] lists them on stderr and exits 1. Checking is pure
+    observation and never perturbs the run.
 
     Glue a monitor to a live net with [Cc_clique.Net.attach_invariant] and
     reconcile with [Cc_clique.Net.ledger_violations]. *)

@@ -13,50 +13,23 @@ type span = {
   mutable children : span list;
 }
 
-type event = {
-  ts : float;
-  span_id : int option;
-  kind : string;
-  label : string;
-  rounds : float;
-  messages : int;
-  words : int;
-  max_load : int;
-  round_clock : float;
-}
-
 (* An open span carries its GC snapshot; the exported [span] record is filled
    in at close time. *)
 type open_span = { span : span; alloc_at_open : float }
 
 type t = {
   clock : unit -> float;
-  max_events : int;
   mutable next_id : int;
   mutable stack : open_span list; (* innermost first *)
   mutable roots : span list; (* completed, reversed *)
-  mutable events : event list; (* reversed *)
-  mutable n_events : int;
-  mutable n_dropped : int;
+  mutable bookings : int;
 }
 
-let create ?(clock = Unix.gettimeofday) ?(max_events = 200_000) () =
-  {
-    clock;
-    max_events;
-    next_id = 0;
-    stack = [];
-    roots = [];
-    events = [];
-    n_events = 0;
-    n_dropped = 0;
-  }
+let create ?(clock = Unix.gettimeofday) ?max_events:(_ : int option) () =
+  { clock; next_id = 0; stack = []; roots = []; bookings = 0 }
 
 let active : t option ref = ref None
-let install t = active := Some t
-let uninstall () = active := None
 let enabled () = !active <> None
-let current () = !active
 
 let with_trace t f =
   let prev = !active in
@@ -110,40 +83,7 @@ let with_span ?(args = []) name f =
       push_span t ~name ~args;
       Fun.protect ~finally:(fun () -> pop_span t) f
 
-let record_event t ev =
-  if t.n_events < t.max_events then begin
-    t.events <- ev :: t.events;
-    t.n_events <- t.n_events + 1
-  end
-  else t.n_dropped <- t.n_dropped + 1
-
-let innermost t =
-  match t.stack with [] -> None | { span; _ } :: _ -> Some span.id
-
-let instant ?(args = []) name =
-  match !active with
-  | None -> ()
-  | Some t ->
-      let label =
-        match args with
-        | [] -> ""
-        | args -> String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ v) args)
-      in
-      record_event t
-        {
-          ts = t.clock ();
-          span_id = innermost t;
-          kind = "instant";
-          label = (if label = "" then name else name ^ " " ^ label);
-          rounds = 0.0;
-          messages = 0;
-          words = 0;
-          max_load = 0;
-          round_clock = Float.nan;
-        }
-
-let net_event ~kind ~label ~rounds ~messages ~words ?(max_load = 0) ~round_clock
-    () =
+let net_event ~rounds ~messages ~words ~max_load =
   match !active with
   | None -> ()
   | Some t ->
@@ -154,22 +94,10 @@ let net_event ~kind ~label ~rounds ~messages ~words ?(max_load = 0) ~round_clock
           sp.net_words <- sp.net_words + words;
           sp.net_max_load <- max sp.net_max_load max_load)
         t.stack;
-      record_event t
-        {
-          ts = t.clock ();
-          span_id = innermost t;
-          kind;
-          label;
-          rounds;
-          messages;
-          words;
-          max_load;
-          round_clock;
-        }
+      t.bookings <- t.bookings + 1
 
 let roots t = List.rev t.roots
-let events t = List.rev t.events
-let dropped_events t = t.n_dropped
+let dropped_events t = t.bookings
 
 let sum f spans = List.fold_left (fun a sp -> a +. f sp) 0.0 spans
 let total_rounds t = sum (fun sp -> sp.net_rounds) t.roots
@@ -265,20 +193,17 @@ let pp_tree fmt t =
   in
   Format.fprintf fmt "@[<v>";
   List.iter pp (roots t);
-  if t.n_dropped > 0 then
-    Format.fprintf fmt "(%d timeline events dropped beyond cap)@," t.n_dropped;
   Format.fprintf fmt "@]"
 
-(* Chrome trace_event timestamps are microseconds; use the earliest span or
-   event timestamp as the origin so traces start near 0. *)
+(* Chrome trace_event timestamps are microseconds; use the earliest span
+   start as the origin so traces start near 0. *)
 let origin t =
-  let cands =
+  let starts =
     List.filter
       (fun x -> not (Float.is_nan x))
-      (List.map (fun sp -> sp.start_ts) t.roots
-      @ List.map (fun (ev : event) -> ev.ts) t.events)
+      (List.map (fun sp -> sp.start_ts) t.roots)
   in
-  match cands with [] -> 0.0 | x :: rest -> List.fold_left Float.min x rest
+  match starts with [] -> 0.0 | x :: rest -> List.fold_left Float.min x rest
 
 let to_chrome_json t =
   let t0 = origin t in
@@ -311,30 +236,6 @@ let to_chrome_json t =
     List.iter span_events sp.children
   in
   List.iter span_events (roots t);
-  List.iter
-    (fun ev ->
-      acc :=
-        Json.Obj
-          [
-            ("name", Json.String (ev.kind ^ ":" ^ ev.label));
-            ("cat", Json.String "net");
-            ("ph", Json.String "i");
-            ("s", Json.String "t");
-            ("ts", Json.float_opt (us ev.ts));
-            ("pid", Json.Int 1);
-            ("tid", Json.Int 1);
-            ( "args",
-              Json.Obj
-                [
-                  ("rounds", Json.float_opt ev.rounds);
-                  ("messages", Json.Int ev.messages);
-                  ("words", Json.Int ev.words);
-                  ("max_load", Json.Int ev.max_load);
-                  ("round_clock", Json.float_opt ev.round_clock);
-                ] );
-          ]
-        :: !acc)
-    (events t);
   Json.to_string
     (Json.Obj
        [
@@ -370,24 +271,6 @@ let to_jsonl t =
     List.iter span_lines sp.children
   in
   List.iter span_lines (roots t);
-  List.iter
-    (fun ev ->
-      line
-        (Json.Obj
-           [
-             ("type", Json.String "event");
-             ("ts_s", Json.float_opt (ev.ts -. t0));
-             ( "span",
-               match ev.span_id with None -> Json.Null | Some i -> Json.Int i );
-             ("kind", Json.String ev.kind);
-             ("label", Json.String ev.label);
-             ("rounds", Json.float_opt ev.rounds);
-             ("messages", Json.Int ev.messages);
-             ("words", Json.Int ev.words);
-             ("max_load", Json.Int ev.max_load);
-             ("round_clock", Json.float_opt ev.round_clock);
-           ]))
-    (events t);
   Buffer.contents buf
 
 (* --- reload --- *)
@@ -418,7 +301,7 @@ let to_args = function
   | _ -> None
 
 let of_jsonl s =
-  let t = create ~max_events:max_int () in
+  let t = create () in
   (* Stack of open ancestors, innermost first, for rebuilding the tree from
      the depth-first flattening. Children are accumulated reversed and
      flipped once the whole artifact is read. *)
@@ -475,24 +358,7 @@ let of_jsonl s =
         | [] -> t.roots <- sp :: t.roots);
         stack := sp :: !stack;
         Ok ()
-    | Some (Json.String "event") ->
-        let* ts = float_field "ts_s" j "event" in
-        let span_id =
-          match Json.member "span" j with
-          | Some (Json.Int i) -> Some i
-          | _ -> None
-        in
-        let* kind = get "kind" Json.to_string_opt j "event" in
-        let* label = get "label" Json.to_string_opt j "event" in
-        let* rounds = float_field "rounds" j "event" in
-        let* messages = get "messages" to_int j "event" in
-        let* words = get "words" to_int j "event" in
-        let* max_load = get "max_load" to_int j "event" in
-        let* round_clock = float_field "round_clock" j "event" in
-        record_event t
-          { ts; span_id; kind; label; rounds; messages; words; max_load;
-            round_clock };
-        Ok ()
+    | Some (Json.String "event") -> Ok () (* net events of older artifacts *)
     | Some (Json.String other) ->
         Error (Printf.sprintf "unknown line type %S" other)
     | _ -> Error "line has no \"type\" field"

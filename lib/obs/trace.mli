@@ -1,9 +1,10 @@
 (** Hierarchical tracing for the Congested Clique stack.
 
-    A trace is a tree of {e spans} (named, timed regions of execution) plus a
-    flat, time-ordered list of {e net events} (one per metered {!Cc_clique.Net}
-    primitive — exchanges, broadcasts, analytic charges). Spans record three
-    kinds of cost:
+    A trace is a tree of {e spans} (named, timed regions of execution). Each
+    metered {!Cc_clique.Net} primitive (exchange, broadcast, analytic
+    charge) adds its cost to the spans open when it was booked; the
+    primitives themselves are kept by the flight recorder
+    ({!Recorder}), not here. Spans record three kinds of cost:
 
     - wall-clock time, from an injectable clock (deterministic in tests);
     - GC allocation (minor + major words allocated while the span was open);
@@ -14,8 +15,7 @@
       run's top-level spans sum to [Net.rounds].
 
     Tracing is {b off by default and zero-cost when off}: [with_span] without
-    an installed collector is a single [ref] read plus the wrapped call, and
-    no event is recorded. Observability never perturbs the simulation — it
+    an installed collector is a single [ref] read plus the wrapped call. Observability never perturbs the simulation — it
     draws no randomness and never touches the ledger, so an instrumented run
     is bit-identical to a bare one.
 
@@ -41,40 +41,19 @@ type span = {
   mutable children : span list;  (** completed children, in start order. *)
 }
 
-type event = {
-  ts : float;  (** clock seconds. *)
-  span_id : int option;  (** innermost open span, if any. *)
-  kind : string;  (** primitive: ["exchange"], ["broadcast"], ... *)
-  label : string;  (** the ledger label the cost was booked under. *)
-  rounds : float;
-  messages : int;
-  words : int;
-  max_load : int;
-      (** maximum words any one machine sent or received in this primitive
-          (0 for analytic charges). *)
-  round_clock : float;  (** [Net.rounds] immediately after booking. *)
-}
-
 type t
 
-(** [create ?clock ?max_events ()] builds an empty collector. [clock]
-    returns seconds (default [Unix.gettimeofday]; inject a counter for
-    deterministic tests). At most [max_events] net events are kept (default
-    [200_000]); excess events still update span totals but are dropped from
-    the timeline and counted in {!dropped_events}. *)
+(** [create ?clock ()] builds an empty collector. [clock] returns seconds
+    (default [Unix.gettimeofday]; inject a counter for deterministic tests).
+    [max_events] is ignored: a trace keeps no event timeline. *)
 val create : ?clock:(unit -> float) -> ?max_events:int -> unit -> t
 
-(** [install t] makes [t] the process-wide active collector. *)
-val install : t -> unit
-
-(** [uninstall ()] deactivates tracing (spans become no-ops again). *)
-val uninstall : unit -> unit
-
+(** [enabled ()] is true while a collector is installed. *)
 val enabled : unit -> bool
-val current : unit -> t option
 
-(** [with_trace t f] installs [t] for the duration of [f], restoring the
-    previously active collector (if any) afterwards, exceptions included. *)
+(** [with_trace t f] makes [t] the process-wide active collector for the
+    duration of [f], restoring the previously active collector (if any)
+    afterwards, exceptions included. It is the only way to install one. *)
 val with_trace : t -> (unit -> 'a) -> 'a
 
 (** [with_span ?args name f] runs [f] inside a span named [name]. Without an
@@ -82,25 +61,12 @@ val with_trace : t -> (unit -> 'a) -> 'a
     even if [f] raises. *)
 val with_span : ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
 
-(** [instant ?args name] records a zero-duration marker event attributed to
-    the innermost open span. No-op without an active collector. *)
-val instant : ?args:(string * string) list -> string -> unit
-
-(** [net_event ~kind ~label ~rounds ~messages ~words ?max_load ~round_clock ()]
-    feeds one metered primitive into the active collector: the cost is added
-    to every open span (with [max_load], default 0, folded into each span's
-    running maximum) and appended to the event timeline. Called by the
-    {!Cc_clique.Net} booking layer; no-op without an active collector. *)
-val net_event :
-  kind:string ->
-  label:string ->
-  rounds:float ->
-  messages:int ->
-  words:int ->
-  ?max_load:int ->
-  round_clock:float ->
-  unit ->
-  unit
+(** [net_event ~rounds ~messages ~words ~max_load] feeds one metered
+    primitive into the active collector: the cost is added to every open
+    span, [max_load] is folded into each span's running maximum, and the
+    booking is counted. Called by the {!Cc_clique.Net} booking layer; no-op
+    without an active collector. *)
+val net_event : rounds:float -> messages:int -> words:int -> max_load:int -> unit
 
 (** {1 Inspection} *)
 
@@ -108,11 +74,9 @@ val net_event :
     open are not included. *)
 val roots : t -> span list
 
-(** [events t] is the recorded net-event timeline, in order. *)
-val events : t -> event list
-
-(** [dropped_events t] counts events beyond [max_events] that were dropped
-    from the timeline (span totals still include them). *)
+(** [dropped_events t] is the number of {!net_event} bookings [t] saw while
+    installed. The name is kept for callers that count net events through
+    it; no event is stored, so none is dropped. *)
 val dropped_events : t -> int
 
 (** [total_rounds t] sums [net_rounds] over the top-level spans. *)
@@ -154,17 +118,17 @@ val pp_tree : Format.formatter -> t -> unit
 
 (** [to_chrome_json t] is Chrome [trace_event] JSON ([{"traceEvents": ...}]):
     spans as complete (["ph":"X"]) events with microsecond timestamps
-    relative to the trace start, net events as instant (["ph":"i"]) events
-    carrying rounds/words in [args]. *)
+    relative to the trace start, carrying their rounds/words in [args]. *)
 val to_chrome_json : t -> string
 
-(** [to_jsonl t] is one JSON object per line: every span (depth-first, in
-    start order), then every net event. Timestamps are seconds relative to
-    the trace origin. The format {!of_jsonl} reloads. *)
+(** [to_jsonl t] is one JSON object per line, one line per span
+    (depth-first, in start order). Timestamps are seconds relative to the
+    first span's start. The format {!of_jsonl} reloads. *)
 val to_jsonl : t -> string
 
-(** [of_jsonl s] reconstructs a collector from a {!to_jsonl} artifact — span
-    trees (rebuilt from the depth-first flattening) and events — for offline
-    analysis ([ccprof trace] / [timeline]). The error names the first
-    offending line. *)
+(** [of_jsonl s] reconstructs a collector's span trees from a {!to_jsonl}
+    artifact (rebuilt from the depth-first flattening) for offline analysis
+    ([ccprof trace] / [timeline]). Net-event lines ([{"type":"event"}]),
+    which older artifacts hold after their spans, are skipped. The error
+    names the first offending line. *)
 val of_jsonl : string -> (t, string) result

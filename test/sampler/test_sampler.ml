@@ -384,6 +384,44 @@ let test_one_budget_for_both_plans () =
   Alcotest.(check (pair int int)) "plan_stats reads Plan.stats"
     (st.Plan.hits, st.Plan.misses) (hits, misses)
 
+(* Both samplers count their phases and memo lookups in the metrics
+   registry, one [sampler.phases] per phase and one memo_hit or memo_miss
+   per later phase (every phase but a draw's first). *)
+let test_phase_metrics_for_both_samplers () =
+  let g = Gen.lollipop ~clique:8 ~tail:8 in
+  let n = Graph.n g and k = 20 in
+  let counter name =
+    match Cc_obs.Metrics.get name with
+    | Some (Cc_obs.Metrics.Counter c) -> c
+    | _ -> 0
+  in
+  List.iter
+    (fun (name, draw) ->
+      Cc_obs.Metrics.reset ();
+      let phases = ref 0 in
+      for seed = 1 to k do
+        phases := !phases + draw seed
+      done;
+      let hits = counter "sampler.plan.memo_hit"
+      and misses = counter "sampler.plan.memo_miss" in
+      Alcotest.(check int) (name ^ ": sampler.phases") !phases
+        (counter "sampler.phases");
+      Alcotest.(check int) (name ^ ": hits + misses = phases - draws")
+        (!phases - k) (hits + misses);
+      Alcotest.(check bool) (name ^ ": the memo hit") true (hits > 0))
+    [
+      ( "cc",
+        let plan = Sampler.prepare g in
+        fun seed ->
+          (Sampler.draw plan (Net.create ~n) (Prng.create ~seed)).Sampler.phases
+      );
+      ( "sequential",
+        let plan = Sequential.prepare g in
+        fun seed -> (Sequential.draw plan (Prng.create ~seed)).Sequential.phases
+      );
+    ];
+  Cc_obs.Metrics.reset ()
+
 (* --- Full sampler: distributional checks (E5 in miniature) --- *)
 
 let sampler_tree_tv ?(config = default) g trials seed =
@@ -780,6 +818,8 @@ let () =
           Alcotest.test_case "sequential plan" `Quick test_sequential_plan_matches_sample;
           Alcotest.test_case "one budget for both plans" `Quick
             test_one_budget_for_both_plans;
+          Alcotest.test_case "phase metrics for both samplers" `Quick
+            test_phase_metrics_for_both_samplers;
         ] );
       ( "distribution",
         [
