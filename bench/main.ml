@@ -1650,8 +1650,23 @@ let microbench () =
   let er44 =
     Gen.random_weights prng44 (Gen.build prng44 (Gen.Er_log 3.0) ~n:44) ~max_weight:8
   in
+  (* One phase-1 walk at n = 64 on lollipop, the cover-time worst case: the
+     sampler's rho = 8 and 2^21 target, the lazy chain's power table built
+     once, so a run replays that table's bookings and times the level loop
+     alone (Formula 1 laws, Check probes, gather and placement). Each run
+     starts from the same seed, so every run fills the same walk. *)
+  let lollipop64 = Gen.lollipop ~clique:32 ~tail:32 in
+  let lazy64 = Mat.half_lazy (Graph.transition_matrix lollipop64) in
+  let powers64 = ref (Some (Matmul.power_table_pure lazy64 ~levels:21)) in
   let tests =
     [
+      Test.make ~name:"phase-walk-lollipop-64"
+        (Staged.stage (fun () ->
+             ignore
+               (Phase_walk.run (Net.create ~n:64) (Prng.create ~seed:1)
+                  ~backend:(Matmul.charged ()) ~powers_slot:powers64
+                  ~trans:lazy64 ~machine_of:Fun.id ~start:0 ~rho:8
+                  ~target_len:(1 lsl 21) ~matching:Phase_walk.Resample ())));
       Test.make ~name:"mat-mul-64" (Staged.stage (fun () -> ignore (Mat.mul m64 m64)));
       Test.make ~name:"lu-inverse-64"
         (Staged.stage (fun () -> ignore (Cc_linalg.Solve.inverse m64)));

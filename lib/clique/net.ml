@@ -67,6 +67,15 @@ let kind_name = function
   | Aggregate -> "aggregate"
   | Charge -> "charge"
 
+(* The per-kind max-load histogram names, constants so that a booking
+   builds no string. *)
+let max_load_metric = function
+  | Exchange -> "net.max_load.exchange"
+  | Broadcast -> "net.max_load.broadcast"
+  | All_to_all -> "net.max_load.all_to_all"
+  | Aggregate -> "net.max_load.aggregate"
+  | Charge -> "net.max_load.charge"
+
 let with_faults f t =
   List.iter
     (fun (m, _) ->
@@ -105,7 +114,7 @@ let book ?(sent = [||]) ?(recv = [||]) t ~kind ~label ~rounds ~messages ~words
   if max_load > 0 then begin
     let x = float_of_int max_load in
     Cc_obs.Metrics.observe "net.max_load" x;
-    Cc_obs.Metrics.observe ("net.max_load." ^ kind_name kind) x
+    Cc_obs.Metrics.observe (max_load_metric kind) x
   end;
   (match t.sinks with
   | [] -> ()

@@ -29,46 +29,52 @@ type counters = {
   mutable c_magical : int;
 }
 
-(* Pair-class bookkeeping for one level: walk.(i), walk.(i+1) for
-   i = 0..len-2 are the (start,end) pairs. *)
-type level_pairs = {
-  classes : (int * int) array; (* class index -> (p, q) *)
-  class_of : int array; (* pair position i -> class index *)
-  rank : int array; (* pair position i -> occurrence rank within its class *)
-  counts : int array; (* class index -> total occurrences *)
-}
-
-(* Classes are numbered in order of first appearance. [table] maps the pair
-   code p * width + q to its class and is all -1 between calls. *)
+(* Pair classes of one level, numbered in order of first appearance: pair
+   i is (walk.(i), walk.(i + 1)), [first.(k)] is class k's first pair and
+   [next.(i)] the next pair of pair i's class, -1 after its last. [table]
+   maps the pair code p * width + q to its class and is all -1 between
+   calls. Returns the number of classes, [first] and [next]. *)
 let index_pairs table ~width walk =
   let l = Array.length walk - 1 in
-  let class_of = Array.make l 0 and rank = Array.make l 0 in
-  let counts = Array.make l 0 and classes = ref [] and nclasses = ref 0 in
+  let first = Array.make l 0 and last = Array.make l 0 in
+  let next = Array.make l (-1) and nclasses = ref 0 in
   for i = 0 to l - 1 do
     let key = (walk.(i) * width) + walk.(i + 1) in
-    if table.(key) < 0 then begin
-      table.(key) <- !nclasses;
-      classes := (walk.(i), walk.(i + 1)) :: !classes;
-      incr nclasses
-    end;
     let k = table.(key) in
-    class_of.(i) <- k;
-    rank.(i) <- counts.(k);
-    counts.(k) <- counts.(k) + 1
+    if k < 0 then begin
+      table.(key) <- !nclasses;
+      first.(!nclasses) <- i;
+      last.(!nclasses) <- i;
+      incr nclasses
+    end
+    else begin
+      next.(last.(k)) <- i;
+      last.(k) <- i
+    end
   done;
-  let classes = Array.of_list (List.rev !classes) in
-  Array.iter (fun (p, q) -> table.((p * width) + q) <- -1) classes;
-  { classes; class_of; rank; counts = Array.sub counts 0 !nclasses }
+  for k = 0 to !nclasses - 1 do
+    let i = first.(k) in
+    table.((walk.(i) * width) + walk.(i + 1)) <- -1
+  done;
+  (!nclasses, first, next)
+
+(* [max] specialised to ints: the polymorphic one calls the generic
+   comparison. *)
+let imax (a : int) b = if a >= b then a else b
+
+(* Charge a routed pattern by its busiest machine's word load. *)
+let charge_load net ~label load =
+  let n = Net.n net in
+  if load > 0 then Net.charge net ~label (Float.of_int ((load + n - 1) / n))
 
 (* Book a routed pattern given per-machine word loads (avoids materializing
    huge packet lists for dense request patterns). *)
 let book_loads net ~label ~sent ~recv =
-  let n = Net.n net in
   let load = ref 0 in
-  for i = 0 to n - 1 do
-    load := max !load (max sent.(i) recv.(i))
+  for i = 0 to Net.n net - 1 do
+    load := imax !load (imax sent.(i) recv.(i))
   done;
-  if !load > 0 then Net.charge net ~label (Float.of_int ((!load + n - 1) / n))
+  charge_load net ~label !load
 
 (* A margin of the placement DP is eligible only while it has at most this
    many states: about 400 KB of log-Z. States >= k + 1, so this bounds k. *)
@@ -123,28 +129,28 @@ let run net prng ~backend ?bits ?powers_slot ~trans ~machine_of ~start ~rho
 
   (* Scratch shared by every level. Per-machine loads are cleared before
      each booking; the vertex sets are cleared in O(1) by taking a fresh
-     stamp, which the marks of every earlier set differ from. *)
+     stamp, which the marks of every earlier set differ from. [law] holds
+     one pair class's Formula 1 law at a time. *)
   let sent = Array.make n 0 and recv = Array.make n 0 in
   let clear_loads () =
     Array.fill sent 0 n 0;
     Array.fill recv 0 n 0
   in
+  let machine = Array.init s_count machine_of in
   let pair_table = Array.make (s_count * s_count) (-1) in
   let stamp = ref 0 in
   let fresh () =
     incr stamp;
     !stamp
   in
-  let in_prefix = Array.make s_count 0 and prefix_count = Array.make s_count 0 in
-  let prefix_vertices = Array.make s_count 0 in
   let seen = Array.make s_count 0 in
+  let law = Array.make s_count 0.0 in
   (* One level: walk with entries spaced 2^gap apart -> entries spaced
      2^(gap-1), truncated at the rho-th distinct vertex. *)
   let level walk gap =
     let half = powers.(gap - 1) in
     let l = Array.length walk - 1 in
-    let pairs = index_pairs pair_table ~width:s_count walk in
-    let nclasses = Array.length pairs.classes in
+    let nclasses, first, next = index_pairs pair_table ~width:s_count walk in
     let pair_machine k = k mod n in
     (* --- Algorithm 2: midpoint requests + distribution acquisition. --- *)
     (* M sends each pair machine its count (O(1) words each). *)
@@ -157,105 +163,103 @@ let run net prng ~backend ?bits ?powers_slot ~trans ~machine_of ~start ~rho
     (* Every machine j sends each pair machine its Formula 1 factor. *)
     clear_loads ();
     for j = 0 to s_count - 1 do
-      sent.(machine_of j) <- sent.(machine_of j) + (nclasses * ew)
+      sent.(machine.(j)) <- sent.(machine.(j)) + (nclasses * ew)
     done;
     for k = 0 to nclasses - 1 do
       recv.(pair_machine k) <- recv.(pair_machine k) + (s_count * ew)
     done;
     book_loads net ~label:"midpoint distributions" ~sent ~recv;
-    (* Pair machines sample their midpoint sequences Pi_{p,q}. *)
-    let pi =
-      Array.init nclasses (fun k ->
-          let p, q = pairs.classes.(k) in
-          let weights =
-            Array.init s_count (fun j -> Mat.get half p j *. Mat.get half j q)
-          in
-          let d =
-            try Dist.of_weights weights
-            with Invalid_argument _ -> degenerate ()
-          in
-          Array.init pairs.counts.(k) (fun _ -> Dist.sample d prng))
-    in
-    (* The "magical" filled walk: position 2i is walk.(i), position 2i+1 is
-       pi.(class).(rank). Used only as the machines would: for Check queries,
-       the final midpoint, and the multiset. *)
-    let magical pos =
-      if pos land 1 = 0 then walk.(pos / 2)
-      else
-        let i = (pos - 1) / 2 in
-        pi.(pairs.class_of.(i)).(pairs.rank.(i))
-    in
-    let c = Array.make nclasses 0 in
+    (* Pair machines sample their midpoint sequences Pi_{p,q}, class by
+       class, each class's draws going to its pairs in order. The "magical"
+       filled walk holds them: position 2i is walk.(i), position 2i+1 the
+       midpoint drawn for pair i. The machines use it only as they would:
+       for Check queries, the final midpoint, and the multiset.
+       [new_in_class.(i)] is the pair machine of pair i's class when its
+       midpoint is the class's first draw of that vertex, -1 otherwise. *)
+    let magical = Array.make ((2 * l) + 1) 0 in
+    for i = 0 to l do
+      magical.(2 * i) <- walk.(i)
+    done;
+    let new_in_class = Array.make l (-1) in
+    for k = 0 to nclasses - 1 do
+      let i = ref first.(k) in
+      Mat.two_step_into half ~p:walk.(!i) ~q:walk.(!i + 1) law;
+      (try Dist.cdf_in_place law with Invalid_argument _ -> degenerate ());
+      let in_class = fresh () in
+      while !i >= 0 do
+        let v = Dist.search law (Prng.float prng 1.0) in
+        magical.((2 * !i) + 1) <- v;
+        if seen.(v) <> in_class then begin
+          seen.(v) <- in_class;
+          new_in_class.(!i) <- pair_machine k
+        end;
+        i := next.(!i)
+      done
+    done;
+    (* [distinct.(pos)] is the number of distinct vertices at positions
+       0..pos of the magical walk; position pos holds the first occurrence
+       of its vertex iff the count rose there. *)
+    let distinct = Array.make ((2 * l) + 1) 0 in
+    let walk_set = fresh () and d = ref 0 in
+    for pos = 0 to 2 * l do
+      let v = magical.(pos) in
+      if seen.(v) <> walk_set then begin
+        seen.(v) <- walk_set;
+        incr d
+      end;
+      distinct.(pos) <- !d
+    done;
+    let first_at pos = pos = 0 || distinct.(pos) > distinct.(pos - 1) in
     (* --- Algorithm 3: Check(l') — is l' <= t? --- *)
-    let check l' =
-      counters.c_checks <- counters.c_checks + 1;
+    let search () =
+      (* A probe's booking: M sends c_{p,q}(l') to every pair machine; each
+         distinct (class, v) among the midpoints at odd positions <= l'
+         sends a(p,q,v,l') from its pair machine to machine v; each distinct
+         midpoint vertex sends its sum to M; and M queries m(l'). Every
+         per-machine sum only grows with the prefix, so the busiest
+         machine's load after c midpoints, [loads.(c)], is the running
+         maximum of every sum so far: one sweep over the pairs. *)
+      let loads = Array.make (l + 1) 0 in
       clear_loads ();
-      (* Step 1: M sends c_{p,q}(l') to pair machines. *)
-      sent.(leader) <- nclasses;
+      sent.(leader) <- nclasses + 2;
+      recv.(leader) <- 2;
       for k = 0 to nclasses - 1 do
         recv.(pair_machine k) <- recv.(pair_machine k) + 1
       done;
-      (* Prefix counts per class: midpoints at odd positions <= l'. (Guard
-         l' = 0 explicitly: OCaml truncates (-1)/2 to 0, which would wrongly
-         count pair 0.) *)
-      Array.fill c 0 nclasses 0;
-      let i_max_mid = if l' < 1 then -1 else min (l - 1) ((l' - 1) / 2) in
-      for i = 0 to i_max_mid do
-        c.(pairs.class_of.(i)) <- c.(pairs.class_of.(i)) + 1
+      let load = ref 0 in
+      for m = 0 to n - 1 do
+        load := imax !load (imax sent.(m) recv.(m))
       done;
-      (* Step 2: a(p,q,v,l') flows to machine v, once per distinct (class,
-         v); step 3: the per-vertex sums flow to M. *)
-      let prefix = fresh () and distinct = ref 0 in
-      for k = 0 to nclasses - 1 do
-        let in_class = fresh () in
-        for r = 0 to c.(k) - 1 do
-          let v = pi.(k).(r) in
-          if in_prefix.(v) <> prefix then begin
-            in_prefix.(v) <- prefix;
-            prefix_count.(v) <- 0;
-            prefix_vertices.(!distinct) <- v;
-            incr distinct
-          end;
-          prefix_count.(v) <- prefix_count.(v) + 1;
-          if seen.(v) <> in_class then begin
-            seen.(v) <- in_class;
-            sent.(pair_machine k) <- sent.(pair_machine k) + 2;
-            recv.(machine_of v) <- recv.(machine_of v) + 2
-          end
-        done
+      loads.(0) <- !load;
+      let midpoint_set = fresh () in
+      for i = 0 to l - 1 do
+        let v = magical.((2 * i) + 1) in
+        let src = new_in_class.(i) in
+        if src >= 0 then begin
+          let dst = machine.(v) in
+          sent.(src) <- sent.(src) + 2;
+          recv.(dst) <- recv.(dst) + 2;
+          load := imax !load (imax sent.(src) recv.(dst))
+        end;
+        if seen.(v) <> midpoint_set then begin
+          seen.(v) <- midpoint_set;
+          let src = machine.(v) in
+          sent.(src) <- sent.(src) + 2;
+          recv.(leader) <- recv.(leader) + 2;
+          load := imax !load (imax sent.(src) recv.(leader))
+        end;
+        loads.(i + 1) <- !load
       done;
-      for x = 0 to !distinct - 1 do
-        let v = prefix_vertices.(x) in
-        sent.(machine_of v) <- sent.(machine_of v) + 2;
-        recv.(leader) <- recv.(leader) + 2
-      done;
-      (* m(l') query. *)
-      sent.(leader) <- sent.(leader) + 2;
-      recv.(leader) <- recv.(leader) + 2;
-      book_loads net ~label:"binary-search check" ~sent ~recv;
-      (* Step 4: d = distinct vertices in the prefix. *)
-      for i = 0 to l' / 2 do
-        let v = walk.(i) in
-        if in_prefix.(v) <> prefix then begin
-          in_prefix.(v) <- prefix;
-          prefix_count.(v) <- 0;
-          incr distinct
-        end
-      done;
-      if !distinct > rho then false
-      else begin
-        (* Step 6: o = occurrences of m(l') in the prefix. *)
-        let v = magical l' in
-        let o = ref (if in_prefix.(v) = prefix then prefix_count.(v) else 0) in
-        for i = 0 to l' / 2 do
-          if walk.(i) = v then incr o
-        done;
-        !distinct < rho || !o = 1
-      end
-    in
-    (* Binary search for the largest l' with Check(l') = true. Check 0 is
-       trivially true (one distinct vertex, rho >= 2). *)
-    let search () =
+      (* Check(l'): at most rho distinct vertices up to l', and fewer than
+         rho unless m(l') occurs there first (its occurrence count is 1). *)
+      let check l' =
+        counters.c_checks <- counters.c_checks + 1;
+        charge_load net ~label:"binary-search check" loads.((l' + 1) / 2);
+        let d = distinct.(l') in
+        d <= rho && (d < rho || first_at l')
+      in
+      (* Binary search for the largest l' with Check(l') = true. Check 0 is
+         trivially true (one distinct vertex, rho >= 2). *)
       let lo = ref 0 and hi = ref (2 * l) in
       while !lo < !hi do
         let mid = (!lo + !hi + 1) / 2 in
@@ -265,54 +269,37 @@ let run net prng ~backend ?bits ?powers_slot ~trans ~machine_of ~start ~rho
     in
     let t = Cc_obs.Trace.with_span "phase_walk.search" search in
     (* --- Midpoint Placement. --- *)
-    let new_walk = Array.make (t + 1) (-1) in
-    let n_even = (t / 2) + 1 in
-    for i = 0 to n_even - 1 do
-      new_walk.(2 * i) <- walk.(i)
-    done;
+    let new_walk = Array.sub magical 0 (t + 1) in
     let final_is_midpoint = t land 1 = 1 in
-    if final_is_midpoint then begin
-      (* The final midpoint is queried and placed exactly. *)
-      new_walk.(t) <- magical t;
-      Net.charge net ~label:"final midpoint query" 1.0
-    end;
+    (* The final midpoint is queried and placed exactly. *)
+    if final_is_midpoint then Net.charge net ~label:"final midpoint query" 1.0;
     (* Positions to fill by matching: the odd positions 2j+1 strictly below
        t, i.e. the midpoints of pairs j < t/2. *)
     let k_match = t / 2 in
     counters.c_midpoints <- counters.c_midpoints + k_match + (if final_is_midpoint then 1 else 0);
     if k_match > 0 then begin
       (* M receives the multiset (2 words per distinct identity, combinable)
-         and the P^(gap-1) submatrix on the involved vertices (O(n) words). *)
-      let involved_set = fresh () and involved = ref [] and sub = ref 0 in
+         and the P^(gap-1) submatrix on the involved vertices (O(n) words),
+         one packet per distinct vertex, latest first occurrence first. *)
+      let words = (distinct.(t) * ew) + 2 and packets = ref [] in
       for pos = 0 to t do
-        let v = magical pos in
-        if seen.(v) <> involved_set then begin
-          seen.(v) <- involved_set;
-          involved := v :: !involved;
-          incr sub
-        end
+        if first_at pos then
+          packets := { Net.src = machine.(magical.(pos)); dst = leader; words } :: !packets
       done;
-      let words = (!sub * ew) + 2 in
-      Net.exchange net ~label:"multiset+submatrix gather"
-        (List.map (fun v -> { Net.src = machine_of v; dst = leader; words }) !involved);
-      (* The midpoints in their magical order, one per position. *)
-      let midpoints = Array.init k_match (fun j -> magical ((2 * j) + 1)) in
-      let placed =
-        match matching with
-        | Magical -> midpoints
-        | Resample ->
-            let positions =
-              Array.init k_match (fun j -> (walk.(j), walk.(j + 1)))
-            in
-            let placed, exact =
-              place prng ~identities:midpoints ~positions
-                ~weight:(fun ~v ~p ~q -> Mat.get half p v *. Mat.get half v q)
-            in
-            if exact then counters.c_exact <- counters.c_exact + 1
-            else counters.c_magical <- counters.c_magical + 1;
-            placed
-      in
-      Array.iteri (fun j v -> new_walk.((2 * j) + 1) <- v) placed
+      Net.exchange net ~label:"multiset+submatrix gather" !packets;
+      match matching with
+      | Magical -> ()
+      | Resample ->
+          (* The midpoints in their magical order, one per position. *)
+          let midpoints = Array.init k_match (fun j -> magical.((2 * j) + 1)) in
+          let positions = Array.init k_match (fun j -> (walk.(j), walk.(j + 1))) in
+          let placed, exact =
+            place prng ~identities:midpoints ~positions
+              ~weight:(fun ~v ~p ~q -> Mat.two_step half p v q)
+          in
+          if exact then counters.c_exact <- counters.c_exact + 1
+          else counters.c_magical <- counters.c_magical + 1;
+          Array.iteri (fun j v -> new_walk.((2 * j) + 1) <- v) placed
     end;
     new_walk
   in

@@ -36,6 +36,21 @@ let set m i j v =
     invalid_arg "Mat.set: index out of bounds";
   m.data.((i * m.cols) + j) <- v
 
+let two_step m p j q =
+  let c = m.cols in
+  if m.rows <> c || p < 0 || p >= c || j < 0 || j >= c || q < 0 || q >= c then
+    invalid_arg "Mat.two_step: not square or index out of bounds";
+  unsafe_get m.data ((p * c) + j) *. unsafe_get m.data ((j * c) + q)
+
+let two_step_into m ~p ~q buf =
+  let c = m.cols in
+  if m.rows <> c || p < 0 || p >= c || q < 0 || q >= c || Array.length buf <> c
+  then invalid_arg "Mat.two_step_into: bad shape or index";
+  let d = m.data and prow = p * c in
+  for j = 0 to c - 1 do
+    unsafe_set buf j (unsafe_get d (prow + j) *. unsafe_get d ((j * c) + q))
+  done
+
 let of_arrays a =
   let r = Array.length a in
   if r = 0 then invalid_arg "Mat.of_arrays: empty";

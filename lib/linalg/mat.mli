@@ -18,10 +18,25 @@ val cols : t -> int
 
 (** [get m i j] and [set m i j v] check their indices. Outside [lib/linalg]
     each call also boxes its float (2 words; without flambda no annotation
-    inlines them across modules), so hot loops must not go through them. *)
+    inlines them across modules), so hot loops must not go through them:
+    {!two_step_into} fills a whole Formula 1 law in one call, and
+    {!two_step} reads one of its weights with one box instead of three. *)
 val get : t -> int -> int -> float
 
 val set : t -> int -> int -> float -> unit
+
+(** [two_step m p j q] is [m[p,j] *. m[j,q]], the weight of the two-step
+    path p -> j -> q: Formula 1's weight of midpoint [j] between [p] and
+    [q] when [m] is P^(d/2).
+    @raise Invalid_argument if [m] is not square or an index is out of
+    bounds. *)
+val two_step : t -> int -> int -> int -> float
+
+(** [two_step_into m ~p ~q buf] sets [buf.(j)] to [two_step m p j q] for
+    every [j], with the same product's bits, and allocates nothing.
+    @raise Invalid_argument if [m] is not square, [p] or [q] is out of
+    bounds, or [buf] is not [rows m] long. *)
+val two_step_into : t -> p:int -> q:int -> float array -> unit
 
 (** [data m] is [m]'s row-major storage itself, not a copy: entry [(i, j)]
     is at [i * cols m + j]. For the kernels of [lib/linalg] only. *)

@@ -45,11 +45,19 @@ let build ~identities ~positions ~weight =
   if k = 0 then invalid_arg "Placement.build: empty instance";
   if Array.length positions <> k then
     invalid_arg "Placement.build: instance/position count mismatch";
-  (* Position classes in ascending (p,q) order, members in ascending index. *)
+  (* Position classes in ascending (p,q) order, members in ascending index.
+     The pairs are compared field by field as ints: the order of the
+     polymorphic [compare] on the tuples, without its C call. *)
   let by_pair = Array.init k Fun.id in
-  Array.stable_sort (fun a b -> compare positions.(a) positions.(b)) by_pair;
+  Array.stable_sort
+    (fun a b ->
+      let p, q = positions.(a) and p', q' = positions.(b) in
+      if p <> p' then compare (p : int) p' else compare (q : int) q')
+    by_pair;
   let class_of, nclasses =
-    label_runs by_pair (fun a b -> positions.(a) = positions.(b))
+    label_runs by_pair (fun a b ->
+        let p, q = positions.(a) and p', q' = positions.(b) in
+        p = p' && q = q')
   in
   let sizes = count class_of nclasses in
   let first = ref 0 in

@@ -30,8 +30,15 @@ type record = {
 }
 
 (* An append-only byte buffer whose bytes can be folded in place (a
-   [Buffer.t] only hands them out as a fresh copy). *)
-type out = { mutable bytes : Bytes.t; mutable len : int }
+   [Buffer.t] only hands them out as a fresh copy). [last_float] is the
+   last value written through ["%.12g"] and [last_text] its bytes: a
+   record's [round_start] is usually the previous record's [round_end]. *)
+type out = {
+  mutable bytes : Bytes.t;
+  mutable len : int;
+  mutable last_float : float;
+  mutable last_text : string;
+}
 
 type t = {
   machines : int;
@@ -63,7 +70,8 @@ let fnv64 h s = fnv64_prefix h s (String.length s)
 
 (* --- canonical serialization --- *)
 
-let out_create size = { bytes = Bytes.create size; len = 0 }
+let out_create size =
+  { bytes = Bytes.create size; len = 0; last_float = 0.0; last_text = "0" }
 
 let out_grow o k =
   let bytes = Bytes.create (max (o.len + k) (2 * Bytes.length o.bytes)) in
@@ -111,6 +119,32 @@ let out_int o i =
    interpretation around it: same bytes, half the cost. *)
 external format_float : string -> float -> string = "caml_format_float"
 
+(* ["%.12g"] of [x], read off [text], the bytes of [from], when x - from is
+   a positive integer k and [text] is a fixed-point number of 2 to 11
+   integer digits whose integer part stays that long after adding k.
+   Rounding x to 12 significant digits then rounds at the same decimal
+   place u = 10^(X - 11), X + 1 the digit count, and x / u = from / u +
+   k / u with k / u an even integer, so even a tie rounds alike: the
+   printed value is the old one plus k, with the same fractional digits.
+   [None] when any condition fails. *)
+let shifted ~from text x =
+  let d = x -. from in
+  (* Sterbenz: from <= x <= 2 from makes the subtraction exact. *)
+  if not (from > 0.0 && x <= 2.0 *. from && d >= 1.0 && Float.is_integer d)
+  then None
+  else
+    match String.index_opt text '.' with
+    | Some dot
+      when dot >= 2 && dot <= 11 && text.[0] <> '0'
+           && String.for_all (fun c -> c >= '0' && c <= '9')
+                (String.sub text 0 dot) ->
+        let whole =
+          string_of_int (int_of_string (String.sub text 0 dot) + int_of_float d)
+        in
+        if String.length whole <> dot then None
+        else Some (whole ^ String.sub text dot (String.length text - dot))
+    | _ -> None
+
 (* [Json.Float]'s bytes: [null] when not finite, [%.1f] for an integral
    value below 1e15 (its digits, then [.0]; [-0.0] keeps its sign), and
    [%.12g] otherwise. *)
@@ -121,7 +155,17 @@ let out_float o x =
     out_neg_digits o (-int_of_float (Float.abs x));
     out_string o ".0"
   end
-  else out_string o (format_float "%.12g" x)
+  else begin
+    (* [x] is finite and not an integer, so [=] compares its bits. *)
+    if x <> o.last_float then begin
+      o.last_text <-
+        (match shifted ~from:o.last_float o.last_text x with
+        | Some text -> text
+        | None -> format_float "%.12g" x);
+      o.last_float <- x
+    end;
+    out_string o o.last_text
+  end
 
 let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
 

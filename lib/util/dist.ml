@@ -7,19 +7,38 @@ let check_weights w =
         invalid_arg "Dist: weights must be finite and nonnegative")
     w
 
-let of_weights w =
-  check_weights w;
-  let total = Array.fold_left ( +. ) 0.0 w in
+(* [cumulate w] checks the weights [w], replaces each by the running sum of
+   w.(i) /. total in index order, pins the last to 1.0 and returns total,
+   the left fold of [w]. Monomorphic loops over the float array, so no
+   entry is boxed. *)
+let cumulate w =
+  let n = Array.length w in
+  let total = ref 0.0 in
+  for i = 0 to n - 1 do
+    let x = w.(i) in
+    if x < 0.0 || not (Float.is_finite x) then
+      invalid_arg "Dist: weights must be finite and nonnegative";
+    total := !total +. x
+  done;
+  let total = !total in
   if total <= 0.0 then invalid_arg "Dist.of_weights: all weights are zero";
-  let probs = Array.map (fun x -> x /. total) w in
-  let cdf = Array.make (Array.length w) 0.0 in
   let acc = ref 0.0 in
-  Array.iteri
-    (fun i p ->
-      acc := !acc +. p;
-      cdf.(i) <- !acc)
-    probs;
-  cdf.(Array.length cdf - 1) <- 1.0;
+  for i = 0 to n - 1 do
+    acc := !acc +. (w.(i) /. total);
+    w.(i) <- !acc
+  done;
+  w.(n - 1) <- 1.0;
+  total
+
+let cdf_in_place w = ignore (cumulate w)
+
+let of_weights w =
+  let cdf = Array.copy w in
+  let total = cumulate cdf in
+  let probs = Array.make (Array.length w) 0.0 in
+  for i = 0 to Array.length w - 1 do
+    probs.(i) <- w.(i) /. total
+  done;
   { probs; cdf }
 
 let uniform n =
@@ -36,15 +55,16 @@ let support_size d = Array.length d.probs
 let prob d i = d.probs.(i)
 let probs d = Array.copy d.probs
 
-let sample d prng =
-  let u = Prng.float prng 1.0 in
+let search cdf u =
   (* Smallest index with cdf.(i) > u. *)
-  let lo = ref 0 and hi = ref (Array.length d.cdf - 1) in
+  let lo = ref 0 and hi = ref (Array.length cdf - 1) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if d.cdf.(mid) > u then hi := mid else lo := mid + 1
+    if cdf.(mid) > u then hi := mid else lo := mid + 1
   done;
   !lo
+
+let sample d prng = search d.cdf (Prng.float prng 1.0)
 
 let sample_weights w prng =
   check_weights w;

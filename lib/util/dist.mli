@@ -37,6 +37,19 @@ val probs : t -> float array
     O(log support). *)
 val sample : t -> Prng.t -> int
 
+(** [cdf_in_place w] overwrites the weights [w] with their cumulative law,
+    the array [of_weights w] samples from, bit for bit: the same checks,
+    total the left fold of [w], entry i the running sum of w.(j) /. total
+    over j <= i in index order, and the last entry exactly [1.0]. A caller
+    that refills one buffer per law allocates nothing.
+    @raise Invalid_argument as [of_weights] does. *)
+val cdf_in_place : float array -> unit
+
+(** [search cdf u] is the smallest index whose entry of the cumulative law
+    [cdf] exceeds [u]: [sample d prng] is [search] on [d]'s law at
+    [u = Prng.float prng 1.0]. *)
+val search : float array -> float -> int
+
 (** [sample_weights w prng] draws directly from unnormalized weights without
     building a [t]; linear scan, for one-shot draws. *)
 val sample_weights : float array -> Prng.t -> int

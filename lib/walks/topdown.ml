@@ -14,8 +14,9 @@ let midpoint_weights powers ~gap_exp ~a ~b =
   if gap_exp < 1 || gap_exp > Array.length powers - 1 then
     invalid_arg "Topdown.midpoint_weights: gap_exp out of range";
   let half = powers.(gap_exp - 1) in
-  let n = Mat.rows half in
-  Array.init n (fun w -> Mat.get half a w *. Mat.get half w b)
+  let weights = Array.make (Mat.rows half) 0.0 in
+  Mat.two_step_into half ~p:a ~q:b weights;
+  weights
 
 let initial_walk prng powers ~start ~levels =
   if levels < 0 || levels > Array.length powers - 1 then

@@ -66,6 +66,37 @@ let test_power_table () =
         (Mat.equal ~tol:1e-8 m (Mat.power a (1 lsl i))))
     table
 
+(* The Formula 1 kernels multiply the same two entries Mat.get reads, so
+   their bits are the products of those reads; a bad shape or index is
+   refused. *)
+let test_two_step () =
+  let prng = Prng.create ~seed:17 in
+  let m = random_matrix prng ~rows:7 ~cols:7 in
+  let bits = Int64.bits_of_float in
+  let buf = Array.make 7 nan in
+  for p = 0 to 6 do
+    for q = 0 to 6 do
+      Mat.two_step_into m ~p ~q buf;
+      for j = 0 to 6 do
+        let expected = bits (Mat.get m p j *. Mat.get m j q) in
+        if bits buf.(j) <> expected || bits (Mat.two_step m p j q) <> expected
+        then Alcotest.failf "two_step %d %d %d" p j q
+      done
+    done
+  done;
+  let refused f =
+    match f () with () -> false | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "short buffer" true
+    (refused (fun () -> Mat.two_step_into m ~p:0 ~q:0 (Array.make 6 0.0)));
+  Alcotest.(check bool) "q out of range" true
+    (refused (fun () -> Mat.two_step_into m ~p:0 ~q:7 buf));
+  Alcotest.(check bool) "not square" true
+    (refused (fun () ->
+         Mat.two_step_into (random_matrix prng ~rows:7 ~cols:6) ~p:0 ~q:0 buf));
+  Alcotest.(check bool) "j out of range" true
+    (refused (fun () -> ignore (Mat.two_step m 0 (-1) 0)))
+
 let test_mul_vec () =
   let a = Mat.of_arrays [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
   let y = Mat.mul_vec a [| 1.0; 1.0 |] in
@@ -595,6 +626,7 @@ let () =
           Alcotest.test_case "power" `Quick test_power_matches_repeated_mul;
           Alcotest.test_case "power 0/1" `Quick test_power_zero_and_one;
           Alcotest.test_case "power table" `Quick test_power_table;
+          Alcotest.test_case "two-step kernels" `Quick test_two_step;
           Alcotest.test_case "mat-vec" `Quick test_mul_vec;
           Alcotest.test_case "submatrix" `Quick test_submatrix;
           Alcotest.test_case "stochastic checks" `Quick test_row_stochastic_checks;

@@ -1294,6 +1294,87 @@ let prop_writer_matches_reference =
       && Recorder.total r0 = List.length evs
       && Recorder.stored r = List.length evs)
 
+(* A net's clock: each record ends where the next one starts, most records
+   add whole rounds, and some add a fraction. The writer prints such a clock
+   from the previous value's bytes where it can, so the stream starts next
+   to a power of ten, at a half-unit tie of the 12th digit, or past 11
+   integer digits, where that shortcut must step aside. *)
+let gen_clock =
+  let open QCheck.Gen in
+  let start =
+    oneof
+      [
+        oneofl
+          [
+            0.75;
+            9.5;
+            97.25;
+            99.9999999999;
+            999.999999999;
+            1234567890.125;
+            9999999997.5;
+            99999999990.5;
+            123456789012.5;
+            5e-324;
+          ];
+        float_range 1.0 1e12;
+        float_range 0.0 2.0;
+      ]
+  in
+  let step =
+    frequency
+      [
+        (6, map float_of_int (int_range 1 9));
+        (1, float_range 0.0 3.0);
+        (1, return 1e-7);
+      ]
+  in
+  pair start (list_size (int_range 1 40) step)
+
+let prop_writer_matches_reference_on_a_clock =
+  QCheck.Test.make ~name:"writer matches the Json.t reference on a clock"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (start, steps) ->
+         Printf.sprintf "start %h, steps %s" start
+           (String.concat " " (List.map (Printf.sprintf "%h") steps)))
+       gen_clock)
+    (fun (start, steps) ->
+      let r = Recorder.create ~machines:2 () in
+      ignore
+        (List.fold_left
+           (fun clock rounds ->
+             let clock = clock +. rounds in
+             feed r
+               {
+                 e_kind = "charge";
+                 e_label = "binary-search check";
+                 e_rounds = rounds;
+                 e_round_end = clock;
+                 e_ints = [| 0; 0; 0; 0; 0 |];
+                 e_full = false;
+                 e_sent = [||];
+                 e_recv = [||];
+               };
+             clock)
+           start steps);
+      let reference =
+        reference_header ~machines:2
+        :: List.map
+             (fun rc -> Json.to_string (json_of_record rc))
+             (Recorder.records r)
+      in
+      let exported =
+        List.filteri
+          (fun i _ -> i <= List.length steps)
+          (String.split_on_char '\n' (Recorder.to_jsonl r))
+      in
+      if exported <> reference then
+        QCheck.Test.fail_reportf "export differs:\n%s\nvs reference\n%s"
+          (String.concat "\n" exported)
+          (String.concat "\n" reference);
+      Recorder.digest_hex r = reference_digest reference)
+
 (* The stored record owns its arrays: the caller may reuse its own. *)
 let test_recorder_copies_stored_arrays () =
   let r = Recorder.create ~machines:2 () in
@@ -1520,6 +1601,7 @@ let () =
           Alcotest.test_case "stored records own their arrays" `Quick
             test_recorder_copies_stored_arrays;
           QCheck_alcotest.to_alcotest prop_writer_matches_reference;
+          QCheck_alcotest.to_alcotest prop_writer_matches_reference_on_a_clock;
         ] );
       ( "invariant",
         [

@@ -760,11 +760,96 @@ let test_ledger_has_expected_components () =
     [ "matmul"; "power-table transpose"; "binary-search check";
       "midpoint distributions"; "shortcut powering"; "first-visit edges" ]
 
+(* --- Phase_walk vs its reference (test/sampler/reference.ml) --- *)
+
+(* What one phase walk shows: its walk and stats (or its failure), every
+   event it books, and the PRNG's next draws. *)
+let observe_walk run ~machines ~seed =
+  let net = Net.create ~n:machines in
+  let events = ref [] in
+  ignore
+    (Net.add_sink net (fun (e : Net.event) ->
+         events :=
+           ( Net.kind_name e.kind,
+             e.label,
+             e.rounds,
+             (e.messages, e.words, e.max_load),
+             Array.to_list e.sent,
+             Array.to_list e.recv )
+           :: !events));
+  let prng = Prng.create ~seed in
+  let result =
+    match run net prng with
+    | walk, (stats : Phase_walk.stats) -> Ok (walk, stats)
+    | exception Failure msg -> Error msg
+  in
+  (result, List.rev !events, Array.init 4 (fun _ -> Prng.bits prng ~width:30))
+
+let families =
+  Cc_graph.Gen.
+    [| Path; Cycle; Complete; Star; Grid; Binary_tree; Lollipop; Barbell; Er_log 2.0 |]
+
+(* One random instance of [Phase_walk.run]: a graph family, weighted or
+   not, lazy or not; rho = n half the time, so that walks run to cover,
+   else anywhere in [2, n]; a target length from 2 to 4096; either
+   matching mode; exact or rounded power tables; a clique of 2 to n + 2
+   machines hosting the vertices round robin from an offset; any start;
+   and a filled power-table slot or none. Both implementations run it. *)
+let same_walk_as_reference (n, seed) =
+  let prng = Prng.create ~seed in
+  let g =
+    Cc_graph.Gen.build prng
+      families.(Prng.int prng (Array.length families))
+      ~n
+  in
+  let g =
+    if Prng.bool prng then Cc_graph.Gen.random_weights prng g ~max_weight:9
+    else g
+  in
+  let n = Graph.n g in
+  let trans = Graph.transition_matrix g in
+  let trans = if Prng.bool prng then Mat.half_lazy trans else trans in
+  let rho = if Prng.bool prng then n else 2 + Prng.int prng (n - 1) in
+  let target_len = [| 2; 3; 16; 64; 256; 1024; 4096 |].(Prng.int prng 7) in
+  let matching =
+    if Prng.int prng 4 = 0 then Phase_walk.Magical else Phase_walk.Resample
+  in
+  let bits = [| None; None; None; Some 40; Some 12; Some 3 |].(Prng.int prng 6) in
+  let machines = 2 + Prng.int prng (n + 1) in
+  let offset = Prng.int prng machines in
+  let machine_of i = (i + offset) mod machines in
+  let start = Prng.int prng n in
+  let slot () =
+    if seed land 1 = 0 then None
+    else
+      let levels = Cc_walks.Topdown.levels_for ~len:target_len in
+      Some (ref (Some (Matmul.power_table_pure ?bits trans ~levels)))
+  in
+  let walk_seed = Prng.int prng 1_000_000 in
+  let ours =
+    observe_walk ~machines ~seed:walk_seed (fun net prng ->
+        Phase_walk.run net prng ~backend:(Matmul.charged ()) ?bits
+          ?powers_slot:(slot ()) ~trans ~machine_of ~start ~rho ~target_len
+          ~matching ())
+  and theirs =
+    observe_walk ~machines ~seed:walk_seed (fun net prng ->
+        Reference.run net prng ~backend:(Matmul.charged ()) ?bits
+          ?powers_slot:(slot ()) ~trans ~machine_of ~start ~rho ~target_len
+          ~matching ())
+  in
+  ours = theirs
+
 (* --- qcheck --- *)
 
 let qcheck_tests =
   let open QCheck in
   [
+    Test.make ~name:"phase walk = its reference: walk, stats, events, prng"
+      ~count:300
+      (make
+         ~print:Print.(pair int int)
+         Gen.(pair (int_range 4 14) (int_range 0 1_000_000)))
+      same_walk_as_reference;
     Test.make ~name:"sampler returns spanning trees on random graphs"
       ~count:20
       (make Gen.(pair (int_range 4 12) (int_range 0 10_000)))

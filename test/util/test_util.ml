@@ -438,6 +438,43 @@ let qcheck_tests =
       (fun ws ->
         let d = Dist.of_weights (Array.of_list ws) in
         feq ~eps:1e-9 1.0 (Array.fold_left ( +. ) 0.0 (Dist.probs d)));
+    (* The law spelled out: total the left fold of the weights, entry i the
+       running sum of w.(j) /. total over j <= i, the last entry 1.0.
+       Weights span 1e-12 to 1e3 with zeros among them, so summing in any
+       other order changes the total's bits. *)
+    Test.make ~name:"dist: cdf_in_place is of_weights' law, bit for bit"
+      ~count:300
+      (pair (int_range 1 60) (int_range 0 1_000_000))
+      (fun (len, seed) ->
+        let prng = Prng.create ~seed in
+        let w =
+          Array.init len (fun _ ->
+              if Prng.int prng 5 = 0 then 0.0
+              else
+                Prng.float prng 1.0
+                *. (10.0 ** float_of_int (Prng.int prng 16 - 12)))
+        in
+        w.(Prng.int prng len) <- 1.0;
+        let total = ref 0.0 in
+        Array.iter (fun x -> total := !total +. x) w;
+        let acc = ref 0.0 in
+        let spec =
+          Array.map
+            (fun x ->
+              acc := !acc +. (x /. !total);
+              !acc)
+            w
+        in
+        spec.(len - 1) <- 1.0;
+        let cdf = Array.copy w in
+        Dist.cdf_in_place cdf;
+        let bits a = Array.map Int64.bits_of_float a in
+        let u = Prng.float prng 1.0 in
+        let rec first_above j = if spec.(j) > u then j else first_above (j + 1) in
+        bits cdf = bits spec
+        && bits (Dist.probs (Dist.of_weights w))
+           = bits (Array.map (fun x -> x /. !total) w)
+        && Dist.search cdf u = first_above 0);
     Test.make ~name:"dist: tv is symmetric and in [0,1]"
       (pair
          (list_of_size (Gen.return 8) (float_range 0.001 10.0))
