@@ -31,14 +31,9 @@ let mul_cost net backend ~dim =
          n^(4/3) partial products: ceil(3 n^(4/3) ew / n) = 3 n^(1/3) ew. *)
       Float.max 1.0 (blocks *. 3.0 *. (nf ** (1.0 /. 3.0)) *. ew)
 
-let rounds_estimate net backend = mul_cost net backend ~dim:(Net.n net)
-
-(* [book_mul] is the communication half of [mul]: it books exactly the Net
-   events a [dim x dim] product emits — same primitives, same labels, same
-   word counts — without touching any matrix. Plan-cache hits replay bookings
-   through this mirror, so a warm draw's recorder digest chains over the
-   identical event sequence as the cold run that computed the product. Keep
-   the two in lockstep: any booking change in [mul] must land here too. *)
+(* The communication of one [dim x dim] product. Its arithmetic is local
+   computation, which the model does not charge, so nothing here touches a
+   matrix. *)
 let book_mul net backend ~dim =
   let n = Net.n net in
   match backend with
@@ -66,85 +61,55 @@ let book_mul net backend ~dim =
       let ew = Net.entry_words net in
       let b = int_of_float (Float.ceil (Float.of_int n ** (2.0 /. 3.0))) in
       let per_machine = 3 * b * b * ew in
-      let sent = Array.make n per_machine and recv = Array.make n per_machine in
-      let load = Array.fold_left max 0 (Array.append sent recv) in
-      Net.charge net ~label:"matmul" (Float.of_int ((load + n - 1) / n))
+      Net.charge net ~label:"matmul" (Float.of_int ((per_machine + n - 1) / n))
   | Routed_semiring -> Net.charge net ~label:"matmul" (mul_cost net backend ~dim)
-
-let mul net backend a b =
-  let dim = Mat.rows a in
-  if Mat.cols a <> dim || Mat.rows b <> dim || Mat.cols b <> dim then
-    invalid_arg "Matmul.mul: operands must be square and equal-sized";
-  Cc_obs.Metrics.incr "matmul.muls";
-  Cc_obs.Trace.with_span "matmul.mul"
-    ~args:[ ("dim", string_of_int dim); ("backend", backend_name backend) ]
-  @@ fun () ->
-  book_mul net backend ~dim;
-  Mat.mul a b
 
 let maybe_round bits m =
   match bits with None -> m | Some b -> Fixed.round_mat ~bits:b m
 
-let power_table net backend ?bits ?reuse m ~levels =
+let power_table_pure ?bits m ~levels =
   if Mat.rows m <> Mat.cols m then
-    invalid_arg "Matmul.power_table: matrix must be square";
-  if levels < 0 then invalid_arg "Matmul.power_table: negative levels";
-  (match reuse with
-  | Some t when Array.length t <> levels + 1 ->
-      invalid_arg "Matmul.power_table: reuse table has wrong length"
-  | _ -> ());
-  Cc_obs.Trace.with_span "matmul.power_table"
-    ~args:
+    invalid_arg "Matmul.power_table_pure: matrix must be square";
+  if levels < 0 then invalid_arg "Matmul.power_table_pure: negative levels";
+  let args =
+    if Cc_obs.Trace.enabled () then [ ("dim", string_of_int (Mat.rows m)) ]
+    else []
+  in
+  let computed = ref 0 in
+  let table =
+    Mat.squarings ~exact:(bits <> None)
+      ~square:(fun t ->
+        incr computed;
+        Cc_obs.Metrics.incr "matmul.muls";
+        Cc_obs.Trace.with_span "matmul.mul" ~args (fun () ->
+            maybe_round bits (Mat.mul t t)))
+      (maybe_round bits m) ~levels
+  in
+  (* The levels a stopped table aliases to its stop level. *)
+  if !computed < levels then
+    Cc_obs.Metrics.incr ~by:(levels - !computed) "matmul.squarings_skipped";
+  table
+
+let book_power_table net backend ~dim ~levels =
+  if levels < 0 then invalid_arg "Matmul.book_power_table: negative levels";
+  let args =
+    if Cc_obs.Trace.enabled () then
       [
-        ("dim", string_of_int (Mat.rows m));
+        ("dim", string_of_int dim);
         ("levels", string_of_int levels);
         ("backend", backend_name backend);
-        ("reuse", string_of_bool (reuse <> None));
       ]
-  @@ fun () ->
-  let dim = Mat.rows m in
+    else []
+  in
+  Cc_obs.Trace.with_span "matmul.power_table" ~args @@ fun () ->
   (* Column redistribution of a level (machine i sends P^k[i,j] to machine
      j), booked after the base matrix and after every squaring. *)
   let transpose () =
     Net.all_to_all net ~label:"power-table transpose"
       ~words_each:(Net.entry_words net)
   in
-  (* A level that is not computed books what a computed one does: the
-     product's rounds, then its transpose. *)
-  let book_level () =
+  transpose ();
+  for _ = 1 to levels do
     book_mul net backend ~dim;
     transpose ()
-  in
-  match reuse with
-  | Some cached ->
-      (* Factorization reuse: the powers are already known (a prepared plan
-         holds them), but the clique still pays for moving them — replay the
-         identical booking sequence, skip the arithmetic. Pure compute emits
-         no Net events, so the recorder digest chains identically either
-         way. *)
-      Cc_obs.Metrics.incr "matmul.power_table.reused";
-      transpose ();
-      for _ = 1 to levels do
-        book_level ()
-      done;
-      cached
-  | None ->
-      let base = maybe_round bits m in
-      transpose ();
-      Mat.squarings ~exact:(bits <> None)
-        ~square:(fun t ->
-          let t2 = maybe_round bits (mul net backend t t) in
-          transpose ();
-          t2)
-        ~on_skip:(fun () ->
-          Cc_obs.Metrics.incr "matmul.squarings_skipped";
-          book_level ())
-        base ~levels
-
-let power_table_pure ?bits m ~levels =
-  if Mat.rows m <> Mat.cols m then
-    invalid_arg "Matmul.power_table_pure: matrix must be square";
-  if levels < 0 then invalid_arg "Matmul.power_table_pure: negative levels";
-  Mat.squarings ~exact:(bits <> None)
-    ~square:(fun t -> maybe_round bits (Mat.mul t t))
-    ~on_skip:ignore (maybe_round bits m) ~levels
+  done

@@ -19,10 +19,15 @@
       loads — the best exponent achievable without fast (ring) matrix
       multiplication.
 
-    [power_table] implements the Initialization Step of Algorithm 1: compute
-    P, P^2, P^4, ..., P^(2^levels) and transpose-distribute so each machine
-    also holds its column of every power ("Every Machine i sends P^k[i,j] to
-    machine j"). *)
+    A product's arithmetic is local computation, which the model does not
+    charge (Section 2.1), so this module computes and books separately.
+    For the power table P, P^2, P^4, ..., P^(2^levels) of Algorithm 1's
+    Initialization Step, the clique pays for each squaring's product and
+    for the transpose-distribution after each level, by which each machine
+    also holds its column of every power ("Every Machine i sends P^k[i,j]
+    to machine j"). [power_table_pure] computes a table and
+    [book_power_table] books one: a prepared plan computes its tables once,
+    and every draw books them. *)
 
 type backend =
   | Charged of { alpha : float; coeff : float }
@@ -47,63 +52,40 @@ val charged : ?alpha:float -> ?coeff:float -> unit -> backend
     ["routed-broadcast"], ["routed-semiring"]) for traces and reports. *)
 val backend_name : backend -> string
 
-(** [mul net backend a b] returns the product and books its rounds under
-    label ["matmul"]. Operands need not be n x n: off-size products (the
-    |S| x |S| Schur matrices of later phases, the 2n x 2n auxiliary chain)
-    are booked at [mul_cost ~dim]. *)
-val mul : Net.t -> backend -> Cc_linalg.Mat.t -> Cc_linalg.Mat.t -> Cc_linalg.Mat.t
-
-(** [rounds_estimate net backend] is the round cost a single multiplication
-    will book — used by benches to display the analytic charge. *)
-val rounds_estimate : Net.t -> backend -> float
-
 (** [mul_cost net backend ~dim] is the round cost of multiplying [dim x dim]
     matrices on this clique (dim may exceed n, e.g. the 2n-vertex auxiliary
     graph G' of Corollary 3 — each machine then simulates O(dim/n) rows). *)
 val mul_cost : Net.t -> backend -> dim:int -> float
 
-(** [book_mul net backend ~dim] books exactly the Net events [mul] would emit
-    for a [dim x dim] product — same primitives, labels, and word counts —
-    without performing any arithmetic. The plan cache's warm path replays
-    bookings through this mirror so a cache hit leaves the recorder digest
-    byte-identical to the cold run. *)
+(** [book_mul net backend ~dim] books the rounds of one [dim x dim] product
+    under label ["matmul"], without performing any arithmetic: the routed
+    backends meter their real pattern at [dim = n], and every other product
+    (the |S| x |S| Schur matrices of later phases, the 2n x 2n auxiliary
+    chain) is charged [mul_cost ~dim]. *)
 val book_mul : Net.t -> backend -> dim:int -> unit
 
-(** [power_table net backend ?bits m ~levels] returns
-    [[| m; m^2; m^4; ...; m^(2^levels) |]] (length [levels + 1]), squaring
-    with [backend] and optionally truncating entries to [bits] fractional
-    bits after every squaring (Lemma 3's rounded powering). Also books the
-    column-redistribution ([all_to_all]) after each level, matching
-    Algorithm 1 lines 2–3.
+(** [power_table_pure ?bits m ~levels] returns
+    [[| m; m^2; m^4; ...; m^(2^levels) |]] (length [levels + 1]),
+    optionally truncating entries to [bits] fractional bits before the
+    first squaring and after every one (Lemma 3's rounded powering). It
+    books nothing. Both phased samplers' tables come from here, through
+    their plan.
 
     Squaring goes through {!Cc_linalg.Mat.squarings}: it stops at a level
     that repeats the previous one bit for bit or, without [bits] and for a
     row-stochastic [m], whose rows agree to within 1e-12 in l1; the later
-    levels alias that level. A skipped level still books [book_mul] and
-    then its transpose, as a computed one does, and counts one
-    ["matmul.squarings_skipped"]; computed levels go through {!mul}. So the
-    bookings never depend on where the table stopped.
-
-    With [?reuse:table] (a table previously produced for the same matrix,
-    bits, and levels — the caller's responsibility), the arithmetic is
-    skipped and [table] is returned, but the full booking sequence (the
-    transpose redistributions and each squaring's rounds) is still charged:
-    a prepared plan saves compute, not communication, and the recorder
-    digest is identical either way. *)
-val power_table :
-  Net.t ->
-  backend ->
-  ?bits:int ->
-  ?reuse:Cc_linalg.Mat.t array ->
-  Cc_linalg.Mat.t ->
-  levels:int ->
-  Cc_linalg.Mat.t array
-
-(** [power_table_pure ?bits m ~levels] is the arithmetic of [power_table]
-    with no clique attached, with the same stop: used by [prepare] phases
-    that precompute a plan's power table outside any metered run. Combining
-    [power_table_pure] at prepare time with [power_table ~reuse] at draw
-    time yields the same matrices and the same bookings as a cold
-    [power_table]. *)
+    levels alias that level. Each computed squaring runs in a
+    ["matmul.mul"] span and counts one ["matmul.muls"]; each aliased level
+    counts one ["matmul.squarings_skipped"]. *)
 val power_table_pure :
   ?bits:int -> Cc_linalg.Mat.t -> levels:int -> Cc_linalg.Mat.t array
+
+(** [book_power_table net backend ~dim ~levels] books the Initialization
+    Step for a table of [dim x dim] matrices with [levels] squarings: the
+    base matrix's transpose-distribution ([all_to_all] of one entry per
+    machine pair, label ["power-table transpose"]), then [levels] times
+    [book_mul] and the level's transpose. It is the only code that books a
+    power table, and it books every level whether or not
+    [power_table_pure] stopped squaring there, so the bookings never depend
+    on the table's values. Runs in a ["matmul.power_table"] span. *)
+val book_power_table : Net.t -> backend -> dim:int -> levels:int -> unit

@@ -143,6 +143,10 @@ let book ?(sent = [||]) ?(recv = [||]) t ~kind ~label ~rounds ~messages ~words
   | Some f -> Fault.advance f ~now:t.total_rounds
   | None -> ()
 
+(* [max] specialised to ints: the polymorphic one calls the generic
+   comparison. *)
+let imax (a : int) b = if a >= b then a else b
+
 let exchange t ~label packets =
   let sent = Array.make t.n 0 and received = Array.make t.n 0 in
   let messages = ref 0 and total_words = ref 0 in
@@ -160,7 +164,7 @@ let exchange t ~label packets =
     packets;
   let load = ref 0 in
   for i = 0 to t.n - 1 do
-    load := max !load (max sent.(i) received.(i))
+    load := imax !load (imax sent.(i) received.(i))
   done;
   if !load > 0 then begin
     let rounds = Float.of_int ((!load + t.n - 1) / t.n) in
@@ -229,7 +233,7 @@ let aggregate t ~label ?(combinable = true) ~contributors ~dst words_each =
       contributors;
     recv.(dst) <- received;
     book t ~kind:Aggregate ~label ~rounds ~messages:k ~words:total
-      ~max_load:(Array.fold_left max received sent)
+      ~max_load:(Array.fold_left imax received sent)
       ~sent ~recv
   end
 

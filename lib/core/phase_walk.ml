@@ -90,31 +90,23 @@ let place prng ~identities ~positions ~weight =
       (Array.map (fun i -> identities.(i)) sigma, true)
   | None -> (identities, false)
 
-let run net prng ~backend ?bits ?powers_slot ~trans ~machine_of ~start ~rho
-    ~target_len ~matching () =
-  let s_count = Mat.rows trans in
-  if Mat.cols trans <> s_count then invalid_arg "Phase_walk.run: trans not square";
+let run net prng ~backend ~powers ~machine_of ~start ~rho ~target_len
+    ~matching =
   if rho < 2 then invalid_arg "Phase_walk.run: rho < 2";
   if target_len < 2 then invalid_arg "Phase_walk.run: target_len < 2";
+  let levels = Cc_walks.Topdown.levels_for ~len:target_len in
+  if Array.length powers <> levels + 1 then
+    invalid_arg "Phase_walk.run: power table length is not levels + 1";
+  let s_count = Mat.rows powers.(0) in
+  if Mat.cols powers.(0) <> s_count then
+    invalid_arg "Phase_walk.run: power table not square";
   if start < 0 || start >= s_count then invalid_arg "Phase_walk.run: bad start";
   let n = Net.n net in
   let ew = Net.entry_words net in
-  let levels = Cc_walks.Topdown.levels_for ~len:target_len in
   let counters = { c_checks = 0; c_midpoints = 0; c_exact = 0; c_magical = 0 } in
-  (* Initialization Step (Algorithm 1): distributed power table + endpoint.
-     When the caller passes a plan's [powers_slot], a filled slot replays the
-     table's bookings without recomputing it, and an empty slot is filled for
-     the next draw; either way the net sees the same events. *)
-  let powers =
-    match powers_slot with
-    | Some ({ contents = Some cached } as _slot) ->
-        Matmul.power_table net backend ?bits ~reuse:cached trans ~levels
-    | Some ({ contents = None } as slot) ->
-        let t = Matmul.power_table net backend ?bits trans ~levels in
-        slot := Some t;
-        t
-    | None -> Matmul.power_table net backend ?bits trans ~levels
-  in
+  (* Initialization Step (Algorithm 1): the table is computed by the
+     caller's plan; the clique pays for it here, then draws the endpoint. *)
+  Matmul.book_power_table net backend ~dim:s_count ~levels;
   let leader = machine_of start in
   let degenerate () =
     failwith

@@ -1,11 +1,12 @@
 (** The distributed truncated random walk of one phase (Section 3.1.3).
 
-    Given the transition matrix of the phase graph (G in phase 1, a Schur
-    complement in later phases), this module runs the full Congested Clique
-    pipeline on the simulator:
+    Given the power table of the phase graph's transition matrix (G in
+    phase 1, a Schur complement in later phases), this module runs the full
+    Congested Clique pipeline on the simulator:
 
-    - {b Initialization} (Algorithm 1): distributed power table
-      P, P^2, ..., P^l and sampling of the endpoint w_l from P^l[w_0, *].
+    - {b Initialization} (Algorithm 1): the bookings of the distributed
+      power table P, P^2, ..., P^l and sampling of the endpoint w_l from
+      P^l[w_0, *].
     - {b Midpoint Request and Generation} (Algorithm 2): count (start,end)
       pairs, route requests to per-pair machines, acquire the Formula 1
       distribution, sample midpoint sequences.
@@ -21,9 +22,10 @@
       state cap and in the ablation mode — by Theorem 3 both induce the same
       walk law).
 
-    All data movement is metered through the [Net] ledger; matrix powers use
-    the configured [Matmul] backend and optional Lemma 3 fixed-point
-    truncation. *)
+    All data movement is metered through the [Net] ledger; the power
+    table's products are booked with the configured [Matmul] backend, and
+    the table itself, Lemma 3's fixed-point truncation included, is the
+    caller's. *)
 
 type matching_mode =
   | Resample  (** the paper's pipeline: multiset + perfect matching *)
@@ -59,32 +61,29 @@ val place :
   weight:(v:int -> p:int -> q:int -> float) ->
   int array * bool
 
-(** [run net prng ~backend ?bits ~trans ~machine_of ~start ~rho ~target_len
-    ~matching ()] returns the walk (as indices into the phase graph) ending
+(** [run net prng ~backend ~powers ~machine_of ~start ~rho ~target_len
+    ~matching] returns the walk (as indices into the phase graph) ending
     at time tau = min(target_len rounded up to a power of two, first
     occurrence of the rho-th distinct vertex), together with statistics.
 
-    [machine_of i] is the clique machine hosting phase-vertex [i] (identity
-    in phase 1, the S-array in later phases).
-
-    [powers_slot] is the factorization-reuse hook for prepared plans: a
-    filled slot supplies the power table of [trans] (the draws replay its
-    bookings via [Matmul.power_table ~reuse] instead of recomputing), an
-    empty slot is populated on first use. The caller guarantees the slot
-    belongs to this exact [trans]/[bits]/[target_len] combination.
-    @raise Invalid_argument if [trans] is not square/stochastic-ish, [rho]
-    < 2, or [target_len] < 2. *)
+    [powers] is the phase graph's power table
+    ({!Cc_clique.Matmul.power_table_pure} of its transition, with
+    [levels_for target_len] levels), which the caller's plan computes;
+    [run] books its Initialization Step through
+    {!Cc_clique.Matmul.book_power_table}. [machine_of i] is the clique
+    machine hosting phase-vertex [i] (identity in phase 1, the S-array in
+    later phases).
+    @raise Invalid_argument if [rho] < 2, [target_len] < 2, [powers] does
+    not hold [Topdown.levels_for ~len:target_len + 1] matrices or they are
+    not square, or [start] is not a phase vertex. *)
 val run :
   Cc_clique.Net.t ->
   Cc_util.Prng.t ->
   backend:Cc_clique.Matmul.backend ->
-  ?bits:int ->
-  ?powers_slot:Cc_linalg.Mat.t array option ref ->
-  trans:Cc_linalg.Mat.t ->
+  powers:Cc_linalg.Mat.t array ->
   machine_of:(int -> int) ->
   start:int ->
   rho:int ->
   target_len:int ->
   matching:matching_mode ->
-  unit ->
   int array * stats

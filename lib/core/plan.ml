@@ -15,7 +15,7 @@ let memo_budget = 1 lsl 18
 type entry = {
   e_q : Mat.t;
   e_trans : Mat.t Lazy.t;
-  e_powers : Mat.t array option ref;
+  e_powers : Mat.t array Lazy.t;
 }
 
 type memo = {
@@ -60,10 +60,8 @@ let create ?rho ?target_len ?bits ?(schur = Exact_solve) ~lazy_walk g =
      first-visit edges, and the embedded non-lazy walk is exactly the
      original walk, so the sampled tree's law is unchanged. *)
   let trans1 = if lazy_walk then Mat.half_lazy trans1 else trans1 in
-  (* The phase-1 power table is the dominant graph-only cost. Computed pure
-     here, the CC sampler replays its bookings at draw time
-     (Matmul.power_table ~reuse), bit-identical in matrices and bookings to
-     a cold run. *)
+  (* The phase-1 power table is the dominant graph-only cost, computed once
+     here; the CC sampler books it on every draw (Phase_walk.run). *)
   {
     graph = g;
     rho;
@@ -104,7 +102,7 @@ type phase = {
   in_s : bool array;
   q : Mat.t;
   trans : Mat.t Lazy.t;
-  powers : Mat.t array option ref;
+  powers : Mat.t array Lazy.t;
 }
 
 (* The pure per-S computation of a later phase. *)
@@ -122,7 +120,12 @@ let compute t ~s ~in_s =
       (let p = Mat.sanitize_stochastic (Schur.transition_via_shortcut g q ~s) in
        if m.lazy_walk then Mat.half_lazy p else p)
   in
-  { e_q = q; e_trans = trans; e_powers = ref None }
+  let powers =
+    lazy
+      (Matmul.power_table_pure ?bits:m.bits (Lazy.force trans)
+         ~levels:m.levels)
+  in
+  { e_q = q; e_trans = trans; e_powers = powers }
 
 let phase t ~visited ~current =
   let n = Array.length visited and m = t.memo in
@@ -154,17 +157,6 @@ let phase t ~visited ~current =
         e
   in
   { s; start; in_s; q = e.e_q; trans = e.e_trans; powers = e.e_powers }
-
-let powers t ph =
-  match !(ph.powers) with
-  | Some p -> p
-  | None ->
-      let p =
-        Matmul.power_table_pure ?bits:t.memo.bits (Lazy.force ph.trans)
-          ~levels:t.memo.levels
-      in
-      ph.powers := Some p;
-      p
 
 let first_visit t ph prng ~prev v =
   let weights =

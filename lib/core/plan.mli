@@ -7,7 +7,10 @@
     Shortcut(G, S) by Algorithm 4. They differ only in how a phase's walk is
     filled. A plan holds what depends on the graph alone: the resolved rho,
     target length and levels, the (lazy-mixed) phase-1 transition and its
-    power table, and a memo of later phases' state keyed by S.
+    power table, and a memo of later phases' state keyed by S. Every power
+    table a phase walks on is computed here, by
+    {!Cc_clique.Matmul.power_table_pure}; the CC sampler books it on every
+    draw.
 
     The memo is bounded by the words it holds. An entry holds Q (n² words),
     the transition and its power table (at most (levels + 2)·|S|² words: a
@@ -72,8 +75,9 @@ type phase = {
   trans : Cc_linalg.Mat.t Lazy.t;
       (** the transition of SCHUR(G, S), lazy-mixed if the plan is; a
           two-vertex phase is one forced step and never forces it *)
-  powers : Cc_linalg.Mat.t array option ref;
-      (** its power table, filled by the first walk on S *)
+  powers : Cc_linalg.Mat.t array Lazy.t;
+      (** its power table by {!Cc_clique.Matmul.power_table_pure}, with the
+          plan's bits and levels; forced by the first walk on S *)
 }
 
 (** [phase t ~visited ~current] is the state of the phase that starts at
@@ -81,9 +85,6 @@ type phase = {
     phase, so this is where a hit or a miss is counted: in {!stats} and in
     the metrics registry as [sampler.plan.memo_hit] or [memo_miss]. *)
 val phase : t -> visited:bool array -> current:int -> phase
-
-(** [powers t ph] is [ph]'s power table, computed purely on first use. *)
-val powers : t -> phase -> Cc_linalg.Mat.t array
 
 (** [first_visit t ph prng ~prev v] is Algorithm 4 for a vertex [v] that the
     walk first reaches from [prev]: it draws v's G-neighbour u with

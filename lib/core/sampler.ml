@@ -101,13 +101,13 @@ let plan_stats plan =
   let { Plan.draws; hits; misses; _ } = Plan.stats plan.state in
   (draws, hits, misses)
 
-let draw plan ?faults net prng =
+let draw plan net prng =
   let st = plan.state and config = plan.config in
   let g = st.graph in
   let n = Graph.n g in
   if Net.n net <> n then invalid_arg "Sampler.draw: net size must equal n";
   Plan.count_draw st;
-  let faults = match faults with Some _ as f -> f | None -> Net.faults net in
+  let faults = Net.faults net in
   Cc_obs.Trace.with_span "sampler.draw"
     ~args:
       [
@@ -234,13 +234,11 @@ let draw plan ?faults net prng =
       (* Phase 1: walk on G itself; first-visit edges read off directly.
          When fewer than rho vertices exist, truncate at full coverage
          instead (the walk past cover time adds no first-visit edges). The
-         transition matrix and its power table come from the plan; the
-         bookings are replayed inside Phase_walk either way. *)
+         power table comes from the plan; Phase_walk books it. *)
       let walk, stats =
-        Phase_walk.run net prng ~backend:config.backend ?bits:config.bits
-          ~powers_slot:(ref (Some st.powers1)) ~trans:st.trans1
+        Phase_walk.run net prng ~backend:config.backend ~powers:st.powers1
           ~machine_of:Fun.id ~start:0 ~rho:(min rho n) ~target_len
-          ~matching:config.matching ()
+          ~matching:config.matching
       in
       stats_acc := stats :: !stats_acc;
       walk_total := !walk_total + Array.length walk - 1;
@@ -288,11 +286,11 @@ let draw plan ?faults net prng =
            walk exactly at coverage of S (beyond it no first-visit edge can
            appear), keeping the materialized walk near the phase cover time. *)
         let walk_local, stats =
-          Phase_walk.run net prng ~backend:config.backend ?bits:config.bits
-            ~powers_slot:ph.powers ~trans:(Lazy.force ph.trans)
+          Phase_walk.run net prng ~backend:config.backend
+            ~powers:(Lazy.force ph.powers)
             ~machine_of:(fun i -> s.(i)) ~start:ph.start
             ~rho:(min rho (Array.length s)) ~target_len
-            ~matching:config.matching ()
+            ~matching:config.matching
         in
         stats_acc := stats :: !stats_acc;
         walk_total := !walk_total + Array.length walk_local - 1;
@@ -360,7 +358,7 @@ let draw plan ?faults net prng =
 (* One-shot convenience: prepare then draw. Byte-identical to drawing from a
    cached plan — the plan only relocates pure compute, never bookings or
    prng draws. *)
-let sample ?(config = default_config) ?faults net prng g =
+let sample ?(config = default_config) net prng g =
   if Net.n net <> Graph.n g then
     invalid_arg "Sampler.sample: net size must equal n";
   if not (Graph.is_connected g) then
@@ -369,7 +367,7 @@ let sample ?(config = default_config) ?faults net prng g =
     ~args:[ ("n", string_of_int (Graph.n g)) ]
   @@ fun () ->
   let plan = prepare ~config g in
-  draw plan ?faults net prng
+  draw plan net prng
 
 let sample_tree ?config ?faults ?(seed = 0) g =
   let net = Net.create ~n:(Graph.n g) in

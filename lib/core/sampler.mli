@@ -94,16 +94,11 @@ type plan
     @raise Invalid_argument on disconnected input. *)
 val prepare : ?config:config -> Cc_graph.Graph.t -> plan
 
-(** [draw plan ?faults net prng] draws one tree from a prepared plan; see
+(** [draw plan net prng] draws one tree from a prepared plan; see
     {!sample} for the walk and fault semantics.
     @raise Invalid_argument if [Net.n net] differs from the plan's vertex
     count. *)
-val draw :
-  plan ->
-  ?faults:Cc_clique.Fault.t ->
-  Cc_clique.Net.t ->
-  Cc_util.Prng.t ->
-  result
+val draw : plan -> Cc_clique.Net.t -> Cc_util.Prng.t -> result
 
 (** [plan_fingerprint plan] is {!Cc_graph.Graph.fingerprint} of the prepared
     graph — the plan cache's key material. *)
@@ -121,13 +116,13 @@ val plan_stats : plan -> int * int * int
 
 (** {1 One-shot sampling} *)
 
-(** [sample ?config ?faults net prng g] draws one spanning tree of the
+(** [sample ?config net prng g] draws one spanning tree of the
     connected graph [g]. [Net.n net] must equal the vertex count; the walk
     starts at vertex 0 (the leader's vertex, as in Algorithm 1).
-    Equivalent to [draw (prepare ?config g) ?faults net prng].
+    Equivalent to [draw (prepare ?config g) net prng].
 
-    Under fault injection ([?faults], or a net armed via
-    {!Cc_clique.Net.with_faults}) the sampler self-heals: lost packets are
+    Under fault injection (a net armed via {!Cc_clique.Net.with_faults})
+    the sampler self-heals: lost packets are
     retransmitted by the transport, corrupted matrix shares and walk
     segments are detected by checksums and recomputed (metered under
     [":retry"] labels), and crash-stop failures degrade the run to the
@@ -138,7 +133,6 @@ val plan_stats : plan -> int * int * int
     an injected fault). *)
 val sample :
   ?config:config ->
-  ?faults:Cc_clique.Fault.t ->
   Cc_clique.Net.t ->
   Cc_util.Prng.t ->
   Cc_graph.Graph.t ->

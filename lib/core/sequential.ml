@@ -55,13 +55,12 @@ let draw (plan : plan) prng =
       if Array.length s = 2 then
         claim_walk entry [| !current; s.(1 - ph.start) |]
       else
-        let powers = Plan.powers plan ph in
         claim_walk entry
           (Array.map (fun i -> s.(i))
              (Topdown.sample_truncated_matrix prng ~trans:(Lazy.force ph.trans)
                 ~start:ph.start ~target_len
                 ~rho:(min plan.rho (Array.length s))
-                ~powers ()))
+                ~powers:(Lazy.force ph.powers) ()))
     end
   done;
   let tree = Tree.of_edges ~n !tree_edges in

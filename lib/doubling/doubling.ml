@@ -62,7 +62,7 @@ let scheme_name = function
   | Load_balanced _ -> "load-balanced"
   | Unbalanced -> "unbalanced"
 
-let run_multi ?faults net prng g ~tau ~walks_per_node ~scheme =
+let run_multi net prng g ~tau ~walks_per_node ~scheme =
   let n = Graph.n g in
   if Net.n net <> n then invalid_arg "Doubling.run: net size must equal n";
   if tau < 1 then invalid_arg "Doubling.run: tau < 1";
@@ -75,7 +75,7 @@ let run_multi ?faults net prng g ~tau ~walks_per_node ~scheme =
         ("scheme", scheme_name scheme);
       ]
   @@ fun () ->
-  let faults = match faults with Some _ as f -> f | None -> Net.faults net in
+  let faults = Net.faults net in
   let before_stats =
     match faults with Some f -> Fault.snapshot f | None -> (0, 0, 0)
   in
@@ -359,10 +359,10 @@ let run_multi ?faults net prng g ~tau ~walks_per_node ~scheme =
       tau_pow,
       Fault.Unrecoverable failure )
 
-let run ?faults net prng g ~tau ~scheme =
+let run net prng g ~tau ~scheme =
   let before = Net.rounds net in
   let walks, iterations, loads, tau_pow, health =
-    run_multi ?faults net prng g ~tau ~walks_per_node:1 ~scheme
+    run_multi net prng g ~tau ~walks_per_node:1 ~scheme
   in
   ignore tau_pow;
   {
@@ -373,7 +373,7 @@ let run ?faults net prng g ~tau ~scheme =
     health;
   }
 
-let sample_tree ?faults net prng g ~tau0 =
+let sample_tree net prng g ~tau0 =
   if tau0 < 1 then invalid_arg "Doubling.sample_tree: tau0 < 1";
   let n = Graph.n g in
   let scheme = default_scheme ~n in
@@ -397,7 +397,7 @@ let sample_tree ?faults net prng g ~tau0 =
   let current_end = ref 0 in
   let tau = ref tau0 and total = ref 0 in
   while !remaining > 0 do
-    let r = run ?faults net prng g ~tau:!tau ~scheme in
+    let r = run net prng g ~tau:!tau ~scheme in
     let segment = r.walks.(!current_end) in
     consume segment;
     current_end := segment.(Array.length segment - 1);
@@ -427,10 +427,10 @@ let prepare g ~tau0 =
 let plan_fingerprint plan = plan.plan_fingerprint
 let plan_graph plan = plan.plan_graph
 
-let draw plan ?faults net prng =
-  sample_tree ?faults net prng plan.plan_graph ~tau0:plan.plan_tau0
+let draw plan net prng =
+  sample_tree net prng plan.plan_graph ~tau0:plan.plan_tau0
 
-let pagerank ?faults net prng g ~walks_per_node ~epsilon =
+let pagerank net prng g ~walks_per_node ~epsilon =
   if epsilon <= 0.0 || epsilon >= 1.0 then
     invalid_arg "Doubling.pagerank: epsilon out of range";
   let n = Graph.n g in
@@ -443,7 +443,7 @@ let pagerank ?faults net prng g ~walks_per_node ~epsilon =
          (Float.ceil (3.0 *. Float.log (Float.of_int n) /. epsilon)))
   in
   let walks, _, _, _, _ =
-    run_multi ?faults net prng g ~tau:len ~walks_per_node ~scheme
+    run_multi net prng g ~tau:len ~walks_per_node ~scheme
   in
   let counts = Array.make n 0 in
   Array.iter

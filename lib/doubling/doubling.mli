@@ -25,9 +25,10 @@
 
     {2 Fault tolerance}
 
-    When the net carries a {!Cc_clique.Fault.t} (or one is passed via
-    [?faults]), every iteration self-heals: the walks array acts as a
-    checkpoint that is only replaced once an iteration fully commits; tuples
+    When the net carries a {!Cc_clique.Fault.t}
+    ({!Cc_clique.Net.with_faults}), every iteration self-heals: the walks
+    array acts as a checkpoint that is only replaced once an iteration fully
+    commits; tuples
     lost to message drops or crash-stop failures are re-routed to the next
     live machine (metered under [":retry"] ledger labels); payload corruption
     is detected by application checksums and forces a re-run of the affected
@@ -61,12 +62,10 @@ type result = {
           degraded to the sequential baseline walks. *)
 }
 
-(** [run ?faults net prng g ~tau ~scheme] builds length-tau walks for every
-    vertex. [Net.n net] must equal the vertex count. [?faults] overrides the
-    injector the net was armed with ({!Cc_clique.Net.with_faults}); by
-    default the net's own injector (if any) is used. *)
+(** [run net prng g ~tau ~scheme] builds length-tau walks for every
+    vertex. [Net.n net] must equal the vertex count. Faults come from the
+    injector the net was armed with, if any. *)
 val run :
-  ?faults:Cc_clique.Fault.t ->
   Cc_clique.Net.t ->
   Cc_util.Prng.t ->
   Cc_graph.Graph.t ->
@@ -90,7 +89,6 @@ val lemma4_bound : n:int -> k:int -> c:float -> float
     run self-heals (see {!run}); a degraded run still yields exact walks, so
     the returned tree remains a valid Aldous–Broder sample. *)
 val sample_tree :
-  ?faults:Cc_clique.Fault.t ->
   Cc_clique.Net.t ->
   Cc_util.Prng.t ->
   Cc_graph.Graph.t ->
@@ -113,12 +111,7 @@ val prepare : Cc_graph.Graph.t -> tau0:int -> plan
 val plan_fingerprint : plan -> string
 val plan_graph : plan -> Cc_graph.Graph.t
 
-val draw :
-  plan ->
-  ?faults:Cc_clique.Fault.t ->
-  Cc_clique.Net.t ->
-  Cc_util.Prng.t ->
-  Cc_graph.Tree.t * int
+val draw : plan -> Cc_clique.Net.t -> Cc_util.Prng.t -> Cc_graph.Tree.t * int
 
 (** [pagerank net prng g ~walks_per_node ~epsilon] estimates the PageRank
     vector with restart probability [epsilon] from the endpoints of
@@ -126,7 +119,6 @@ val draw :
     length-[O(log n / epsilon)] walks by doubling and histograms the
     geometric-time positions. Returns the normalized estimate. *)
 val pagerank :
-  ?faults:Cc_clique.Fault.t ->
   Cc_clique.Net.t ->
   Cc_util.Prng.t ->
   Cc_graph.Graph.t ->

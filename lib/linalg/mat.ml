@@ -243,7 +243,7 @@ let rows_agree m =
   in
   from 1
 
-let squarings ~exact ~square ~on_skip m ~levels =
+let squarings ~exact ~square m ~levels =
   if m.rows <> m.cols then invalid_arg "Mat.squarings: not square";
   if levels < 0 then invalid_arg "Mat.squarings: negative levels";
   let table = Array.make (levels + 1) m in
@@ -254,10 +254,7 @@ let squarings ~exact ~square ~on_skip m ~levels =
       let t = square prev in
       table.(i) <- t;
       if same_bits t prev || (rows_may_stop && rows_agree t) then
-        for j = i + 1 to levels do
-          table.(j) <- t;
-          on_skip ()
-        done
+        Array.fill table (i + 1) (levels - i) t
       else level (i + 1)
     end
   in
@@ -267,8 +264,7 @@ let squarings ~exact ~square ~on_skip m ~levels =
 let power_table m ~max_exp =
   if m.rows <> m.cols then invalid_arg "Mat.power_table: not square";
   if max_exp < 0 then invalid_arg "Mat.power_table: negative exponent";
-  squarings ~exact:false ~square:(fun t -> mul t t) ~on_skip:ignore m
-    ~levels:max_exp
+  squarings ~exact:false ~square:(fun t -> mul t t) m ~levels:max_exp
 
 let submatrix m ~row_idx ~col_idx =
   let in_range bound i = i >= 0 && i < bound in

@@ -80,16 +80,15 @@ val power : t -> int -> t
     matrix, which kills the periodicity of bipartite chains. *)
 val half_lazy : t -> t
 
-(** [squarings ~exact ~square ~on_skip m ~levels] is the table
+(** [squarings ~exact ~square m ~levels] is the table
     [[| m; square m; square (square m); ... |]] of length [levels + 1], the
     repeated squaring behind every power table. It stops calling [square]
     after the first level i >= 1 that either has the bits of level i - 1,
     entry for entry, or, when [exact] is false and [m] is row-stochastic
     (every entry >= 0, every row sum within 1e-12 of 1), has every row
     within 1e-12 of row 0 in l1. Every later level is then level i itself,
-    not a copy, and [on_skip ()] runs once per skipped level, in order, in
-    place of [square]. [square] must be a pure function of its argument up
-    to the events it books.
+    not a copy, so the skipped levels are those physically equal to their
+    predecessor. [square] must be a pure function of its argument.
 
     The first stop is exact: every later square would repeat the bits. The
     second leaves every filled row within 2e-12 in l1 of the exact power's
@@ -97,13 +96,7 @@ val half_lazy : t -> t
     a stochastic matrix is a convex combination of level i's rows
     (DESIGN.md §17). Pass [exact:true] where the rounded values themselves
     matter (Lemma 3's truncated powering). *)
-val squarings :
-  exact:bool ->
-  square:(t -> t) ->
-  on_skip:(unit -> unit) ->
-  t ->
-  levels:int ->
-  t array
+val squarings : exact:bool -> square:(t -> t) -> t -> levels:int -> t array
 
 (** [power_table m ~max_exp] returns [[m; m^2; m^4; ...]] up to the largest
     power of two <= 2^max_exp — the table built by the Initialization Step —

@@ -1,8 +1,6 @@
 module Graph = Cc_graph.Graph
 module Mat = Cc_linalg.Mat
 module Solve = Cc_linalg.Solve
-module Net = Cc_clique.Net
-module Matmul = Cc_clique.Matmul
 
 let members ~n ~s =
   let in_s = Array.make n false in
@@ -63,7 +61,7 @@ let transition_via_shortcut g q ~s =
         let denom = 1.0 -. Mat.get m i i in
         if denom <= 0.0 then 0.0 else Mat.get m i j /. denom)
 
-let approx ?net ?bits g ~s ~k =
+let approx ?bits g ~s ~k =
   let in_s = members ~n:(Graph.n g) ~s in
   Cc_obs.Trace.with_span "schur.approx"
     ~args:
@@ -73,11 +71,4 @@ let approx ?net ?bits g ~s ~k =
         ("k", string_of_int k);
       ]
   @@ fun () ->
-  let q = Shortcut.approx ?net ?bits g ~in_s ~k in
-  (match net with
-  | None -> ()
-  | Some (clique, backend) ->
-      (* One more n x n product (QR) plus a row-local normalization. *)
-      Net.charge clique ~label:"schur normalize"
-        (Matmul.mul_cost clique backend ~dim:(Graph.n g)));
-  transition_via_shortcut g q ~s
+  transition_via_shortcut g (Shortcut.approx ?bits g ~in_s ~k) ~s

@@ -33,12 +33,11 @@ val transition_exact : Cc_graph.Graph.t -> s:int array -> Cc_linalg.Mat.t
 val transition_via_shortcut :
   Cc_graph.Graph.t -> Cc_linalg.Mat.t -> s:int array -> Cc_linalg.Mat.t
 
-(** [approx ?net ?bits g ~s ~k] is the full paper pipeline: approximate Q by
-    k-step powering (Corollary 3), then normalize (Corollary 4). Books
-    rounds under labels ["shortcut powering"] and ["schur normalize"] when
-    [net] is given. *)
+(** [approx ?bits g ~s ~k] is the full paper pipeline: approximate Q by
+    k-step powering (Corollary 3), then normalize (Corollary 4). It books
+    nothing; the CC sampler charges the pipeline's rounds per phase, under
+    labels ["shortcut powering"] and ["schur normalize"]. *)
 val approx :
-  ?net:Cc_clique.Net.t * Cc_clique.Matmul.backend ->
   ?bits:int ->
   Cc_graph.Graph.t ->
   s:int array ->

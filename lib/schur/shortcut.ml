@@ -2,8 +2,6 @@ module Graph = Cc_graph.Graph
 module Mat = Cc_linalg.Mat
 module Solve = Cc_linalg.Solve
 module Fixed = Cc_linalg.Fixed
-module Net = Cc_clique.Net
-module Matmul = Cc_clique.Matmul
 
 let check_s g ~in_s =
   let n = Graph.n g in
@@ -52,7 +50,7 @@ let auxiliary_chain g ~in_s =
       else if b = a + n then s_mass p ~in_s a
       else 0.0)
 
-let approx ?net ?bits g ~in_s ~k =
+let approx ?bits g ~in_s ~k =
   check_s g ~in_s;
   if k <= 0 || k land (k - 1) <> 0 then
     invalid_arg "Shortcut.approx: k must be a positive power of two";
@@ -62,23 +60,13 @@ let approx ?net ?bits g ~in_s ~k =
   let n = Graph.n g in
   let r = auxiliary_chain g ~in_s in
   let maybe_round m = match bits with None -> m | Some b -> Fixed.round_mat ~bits:b m in
-  let charge () =
-    match net with
-    | None -> ()
-    | Some (clique, backend) ->
-        Net.charge clique ~label:"shortcut powering"
-          (Matmul.mul_cost clique backend ~dim:(2 * n))
-  in
   let rec log2 k = if k = 1 then 0 else 1 + log2 (k / 2) in
   let levels = log2 k in
-  (* R^k by log2 k squarings; a squaring skipped past a fixed point is
-     charged all the same. *)
+  (* R^k by log2 k squarings. *)
   let powers =
     Mat.squarings ~exact:(bits <> None)
-      ~square:(fun m ->
-        charge ();
-        maybe_round (Mat.mul m m))
-      ~on_skip:charge (maybe_round r) ~levels
+      ~square:(fun m -> maybe_round (Mat.mul m m))
+      (maybe_round r) ~levels
   in
   let rk = powers.(levels) in
   Mat.init ~rows:n ~cols:n (fun u v -> Mat.get rk u (n + v))

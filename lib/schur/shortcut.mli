@@ -13,9 +13,9 @@
       Q = (I - T)^{-1} B where T moves among V\S-avoiding steps and B absorbs.
     - [approx]: the paper's route — k-th power of the 2n x 2n chain R of
       Corollary 3 by repeated squaring, optionally truncating entries to
-      [bits] fractional bits after every squaring and charging matmul rounds
-      to a clique [net]. Subtractive error decays as the chain absorbs
-      (bench E7).
+      [bits] fractional bits after every squaring. Subtractive error decays
+      as the chain absorbs (bench E7). Both are local computation: the CC
+      sampler books the powering's rounds itself, the same in either mode.
 
     The paper states the first-visit machinery for unweighted G; the
     implementation generalizes the [1/deg_S] factors to
@@ -26,15 +26,12 @@
     @raise Invalid_argument if S is empty. *)
 val exact : Cc_graph.Graph.t -> in_s:bool array -> Cc_linalg.Mat.t
 
-(** [approx ?net ?bits g ~in_s ~k] approximates Q by the k-th power of the
+(** [approx ?bits g ~in_s ~k] approximates Q by the k-th power of the
     auxiliary chain ([k] a power of two), squaring log2 k times through
     {!Cc_linalg.Mat.squarings}: the squaring stops at a power that repeats
     the previous one bit for bit (the chain's absorbing rows never agree, so
-    the rows test does not fire here). With [net = (clique, backend)] each
-    of the log2 k squarings, computed or skipped, books
-    [Matmul.mul_cost ~dim:2n] rounds under label ["shortcut powering"]. *)
+    the rows test does not fire here). *)
 val approx :
-  ?net:Cc_clique.Net.t * Cc_clique.Matmul.backend ->
   ?bits:int ->
   Cc_graph.Graph.t ->
   in_s:bool array ->

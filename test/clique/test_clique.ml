@@ -240,21 +240,34 @@ let test_words_for_bits () =
 let random_stochastic prng n =
   Mat.normalize_rows (Mat.init ~rows:n ~cols:n (fun _ _ -> Prng.float prng 1.0 +. 0.01))
 
+(* The rounds [book_mul] books for one [dim x dim] product. *)
+let booked_rounds ~n backend ~dim =
+  let net = Net.create ~n in
+  Matmul.book_mul net backend ~dim;
+  Net.rounds net
+
 let test_matmul_backends_agree () =
-  let prng = Prng.create ~seed:1 in
+  (* Every backend books an off-size product at its analytic cost; at
+     dim = n the routed broadcast meters its real pattern, which costs more
+     than the charged product. *)
   let n = 8 in
-  let a = random_stochastic prng n and b = random_stochastic prng n in
-  let net1 = Net.create ~n and net2 = Net.create ~n in
-  let c1 = Matmul.mul net1 (Matmul.charged ()) a b in
-  let c2 = Matmul.mul net2 Matmul.Routed_broadcast a b in
-  Alcotest.(check bool) "products equal" true (Mat.equal ~tol:1e-12 c1 c2);
-  Alcotest.(check bool) "charged is cheaper" true (Net.rounds net1 < Net.rounds net2)
+  List.iter
+    (fun backend ->
+      let net = Net.create ~n in
+      Alcotest.(check (float 1e-9))
+        (Matmul.backend_name backend ^ " off-size")
+        (Matmul.mul_cost net backend ~dim:(2 * n))
+        (booked_rounds ~n backend ~dim:(2 * n)))
+    [ Matmul.charged (); Matmul.Routed_broadcast; Matmul.Routed_semiring ];
+  Alcotest.(check bool) "charged is cheaper" true
+    (booked_rounds ~n (Matmul.charged ()) ~dim:n
+    < booked_rounds ~n Matmul.Routed_broadcast ~dim:n)
 
 let test_matmul_charged_cost_scaling () =
   (* Charged cost must scale like n^alpha * entry_words. *)
   let cost n =
     let net = Net.create ~n in
-    Matmul.rounds_estimate net (Matmul.charged ())
+    Matmul.mul_cost net (Matmul.charged ()) ~dim:n
   in
   let c64 = cost 64 and c256 = cost 256 in
   Alcotest.(check bool) "cost grows" true (c256 > c64);
@@ -271,9 +284,7 @@ let test_matmul_charged_cost_scaling () =
 let test_matmul_routed_cost_linear () =
   let n = 16 in
   let net = Net.create ~n in
-  let prng = Prng.create ~seed:2 in
-  let a = random_stochastic prng n and b = random_stochastic prng n in
-  ignore (Matmul.mul net Matmul.Routed_broadcast a b);
+  Matmul.book_mul net Matmul.Routed_broadcast ~dim:n;
   (* Each machine sends/receives (n-1) * n * entry_words words:
      rounds = ceil((n-1) * n * ew / n) = (n-1) * ew. *)
   let ew = Net.entry_words net in
@@ -283,60 +294,20 @@ let test_power_table_values () =
   let prng = Prng.create ~seed:3 in
   let n = 8 in
   let m = random_stochastic prng n in
-  let net = Net.create ~n in
-  let table = Matmul.power_table net (Matmul.charged ()) m ~levels:3 in
+  let table = Matmul.power_table_pure m ~levels:3 in
   Alcotest.(check int) "length" 4 (Array.length table);
   Alcotest.(check bool) "m^8" true
     (Mat.equal ~tol:1e-9 table.(3) (Mat.power m 8))
 
 let test_power_table_books_rounds () =
-  let prng = Prng.create ~seed:4 in
   let n = 8 in
-  let m = random_stochastic prng n in
   let net = Net.create ~n in
-  ignore (Matmul.power_table net (Matmul.charged ()) m ~levels:5);
-  (* 5 multiplications plus 6 transposes: rounds > 0 and at least 5 * charge. *)
-  let per_mul = Matmul.rounds_estimate net (Matmul.charged ()) in
-  Alcotest.(check bool) "booked at least the muls" true
-    (Net.rounds net >= 5.0 *. per_mul)
-
-let test_power_table_reuse_books_identically () =
-  (* Replaying a cached table (the ccserve warm-plan path) must book the
-     exact same event stream as computing it: recorder digests equal. *)
-  let prng = Prng.create ~seed:6 in
-  let n = 8 in
-  let m = random_stochastic prng n in
-  let record f =
-    let net = Net.create ~n in
-    let r = Cc_obs.Recorder.create ~machines:n () in
-    ignore (Net.attach_recorder net r);
-    let v = f net in
-    (v, Cc_obs.Recorder.digest_hex r, Net.rounds net)
-  in
-  let cold, d_cold, r_cold =
-    record (fun net -> Matmul.power_table net (Matmul.charged ()) m ~levels:4)
-  in
-  let pure = Matmul.power_table_pure m ~levels:4 in
-  let warm, d_warm, r_warm =
-    record (fun net ->
-        Matmul.power_table net (Matmul.charged ()) ~reuse:pure m ~levels:4)
-  in
-  Alcotest.(check string) "digest" d_cold d_warm;
-  Alcotest.(check (float 1e-9)) "rounds" r_cold r_warm;
-  Alcotest.(check bool) "returns the cached table" true (warm == pure);
-  Array.iteri
-    (fun i p ->
-      Alcotest.(check bool)
-        (Printf.sprintf "level %d values" i)
-        true
-        (Mat.equal ~tol:1e-12 p cold.(i)))
-    warm;
-  Alcotest.check_raises "length mismatch rejected"
-    (Invalid_argument "Matmul.power_table: reuse table has wrong length")
-    (fun () ->
-      ignore
-        (Matmul.power_table (Net.create ~n) (Matmul.charged ())
-           ~reuse:(Array.sub pure 0 3) m ~levels:4))
+  Matmul.book_power_table net (Matmul.charged ()) ~dim:n ~levels:5;
+  (* 5 multiplications plus 6 transposes of one entry per machine pair. *)
+  let per_mul = Matmul.mul_cost net (Matmul.charged ()) ~dim:n in
+  Alcotest.(check (float 1e-9)) "muls and transposes"
+    ((5.0 *. per_mul) +. (6.0 *. float_of_int (Net.entry_words net)))
+    (Net.rounds net)
 
 (* The lazy walk on K8: it mixes at rate (3/7)^k, so its table converges
    within a few levels. *)
@@ -354,26 +325,23 @@ let same_bits a b =
   bits a = bits b
 
 let test_power_table_stop_books_every_level () =
-  (* A table that stops squaring still books every level: the same digest
-     and rounds as the base transpose and 20 x (product; transpose) booked
-     by hand. The skipped levels alias the stop level and are counted. *)
+  (* A table that stops squaring is still booked level by level:
+     [book_power_table] books the same digest and rounds as the base
+     transpose and 20 x (product; transpose) booked by hand. The pure table
+     stops early, aliases its skipped levels to the stop and counts both. *)
   let n = 8 and levels = 20 in
-  let m = lazy_k8 () in
   let backend = Matmul.charged () in
   let record f =
     let net = Net.create ~n in
     let r = Cc_obs.Recorder.create ~machines:n () in
     ignore (Net.attach_recorder net r);
-    let v = f net in
-    (v, Cc_obs.Recorder.digest_hex r, Net.rounds net)
+    f net;
+    (Cc_obs.Recorder.digest_hex r, Net.rounds net)
   in
-  Cc_obs.Metrics.reset ();
-  let table, d_table, r_table =
-    record (fun net -> Matmul.power_table net backend m ~levels)
+  let d_table, r_table =
+    record (fun net -> Matmul.book_power_table net backend ~dim:n ~levels)
   in
-  let muls = counter "matmul.muls" and skipped = counter "matmul.squarings_skipped" in
-  Cc_obs.Metrics.reset ();
-  let (), d_hand, r_hand =
+  let d_hand, r_hand =
     record (fun net ->
         let transpose () =
           Net.all_to_all net ~label:"power-table transpose"
@@ -387,22 +355,22 @@ let test_power_table_stop_books_every_level () =
   in
   Alcotest.(check string) "digest" d_hand d_table;
   Alcotest.(check (float 0.0)) "rounds" r_hand r_table;
+  Cc_obs.Metrics.reset ();
+  let table = Matmul.power_table_pure (lazy_k8 ()) ~levels in
+  let muls = counter "matmul.muls" and skipped = counter "matmul.squarings_skipped" in
   let stop = levels - skipped in
   Alcotest.(check bool) "stops early" true (skipped > 0 && stop < 10);
   Alcotest.(check int) "computed levels" stop muls;
-  for i = stop + 1 to levels do
-    Alcotest.(check bool) (Printf.sprintf "level %d aliases the stop" i) true
-      (table.(i) == table.(stop))
+  for i = 1 to stop do
+    Alcotest.(check bool) (Printf.sprintf "level %d is the squaring" i) true
+      (same_bits table.(i) (Mat.mul table.(i - 1) table.(i - 1)))
   done;
   Alcotest.(check bool) "the stop level was computed" true
     (table.(stop) != table.(stop - 1));
-  (* A plan's pure table stops at the same level with the same matrices. *)
-  let pure = Matmul.power_table_pure m ~levels in
-  Array.iteri
-    (fun i p ->
-      Alcotest.(check bool) (Printf.sprintf "pure level %d" i) true
-        (same_bits p table.(i) && (i <= stop || p == pure.(stop))))
-    pure
+  for i = stop + 1 to levels do
+    Alcotest.(check bool) (Printf.sprintf "level %d aliases the stop" i) true
+      (table.(i) == table.(stop))
+  done
 
 let test_power_table_pure_bits_is_rounded_squaring () =
   (* Under --bits only an exact repeat stops a table, so every level is the
@@ -432,20 +400,15 @@ let test_power_table_pure_bits_is_rounded_squaring () =
     ]
 
 let test_semiring_backend () =
-  let prng = Prng.create ~seed:5 in
   let n = 27 in
-  let a = random_stochastic prng n and b = random_stochastic prng n in
-  let net_c = Net.create ~n and net_s = Net.create ~n and net_r = Net.create ~n in
-  let pc = Matmul.mul net_c (Matmul.charged ()) a b in
-  let ps = Matmul.mul net_s Matmul.Routed_semiring a b in
-  Alcotest.(check bool) "same product" true (Mat.equal ~tol:1e-12 pc ps);
-  ignore (Matmul.mul net_r Matmul.Routed_broadcast a b);
+  let c = booked_rounds ~n (Matmul.charged ()) ~dim:n
+  and s = booked_rounds ~n Matmul.Routed_semiring ~dim:n
+  and r = booked_rounds ~n Matmul.Routed_broadcast ~dim:n in
   (* Cost ordering: charged (n^0.158) < semiring (n^1/3) < broadcast (n). *)
   Alcotest.(check bool)
-    (Printf.sprintf "ordering %.0f < %.0f < %.0f" (Net.rounds net_c)
-       (Net.rounds net_s) (Net.rounds net_r))
+    (Printf.sprintf "ordering %.0f < %.0f < %.0f" c s r)
     true
-    (Net.rounds net_c < Net.rounds net_s && Net.rounds net_s < Net.rounds net_r)
+    (c < s && s < r)
 
 let test_mul_cost_off_size () =
   let net = Net.create ~n:16 in
@@ -501,15 +464,6 @@ let qcheck_tests =
         feq expected (Net.rounds net)
         && Net.messages net = !msgs
         && Net.words net = !wtotal);
-    Test.make ~name:"matmul backends compute the same product" ~count:20
-      (make Gen.(pair (int_range 2 10) (int_range 0 1000)))
-      (fun (n, seed) ->
-        let prng = Prng.create ~seed in
-        let a = random_stochastic prng n and b = random_stochastic prng n in
-        let net = Net.create ~n in
-        Mat.equal ~tol:1e-12
-          (Matmul.mul net (Matmul.charged ()) a b)
-          (Matmul.mul net Matmul.Routed_broadcast a b));
   ]
 
 (* --- event bus (add_sink / remove_sink) --- *)
@@ -690,8 +644,6 @@ let () =
           Alcotest.test_case "routed cost" `Quick test_matmul_routed_cost_linear;
           Alcotest.test_case "power table values" `Quick test_power_table_values;
           Alcotest.test_case "power table rounds" `Quick test_power_table_books_rounds;
-          Alcotest.test_case "power table reuse" `Quick
-            test_power_table_reuse_books_identically;
           Alcotest.test_case "power table stop books every level" `Quick
             test_power_table_stop_books_every_level;
           Alcotest.test_case "power table bits is rounded squaring" `Quick

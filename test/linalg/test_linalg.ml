@@ -497,18 +497,20 @@ let test_squarings_stop_and_skip () =
   let m = lazy_chain (Graph_gen.complete 8) in
   let levels = 20 in
   let run ~exact =
-    let skipped = ref 0 in
+    let squared = ref 0 in
     let table =
-      Mat.squarings ~exact ~square:(fun t -> Mat.mul t t)
-        ~on_skip:(fun () -> incr skipped)
+      Mat.squarings ~exact
+        ~square:(fun t ->
+          incr squared;
+          Mat.mul t t)
         m ~levels
     in
-    (table, !skipped)
+    (table, levels - !squared)
   in
   let table, skipped = run ~exact:false in
   let stop = stop_level table in
   Alcotest.(check bool) "lazy K8 stops early" true (stop < 10);
-  Alcotest.(check int) "one on_skip per skipped level" (levels - stop) skipped;
+  Alcotest.(check int) "no square past the stop" (levels - stop) skipped;
   check_same_table "up to the stop"
     (Array.sub table 0 (stop + 1))
     (Array.sub (Reference.power_table m ~levels) 0 (stop + 1));
@@ -522,7 +524,7 @@ let test_squarings_stop_and_skip () =
       (same_mat exact_table.(exact_stop) exact_table.(exact_stop - 1));
   Alcotest.check_raises "negative levels"
     (Invalid_argument "Mat.squarings: negative levels") (fun () ->
-      ignore (Mat.squarings ~exact:false ~square:Fun.id ~on_skip:ignore m ~levels:(-1)))
+      ignore (Mat.squarings ~exact:false ~square:Fun.id m ~levels:(-1)))
 
 (* The eleven Gen families at the sizes and weights the sampler sees. *)
 let families =

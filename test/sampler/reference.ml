@@ -3,9 +3,10 @@
    [Mat.get] and [Dist.of_weights], its midpoints drawn with [Dist.sample],
    pair classes indexed by [index_pairs], and every probe of Algorithm 3's
    binary search rescanning its prefix. It is kept verbatim minus its log
-   line, metrics and trace spans, and calls the library's [place], so a
-   property in test_sampler pins [Phase_walk.run] to it: the same walk and
-   stats, the same booked events and the same PRNG state afterwards.
+   line, metrics and trace spans, takes the caller's power table and books
+   it as the library does, and calls the library's [place], so a property
+   in test_sampler pins [Phase_walk.run] to it: the same walk and stats,
+   the same booked events and the same PRNG state afterwards.
    Test-only: nothing in lib/ calls this module. *)
 
 module Net = Cc_clique.Net
@@ -66,31 +67,23 @@ let book_loads net ~label ~sent ~recv =
   done;
   if !load > 0 then Net.charge net ~label (Float.of_int ((!load + n - 1) / n))
 
-let run net prng ~backend ?bits ?powers_slot ~trans ~machine_of ~start ~rho
-    ~target_len ~matching () =
-  let s_count = Mat.rows trans in
-  if Mat.cols trans <> s_count then invalid_arg "Phase_walk.run: trans not square";
+let run net prng ~backend ~powers ~machine_of ~start ~rho ~target_len
+    ~matching =
   if rho < 2 then invalid_arg "Phase_walk.run: rho < 2";
   if target_len < 2 then invalid_arg "Phase_walk.run: target_len < 2";
+  let levels = Cc_walks.Topdown.levels_for ~len:target_len in
+  if Array.length powers <> levels + 1 then
+    invalid_arg "Phase_walk.run: power table length is not levels + 1";
+  let s_count = Mat.rows powers.(0) in
+  if Mat.cols powers.(0) <> s_count then
+    invalid_arg "Phase_walk.run: power table not square";
   if start < 0 || start >= s_count then invalid_arg "Phase_walk.run: bad start";
   let n = Net.n net in
   let ew = Net.entry_words net in
-  let levels = Cc_walks.Topdown.levels_for ~len:target_len in
   let counters = { c_checks = 0; c_midpoints = 0; c_exact = 0; c_magical = 0 } in
-  (* Initialization Step (Algorithm 1): distributed power table + endpoint.
-     When the caller passes a plan's [powers_slot], a filled slot replays the
-     table's bookings without recomputing it, and an empty slot is filled for
-     the next draw; either way the net sees the same events. *)
-  let powers =
-    match powers_slot with
-    | Some ({ contents = Some cached } as _slot) ->
-        Matmul.power_table net backend ?bits ~reuse:cached trans ~levels
-    | Some ({ contents = None } as slot) ->
-        let t = Matmul.power_table net backend ?bits trans ~levels in
-        slot := Some t;
-        t
-    | None -> Matmul.power_table net backend ?bits trans ~levels
-  in
+  (* Initialization Step (Algorithm 1): book the caller's power table, then
+     draw the endpoint. *)
+  Matmul.book_power_table net backend ~dim:s_count ~levels;
   let leader = machine_of start in
   let degenerate () =
     failwith

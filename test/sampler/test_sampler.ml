@@ -28,15 +28,20 @@ let default = Sampler.default_config
 
 (* --- Phase_walk vs the sequential reference (Lemma 2) --- *)
 
+(* The power table [Phase_walk.run] walks on, as a plan computes it. *)
+let table ?bits trans ~target_len =
+  Matmul.power_table_pure ?bits trans
+    ~levels:(Cc_walks.Topdown.levels_for ~len:target_len)
+
 let phase_walk_once ?(matching = Phase_walk.Resample) g
     ~rho ~target_len prng =
   let n = Graph.n g in
   let net = Net.create ~n in
-  let trans = Graph.transition_matrix g in
+  let powers = table (Graph.transition_matrix g) ~target_len in
   fst
-    (Phase_walk.run net prng ~backend:(Matmul.charged ()) ~trans
+    (Phase_walk.run net prng ~backend:(Matmul.charged ()) ~powers
        ~machine_of:(fun i -> i)
-       ~start:0 ~rho ~target_len ~matching ())
+       ~start:0 ~rho ~target_len ~matching)
 
 let test_phase_walk_is_valid_walk () =
   let g = Gen.complete 6 in
@@ -81,11 +86,10 @@ let test_phase_walk_mcmc_fallback () =
   let prng = Prng.create ~seed:1 in
   let w, stats =
     Phase_walk.run net prng ~backend:(Matmul.charged ())
-      ~trans:(Graph.transition_matrix g)
+      ~powers:(table (Graph.transition_matrix g) ~target_len:1024)
       ~machine_of:(fun i -> i)
       ~start:0 ~rho:12 ~target_len:1024
       ~matching:Phase_walk.Resample
-      ()
   in
   Alcotest.(check bool) "magical fallback used" true (stats.Phase_walk.matchings_mcmc > 0);
   Alcotest.(check bool) "exact DP used" true (stats.Phase_walk.matchings_exact > 0);
@@ -497,13 +501,12 @@ let test_phase_walk_stats_sanity () =
   let g = Gen.complete 6 in
   let net = Net.create ~n:6 in
   let prng = Prng.create ~seed:60 in
-  let trans = Graph.transition_matrix g in
+  let powers = table (Graph.transition_matrix g) ~target_len:256 in
   let _, stats =
-    Phase_walk.run net prng ~backend:(Matmul.charged ()) ~trans
+    Phase_walk.run net prng ~backend:(Matmul.charged ()) ~powers
       ~machine_of:(fun i -> i)
       ~start:0 ~rho:3 ~target_len:256
       ~matching:Phase_walk.Resample
-      ()
   in
   Alcotest.(check int) "levels = log2 256" 8 stats.Phase_walk.levels;
   Alcotest.(check bool) "binary search probed" true (stats.Phase_walk.checks > 0);
@@ -516,13 +519,15 @@ let test_phase_walk_argument_validation () =
   let net = Net.create ~n:4 in
   let prng = Prng.create ~seed:26 in
   let trans = Graph.transition_matrix (Gen.complete 4) in
-  let run ?(rho = 2) ?(target_len = 8) ?(start = 0) () =
+  let run ?(rho = 2) ?(target_len = 8) ?table_len ?(start = 0) () =
+    let powers =
+      table trans ~target_len:(Option.value table_len ~default:target_len)
+    in
     ignore
-      (Phase_walk.run net prng ~backend:(Matmul.charged ()) ~trans
+      (Phase_walk.run net prng ~backend:(Matmul.charged ()) ~powers
          ~machine_of:(fun i -> i)
          ~start ~rho ~target_len
-         ~matching:Phase_walk.Resample
-         ())
+         ~matching:Phase_walk.Resample)
   in
   Alcotest.check_raises "rho < 2" (Invalid_argument "Phase_walk.run: rho < 2")
     (fun () -> run ~rho:1 ());
@@ -530,7 +535,16 @@ let test_phase_walk_argument_validation () =
     (Invalid_argument "Phase_walk.run: target_len < 2") (fun () ->
       run ~target_len:1 ());
   Alcotest.check_raises "bad start" (Invalid_argument "Phase_walk.run: bad start")
-    (fun () -> run ~start:7 ())
+    (fun () -> run ~start:7 ());
+  (* A table for another target length is rejected before anything is
+     booked. *)
+  List.iter
+    (fun (target_len, table_len) ->
+      Alcotest.check_raises "table of the wrong length"
+        (Invalid_argument "Phase_walk.run: power table length is not levels + 1")
+        (fun () -> run ~target_len ~table_len ()))
+    [ (16, 8); (8, 16) ];
+  Alcotest.(check (float 0.0)) "nothing booked" 0.0 (Net.rounds net)
 
 let test_tiny_target_len_still_terminates () =
   (* A tiny per-phase target length forces many short phases; the sampler
@@ -760,6 +774,38 @@ let test_ledger_has_expected_components () =
     [ "matmul"; "power-table transpose"; "binary-search check";
       "midpoint distributions"; "shortcut powering"; "first-visit edges" ]
 
+let test_schur_pipeline_booked_per_phase () =
+  (* The Schur pipeline's rounds are one analytic charge per later phase,
+     the same in either mode: log2 k squarings of the 2n x 2n auxiliary
+     chain, then the n x n product that normalizes it. *)
+  let g = Gen.lollipop ~clique:5 ~tail:4 in
+  let n = Graph.n g in
+  List.iter
+    (fun (name, schur) ->
+      let config = { default with schur } in
+      let plan = Sampler.prepare ~config g in
+      let net = Net.create ~n in
+      let r = Sampler.draw plan net (Prng.create ~seed:31) in
+      let booked label =
+        match List.find_opt (fun (l, _, _, _) -> l = label) (Net.ledger net) with
+        | Some (_, rounds, _, _) -> rounds
+        | None -> 0.0
+      in
+      let later = float_of_int (r.Sampler.phases - 1) in
+      let squarings =
+        Cc_walks.Topdown.levels_for ~len:(Plan.schur_k (Sampler.plan_state plan))
+      in
+      let powering =
+        later *. float_of_int squarings
+        *. Matmul.mul_cost net config.backend ~dim:(2 * n)
+      and normalize = later *. Matmul.mul_cost net config.backend ~dim:n in
+      Alcotest.(check bool) (name ^ ": later phases") true (later > 0.0);
+      Alcotest.(check (float (1e-9 *. powering)))
+        (name ^ ": shortcut powering") powering (booked "shortcut powering");
+      Alcotest.(check (float (1e-9 *. normalize)))
+        (name ^ ": schur normalize") normalize (booked "schur normalize"))
+    [ ("exact solve", Sampler.Exact_solve); ("powering", Sampler.Powering { k = None }) ]
+
 (* --- Phase_walk vs its reference (test/sampler/reference.ml) --- *)
 
 (* What one phase walk shows: its walk and stats (or its failure), every
@@ -793,8 +839,8 @@ let families =
    not, lazy or not; rho = n half the time, so that walks run to cover,
    else anywhere in [2, n]; a target length from 2 to 4096; either
    matching mode; exact or rounded power tables; a clique of 2 to n + 2
-   machines hosting the vertices round robin from an offset; any start;
-   and a filled power-table slot or none. Both implementations run it. *)
+   machines hosting the vertices round robin from an offset; and any
+   start. Both implementations run it on the same table. *)
 let same_walk_as_reference (n, seed) =
   let prng = Prng.create ~seed in
   let g =
@@ -819,23 +865,16 @@ let same_walk_as_reference (n, seed) =
   let offset = Prng.int prng machines in
   let machine_of i = (i + offset) mod machines in
   let start = Prng.int prng n in
-  let slot () =
-    if seed land 1 = 0 then None
-    else
-      let levels = Cc_walks.Topdown.levels_for ~len:target_len in
-      Some (ref (Some (Matmul.power_table_pure ?bits trans ~levels)))
-  in
+  let powers = table ?bits trans ~target_len in
   let walk_seed = Prng.int prng 1_000_000 in
   let ours =
     observe_walk ~machines ~seed:walk_seed (fun net prng ->
-        Phase_walk.run net prng ~backend:(Matmul.charged ()) ?bits
-          ?powers_slot:(slot ()) ~trans ~machine_of ~start ~rho ~target_len
-          ~matching ())
+        Phase_walk.run net prng ~backend:(Matmul.charged ()) ~powers
+          ~machine_of ~start ~rho ~target_len ~matching)
   and theirs =
     observe_walk ~machines ~seed:walk_seed (fun net prng ->
-        Reference.run net prng ~backend:(Matmul.charged ()) ?bits
-          ?powers_slot:(slot ()) ~trans ~machine_of ~start ~rho ~target_len
-          ~matching ())
+        Reference.run net prng ~backend:(Matmul.charged ()) ~powers
+          ~machine_of ~start ~rho ~target_len ~matching)
   in
   ours = theirs
 
@@ -946,6 +985,8 @@ let () =
         [
           Alcotest.test_case "sublinear vs naive" `Slow test_rounds_scale_sublinearly_in_theory_mode;
           Alcotest.test_case "ledger components" `Quick test_ledger_has_expected_components;
+          Alcotest.test_case "schur pipeline booked per phase" `Quick
+            test_schur_pipeline_booked_per_phase;
         ] );
       ("properties", qsuite);
     ]

@@ -9,8 +9,6 @@ module Walk = Cc_walks.Walk
 module Schur = Cc_schur.Schur
 module Shortcut = Cc_schur.Shortcut
 module Mat = Cc_linalg.Mat
-module Net = Cc_clique.Net
-module Matmul = Cc_clique.Matmul
 module Prng = Cc_util.Prng
 module Dist = Cc_util.Dist
 
@@ -203,29 +201,6 @@ let test_shortcut_approx_converges () =
     true
     (List.nth errs 3 < 1e-6)
 
-let test_shortcut_approx_books_rounds () =
-  let prng = Prng.create ~seed:6 in
-  let g = Gen.random_connected prng ~n:8 ~extra_edges:4 in
-  let in_s = Array.init 8 (fun i -> i < 4) in
-  let net = Net.create ~n:8 in
-  ignore (Shortcut.approx ~net:(net, Matmul.charged ()) g ~in_s ~k:64);
-  Alcotest.(check bool) "rounds booked" true (Net.rounds net > 0.0)
-
-let test_shortcut_approx_charges_skipped_squarings () =
-  (* k = 2^16 squarings reach an exact fixed point long before the last
-     one; the squarings skipped past it are charged all the same. *)
-  let prng = Prng.create ~seed:6 in
-  let g = Gen.random_connected prng ~n:8 ~extra_edges:4 in
-  let in_s = Array.init 8 (fun i -> i < 4) in
-  let net = Net.create ~n:8 in
-  let backend = Matmul.charged () in
-  let q = Shortcut.approx ~net:(net, backend) g ~in_s ~k:65536 in
-  Alcotest.(check (float 1e-9)) "every squaring charged"
-    (16.0 *. Matmul.mul_cost net backend ~dim:16)
-    (Net.rounds net);
-  Alcotest.(check (float 0.0)) "the net changes no value" 0.0
-    (Mat.max_abs_diff q (Shortcut.approx g ~in_s ~k:65536))
-
 let test_schur_approx_matches_exact () =
   let prng = Prng.create ~seed:7 in
   let g = Gen.random_connected prng ~n:9 ~extra_edges:6 in
@@ -412,9 +387,6 @@ let () =
           Alcotest.test_case "stochastic" `Quick test_shortcut_rows_stochastic;
           Alcotest.test_case "empirical law" `Slow test_shortcut_empirical;
           Alcotest.test_case "powering converges" `Quick test_shortcut_approx_converges;
-          Alcotest.test_case "books rounds" `Quick test_shortcut_approx_books_rounds;
-          Alcotest.test_case "charges skipped squarings" `Quick
-            test_shortcut_approx_charges_skipped_squarings;
           Alcotest.test_case "schur approx" `Quick test_schur_approx_matches_exact;
           Alcotest.test_case "schur approx rounded" `Quick test_schur_approx_with_rounding;
         ] );
