@@ -36,8 +36,8 @@ type t
 (** {1 Construction} *)
 
 (** [create g] precomputes the leverage-score oracle
-    ({!Cc_graph.Graph.edge_resistances}: one grounded Laplacian factored per
-    vertex that is some edge's larger endpoint) and, when
+    ({!Cc_graph.Graph.edge_resistances}: every edge's resistance read from
+    one inverse of the Laplacian grounded at vertex n - 1) and, when
     [n <= small_limit] and the spanning-tree count is at most
     [small_support], the enumerated support and exact tree distribution.
 

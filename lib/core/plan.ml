@@ -12,11 +12,7 @@ type schur_mode = Exact_solve | Powering of { k : int option }
    the words its entries hold, never by their number. *)
 let memo_budget = 1 lsl 18
 
-type entry = {
-  e_q : Mat.t;
-  e_trans : Mat.t Lazy.t;
-  e_powers : Mat.t array Lazy.t;
-}
+type entry = { e_q : Mat.t; e_powers : Mat.t array Lazy.t }
 
 type memo = {
   levels : int;
@@ -34,7 +30,6 @@ type t = {
   graph : Graph.t;
   rho : int;
   target_len : int;
-  trans1 : Mat.t;
   powers1 : Mat.t array;
   memo : memo;
 }
@@ -66,7 +61,6 @@ let create ?rho ?target_len ?bits ?(schur = Exact_solve) ~lazy_walk g =
     graph = g;
     rho;
     target_len = 1 lsl levels;
-    trans1;
     powers1 = Matmul.power_table_pure ?bits trans1 ~levels;
     memo =
       {
@@ -101,7 +95,6 @@ type phase = {
   start : int;
   in_s : bool array;
   q : Mat.t;
-  trans : Mat.t Lazy.t;
   powers : Mat.t array Lazy.t;
 }
 
@@ -115,17 +108,13 @@ let compute t ~s ~in_s =
   in
   (* Clamp numeric dust and renormalize, so the walk receives a proper
      stochastic matrix. *)
-  let trans =
-    lazy
-      (let p = Mat.sanitize_stochastic (Schur.transition_via_shortcut g q ~s) in
-       if m.lazy_walk then Mat.half_lazy p else p)
-  in
   let powers =
     lazy
-      (Matmul.power_table_pure ?bits:m.bits (Lazy.force trans)
-         ~levels:m.levels)
+      (let p = Mat.sanitize_stochastic (Schur.transition_via_shortcut g q ~s) in
+       let trans = if m.lazy_walk then Mat.half_lazy p else p in
+       Matmul.power_table_pure ?bits:m.bits trans ~levels:m.levels)
   in
-  { e_q = q; e_trans = trans; e_powers = powers }
+  { e_q = q; e_powers = powers }
 
 let phase t ~visited ~current =
   let n = Array.length visited and m = t.memo in
@@ -144,10 +133,11 @@ let phase t ~visited ~current =
         m.misses <- m.misses + 1;
         Cc_obs.Metrics.incr "sampler.plan.memo_miss";
         let e = compute t ~s ~in_s in
-        (* Q is n x n; the transition and its power table of [levels + 1]
-           matrices are |S| x |S|. An upper bound: a table that stopped
-           squaring aliases its later levels (Mat.squarings), but counting
-           only distinct matrices would retain more entries. *)
+        (* Q is n x n; the power table's [levels + 1] matrices, and the
+           transition it squares while it is built, are |S| x |S|. An upper
+           bound: a table that stopped squaring aliases its later levels
+           (Mat.squarings), but counting only distinct matrices would
+           retain more entries. *)
         let k = Array.length s in
         let words = (n * n) + ((m.levels + 2) * k * k) in
         if m.words + words <= memo_budget then begin
@@ -156,7 +146,7 @@ let phase t ~visited ~current =
         end;
         e
   in
-  { s; start; in_s; q = e.e_q; trans = e.e_trans; powers = e.e_powers }
+  { s; start; in_s; q = e.e_q; powers = e.e_powers }
 
 let first_visit t ph prng ~prev v =
   let weights =

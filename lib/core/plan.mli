@@ -6,20 +6,21 @@
     and recovers the G-entry edge of each newly visited vertex through
     Shortcut(G, S) by Algorithm 4. They differ only in how a phase's walk is
     filled. A plan holds what depends on the graph alone: the resolved rho,
-    target length and levels, the (lazy-mixed) phase-1 transition and its
-    power table, and a memo of later phases' state keyed by S. Every power
+    target length and levels, the power table of the (lazy-mixed) phase-1
+    transition, and a memo of later phases' state keyed by S. Every power
     table a phase walks on is computed here, by
     {!Cc_clique.Matmul.power_table_pure}; the CC sampler books it on every
     draw.
 
-    The memo is bounded by the words it holds. An entry holds Q (n² words),
-    the transition and its power table (at most (levels + 2)·|S|² words: a
-    table that stopped squaring aliases its later levels, so the count is
-    an upper bound). An entry is retained only while the plan's total stays
-    within 2{^18} words (2 MiB), and none is evicted: past the budget a
-    phase recomputes its state, which costs time, never correctness. All of
-    it is pure compute, so a hit and a miss yield the same walk, the same
-    tree and the same bookings. Plans are not thread-safe. *)
+    The memo is bounded by the words it holds. An entry holds Q (n² words)
+    and a power table, counted with the transition it squares as
+    (levels + 2)·|S|² words (an upper bound: a table that stopped squaring
+    aliases its later levels). An entry is retained only while the plan's
+    total stays within 2{^18} words (2 MiB), and none is evicted: past the
+    budget a phase recomputes its state, which costs time, never
+    correctness. All of it is pure compute, so a hit and a miss yield the
+    same walk, the same tree and the same bookings. Plans are not
+    thread-safe. *)
 
 (** Re-exported, with its documentation, as {!Sampler.schur_mode}. *)
 type schur_mode = Exact_solve | Powering of { k : int option }
@@ -34,8 +35,9 @@ type t = private {
   target_len : int;
       (** per-phase walk length, a power of two: next_pow2(n^3 log2 n)
           unless set *)
-  trans1 : Cc_linalg.Mat.t;  (** phase 1's transition, lazy-mixed if asked *)
-  powers1 : Cc_linalg.Mat.t array;  (** its power table, computed purely *)
+  powers1 : Cc_linalg.Mat.t array;
+      (** the power table of phase 1's transition, lazy-mixed if asked,
+          computed purely *)
   memo : memo;
 }
 
@@ -72,12 +74,11 @@ type phase = {
   start : int;  (** the index of the walk's current vertex in [s] *)
   in_s : bool array;
   q : Cc_linalg.Mat.t;  (** Shortcut(G, S) *)
-  trans : Cc_linalg.Mat.t Lazy.t;
-      (** the transition of SCHUR(G, S), lazy-mixed if the plan is; a
-          two-vertex phase is one forced step and never forces it *)
   powers : Cc_linalg.Mat.t array Lazy.t;
-      (** its power table by {!Cc_clique.Matmul.power_table_pure}, with the
-          plan's bits and levels; forced by the first walk on S *)
+      (** the power table of SCHUR(G, S)'s transition, lazy-mixed if the
+          plan is, by {!Cc_clique.Matmul.power_table_pure} with the plan's
+          bits and levels; forced by the first walk on S, and never by a
+          two-vertex phase, which is one forced step *)
 }
 
 (** [phase t ~visited ~current] is the state of the phase that starts at

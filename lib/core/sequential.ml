@@ -46,8 +46,8 @@ let draw (plan : plan) prng =
     if !phases = 1 then
       claim_walk
         (fun prev _ -> prev)
-        (Topdown.sample_truncated_matrix prng ~trans:plan.trans1 ~start:0
-           ~target_len ~rho:(min plan.rho n) ~powers:plan.powers1 ())
+        (Topdown.sample_truncated_matrix prng ~powers:plan.powers1 ~start:0
+           ~target_len ~rho:(min plan.rho n) ())
     else begin
       let ph = Plan.phase plan ~visited ~current:!current in
       let entry prev v = fst (Plan.first_visit plan ph prng ~prev v) in
@@ -57,10 +57,9 @@ let draw (plan : plan) prng =
       else
         claim_walk entry
           (Array.map (fun i -> s.(i))
-             (Topdown.sample_truncated_matrix prng ~trans:(Lazy.force ph.trans)
-                ~start:ph.start ~target_len
-                ~rho:(min plan.rho (Array.length s))
-                ~powers:(Lazy.force ph.powers) ()))
+             (Topdown.sample_truncated_matrix prng
+                ~powers:(Lazy.force ph.powers) ~start:ph.start ~target_len
+                ~rho:(min plan.rho (Array.length s)) ()))
     end
   done;
   let tree = Tree.of_edges ~n !tree_edges in

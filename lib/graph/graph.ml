@@ -166,41 +166,33 @@ let effective_resistance g u v =
   let x = Cc_linalg.Solve.solve reduced b in
   x.(pos.(u))
 
-(* Each edge (u, v) is listed with u < v, and [effective_resistance g u v]
-   grounds at v: every edge with the same larger endpoint solves against
-   the same minor. So each such v factors its minor once, and [solve_mat]
-   runs one unit right-hand side per edge through that LU, each column with
-   the substitution [solve] would give it. *)
-let edge_resistances g =
-  let edges = Array.of_list g.edges in
-  let by_ground = Array.make g.n [] in
-  for i = Array.length edges - 1 downto 0 do
-    let _, v, _ = edges.(i) in
-    by_ground.(v) <- i :: by_ground.(v)
-  done;
+(* L with row and column [ground] replaced by e_ground: partial pivoting
+   never picks that row before its own column, and its zero entries change
+   no other value, so the inverse is the grounded minor's inverse with a 1
+   at (ground, ground), which is then cleared. *)
+let grounded_inverse g ~ground =
+  if ground < 0 || ground >= g.n then
+    invalid_arg "Graph.grounded_inverse: ground out of range";
   let l = laplacian g in
-  let r = Array.make (Array.length edges) 0.0 in
-  Array.iteri
-    (fun v group ->
-      if group <> [] then begin
-        let reduced, pos = grounded_minor l ~n:g.n v in
-        let group = Array.of_list group in
-        let b =
-          Cc_linalg.Mat.create ~rows:(g.n - 1) ~cols:(Array.length group) 0.0
-        in
-        Array.iteri
-          (fun c i ->
-            let u, _, _ = edges.(i) in
-            Cc_linalg.Mat.set b pos.(u) c 1.0)
-          group;
-        let x = Cc_linalg.Solve.solve_mat reduced b in
-        Array.iteri
-          (fun c i ->
-            let u, _, _ = edges.(i) in
-            r.(i) <- Cc_linalg.Mat.get x pos.(u) c)
-          group
-      end)
-    by_ground;
+  for i = 0 to g.n - 1 do
+    Cc_linalg.Mat.set l ground i 0.0;
+    Cc_linalg.Mat.set l i ground 0.0
+  done;
+  Cc_linalg.Mat.set l ground ground 1.0;
+  let x = Cc_linalg.Solve.inverse l in
+  Cc_linalg.Mat.set x ground ground 0.0;
+  x
+
+(* With y = X (e_u - e_v), R_eff(u, v) = y_u - y_v. *)
+let edge_resistances g =
+  let x = grounded_inverse g ~ground:(g.n - 1) in
+  let y = Array.make g.n 0.0 in
+  let r = Array.make (List.length g.edges) 0.0 in
+  List.iteri
+    (fun i (u, v, _) ->
+      Cc_linalg.Mat.col_diff_into x ~u ~v y;
+      r.(i) <- y.(u) -. y.(v))
+    g.edges;
   r
 
 (* FNV-1a 64 over the canonical serialization. [edges] is stored sorted with

@@ -82,10 +82,22 @@ val of_laplacian : ?tol:float -> Cc_linalg.Mat.t -> t
     not a vertex, or [u = v]. *)
 val effective_resistance : t -> int -> int -> float
 
-(** [edge_resistances g] is [effective_resistance g u v] for every edge
-    [(u, v, _)], in {!edges} order, each bit for bit. It factors one
-    grounded Laplacian minor per vertex that is the larger endpoint of some
-    edge, instead of one per edge.
+(** [grounded_inverse g ~ground] is the n x n matrix X that holds the
+    inverse of [g]'s Laplacian without row and column [ground], and zeros
+    in row and column [ground]: one LU. For b = e_u - e_v, b{^T} X b is
+    R_eff(u, v), and X's column difference y = X b gives the potentials of
+    a unit current from u to v with [ground] at 0.
+    @raise Invalid_argument if [ground] is not a vertex.
+    @raise Failure ["Solve.lu_solve: singular matrix"] if [g] is
+    disconnected. *)
+val grounded_inverse : t -> ground:int -> Cc_linalg.Mat.t
+
+(** [edge_resistances g] is R_eff(u, v) for every edge [(u, v, _)], in
+    {!edges} order, read from one {!grounded_inverse} at vertex n - 1 as
+    y_u - y_v, y = X (e_u - e_v). It agrees with {!effective_resistance},
+    which grounds at v, up to rounding: X_uu + X_vv - X_uv - X_vu cancels
+    where the per-pair solve does not, and test_graph bounds the leverage
+    gap w·|ΔR| by 1e-8 on weights from 1e-3 to 1e3.
     @raise Failure as {!effective_resistance} does if [g] is disconnected. *)
 val edge_resistances : t -> float array
 

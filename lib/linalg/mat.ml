@@ -51,6 +51,28 @@ let two_step_into m ~p ~q buf =
     unsafe_set buf j (unsafe_get d (prow + j) *. unsafe_get d ((j * c) + q))
   done
 
+let col_diff_into m ~u ~v y =
+  let c = m.cols in
+  if m.rows <> c || u < 0 || u >= c || v < 0 || v >= c || Array.length y <> c
+  then invalid_arg "Mat.col_diff_into: bad shape or index";
+  let d = m.data in
+  for i = 0 to c - 1 do
+    let row = i * c in
+    unsafe_set y i (unsafe_get d (row + u) -. unsafe_get d (row + v))
+  done
+
+let add_outer_in_place m s y =
+  let c = m.cols in
+  if m.rows <> c || Array.length y <> c then
+    invalid_arg "Mat.add_outer_in_place: bad shape";
+  let d = m.data in
+  for i = 0 to c - 1 do
+    let syi = s *. unsafe_get y i and row = i * c in
+    for j = 0 to c - 1 do
+      unsafe_set d (row + j) (unsafe_get d (row + j) +. (syi *. unsafe_get y j))
+    done
+  done
+
 let of_arrays a =
   let r = Array.length a in
   if r = 0 then invalid_arg "Mat.of_arrays: empty";

@@ -38,6 +38,18 @@ val two_step : t -> int -> int -> int -> float
     bounds, or [buf] is not [rows m] long. *)
 val two_step_into : t -> p:int -> q:int -> float array -> unit
 
+(** [col_diff_into m ~u ~v y] sets [y.(i)] to [m[i,u] -. m[i,v]] for every
+    [i]: [m (e_u - e_v)], with no float boxed.
+    @raise Invalid_argument if [m] is not square, [u] or [v] is out of
+    bounds, or [y] is not [rows m] long. *)
+val col_diff_into : t -> u:int -> v:int -> float array -> unit
+
+(** [add_outer_in_place m s y] adds [s y y^T] to [m] in place: entry
+    [(i, j)] becomes [m[i,j] +. ((s *. y.(i)) *. y.(j))].
+    @raise Invalid_argument if [m] is not square or [y] is not [rows m]
+    long. *)
+val add_outer_in_place : t -> float -> float array -> unit
+
 (** [data m] is [m]'s row-major storage itself, not a copy: entry [(i, j)]
     is at [i * cols m + j]. For the kernels of [lib/linalg] only. *)
 val data : t -> float array

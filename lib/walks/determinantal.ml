@@ -2,7 +2,6 @@ module Graph = Cc_graph.Graph
 module Tree = Cc_graph.Tree
 module Prng = Cc_util.Prng
 module Mat = Cc_linalg.Mat
-module Solve = Cc_linalg.Solve
 
 let leverage g u v =
   let w = Graph.edge_weight g u v in
@@ -27,96 +26,63 @@ let rec uf_find uf i =
 
 let uf_union uf i j = uf.parent.(uf_find uf i) <- uf_find uf j
 
+(* An offer at least [1 - bridge_eps] (the audit's bridge threshold) is a
+   bridge of the conditioned graph and is offered as exactly 1.0. *)
+let bridge_eps = 1e-9
+let rebuild_below = 1e-2
+
 (* Edge t's coin is conditioned on the fate of edges 0..t-1: contract the
-   kept ones, delete the others. What is left has the classes of the kept
-   forest as vertices and edges t..m-1 as edges, with parallel weights
-   merged, and edge t's conditional probability is w times its effective
-   resistance there. Each step builds that graph's Laplacian, grounded at
-   v's class, straight into a minor, with the floats that the contracted
-   [Graph.t] and [Graph.effective_resistance] would give it:
-   - classes are numbered by first appearance over edges t.., u's class
-     before v's;
-   - a pair of classes weighs [w +. acc] over its edges in order, from 0.0,
-     and a weight that overflows is refused as [Graph.of_edges] refuses it;
-   - a class's diagonal is 0.0 plus its merged weights by ascending class;
-   - off the diagonal an edge is [-.w] and a non-edge [-0.0]. *)
+   kept ones, delete the others. X is the grounded inverse of that
+   conditioned graph (Graph.grounded_inverse at n - 1). With
+   y = X (e_u - e_v) and r = y_u - y_v, edge t's probability is w·r;
+   keeping it sets X -= y y^T / r (an infinite conductance on (u, v)), and
+   rejecting it sets X += (w / (1 - p)) y y^T (Sherman–Morrison for -w).
+   That downdate multiplies X's rounding by 1 / (1 - p), so below
+   [rebuild_below] X is recomputed from the kept and undecided edges
+   instead, with the kept ones contracted again. Every weight merged by
+   contraction is a sum of edge weights, so a finite total weight is what
+   keeps them finite. *)
 let chain g ~coin =
+  if not (Float.is_finite (Graph.total_weight g)) then
+    invalid_arg "Graph.of_edges: weight must be positive and finite";
   let n = Graph.n g in
   let edges = Array.of_list (Graph.edges g) in
   let m = Array.length edges in
+  let ground = n - 1 in
   let uf = uf_create n in
-  let cls = Array.make n (-1) in (* class id of a representative, or -1 *)
-  let reps = Array.make n 0 in (* representative of each class id *)
-  let merged = Array.make (n * n) 0.0 in (* classes a < b at a * n + b *)
-  let pair a b = if a < b then (a * n) + b else (b * n) + a in
-  let chosen = ref [] in
+  let x = ref (Graph.grounded_inverse g ~ground) in
+  let y = Array.make n 0.0 in
+  let kept = ref [] in
+  let contract (u, v, _) =
+    Mat.col_diff_into !x ~u ~v y;
+    Mat.add_outer_in_place !x (-1.0 /. (y.(u) -. y.(v))) y
+  in
   for t = 0 to m - 1 do
     let u, v, w = edges.(t) in
     (* Edges whose endpoints are already joined have probability 0. *)
     if uf_find uf u <> uf_find uf v then begin
-      let classes = ref 0 in
-      let id x =
-        let r = uf_find uf x in
-        if cls.(r) < 0 then begin
-          cls.(r) <- !classes;
-          reps.(!classes) <- r;
-          incr classes
-        end;
-        cls.(r)
-      in
-      for j = t to m - 1 do
-        let a, b, wj = edges.(j) in
-        let ca = id a in
-        let cb = id b in
-        if ca <> cb then begin
-          let k = pair ca cb in
-          let acc = wj +. merged.(k) in
-          if not (Float.is_finite acc) then
-            invalid_arg "Graph.of_edges: weight must be positive and finite";
-          merged.(k) <- acc
-        end
-      done;
-      let size = !classes and cu = id u and cv = id v in
-      let pos c = if c < cv then c else c - 1 in
-      let minor = Mat.create ~rows:(size - 1) ~cols:(size - 1) (-0.0) in
-      for a = 0 to size - 1 do
-        if a <> cv then begin
-          let d = ref 0.0 in
-          for b = 0 to size - 1 do
-            let wab = if b = a then 0.0 else merged.(pair a b) in
-            if wab > 0.0 then d := !d +. wab
-          done;
-          Mat.set minor (pos a) (pos a) !d
-        end
-      done;
-      (* Each pair's first edge places its weight and clears it, so
-         [merged] is all 0.0 again for the next step. *)
-      for j = t to m - 1 do
-        let a, b, _ = edges.(j) in
-        let ca = id a and cb = id b in
-        let k = pair ca cb in
-        let wab = if ca = cb then 0.0 else merged.(k) in
-        if wab > 0.0 then begin
-          if ca <> cv && cb <> cv then begin
-            Mat.set minor (pos ca) (pos cb) (-.wab);
-            Mat.set minor (pos cb) (pos ca) (-.wab)
-          end;
-          merged.(k) <- 0.0
-        end
-      done;
-      for c = 0 to size - 1 do
-        cls.(reps.(c)) <- -1
-      done;
-      let e = Array.make (size - 1) 0.0 in
-      e.(pos cu) <- 1.0;
-      let p = w *. (Solve.solve minor e).(pos cu) in
+      Mat.col_diff_into !x ~u ~v y;
+      let wr = w *. (y.(u) -. y.(v)) in
+      let p = if wr >= 1.0 -. bridge_eps then 1.0 else wr in
       if coin p then begin
-        chosen := (u, v) :: !chosen;
+        contract edges.(t);
+        kept := edges.(t) :: !kept;
         uf_union uf u v
       end
+      else if p = 1.0 then
+        invalid_arg "Determinantal.chain_rule: the coin rejected a bridge"
+      else if 1.0 -. p < rebuild_below then begin
+        let kept_first = List.rev !kept in
+        let undecided = Array.to_list (Array.sub edges (t + 1) (m - t - 1)) in
+        x :=
+          Graph.grounded_inverse ~ground
+            (Graph.of_edges ~n (kept_first @ undecided));
+        List.iter contract kept_first
+      end
+      else Mat.add_outer_in_place !x (w /. (1.0 -. p)) y
     end
   done;
-  Tree.of_edges ~n !chosen
+  Tree.of_edges ~n (List.map (fun (u, v, _) -> (u, v)) !kept)
 
 let chain_rule g ~coin =
   if not (Graph.is_connected g) then

@@ -10,11 +10,11 @@
     sampler's {e edge marginals} can be validated where the full tree
     distribution is out of reach (test suite + bench A2).
 
-    {!marginals} factors one grounded Laplacian minor per vertex (see
-    {!Cc_graph.Graph.edge_resistances}). {!chain_rule} builds each
-    conditional's grounded minor in place, with no graph rebuilt, and
-    solves it once: O(m n^3) in all, fine for the simulator's n <= a few
-    hundred. *)
+    {!marginals} reads every edge's leverage from one grounded inverse
+    ({!Cc_graph.Graph.edge_resistances}). {!chain_rule} keeps the grounded
+    inverse of the conditioned graph and moves it by one rank-one update
+    per decided edge: one LU and O(m n^2) in all, with a fresh LU only
+    after deleting a near-bridge. *)
 
 (** [leverage g u v] = [w(u,v) * R_eff(u,v)] — the probability that edge
     (u,v) appears in the random spanning tree.
@@ -30,12 +30,20 @@ val marginals : Cc_graph.Graph.t -> ((int * int) * float) list
     so far already join is dropped without a coin. Every other edge gets
     [p], its leverage in [g] with the kept edges contracted and the dropped
     ones deleted, and is kept iff [coin p]. The kept edges form the tree.
-    Each [p] is computed with the same floats, in the same order, as by
-    contracting into a fresh {!Cc_graph.Graph.t} and calling
-    {!Cc_graph.Graph.effective_resistance}.
-    @raise Invalid_argument if [g] is disconnected, or with
-    {!Cc_graph.Graph.of_edges}'s weight message if merged parallel weights
-    overflow. *)
+
+    [p] is read from the conditioned graph's grounded inverse, which a kept
+    edge updates by a contraction and a rejected one by a deletion. It is
+    not the bits that rebuilding the graph and calling
+    {!Cc_graph.Graph.effective_resistance} give: test_walks bounds the gap
+    by 1e-8 on every offer. A deletion with 1 - p < 1e-2 would amplify the
+    inverse's rounding by 1 / (1 - p), so the inverse is then recomputed
+    from the kept and undecided edges. An edge with p >= 1 - 1e-9 (the
+    audit's bridge threshold) is a bridge and is offered exactly 1.0.
+    @raise Invalid_argument if [g] is disconnected, if [coin] rejects a
+    bridge (an offer of 1.0, which [Prng.float prng 1.0 < 1.0] never
+    does), or with {!Cc_graph.Graph.of_edges}'s weight message if [g]'s
+    total weight is not finite, before any work: every weight contraction
+    merges is a sum of edge weights. *)
 val chain_rule : Cc_graph.Graph.t -> coin:(float -> bool) -> Cc_graph.Tree.t
 
 (** [sample_tree g prng] draws an exactly (weighted-)uniform spanning

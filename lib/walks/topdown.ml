@@ -53,19 +53,13 @@ let sample_walk g prng ~start ~len =
   let rec go w = if w.gap_exp = 0 then w.verts else go (fill_level prng powers w) in
   go (initial_walk prng powers ~start ~levels)
 
-let sample_truncated_matrix prng ~trans ~start ~target_len ~rho ?powers
+let sample_truncated_matrix prng ~powers ~start ~target_len ~rho
     ?(max_material = 4_000_000) () =
   if target_len <= 0 then
     invalid_arg "Topdown.sample_truncated_matrix: target_len <= 0";
   let levels = levels_for ~len:target_len in
-  let powers =
-    match powers with
-    | Some p ->
-        if Array.length p < levels + 1 then
-          invalid_arg "Topdown.sample_truncated_matrix: powers table too short";
-        p
-    | None -> Mat.power_table trans ~max_exp:levels
-  in
+  if Array.length powers < levels + 1 then
+    invalid_arg "Topdown.sample_truncated_matrix: powers table too short";
   let rec go w =
     if Array.length w.verts > max_material then
       failwith "Topdown.sample_truncated: materialized walk exceeds cap";
@@ -75,5 +69,7 @@ let sample_truncated_matrix prng ~trans ~start ~target_len ~rho ?powers
   go (initial_walk prng powers ~start ~levels)
 
 let sample_truncated g prng ~start ~target_len ~rho ?max_material () =
-  sample_truncated_matrix prng ~trans:(Graph.transition_matrix g) ~start
-    ~target_len ~rho ?max_material ()
+  if target_len <= 0 then
+    invalid_arg "Topdown.sample_truncated_matrix: target_len <= 0";
+  let powers = power_table_for g ~levels:(levels_for ~len:target_len) in
+  sample_truncated_matrix prng ~powers ~start ~target_len ~rho ?max_material ()

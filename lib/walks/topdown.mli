@@ -65,20 +65,19 @@ val sample_truncated :
   unit ->
   int array
 
-(** [sample_truncated_matrix prng ~trans ~start ~target_len ~rho] is
-    [sample_truncated] driven directly by a transition matrix rather than a
-    graph — the form later phases need (the phase graph is a Schur
-    complement given as a matrix). [?powers] supplies a precomputed
-    [Mat.power_table trans] (length at least [levels_for target_len + 1]) so
-    prepared plans can reuse one table across many draws; the caller
-    guarantees it belongs to [trans]. *)
+(** [sample_truncated_matrix prng ~powers ~start ~target_len ~rho] is
+    [sample_truncated] driven directly by a power table
+    [[| P; P^2; P^4; ... |]] of length at least [levels_for target_len + 1]
+    rather than by a graph — the form later phases need (the phase graph is
+    a Schur complement given as a matrix), and the form in which a prepared
+    plan reuses one table across many draws.
+    @raise Invalid_argument if [target_len <= 0] or [powers] is too short. *)
 val sample_truncated_matrix :
   Cc_util.Prng.t ->
-  trans:Cc_linalg.Mat.t ->
+  powers:Cc_linalg.Mat.t array ->
   start:int ->
   target_len:int ->
   rho:int ->
-  ?powers:Cc_linalg.Mat.t array ->
   ?max_material:int ->
   unit ->
   int array

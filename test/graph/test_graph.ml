@@ -229,20 +229,48 @@ let log_uniform_weights prng g =
        (fun (u, v, _) -> (u, v, Float.pow 10.0 (Prng.float prng 6.0 -. 3.0)))
        (Graph.edges g))
 
-(* [edge_resistances] against one [effective_resistance] per edge. *)
+(* [edge_resistances] against one [effective_resistance] per edge: every
+   leverage w·R within 1e-8. The one ground of [edge_resistances] makes
+   X_uu + X_vv - X_uv - X_vu cancel where the per-pair solve, grounded at
+   v, does not, so the two agree to rounding, not bit for bit. *)
 let resistances_match g =
-  let per_edge =
-    List.map (fun (u, v, _) -> Graph.effective_resistance g u v) (Graph.edges g)
-  in
   let r = Graph.edge_resistances g in
-  Array.length r = List.length per_edge
-  && List.for_all2 same_bits (Array.to_list r) per_edge
+  Array.length r = Graph.num_edges g
+  && List.for_all2
+       (fun r (u, v, w) ->
+         Float.abs (w *. (r -. Graph.effective_resistance g u v)) <= 1e-8)
+       (Array.to_list r) (Graph.edges g)
 
 let test_edge_resistances_complete () =
-  (* K40's grounds solve up to 39 right-hand sides at once against a
-     39 x 39 minor. *)
+  (* K40's 780 edges all read from one 40 x 40 grounded inverse. *)
   let g = log_uniform_weights (Prng.create ~seed:40) (Gen.complete 40) in
-  Alcotest.(check bool) "bit for bit" true (resistances_match g)
+  Alcotest.(check bool) "leverages within 1e-8" true (resistances_match g)
+
+(* X is zero in row and column [ground], and (e_u - e_v)^T X (e_u - e_v)
+   is R_eff(u, v) for every pair, edge or not. *)
+let test_grounded_inverse () =
+  let g = log_uniform_weights (Prng.create ~seed:11) (Gen.complete 7) in
+  List.iter
+    (fun ground ->
+      let x = Graph.grounded_inverse g ~ground in
+      for i = 0 to 6 do
+        Alcotest.(check (float 0.0)) "zero row" 0.0 (Mat.get x ground i);
+        Alcotest.(check (float 0.0)) "zero column" 0.0 (Mat.get x i ground)
+      done;
+      for u = 0 to 6 do
+        for v = 0 to 6 do
+          if u <> v then
+            let r =
+              Mat.get x u u +. Mat.get x v v -. Mat.get x u v -. Mat.get x v u
+            in
+            check_float ~eps:1e-9 "quadratic form"
+              (Graph.effective_resistance g u v) r
+        done
+      done)
+    [ 0; 3; 6 ];
+  Alcotest.check_raises "ground out of range"
+    (Invalid_argument "Graph.grounded_inverse: ground out of range") (fun () ->
+      ignore (Graph.grounded_inverse g ~ground:7))
 
 let test_edge_resistances_disconnected () =
   let singular = Failure "Solve.lu_solve: singular matrix" in
@@ -584,7 +612,7 @@ let qcheck_tests =
         let g = Cc_graph.Gen.random_connected prng ~n ~extra_edges:n in
         (* Rayleigh: resistance between path endpoints is at most its length. *)
         Graph.effective_resistance g 0 (n - 1) <= float_of_int n +. 1e-6);
-    Test.make ~name:"edge resistances match effective_resistance bit for bit"
+    Test.make ~name:"edge resistances match effective_resistance within 1e-8"
       ~count:100 params (fun (n, seed) ->
         (* Path, lollipop and barbell have bridges. *)
         let prng = Prng.create ~seed in
@@ -653,6 +681,7 @@ let () =
             test_effective_resistance_rejects_bad_vertices;
           Alcotest.test_case "builders on an isolated vertex" `Quick
             test_builders_isolated_vertex;
+          Alcotest.test_case "grounded inverse" `Quick test_grounded_inverse;
           Alcotest.test_case "edge resistances on K40" `Quick
             test_edge_resistances_complete;
           Alcotest.test_case "edge resistances when disconnected" `Quick

@@ -97,6 +97,43 @@ let test_two_step () =
   Alcotest.(check bool) "j out of range" true
     (refused (fun () -> ignore (Mat.two_step m 0 (-1) 0)))
 
+(* The grounded-inverse kernels: a column difference and an in-place
+   rank-one update, each entry with the bits of its per-entry definition;
+   a bad shape or index is refused. *)
+let test_rank_one_kernels () =
+  let prng = Prng.create ~seed:19 in
+  let m = random_matrix prng ~rows:6 ~cols:6 in
+  let bits = Int64.bits_of_float in
+  let y = Array.make 6 nan in
+  Mat.col_diff_into m ~u:4 ~v:1 y;
+  for i = 0 to 5 do
+    if bits y.(i) <> bits (Mat.get m i 4 -. Mat.get m i 1) then
+      Alcotest.failf "col_diff %d" i
+  done;
+  let updated = Mat.copy m in
+  Mat.add_outer_in_place updated (-0.3) y;
+  for i = 0 to 5 do
+    for j = 0 to 5 do
+      let expected = Mat.get m i j +. (-0.3 *. y.(i) *. y.(j)) in
+      if bits (Mat.get updated i j) <> bits expected then
+        Alcotest.failf "add_outer %d %d" i j
+    done
+  done;
+  let refused f =
+    match f () with () -> false | exception Invalid_argument _ -> true
+  in
+  let wide = random_matrix prng ~rows:6 ~cols:7 in
+  Alcotest.(check bool) "short buffer" true
+    (refused (fun () -> Mat.col_diff_into m ~u:0 ~v:1 (Array.make 5 0.0)));
+  Alcotest.(check bool) "v out of range" true
+    (refused (fun () -> Mat.col_diff_into m ~u:0 ~v:6 y));
+  Alcotest.(check bool) "col_diff not square" true
+    (refused (fun () -> Mat.col_diff_into wide ~u:0 ~v:1 y));
+  Alcotest.(check bool) "add_outer short vector" true
+    (refused (fun () -> Mat.add_outer_in_place m 1.0 (Array.make 7 0.0)));
+  Alcotest.(check bool) "add_outer not square" true
+    (refused (fun () -> Mat.add_outer_in_place wide 1.0 y))
+
 let test_mul_vec () =
   let a = Mat.of_arrays [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
   let y = Mat.mul_vec a [| 1.0; 1.0 |] in
@@ -629,6 +666,7 @@ let () =
           Alcotest.test_case "power 0/1" `Quick test_power_zero_and_one;
           Alcotest.test_case "power table" `Quick test_power_table;
           Alcotest.test_case "two-step kernels" `Quick test_two_step;
+          Alcotest.test_case "rank-one kernels" `Quick test_rank_one_kernels;
           Alcotest.test_case "mat-vec" `Quick test_mul_vec;
           Alcotest.test_case "submatrix" `Quick test_submatrix;
           Alcotest.test_case "stochastic checks" `Quick test_row_stochastic_checks;

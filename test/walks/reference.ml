@@ -2,8 +2,9 @@
    each step, the classes of the kept edges are relabelled through a
    [Hashtbl], the remaining edges are merged into a fresh contracted
    [Graph.t], and [Graph.effective_resistance] grounds its Laplacian at v's
-   class. [Determinantal.chain_rule] builds the same minor in place and
-   must offer its coin the same p at every step, bit for bit, so the
+   class. [Determinantal.chain_rule] moves one grounded inverse by
+   rank-one updates instead, and must offer its coin each p within 1e-8 of
+   this one, with the same number of offers and the same tree; the
    properties in test_walks compare the two. Test-only: nothing in lib/
    calls this module. *)
 
