@@ -1625,8 +1625,10 @@ let microbench () =
   (* One cc_expander phase's dense work at n = 96 (Er_log 6): the shortcut
      inverse of I - T, with T the transition matrix minus the columns of an
      S of every other vertex, and its LU alone; the Schur transition from
-     that S's shortcut matrix; a dense product; the transition matrix. Their
-     own prng leaves the other rows' inputs as they were. *)
+     that S's shortcut matrix; the phase state the sampler computes instead,
+     from one solve on the visited block (|U| = |S| = 48); a dense product;
+     the transition matrix. Their own prng leaves the other rows' inputs as
+     they were. *)
   let prng96 = Prng.create ~seed:96 in
   let er96 = Gen.build prng96 (Gen.family_of_string "erlog:6") ~n:96 in
   let m96 =
@@ -1680,6 +1682,8 @@ let microbench () =
         (Staged.stage (fun () -> ignore (Cc_linalg.Solve.log_determinant i_minus_t96)));
       Test.make ~name:"schur-via-shortcut-96"
         (Staged.stage (fun () -> ignore (Schur.transition_via_shortcut er96 q96 ~s:s96)));
+      Test.make ~name:"schur-phase-er96"
+        (Staged.stage (fun () -> ignore (Schur.phase_exact er96 ~s:s96)));
       Test.make ~name:"power-table-er96"
         (Staged.stage (fun () ->
              ignore (Matmul.power_table_pure lazy96 ~levels:23)));

@@ -195,17 +195,19 @@ let broadcast t ~label ~src ~words =
       ~words:(words * (t.n - 1))
       ~max_load:words ~sent ~recv
 
+(* A constant per-machine array, which only a sink reads: empty when no
+   sink is installed. *)
+let for_sinks t v = match t.sinks with [] -> [||] | _ -> Array.make t.n v
+
 let all_to_all t ~label ~words_each =
   if words_each < 0 then invalid_arg "Net.all_to_all: negative payload";
   if words_each > 0 then begin
     let messages = t.n * (t.n - 1) in
     let per_machine = words_each * (t.n - 1) in
-    let sent = Array.make t.n per_machine
-    and recv = Array.make t.n per_machine in
     book t ~kind:All_to_all ~label
       ~rounds:(Float.of_int (max 1 words_each))
-      ~messages ~words:(messages * words_each) ~max_load:per_machine ~sent
-      ~recv
+      ~messages ~words:(messages * words_each) ~max_load:per_machine
+      ~sent:(for_sinks t per_machine) ~recv:(for_sinks t per_machine)
   end
 
 let aggregate t ~label ?(combinable = true) ~contributors ~dst words_each =

@@ -12,7 +12,7 @@ type schur_mode = Exact_solve | Powering of { k : int option }
    the words its entries hold, never by their number. *)
 let memo_budget = 1 lsl 18
 
-type entry = { e_q : Mat.t; e_powers : Mat.t array Lazy.t }
+type entry = { e_q_rows : Mat.t; e_powers : Mat.t array Lazy.t }
 
 type memo = {
   levels : int;
@@ -94,34 +94,49 @@ type phase = {
   s : int array;
   start : int;
   in_s : bool array;
-  q : Mat.t;
+  q_rows : Mat.t;
   powers : Mat.t array Lazy.t;
 }
+
+(* The number of vertices of the ascending [s] below [v]: v's index in s
+   when v is in S. *)
+let rank s v =
+  let lo = ref 0 and hi = ref (Array.length s) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if s.(mid) < v then lo := mid + 1 else hi := mid
+  done;
+  !lo
 
 (* The pure per-S computation of a later phase. *)
 let compute t ~s ~in_s =
   let g = t.graph and m = t.memo in
-  let q =
+  let { Schur.q_rows; transition } =
     match m.schur with
-    | Exact_solve -> Shortcut.exact g ~in_s
-    | Powering _ -> Shortcut.approx ?bits:m.bits g ~in_s ~k:(schur_k t)
+    | Exact_solve -> Schur.phase_exact g ~s
+    | Powering _ ->
+        let q = Shortcut.approx ?bits:m.bits g ~in_s ~k:(schur_k t) in
+        {
+          q_rows =
+            Mat.submatrix q ~row_idx:s ~col_idx:(Array.init (Graph.n g) Fun.id);
+          transition = Schur.transition_via_shortcut g q ~s;
+        }
   in
   (* Clamp numeric dust and renormalize, so the walk receives a proper
      stochastic matrix. *)
   let powers =
     lazy
-      (let p = Mat.sanitize_stochastic (Schur.transition_via_shortcut g q ~s) in
+      (let p = Mat.sanitize_stochastic transition in
        let trans = if m.lazy_walk then Mat.half_lazy p else p in
        Matmul.power_table_pure ?bits:m.bits trans ~levels:m.levels)
   in
-  { e_q = q; e_powers = powers }
+  { e_q_rows = q_rows; e_powers = powers }
 
 let phase t ~visited ~current =
   let n = Array.length visited and m = t.memo in
   let in_s = Array.init n (fun v -> v = current || not visited.(v)) in
-  let s = List.filter (Array.get in_s) (List.init n Fun.id) in
-  let start = List.length (List.filter (fun v -> v < current) s) in
-  let s = Array.of_list s in
+  let s = Array.of_list (List.filter (Array.get in_s) (List.init n Fun.id)) in
+  let start = rank s current in
   let key = String.init n (fun v -> if in_s.(v) then '1' else '0') in
   let e =
     match Hashtbl.find_opt m.table key with
@@ -133,23 +148,27 @@ let phase t ~visited ~current =
         m.misses <- m.misses + 1;
         Cc_obs.Metrics.incr "sampler.plan.memo_miss";
         let e = compute t ~s ~in_s in
-        (* Q is n x n; the power table's [levels + 1] matrices, and the
-           transition it squares while it is built, are |S| x |S|. An upper
-           bound: a table that stopped squaring aliases its later levels
-           (Mat.squarings), but counting only distinct matrices would
-           retain more entries. *)
+        (* Q's rows of S are |S| x n; the power table's [levels + 1]
+           matrices, and the transition it squares while it is built, are
+           |S| x |S|. An upper bound: a table that stopped squaring aliases
+           its later levels (Mat.squarings), but counting only distinct
+           matrices would retain more entries. *)
         let k = Array.length s in
-        let words = (n * n) + ((m.levels + 2) * k * k) in
+        let words = (k * n) + ((m.levels + 2) * k * k) in
         if m.words + words <= memo_budget then begin
           Hashtbl.add m.table key e;
           m.words <- m.words + words
         end;
         e
   in
-  { s; start; in_s; q = e.e_q; powers = e.e_powers }
+  { s; start; in_s; q_rows = e.e_q_rows; powers = e.e_powers }
 
 let first_visit t ph prng ~prev v =
+  let row = rank ph.s prev in
+  if row = Array.length ph.s || ph.s.(row) <> prev then
+    invalid_arg "Plan.first_visit: prev is not in S";
   let weights =
-    Shortcut.first_visit_weights t.graph ph.q ~in_s:ph.in_s ~prev ~target:v
+    Shortcut.first_visit_weights t.graph ph.q_rows ~in_s:ph.in_s ~row
+      ~target:v
   in
   (fst weights.(Dist.sample_weights (Array.map snd weights) prng), weights)

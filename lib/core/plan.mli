@@ -12,12 +12,18 @@
     {!Cc_clique.Matmul.power_table_pure}; the CC sampler books it on every
     draw.
 
-    The memo is bounded by the words it holds. An entry holds Q (n² words)
-    and a power table, counted with the transition it squares as
-    (levels + 2)·|S|² words (an upper bound: a table that stopped squaring
-    aliases its later levels). An entry is retained only while the plan's
-    total stays within 2{^18} words (2 MiB), and none is evicted: past the
-    budget a phase recomputes its state, which costs time, never
+    A later phase's state is Q's rows of S and SCHUR(G, S)'s transition.
+    In [Exact_solve] mode both come from one solve on the visited block
+    V \ S ({!Cc_schur.Schur.phase_exact}); in [Powering] mode from
+    {!Cc_schur.Shortcut.approx} and
+    {!Cc_schur.Schur.transition_via_shortcut}.
+
+    The memo is bounded by the words it holds. An entry holds Q's rows of S
+    (|S|·n words) and a power table, counted with the transition it squares
+    as (levels + 2)·|S|² words (an upper bound: a table that stopped
+    squaring aliases its later levels). An entry is retained only while the
+    plan's total stays within 2{^18} words (2 MiB), and none is evicted:
+    past the budget a phase recomputes its state, which costs time, never
     correctness. All of it is pure compute, so a hit and a miss yield the
     same walk, the same tree and the same bookings. Plans are not
     thread-safe. *)
@@ -44,7 +50,8 @@ type t = private {
 (** [create ?rho ?target_len ?bits ?schur ~lazy_walk g] resolves the
     settings against n and computes the phase-1 state; [bits] rounds every
     power table (Section 3.5), and [schur] (default [Exact_solve]) picks how
-    a miss computes Q. The caller checks that [g] is connected. *)
+    a miss computes a later phase's state. The caller checks that [g] is
+    connected. *)
 val create :
   ?rho:int ->
   ?target_len:int ->
@@ -73,7 +80,8 @@ type phase = {
   s : int array;  (** S = {current} ∪ unvisited, ascending *)
   start : int;  (** the index of the walk's current vertex in [s] *)
   in_s : bool array;
-  q : Cc_linalg.Mat.t;  (** Shortcut(G, S) *)
+  q_rows : Cc_linalg.Mat.t;
+      (** |S| x n: row i is Shortcut(G, S)'s row of [s.(i)] *)
   powers : Cc_linalg.Mat.t array Lazy.t;
       (** the power table of SCHUR(G, S)'s transition, lazy-mixed if the
           plan is, by {!Cc_clique.Matmul.power_table_pure} with the plan's
@@ -89,7 +97,8 @@ val phase : t -> visited:bool array -> current:int -> phase
 
 (** [first_visit t ph prng ~prev v] is Algorithm 4 for a vertex [v] that the
     walk first reaches from [prev]: it draws v's G-neighbour u with
-    probability proportional to Q[prev, u]·w(u, v)/w_S(u), and returns u
-    with the weights it drew from. *)
+    probability proportional to Q[prev, u]·w(u, v)/w_S(u), read from prev's
+    row of [ph.q_rows], and returns u with the weights it drew from.
+    @raise Invalid_argument if [prev] is not in S. *)
 val first_visit :
   t -> phase -> Cc_util.Prng.t -> prev:int -> int -> int * (int * float) array

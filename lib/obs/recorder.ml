@@ -29,15 +29,20 @@ type record = {
   dropped : int;
 }
 
+(* The ["%.12g"] text of the last value written through a slot: the first
+   [len] bytes of [text], rewritten in place. *)
+type slot = { mutable value : float; text : Bytes.t; mutable len : int }
+
 (* An append-only byte buffer whose bytes can be folded in place (a
-   [Buffer.t] only hands them out as a fresh copy). [last_float] is the
-   last value written through ["%.12g"] and [last_text] its bytes: a
-   record's [round_start] is usually the previous record's [round_end]. *)
+   [Buffer.t] only hands them out as a fresh copy), with two slots: [clock]
+   for the round clock, since a record's [round_start] is usually the
+   previous record's [round_end], and [amount] for its [rounds], since a
+   fractional charge usually repeats an earlier one. *)
 type out = {
   mutable bytes : Bytes.t;
   mutable len : int;
-  mutable last_float : float;
-  mutable last_text : string;
+  clock : slot;
+  amount : slot;
 }
 
 type t = {
@@ -70,8 +75,17 @@ let fnv64 h s = fnv64_prefix h s (String.length s)
 
 (* --- canonical serialization --- *)
 
+(* ["%.12g"] is at most 19 bytes: a sign, 12 digits, a point and a
+   four-byte exponent. *)
+let slot_create () = { value = 0.0; text = Bytes.make 32 '0'; len = 1 }
+
 let out_create size =
-  { bytes = Bytes.create size; len = 0; last_float = 0.0; last_text = "0" }
+  {
+    bytes = Bytes.create size;
+    len = 0;
+    clock = slot_create ();
+    amount = slot_create ();
+  }
 
 let out_grow o k =
   let bytes = Bytes.create (max (o.len + k) (2 * Bytes.length o.bytes)) in
@@ -109,7 +123,8 @@ let out_neg_digits o n =
 
 (* [string_of_int i]. *)
 let out_int o i =
-  if i < 0 then begin
+  if i >= 0 && i < 10 then out_char o (Char.unsafe_chr (48 + i))
+  else if i < 0 then begin
     out_char o '-';
     out_neg_digits o i
   end
@@ -119,36 +134,57 @@ let out_int o i =
    interpretation around it: same bytes, half the cost. *)
 external format_float : string -> float -> string = "caml_format_float"
 
-(* ["%.12g"] of [x], read off [text], the bytes of [from], when x - from is
-   a positive integer k and [text] is a fixed-point number of 2 to 11
-   integer digits whose integer part stays that long after adding k.
-   Rounding x to 12 significant digits then rounds at the same decimal
-   place u = 10^(X - 11), X + 1 the digit count, and x / u = from / u +
-   k / u with k / u an even integer, so even a tie rounds alike: the
-   printed value is the old one plus k, with the same fractional digits.
-   [None] when any condition fails. *)
-let shifted ~from text x =
+let is_digit c = c >= '0' && c <= '9'
+
+(* ["%.12g"] of [x], read off the slot's text, the bytes of [from], its
+   value, when x - from is a positive integer k and the text is a
+   fixed-point number of 2 to 11 integer digits whose integer part stays
+   that long after adding k. Rounding x to 12 significant digits then
+   rounds at the same decimal place u = 10^(X - 11), X + 1 the digit count,
+   and x / u = from / u + k / u with k / u an even integer, so even a tie
+   rounds alike: the printed value is the old one plus k, with the same
+   fractional digits. Then the new integer digits overwrite the old ones in
+   place and the result is [true]; [false], with the text untouched, when
+   any condition fails. *)
+let shift_in_place c x =
+  let from = c.value in
   let d = x -. from in
   (* Sterbenz: from <= x <= 2 from makes the subtraction exact. *)
-  if not (from > 0.0 && x <= 2.0 *. from && d >= 1.0 && Float.is_integer d)
-  then None
-  else
-    match String.index_opt text '.' with
-    | Some dot
-      when dot >= 2 && dot <= 11 && text.[0] <> '0'
-           && String.for_all (fun c -> c >= '0' && c <= '9')
-                (String.sub text 0 dot) ->
-        let whole =
-          string_of_int (int_of_string (String.sub text 0 dot) + int_of_float d)
-        in
-        if String.length whole <> dot then None
-        else Some (whole ^ String.sub text dot (String.length text - dot))
-    | _ -> None
+  from > 0.0 && x <= 2.0 *. from && d >= 1.0 && Float.is_integer d
+  &&
+  let t = c.text in
+  let dot = ref 0 in
+  while !dot < c.len && is_digit (Bytes.unsafe_get t !dot) do
+    incr dot
+  done;
+  let dot = !dot in
+  dot >= 2 && dot <= 11 && dot < c.len
+  && Bytes.unsafe_get t dot = '.'
+  && Bytes.unsafe_get t 0 <> '0'
+  &&
+  let whole = ref 0 in
+  for i = 0 to dot - 1 do
+    whole := (!whole * 10) + (Char.code (Bytes.unsafe_get t i) - 48)
+  done;
+  let whole = !whole + int_of_float d in
+  let digits = ref 1 and m = ref whole in
+  while !m >= 10 do
+    incr digits;
+    m := !m / 10
+  done;
+  !digits = dot
+  &&
+  let m = ref whole in
+  for i = dot - 1 downto 0 do
+    Bytes.unsafe_set t i (Char.unsafe_chr (48 + (!m mod 10)));
+    m := !m / 10
+  done;
+  true
 
 (* [Json.Float]'s bytes: [null] when not finite, [%.1f] for an integral
    value below 1e15 (its digits, then [.0]; [-0.0] keeps its sign), and
-   [%.12g] otherwise. *)
-let out_float o x =
+   [%.12g] otherwise, read through slot [c]. *)
+let out_float o c x =
   if not (Float.is_finite x) then out_string o "null"
   else if Float.is_integer x && Float.abs x < 1e15 then begin
     if Float.sign_bit x then out_char o '-';
@@ -157,29 +193,47 @@ let out_float o x =
   end
   else begin
     (* [x] is finite and not an integer, so [=] compares its bits. *)
-    if x <> o.last_float then begin
-      o.last_text <-
-        (match shifted ~from:o.last_float o.last_text x with
-        | Some text -> text
-        | None -> format_float "%.12g" x);
-      o.last_float <- x
+    if x <> c.value then begin
+      if not (shift_in_place c x) then begin
+        let text = format_float "%.12g" x in
+        Bytes.blit_string text 0 c.text 0 (String.length text);
+        c.len <- String.length text
+      end;
+      c.value <- x
     end;
-    out_string o o.last_text
+    out_reserve o c.len;
+    Bytes.unsafe_blit c.text 0 o.bytes o.len c.len;
+    o.len <- o.len + c.len
   end
 
 let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
 
-(* [Json.String]'s bytes: verbatim unless some byte needs an escape. *)
-let out_json_string o s =
-  out_char o '"';
-  out_string o (if String.exists needs_escape s then Json.escape s else s);
-  out_char o '"'
+let rec plain s i =
+  i = String.length s || ((not (needs_escape (String.unsafe_get s i))) && plain s (i + 1))
 
+(* [Json.String]'s bytes between the quotes: verbatim unless some byte
+   needs an escape. *)
+let out_json_body o s = out_string o (if plain s 0 then s else Json.escape s)
+
+(* An element equal to its predecessor copies the predecessor's digits
+   from the buffer: an all-to-all's arrays are constant, and most others
+   are runs of zeros. *)
 let out_ints o a =
   out_char o '[';
+  let start = ref 0 and len = ref 0 in
   for i = 0 to Array.length a - 1 do
     if i > 0 then out_char o ',';
-    out_int o (Array.unsafe_get a i)
+    let x = Array.unsafe_get a i in
+    if i > 0 && x = Array.unsafe_get a (i - 1) then begin
+      out_reserve o !len;
+      Bytes.unsafe_blit o.bytes !start o.bytes o.len !len;
+      o.len <- o.len + !len
+    end
+    else begin
+      start := o.len;
+      out_int o x;
+      len := o.len - !start
+    end
   done;
   out_char o ']'
 
@@ -193,36 +247,50 @@ let header_line ~machines =
        ])
 
 (* The record line, without its newline. Field order and bytes are the
-   digest contract. *)
+   digest contract. The quotes around [kind] and [label] ride on the
+   constants beside them, and so do the zero fields of a charge, which
+   routes no traffic, and of a run without faults: each writes what the
+   field-by-field path would. *)
 let write_record o ~seq ~kind ~label ~round_start ~round_end ~rounds
     ~messages ~words ~max_load ~sent ~recv ~retransmits ~dropped =
   out_string o {|{"type":"record","seq":|};
   out_int o seq;
-  out_string o {|,"kind":|};
-  out_json_string o kind;
-  out_string o {|,"label":|};
-  out_json_string o label;
-  out_string o {|,"round_start":|};
-  out_float o round_start;
+  out_string o {|,"kind":"|};
+  out_json_body o kind;
+  out_string o {|","label":"|};
+  out_json_body o label;
+  out_string o {|","round_start":|};
+  out_float o o.clock round_start;
   out_string o {|,"round_end":|};
-  out_float o round_end;
+  out_float o o.clock round_end;
   out_string o {|,"rounds":|};
-  out_float o rounds;
-  out_string o {|,"messages":|};
-  out_int o messages;
-  out_string o {|,"words":|};
-  out_int o words;
-  out_string o {|,"max_load":|};
-  out_int o max_load;
-  out_string o {|,"sent":|};
-  out_ints o sent;
-  out_string o {|,"recv":|};
-  out_ints o recv;
-  out_string o {|,"retransmits":|};
-  out_int o retransmits;
-  out_string o {|,"dropped":|};
-  out_int o dropped;
-  out_char o '}'
+  out_float o o.amount rounds;
+  if
+    messages = 0 && words = 0 && max_load = 0
+    && Array.length sent = 0
+    && Array.length recv = 0
+  then out_string o {|,"messages":0,"words":0,"max_load":0,"sent":[],"recv":[]|}
+  else begin
+    out_string o {|,"messages":|};
+    out_int o messages;
+    out_string o {|,"words":|};
+    out_int o words;
+    out_string o {|,"max_load":|};
+    out_int o max_load;
+    out_string o {|,"sent":|};
+    out_ints o sent;
+    out_string o {|,"recv":|};
+    out_ints o recv
+  end;
+  if retransmits = 0 && dropped = 0 then
+    out_string o {|,"retransmits":0,"dropped":0}|}
+  else begin
+    out_string o {|,"retransmits":|};
+    out_int o retransmits;
+    out_string o {|,"dropped":|};
+    out_int o dropped;
+    out_char o '}'
+  end
 
 (* --- construction --- *)
 

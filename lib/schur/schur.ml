@@ -61,6 +61,104 @@ let transition_via_shortcut g q ~s =
         let denom = 1.0 -. Mat.get m i i in
         if denom <= 0.0 then 0.0 else Mat.get m i j /. denom)
 
+type phase = { q_rows : Mat.t; transition : Mat.t }
+
+let phase_exact g ~s =
+  let n = Graph.n g and k = Array.length s in
+  if k = 0 then invalid_arg "Schur.phase_exact: empty S";
+  let in_s = members ~n ~s in
+  Cc_obs.Trace.with_span "shortcut.exact"
+    ~args:[ ("n", string_of_int n) ]
+  @@ fun () ->
+  (* U = V \ S in ascending order, so the state is a function of S alone;
+     idx.(v) is v's index in s for v in S and in U otherwise. *)
+  let nu = n - k in
+  let idx = Array.make n 0 and u_of = Array.make nu 0 in
+  Array.iteri (fun i v -> idx.(v) <- i) s;
+  let next = ref 0 in
+  for v = 0 to n - 1 do
+    if not in_s.(v) then begin
+      idx.(v) <- !next;
+      u_of.(!next) <- v;
+      incr next
+    end
+  done;
+  let deg = Array.init n (Graph.weighted_degree g) in
+  let ws = Array.init n (Shortcut.s_weight g ~in_s) in
+  (* Y = (I - P_UU)^{-1} P_US, |U| x |S| and row-major: Y[u, j] is the
+     probability that a walk from u enters S first at s.(j). Both blocks
+     are filled from U's adjacency in transition units, P[u, x] = w/d(u),
+     exactly as Graph.transition_matrix writes them. *)
+  let y =
+    if nu = 0 then [||]
+    else begin
+      let lhs = Mat.create ~rows:nu ~cols:nu 0.0
+      and rhs = Mat.create ~rows:nu ~cols:k 0.0 in
+      let ld = Mat.data lhs and rd = Mat.data rhs in
+      Array.iteri
+        (fun a u ->
+          let d = deg.(u) in
+          (* An isolated u keeps P[u, u] = 1, a zero row: singular, as in
+             Shortcut.exact. *)
+          if d <> 0.0 then begin
+            ld.((a * nu) + a) <- 1.0;
+            Array.iter
+              (fun (x, w) ->
+                if in_s.(x) then rd.((a * k) + idx.(x)) <- w /. d
+                else ld.((a * nu) + idx.(x)) <- -.(w /. d))
+              (Graph.neighbors g u)
+          end)
+        u_of;
+      Mat.data (Solve.solve_mat lhs rhs)
+    end
+  in
+  (* Q's rows of S. A walk from s.(i) is at a vertex of S only at time 0,
+     so Q[s.(i), v] = delta(s.(i), v) w_S(v)/d(v) for v in S, written
+     exactly; for u in U, reversibility (d(x) P[x, y] = w(x, y)) turns
+     (P_SU (I - P_UU)^{-1})[i, u] w_S(u)/d(u) into Y[u, i] w_S(u)/d(s.(i)). *)
+  let q_rows = Mat.create ~rows:k ~cols:n 0.0 in
+  let qd = Mat.data q_rows in
+  Array.iteri
+    (fun i v ->
+      let d = deg.(v) and row = i * n in
+      if d = 0.0 then qd.(row + v) <- 1.0
+      else begin
+        qd.(row + v) <- ws.(v) /. d;
+        Array.iteri
+          (fun a u -> qd.(row + u) <- y.((a * k) + i) *. ws.(u) /. d)
+          u_of
+      end)
+    s;
+  (* M = P_SS + P_SU Y is the law of the first S-visit after time 0; the
+     transition is M off the diagonal, each row divided by its off-diagonal
+     sum. Every term is nonnegative, so nothing cancels, where 1 - M[i, i]
+     could. *)
+  let transition = Mat.create ~rows:k ~cols:k 0.0 in
+  let td = Mat.data transition in
+  Array.iteri
+    (fun i v ->
+      let d = deg.(v) and row = i * k in
+      Array.iter
+        (fun (x, w) ->
+          let p = w /. d in
+          if in_s.(x) then td.(row + idx.(x)) <- td.(row + idx.(x)) +. p
+          else
+            let yrow = idx.(x) * k in
+            for j = 0 to k - 1 do
+              td.(row + j) <- td.(row + j) +. (p *. y.(yrow + j))
+            done)
+        (Graph.neighbors g v);
+      td.(row + i) <- 0.0;
+      let total = ref 0.0 in
+      for j = row to row + k - 1 do
+        total := !total +. td.(j)
+      done;
+      for j = row to row + k - 1 do
+        td.(j) <- (if !total > 0.0 then td.(j) /. !total else 0.0)
+      done)
+    s;
+  { q_rows; transition }
+
 let approx ?bits g ~s ~k =
   let in_s = members ~n:(Graph.n g) ~s in
   Cc_obs.Trace.with_span "schur.approx"

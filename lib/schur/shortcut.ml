@@ -77,11 +77,11 @@ let s_weight g ~in_s u =
     (fun acc (v, w) -> if in_s.(v) then acc +. w else acc)
     0.0 (Graph.neighbors g u)
 
-let first_visit_weights g q ~in_s ~prev ~target =
+let first_visit_weights g q ~in_s ~row ~target =
   check_s g ~in_s;
   Array.map
     (fun (u, w_uv) ->
       let ws = s_weight g ~in_s u in
-      let w = if ws = 0.0 then 0.0 else Mat.get q prev u *. w_uv /. ws in
+      let w = if ws = 0.0 then 0.0 else Mat.get q row u *. w_uv /. ws in
       (u, w))
     (Graph.neighbors g target)

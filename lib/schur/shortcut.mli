@@ -42,15 +42,18 @@ val approx :
     (= deg_S(u) on unweighted graphs). *)
 val s_weight : Cc_graph.Graph.t -> in_s:bool array -> int -> float
 
-(** [first_visit_weights g q ~in_s ~prev ~target] is the unnormalized
-    Algorithm 4 distribution over the first-visit edge (u, target): for every
-    neighbor u of [target], weight [Q[prev, u] * w(u,target) / w_S(u)], which
-    reduces to the paper's [Q[prev, u] / deg_S(u)] on unweighted graphs;
-    returned as [(u, weight)] pairs. *)
+(** [first_visit_weights g q ~in_s ~row ~target] is the unnormalized
+    Algorithm 4 distribution over the first-visit edge (u, target) of a walk
+    whose previous vertex is prev, where row [row] of [q] is Q[prev, ·]: the
+    full Q with [row] = prev, or the rows of S that a sampler phase keeps
+    (Schur.phase). For every neighbor u of [target] the weight is
+    [Q[prev, u] * w(u,target) / w_S(u)], which reduces to the paper's
+    [Q[prev, u] / deg_S(u)] on unweighted graphs; returned as [(u, weight)]
+    pairs. *)
 val first_visit_weights :
   Cc_graph.Graph.t ->
   Cc_linalg.Mat.t ->
   in_s:bool array ->
-  prev:int ->
+  row:int ->
   target:int ->
   (int * float) array

@@ -426,6 +426,30 @@ let test_phase_metrics_for_both_samplers () =
     ];
   Cc_obs.Metrics.reset ()
 
+(* Log-uniform real weights over [1e-3, 1e3] on an Er_log 4 graph at
+   n = 16. An n x n inverse of I - T left dust, down to -8.4e-19, in the
+   entries Q[prev, v] for v in S \ {prev}, which are exactly 0, and
+   Algorithm 4's draw refused them as negative weights on this graph, in
+   both samplers. The state now writes those entries exactly. *)
+let test_wide_real_weights () =
+  let prng = Prng.create ~seed:1 in
+  let g = Gen.build prng (Gen.Er_log 4.0) ~n:16 in
+  let g =
+    Graph.of_edges ~n:16
+      (List.map
+         (fun (u, v, _) -> (u, v, Float.pow 10.0 (Prng.float prng 6.0 -. 3.0)))
+         (Graph.edges g))
+  in
+  let cc = Sampler.prepare g and seq = Sequential.prepare g in
+  for seed = 1 to 20 do
+    let r = Sampler.draw cc (Net.create ~n:16) (Prng.create ~seed) in
+    Alcotest.(check bool) "cc: spanning" true
+      (Tree.is_spanning_tree g r.Sampler.tree);
+    let r = Sequential.draw seq (Prng.create ~seed) in
+    Alcotest.(check bool) "sequential: spanning" true
+      (Tree.is_spanning_tree g r.Sequential.tree)
+  done
+
 (* --- Full sampler: distributional checks (E5 in miniature) --- *)
 
 let sampler_tree_tv ?(config = default) g trials seed =
@@ -944,6 +968,7 @@ let () =
             test_one_budget_for_both_plans;
           Alcotest.test_case "phase metrics for both samplers" `Quick
             test_phase_metrics_for_both_samplers;
+          Alcotest.test_case "wide real weights" `Quick test_wide_real_weights;
         ] );
       ( "distribution",
         [

@@ -20,28 +20,36 @@ let check_float ?(eps = 1e-9) msg expected actual =
 
 let test_figure2_schur () =
   (* S = {A=0, B=1, D=3}: the Schur walk is uniform over the other two
-     S-vertices. *)
+     S-vertices, by block elimination and from the visited block. *)
   let g = Gen.figure2 () in
   let s = [| 0; 1; 3 |] in
-  let t = Schur.transition_exact g ~s in
-  for i = 0 to 2 do
-    check_float ~eps:1e-9 "diag" 0.0 (Mat.get t i i);
-    for j = 0 to 2 do
-      if i <> j then check_float ~eps:1e-9 "uniform" 0.5 (Mat.get t i j)
-    done
-  done
+  List.iter
+    (fun t ->
+      for i = 0 to 2 do
+        check_float ~eps:1e-9 "diag" 0.0 (Mat.get t i i);
+        for j = 0 to 2 do
+          if i <> j then check_float ~eps:1e-9 "uniform" 0.5 (Mat.get t i j)
+        done
+      done)
+    [ Schur.transition_exact g ~s; (Schur.phase_exact g ~s).transition ]
 
 let test_figure2_shortcut () =
-  (* Every walk enters S through hub C=2: Q[u, C] = 1 for all u. *)
+  (* Every walk enters S through hub C=2: Q[u, C] = 1 for all u, and the
+     visited block's rows of S = {A, B, D} say the same. *)
   let g = Gen.figure2 () in
   let in_s = [| true; true; false; true |] in
-  let q = Shortcut.exact g ~in_s in
-  for u = 0 to 3 do
-    check_float ~eps:1e-9 (Printf.sprintf "Q[%d,C]" u) 1.0 (Mat.get q u 2);
-    for v = 0 to 3 do
-      if v <> 2 then check_float ~eps:1e-9 "zero elsewhere" 0.0 (Mat.get q u v)
-    done
-  done
+  let check q rows =
+    Array.iter
+      (fun u ->
+        check_float ~eps:1e-9 (Printf.sprintf "Q[%d,C]" u) 1.0 (Mat.get q u 2);
+        for v = 0 to 3 do
+          if v <> 2 then
+            check_float ~eps:1e-9 "zero elsewhere" 0.0 (Mat.get q u v)
+        done)
+      rows
+  in
+  check (Shortcut.exact g ~in_s) [| 0; 1; 2; 3 |];
+  check (Schur.phase_exact g ~s:[| 0; 1; 3 |]).q_rows [| 0; 1; 2 |]
 
 (* --- Schur complement structure --- *)
 
@@ -233,7 +241,7 @@ let test_first_visit_weights_empirical () =
   (* Pick target: an S vertex != prev. *)
   let target = 4 in
   let q = Shortcut.exact g ~in_s in
-  let weights = Shortcut.first_visit_weights g q ~in_s ~prev ~target in
+  let weights = Shortcut.first_visit_weights g q ~in_s ~row:prev ~target in
   let expected =
     Dist.of_weights (Array.map snd weights)
   in
@@ -293,12 +301,92 @@ let same_mat a b =
        (Array.for_all2 (fun x y -> Int64.equal (bits x) (bits y)))
        (Mat.to_arrays a) (Mat.to_arrays b)
 
+(* --- the visited-block state --- *)
+
+(* The eleven Gen families, as test/linalg draws them. *)
+let families =
+  [| "path"; "cycle"; "complete"; "star"; "grid"; "btree"; "lollipop";
+     "barbell"; "er:0.5"; "erlog:3"; "regular:4" |]
+
+let reweight prng g ~f =
+  Graph.of_edges ~n:(Graph.n g)
+    (List.map (fun (u, v, w) -> (u, v, f prng w)) (Graph.edges g))
+
+(* A family graph, unweighted (weights 0), with integer weights in
+   [1, 1000] (1), or with log-uniform weights over [1e-3, 1e3] (2) or
+   [1e-6, 1e6] (3); and a random S of 2 to n vertices, in random order. *)
+let random_phase (f, n, weights, seed) =
+  let prng = Prng.create ~seed in
+  let g =
+    Cc_graph.Gen.build prng (Cc_graph.Gen.family_of_string families.(f)) ~n
+  in
+  let log_uniform span =
+    reweight prng g ~f:(fun prng _ ->
+        Float.pow 10.0 (Prng.float prng (2.0 *. span) -. span))
+  in
+  let g =
+    match weights with
+    | 0 -> g
+    | 1 -> Cc_graph.Gen.random_weights prng g ~max_weight:1000
+    | 2 -> log_uniform 3.0
+    | _ -> log_uniform 6.0
+  in
+  let n = Graph.n g in
+  let s = Prng.subset prng ~size:(2 + Prng.int prng (n - 1)) (Array.init n Fun.id) in
+  Prng.shuffle prng s;
+  (g, s)
+
+let finite_nonnegative m =
+  Array.for_all (fun x -> Float.is_finite x && x >= 0.0) (Mat.data m)
+
+(* [phase_exact] against its references. Q's rows of S are within [tol] of
+   [Shortcut.exact]'s, the transition within [tol] of the sanitized
+   Corollary 4 route on it, every entry is finite and nonnegative, and
+   every weight scaled by 1e-14 raises nothing. At weights spanning at most
+   1e-3..1e3, tol is 1e-9 and the scaled state is within 1e-9 of the
+   unscaled one; on unweighted and integer weights the transition is also
+   within 1e-9 of block elimination, whose [Graph.of_laplacian ~tol:1e-9]
+   drops the weak Schur edges real weights make. At 1e-6..1e6 both routes
+   solve in transition units by LU, and both stray from an exact state
+   reduction by up to 1.7e-5 on star, path, lollipop, cycle and tree
+   graphs, where a walk is trapped in U for ~1e12 steps and the LU's
+   diagonal cancels; so tol is 1e-4 there (the worst gap between the two
+   over 22,000 graphs was 1.5e-6; DESIGN.md §18). *)
+let phase_exact_matches_references weights (g, s) =
+  let n = Graph.n g in
+  let in_s = Schur.members ~n ~s in
+  let { Schur.q_rows; transition } = Schur.phase_exact g ~s in
+  let q = Shortcut.exact g ~in_s in
+  let via = Mat.sanitize_stochastic (Schur.transition_via_shortcut g q ~s) in
+  let rows = Mat.submatrix q ~row_idx:s ~col_idx:(Array.init n Fun.id) in
+  let tiny = Schur.phase_exact (reweight () g ~f:(fun () w -> w *. 1e-14)) ~s in
+  let tol = if weights <= 2 then 1e-9 else 1e-4 in
+  Mat.max_abs_diff q_rows rows <= tol
+  && Mat.max_abs_diff transition via <= tol
+  && finite_nonnegative q_rows
+  && finite_nonnegative transition
+  && finite_nonnegative tiny.q_rows
+  && (weights > 2
+     || Mat.max_abs_diff tiny.transition transition <= 1e-9
+        && Mat.max_abs_diff tiny.q_rows q_rows <= 1e-9)
+  && (weights > 1
+     || Mat.max_abs_diff transition (Schur.transition_exact g ~s) <= 1e-9)
+
 (* --- qcheck --- *)
 
 let qcheck_tests =
   let open QCheck in
   let params = make Gen.(pair (int_range 5 10) (int_range 0 10_000)) in
   [
+    Test.make ~name:"phase_exact matches Shortcut.exact and block elimination"
+      ~count:500
+      (make
+         Gen.(
+           quad
+             (int_range 0 (Array.length families - 1))
+             (int_range 6 24) (int_range 0 3) (int_range 0 1_000_000)))
+      (fun ((_, _, weights, _) as params) ->
+        phase_exact_matches_references weights (random_phase params));
     Test.make ~name:"schur transition is stochastic" ~count:50 params
       (fun (n, seed) ->
         let prng = Prng.create ~seed in
