@@ -31,6 +31,10 @@ type t = {
   (* Sinks in subscription order. *)
   mutable sinks : (sink_id * (event -> unit)) list;
   mutable next_sink : sink_id;
+  (* Per-machine word counts of an exchange that no sink sees, cleared per
+     call. A sink gets fresh arrays, since it may keep its event. *)
+  scratch_sent : int array;
+  scratch_recv : int array;
 }
 
 let create ~n =
@@ -47,6 +51,8 @@ let create ~n =
     injected = None;
     sinks = [];
     next_sink = 0;
+    scratch_sent = Array.make n 0;
+    scratch_recv = Array.make n 0;
   }
 
 let n t = t.n
@@ -148,7 +154,14 @@ let book ?(sent = [||]) ?(recv = [||]) t ~kind ~label ~rounds ~messages ~words
 let imax (a : int) b = if a >= b then a else b
 
 let exchange t ~label packets =
-  let sent = Array.make t.n 0 and received = Array.make t.n 0 in
+  let sent, received =
+    match t.sinks with
+    | [] ->
+        Array.fill t.scratch_sent 0 t.n 0;
+        Array.fill t.scratch_recv 0 t.n 0;
+        (t.scratch_sent, t.scratch_recv)
+    | _ -> (Array.make t.n 0, Array.make t.n 0)
+  in
   let messages = ref 0 and total_words = ref 0 in
   List.iter
     (fun { src; dst; words } ->

@@ -93,7 +93,7 @@ let count_draw t = t.memo.draws <- t.memo.draws + 1
 type phase = {
   s : int array;
   start : int;
-  in_s : bool array;
+  ws : float array;
   q_rows : Mat.t;
   powers : Mat.t array Lazy.t;
 }
@@ -161,14 +161,16 @@ let phase t ~visited ~current =
         end;
         e
   in
-  { s; start; in_s; q_rows = e.e_q_rows; powers = e.e_powers }
+  (* w_S of every vertex, for first_visit. It costs O(n + m), so a hit
+     recomputes it rather than the memo's entries holding n more words. *)
+  let ws = Array.init n (Shortcut.s_weight t.graph ~in_s) in
+  { s; start; ws; q_rows = e.e_q_rows; powers = e.e_powers }
 
 let first_visit t ph prng ~prev v =
   let row = rank ph.s prev in
   if row = Array.length ph.s || ph.s.(row) <> prev then
     invalid_arg "Plan.first_visit: prev is not in S";
   let weights =
-    Shortcut.first_visit_weights t.graph ph.q_rows ~in_s:ph.in_s ~row
-      ~target:v
+    Shortcut.first_visit_weights t.graph ph.q_rows ~ws:ph.ws ~row ~target:v
   in
   (fst weights.(Dist.sample_weights (Array.map snd weights) prng), weights)

@@ -79,7 +79,10 @@ val count_draw : t -> unit
 type phase = {
   s : int array;  (** S = {current} ∪ unvisited, ascending *)
   start : int;  (** the index of the walk's current vertex in [s] *)
-  in_s : bool array;
+  ws : float array;
+      (** w_S(v) of every vertex v ({!Cc_schur.Shortcut.s_weight}), the
+          denominators of Algorithm 4's weights; computed by every call of
+          {!phase}, hit or miss, and not held by the memo *)
   q_rows : Cc_linalg.Mat.t;
       (** |S| x n: row i is Shortcut(G, S)'s row of [s.(i)] *)
   powers : Cc_linalg.Mat.t array Lazy.t;
@@ -90,15 +93,18 @@ type phase = {
 }
 
 (** [phase t ~visited ~current] is the state of the phase that starts at
-    [current], through the memo. Both samplers come here for every later
-    phase, so this is where a hit or a miss is counted: in {!stats} and in
-    the metrics registry as [sampler.plan.memo_hit] or [memo_miss]. *)
+    [current]: Q's rows of S and the power table through the memo, and
+    w_S once per call, in O(n + m), for every {!first_visit} of the phase.
+    Both samplers come here for every later phase, so this is where a hit
+    or a miss is counted: in {!stats} and in the metrics registry as
+    [sampler.plan.memo_hit] or [memo_miss]. *)
 val phase : t -> visited:bool array -> current:int -> phase
 
 (** [first_visit t ph prng ~prev v] is Algorithm 4 for a vertex [v] that the
     walk first reaches from [prev]: it draws v's G-neighbour u with
     probability proportional to Q[prev, u]·w(u, v)/w_S(u), read from prev's
-    row of [ph.q_rows], and returns u with the weights it drew from.
+    row of [ph.q_rows] and w_S(u) from [ph.ws], and returns u with the
+    weights it drew from.
     @raise Invalid_argument if [prev] is not in S. *)
 val first_visit :
   t -> phase -> Cc_util.Prng.t -> prev:int -> int -> int * (int * float) array

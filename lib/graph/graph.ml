@@ -64,8 +64,15 @@ let edges g = g.edges
 let neighbors g u = g.adj.(u)
 let degree g u = Array.length g.adj.(u)
 
+(* The left fold of u's weights, as a plain loop so that no sum is boxed. *)
 let weighted_degree g u =
-  Array.fold_left (fun acc (_, w) -> acc +. w) 0.0 g.adj.(u)
+  let adj = g.adj.(u) in
+  let acc = ref 0.0 in
+  for e = 0 to Array.length adj - 1 do
+    let _, w = Array.unsafe_get adj e in
+    acc := !acc +. w
+  done;
+  !acc
 
 let edge_weight g u v =
   let arr = g.adj.(u) in

@@ -112,10 +112,13 @@ let transpose m = init ~rows:m.cols ~cols:m.rows (fun i j -> get m j i)
 
 (* Row [i] of [a * b] into [out]. Entry (i, j) adds [a[i,k] *. b[k,j]] for
    each nonzero [a[i,k]] in ascending k, one [+.] per term ({!mul}'s
-   contract). [ks] (length [a.cols]) receives those k. Eight of them share
-   one pass over j, which keeps the entry in a register across their eight
-   terms; the fewer than eight left over take one pass each. Neither changes
-   an entry's terms or their order. *)
+   contract). [ks] (length [a.cols]) receives those k. The kernel works in
+   tiles of four k by eight j: a tile loads its eight entries, adds the four
+   terms of each in ascending k, and stores them, so eight independent sums
+   are in flight instead of one chain of dependent adds (DESIGN.md §15).
+   Columns past the last full eight take the tile's four terms one
+   entry at a time, and the fewer than four k left over take one pass over
+   j each. None of this changes an entry's terms or their order. *)
 let mul_row a b out ks i =
   let ad = a.data and bd = b.data and od = out.data and bc = b.cols in
   let arow = i * a.cols and orow = i * bc in
@@ -126,32 +129,70 @@ let mul_row a b out ks i =
       incr nz
     end
   done;
-  let nz = !nz in
+  let nz = !nz and jt = bc land lnot 7 in
   let t = ref 0 in
-  while !t + 8 <= nz do
+  while !t + 4 <= nz do
     let k0 = Array.unsafe_get ks !t and k1 = Array.unsafe_get ks (!t + 1)
-    and k2 = Array.unsafe_get ks (!t + 2) and k3 = Array.unsafe_get ks (!t + 3)
-    and k4 = Array.unsafe_get ks (!t + 4) and k5 = Array.unsafe_get ks (!t + 5)
-    and k6 = Array.unsafe_get ks (!t + 6) and k7 = Array.unsafe_get ks (!t + 7) in
+    and k2 = Array.unsafe_get ks (!t + 2)
+    and k3 = Array.unsafe_get ks (!t + 3) in
     let a0 = unsafe_get ad (arow + k0) and a1 = unsafe_get ad (arow + k1)
-    and a2 = unsafe_get ad (arow + k2) and a3 = unsafe_get ad (arow + k3)
-    and a4 = unsafe_get ad (arow + k4) and a5 = unsafe_get ad (arow + k5)
-    and a6 = unsafe_get ad (arow + k6) and a7 = unsafe_get ad (arow + k7) in
-    let b0 = k0 * bc and b1 = k1 * bc and b2 = k2 * bc and b3 = k3 * bc
-    and b4 = k4 * bc and b5 = k5 * bc and b6 = k6 * bc and b7 = k7 * bc in
-    for j = 0 to bc - 1 do
+    and a2 = unsafe_get ad (arow + k2) and a3 = unsafe_get ad (arow + k3) in
+    let b0 = k0 * bc and b1 = k1 * bc and b2 = k2 * bc and b3 = k3 * bc in
+    let j = ref 0 in
+    while !j < jt do
+      let o = orow + !j in
+      let p0 = b0 + !j and p1 = b1 + !j and p2 = b2 + !j and p3 = b3 + !j in
+      let c0 = unsafe_get od o and c1 = unsafe_get od (o + 1)
+      and c2 = unsafe_get od (o + 2) and c3 = unsafe_get od (o + 3)
+      and c4 = unsafe_get od (o + 4) and c5 = unsafe_get od (o + 5)
+      and c6 = unsafe_get od (o + 6) and c7 = unsafe_get od (o + 7) in
+      let c0 = c0 +. (a0 *. unsafe_get bd p0)
+      and c1 = c1 +. (a0 *. unsafe_get bd (p0 + 1))
+      and c2 = c2 +. (a0 *. unsafe_get bd (p0 + 2))
+      and c3 = c3 +. (a0 *. unsafe_get bd (p0 + 3))
+      and c4 = c4 +. (a0 *. unsafe_get bd (p0 + 4))
+      and c5 = c5 +. (a0 *. unsafe_get bd (p0 + 5))
+      and c6 = c6 +. (a0 *. unsafe_get bd (p0 + 6))
+      and c7 = c7 +. (a0 *. unsafe_get bd (p0 + 7)) in
+      let c0 = c0 +. (a1 *. unsafe_get bd p1)
+      and c1 = c1 +. (a1 *. unsafe_get bd (p1 + 1))
+      and c2 = c2 +. (a1 *. unsafe_get bd (p1 + 2))
+      and c3 = c3 +. (a1 *. unsafe_get bd (p1 + 3))
+      and c4 = c4 +. (a1 *. unsafe_get bd (p1 + 4))
+      and c5 = c5 +. (a1 *. unsafe_get bd (p1 + 5))
+      and c6 = c6 +. (a1 *. unsafe_get bd (p1 + 6))
+      and c7 = c7 +. (a1 *. unsafe_get bd (p1 + 7)) in
+      let c0 = c0 +. (a2 *. unsafe_get bd p2)
+      and c1 = c1 +. (a2 *. unsafe_get bd (p2 + 1))
+      and c2 = c2 +. (a2 *. unsafe_get bd (p2 + 2))
+      and c3 = c3 +. (a2 *. unsafe_get bd (p2 + 3))
+      and c4 = c4 +. (a2 *. unsafe_get bd (p2 + 4))
+      and c5 = c5 +. (a2 *. unsafe_get bd (p2 + 5))
+      and c6 = c6 +. (a2 *. unsafe_get bd (p2 + 6))
+      and c7 = c7 +. (a2 *. unsafe_get bd (p2 + 7)) in
+      let c0 = c0 +. (a3 *. unsafe_get bd p3)
+      and c1 = c1 +. (a3 *. unsafe_get bd (p3 + 1))
+      and c2 = c2 +. (a3 *. unsafe_get bd (p3 + 2))
+      and c3 = c3 +. (a3 *. unsafe_get bd (p3 + 3))
+      and c4 = c4 +. (a3 *. unsafe_get bd (p3 + 4))
+      and c5 = c5 +. (a3 *. unsafe_get bd (p3 + 5))
+      and c6 = c6 +. (a3 *. unsafe_get bd (p3 + 6))
+      and c7 = c7 +. (a3 *. unsafe_get bd (p3 + 7)) in
+      unsafe_set od o c0; unsafe_set od (o + 1) c1;
+      unsafe_set od (o + 2) c2; unsafe_set od (o + 3) c3;
+      unsafe_set od (o + 4) c4; unsafe_set od (o + 5) c5;
+      unsafe_set od (o + 6) c6; unsafe_set od (o + 7) c7;
+      j := !j + 8
+    done;
+    for j = jt to bc - 1 do
       let c = unsafe_get od (orow + j) in
       let c = c +. (a0 *. unsafe_get bd (b0 + j)) in
       let c = c +. (a1 *. unsafe_get bd (b1 + j)) in
       let c = c +. (a2 *. unsafe_get bd (b2 + j)) in
       let c = c +. (a3 *. unsafe_get bd (b3 + j)) in
-      let c = c +. (a4 *. unsafe_get bd (b4 + j)) in
-      let c = c +. (a5 *. unsafe_get bd (b5 + j)) in
-      let c = c +. (a6 *. unsafe_get bd (b6 + j)) in
-      let c = c +. (a7 *. unsafe_get bd (b7 + j)) in
       unsafe_set od (orow + j) c
     done;
-    t := !t + 8
+    t := !t + 4
   done;
   for t = !t to nz - 1 do
     let k = Array.unsafe_get ks t in
@@ -205,10 +246,20 @@ let power m k =
   in
   go (identity m.rows) m k
 
+(* Off the diagonal the [+. 0.0] stays: it turns a [-0.0] into [0.0]. *)
 let half_lazy m =
   if m.rows <> m.cols then invalid_arg "Mat.half_lazy: not square";
-  init ~rows:m.rows ~cols:m.cols (fun i j ->
-      (0.5 *. unsafe_get m.data ((i * m.cols) + j)) +. if i = j then 0.5 else 0.0)
+  let n = m.rows in
+  let out = create ~rows:n ~cols:n 0.0 in
+  let d = m.data and od = out.data in
+  for i = 0 to n - 1 do
+    let row = i * n in
+    for j = 0 to n - 1 do
+      unsafe_set od (row + j)
+        ((0.5 *. unsafe_get d (row + j)) +. if i = j then 0.5 else 0.0)
+    done
+  done;
+  out
 
 (* The bound of {!squarings}' rows test, and of its stochastic check on the
    base matrix. A constant, not a knob: DESIGN.md §17 derives the error it
@@ -357,14 +408,16 @@ let normalize_rows m =
 
 (* One row at a time: clamp each entry at 0, sum the row left to right, then
    divide — the float operations of [normalize_rows] applied to the clamped
-   matrix, in the same order. *)
+   matrix, in the same order. The clamp is [Float.max 0.0 x] bit for bit
+   (NaN stays, [-0.0] becomes [0.0]) without its call and boxing. *)
 let sanitize_stochastic m =
   let out = create ~rows:m.rows ~cols:m.cols 0.0 in
   for i = 0 to m.rows - 1 do
     let base = i * m.cols in
     let s = ref 0.0 in
     for p = base to base + m.cols - 1 do
-      let x = Float.max 0.0 (unsafe_get m.data p) in
+      let x = unsafe_get m.data p in
+      let x = if x > 0.0 || Float.is_nan x then x else 0.0 in
       unsafe_set out.data p x;
       s := !s +. x
     done;

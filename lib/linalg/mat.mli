@@ -76,7 +76,10 @@ val transpose : t -> t
     digest depends on its exact bits, so each entry's value is fixed:
     entry [(i, j)] starts at [0.0] and adds [a[i,k] *. b[k,j]] for each
     [k] with [a[i,k] <> 0.0] (so [-0.0] is skipped too), in ascending [k],
-    with a separate multiply and add per term (no fused multiply-add). *)
+    with a separate multiply and add per term (no fused multiply-add). It
+    computes them in tiles of four such [k] by eight columns, with the
+    eight entries' sums in registers, which changes no term and no order
+    (DESIGN.md §15). *)
 val mul : t -> t -> t
 
 (** [mul_vec m v] is [m v]. *)
@@ -89,7 +92,9 @@ val vec_mul : float array -> t -> float array
 val power : t -> int -> t
 
 (** [half_lazy m] is [(I + m) / 2] — the lazy version of a transition
-    matrix, which kills the periodicity of bipartite chains. *)
+    matrix, which kills the periodicity of bipartite chains. Entry
+    [(i, j)] is [(0.5 *. m[i,j]) +. 0.5] on the diagonal and
+    [(0.5 *. m[i,j]) +. 0.0] off it. *)
 val half_lazy : t -> t
 
 (** [squarings ~exact ~square m ~levels] is the table

@@ -43,8 +43,34 @@ let lu m =
       incr swaps
     end;
     let pivot = unsafe_get a (rk + k) in
-    if Float.abs pivot > pivot_tol then
-      for i = k + 1 to n - 1 do
+    if Float.abs pivot > pivot_tol then begin
+      (* Four rows per pass over the pivot row, then the rest one at a
+         time: either way each entry takes its one [-. factor *. a[k,j]]
+         at step k. *)
+      let i = ref (k + 1) in
+      while !i + 4 <= n do
+        let r0 = !i * n in
+        let r1 = r0 + n in
+        let r2 = r1 + n in
+        let r3 = r2 + n in
+        let f0 = unsafe_get a (r0 + k) /. pivot
+        and f1 = unsafe_get a (r1 + k) /. pivot
+        and f2 = unsafe_get a (r2 + k) /. pivot
+        and f3 = unsafe_get a (r3 + k) /. pivot in
+        unsafe_set a (r0 + k) f0;
+        unsafe_set a (r1 + k) f1;
+        unsafe_set a (r2 + k) f2;
+        unsafe_set a (r3 + k) f3;
+        for j = k + 1 to n - 1 do
+          let p = unsafe_get a (rk + j) in
+          unsafe_set a (r0 + j) (unsafe_get a (r0 + j) -. (f0 *. p));
+          unsafe_set a (r1 + j) (unsafe_get a (r1 + j) -. (f1 *. p));
+          unsafe_set a (r2 + j) (unsafe_get a (r2 + j) -. (f2 *. p));
+          unsafe_set a (r3 + j) (unsafe_get a (r3 + j) -. (f3 *. p))
+        done;
+        i := !i + 4
+      done;
+      for i = !i to n - 1 do
         let ri = i * n in
         let factor = unsafe_get a (ri + k) /. pivot in
         unsafe_set a (ri + k) factor;
@@ -53,6 +79,7 @@ let lu m =
             (unsafe_get a (ri + j) -. (factor *. unsafe_get a (rk + j)))
         done
       done
+    end
   done;
   { a; n; perm; swaps = !swaps }
 
@@ -70,51 +97,90 @@ let check_solvable f ~rhs_rows =
 (* [x] is an n x [k] row-major block whose row i holds row [perm.(i)] of the
    right-hand sides. [subtract_rows f x ~k ~i ~lo ~hi] subtracts
    [a[i,j] * x[j,c]] from [x[i,c]] for each j in [lo, hi) in ascending order
-   and each column c. Eight j share one pass over the columns, which keeps
-   the entry in a register across their eight terms. The fewer than eight j
-   left over take one pass over them per column, again with the entry in a
-   register. Every entry sees the same [-.] terms in the same order either
-   way. There is no zero skip: [0 *. inf] must still make a NaN. *)
+   and each column c. The columns go in tiles of four j by eight c: a tile
+   loads its eight entries, subtracts the four terms of each in ascending j
+   and stores them, so eight independent chains are in flight. The fewer
+   than four j left over take one pass per column of the tiles, and the
+   fewer than eight columns left over take one pass over every j, each
+   with the entry in a register. Every entry sees the same [-.] terms in
+   the same order either way. There is no zero skip: [0 *. inf] must still
+   make a NaN. *)
 let subtract_rows f x ~k ~i ~lo ~hi =
   let a = f.a and ri = i * f.n and xi = i * k in
+  let ct = k land lnot 7 in
   let j = ref lo in
-  while !j + 8 <= hi do
+  while ct > 0 && !j + 4 <= hi do
     let j0 = !j in
     let a0 = unsafe_get a (ri + j0) and a1 = unsafe_get a (ri + j0 + 1)
-    and a2 = unsafe_get a (ri + j0 + 2) and a3 = unsafe_get a (ri + j0 + 3)
-    and a4 = unsafe_get a (ri + j0 + 4) and a5 = unsafe_get a (ri + j0 + 5)
-    and a6 = unsafe_get a (ri + j0 + 6) and a7 = unsafe_get a (ri + j0 + 7) in
+    and a2 = unsafe_get a (ri + j0 + 2) and a3 = unsafe_get a (ri + j0 + 3) in
     let x0 = j0 * k in
     let x1 = x0 + k in
     let x2 = x1 + k in
     let x3 = x2 + k in
-    let x4 = x3 + k in
-    let x5 = x4 + k in
-    let x6 = x5 + k in
-    let x7 = x6 + k in
-    for c = 0 to k - 1 do
-      let v = unsafe_get x (xi + c) in
-      let v = v -. (a0 *. unsafe_get x (x0 + c)) in
-      let v = v -. (a1 *. unsafe_get x (x1 + c)) in
-      let v = v -. (a2 *. unsafe_get x (x2 + c)) in
-      let v = v -. (a3 *. unsafe_get x (x3 + c)) in
-      let v = v -. (a4 *. unsafe_get x (x4 + c)) in
-      let v = v -. (a5 *. unsafe_get x (x5 + c)) in
-      let v = v -. (a6 *. unsafe_get x (x6 + c)) in
-      let v = v -. (a7 *. unsafe_get x (x7 + c)) in
-      unsafe_set x (xi + c) v
+    let c = ref 0 in
+    while !c < ct do
+      let o = xi + !c in
+      let p0 = x0 + !c and p1 = x1 + !c and p2 = x2 + !c and p3 = x3 + !c in
+      let v0 = unsafe_get x o and v1 = unsafe_get x (o + 1)
+      and v2 = unsafe_get x (o + 2) and v3 = unsafe_get x (o + 3)
+      and v4 = unsafe_get x (o + 4) and v5 = unsafe_get x (o + 5)
+      and v6 = unsafe_get x (o + 6) and v7 = unsafe_get x (o + 7) in
+      let v0 = v0 -. (a0 *. unsafe_get x p0)
+      and v1 = v1 -. (a0 *. unsafe_get x (p0 + 1))
+      and v2 = v2 -. (a0 *. unsafe_get x (p0 + 2))
+      and v3 = v3 -. (a0 *. unsafe_get x (p0 + 3))
+      and v4 = v4 -. (a0 *. unsafe_get x (p0 + 4))
+      and v5 = v5 -. (a0 *. unsafe_get x (p0 + 5))
+      and v6 = v6 -. (a0 *. unsafe_get x (p0 + 6))
+      and v7 = v7 -. (a0 *. unsafe_get x (p0 + 7)) in
+      let v0 = v0 -. (a1 *. unsafe_get x p1)
+      and v1 = v1 -. (a1 *. unsafe_get x (p1 + 1))
+      and v2 = v2 -. (a1 *. unsafe_get x (p1 + 2))
+      and v3 = v3 -. (a1 *. unsafe_get x (p1 + 3))
+      and v4 = v4 -. (a1 *. unsafe_get x (p1 + 4))
+      and v5 = v5 -. (a1 *. unsafe_get x (p1 + 5))
+      and v6 = v6 -. (a1 *. unsafe_get x (p1 + 6))
+      and v7 = v7 -. (a1 *. unsafe_get x (p1 + 7)) in
+      let v0 = v0 -. (a2 *. unsafe_get x p2)
+      and v1 = v1 -. (a2 *. unsafe_get x (p2 + 1))
+      and v2 = v2 -. (a2 *. unsafe_get x (p2 + 2))
+      and v3 = v3 -. (a2 *. unsafe_get x (p2 + 3))
+      and v4 = v4 -. (a2 *. unsafe_get x (p2 + 4))
+      and v5 = v5 -. (a2 *. unsafe_get x (p2 + 5))
+      and v6 = v6 -. (a2 *. unsafe_get x (p2 + 6))
+      and v7 = v7 -. (a2 *. unsafe_get x (p2 + 7)) in
+      let v0 = v0 -. (a3 *. unsafe_get x p3)
+      and v1 = v1 -. (a3 *. unsafe_get x (p3 + 1))
+      and v2 = v2 -. (a3 *. unsafe_get x (p3 + 2))
+      and v3 = v3 -. (a3 *. unsafe_get x (p3 + 3))
+      and v4 = v4 -. (a3 *. unsafe_get x (p3 + 4))
+      and v5 = v5 -. (a3 *. unsafe_get x (p3 + 5))
+      and v6 = v6 -. (a3 *. unsafe_get x (p3 + 6))
+      and v7 = v7 -. (a3 *. unsafe_get x (p3 + 7)) in
+      unsafe_set x o v0; unsafe_set x (o + 1) v1;
+      unsafe_set x (o + 2) v2; unsafe_set x (o + 3) v3;
+      unsafe_set x (o + 4) v4; unsafe_set x (o + 5) v5;
+      unsafe_set x (o + 6) v6; unsafe_set x (o + 7) v7;
+      c := !c + 8
     done;
-    j := j0 + 8
+    j := j0 + 4
   done;
   let rest = !j in
   if rest < hi then
-    for c = 0 to k - 1 do
+    for c = 0 to ct - 1 do
       let v = ref (unsafe_get x (xi + c)) in
       for j = rest to hi - 1 do
         v := !v -. (unsafe_get a (ri + j) *. unsafe_get x ((j * k) + c))
       done;
       unsafe_set x (xi + c) !v
-    done
+    done;
+  for c = ct to k - 1 do
+    let v = ref (unsafe_get x (xi + c)) in
+    for j = lo to hi - 1 do
+      v := !v -. (unsafe_get a (ri + j) *. unsafe_get x ((j * k) + c))
+    done;
+    unsafe_set x (xi + c) !v
+  done
 
 (* Solves [x] in place: forward substitution with unit lower-triangular L,
    then back substitution with U, row by row. *)

@@ -2,6 +2,11 @@ module Graph = Cc_graph.Graph
 module Mat = Cc_linalg.Mat
 module Solve = Cc_linalg.Solve
 
+(* Typed, so that the phase state's loops load and store floats unboxed, as
+   Solve's kernels do. *)
+external unsafe_get : float array -> int -> float = "%array_unsafe_get"
+external unsafe_set : float array -> int -> float -> unit = "%array_unsafe_set"
+
 let members ~n ~s =
   let in_s = Array.make n false in
   Array.iter
@@ -88,27 +93,32 @@ let phase_exact g ~s =
   (* Y = (I - P_UU)^{-1} P_US, |U| x |S| and row-major: Y[u, j] is the
      probability that a walk from u enters S first at s.(j). Both blocks
      are filled from U's adjacency in transition units, P[u, x] = w/d(u),
-     exactly as Graph.transition_matrix writes them. *)
+     exactly as Graph.transition_matrix writes them. Every index below is
+     in range: adjacency holds vertices of G, and idx maps them into S or
+     U as [in_s] says. *)
   let y =
     if nu = 0 then [||]
     else begin
       let lhs = Mat.create ~rows:nu ~cols:nu 0.0
       and rhs = Mat.create ~rows:nu ~cols:k 0.0 in
       let ld = Mat.data lhs and rd = Mat.data rhs in
-      Array.iteri
-        (fun a u ->
-          let d = deg.(u) in
-          (* An isolated u keeps P[u, u] = 1, a zero row: singular, as in
-             Shortcut.exact. *)
-          if d <> 0.0 then begin
-            ld.((a * nu) + a) <- 1.0;
-            Array.iter
-              (fun (x, w) ->
-                if in_s.(x) then rd.((a * k) + idx.(x)) <- w /. d
-                else ld.((a * nu) + idx.(x)) <- -.(w /. d))
-              (Graph.neighbors g u)
-          end)
-        u_of;
+      for a = 0 to nu - 1 do
+        let u = Array.unsafe_get u_of a in
+        let d = unsafe_get deg u in
+        (* An isolated u keeps P[u, u] = 1, a zero row: singular, as in
+           Shortcut.exact. *)
+        if d <> 0.0 then begin
+          unsafe_set ld ((a * nu) + a) 1.0;
+          let adj = Graph.neighbors g u in
+          for e = 0 to Array.length adj - 1 do
+            let x, w = Array.unsafe_get adj e in
+            let ix = Array.unsafe_get idx x in
+            if Array.unsafe_get in_s x then
+              unsafe_set rd ((a * k) + ix) (w /. d)
+            else unsafe_set ld ((a * nu) + ix) (-.(w /. d))
+          done
+        end
+      done;
       Mat.data (Solve.solve_mat lhs rhs)
     end
   in
@@ -118,45 +128,51 @@ let phase_exact g ~s =
      (P_SU (I - P_UU)^{-1})[i, u] w_S(u)/d(u) into Y[u, i] w_S(u)/d(s.(i)). *)
   let q_rows = Mat.create ~rows:k ~cols:n 0.0 in
   let qd = Mat.data q_rows in
-  Array.iteri
-    (fun i v ->
-      let d = deg.(v) and row = i * n in
-      if d = 0.0 then qd.(row + v) <- 1.0
-      else begin
-        qd.(row + v) <- ws.(v) /. d;
-        Array.iteri
-          (fun a u -> qd.(row + u) <- y.((a * k) + i) *. ws.(u) /. d)
-          u_of
-      end)
-    s;
+  for i = 0 to k - 1 do
+    let v = Array.unsafe_get s i in
+    let d = unsafe_get deg v and row = i * n in
+    if d = 0.0 then unsafe_set qd (row + v) 1.0
+    else begin
+      unsafe_set qd (row + v) (unsafe_get ws v /. d);
+      for a = 0 to nu - 1 do
+        let u = Array.unsafe_get u_of a in
+        unsafe_set qd (row + u)
+          (unsafe_get y ((a * k) + i) *. unsafe_get ws u /. d)
+      done
+    end
+  done;
   (* M = P_SS + P_SU Y is the law of the first S-visit after time 0; the
      transition is M off the diagonal, each row divided by its off-diagonal
      sum. Every term is nonnegative, so nothing cancels, where 1 - M[i, i]
      could. *)
   let transition = Mat.create ~rows:k ~cols:k 0.0 in
   let td = Mat.data transition in
-  Array.iteri
-    (fun i v ->
-      let d = deg.(v) and row = i * k in
-      Array.iter
-        (fun (x, w) ->
-          let p = w /. d in
-          if in_s.(x) then td.(row + idx.(x)) <- td.(row + idx.(x)) +. p
-          else
-            let yrow = idx.(x) * k in
-            for j = 0 to k - 1 do
-              td.(row + j) <- td.(row + j) +. (p *. y.(yrow + j))
-            done)
-        (Graph.neighbors g v);
-      td.(row + i) <- 0.0;
-      let total = ref 0.0 in
-      for j = row to row + k - 1 do
-        total := !total +. td.(j)
-      done;
-      for j = row to row + k - 1 do
-        td.(j) <- (if !total > 0.0 then td.(j) /. !total else 0.0)
-      done)
-    s;
+  for i = 0 to k - 1 do
+    let v = Array.unsafe_get s i in
+    let d = unsafe_get deg v and row = i * k in
+    let adj = Graph.neighbors g v in
+    for e = 0 to Array.length adj - 1 do
+      let x, w = Array.unsafe_get adj e in
+      let p = w /. d and ix = Array.unsafe_get idx x in
+      if Array.unsafe_get in_s x then
+        unsafe_set td (row + ix) (unsafe_get td (row + ix) +. p)
+      else
+        let yrow = ix * k in
+        for j = 0 to k - 1 do
+          unsafe_set td (row + j)
+            (unsafe_get td (row + j) +. (p *. unsafe_get y (yrow + j)))
+        done
+    done;
+    unsafe_set td (row + i) 0.0;
+    let total = ref 0.0 in
+    for j = row to row + k - 1 do
+      total := !total +. unsafe_get td j
+    done;
+    let total = !total in
+    for j = row to row + k - 1 do
+      unsafe_set td j (if total > 0.0 then unsafe_get td j /. total else 0.0)
+    done
+  done;
   { q_rows; transition }
 
 let approx ?bits g ~s ~k =

@@ -71,17 +71,24 @@ let approx ?bits g ~in_s ~k =
   let rk = powers.(levels) in
   Mat.init ~rows:n ~cols:n (fun u v -> Mat.get rk u (n + v))
 
-(* Total edge weight from u into S (= deg_S(u) on unweighted graphs). *)
+(* Total edge weight from u into S (= deg_S(u) on unweighted graphs): the
+   left fold over u's adjacency, as a plain loop so that no sum is boxed. *)
 let s_weight g ~in_s u =
-  Array.fold_left
-    (fun acc (v, w) -> if in_s.(v) then acc +. w else acc)
-    0.0 (Graph.neighbors g u)
+  let adj = Graph.neighbors g u in
+  let acc = ref 0.0 in
+  for e = 0 to Array.length adj - 1 do
+    let v, w = Array.unsafe_get adj e in
+    if in_s.(v) then acc := !acc +. w
+  done;
+  !acc
 
-let first_visit_weights g q ~in_s ~row ~target =
-  check_s g ~in_s;
+let first_visit_weights g q ~ws ~row ~target =
+  if Array.length ws <> Graph.n g then
+    invalid_arg
+      "Shortcut.first_visit_weights: |ws| must equal the vertex count";
   Array.map
     (fun (u, w_uv) ->
-      let ws = s_weight g ~in_s u in
-      let w = if ws = 0.0 then 0.0 else Mat.get q row u *. w_uv /. ws in
+      let wu = ws.(u) in
+      let w = if wu = 0.0 then 0.0 else Mat.get q row u *. w_uv /. wu in
       (u, w))
     (Graph.neighbors g target)

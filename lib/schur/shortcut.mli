@@ -42,18 +42,20 @@ val approx :
     (= deg_S(u) on unweighted graphs). *)
 val s_weight : Cc_graph.Graph.t -> in_s:bool array -> int -> float
 
-(** [first_visit_weights g q ~in_s ~row ~target] is the unnormalized
+(** [first_visit_weights g q ~ws ~row ~target] is the unnormalized
     Algorithm 4 distribution over the first-visit edge (u, target) of a walk
     whose previous vertex is prev, where row [row] of [q] is Q[prev, ·]: the
     full Q with [row] = prev, or the rows of S that a sampler phase keeps
-    (Schur.phase). For every neighbor u of [target] the weight is
-    [Q[prev, u] * w(u,target) / w_S(u)], which reduces to the paper's
-    [Q[prev, u] / deg_S(u)] on unweighted graphs; returned as [(u, weight)]
-    pairs. *)
+    (Schur.phase). [ws.(u)] is {!s_weight}[ g ~in_s u] for every vertex u,
+    computed once per S by the caller (Plan.phase). For every neighbor u of
+    [target] the weight is [Q[prev, u] * w(u,target) / w_S(u)], which
+    reduces to the paper's [Q[prev, u] / deg_S(u)] on unweighted graphs, and
+    0 where w_S(u) = 0; returned as [(u, weight)] pairs.
+    @raise Invalid_argument if [ws] does not have one entry per vertex. *)
 val first_visit_weights :
   Cc_graph.Graph.t ->
   Cc_linalg.Mat.t ->
-  in_s:bool array ->
+  ws:float array ->
   row:int ->
   target:int ->
   (int * float) array

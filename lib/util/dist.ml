@@ -1,12 +1,5 @@
 type t = { probs : float array; cdf : float array }
 
-let check_weights w =
-  Array.iter
-    (fun x ->
-      if x < 0.0 || not (Float.is_finite x) then
-        invalid_arg "Dist: weights must be finite and nonnegative")
-    w
-
 (* [cumulate w] checks the weights [w], replaces each by the running sum of
    w.(i) /. total in index order, pins the last to 1.0 and returns total,
    the left fold of [w]. Monomorphic loops over the float array, so no
@@ -66,19 +59,28 @@ let search cdf u =
 
 let sample d prng = search d.cdf (Prng.float prng 1.0)
 
+(* Checks each weight and takes the left-fold total, then draws the first
+   index whose running sum passes [u] (the last if none does). Monomorphic
+   loops over the float array, as in [cumulate], so no weight or sum is
+   boxed. *)
 let sample_weights w prng =
-  check_weights w;
-  let total = Array.fold_left ( +. ) 0.0 w in
+  let n = Array.length w in
+  let total = ref 0.0 in
+  for i = 0 to n - 1 do
+    let x = w.(i) in
+    if x < 0.0 || not (Float.is_finite x) then
+      invalid_arg "Dist: weights must be finite and nonnegative";
+    total := !total +. x
+  done;
+  let total = !total in
   if total <= 0.0 then invalid_arg "Dist.sample_weights: all weights are zero";
   let u = Prng.float prng total in
-  let n = Array.length w in
-  let rec go i acc =
-    if i = n - 1 then i
-    else
-      let acc = acc +. w.(i) in
-      if u < acc then i else go (i + 1) acc
-  in
-  go 0 0.0
+  let i = ref 0 and acc = ref 0.0 and found = ref false in
+  while (not !found) && !i < n - 1 do
+    acc := !acc +. w.(!i);
+    if u < !acc then found := true else incr i
+  done;
+  !i
 
 type alias = { alias_prob : float array; alias_idx : int array }
 

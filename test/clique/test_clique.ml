@@ -533,6 +533,26 @@ let test_event_per_machine_words () =
       Alcotest.(check (array int)) "charge receives none" [||] r3
   | evs -> Alcotest.failf "expected 3 events, got %d" (List.length evs)
 
+(* With no sink installed, an exchange counts its loads in arrays the net
+   reuses: each call must book from its own packets alone, and a sink
+   installed later must get arrays that no later exchange rewrites. *)
+let test_exchange_loads_per_call () =
+  let net = Net.create ~n:4 in
+  Net.exchange net ~label:"x" [ { Net.src = 0; dst = 1; words = 9 } ];
+  Net.exchange net ~label:"x" [ { Net.src = 2; dst = 3; words = 4 } ];
+  Alcotest.(check (float 0.0)) "3 rounds, then 1" 4.0 (Net.rounds net);
+  let events = ref [] in
+  ignore (Net.add_sink net (fun (e : Net.event) -> events := e :: !events));
+  Net.exchange net ~label:"x" [ { Net.src = 0; dst = 1; words = 3 } ];
+  Net.exchange net ~label:"x" [ { Net.src = 1; dst = 2; words = 5 } ];
+  match List.rev !events with
+  | [ e1; e2 ] ->
+      Alcotest.(check (array int)) "first sent" [| 3; 0; 0; 0 |] e1.Net.sent;
+      Alcotest.(check (array int)) "first recv" [| 0; 3; 0; 0 |] e1.Net.recv;
+      Alcotest.(check (array int)) "second sent" [| 0; 5; 0; 0 |] e2.Net.sent;
+      Alcotest.(check (array int)) "second recv" [| 0; 0; 5; 0 |] e2.Net.recv
+  | evs -> Alcotest.failf "expected 2 events, got %d" (List.length evs)
+
 let test_invariant_clean_on_primitives () =
   let n = 6 in
   let net = Net.create ~n in
@@ -630,6 +650,8 @@ let () =
             test_resubscribe_and_detach;
           Alcotest.test_case "per-machine words on events" `Quick
             test_event_per_machine_words;
+          Alcotest.test_case "exchange loads per call" `Quick
+            test_exchange_loads_per_call;
           Alcotest.test_case "invariants clean on primitives" `Quick
             test_invariant_clean_on_primitives;
           Alcotest.test_case "invariants clean under faults" `Quick

@@ -241,7 +241,8 @@ let test_first_visit_weights_empirical () =
   (* Pick target: an S vertex != prev. *)
   let target = 4 in
   let q = Shortcut.exact g ~in_s in
-  let weights = Shortcut.first_visit_weights g q ~in_s ~row:prev ~target in
+  let ws = Array.init (Graph.n g) (Shortcut.s_weight g ~in_s) in
+  let weights = Shortcut.first_visit_weights g q ~ws ~row:prev ~target in
   let expected =
     Dist.of_weights (Array.map snd weights)
   in
@@ -372,6 +373,29 @@ let phase_exact_matches_references weights (g, s) =
   && (weights > 1
      || Mat.max_abs_diff transition (Schur.transition_exact g ~s) <= 1e-9)
 
+(* [phase_exact] and Algorithm 4's weights against the checked loops of
+   test/schur/reference.ml: Q's rows of S, the transition and the weights
+   of every (row, target) pair of S, bit for bit. *)
+let phase_state_matches_reference (g, s) =
+  let n = Graph.n g in
+  let in_s = Schur.members ~n ~s in
+  let ph = Schur.phase_exact g ~s and r = Reference.phase_exact g ~s in
+  let ws = Array.init n (Shortcut.s_weight g ~in_s) in
+  let same_weights (u, w) (u', w') =
+    u = u' && Int64.equal (Int64.bits_of_float w) (Int64.bits_of_float w')
+  in
+  same_mat ph.q_rows r.q_rows
+  && same_mat ph.transition r.transition
+  && Array.for_all
+       (fun row ->
+         Array.for_all
+           (fun target ->
+             Array.for_all2 same_weights
+               (Shortcut.first_visit_weights g ph.q_rows ~ws ~row ~target)
+               (Reference.first_visit_weights g r.q_rows ~in_s ~row ~target))
+           s)
+       (Array.init (Array.length s) Fun.id)
+
 (* --- qcheck --- *)
 
 let qcheck_tests =
@@ -387,6 +411,15 @@ let qcheck_tests =
              (int_range 6 24) (int_range 0 3) (int_range 0 1_000_000)))
       (fun ((_, _, weights, _) as params) ->
         phase_exact_matches_references weights (random_phase params));
+    Test.make
+      ~name:"phase state and first-visit weights match the reference bit for bit"
+      ~count:300
+      (make
+         Gen.(
+           quad
+             (int_range 0 (Array.length families - 1))
+             (int_range 6 24) (int_range 0 2) (int_range 0 1_000_000)))
+      (fun params -> phase_state_matches_reference (random_phase params));
     Test.make ~name:"schur transition is stochastic" ~count:50 params
       (fun (n, seed) ->
         let prng = Prng.create ~seed in
