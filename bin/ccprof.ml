@@ -10,8 +10,6 @@
      trace FILE            self time by span and top spans of a trace
                            artifact (--trace-out); --budget gates a
                            span's share of the run
-     events FILE           render a lifecycle-event journal JSONL
-                           (ccserve --health-log FILE)
      timeline FILE         Chrome/Perfetto JSON from a trace artifact
                            (--trace-out)
      history FILE          per-experiment trend deltas over an appended
@@ -19,6 +17,10 @@
      audit FILE            statistical audit verdicts (cctree sample
                            --audit): gate table, worst-edge ranking,
                            convergence sparklines
+
+   The JSONL artifacts (recorder logs, traces, audits, the bench history)
+   are read through Cc_obs.Json.fold_lines, so an error names the physical
+   line it is on, blank lines counted.
 
    Exit codes: 0 ok; 1 diff found a regression (unless --warn-only),
    trace --budget saw a span's share exceeded, or audit saw a statistical
@@ -29,7 +31,6 @@ module Benchdata = Cc_obs.Benchdata
 module Profile = Cc_obs.Profile
 module Recorder = Cc_obs.Recorder
 module Metrics = Cc_obs.Metrics
-module Journal = Cc_obs.Journal
 module Trace = Cc_obs.Trace
 module Table = Cc_util.Table
 open Cmdliner
@@ -442,53 +443,6 @@ let timeline_cmd =
   in
   Cmd.v info Term.(const run $ file_t $ out_t)
 
-(* --- events --- *)
-
-let events_cmd =
-  let file_t =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
-  in
-  let json_t =
-    let doc = "Print the events as a JSON array instead of a table." in
-    Arg.(value & flag & info [ "json" ] ~doc)
-  in
-  let run file json =
-    match Journal.of_jsonl (read_file file) with
-    | Error msg ->
-        Printf.eprintf "ccprof: %s: %s\n" file msg;
-        exit exit_bad_input
-    | Ok events when json ->
-        print_endline
-          (Json.to_string (Json.List (List.map Journal.event_to_json events)))
-    | Ok events ->
-        let table =
-          Table.create
-            ~title:(Printf.sprintf "%s — lifecycle events" file)
-            ~columns:[ "seq"; "t s"; "round"; "kind"; "worker"; "cause" ]
-        in
-        List.iter
-          (fun (e : Journal.event) ->
-            Table.add_row table
-              [
-                Table.cell_int e.Journal.seq;
-                Printf.sprintf "%.3f" e.Journal.t_s;
-                Printf.sprintf "%.0f" e.Journal.round;
-                e.Journal.kind;
-                opt_i e.Journal.worker;
-                e.Journal.cause;
-              ])
-          events;
-        Table.print table;
-        Printf.printf "%d event(s)\n" (List.length events)
-  in
-  let info =
-    Cmd.info "events"
-      ~doc:
-        "Render a lifecycle-event journal (ccserve --health-log); --json \
-         emits the raw events instead of the table."
-  in
-  Cmd.v info Term.(const run $ file_t $ json_t)
-
 (* --- sparklines (history, audit) --- *)
 
 let spark_levels = [| "▁"; "▂"; "▃"; "▄"; "▅"; "▆"; "▇"; "█" |]
@@ -521,37 +475,28 @@ let history_cmd =
       Printf.printf "%s: no history\n" file;
       exit 0
     end;
-    let lines =
-      String.split_on_char '\n' (read_file file)
-      |> List.filter (fun l -> String.trim l <> "")
+    (* Shape gate: every line must be a history line, not just any JSON —
+       feeding some other artifact is a usage error, not an empty trend. *)
+    let runs =
+      match
+        Json.fold_lines
+          (fun runs _raw v ->
+            match Json.member "experiments" v with
+            | Some (Json.List _) -> Ok (v :: runs)
+            | _ ->
+                Error
+                  "not a bench history line (missing \"experiments\" list)")
+          [] (read_file file)
+      with
+      | Ok runs -> List.rev runs
+      | Error msg ->
+          Printf.eprintf "ccprof: %s: %s\n" file msg;
+          exit exit_bad_input
     in
-    if lines = [] then begin
+    if runs = [] then begin
       Printf.printf "%s: no history\n" file;
       exit 0
     end;
-    let runs =
-      List.mapi
-        (fun i l ->
-          match Json.of_string l with
-          | Ok v -> v
-          | Error msg ->
-              Printf.eprintf "ccprof: %s: line %d: %s\n" file (i + 1) msg;
-              exit exit_bad_input)
-        lines
-    in
-    (* Shape gate: every line must be a history line, not just any JSON —
-       feeding some other artifact is a usage error, not an empty trend. *)
-    List.iteri
-      (fun i v ->
-        match Json.member "experiments" v with
-        | Some (Json.List _) -> ()
-        | _ ->
-            Printf.eprintf
-              "ccprof: %s: line %d: not a bench history line (missing \
-               \"experiments\" list)\n"
-              file (i + 1);
-            exit exit_bad_input)
-      runs;
     let jstr key v =
       Option.value ~default:"?"
         (Option.bind (Json.member key v) Json.to_string_opt)
@@ -793,7 +738,7 @@ let main =
   Cmd.group info
     [
       summary_cmd; diff_cmd; heatmap_cmd; trace_cmd; timeline_cmd;
-      history_cmd; events_cmd; audit_cmd;
+      history_cmd; audit_cmd;
     ]
 
 let () = exit (Cmd.eval main)

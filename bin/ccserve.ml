@@ -6,7 +6,10 @@
    tree responses. Prepared plans (the graph-only half of the sampler
    pipeline) are cached by canonical graph fingerprint, so repeated
    requests for the same graph skip preprocessing and pay only the walk +
-   matching phases. [cctree sample --connect SOCK] is the bundled client. *)
+   matching phases. [cctree sample --connect SOCK] is the bundled client.
+   With -v, the server's lifecycle lines (listening, each connection's
+   accept, requests, completions, errors and close, the drain) go to
+   stderr. *)
 
 module Server = Cc_serve.Server
 open Cmdliner
@@ -48,46 +51,28 @@ let metrics_json_t =
   Arg.(
     value & opt (some string) None & info [ "metrics-json" ] ~doc ~docv:"FILE")
 
-let health_log_t =
-  let doc =
-    "Write the server lifecycle journal (start, accepts, requests, \
-     completions, drain) as JSON lines to $(docv) at exit — readable by \
-     $(b,ccprof events)."
-  in
-  Arg.(
-    value & opt (some string) None & info [ "health-log" ] ~doc ~docv:"FILE")
-
 let verbose_t =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Enable debug logging.")
 
-let run verbose sock cache_cap max_requests metrics_json health_log =
+let run verbose sock cache_cap max_requests metrics_json =
   setup_logs verbose;
   if cache_cap < 1 then fail_usage "--cache-cap must be >= 1";
   (match max_requests with
   | Some n when n < 1 -> fail_usage "--max-requests must be >= 1"
   | _ -> ());
-  let journal = Cc_obs.Journal.create () in
-  let config =
-    { Server.sock; cache_cap; max_requests; journal = Some journal }
-  in
+  let config = { Server.sock; cache_cap; max_requests } in
   let srv = try Server.create config with Failure m -> fail_usage m in
   List.iter
     (fun s ->
       Sys.set_signal s (Sys.Signal_handle (fun _ -> Server.request_stop srv)))
     [ Sys.sigterm; Sys.sigint ];
   let finish () =
-    (match metrics_json with
+    match metrics_json with
     | None -> ()
     | Some path ->
         let oc = open_out path in
         output_string oc (Cc_obs.Json.to_string (Cc_obs.Metrics.to_json ()));
         output_char oc '\n';
-        close_out oc);
-    match health_log with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (Cc_obs.Journal.to_jsonl journal);
         close_out oc
   in
   Fun.protect ~finally:finish (fun () -> Server.run srv)
@@ -98,6 +83,6 @@ let main =
   Cmd.v info
     Term.(
       const run $ verbose_t $ sock_t $ cache_cap_t $ max_requests_t
-      $ metrics_json_t $ health_log_t)
+      $ metrics_json_t)
 
 let () = exit (Cmd.eval main)

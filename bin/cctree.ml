@@ -461,7 +461,8 @@ let sample_cmd =
     Arg.(
       value
       & opt float Cc_clique.Matmul.default_alpha
-      & info [ "alpha" ] ~doc:"Matrix-multiplication exponent for the charged backend.")
+      & info [ "alpha" ]
+          ~doc:"Matrix-multiplication exponent for the charged backend, in [0, 1].")
   in
   let bits_t =
     Arg.(
@@ -536,6 +537,8 @@ let sample_cmd =
     (match bits with
     | Some b when b < 1 -> fail_usage "--bits must be >= 1"
     | _ -> ());
+    if not (alpha >= 0.0 && alpha <= 1.0) then
+      fail_usage "--alpha must be in [0, 1]";
     let prng = Prng.create ~seed in
     let g = load_graph ?weights ~family ~size ~file ~prng () in
     let n = Graph.n g in

@@ -583,35 +583,9 @@ let to_jsonl t =
 (* ------------------------------------------------------------------ *)
 (* Artifact parsing                                                    *)
 
-let j_int ?default key obj =
-  match Option.bind (Json.member key obj) Json.to_float_opt with
-  | Some x -> Ok (int_of_float x)
-  | None -> (
-      match default with
-      | Some d -> Ok d
-      | None -> Error (Printf.sprintf "missing integer field %S" key))
-
-let j_float ?default key obj =
-  match Json.member key obj with
-  | Some Json.Null -> Ok Float.nan
-  | Some v -> (
-      match Json.to_float_opt v with
-      | Some x -> Ok x
-      | None -> Error (Printf.sprintf "field %S is not a number" key))
-  | None -> (
-      match default with
-      | Some d -> Ok d
-      | None -> Error (Printf.sprintf "missing float field %S" key))
-
-let j_bool key obj =
-  match Option.bind (Json.member key obj) Json.to_bool_opt with
-  | Some b -> Ok b
-  | None -> Error (Printf.sprintf "missing boolean field %S" key)
-
-let j_string key obj =
-  match Option.bind (Json.member key obj) Json.to_string_opt with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "missing string field %S" key)
+(* A field that older artifacts lack reads as [default]. *)
+let or_default get default key obj =
+  match Json.member key obj with None -> Ok default | Some _ -> get key obj
 
 let ( let* ) = Result.bind
 
@@ -622,20 +596,20 @@ let pairs_of key obj of_snd =
       let rec go acc = function
         | [] -> Ok (List.rev acc)
         | Json.List [ a; b ] :: rest -> (
-            match (Json.to_float_opt a, of_snd b) with
-            | Some v, Some s -> go ((int_of_float v, s) :: acc) rest
+            match (Json.to_int_opt a, of_snd b) with
+            | Some v, Some s -> go ((v, s) :: acc) rest
             | _ -> Error (Printf.sprintf "malformed pair in %S" key))
         | _ -> Error (Printf.sprintf "malformed pair in %S" key)
       in
       go [] items
 
 let parse_gate obj =
-  let* gate = j_string "gate" obj in
-  let* applied = j_bool "applied" obj in
-  let* breached = j_bool "breached" obj in
-  let* statistic = j_float "statistic" obj in
-  let* threshold = j_float "threshold" obj in
-  let* detail = j_string "detail" obj in
+  let* gate = Json.string_field "gate" obj in
+  let* applied = Json.bool_field "applied" obj in
+  let* breached = Json.bool_field "breached" obj in
+  let* statistic = Json.float_field "statistic" obj in
+  let* threshold = Json.float_field "threshold" obj in
+  let* detail = Json.string_field "detail" obj in
   Ok { gate; applied; breached; statistic; threshold; detail }
 
 let of_jsonl s =
@@ -645,102 +619,79 @@ let of_jsonl s =
   let snaps = ref [] in
   let small = ref None in
   let verd = ref None in
-  let parse_line lineno raw =
-    let raw = String.trim raw in
-    if raw = "" then Ok ()
-    else
-      match Json.of_string raw with
-      | Error e -> Error (Printf.sprintf "line %d: %s" lineno e)
-      | Ok obj -> (
-          let tag =
-            Option.bind (Json.member "type" obj) Json.to_string_opt
-          in
-          match tag with
-          | Some "audit-header" ->
-              let* n = j_int "n" obj in
-              let* m = j_int "m" obj in
-              let* al = j_float "alpha" obj in
-              let* trials = j_int "trials" obj in
-              let* invalid = j_int ~default:0 "invalid" obj in
-              let* ess = j_float ~default:Float.nan "ess" obj in
-              let* tv = j_float ~default:Float.nan "tv_edges" obj in
-              let* kl = j_float ~default:Float.nan "kl_edges" obj in
-              header := Some (n, m, al, trials, invalid, ess, tv, kl);
-              Ok ()
-          | Some "edge" ->
-              let* u = j_int "u" obj in
-              let* v = j_int "v" obj in
-              let* leverage = j_float "leverage" obj in
-              let* count = j_int "count" obj in
-              let* z = j_float ~default:0.0 "z" obj in
-              let* bridge = j_bool "bridge" obj in
-              edges := { u; v; leverage; count; z; bridge } :: !edges;
-              Ok ()
-          | Some "feature" ->
-              let* name = j_string "name" obj in
-              let* histogram =
-                pairs_of "histogram" obj (fun v ->
-                    Option.map int_of_float (Json.to_float_opt v))
+  let add_line () _raw obj =
+    match Json.member "type" obj with
+    | Some (Json.String "audit-header") ->
+        let* n = Json.int_field "n" obj in
+        let* m = Json.int_field "m" obj in
+        let* al = Json.float_field "alpha" obj in
+        let* trials = Json.int_field "trials" obj in
+        let* invalid = or_default Json.int_field 0 "invalid" obj in
+        let* ess = or_default Json.float_field nan "ess" obj in
+        let* tv = or_default Json.float_field nan "tv_edges" obj in
+        let* kl = or_default Json.float_field nan "kl_edges" obj in
+        header := Some (n, m, al, trials, invalid, ess, tv, kl);
+        Ok ()
+    | Some (Json.String "edge") ->
+        let* u = Json.int_field "u" obj in
+        let* v = Json.int_field "v" obj in
+        let* leverage = Json.float_field "leverage" obj in
+        let* count = Json.int_field "count" obj in
+        let* z = or_default Json.float_field 0.0 "z" obj in
+        let* bridge = Json.bool_field "bridge" obj in
+        edges := { u; v; leverage; count; z; bridge } :: !edges;
+        Ok ()
+    | Some (Json.String "feature") ->
+        let* name = Json.string_field "name" obj in
+        let* histogram = pairs_of "histogram" obj Json.to_int_opt in
+        let* expected = pairs_of "expected" obj Json.to_float_opt in
+        feats := { feature = name; histogram; expected } :: !feats;
+        Ok ()
+    | Some (Json.String "snapshot") ->
+        let* at = Json.int_field "at" obj in
+        let* s_max_z = or_default Json.float_field nan "max_z" obj in
+        let* s_tv = or_default Json.float_field nan "tv" obj in
+        let* s_kl = or_default Json.float_field nan "kl" obj in
+        let* s_ess = or_default Json.float_field nan "ess" obj in
+        let s_small_tv =
+          match Json.member "small_tv" obj with
+          | Some Json.Null | None -> None
+          | Some v -> Json.to_float_opt v
+        in
+        snaps := { at; s_max_z; s_tv; s_kl; s_ess; s_small_tv } :: !snaps;
+        Ok ()
+    | Some (Json.String "small") ->
+        let* support = Json.int_field "support" obj in
+        let* observed_support = Json.int_field "observed_support" obj in
+        let* foreign = or_default Json.int_field 0 "foreign" obj in
+        let* r_small_tv = or_default Json.float_field nan "tv" obj in
+        let* r_small_kl = or_default Json.float_field nan "kl" obj in
+        let* r_small_chi2 = or_default Json.float_field nan "chi2" obj in
+        small :=
+          Some
+            { support; observed_support; foreign; r_small_tv; r_small_kl;
+              r_small_chi2 };
+        Ok ()
+    | Some (Json.String "verdict") ->
+        let* pass = Json.bool_field "pass" obj in
+        let* at_trials = Json.int_field "at_trials" obj in
+        let* gates =
+          match Option.bind (Json.member "gates" obj) Json.to_list_opt with
+          | None -> Ok []
+          | Some gs ->
+              let rec go acc = function
+                | [] -> Ok (List.rev acc)
+                | g :: rest ->
+                    let* g = parse_gate g in
+                    go (g :: acc) rest
               in
-              let* expected = pairs_of "expected" obj Json.to_float_opt in
-              feats := { feature = name; histogram; expected } :: !feats;
-              Ok ()
-          | Some "snapshot" ->
-              let* at = j_int "at" obj in
-              let* s_max_z = j_float ~default:Float.nan "max_z" obj in
-              let* s_tv = j_float ~default:Float.nan "tv" obj in
-              let* s_kl = j_float ~default:Float.nan "kl" obj in
-              let* s_ess = j_float ~default:Float.nan "ess" obj in
-              let s_small_tv =
-                match Json.member "small_tv" obj with
-                | Some Json.Null | None -> None
-                | Some v -> Json.to_float_opt v
-              in
-              snaps := { at; s_max_z; s_tv; s_kl; s_ess; s_small_tv } :: !snaps;
-              Ok ()
-          | Some "small" ->
-              let* support = j_int "support" obj in
-              let* observed_support = j_int "observed_support" obj in
-              let* foreign = j_int ~default:0 "foreign" obj in
-              let* r_small_tv = j_float ~default:Float.nan "tv" obj in
-              let* r_small_kl = j_float ~default:Float.nan "kl" obj in
-              let* r_small_chi2 = j_float ~default:Float.nan "chi2" obj in
-              small :=
-                Some
-                  { support; observed_support; foreign; r_small_tv; r_small_kl;
-                    r_small_chi2 };
-              Ok ()
-          | Some "verdict" ->
-              let* pass = j_bool "pass" obj in
-              let* at_trials = j_int "at_trials" obj in
-              let* gates =
-                match
-                  Option.bind (Json.member "gates" obj) Json.to_list_opt
-                with
-                | None -> Ok []
-                | Some gs ->
-                    let rec go acc = function
-                      | [] -> Ok (List.rev acc)
-                      | g :: rest ->
-                          let* g = parse_gate g in
-                          go (g :: acc) rest
-                    in
-                    go [] gs
-              in
-              verd := Some { pass; at_trials; gates };
-              Ok ()
-          | Some _ | None -> Ok () (* forward compatibility *))
+              go [] gs
+        in
+        verd := Some { pass; at_trials; gates };
+        Ok ()
+    | _ -> Ok () (* forward compatibility *)
   in
-  let rec lines acc lineno = function
-    | [] -> Ok acc
-    | l :: rest -> (
-        match parse_line lineno l with
-        | Ok () -> lines acc (lineno + 1) rest
-        | Error e -> Error e)
-  in
-  let* () =
-    Result.map (fun _ -> ()) (lines () 1 (String.split_on_char '\n' s))
-  in
+  let* () = Json.fold_lines add_line () s in
   match !header with
   | None -> Error "no audit-header line"
   | Some (r_n, r_m, r_alpha, r_trials, r_invalid, r_ess, r_tv, r_kl) ->

@@ -200,6 +200,8 @@ type report = {
 }
 
 (** [of_jsonl s] parses an artifact produced by {!to_jsonl} (unknown line
-    types are ignored, for forward compatibility). [Error] describes the
-    first malformed line. *)
+    types are ignored, for forward compatibility; a field that older
+    artifacts lack takes its default). [Error] describes the first
+    malformed line, named by its physical number as {!Cc_obs.Json.fold_lines}
+    counts it. *)
 val of_jsonl : string -> (report, string) result

@@ -253,7 +253,8 @@ let aggregate t ~label ?(combinable = true) ~contributors ~dst words_each =
   end
 
 let charge t ~label rounds =
-  if rounds < 0.0 then invalid_arg "Net.charge: negative rounds";
+  if not (Float.is_finite rounds && rounds >= 0.0) then
+    invalid_arg "Net.charge: rounds must be finite and nonnegative";
   book t ~kind:Charge ~label ~rounds ~messages:0 ~words:0 ~max_load:0
 
 let charge_overhead t ~label rounds =
@@ -333,6 +334,22 @@ let judge_wave t f arr out pending =
             true)
     pending
 
+(* Judge the first wave of [arr]'s packets, then retransmit what dropped,
+   one [:retry] wave per attempt up to the spec's budget; whatever is still
+   dropped after that is [Lost]. *)
+let deliver t ~label f arr out =
+  let all = List.init (Array.length arr) Fun.id in
+  let pending = ref (judge_wave t f arr out all) in
+  let attempt = ref 0 in
+  while !pending <> [] && !attempt < (Fault.spec_of f).Fault.max_retries do
+    incr attempt;
+    let wave = List.map (fun i -> arr.(i)) !pending in
+    book_retry t ~label ~attempt:!attempt wave;
+    Fault.note_retransmit f (List.length wave);
+    pending := judge_wave t f arr out !pending
+  done;
+  List.iter (fun i -> out.(i) <- Lost) !pending
+
 let reliable_exchange t ~label packets =
   match t.injected with
   | None ->
@@ -343,17 +360,7 @@ let reliable_exchange t ~label packets =
       let out = Array.make (Array.length arr) Delivered in
       exchange t ~label packets;
       book_straggle t ~label f;
-      let pending = ref (List.init (Array.length arr) (fun i -> i)) in
-      pending := judge_wave t f arr out !pending;
-      let attempt = ref 0 in
-      while !pending <> [] && !attempt < (Fault.spec_of f).Fault.max_retries do
-        incr attempt;
-        let wave = List.map (fun i -> arr.(i)) !pending in
-        book_retry t ~label ~attempt:!attempt wave;
-        Fault.note_retransmit f (List.length wave);
-        pending := judge_wave t f arr out !pending
-      done;
-      List.iter (fun i -> out.(i) <- Lost) !pending;
+      deliver t ~label f arr out;
       out
 
 let reliable_broadcast t ~label ~src ~words =
@@ -379,17 +386,7 @@ let reliable_broadcast t ~label ~src ~words =
         let arr =
           Array.init t.n (fun dst -> { src; dst; words = (if dst = src then 0 else words) })
         in
-        let pending = ref (List.init t.n (fun i -> i)) in
-        pending := judge_wave t f arr out !pending;
-        let attempt = ref 0 in
-        while !pending <> [] && !attempt < (Fault.spec_of f).Fault.max_retries do
-          incr attempt;
-          let wave = List.map (fun i -> arr.(i)) !pending in
-          book_retry t ~label ~attempt:!attempt wave;
-          Fault.note_retransmit f (List.length wave);
-          pending := judge_wave t f arr out !pending
-        done;
-        List.iter (fun i -> out.(i) <- Lost) !pending;
+        deliver t ~label f arr out;
         out
       end
 

@@ -112,7 +112,8 @@ val aggregate :
 
 (** [charge t ~label rounds] books rounds for a primitive whose cost is known
     analytically rather than routed (e.g. fast matrix multiplication with the
-    Charged backend). *)
+    Charged backend).
+    @raise Invalid_argument if [rounds] is negative or not finite. *)
 val charge : t -> label:string -> float -> unit
 
 (** [charge_overhead t ~label rounds] is {!charge} that also counts the

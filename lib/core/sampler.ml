@@ -3,7 +3,6 @@ module Tree = Cc_graph.Tree
 module Net = Cc_clique.Net
 module Fault = Cc_clique.Fault
 module Matmul = Cc_clique.Matmul
-module Prng = Cc_util.Prng
 
 let log_src = Logs.Src.create "cc.sampler" ~doc:"phase driver"
 
@@ -39,7 +38,6 @@ type result = {
   phases : int;
   rounds : float;
   walk_total : int;
-  phase_stats : Phase_walk.stats list;
   health : Fault.health;
 }
 
@@ -93,8 +91,6 @@ let prepare ?(config = default_config) g =
   }
 
 let plan_fingerprint plan = plan.fingerprint
-let plan_config plan = plan.config
-let plan_graph plan = plan.state.Plan.graph
 let plan_state plan = plan.state
 
 let plan_stats plan =
@@ -204,7 +200,6 @@ let draw plan net prng =
   let current = ref 0 in
   let phases = ref 0 in
   let walk_total = ref 0 in
-  let stats_acc = ref [] in
 
   (* Record a first-visit edge (u, v) for newly visited v. *)
   let claim u v =
@@ -235,12 +230,11 @@ let draw plan net prng =
          When fewer than rho vertices exist, truncate at full coverage
          instead (the walk past cover time adds no first-visit edges). The
          power table comes from the plan; Phase_walk books it. *)
-      let walk, stats =
+      let walk, _ =
         Phase_walk.run net prng ~backend:config.backend ~powers:st.powers1
           ~machine_of:Fun.id ~start:0 ~rho:(min rho n) ~target_len
           ~matching:config.matching
       in
-      stats_acc := stats :: !stats_acc;
       walk_total := !walk_total + Array.length walk - 1;
       heal_walk_segments (Array.length walk);
       let fresh = ref [] in
@@ -285,14 +279,13 @@ let draw plan net prng =
            vertices, and truncating at the |S|-th distinct vertex stops the
            walk exactly at coverage of S (beyond it no first-visit edge can
            appear), keeping the materialized walk near the phase cover time. *)
-        let walk_local, stats =
+        let walk_local, _ =
           Phase_walk.run net prng ~backend:config.backend
             ~powers:(Lazy.force ph.powers)
             ~machine_of:(fun i -> s.(i)) ~start:ph.start
             ~rho:(min rho (Array.length s)) ~target_len
             ~matching:config.matching
         in
-        stats_acc := stats :: !stats_acc;
         walk_total := !walk_total + Array.length walk_local - 1;
         heal_walk_segments (Array.length walk_local);
         let walk = Array.map (fun i -> s.(i)) walk_local in
@@ -331,7 +324,6 @@ let draw plan net prng =
     phases = !phases;
     rounds = Net.rounds net -. rounds_before;
     walk_total = !walk_total;
-    phase_stats = List.rev !stats_acc;
     health;
   }
   with Degrade failure ->
@@ -351,7 +343,6 @@ let draw plan net prng =
       phases = !phases + seq.Sequential.phases;
       rounds = Net.rounds net -. rounds_before;
       walk_total = !walk_total + seq.Sequential.walk_total;
-      phase_stats = List.rev !stats_acc;
       health = Fault.Unrecoverable failure;
     }
 
@@ -368,11 +359,3 @@ let sample ?(config = default_config) net prng g =
   @@ fun () ->
   let plan = prepare ~config g in
   draw plan net prng
-
-let sample_tree ?config ?faults ?(seed = 0) g =
-  let net = Net.create ~n:(Graph.n g) in
-  let net =
-    match faults with Some f -> Net.with_faults f net | None -> net
-  in
-  let prng = Prng.create ~seed in
-  (sample ?config net prng g).tree

@@ -61,7 +61,6 @@ type result = {
   phases : int;
   rounds : float;  (** rounds booked on the net by this sample. *)
   walk_total : int;  (** total length of the underlying walk across phases. *)
-  phase_stats : Phase_walk.stats list;  (** chronological, one per phase. *)
   health : Cc_clique.Fault.health;
       (** fault-recovery outcome. [Healthy] on a clean run. [Healed]: drops
           were retransmitted and corrupted matrix shares / walk segments
@@ -104,9 +103,6 @@ val draw : plan -> Cc_clique.Net.t -> Cc_util.Prng.t -> result
     graph — the plan cache's key material. *)
 val plan_fingerprint : plan -> string
 
-val plan_config : plan -> config
-val plan_graph : plan -> Cc_graph.Graph.t
-
 (** [plan_state plan] is the plan's graph-only state. *)
 val plan_state : plan -> Plan.t
 
@@ -137,13 +133,3 @@ val sample :
   Cc_util.Prng.t ->
   Cc_graph.Graph.t ->
   result
-
-(** [sample_tree ?config ?faults ?seed g] is a self-contained convenience
-    wrapper: builds the net (armed with [?faults] if given), samples,
-    returns just the tree. *)
-val sample_tree :
-  ?config:config ->
-  ?faults:Cc_clique.Fault.t ->
-  ?seed:int ->
-  Cc_graph.Graph.t ->
-  Cc_graph.Tree.t

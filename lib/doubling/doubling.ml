@@ -26,10 +26,6 @@ let default_scheme ~n =
 let lemma4_bound ~n ~k ~c =
   16.0 *. c *. Float.of_int k *. Float.log2 (Float.of_int n)
 
-let next_pow2 x =
-  let rec go p = if p >= x then p else go (2 * p) in
-  go 1
-
 (* Concatenate two walk segments sharing the junction vertex. *)
 let stitch w1 w2 =
   assert (w1.(Array.length w1 - 1) = w2.(0));
@@ -79,7 +75,7 @@ let run_multi net prng g ~tau ~walks_per_node ~scheme =
   let before_stats =
     match faults with Some f -> Fault.snapshot f | None -> (0, 0, 0)
   in
-  let tau_pow = next_pow2 tau in
+  let tau_pow = 1 lsl Cc_walks.Topdown.levels_for ~len:tau in
   let k_init = walks_per_node * tau_pow in
   (* walks.(v) is vertex v's current sequence of walks. The initial one-step
      segments are each machine's local work, drawn from its own stream: one
@@ -409,23 +405,16 @@ let sample_tree net prng g ~tau0 =
 (* Prepared plans, mirroring Sampler/Sequential for the ccserve cache. The
    doubling pipeline has no reusable graph-only factorization — walks are
    built by local neighbor stepping, re-randomized per draw — so the plan is
-   thin: it pins the validated graph, its canonical fingerprint, and tau0.
-   Caching one still saves the server re-parsing and re-validating the graph
-   per request, and gives the three methods a uniform plan interface. *)
-type plan = { plan_graph : Graph.t; plan_fingerprint : string; plan_tau0 : int }
+   thin: it pins the validated graph and tau0. Caching one still saves the
+   server re-validating the graph per request, and gives the three methods
+   a uniform plan interface. *)
+type plan = { plan_graph : Graph.t; plan_tau0 : int }
 
 let prepare g ~tau0 =
   if tau0 < 1 then invalid_arg "Doubling.prepare: tau0 < 1";
   if not (Graph.is_connected g) then
     invalid_arg "Doubling.prepare: graph must be connected";
-  {
-    plan_graph = g;
-    plan_fingerprint = Cc_graph.Graph.fingerprint g;
-    plan_tau0 = tau0;
-  }
-
-let plan_fingerprint plan = plan.plan_fingerprint
-let plan_graph plan = plan.plan_graph
+  { plan_graph = g; plan_tau0 = tau0 }
 
 let draw plan net prng =
   sample_tree net prng plan.plan_graph ~tau0:plan.plan_tau0

@@ -100,16 +100,13 @@ val sample_tree :
     The uniform prepare/draw interface the ccserve plan cache expects. The
     doubling pipeline has no reusable graph-only factorization (walks are
     built by local stepping, re-randomized per draw), so the plan is thin:
-    the validated graph, its {!Cc_graph.Graph.fingerprint}, and [tau0].
-    [draw plan net prng] is exactly [sample_tree net prng g ~tau0]. *)
+    the validated graph and [tau0]. [draw plan net prng] is exactly
+    [sample_tree net prng g ~tau0]. *)
 
 type plan
 
 (** @raise Invalid_argument if [tau0 < 1] or the graph is disconnected. *)
 val prepare : Cc_graph.Graph.t -> tau0:int -> plan
-
-val plan_fingerprint : plan -> string
-val plan_graph : plan -> Cc_graph.Graph.t
 
 val draw : plan -> Cc_clique.Net.t -> Cc_util.Prng.t -> Cc_graph.Tree.t * int
 

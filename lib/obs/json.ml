@@ -333,3 +333,47 @@ let to_float_opt = function
 let to_string_opt = function String s -> Some s | _ -> None
 let to_list_opt = function List xs -> Some xs | _ -> None
 let to_bool_opt = function Bool b -> Some b | _ -> None
+
+(* An integral float below 2^62 in magnitude converts without loss. *)
+let to_int_opt = function
+  | Int i -> Some i
+  | Float x when Float.is_integer x && Float.abs x < 0x1p62 ->
+      Some (int_of_float x)
+  | _ -> None
+
+(* --- typed fields ---------------------------------------------------- *)
+
+let field what conv key v =
+  match member key v with
+  | None -> Error (Printf.sprintf "missing field %S" key)
+  | Some x -> (
+      match conv x with
+      | Some y -> Ok y
+      | None -> Error (Printf.sprintf "field %S is not %s" key what))
+
+let int_field = field "an integer" to_int_opt
+
+let float_field =
+  field "a number" (function Null -> Some Float.nan | x -> to_float_opt x)
+
+let string_field = field "a string" to_string_opt
+let bool_field = field "a boolean" to_bool_opt
+
+let ints_field =
+  field "a list of integers" (function
+    | List xs when Stdlib.List.for_all (fun x -> to_int_opt x <> None) xs ->
+        Some (Stdlib.List.filter_map to_int_opt xs)
+    | _ -> None)
+
+(* --- JSON Lines ------------------------------------------------------ *)
+
+let fold_lines f init s =
+  let rec go acc number = function
+    | [] -> Ok acc
+    | raw :: rest when String.trim raw = "" -> go acc (number + 1) rest
+    | raw :: rest -> (
+        match Result.bind (of_string raw) (f acc raw) with
+        | Ok acc -> go acc (number + 1) rest
+        | Error e -> Error (Printf.sprintf "line %d: %s" number e))
+  in
+  go init 1 (String.split_on_char '\n' s)

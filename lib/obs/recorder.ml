@@ -398,140 +398,97 @@ type loaded = {
   trailer_records : int option;
 }
 
-let member_int key v =
-  match Json.member key v with
-  | Some (Json.Int i) -> Some i
-  | Some (Json.Float f) when Float.is_integer f -> Some (int_of_float f)
-  | _ -> None
+let record_of_json v =
+  let ( let* ) = Result.bind in
+  let* seq = Json.int_field "seq" v in
+  let* kind = Json.string_field "kind" v in
+  let* label = Json.string_field "label" v in
+  let* round_start = Json.float_field "round_start" v in
+  let* round_end = Json.float_field "round_end" v in
+  let* rounds = Json.float_field "rounds" v in
+  let* messages = Json.int_field "messages" v in
+  let* words = Json.int_field "words" v in
+  let* max_load = Json.int_field "max_load" v in
+  let* sent = Json.ints_field "sent" v in
+  let* recv = Json.ints_field "recv" v in
+  let* retransmits = Json.int_field "retransmits" v in
+  let* dropped = Json.int_field "dropped" v in
+  Ok
+    {
+      seq;
+      kind;
+      label;
+      round_start;
+      round_end;
+      rounds;
+      messages;
+      words;
+      max_load;
+      sent = Array.of_list sent;
+      recv = Array.of_list recv;
+      retransmits;
+      dropped;
+    }
 
-let member_float key v = Option.bind (Json.member key v) Json.to_float_opt
-let member_str key v = Option.bind (Json.member key v) Json.to_string_opt
-
-let member_ints key v =
-  match Json.member key v with
-  | Some (Json.List xs) ->
-      let ok = ref true in
-      let arr =
-        Array.of_list
-          (List.map
-             (function
-               | Json.Int i -> i
-               | Json.Float f when Float.is_integer f -> int_of_float f
-               | _ ->
-                   ok := false;
-                   0)
-             xs)
-      in
-      if !ok then Some arr else None
-  | _ -> None
+(* What a reload has read so far: nothing, the log that the header opened
+   with the records after it, or that log closed by its trailer. *)
+type reading = Start | Reading of t | Trailer of loaded
 
 let of_jsonl s =
   let ( let* ) = Result.bind in
-  let lines =
-    String.split_on_char '\n' s |> List.filter (fun l -> String.trim l <> "")
+  let read state raw v =
+    let tag = Json.member "type" v in
+    match state with
+    | Start ->
+        if tag <> Some (Json.String "recorder") then
+          Error "not a recorder log (missing recorder header)"
+        else if Json.int_field "version" v <> Ok 1 then
+          Error "unsupported recorder log version"
+        else (
+          match Json.int_field "machines" v with
+          | Ok machines when machines >= 1 ->
+              Ok
+                (Reading
+                   {
+                     machines;
+                     max_records = max_int;
+                     line = out_create 0;
+                     rev_records = [];
+                     stored = 0;
+                     total = 0;
+                     digest = fnv64 fnv_basis raw;
+                   })
+          | _ -> Error "recorder header: bad machines field")
+    | Reading t -> (
+        match tag with
+        | Some (Json.String "record") ->
+            let* r = record_of_json v in
+            t.rev_records <- r :: t.rev_records;
+            t.stored <- t.stored + 1;
+            t.total <- t.total + 1;
+            (* The digest chain folds the raw line bytes exactly as read, so
+               verification is immune to float re-serialization drift. *)
+            t.digest <- fnv64 t.digest raw;
+            Ok state
+        | Some (Json.String "digest") ->
+            Ok
+              (Trailer
+                 {
+                   log = t;
+                   trailer_digest =
+                     Result.to_option (Json.string_field "digest" v);
+                   trailer_records =
+                     Result.to_option (Json.int_field "records" v);
+                 })
+        | _ -> Error "unknown line type")
+    | Trailer _ -> Error "lines after digest trailer"
   in
-  let parse_line i l =
-    match Json.of_string l with
-    | Ok v -> Ok v
-    | Error msg -> Error (Printf.sprintf "line %d: %s" (i + 1) msg)
-  in
-  match lines with
-  | [] -> Error "empty recorder log"
-  | header :: rest ->
-      let* hv = parse_line 0 header in
-      if member_str "type" hv <> Some "recorder" then
-        Error "not a recorder log (missing recorder header)"
-      else if member_int "version" hv <> Some 1 then
-        Error "unsupported recorder log version"
-      else
-        let* machines =
-          match member_int "machines" hv with
-          | Some m when m >= 1 -> Ok m
-          | _ -> Error "recorder header: bad machines field"
-        in
-        let t =
-          {
-            machines;
-            max_records = List.length rest;
-            line = out_create 0;
-            rev_records = [];
-            stored = 0;
-            total = 0;
-            digest = fnv64 fnv_basis header;
-          }
-        in
-        let trailer_digest = ref None and trailer_records = ref None in
-        let parse_record i line v =
-          let req name = function
-            | Some x -> Ok x
-            | None ->
-                Error
-                  (Printf.sprintf "line %d: record missing field %s" (i + 1)
-                     name)
-          in
-          let* seq = req "seq" (member_int "seq" v) in
-          let* kind = req "kind" (member_str "kind" v) in
-          let* label = req "label" (member_str "label" v) in
-          let* round_start = req "round_start" (member_float "round_start" v) in
-          let* round_end = req "round_end" (member_float "round_end" v) in
-          let* rounds = req "rounds" (member_float "rounds" v) in
-          let* messages = req "messages" (member_int "messages" v) in
-          let* words = req "words" (member_int "words" v) in
-          let* max_load = req "max_load" (member_int "max_load" v) in
-          let* sent = req "sent" (member_ints "sent" v) in
-          let* recv = req "recv" (member_ints "recv" v) in
-          let* retransmits = req "retransmits" (member_int "retransmits" v) in
-          let* dropped = req "dropped" (member_int "dropped" v) in
-          t.rev_records <-
-            {
-              seq;
-              kind;
-              label;
-              round_start;
-              round_end;
-              rounds;
-              messages;
-              words;
-              max_load;
-              sent;
-              recv;
-              retransmits;
-              dropped;
-            }
-            :: t.rev_records;
-          t.stored <- t.stored + 1;
-          t.total <- t.total + 1;
-          (* The digest chain folds the raw line bytes exactly as read, so
-             verification is immune to float re-serialization drift. *)
-          t.digest <- fnv64 t.digest line;
-          Ok ()
-        in
-        let rec go i = function
-          | [] -> Ok ()
-          | line :: rest -> (
-              let* v = parse_line i line in
-              match member_str "type" v with
-              | Some "record" ->
-                  let* () = parse_record i line v in
-                  go (i + 1) rest
-              | Some "digest" ->
-                  trailer_digest := member_str "digest" v;
-                  trailer_records := member_int "records" v;
-                  if rest <> [] then
-                    Error
-                      (Printf.sprintf "line %d: lines after digest trailer"
-                         (i + 2))
-                  else Ok ()
-              | _ -> Error (Printf.sprintf "line %d: unknown line type" (i + 1))
-              )
-        in
-        let* () = go 1 rest in
-        Ok
-          {
-            log = t;
-            trailer_digest = !trailer_digest;
-            trailer_records = !trailer_records;
-          }
+  match Json.fold_lines read Start s with
+  | Error _ as e -> e
+  | Ok Start -> Error "empty recorder log"
+  | Ok (Reading log) ->
+      Ok { log; trailer_digest = None; trailer_records = None }
+  | Ok (Trailer loaded) -> Ok loaded
 
 let verify { log; trailer_digest; trailer_records } =
   match trailer_digest with

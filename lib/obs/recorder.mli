@@ -107,7 +107,9 @@ type loaded = {
 }
 
 (** [of_jsonl s] parses an export. [Error] on structural problems (bad
-    header, missing record fields, lines after the trailer). *)
+    header, missing record fields, lines after the trailer), naming the
+    physical line as {!Json.fold_lines} numbers it; the digest chain
+    re-folds each line's bytes as the file holds them. *)
 val of_jsonl : string -> (loaded, string) result
 
 (** [verify l] checks the reloaded digest chain against the trailer:

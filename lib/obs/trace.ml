@@ -277,19 +277,6 @@ let to_jsonl t =
 
 let ( let* ) = Result.bind
 
-let get name conv j what =
-  match Json.member name j with
-  | None -> Error (Printf.sprintf "%s: missing %S" what name)
-  | Some v -> (
-      match conv v with
-      | Some x -> Ok x
-      | None -> Error (Printf.sprintf "%s: bad %S" what name))
-
-let to_int = function
-  | Json.Int i -> Some i
-  | Json.Float f -> Some (int_of_float f)
-  | _ -> None
-
 let to_args = function
   | Json.Obj kvs ->
       let rec go acc = function
@@ -300,87 +287,62 @@ let to_args = function
       go [] kvs
   | _ -> None
 
+let span_of_json j =
+  let* id = Json.int_field "id" j in
+  let* name = Json.string_field "name" j in
+  let* depth = Json.int_field "depth" j in
+  let* args = Json.field "an object of strings" to_args "args" j in
+  let* start_ts = Json.float_field "start_s" j in
+  let* wall = Json.float_field "wall_s" j in
+  let* alloc_words = Json.float_field "alloc_words" j in
+  let* net_rounds = Json.float_field "rounds" j in
+  let* net_messages = Json.int_field "messages" j in
+  let* net_words = Json.int_field "words" j in
+  let* net_max_load = Json.int_field "max_load" j in
+  Ok
+    {
+      id;
+      name;
+      args;
+      depth;
+      start_ts;
+      stop_ts = start_ts +. wall;
+      alloc_words;
+      net_rounds;
+      net_messages;
+      net_words;
+      net_max_load;
+      children = [];
+    }
+
 let of_jsonl s =
   let t = create () in
-  (* Stack of open ancestors, innermost first, for rebuilding the tree from
-     the depth-first flattening. Children are accumulated reversed and
-     flipped once the whole artifact is read. *)
-  let stack = ref [] in
-  let float_field name j what =
-    match Json.member name j with
-    | Some v -> (
-        match Json.to_float_opt v with
-        | Some f -> Ok f
-        | None -> (
-            match v with
-            | Json.Null -> Ok Float.nan
-            | _ -> Error (Printf.sprintf "%s: bad %S" what name)))
-    | None -> Error (Printf.sprintf "%s: missing %S" what name)
-  in
-  let add_line j =
+  (* The fold carries the stack of open ancestors, innermost first, for
+     rebuilding the tree from the depth-first flattening. Children are
+     accumulated reversed and flipped once the whole artifact is read. *)
+  let add_line stack _raw j =
     match Json.member "type" j with
     | Some (Json.String "span") ->
-        let* id = get "id" to_int j "span" in
-        let* name = get "name" Json.to_string_opt j "span" in
-        let* depth = get "depth" to_int j "span" in
-        let* args = get "args" to_args j "span" in
-        let* start_ts = float_field "start_s" j "span" in
-        let* wall = float_field "wall_s" j "span" in
-        let* alloc_words = float_field "alloc_words" j "span" in
-        let* net_rounds = float_field "rounds" j "span" in
-        let* net_messages = get "messages" to_int j "span" in
-        let* net_words = get "words" to_int j "span" in
-        let* net_max_load = get "max_load" to_int j "span" in
-        let sp =
-          {
-            id;
-            name;
-            args;
-            depth;
-            start_ts;
-            stop_ts = start_ts +. wall;
-            alloc_words;
-            net_rounds;
-            net_messages;
-            net_words;
-            net_max_load;
-            children = [];
-          }
-        in
-        t.next_id <- max t.next_id (id + 1);
+        let* sp = span_of_json j in
+        t.next_id <- max t.next_id (sp.id + 1);
         let rec unwind = function
-          | top :: rest when top.depth >= depth -> unwind rest
+          | top :: rest when top.depth >= sp.depth -> unwind rest
           | st -> st
         in
-        stack := unwind !stack;
-        (match !stack with
+        let stack = unwind stack in
+        (match stack with
         | parent :: _ -> parent.children <- sp :: parent.children
         | [] -> t.roots <- sp :: t.roots);
-        stack := sp :: !stack;
-        Ok ()
-    | Some (Json.String "event") -> Ok () (* net events of older artifacts *)
+        Ok (sp :: stack)
+    | Some (Json.String "event") -> Ok stack (* net events of older artifacts *)
     | Some (Json.String other) ->
         Error (Printf.sprintf "unknown line type %S" other)
     | _ -> Error "line has no \"type\" field"
-  in
-  let lines = String.split_on_char '\n' s in
-  let rec go i = function
-    | [] -> Ok ()
-    | l :: rest when String.trim l = "" -> go (i + 1) rest
-    | l :: rest -> (
-        match Json.of_string l with
-        | Error e -> Error (Printf.sprintf "line %d: %s" i e)
-        | Ok j -> (
-            match add_line j with
-            | Error e -> Error (Printf.sprintf "line %d: %s" i e)
-            | Ok () -> go (i + 1) rest))
   in
   let rec fix sp =
     sp.children <- List.rev sp.children;
     List.iter fix sp.children
   in
-  match go 1 lines with
-  | Error _ as e -> e
-  | Ok () ->
-      List.iter fix t.roots;
-      Ok t
+  let* _ = Json.fold_lines add_line [] s in
+  List.iter fix t.roots;
+  Ok t

@@ -129,6 +129,7 @@ val to_jsonl : t -> string
 (** [of_jsonl s] reconstructs a collector's span trees from a {!to_jsonl}
     artifact (rebuilt from the depth-first flattening) for offline analysis
     ([ccprof trace] / [timeline]). Net-event lines ([{"type":"event"}]),
-    which older artifacts hold after their spans, are skipped. The error
-    names the first offending line. *)
+    which older artifacts hold after their spans, are skipped. Lines are
+    read by {!Json.fold_lines}, so the error names the first offending
+    physical line. *)
 val of_jsonl : string -> (t, string) result

@@ -6,22 +6,15 @@ module Sampler = Cc_sampler.Sampler
 module Sequential = Cc_sampler.Sequential
 module Doubling = Cc_doubling.Doubling
 module Metrics = Cc_obs.Metrics
-module Journal = Cc_obs.Journal
 module Recorder = Cc_obs.Recorder
 
 let src = Logs.Src.create "cc.serve" ~doc:"ccserve daemon"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type config = {
-  sock : string;
-  cache_cap : int;
-  max_requests : int option;
-  journal : Journal.t option;
-}
+type config = { sock : string; cache_cap : int; max_requests : int option }
 
-let default_config ~sock =
-  { sock; cache_cap = 8; max_requests = None; journal = None }
+let default_config ~sock = { sock; cache_cap = 8; max_requests = None }
 
 (* A cached plan. The three samplers expose the same prepare/draw shape but
    distinct plan types; the cache stores the sum. *)
@@ -64,11 +57,6 @@ type t = {
 }
 
 let max_line_bytes = 8 * 1024 * 1024
-
-let journal_record t ?worker ?cause kind =
-  match t.config.journal with
-  | None -> ()
-  | Some j -> Journal.record j ?worker ?cause kind
 
 (* --- socket lifecycle --- *)
 
@@ -116,7 +104,6 @@ let create config =
       served = 0;
     }
   in
-  journal_record t "serve_start" ~cause:config.sock;
   Log.info (fun m -> m "listening on %s" config.sock);
   t
 
@@ -145,10 +132,11 @@ let start_job t conn (req : Protocol.request) =
   let recorder = Recorder.create ~max_records:0 ~machines:n () in
   ignore (Net.attach_recorder net recorder);
   Metrics.incr "server.requests";
-  journal_record t "serve_request" ~worker:conn.cid
-    ~cause:
-      (Printf.sprintf "%s k=%d %s" (Protocol.method_name req.meth) req.k
-         (if cache_hit then "hit" else "miss"));
+  Log.info (fun m ->
+      m "conn %d: request %s k=%d %s" conn.cid
+        (Protocol.method_name req.meth)
+        req.k
+        (if cache_hit then "hit" else "miss"));
   conn.job <-
     Some
       {
@@ -207,32 +195,31 @@ let finish_job t conn job =
         ~rounds:(Net.rounds job.net) ();
   conn.job <- None;
   count_served t;
-  journal_record t "serve_done" ~worker:conn.cid
-    ~cause:(Printf.sprintf "%.1fms" ms)
+  Log.info (fun m -> m "conn %d: done in %.1f ms" conn.cid ms)
 
 let fail_job t conn job message =
   conn.out <- conn.out ^ Protocol.error_line ?id:job.req.Protocol.id message;
   conn.job <- None;
   count_served t;
-  journal_record t "serve_error" ~worker:conn.cid ~cause:message
+  Log.info (fun m -> m "conn %d: error: %s" conn.cid message)
 
 (* --- input handling --- *)
 
-let enqueue_line t conn line =
+let enqueue_line conn line =
   if String.trim line = "" then ()
   else
     match Protocol.parse_request line with
     | Ok req -> conn.queue <- req :: conn.queue
-    | Error m ->
-        conn.out <- conn.out ^ Protocol.error_line m;
-        journal_record t "serve_error" ~worker:conn.cid ~cause:m
+    | Error msg ->
+        conn.out <- conn.out ^ Protocol.error_line msg;
+        Log.info (fun m -> m "conn %d: error: %s" conn.cid msg)
 
-let split_lines t conn =
+let split_lines conn =
   let s = Buffer.contents conn.inbuf in
   let rec go start =
     match String.index_from_opt s start '\n' with
     | Some nl ->
-        enqueue_line t conn (String.sub s start (nl - start));
+        enqueue_line conn (String.sub s start (nl - start));
         go (nl + 1)
     | None ->
         Buffer.clear conn.inbuf;
@@ -240,33 +227,33 @@ let split_lines t conn =
   in
   go 0
 
-let close_conn t conn =
+let close_conn conn =
   if conn.alive then begin
     conn.alive <- false;
     (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-    journal_record t "serve_close" ~worker:conn.cid
+    Log.info (fun m -> m "conn %d: closed" conn.cid)
   end
 
-let read_conn t conn =
+let read_conn conn =
   let chunk = Bytes.create 65536 in
   match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
   | 0 ->
       (* EOF: serve what was already queued, then the flush path closes. *)
       if conn.out = "" && conn.job = None && conn.queue = [] then
-        close_conn t conn
+        close_conn conn
   | len ->
       Buffer.add_subbytes conn.inbuf chunk 0 len;
-      split_lines t conn;
+      split_lines conn;
       if Buffer.length conn.inbuf > max_line_bytes then begin
         conn.out <- conn.out ^ Protocol.error_line "request line too long";
-        close_conn t conn
+        close_conn conn
       end
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     ->
       ()
-  | exception Unix.Unix_error _ -> close_conn t conn
+  | exception Unix.Unix_error _ -> close_conn conn
 
-let flush_conn t conn =
+let flush_conn conn =
   if conn.alive && conn.out <> "" then
     match
       Unix.write_substring conn.fd conn.out 0 (String.length conn.out)
@@ -276,7 +263,7 @@ let flush_conn t conn =
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
       ->
         ()
-    | exception Unix.Unix_error _ -> close_conn t conn
+    | exception Unix.Unix_error _ -> close_conn conn
 
 let accept_conns t =
   let rec go () =
@@ -298,7 +285,7 @@ let accept_conns t =
                 alive = true;
               };
             ];
-        journal_record t "serve_accept" ~worker:cid;
+        Log.info (fun m -> m "conn %d: accepted" cid);
         go ()
     | exception
         Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
@@ -333,7 +320,7 @@ let step t =
     in
     if (not t.stop) && List.mem t.listen_fd rd then accept_conns t;
     List.iter
-      (fun c -> if c.alive && List.mem c.fd rd then read_conn t c)
+      (fun c -> if c.alive && List.mem c.fd rd then read_conn c)
       t.conns;
     (* Start queued requests (skipped while draining). *)
     List.iter
@@ -345,10 +332,10 @@ let step t =
               c.queue <- List.rev rest;
               try start_job t c req
               with
-              | Invalid_argument m | Failure m ->
-                  c.out <- c.out ^ Protocol.error_line ?id:req.Protocol.id m;
+              | Invalid_argument msg | Failure msg ->
+                  c.out <- c.out ^ Protocol.error_line ?id:req.Protocol.id msg;
                   count_served t;
-                  journal_record t "serve_error" ~worker:c.cid ~cause:m))
+                  Log.info (fun m -> m "conn %d: error: %s" c.cid msg)))
       t.conns;
     (* One tree for one job, round-robin across connections. *)
     (match active_jobs t with
@@ -374,18 +361,16 @@ let step t =
     in
     Metrics.set_gauge "server.queue_depth" (float_of_int queued);
     Metrics.set_gauge "server.connections" (float_of_int (connections t));
-    List.iter (fun c -> flush_conn t c) t.conns;
+    List.iter flush_conn t.conns;
     t.conns <- List.filter (fun c -> c.alive) t.conns;
     if
       t.stop
       && List.for_all (fun c -> c.out = "" && c.job = None) t.conns
     then begin
-      journal_record t "serve_drain";
-      List.iter (fun c -> close_conn t c) t.conns;
+      List.iter close_conn t.conns;
       t.conns <- [];
       (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
       (try Unix.unlink t.config.sock with Unix.Unix_error _ -> ());
-      journal_record t "serve_stop";
       Log.info (fun m -> m "drained after %d request(s)" t.served);
       t.drained <- true
     end;

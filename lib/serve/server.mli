@@ -13,8 +13,12 @@
     one-shot [cctree sample --count] run at the same seed); the metrics
     registry gains [server.requests], [server.cache.{hit,miss,evict}],
     [server.queue_depth], [server.connections] and the [server.request_ms]
-    latency histogram; lifecycle events (start, accept, request, done,
-    error, drain, stop) are appended to the optional journal.
+    latency histogram. Lifecycle lines go to the [cc.serve] Logs source at
+    Info: [listening on], then per connection [accepted], [request] (method,
+    k, cache hit or miss), [done in] (ms), [error:] (message) and
+    [closed], and [drained after] at the end. Each is formatted inside its
+    Logs closure, so a run below Info formats none of them; [ccserve -v]
+    prints them.
 
     The loop never raises for client misbehavior: malformed or torn request
     lines produce a structured error response and the connection survives;
@@ -28,7 +32,6 @@ type config = {
       (** stop (drain) after this many answered requests, whether they
           streamed trees or failed with an error — for tests and the CI
           smoke job. *)
-  journal : Cc_obs.Journal.t option;
 }
 
 val default_config : sock:string -> config

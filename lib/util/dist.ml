@@ -82,31 +82,6 @@ let sample_weights w prng =
   done;
   !i
 
-type alias = { alias_prob : float array; alias_idx : int array }
-
-let alias_of d =
-  let n = support_size d in
-  let scaled = Array.map (fun p -> p *. float_of_int n) d.probs in
-  let alias_prob = Array.make n 1.0 in
-  let alias_idx = Array.init n (fun i -> i) in
-  let small = Queue.create () and large = Queue.create () in
-  Array.iteri
-    (fun i p -> if p < 1.0 then Queue.add i small else Queue.add i large)
-    scaled;
-  while (not (Queue.is_empty small)) && not (Queue.is_empty large) do
-    let s = Queue.pop small and l = Queue.pop large in
-    alias_prob.(s) <- scaled.(s);
-    alias_idx.(s) <- l;
-    scaled.(l) <- scaled.(l) -. (1.0 -. scaled.(s));
-    if scaled.(l) < 1.0 then Queue.add l small else Queue.add l large
-  done;
-  { alias_prob; alias_idx }
-
-let alias_sample a prng =
-  let n = Array.length a.alias_prob in
-  let i = Prng.int prng n in
-  if Prng.float prng 1.0 < a.alias_prob.(i) then i else a.alias_idx.(i)
-
 let same_support a b =
   if support_size a <> support_size b then
     invalid_arg "Dist: support sizes differ"

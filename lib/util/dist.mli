@@ -3,9 +3,9 @@
     Every sampling step of the paper's algorithms — midpoint selection
     (Formula 1), first-visit-edge resampling (Algorithm 4), walk transitions —
     draws from an explicitly represented, usually unnormalized, weight vector.
-    This module provides normalization, exact sampling (inverse-CDF and alias
-    method), and the distance measures used to validate output distributions
-    (total variation, KL, chi-square). *)
+    This module provides normalization, exact inverse-CDF sampling, and the
+    distance measures used to validate output distributions (total
+    variation, KL, chi-square). *)
 
 type t
 (** A normalized distribution over [0 .. support_size - 1]. *)
@@ -53,12 +53,6 @@ val search : float array -> float -> int
 (** [sample_weights w prng] draws directly from unnormalized weights without
     building a [t]; linear scan, for one-shot draws. *)
 val sample_weights : float array -> Prng.t -> int
-
-type alias
-(** Preprocessed constant-time sampler (Walker alias method). *)
-
-val alias_of : t -> alias
-val alias_sample : alias -> Prng.t -> int
 
 (** {1 Distances and statistics} *)
 

@@ -220,6 +220,13 @@ let test_artifact_rejects_garbage () =
   | Ok _ -> Alcotest.fail "missing header accepted"
   | Error _ -> ()
 
+let test_artifact_error_names_physical_line () =
+  (* Blank lines count toward the number an error names. *)
+  match Audit.of_jsonl "\n\n{\"type\":\"edge\"}\n" with
+  | Ok _ -> Alcotest.fail "an edge without fields accepted"
+  | Error e ->
+      Alcotest.(check string) "physical line" {|line 3: missing field "u"|} e
+
 (* --- zero perturbation --- *)
 
 let test_zero_perturbation_digest () =
@@ -289,5 +296,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_artifact_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_artifact_rejects_garbage;
+          Alcotest.test_case "error names the physical line" `Quick
+            test_artifact_error_names_physical_line;
         ] );
     ]

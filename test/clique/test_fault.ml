@@ -208,6 +208,19 @@ let test_charge_overhead () =
   Alcotest.(check (float 0.0)) "booked" 3.0 (Net.rounds net);
   Alcotest.(check (float 0.0)) "counted" 3.0 (Net.overhead_rounds net)
 
+let test_charge_rejects_non_finite () =
+  (* An overflowed cost must not reach the ledger: the round clock would
+     turn infinite and the recorder would log it as null. *)
+  let net = Net.create ~n:4 in
+  Net.charge net ~label:"ok" 1.0;
+  List.iter
+    (fun rounds ->
+      match Net.charge net ~label:"bad" rounds with
+      | () -> Alcotest.failf "charge of %g rounds accepted" rounds
+      | exception Invalid_argument _ -> ())
+    [ Float.infinity; Float.neg_infinity; Float.nan; -1.0 ];
+  Alcotest.(check (float 0.0)) "nothing booked" 1.0 (Net.rounds net)
+
 let test_health_classification () =
   let f = Fault.create (Fault.spec ()) in
   let before = Fault.snapshot f in
@@ -296,6 +309,8 @@ let () =
       ( "accounting",
         [
           Alcotest.test_case "charge_overhead" `Quick test_charge_overhead;
+          Alcotest.test_case "charge rejects non-finite rounds" `Quick
+            test_charge_rejects_non_finite;
           Alcotest.test_case "health classification" `Quick test_health_classification;
           Alcotest.test_case "spec validation" `Quick test_spec_validation;
         ] );

@@ -169,6 +169,16 @@ let test_trace_of_jsonl_roundtrip () =
         (contains_substring ~needle:"line 1" e)
   | Ok _ -> Alcotest.fail "garbage must not reload"
 
+let test_trace_of_jsonl_names_physical_line () =
+  (* Blank lines count toward the number an error names. *)
+  let t = Trace.create ~clock:(counter_clock ()) () in
+  Trace.with_trace t (fun () -> Trace.with_span "a" (fun () -> ()));
+  let artifact = Trace.to_jsonl t ^ "\n\n" ^ {|{"type":"span","id":1}|} in
+  match Trace.of_jsonl artifact with
+  | Ok _ -> Alcotest.fail "a span without fields must not reload"
+  | Error e ->
+      Alcotest.(check string) "physical line" {|line 4: missing field "name"|} e
+
 let test_of_jsonl_skips_old_events () =
   (* Artifacts written before traces stopped keeping events hold
      ["type":"event"] lines; they reload to the same spans. *)
@@ -882,95 +892,6 @@ let test_metrics_value_json_roundtrip () =
     [ "h"; "c"; "g" ];
   Metrics.reset ()
 
-(* --- Journal ----------------------------------------------------------- *)
-
-module Journal = Cc_obs.Journal
-
-let test_journal_record_and_roundtrip () =
-  let t = ref 0.0 in
-  let clock () =
-    t := !t +. 0.5;
-    !t
-  in
-  let j = Journal.create ~clock () in
-  Journal.record j ~cause:"/tmp/cc.sock" "serve_start";
-  Journal.record j ~worker:1 ~round:12.5 ~cause:"cc k=4 miss" "serve_request";
-  Journal.record j ~worker:1 "serve_close";
-  Alcotest.(check int) "length" 3 (Journal.length j);
-  (match Journal.events j with
-  | [ e0; e1; e2 ] ->
-      Alcotest.(check int) "seq monotone" 0 e0.Journal.seq;
-      Alcotest.(check int) "seq monotone" 2 e2.Journal.seq;
-      Alcotest.(check bool) "time monotone" true (e1.Journal.t_s > e0.Journal.t_s);
-      Alcotest.(check (option int)) "no worker" None e0.Journal.worker;
-      Alcotest.(check (option int)) "worker" (Some 1) e1.Journal.worker;
-      Alcotest.(check (float 0.0)) "round" 12.5 e1.Journal.round
-  | _ -> Alcotest.fail "wrong event count");
-  match Journal.of_jsonl (Journal.to_jsonl j) with
-  | Error e -> Alcotest.failf "roundtrip: %s" e
-  | Ok evs ->
-      Alcotest.(check int) "roundtrip count" 3 (List.length evs);
-      let e1 = List.nth evs 1 in
-      Alcotest.(check string) "kind" "serve_request" e1.Journal.kind;
-      Alcotest.(check (option int)) "worker" (Some 1) e1.Journal.worker;
-      Alcotest.(check (float 0.0)) "round" 12.5 e1.Journal.round;
-      Alcotest.(check string) "cause" "cc k=4 miss" e1.Journal.cause
-
-let test_journal_bounded () =
-  let j = Journal.create ~cap:4 ~clock:(fun () -> 0.0) () in
-  for i = 1 to 10 do
-    Journal.record j ~worker:i "serve_accept"
-  done;
-  Alcotest.(check int) "capped" 4 (Journal.length j);
-  Alcotest.(check int) "dropped counted" 6 (Journal.dropped j);
-  (match Journal.events j with
-  | e :: _ -> Alcotest.(check int) "oldest dropped first" 6 e.Journal.seq
-  | [] -> Alcotest.fail "empty")
-
-let test_journal_drop_oldest_boundary () =
-  (* Exercise the capacity edge exactly: nothing drops at cap, the single
-     oldest event drops at cap+1. *)
-  let j = Journal.create ~cap:4 ~clock:(fun () -> 0.0) () in
-  for i = 0 to 3 do
-    Journal.record j ~worker:i "serve_accept"
-  done;
-  Alcotest.(check int) "full, nothing dropped" 0 (Journal.dropped j);
-  Alcotest.(check int) "length at cap" 4 (Journal.length j);
-  (match Journal.events j with
-  | e :: _ -> Alcotest.(check int) "seq 0 still present" 0 e.Journal.seq
-  | [] -> Alcotest.fail "empty");
-  Journal.record j ~worker:4 "serve_accept";
-  Alcotest.(check int) "one over cap drops one" 1 (Journal.dropped j);
-  Alcotest.(check int) "length still cap" 4 (Journal.length j);
-  match Journal.events j with
-  | first :: _ as evs ->
-      Alcotest.(check int) "head advanced to seq 1" 1 first.Journal.seq;
-      let last = List.nth evs (List.length evs - 1) in
-      Alcotest.(check int) "newest retained" 4 last.Journal.seq
-  | [] -> Alcotest.fail "empty"
-
-let test_journal_reload_torn_tail () =
-  (* A crash mid-write leaves a truncated final line; reload must salvage
-     the intact prefix. A line that parses as JSON but has the wrong shape
-     is corruption, not a torn tail, and must still error. *)
-  let j = Journal.create ~clock:(fun () -> 1.0) () in
-  Journal.record j ~worker:0 "serve_accept";
-  Journal.record j ~worker:1 "serve_accept";
-  Journal.record j ~worker:1 ~cause:"cc k=4 hit" "serve_request";
-  let whole = Journal.to_jsonl j in
-  let torn = String.sub whole 0 (String.length whole - 15) in
-  (match Journal.of_jsonl torn with
-  | Error e -> Alcotest.failf "torn tail must salvage: %s" e
-  | Ok evs ->
-      Alcotest.(check int) "intact prefix kept" 2 (List.length evs);
-      Alcotest.(check string) "last intact event" "serve_accept"
-        (List.nth evs 1).Journal.kind);
-  match Journal.of_jsonl (whole ^ "{\"x\":0}\n") with
-  | Ok _ -> Alcotest.fail "well-formed wrong-shape line must error"
-  | Error e ->
-      Alcotest.(check bool) "error names the line" true
-        (contains_substring ~needle:"line 4" e)
-
 (* --- Json emitter escaping (round-trips through the parser) ------------ *)
 
 let emit_parse s =
@@ -1054,6 +975,23 @@ let test_recorder_jsonl_roundtrip () =
         (Recorder.diff r l.Recorder.log);
       Alcotest.(check int) "all records reloaded" 3
         (List.length (Recorder.records l.Recorder.log))
+
+let test_recorder_of_jsonl_names_physical_line () =
+  (* Blank lines count toward the number an error names. *)
+  let r = Recorder.create ~machines:2 () in
+  radd r ~round_end:1.0 ();
+  let header, record =
+    match String.split_on_char '\n' (Recorder.to_jsonl r) with
+    | header :: record :: _ -> (header, record)
+    | _ -> Alcotest.fail "export has a header and a record"
+  in
+  let artifact =
+    String.concat "\n" [ header; record; ""; ""; {|{"type":"record","seq":1}|} ]
+  in
+  match Recorder.of_jsonl artifact with
+  | Ok _ -> Alcotest.fail "a record without fields must not reload"
+  | Error e ->
+      Alcotest.(check string) "physical line" {|line 5: missing field "kind"|} e
 
 let test_recorder_truncation () =
   let r = Recorder.create ~max_records:2 ~machines:2 () in
@@ -1549,6 +1487,8 @@ let () =
             test_trace_of_jsonl_roundtrip;
           Alcotest.test_case "artifact skips old event lines" `Quick
             test_of_jsonl_skips_old_events;
+          Alcotest.test_case "artifact error names the physical line" `Quick
+            test_trace_of_jsonl_names_physical_line;
         ] );
       ( "self-time",
         [
@@ -1604,6 +1544,8 @@ let () =
             test_recorder_digest_determinism;
           Alcotest.test_case "jsonl round-trip verifies" `Quick
             test_recorder_jsonl_roundtrip;
+          Alcotest.test_case "reload error names the physical line" `Quick
+            test_recorder_of_jsonl_names_physical_line;
           Alcotest.test_case "bounded log truncation" `Quick
             test_recorder_truncation;
           Alcotest.test_case "diff names first divergence" `Quick
@@ -1666,15 +1608,5 @@ let () =
           Alcotest.test_case "bucket_of" `Quick test_metrics_bucket_of;
           Alcotest.test_case "value json roundtrip" `Quick
             test_metrics_value_json_roundtrip;
-        ] );
-      ( "journal",
-        [
-          Alcotest.test_case "record and roundtrip" `Quick
-            test_journal_record_and_roundtrip;
-          Alcotest.test_case "bounded drop-oldest" `Quick test_journal_bounded;
-          Alcotest.test_case "drop-oldest capacity boundary" `Quick
-            test_journal_drop_oldest_boundary;
-          Alcotest.test_case "torn-tail reload" `Quick
-            test_journal_reload_torn_tail;
         ] );
     ]

@@ -249,6 +249,72 @@ let test_serve_cold_then_warm () =
     (Sys.file_exists (Server.sock_path srv));
   Unix.close c.fd
 
+(* Run [f] with a reporter that keeps every message of the [cc.serve] Logs
+   source at Info; the previous reporter and level come back afterwards. *)
+let serve_log_lines f =
+  let src =
+    List.find (fun s -> Logs.Src.name s = "cc.serve") (Logs.Src.list ())
+  in
+  let reporter = Logs.reporter () and level = Logs.Src.level src in
+  let lines = ref [] in
+  let report s _ ~over k msgf =
+    if Logs.Src.equal s src then
+      msgf (fun ?header:_ ?tags:_ fmt ->
+          Format.kasprintf
+            (fun line ->
+              lines := line :: !lines;
+              over ();
+              k ())
+            fmt)
+    else begin
+      over ();
+      k ()
+    end
+  in
+  Logs.set_reporter { Logs.report };
+  Logs.Src.set_level src (Some Logs.Info);
+  Fun.protect
+    ~finally:(fun () ->
+      Logs.set_reporter reporter;
+      Logs.Src.set_level src level)
+    f;
+  List.rev !lines
+
+let test_serve_lifecycle_lines () =
+  let lines =
+    serve_log_lines (fun () ->
+        let srv = make_server () in
+        let c = connect srv in
+        send srv c (req ~k:2 ~seed:5 ());
+        ignore (collect srv c ~n:3);
+        send srv c (req ~k:2 ~seed:5 ());
+        ignore (collect srv c ~n:3);
+        Server.request_stop srv;
+        while Server.step srv do () done;
+        Unix.close c.fd)
+  in
+  let expected =
+    [
+      "listening on";
+      "conn 0: accepted";
+      "conn 0: request cc k=2 miss";
+      "conn 0: done in";
+      "conn 0: request cc k=2 hit";
+      "conn 0: done in";
+      "conn 0: closed";
+      "drained after 2 request(s)";
+    ]
+  in
+  Alcotest.(check int) "one line per transition" (List.length expected)
+    (List.length lines);
+  List.iter2
+    (fun prefix line ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S starts with %S" line prefix)
+        true
+        (String.starts_with ~prefix line))
+    expected lines
+
 let test_serve_concurrent_clients () =
   let srv = make_server () in
   let c1 = connect srv and c2 = connect srv in
@@ -452,6 +518,7 @@ let () =
       ( "server",
         [
           Alcotest.test_case "cold then warm" `Quick test_serve_cold_then_warm;
+          Alcotest.test_case "lifecycle lines" `Quick test_serve_lifecycle_lines;
           Alcotest.test_case "concurrent clients" `Quick
             test_serve_concurrent_clients;
           Alcotest.test_case "malformed and torn lines" `Quick

@@ -225,19 +225,6 @@ let test_dist_sample_weights_matches () =
   let tv = Dist.tv_counts ~counts (Dist.of_weights w) in
   Alcotest.(check bool) (Printf.sprintf "tv %.4f small" tv) true (tv < 0.01)
 
-let test_alias_matches_cdf () =
-  let prng = Prng.create ~seed:107 in
-  let d = Dist.of_weights [| 0.1; 0.2; 0.3; 0.4; 1.0; 2.0 |] in
-  let a = Dist.alias_of d in
-  let counts = Array.make 6 0 in
-  let trials = 60_000 in
-  for _ = 1 to trials do
-    let i = Dist.alias_sample a prng in
-    counts.(i) <- counts.(i) + 1
-  done;
-  let tv = Dist.tv_counts ~counts d in
-  Alcotest.(check bool) (Printf.sprintf "alias tv %.4f small" tv) true (tv < 0.01)
-
 let test_tv_distance () =
   let a = Dist.of_weights [| 1.0; 1.0 |] in
   let b = Dist.of_weights [| 1.0; 3.0 |] in
@@ -545,7 +532,6 @@ let () =
           Alcotest.test_case "normalization" `Quick test_dist_normalization;
           Alcotest.test_case "sample frequencies" `Slow test_dist_sample_frequencies;
           Alcotest.test_case "sample_weights" `Slow test_dist_sample_weights_matches;
-          Alcotest.test_case "alias method" `Slow test_alias_matches_cdf;
           Alcotest.test_case "tv distance" `Quick test_tv_distance;
           Alcotest.test_case "point mass" `Quick test_point_dist;
           Alcotest.test_case "kl zero mass" `Quick test_kl_zero_mass;
