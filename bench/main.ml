@@ -89,7 +89,7 @@ let e1 () =
       List.iter
         (fun tau ->
           let net = Net.create ~n in
-          Report.attach_profile ~id:"E1" net;
+          Report.subscribe_profile ~id:"E1" net;
           let r = Doubling.run net prng g ~tau ~scheme:(Doubling.default_scheme ~n) in
           let log_n = Float.log2 (float_of_int n) in
           let log_tau = Float.max 1.0 (Float.log2 (float_of_int tau)) in
@@ -142,7 +142,7 @@ let e2 () =
   let g = Gen.star n in
   let run scheme seed =
     let net = Net.create ~n in
-    Report.attach_profile ~id:"E2" net;
+    Report.subscribe_profile ~id:"E2" net;
     let prng = Prng.create ~seed in
     (Doubling.run net prng g ~tau ~scheme).Doubling.max_tuples_received
   in
@@ -205,7 +205,7 @@ let e3 () =
       let g = Gen.lollipop ~clique:(n / 2) ~tail:(n - (n / 2)) in
       let prng = Prng.create ~seed:3 in
       let net = Net.create ~n in
-      Report.attach_profile ~id:"E3" net;
+      Report.subscribe_profile ~id:"E3" net;
       let r = Sampler.sample net prng g in
       (* The baseline draws from a stream of its own, so a change that moves
          the sampler's draws leaves it where it was. *)
@@ -291,7 +291,7 @@ let e4 () =
             | `Reg -> Gen.random_regular prng ~n ~d:6
           in
           let net = Net.create ~n in
-          Report.attach_profile ~id:"E4" net;
+          Report.subscribe_profile ~id:"E4" net;
           let _, walk_len = Doubling.sample_tree net prng g ~tau0:(2 * n) in
           let l3 = Float.log2 (float_of_int n) ** 3.0 in
           Report.record ~id:"E4"
@@ -370,7 +370,7 @@ let e5 () =
         (fun (sname, sampler) ->
           let prng = Prng.create ~seed:5 in
           let net = Net.create ~n in
-          Report.attach_profile ~id:"E5" net;
+          Report.subscribe_profile ~id:"E5" net;
           let counts = Array.make support 0 in
           for _ = 1 to trials do
             let t = sampler net prng g in
@@ -617,7 +617,7 @@ let e10 () =
   List.iter
     (fun walks ->
       let net = Net.create ~n in
-      Report.attach_profile ~id:"E10" net;
+      Report.subscribe_profile ~id:"E10" net;
       let est = Doubling.pagerank net prng g ~walks_per_node:walks ~epsilon in
       let l1 =
         Array.fold_left ( +. ) 0.0
@@ -742,7 +742,7 @@ let f2 () =
       let g = Gen.cycle n in
       let prng = Prng.create ~seed:11 in
       let net = Net.create ~n in
-      Report.attach_profile ~id:"F2" net;
+      Report.subscribe_profile ~id:"F2" net;
       let net =
         if drop_prob > 0.0 then
           Net.with_faults (Fault.create (Fault.spec ~drop_prob ~seed:7 ())) net
@@ -800,11 +800,11 @@ let d1 () =
     let prng = Prng.create ~seed in
     let g = Gen.build prng Gen.Lollipop ~n in
     let net = Net.create ~n:(Graph.n g) in
-    Report.attach_profile ~id:"D1" net;
+    Report.subscribe_profile ~id:"D1" net;
     let recorder = Cc_obs.Recorder.create ~machines:(Graph.n g) () in
     let inv = Cc_obs.Invariant.create ~machines:(Graph.n g) () in
-    ignore (Net.attach_recorder net recorder);
-    ignore (Net.attach_invariant net inv);
+    Net.add_sink net (Cc_obs.Recorder.add recorder);
+    Net.add_sink net (fun r -> ignore (Cc_obs.Invariant.observe inv r));
     ignore (Sampler.sample net prng g);
     let violations =
       Cc_obs.Invariant.count inv + List.length (Net.ledger_violations net inv)
@@ -878,10 +878,10 @@ let e11 () =
         Cc_congest.Congest_walk.das_sarma cnet2 prng ~lambda ~eta:4
       in
       let net_d = Net.create ~n in
-      Report.attach_profile ~id:"E11" net_d;
+      Report.subscribe_profile ~id:"E11" net_d;
       ignore (Doubling.sample_tree net_d prng g ~tau0:n);
       let net_s = Net.create ~n in
-      Report.attach_profile ~id:"E11" net_s;
+      Report.subscribe_profile ~id:"E11" net_s;
       let r = Sampler.sample net_s prng g in
       Report.record ~id:"E11"
         ~params:[ ("n", Report.int n) ]
@@ -925,7 +925,7 @@ let a1 () =
       ~columns:[ "trees"; "edges kept"; "cut ratio range"; "Rayleigh range" ]
   in
   let net = Net.create ~n in
-  Report.attach_profile ~id:"A1" net;
+  Report.subscribe_profile ~id:"A1" net;
   let sampler g prng = (Sampler.sample net prng g).Sampler.tree in
   List.iter
     (fun t ->
@@ -1047,7 +1047,7 @@ let a3 () =
   List.iter
     (fun (name, config) ->
       let net = Net.create ~n in
-      Report.attach_profile ~id:"A3" net;
+      Report.subscribe_profile ~id:"A3" net;
       let prng = Prng.create ~seed:23 in
       let t0 = Unix.gettimeofday () in
       let r = Sampler.sample ~config net prng g in
@@ -1083,9 +1083,9 @@ let a4 () =
   let n = if !fast then 32 else 64 in
   let g = Gen.lollipop ~clique:(n / 2) ~tail:(n - (n / 2)) in
   let net = Net.create ~n in
-  Report.attach_profile ~id:"A4" net;
+  Report.subscribe_profile ~id:"A4" net;
   let profile = Cc_obs.Profile.create ~machines:n in
-  ignore (Net.attach_profile net profile);
+  Net.add_sink net (Cc_obs.Profile.add profile);
   let prng = Prng.create ~seed:24 in
   let r = Sampler.sample net prng g in
   Printf.printf "lollipop n=%d: %d phases, %.0f rounds total\n" n
@@ -1191,7 +1191,7 @@ let q1 () =
           let aud = Audit.create g in
           let prng = Prng.create ~seed:11 in
           let net = Net.create ~n in
-          Report.attach_profile ~id:"Q1" net;
+          Report.subscribe_profile ~id:"Q1" net;
           let trials =
             run_batches aud
               (fun () -> sampler net prng g)
@@ -1456,8 +1456,8 @@ let r1 () =
   let run mode =
     let net = Net.create ~n in
     if mode = `Recorded then
-      ignore
-        (Net.attach_recorder net
+      Net.add_sink net
+        (Cc_obs.Recorder.add
            (Cc_obs.Recorder.create ~max_records:0 ~machines:n ()));
     let master = Prng.create ~seed:11 in
     let draw_all () =

@@ -29,7 +29,7 @@ let titles : (string, string) Hashtbl.t = Hashtbl.create 16
 let records : Json.t list ref = ref []
 
 (* (id, load profile) for every net an experiment subscribed via
-   [attach_profile], newest first. An experiment's cc-bench/2 [max_load] is
+   [subscribe_profile], newest first. An experiment's cc-bench/2 [max_load] is
    the hottest machine's total load ([Profile.max_load]) over those nets,
    its [imbalance] the worst imbalance. *)
 let profiles : (string * Cc_obs.Profile.t) list ref = ref []
@@ -44,13 +44,13 @@ let reset () =
 
 let set_title ~id ~title = Hashtbl.replace titles id title
 
-(* [attach_profile ~id net] subscribes a load profile to a freshly created
-   net for the experiment's cc-bench/2 fields. Experiments call it right
-   after every [Net.create]; a no-op without [--json]. *)
-let attach_profile ~id net =
+(* [subscribe_profile ~id net] subscribes a load profile to a freshly
+   created net for the experiment's cc-bench/2 fields. Experiments call it
+   right after every [Net.create]; a no-op without [--json]. *)
+let subscribe_profile ~id net =
   if enabled () then begin
     let p = Cc_obs.Profile.create ~machines:(Cc_clique.Net.n net) in
-    ignore (Cc_clique.Net.attach_profile net p);
+    Cc_clique.Net.add_sink net (Cc_obs.Profile.add p);
     profiles := (id, p) :: !profiles
   end
 

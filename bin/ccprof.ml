@@ -266,12 +266,7 @@ let heatmap_cmd =
     in
     (match Recorder.verify l with Ok _ -> () | Error msg -> bad msg);
     let p = Profile.create ~machines:(Recorder.machines l.Recorder.log) in
-    (try
-       List.iter
-         (fun (r : Recorder.record) ->
-           Profile.add p ~label:r.label ~words:r.words ~sent:r.sent
-             ~recv:r.recv)
-         (Recorder.records l.Recorder.log)
+    (try List.iter (Profile.add p) (Recorder.records l.Recorder.log)
      with Invalid_argument msg -> bad msg);
     print_string (Profile.render ~max_width:width p)
   in

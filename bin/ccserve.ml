@@ -16,7 +16,7 @@ open Cmdliner
 
 let setup_logs verbose =
   Logs.set_reporter (Logs.format_reporter ());
-  Logs.set_level (if verbose then Some Logs.Debug else Some Logs.Warning)
+  Logs.set_level (if verbose then Some Logs.Info else Some Logs.Warning)
 
 let exit_usage = 2
 
@@ -52,7 +52,10 @@ let metrics_json_t =
     value & opt (some string) None & info [ "metrics-json" ] ~doc ~docv:"FILE")
 
 let verbose_t =
-  Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Enable debug logging.")
+  Arg.(
+    value & flag
+    & info [ "v"; "verbose" ]
+        ~doc:"Log the server's lifecycle lines (cc.serve at Info) to stderr.")
 
 let run verbose sock cache_cap max_requests metrics_json =
   setup_logs verbose;

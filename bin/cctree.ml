@@ -257,14 +257,14 @@ let with_obs obs net f =
     | Some path ->
         let r = Cc_obs.Recorder.create ~machines:(Net.n net) () in
         let inv = Cc_obs.Invariant.create ~machines:(Net.n net) () in
-        ignore (Net.attach_recorder net r);
-        ignore (Net.attach_invariant net inv);
+        Net.add_sink net (Cc_obs.Recorder.add r);
+        Net.add_sink net (fun r -> ignore (Cc_obs.Invariant.observe inv r));
         Some (path, r, inv)
   in
   let profile =
     if obs.profile then begin
       let p = Cc_obs.Profile.create ~machines:(Net.n net) in
-      ignore (Net.attach_profile net p);
+      Net.add_sink net (Cc_obs.Profile.add p);
       Some p
     end
     else None

@@ -29,7 +29,6 @@ type t = {
   crashed_set : (int, unit) Hashtbl.t;
   mutable pending_crashes : (int * float) list; (* sorted by round *)
   mutable n_drops : int;
-  mutable n_corruptions : int;
   mutable n_retransmits : int;
   mutable n_reroutes : int;
   mutable n_reruns : int;
@@ -57,7 +56,6 @@ let create spec =
     pending_crashes =
       List.sort (fun (_, r1) (_, r2) -> compare r1 r2) spec.crashes;
     n_drops = 0;
-    n_corruptions = 0;
     n_retransmits = 0;
     n_reroutes = 0;
     n_reruns = 0;
@@ -75,10 +73,7 @@ let attempt t =
       t.n_drops <- t.n_drops + 1;
       Drop
     end
-    else if x < t.spec.drop_prob +. t.spec.corrupt_prob then begin
-      t.n_corruptions <- t.n_corruptions + 1;
-      Corrupt
-    end
+    else if x < t.spec.drop_prob +. t.spec.corrupt_prob then Corrupt
     else Deliver
   end
 
@@ -129,7 +124,6 @@ let next_live t ~n from =
     go (((from mod n) + n) mod n) n
 
 let drops t = t.n_drops
-let corruptions t = t.n_corruptions
 let retransmits t = t.n_retransmits
 let reroutes t = t.n_reroutes
 let reruns t = t.n_reruns

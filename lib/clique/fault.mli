@@ -116,8 +116,6 @@ val next_live : t -> n:int -> int -> int option
 
 val drops : t -> int  (** transmission attempts that were dropped. *)
 
-val corruptions : t -> int  (** transmission attempts that were corrupted. *)
-
 val retransmits : t -> int  (** packets retransmitted by the reliable layer. *)
 
 val reroutes : t -> int  (** tuples re-routed around a crashed machine. *)

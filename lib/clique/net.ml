@@ -1,23 +1,5 @@
 type entry = { mutable rounds : float; mutable messages : int; mutable words : int }
 
-type event_kind = Exchange | Broadcast | All_to_all | Aggregate | Charge
-
-type event = {
-  kind : event_kind;
-  label : string;
-  rounds : float;
-  messages : int;
-  words : int;
-  max_load : int;
-  total_rounds : float;
-  sent : int array;
-  recv : int array;
-  total_retransmits : int;
-  total_dropped : int;
-}
-
-type sink_id = int
-
 type t = {
   n : int;
   mutable total_rounds : float;
@@ -29,10 +11,11 @@ type t = {
   by_label : (string, entry) Hashtbl.t;
   mutable injected : Fault.t option;
   (* Sinks in subscription order. *)
-  mutable sinks : (sink_id * (event -> unit)) list;
-  mutable next_sink : sink_id;
+  mutable sinks : (Cc_obs.Recorder.record -> unit) list;
+  (* Bookings so far: the next record's [seq]. *)
+  mutable booked : int;
   (* Per-machine word counts of an exchange that no sink sees, cleared per
-     call. A sink gets fresh arrays, since it may keep its event. *)
+     call. A sink gets fresh arrays, since it may keep its record. *)
   scratch_sent : int array;
   scratch_recv : int array;
 }
@@ -50,7 +33,7 @@ let create ~n =
     by_label = Hashtbl.create 16;
     injected = None;
     sinks = [];
-    next_sink = 0;
+    booked = 0;
     scratch_sent = Array.make n 0;
     scratch_recv = Array.make n 0;
   }
@@ -58,29 +41,7 @@ let create ~n =
 let n t = t.n
 let faults t = t.injected
 
-let add_sink t f =
-  let id = t.next_sink in
-  t.next_sink <- id + 1;
-  t.sinks <- t.sinks @ [ (id, f) ];
-  id
-
-let remove_sink t id = t.sinks <- List.filter (fun (i, _) -> i <> id) t.sinks
-
-let kind_name = function
-  | Exchange -> "exchange"
-  | Broadcast -> "broadcast"
-  | All_to_all -> "all_to_all"
-  | Aggregate -> "aggregate"
-  | Charge -> "charge"
-
-(* The per-kind max-load histogram names, constants so that a booking
-   builds no string. *)
-let max_load_metric = function
-  | Exchange -> "net.max_load.exchange"
-  | Broadcast -> "net.max_load.broadcast"
-  | All_to_all -> "net.max_load.all_to_all"
-  | Aggregate -> "net.max_load.aggregate"
-  | Charge -> "net.max_load.charge"
+let add_sink t f = t.sinks <- t.sinks @ [ f ]
 
 let with_faults f t =
   List.iter
@@ -113,34 +74,31 @@ let book ?(sent = [||]) ?(recv = [||]) t ~kind ~label ~rounds ~messages ~words
   e.rounds <- e.rounds +. rounds;
   e.messages <- e.messages + messages;
   e.words <- e.words + words;
-  (* Observability taps: caller-installed sinks, the metrics registry, and
-     the active trace all see every booked primitive. Pure observation —
-     none may (nor can, through this interface) change the ledger or the
-     fault schedule. *)
-  if max_load > 0 then begin
-    let x = float_of_int max_load in
-    Cc_obs.Metrics.observe "net.max_load" x;
-    Cc_obs.Metrics.observe (max_load_metric kind) x
-  end;
+  (* Observability taps: caller-installed sinks and the active trace both
+     see every booked primitive. Pure observation — neither may (nor can,
+     through this interface) change the ledger or the fault schedule. *)
   (match t.sinks with
   | [] -> ()
   | sinks ->
-      let ev =
+      let r =
         {
+          Cc_obs.Recorder.seq = t.booked;
           kind;
           label;
+          round_start = t.total_rounds -. rounds;
+          round_end = t.total_rounds;
           rounds;
           messages;
           words;
           max_load;
-          total_rounds = t.total_rounds;
           sent;
           recv;
-          total_retransmits = t.total_retransmits;
-          total_dropped = t.total_dropped;
+          retransmits = t.total_retransmits;
+          dropped = t.total_dropped;
         }
       in
-      List.iter (fun (_, f) -> f ev) sinks);
+      List.iter (fun f -> f r) sinks);
+  t.booked <- t.booked + 1;
   if Cc_obs.Trace.enabled () then
     Cc_obs.Trace.net_event ~rounds ~messages ~words ~max_load;
   (* Crash-stop failures fire at round boundaries: booking a primitive ends
@@ -181,7 +139,7 @@ let exchange t ~label packets =
   done;
   if !load > 0 then begin
     let rounds = Float.of_int ((!load + t.n - 1) / t.n) in
-    book t ~kind:Exchange ~label ~rounds ~messages:!messages
+    book t ~kind:"exchange" ~label ~rounds ~messages:!messages
       ~words:!total_words ~max_load:!load ~sent ~recv:received
   end
 
@@ -197,14 +155,14 @@ let broadcast t ~label ~src ~words =
        the two-step tree's constant factor into the big-O (the same
        convention every other collective here uses). *)
     let rounds = Float.of_int (max 1 ((words + t.n - 1) / t.n)) in
-    (* The event carries the logical pattern — src emits its payload once,
+    (* The record carries the logical pattern — src emits its payload once,
        every other machine takes a copy — not the tree's relay hops, so a
        per-machine profile points at the source as the hot machine while the
        booked rounds keep the tree's balanced cost. *)
     let sent = Array.make t.n 0 and recv = Array.make t.n words in
     sent.(src) <- words;
     recv.(src) <- 0;
-    book t ~kind:Broadcast ~label ~rounds ~messages:(t.n - 1)
+    book t ~kind:"broadcast" ~label ~rounds ~messages:(t.n - 1)
       ~words:(words * (t.n - 1))
       ~max_load:words ~sent ~recv
 
@@ -217,7 +175,7 @@ let all_to_all t ~label ~words_each =
   if words_each > 0 then begin
     let messages = t.n * (t.n - 1) in
     let per_machine = words_each * (t.n - 1) in
-    book t ~kind:All_to_all ~label
+    book t ~kind:"all_to_all" ~label
       ~rounds:(Float.of_int (max 1 words_each))
       ~messages ~words:(messages * words_each) ~max_load:per_machine
       ~sent:(for_sinks t per_machine) ~recv:(for_sinks t per_machine)
@@ -247,7 +205,7 @@ let aggregate t ~label ?(combinable = true) ~contributors ~dst words_each =
       (fun src -> if src <> dst then sent.(src) <- sent.(src) + words_each)
       contributors;
     recv.(dst) <- received;
-    book t ~kind:Aggregate ~label ~rounds ~messages:k ~words:total
+    book t ~kind:"aggregate" ~label ~rounds ~messages:k ~words:total
       ~max_load:(Array.fold_left imax received sent)
       ~sent ~recv
   end
@@ -255,7 +213,7 @@ let aggregate t ~label ?(combinable = true) ~contributors ~dst words_each =
 let charge t ~label rounds =
   if not (Float.is_finite rounds && rounds >= 0.0) then
     invalid_arg "Net.charge: rounds must be finite and nonnegative";
-  book t ~kind:Charge ~label ~rounds ~messages:0 ~words:0 ~max_load:0
+  book t ~kind:"charge" ~label ~rounds ~messages:0 ~words:0 ~max_load:0
 
 let charge_overhead t ~label rounds =
   charge t ~label rounds;
@@ -286,7 +244,7 @@ let book_retry t ~label ~attempt packets =
   let before = t.total_rounds in
   exchange t ~label:(retry_label label) packets;
   let backoff = Float.of_int (1 lsl min 10 (attempt - 1)) in
-  book t ~kind:Charge ~label:(retry_label label) ~rounds:backoff ~messages:0
+  book t ~kind:"charge" ~label:(retry_label label) ~rounds:backoff ~messages:0
     ~words:0 ~max_load:0;
   let k = List.length packets in
   t.total_retransmits <- t.total_retransmits + k;
@@ -297,7 +255,7 @@ let book_straggle t ~label f =
   let s = Fault.straggle_rounds f in
   if s > 0 then begin
     let rounds = Float.of_int s in
-    book t ~kind:Charge ~label:(label ^ ":straggle") ~rounds ~messages:0
+    book t ~kind:"charge" ~label:(label ^ ":straggle") ~rounds ~messages:0
       ~words:0 ~max_load:0;
     t.overhead_rounds <- t.overhead_rounds +. rounds
   end
@@ -443,47 +401,6 @@ let pp_ledger fmt t =
   if t.total_retransmits > 0 || t.total_dropped > 0 || t.overhead_rounds > 0.0
   then Format.fprintf fmt "%a@," pp_fault_summary t;
   Format.fprintf fmt "%s@]" (Cc_util.Table.render (ledger_table t))
-
-(* --- flight recorder / profile / invariant glue ---
-
-   Cc_obs sits below this library, so the recorder, the load profile and the
-   invariant monitor define their own inputs; these adapters subscribe them
-   to the event bus and translate each event. *)
-
-let attach_recorder t r =
-  add_sink t (fun e ->
-      Cc_obs.Recorder.add r ~kind:(kind_name e.kind) ~label:e.label
-        ~rounds:e.rounds ~round_end:e.total_rounds ~messages:e.messages
-        ~words:e.words ~max_load:e.max_load ~sent:e.sent ~recv:e.recv
-        ~retransmits:e.total_retransmits ~dropped:e.total_dropped)
-
-let attach_profile t p =
-  add_sink t (fun e ->
-      Cc_obs.Profile.add p ~label:e.label ~words:e.words ~sent:e.sent
-        ~recv:e.recv)
-
-let attach_invariant t inv =
-  let seq = ref 0 in
-  add_sink t (fun e ->
-      let r =
-        {
-          Cc_obs.Recorder.seq = !seq;
-          kind = kind_name e.kind;
-          label = e.label;
-          round_start = e.total_rounds -. e.rounds;
-          round_end = e.total_rounds;
-          rounds = e.rounds;
-          messages = e.messages;
-          words = e.words;
-          max_load = e.max_load;
-          sent = e.sent;
-          recv = e.recv;
-          retransmits = e.total_retransmits;
-          dropped = e.total_dropped;
-        }
-      in
-      incr seq;
-      ignore (Cc_obs.Invariant.observe inv r))
 
 let ledger_violations t inv =
   Cc_obs.Invariant.check_ledger inv ~ledger:(ledger t) ~rounds:t.total_rounds

@@ -160,67 +160,32 @@ val ledger : t -> (string * float * int * int) list
     the primitive itself. Neither path touches the ledger or draws
     randomness, so an observed run is bit-identical to a bare one. *)
 
-(** The metering primitive a cost was booked under. *)
-type event_kind = Exchange | Broadcast | All_to_all | Aggregate | Charge
+(** [add_sink t f] subscribes [f] to the event bus: for every primitive
+    booked from now on it is called once, after earlier subscribers, with
+    one {!Cc_obs.Recorder.record} that every subscriber shares.
+    - [seq] is the net's booking index, counted from 0 at {!create}, so a
+      sink subscribed after [k] bookings first sees [seq = k];
+    - [kind] is the primitive's wire name (["exchange"], ["broadcast"],
+      ["all_to_all"], ["aggregate"] or ["charge"]);
+    - [round_end] is {!rounds} right after the booking and [round_start]
+      is [round_end -. rounds];
+    - [max_load] is the most words any one machine sent or received — the
+      load Lenzen routing charges [ceil (load / n)] rounds for, [0] for a
+      {!charge};
+    - [sent] and [recv] hold each machine's words ([[||]] for a charge,
+      which routes no traffic);
+    - [retransmits] and [dropped] are {!retransmits} and {!dropped} at
+      booking time.
 
-type event = {
-  kind : event_kind;
-  label : string;  (** ledger label. *)
-  rounds : float;  (** rounds booked by this primitive. *)
-  messages : int;
-  words : int;
-  max_load : int;
-      (** maximum words any one machine sent or received in this primitive —
-          the per-machine load Lenzen routing charges [ceil (load / n)]
-          rounds for; [0] for analytic {!charge}s. *)
-  total_rounds : float;  (** {!rounds} immediately after booking. *)
-  sent : int array;
-      (** words each machine sent in this primitive (one slot per machine;
-          [[||]] for analytic {!charge}s, which route no traffic). Shared
-          with the booking layer for the duration of the callback — sinks
-          that retain it must copy. *)
-  recv : int array;  (** words each machine received; same shape as [sent]. *)
-  total_retransmits : int;  (** {!retransmits} at booking time. *)
-  total_dropped : int;  (** {!dropped} at booking time. *)
-}
-
-(** Handle for one event-bus subscription. *)
-type sink_id
-
-(** [add_sink t f] subscribes [f] to the event bus: it is invoked once per
-    booked primitive, after earlier subscribers. *)
-val add_sink : t -> (event -> unit) -> sink_id
-
-(** [remove_sink t id] cancels a subscription (idempotent). *)
-val remove_sink : t -> sink_id -> unit
-
-(** [attach_recorder t r] subscribes the flight recorder [r] to the event
-    bus: every booked primitive is appended to [r] as a canonical
-    {!Cc_obs.Recorder.record} (per-machine words copied, fault counters
-    snapshotted). *)
-val attach_recorder : t -> Cc_obs.Recorder.t -> sink_id
-
-(** [attach_profile t p] subscribes the load profile [p] to the event bus:
-    every booked primitive's per-machine words are folded into [p] under its
-    label ({!Cc_obs.Profile.add}), building the machine × label congestion
-    matrix. The profile covers the traffic booked after the subscription,
-    so attach it right after {!create}. *)
-val attach_profile : t -> Cc_obs.Profile.t -> sink_id
-
-(** [attach_invariant t inv] subscribes the invariant monitor [inv] to the
-    event bus for online checking of every booked primitive (Lenzen cap,
-    conservation, round monotonicity). Violations accumulate in [inv] and
-    in the Metrics registry; see {!Cc_obs.Invariant}. *)
-val attach_invariant : t -> Cc_obs.Invariant.t -> sink_id
+    The net never touches a record again once a sink has it, so a sink may
+    keep it, arrays included. Subscribe right after {!create} for a log
+    that covers the whole run. *)
+val add_sink : t -> (Cc_obs.Recorder.record -> unit) -> unit
 
 (** [ledger_violations t inv] reconciles the event stream [inv] has seen
     against [t]'s ledger and totals ({!Cc_obs.Invariant.check_ledger});
-    call once at end of run, with [inv] attached since [t]'s creation. *)
+    call once at end of run, with [inv] subscribed since [t]'s creation. *)
 val ledger_violations : t -> Cc_obs.Invariant.t -> Cc_obs.Invariant.violation list
-
-(** [kind_name k] is the lowercase wire name (["exchange"], ["broadcast"],
-    ["all_to_all"], ["aggregate"], ["charge"]). *)
-val kind_name : event_kind -> string
 
 (** [words_for_bits t bits] is the number of O(log n)-bit words needed to
     carry [bits] bits at this clique size (word size = max 8 (ceil(log2 n))). *)

@@ -41,23 +41,6 @@ let of_edges ~n edge_list =
 let of_unweighted_edges ~n edge_list =
   of_edges ~n (List.map (fun (u, v) -> (u, v, 1.0)) edge_list)
 
-let of_adjacency_matrix a =
-  let n = Cc_linalg.Mat.rows a in
-  if Cc_linalg.Mat.cols a <> n then invalid_arg "Graph.of_adjacency_matrix: not square";
-  if not (Cc_linalg.Mat.is_symmetric a) then
-    invalid_arg "Graph.of_adjacency_matrix: not symmetric";
-  let edge_list = ref [] in
-  for u = 0 to n - 1 do
-    if Cc_linalg.Mat.get a u u <> 0.0 then
-      invalid_arg "Graph.of_adjacency_matrix: nonzero diagonal";
-    for v = u + 1 to n - 1 do
-      let w = Cc_linalg.Mat.get a u v in
-      if w < 0.0 then invalid_arg "Graph.of_adjacency_matrix: negative weight";
-      if w > 0.0 then edge_list := (u, v, w) :: !edge_list
-    done
-  done;
-  of_edges ~n !edge_list
-
 let n g = g.n
 let num_edges g = List.length g.edges
 let edges g = g.edges
@@ -112,15 +95,6 @@ let is_connected g =
 
 let total_weight g =
   List.fold_left (fun acc (_, _, w) -> acc +. w) 0.0 g.edges
-
-let adjacency_matrix g =
-  let m = Cc_linalg.Mat.create ~rows:g.n ~cols:g.n 0.0 in
-  List.iter
-    (fun (u, v, w) ->
-      Cc_linalg.Mat.set m u v w;
-      Cc_linalg.Mat.set m v u w)
-    g.edges;
-  m
 
 (* Both builders fill row u from u's adjacency, O(n^2 + m) in all; every
    entry they leave at its initial value is the one a non-edge gets. *)

@@ -18,11 +18,6 @@ val of_edges : n:int -> (int * int * float) list -> t
 (** [of_unweighted_edges ~n edges] gives every edge weight 1. *)
 val of_unweighted_edges : n:int -> (int * int) list -> t
 
-(** [of_adjacency_matrix a] interprets symmetric nonnegative [a] as edge
-    weights; zero means no edge. @raise Invalid_argument if not symmetric or
-    has nonzero diagonal. *)
-val of_adjacency_matrix : Cc_linalg.Mat.t -> t
-
 (** {1 Queries} *)
 
 val n : t -> int
@@ -62,9 +57,6 @@ val total_weight : t -> float
     [P(u,v) = w(u,v) / weighted_degree u]. Rows of isolated vertices are
     self-loops. *)
 val transition_matrix : t -> Cc_linalg.Mat.t
-
-(** [adjacency_matrix g] *)
-val adjacency_matrix : t -> Cc_linalg.Mat.t
 
 (** [laplacian g] is L = D - A with weighted degrees; its non-edge entries
     are [-0.0]. *)

@@ -27,8 +27,10 @@
     [cctree --record] lists them on stderr and exits 1. Checking is pure
     observation and never perturbs the run.
 
-    Glue a monitor to a live net with [Cc_clique.Net.attach_invariant] and
-    reconcile with [Cc_clique.Net.ledger_violations]. *)
+    Subscribe a monitor to a live net with
+    [Cc_clique.Net.add_sink net (fun r -> ignore (Invariant.observe inv r))]
+    right after [Cc_clique.Net.create], and reconcile with
+    [Cc_clique.Net.ledger_violations]. *)
 
 type violation = {
   invariant : string;  (** catalogue entry, e.g. ["lenzen_cap"]. *)

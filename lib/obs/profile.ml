@@ -18,7 +18,7 @@ let create ~machines =
     total_words = 0;
   }
 
-let add t ~label ~words ~sent ~recv =
+let add t { Recorder.label; words; sent; recv; _ } =
   match (sent, recv) with
   | [||], [||] -> () (* an analytic charge routes no traffic *)
   | _ ->

@@ -2,8 +2,9 @@
 
     A profile is the machine × label congestion matrix of one simulated run:
     for every ledger label, how many words each machine sent and received
-    under it. It is a fold over the Net event stream, one primitive at a
-    time ({!add}): [Cc_clique.Net.attach_profile] subscribes it to a live
+    under it. It is a fold over the Net event stream, one
+    {!Recorder.record} at a time ({!add}):
+    [Cc_clique.Net.add_sink net (Profile.add p)] subscribes it to a live
     net, and [ccprof heatmap] feeds it the records of a flight-recorder log,
     so both render the same heatmap for the same run.
 
@@ -36,15 +37,14 @@ type t = private {
     @raise Invalid_argument if [machines < 1]. *)
 val create : machines:int -> t
 
-(** [add t ~label ~words ~sent ~recv] folds one booked primitive into [t]:
-    [sent.(i)] / [recv.(i)] words of machine [i] join [label]'s row and the
-    per-machine totals, and [words] (the primitive's booked words) joins the
-    balanced ideal's numerator. An analytic charge — both arrays empty —
-    routes no traffic and is skipped.
+(** [add t r] folds one booked primitive into [t]: [r.sent.(i)] /
+    [r.recv.(i)] words of machine [i] join [r.label]'s row and the
+    per-machine totals, and [r.words] (the primitive's booked words) joins
+    the balanced ideal's numerator. An analytic charge — both arrays
+    empty — routes no traffic and is skipped.
     @raise Invalid_argument if the arrays are not both empty or both
     [machines] long. *)
-val add :
-  t -> label:string -> words:int -> sent:int array -> recv:int array -> unit
+val add : t -> Recorder.record -> unit
 
 (** {1 Summary statistics} *)
 

@@ -11,7 +11,8 @@
    One writer ([write_record]) defines the record line for both the digest
    and the export. It appends straight into a growable byte buffer, so
    [add] builds no JSON tree and no intermediate string: the recorder folds
-   its own buffer in place and reuses it for the next line. *)
+   its own buffer in place and reuses it for the next line. A stored record
+   is the one [add] was handed: the net never touches it again. *)
 
 type record = {
   seq : int;
@@ -251,8 +252,22 @@ let header_line ~machines =
    constants beside them, and so do the zero fields of a charge, which
    routes no traffic, and of a run without faults: each writes what the
    field-by-field path would. *)
-let write_record o ~seq ~kind ~label ~round_start ~round_end ~rounds
-    ~messages ~words ~max_load ~sent ~recv ~retransmits ~dropped =
+let write_record o
+    {
+      seq;
+      kind;
+      label;
+      round_start;
+      round_end;
+      rounds;
+      messages;
+      words;
+      max_load;
+      sent;
+      recv;
+      retransmits;
+      dropped;
+    } =
   out_string o {|{"type":"record","seq":|};
   out_int o seq;
   out_string o {|,"kind":"|};
@@ -307,39 +322,20 @@ let create ?(max_records = 200_000) ~machines () =
     digest = fnv64 fnv_basis (header_line ~machines);
   }
 
-let add t ~kind ~label ~rounds ~round_end ~messages ~words ~max_load ~sent
-    ~recv ~retransmits ~dropped =
+let add t r =
   if
-    Array.length sent <> Array.length recv
-    || (Array.length sent <> 0 && Array.length sent <> t.machines)
+    Array.length r.sent <> Array.length r.recv
+    || (Array.length r.sent <> 0 && Array.length r.sent <> t.machines)
   then
     invalid_arg
       "Recorder.add: per-machine arrays must be empty or one slot per machine";
-  let seq = t.total and round_start = round_end -. rounds in
   let o = t.line in
   o.len <- 0;
-  write_record o ~seq ~kind ~label ~round_start ~round_end ~rounds ~messages
-    ~words ~max_load ~sent ~recv ~retransmits ~dropped;
+  write_record o r;
   t.digest <- fnv64_prefix t.digest (Bytes.unsafe_to_string o.bytes) o.len;
   t.total <- t.total + 1;
   if t.stored < t.max_records then begin
-    t.rev_records <-
-      {
-        seq;
-        kind;
-        label;
-        round_start;
-        round_end;
-        rounds;
-        messages;
-        words;
-        max_load;
-        sent = Array.copy sent;
-        recv = Array.copy recv;
-        retransmits;
-        dropped;
-      }
-      :: t.rev_records;
+    t.rev_records <- r :: t.rev_records;
     t.stored <- t.stored + 1
   end
 
@@ -359,25 +355,8 @@ let to_jsonl t =
   out_string o (header_line ~machines:t.machines);
   out_char o '\n';
   List.iter
-    (fun
-      {
-        seq;
-        kind;
-        label;
-        round_start;
-        round_end;
-        rounds;
-        messages;
-        words;
-        max_load;
-        sent;
-        recv;
-        retransmits;
-        dropped;
-      }
-    ->
-      write_record o ~seq ~kind ~label ~round_start ~round_end ~rounds
-        ~messages ~words ~max_load ~sent ~recv ~retransmits ~dropped;
+    (fun r ->
+      write_record o r;
       out_char o '\n')
     (records t);
   out_string o

@@ -15,17 +15,21 @@
     the recorder owns, and the digest folds them there, so recording builds
     no JSON tree and no intermediate string per event.
 
-    The recorder is glued to a net with [Cc_clique.Net.attach_recorder]
-    (this module cannot depend on [Cc_clique], which sits above it). Like
-    every observability layer here it is pure observation: it copies what
-    the sink hands it and never touches the ledger or draws randomness. *)
+    The record type is the net's event type: [Cc_clique.Net] builds one per
+    booked primitive and hands it to every subscriber, so a recorder is
+    subscribed with [Cc_clique.Net.add_sink net (Recorder.add r)]. Like
+    every observability layer here it is pure observation: it never
+    touches the ledger or draws randomness. *)
 
 type record = {
-  seq : int;  (** 0-based position in the event stream. *)
+  seq : int;
+      (** the net's booking index, from 0 — the record's position in the
+          stream of a recorder subscribed right after the net's creation. *)
   kind : string;  (** primitive wire name: ["exchange"], ["broadcast"], … *)
   label : string;  (** ledger label the cost was booked under. *)
-  round_start : float;  (** round clock when the primitive began. *)
-  round_end : float;  (** round clock after booking ([round_start + rounds]). *)
+  round_start : float;
+      (** round clock when the primitive began ([round_end -. rounds]). *)
+  round_end : float;  (** round clock after booking. *)
   rounds : float;
   messages : int;
   words : int;
@@ -48,27 +52,13 @@ type t
     each request, since it reports only {!digest_hex}. *)
 val create : ?max_records:int -> machines:int -> unit -> t
 
-(** [add t ~kind ~label ~rounds ~round_end …] appends one record
-    ([round_start] is derived as [round_end - rounds]; [seq] is assigned)
-    and extends the digest with its line. The record is built, and the
-    per-machine arrays copied, only when it is stored (fewer than
-    [max_records] stored so far); the digest never depends on storage.
+(** [add t r] writes [r]'s line as it stands, [seq] and [round_start]
+    included, and extends the digest with it; while fewer than
+    [max_records] are stored it keeps [r] itself. The digest never depends
+    on storage.
     @raise Invalid_argument if [sent]/[recv] are not both empty or both of
     length [machines]. *)
-val add :
-  t ->
-  kind:string ->
-  label:string ->
-  rounds:float ->
-  round_end:float ->
-  messages:int ->
-  words:int ->
-  max_load:int ->
-  sent:int array ->
-  recv:int array ->
-  retransmits:int ->
-  dropped:int ->
-  unit
+val add : t -> record -> unit
 
 val machines : t -> int
 

@@ -130,7 +130,7 @@ let start_job t conn (req : Protocol.request) =
   let n = Graph.n req.graph in
   let net = Net.create ~n in
   let recorder = Recorder.create ~max_records:0 ~machines:n () in
-  ignore (Net.attach_recorder net recorder);
+  Net.add_sink net (Recorder.add recorder);
   Metrics.incr "server.requests";
   Log.info (fun m ->
       m "conn %d: request %s k=%d %s" conn.cid

@@ -238,7 +238,7 @@ let test_zero_perturbation_digest () =
   let run ~audited =
     let net = Cc_clique.Net.create ~n:(Graph.n g) in
     let rec_ = Cc_obs.Recorder.create ~machines:(Graph.n g) () in
-    ignore (Cc_clique.Net.attach_recorder net rec_);
+    Cc_clique.Net.add_sink net (Cc_obs.Recorder.add rec_);
     let prng = Prng.create ~seed:41 in
     let aud = if audited then Some (Audit.create g) else None in
     let trees =

@@ -3,6 +3,7 @@
 
 module Net = Cc_clique.Net
 module Profile = Cc_obs.Profile
+module Recorder = Cc_obs.Recorder
 module Fault = Cc_clique.Fault
 module Matmul = Cc_clique.Matmul
 module Mat = Cc_linalg.Mat
@@ -125,7 +126,7 @@ let test_aggregate_not_combinable () =
 let profiled_net n =
   let net = Net.create ~n in
   let p = Profile.create ~machines:n in
-  ignore (Net.attach_profile net p);
+  Net.add_sink net (Profile.add p);
   (net, p)
 
 let test_skewed_exchange_imbalance () =
@@ -197,7 +198,7 @@ let test_sink_sees_max_load () =
   let n = 8 in
   let net = Net.create ~n in
   let seen = ref [] in
-  ignore (Net.add_sink net (fun ev -> seen := ev.Net.max_load :: !seen));
+  Net.add_sink net (fun r -> seen := r.Recorder.max_load :: !seen);
   Net.exchange net ~label:"t"
     (List.init (n - 1) (fun i -> { Net.src = i + 1; dst = 0; words = n }));
   Net.charge net ~label:"free" 2.0;
@@ -211,7 +212,7 @@ let test_profile_does_not_perturb () =
     let n = 8 in
     let net = Net.create ~n in
     let p = Profile.create ~machines:n in
-    if peek then ignore (Net.attach_profile net p);
+    if peek then Net.add_sink net (Profile.add p);
     Net.exchange net ~label:"a"
       (List.init (n - 1) (fun i -> { Net.src = 0; dst = i + 1; words = 3 }));
     if peek then ignore (Profile.render p);
@@ -334,7 +335,7 @@ let test_power_table_stop_books_every_level () =
   let record f =
     let net = Net.create ~n in
     let r = Cc_obs.Recorder.create ~machines:n () in
-    ignore (Net.attach_recorder net r);
+    Net.add_sink net (Cc_obs.Recorder.add r);
     f net;
     (Cc_obs.Recorder.digest_hex r, Net.rounds net)
   in
@@ -466,69 +467,36 @@ let qcheck_tests =
         && Net.words net = !wtotal);
   ]
 
-(* --- event bus (add_sink / remove_sink) --- *)
+(* --- event bus (add_sink) --- *)
 
 let test_add_sink_ordering () =
   let net = Net.create ~n:4 in
   let order = ref [] in
-  let a = Net.add_sink net (fun _ -> order := "a" :: !order) in
-  let _b = Net.add_sink net (fun _ -> order := "b" :: !order) in
+  Net.add_sink net (fun _ -> order := "a" :: !order);
+  Net.add_sink net (fun _ -> order := "b" :: !order);
   Net.exchange net ~label:"t" [ { Net.src = 0; dst = 1; words = 1 } ];
   Alcotest.(check (list string))
-    "subscription order preserved" [ "a"; "b" ] (List.rev !order);
-  Net.remove_sink net a;
-  Net.remove_sink net a;
-  (* idempotent *)
-  order := [];
-  Net.exchange net ~label:"t" [ { Net.src = 0; dst = 1; words = 1 } ];
-  Alcotest.(check (list string)) "removed sink is silent" [ "b" ] !order
-
-let test_resubscribe_and_detach () =
-  (* Swapping one subscription for another must not disturb the others: a
-     re-subscription moves to the back, and removing it leaves the rest. *)
-  let net = Net.create ~n:4 in
-  let order = ref [] in
-  let book () =
-    order := [];
-    Net.exchange net ~label:"t" [ { Net.src = 0; dst = 1; words = 1 } ];
-    List.rev !order
-  in
-  ignore (Net.add_sink net (fun _ -> order := "bus" :: !order));
-  let first = Net.add_sink net (fun _ -> order := "first" :: !order) in
-  Alcotest.(check (list string))
-    "both fire, earlier subscription first" [ "bus"; "first" ] (book ());
-  Net.remove_sink net first;
-  let second = Net.add_sink net (fun _ -> order := "second" :: !order) in
-  ignore (Net.add_sink net (fun _ -> order := "late" :: !order));
-  Alcotest.(check (list string))
-    "replacement joins at the back" [ "bus"; "second"; "late" ] (book ());
-  Net.remove_sink net second;
-  Alcotest.(check (list string)) "detached sink is silent" [ "bus"; "late" ]
-    (book ())
+    "subscription order preserved" [ "a"; "b" ] (List.rev !order)
 
 let test_event_per_machine_words () =
   let n = 4 in
   let net = Net.create ~n in
   let events = ref [] in
-  ignore
-    (Net.add_sink net (fun (e : Net.event) ->
-         (* sent/recv are shared with the booking layer: copy. *)
-         events :=
-           (e.Net.kind, Array.copy e.Net.sent, Array.copy e.Net.recv)
-           :: !events));
+  Net.add_sink net (fun (e : Recorder.record) ->
+      events := (e.kind, e.sent, e.recv) :: !events);
   Net.exchange net ~label:"x"
     [ { Net.src = 0; dst = 1; words = 3 }; { Net.src = 2; dst = 1; words = 5 } ];
   Net.broadcast net ~label:"b" ~src:2 ~words:4;
   Net.charge net ~label:"free" 1.0;
   match List.rev !events with
   | [ (k1, s1, r1); (k2, s2, r2); (k3, s3, r3) ] ->
-      Alcotest.(check bool) "exchange kind" true (k1 = Net.Exchange);
+      Alcotest.(check string) "exchange kind" "exchange" k1;
       Alcotest.(check (array int)) "exchange sent" [| 3; 0; 5; 0 |] s1;
       Alcotest.(check (array int)) "exchange recv" [| 0; 8; 0; 0 |] r1;
-      Alcotest.(check bool) "broadcast kind" true (k2 = Net.Broadcast);
+      Alcotest.(check string) "broadcast kind" "broadcast" k2;
       Alcotest.(check (array int)) "broadcast sent" [| 0; 0; 4; 0 |] s2;
       Alcotest.(check (array int)) "broadcast recv" [| 4; 4; 0; 4 |] r2;
-      Alcotest.(check bool) "charge kind" true (k3 = Net.Charge);
+      Alcotest.(check string) "charge kind" "charge" k3;
       Alcotest.(check (array int)) "charge books no traffic" [||] s3;
       Alcotest.(check (array int)) "charge receives none" [||] r3
   | evs -> Alcotest.failf "expected 3 events, got %d" (List.length evs)
@@ -542,22 +510,22 @@ let test_exchange_loads_per_call () =
   Net.exchange net ~label:"x" [ { Net.src = 2; dst = 3; words = 4 } ];
   Alcotest.(check (float 0.0)) "3 rounds, then 1" 4.0 (Net.rounds net);
   let events = ref [] in
-  ignore (Net.add_sink net (fun (e : Net.event) -> events := e :: !events));
+  Net.add_sink net (fun e -> events := e :: !events);
   Net.exchange net ~label:"x" [ { Net.src = 0; dst = 1; words = 3 } ];
   Net.exchange net ~label:"x" [ { Net.src = 1; dst = 2; words = 5 } ];
   match List.rev !events with
   | [ e1; e2 ] ->
-      Alcotest.(check (array int)) "first sent" [| 3; 0; 0; 0 |] e1.Net.sent;
-      Alcotest.(check (array int)) "first recv" [| 0; 3; 0; 0 |] e1.Net.recv;
-      Alcotest.(check (array int)) "second sent" [| 0; 5; 0; 0 |] e2.Net.sent;
-      Alcotest.(check (array int)) "second recv" [| 0; 0; 5; 0 |] e2.Net.recv
+      Alcotest.(check (array int)) "first sent" [| 3; 0; 0; 0 |] e1.Recorder.sent;
+      Alcotest.(check (array int)) "first recv" [| 0; 3; 0; 0 |] e1.Recorder.recv;
+      Alcotest.(check (array int)) "second sent" [| 0; 5; 0; 0 |] e2.Recorder.sent;
+      Alcotest.(check (array int)) "second recv" [| 0; 0; 5; 0 |] e2.Recorder.recv
   | evs -> Alcotest.failf "expected 2 events, got %d" (List.length evs)
 
 let test_invariant_clean_on_primitives () =
   let n = 6 in
   let net = Net.create ~n in
   let inv = Cc_obs.Invariant.create ~machines:n () in
-  ignore (Net.attach_invariant net inv);
+  Net.add_sink net (fun r -> ignore (Cc_obs.Invariant.observe inv r));
   Net.exchange net ~label:"x"
     (List.init (n - 1) (fun i -> { Net.src = i; dst = i + 1; words = 2 }));
   Net.broadcast net ~label:"b" ~src:0 ~words:10;
@@ -579,7 +547,7 @@ let test_invariant_clean_under_faults () =
       (Net.create ~n)
   in
   let inv = Cc_obs.Invariant.create ~machines:n () in
-  ignore (Net.attach_invariant net inv);
+  Net.add_sink net (fun r -> ignore (Cc_obs.Invariant.observe inv r));
   for i = 0 to 19 do
     ignore
       (Net.reliable_exchange net ~label:"flaky"
@@ -598,7 +566,7 @@ let test_invariant_ledger_mismatch_detected () =
   let net = Net.create ~n in
   Net.exchange net ~label:"early" [ { Net.src = 0; dst = 1; words = 7 } ];
   let inv = Cc_obs.Invariant.create ~machines:n () in
-  ignore (Net.attach_invariant net inv);
+  Net.add_sink net (fun r -> ignore (Cc_obs.Invariant.observe inv r));
   Net.exchange net ~label:"late" [ { Net.src = 2; dst = 3; words = 1 } ];
   let vs = Net.ledger_violations net inv in
   Alcotest.(check bool) "missed traffic detected" true (vs <> []);
@@ -646,8 +614,6 @@ let () =
         [
           Alcotest.test_case "add_sink ordering + remove" `Quick
             test_add_sink_ordering;
-          Alcotest.test_case "re-subscribe and detach" `Quick
-            test_resubscribe_and_detach;
           Alcotest.test_case "per-machine words on events" `Quick
             test_event_per_machine_words;
           Alcotest.test_case "exchange loads per call" `Quick

@@ -247,7 +247,7 @@ let test_sampler_deterministic_given_seed () =
 let record_run ~n f =
   let net = Net.create ~n in
   let r = Cc_obs.Recorder.create ~machines:n () in
-  ignore (Net.attach_recorder net r);
+  Net.add_sink net (Cc_obs.Recorder.add r);
   let v = f net in
   (v, Cc_obs.Recorder.digest_hex r)
 
@@ -837,16 +837,15 @@ let test_schur_pipeline_booked_per_phase () =
 let observe_walk run ~machines ~seed =
   let net = Net.create ~n:machines in
   let events = ref [] in
-  ignore
-    (Net.add_sink net (fun (e : Net.event) ->
-         events :=
-           ( Net.kind_name e.kind,
-             e.label,
-             e.rounds,
-             (e.messages, e.words, e.max_load),
-             Array.to_list e.sent,
-             Array.to_list e.recv )
-           :: !events));
+  Net.add_sink net (fun (e : Cc_obs.Recorder.record) ->
+      events :=
+        ( e.kind,
+          e.label,
+          e.rounds,
+          (e.messages, e.words, e.max_load),
+          Array.to_list e.sent,
+          Array.to_list e.recv )
+        :: !events);
   let prng = Prng.create ~seed in
   let result =
     match run net prng with

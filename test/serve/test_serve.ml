@@ -124,7 +124,7 @@ let oneshot_digest ~k ~seed =
   let n = Graph.n g in
   let net = Net.create ~n in
   let r = Cc_obs.Recorder.create ~machines:n () in
-  ignore (Net.attach_recorder net r);
+  Net.add_sink net (Cc_obs.Recorder.add r);
   let plan = Sampler.prepare g in
   let master = Prng.create ~seed in
   for _ = 1 to k do
