@@ -785,7 +785,7 @@ let f2 () =
 
 (* ---------------------------------------------------------------- D1 --- *)
 
-(* The replay workflow (ccreplay, CI determinism job) relies on the event
+(* The replay workflow (ccprof replay, CI determinism job) relies on the event
    stream being a pure function of the seed. D1 pins that: two sampler runs
    with identical seeds must produce byte-identical recorder digests and a
    clean invariant report; the reported measurement is 1.0 iff both hold,
@@ -843,7 +843,7 @@ let d1 () =
   if not (identical && clean) then
     print_endline
       "DETERMINISM REGRESSION: same-seed runs diverged (or violated an \
-       invariant); use ccreplay diff on recorded logs to find the first \
+       invariant); use ccprof replay diff on recorded logs to find the first \
        divergent event."
 
 (* --------------------------------------------------------------- E11 --- *)

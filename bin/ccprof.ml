@@ -17,19 +17,26 @@
      audit FILE            statistical audit verdicts (cctree sample
                            --audit): gate table, worst-edge ranking,
                            convergence sparklines
+     replay check FILE     reload a flight-recorder log, verify its digest
+                           chain, re-run the online invariant checkers
+     replay diff A B       compare two logs to the first divergent event
+     replay timeline FILE  ASCII per-round timeline of a recorded run
 
-   The JSONL artifacts (recorder logs, traces, audits, the bench history)
-   are read through Cc_obs.Json.fold_lines, so an error names the physical
-   line it is on, blank lines counted.
+   Every artifact is read through [load], once; the JSONL ones (recorder
+   logs, traces, audits, the bench history) go through
+   Cc_obs.Json.fold_lines, so an error names the physical line it is on,
+   blank lines counted.
 
    Exit codes: 0 ok; 1 diff found a regression (unless --warn-only),
-   trace --budget saw a span's share exceeded, or audit saw a statistical
-   breach; 2 unreadable or malformed input. *)
+   trace --budget saw a span's share exceeded, audit saw a statistical
+   breach, or replay found a divergence or a failed validation;
+   2 unreadable or malformed input. *)
 
 module Json = Cc_obs.Json
 module Benchdata = Cc_obs.Benchdata
 module Profile = Cc_obs.Profile
 module Recorder = Cc_obs.Recorder
+module Invariant = Cc_obs.Invariant
 module Metrics = Cc_obs.Metrics
 module Trace = Cc_obs.Trace
 module Table = Cc_util.Table
@@ -38,24 +45,18 @@ open Cmdliner
 let exit_regression = 1
 let exit_bad_input = 2
 
-let read_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+let bad_input path msg =
+  Printf.eprintf "ccprof: %s: %s\n" path msg;
+  exit exit_bad_input
+
+(* [load parse path] reads [path] once and parses it once; an I/O error or
+   a parse error exits 2. *)
+let load parse path =
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg ->
       Printf.eprintf "ccprof: %s\n" msg;
       exit exit_bad_input
-  | s -> s
-
-let load_doc path =
-  match Benchdata.load path with
-  | Ok doc -> doc
-  | Error msg ->
-      Printf.eprintf "ccprof: %s: %s\n" path msg;
-      exit exit_bad_input
+  | s -> ( match parse s with Ok v -> v | Error msg -> bad_input path msg)
 
 let opt_f decimals = function
   | None -> "-"
@@ -159,15 +160,16 @@ let summary_cmd =
   let file_t =
     Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
   in
+  let parse s =
+    Result.bind (Json.of_string s) (fun j ->
+        match metrics_of_json j with
+        | Some instruments -> Ok (Either.Left instruments)
+        | None -> Result.map Either.right (Benchdata.of_json j))
+  in
   let run file =
-    let sniffed =
-      match Json.of_string (read_file file) with
-      | Ok j -> metrics_of_json j
-      | Error _ -> None
-    in
-    match sniffed with
-    | Some instruments -> summary_metrics file instruments
-    | None -> summary_doc file (load_doc file)
+    match load parse file with
+    | Either.Left instruments -> summary_metrics file instruments
+    | Either.Right doc -> summary_doc file doc
   in
   let info =
     Cmd.info "summary"
@@ -196,7 +198,8 @@ let diff_cmd =
     Arg.(value & flag & info [ "warn-only" ] ~doc)
   in
   let run old_file new_file threshold warn_only =
-    let baseline = load_doc old_file and current = load_doc new_file in
+    let baseline = load Benchdata.of_string old_file
+    and current = load Benchdata.of_string new_file in
     let d = Benchdata.diff ~threshold ~baseline current in
     let table =
       Table.create
@@ -255,19 +258,13 @@ let heatmap_cmd =
   (* Only a log whose digest chain verifies is rendered: a truncated or
      altered log would draw a heatmap of traffic the run never booked. *)
   let run file width =
-    let bad msg =
-      Printf.eprintf "ccprof: %s: %s\n" file msg;
-      exit exit_bad_input
-    in
-    let l =
-      match Recorder.of_jsonl (read_file file) with
-      | Ok l -> l
-      | Error msg -> bad msg
-    in
-    (match Recorder.verify l with Ok _ -> () | Error msg -> bad msg);
+    let l = load Recorder.of_jsonl file in
+    (match Recorder.verify l with
+    | Ok _ -> ()
+    | Error msg -> bad_input file msg);
     let p = Profile.create ~machines:(Recorder.machines l.Recorder.log) in
     (try List.iter (Profile.add p) (Recorder.records l.Recorder.log)
-     with Invalid_argument msg -> bad msg);
+     with Invalid_argument msg -> bad_input file msg);
     print_string (Profile.render ~max_width:width p)
   in
   let info =
@@ -280,13 +277,6 @@ let heatmap_cmd =
   Cmd.v info Term.(const run $ file_t $ width_t)
 
 (* --- trace artifacts (cctree --trace-out) --- *)
-
-let load_trace file =
-  match Trace.of_jsonl (read_file file) with
-  | Error msg ->
-      Printf.eprintf "ccprof: %s: %s\n" file msg;
-      exit exit_bad_input
-  | Ok tr -> tr
 
 let trace_cmd =
   let file_t =
@@ -329,12 +319,9 @@ let trace_cmd =
               exit exit_bad_input)
         budgets
     in
-    let tr = load_trace file in
+    let tr = load Trace.of_jsonl file in
     let st = Trace.self_times tr in
-    if st.rows = [] then begin
-      Printf.eprintf "ccprof: %s: no completed spans\n" file;
-      exit exit_bad_input
-    end;
+    if st.rows = [] then bad_input file "no completed spans";
     let self_table =
       Table.create
         ~title:(Printf.sprintf "%s — self time by span" file)
@@ -416,7 +403,7 @@ let timeline_cmd =
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~doc ~docv:"FILE")
   in
   let run file out =
-    let tr = load_trace file in
+    let tr = load Trace.of_jsonl file in
     let json = Trace.to_chrome_json tr in
     match out with
     | None -> print_endline json
@@ -472,22 +459,12 @@ let history_cmd =
     end;
     (* Shape gate: every line must be a history line, not just any JSON —
        feeding some other artifact is a usage error, not an empty trend. *)
-    let runs =
-      match
-        Json.fold_lines
-          (fun runs _raw v ->
-            match Json.member "experiments" v with
-            | Some (Json.List _) -> Ok (v :: runs)
-            | _ ->
-                Error
-                  "not a bench history line (missing \"experiments\" list)")
-          [] (read_file file)
-      with
-      | Ok runs -> List.rev runs
-      | Error msg ->
-          Printf.eprintf "ccprof: %s: %s\n" file msg;
-          exit exit_bad_input
+    let history_line runs _raw v =
+      match Json.member "experiments" v with
+      | Some (Json.List _) -> Ok (v :: runs)
+      | _ -> Error "not a bench history line (missing \"experiments\" list)"
     in
+    let runs = List.rev (load (Json.fold_lines history_line []) file) in
     if runs = [] then begin
       Printf.printf "%s: no history\n" file;
       exit 0
@@ -601,120 +578,112 @@ let audit_cmd =
       & info [ "top" ] ~doc:"Worst edges (by |z|) to rank." ~docv:"K")
   in
   let run file warn_only assert_ top =
-    match Audit.of_jsonl (read_file file) with
-    | Error msg ->
-        Printf.eprintf "ccprof: %s: %s\n" file msg;
-        exit exit_bad_input
-    | Ok r ->
+    let r = load Audit.of_jsonl file in
+    Printf.printf
+      "%s — audit of %d tree(s) on n=%d, m=%d (alpha %g); ESS %.1f, \
+       edge-marginal TV %.4f, KL %.5f\n"
+      file r.Audit.r_trials r.Audit.r_n r.Audit.r_m r.Audit.r_alpha
+      r.Audit.r_ess r.Audit.r_tv_edges r.Audit.r_kl_edges;
+    if r.Audit.r_invalid > 0 then
+      Printf.printf "invalid trees %d\n" r.Audit.r_invalid;
+    (match r.Audit.r_verdict with
+    | None -> ()
+    | Some v ->
+        let table =
+          Table.create
+            ~title:
+              (Printf.sprintf "gates — verdict %s at %d tree(s)"
+                 (if v.Audit.pass then "PASS" else "FAIL")
+                 v.Audit.at_trials)
+            ~columns:[ "gate"; "statistic"; "threshold"; "verdict"; "detail" ]
+        in
+        List.iter
+          (fun (g : Audit.gate) ->
+            Table.add_row table
+              [
+                g.Audit.gate;
+                Printf.sprintf "%.3f" g.Audit.statistic;
+                Printf.sprintf "%.3f" g.Audit.threshold;
+                (if not g.Audit.applied then "abstained"
+                 else if g.Audit.breached then "BREACH"
+                 else "ok");
+                g.Audit.detail;
+              ])
+          v.Audit.gates;
+        Table.print table);
+    (match r.Audit.r_small with
+    | None -> ()
+    | Some s ->
         Printf.printf
-          "%s — audit of %d tree(s) on n=%d, m=%d (alpha %g); ESS %.1f, \
-           edge-marginal TV %.4f, KL %.5f\n"
-          file r.Audit.r_trials r.Audit.r_n r.Audit.r_m r.Audit.r_alpha
-          r.Audit.r_ess r.Audit.r_tv_edges r.Audit.r_kl_edges;
-        if r.Audit.r_invalid > 0 then
-          Printf.printf "invalid trees %d\n" r.Audit.r_invalid;
-        (match r.Audit.r_verdict with
-        | None -> ()
-        | Some v ->
-            let table =
-              Table.create
-                ~title:
-                  (Printf.sprintf "gates — verdict %s at %d tree(s)"
-                     (if v.Audit.pass then "PASS" else "FAIL")
-                     v.Audit.at_trials)
-                ~columns:
-                  [ "gate"; "statistic"; "threshold"; "verdict"; "detail" ]
-            in
-            List.iter
-              (fun (g : Audit.gate) ->
-                Table.add_row table
-                  [
-                    g.Audit.gate;
-                    Printf.sprintf "%.3f" g.Audit.statistic;
-                    Printf.sprintf "%.3f" g.Audit.threshold;
-                    (if not g.Audit.applied then "abstained"
-                     else if g.Audit.breached then "BREACH"
-                     else "ok");
-                    g.Audit.detail;
-                  ])
-              v.Audit.gates;
-            Table.print table);
-        (match r.Audit.r_small with
-        | None -> ()
-        | Some s ->
-            Printf.printf
-              "exact distribution: support %d (observed %d, foreign %d), \
-               TV %.4f, KL %.5f, chi2 %.2f\n"
-              s.Audit.support s.Audit.observed_support s.Audit.foreign
-              s.Audit.r_small_tv s.Audit.r_small_kl s.Audit.r_small_chi2);
-        let worst =
-          List.sort
-            (fun (a : Audit.edge_stat) b ->
-              compare (Float.abs b.Audit.z) (Float.abs a.Audit.z))
-            (List.filter (fun (e : Audit.edge_stat) -> not e.Audit.bridge)
-               r.Audit.r_edges)
+          "exact distribution: support %d (observed %d, foreign %d), \
+           TV %.4f, KL %.5f, chi2 %.2f\n"
+          s.Audit.support s.Audit.observed_support s.Audit.foreign
+          s.Audit.r_small_tv s.Audit.r_small_kl s.Audit.r_small_chi2);
+    let worst =
+      List.sort
+        (fun (a : Audit.edge_stat) b ->
+          compare (Float.abs b.Audit.z) (Float.abs a.Audit.z))
+        (List.filter (fun (e : Audit.edge_stat) -> not e.Audit.bridge)
+           r.Audit.r_edges)
+    in
+    if worst <> [] then begin
+      let table =
+        Table.create ~title:"worst edges by |z|"
+          ~columns:[ "edge"; "leverage"; "empirical"; "count"; "z" ]
+      in
+      List.iteri
+        (fun i (e : Audit.edge_stat) ->
+          if i < top then
+            Table.add_row table
+              [
+                Printf.sprintf "%d-%d" e.Audit.u e.Audit.v;
+                Printf.sprintf "%.4f" e.Audit.leverage;
+                (if r.Audit.r_trials > 0 then
+                   Printf.sprintf "%.4f"
+                     (float_of_int e.Audit.count
+                     /. float_of_int r.Audit.r_trials)
+                 else "-");
+                Table.cell_int e.Audit.count;
+                Printf.sprintf "%+.2f" e.Audit.z;
+              ])
+        worst;
+      Table.print table
+    end;
+    (match r.Audit.r_snapshots with
+    | [] -> ()
+    | snaps ->
+        let line name f =
+          let xs = List.map f snaps in
+          if List.exists (fun x -> Float.is_finite x && x > 0.0) xs then
+            Printf.printf "%-10s %s (at %d..%d trees)\n" name
+              (sparkline xs)
+              (List.hd snaps).Audit.at
+              (List.nth snaps (List.length snaps - 1)).Audit.at
         in
-        if worst <> [] then begin
-          let table =
-            Table.create ~title:"worst edges by |z|"
-              ~columns:[ "edge"; "leverage"; "empirical"; "count"; "z" ]
-          in
-          List.iteri
-            (fun i (e : Audit.edge_stat) ->
-              if i < top then
-                Table.add_row table
-                  [
-                    Printf.sprintf "%d-%d" e.Audit.u e.Audit.v;
-                    Printf.sprintf "%.4f" e.Audit.leverage;
-                    (if r.Audit.r_trials > 0 then
-                       Printf.sprintf "%.4f"
-                         (float_of_int e.Audit.count
-                         /. float_of_int r.Audit.r_trials)
-                     else "-");
-                    Table.cell_int e.Audit.count;
-                    Printf.sprintf "%+.2f" e.Audit.z;
-                  ])
-            worst;
-          Table.print table
-        end;
-        (match r.Audit.r_snapshots with
-        | [] -> ()
-        | snaps ->
-            let line name f =
-              let xs = List.map f snaps in
-              if List.exists (fun x -> Float.is_finite x && x > 0.0) xs then
-                Printf.printf "%-10s %s (at %d..%d trees)\n" name
-                  (sparkline xs)
-                  (List.hd snaps).Audit.at
-                  (List.nth snaps (List.length snaps - 1)).Audit.at
-            in
-            line "max |z|" (fun s -> s.Audit.s_max_z);
-            line "edge TV" (fun s -> s.Audit.s_tv);
-            (match (List.hd snaps).Audit.s_small_tv with
-            | Some _ ->
-                line "exact TV" (fun s ->
-                    Option.value ~default:Float.nan s.Audit.s_small_tv)
-            | None -> ()));
-        let inconclusive =
-          r.Audit.r_verdict = None || r.Audit.r_trials = 0
-        in
-        let breach =
-          match r.Audit.r_verdict with
-          | Some v -> not v.Audit.pass
-          | None -> false
-        in
-        if breach then begin
-          Printf.printf "STATISTICAL BREACH: the sampler failed the audit%s\n"
-            (if warn_only then " (warn-only)" else "");
-          if not warn_only then exit exit_regression
-        end;
-        if assert_ && inconclusive then begin
-          Printf.eprintf
-            "ccprof: %s: inconclusive audit (%s)\n" file
-            (if r.Audit.r_trials = 0 then "zero audited trees"
-             else "no verdict line");
-          exit exit_regression
-        end
+        line "max |z|" (fun s -> s.Audit.s_max_z);
+        line "edge TV" (fun s -> s.Audit.s_tv);
+        (match (List.hd snaps).Audit.s_small_tv with
+        | Some _ ->
+            line "exact TV" (fun s ->
+                Option.value ~default:Float.nan s.Audit.s_small_tv)
+        | None -> ()));
+    let inconclusive = r.Audit.r_verdict = None || r.Audit.r_trials = 0 in
+    let breach =
+      match r.Audit.r_verdict with
+      | Some v -> not v.Audit.pass
+      | None -> false
+    in
+    if breach then begin
+      Printf.printf "STATISTICAL BREACH: the sampler failed the audit%s\n"
+        (if warn_only then " (warn-only)" else "");
+      if not warn_only then exit exit_regression
+    end;
+    if assert_ && inconclusive then begin
+      Printf.eprintf "ccprof: %s: inconclusive audit (%s)\n" file
+        (if r.Audit.r_trials = 0 then "zero audited trees"
+         else "no verdict line");
+      exit exit_regression
+    end
   in
   let info =
     Cmd.info "audit"
@@ -727,13 +696,111 @@ let audit_cmd =
   in
   Cmd.v info Term.(const run $ file_t $ warn_only_t $ assert_t $ top_t)
 
+(* --- replay (flight-recorder logs, cctree --record; DESIGN.md §9) --- *)
+
+let replay_cmd =
+  let file_t =
+    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
+  in
+  let check_cmd =
+    let run file =
+      let l = load Recorder.of_jsonl file in
+      let failures = ref 0 in
+      (match Recorder.verify l with
+      | Ok digest -> Printf.printf "%s: digest %s verified\n" file digest
+      | Error msg ->
+          Printf.printf "%s: %s\n" file msg;
+          incr failures);
+      let records = Recorder.records l.Recorder.log in
+      (match
+         Invariant.check_log
+           ~machines:(Recorder.machines l.Recorder.log)
+           records
+       with
+      | [] ->
+          Printf.printf "%s: %d records, no invariant violations\n" file
+            (List.length records)
+      | vs ->
+          Printf.printf "%s: %d invariant violation(s):\n" file
+            (List.length vs);
+          List.iter
+            (fun v -> Format.printf "  %a@." Invariant.pp_violation v)
+            vs;
+          failures := !failures + List.length vs);
+      if !failures > 0 then exit exit_regression
+    in
+    let info =
+      Cmd.info "check"
+        ~doc:
+          "Validate a saved log: re-fold the digest chain against the \
+           trailer and re-run the online invariant checkers."
+    in
+    Cmd.v info Term.(const run $ file_t)
+  in
+  let diff_cmd =
+    let a_t = Arg.(required & pos 0 (some file) None & info [] ~docv:"A") in
+    let b_t = Arg.(required & pos 1 (some file) None & info [] ~docv:"B") in
+    let run a_file b_file =
+      let a = (load Recorder.of_jsonl a_file).Recorder.log
+      and b = (load Recorder.of_jsonl b_file).Recorder.log in
+      match Recorder.diff a b with
+      | None ->
+          Printf.printf "identical: %d records, digest %s\n" (Recorder.total a)
+            (Recorder.digest_hex a)
+      | Some d ->
+          if d.Recorder.seq < 0 then
+            Printf.printf "header divergence: %s = %s vs %s\n"
+              d.Recorder.field d.Recorder.a d.Recorder.b
+          else
+            Printf.printf
+              "first divergent event: seq %d, field %s: %s vs %s\n"
+              d.Recorder.seq d.Recorder.field d.Recorder.a d.Recorder.b;
+          exit exit_regression
+    in
+    let info =
+      Cmd.info "diff"
+        ~doc:
+          "Compare two recorded logs event by event; exit 1 naming the \
+           first divergent event."
+    in
+    Cmd.v info Term.(const run $ a_t $ b_t)
+  in
+  let timeline_cmd =
+    let width_t =
+      Arg.(
+        value & opt int 64
+        & info [ "width" ] ~doc:"Buckets across the run's round interval.")
+    in
+    let run file width =
+      let l = load Recorder.of_jsonl file in
+      print_string (Recorder.timeline ~width l.Recorder.log)
+    in
+    let info =
+      Cmd.info "timeline"
+        ~doc:
+          "Render an ASCII per-round timeline of a recorded run: one lane \
+           per ledger label, bucketed over the round clock."
+    in
+    Cmd.v info Term.(const run $ file_t $ width_t)
+  in
+  let info =
+    Cmd.info "replay"
+      ~doc:
+        "Validate, diff, and visualize flight-recorder logs (cctree \
+         --record)."
+  in
+  Cmd.group info [ check_cmd; diff_cmd; timeline_cmd ]
+
 let main =
-  let doc = "Analyze cc-bench runs, load profiles, and traces offline." in
+  let doc =
+    "Analyze cc-bench runs, load profiles, traces, audits and flight-recorder \
+     logs offline."
+  in
   let info = Cmd.info "ccprof" ~version:"1.0.0" ~doc in
   Cmd.group info
     [
       summary_cmd; diff_cmd; heatmap_cmd; trace_cmd; timeline_cmd;
-      history_cmd; audit_cmd;
+      history_cmd; audit_cmd; replay_cmd;
     ]
 
 let () = exit (Cmd.eval main)

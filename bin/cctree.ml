@@ -223,8 +223,9 @@ let obs_t =
     let doc =
       "Attach the flight recorder and the online invariant monitor to the \
        run and write the recorded event log (JSON lines with a chain \
-       digest) to $(docv) — replayable with ccreplay check/diff/timeline. \
-       Invariant violations are listed on stderr and the run exits 1."
+       digest) to $(docv) — replayable with ccprof replay \
+       check/diff/timeline. Invariant violations are listed on stderr and \
+       the run exits 1."
     in
     Arg.(value & opt (some string) None & info [ "record" ] ~doc ~docv:"FILE")
   in
@@ -337,20 +338,19 @@ let exit_for_health = function
   | Fault.Healthy | Fault.Healed _ -> false
 
 (* A graph that cannot be built — unknown family, bad family parameter, a
-   size the family rejects, a malformed -g file — is a usage error. *)
+   size the family rejects, an unreadable or malformed -g file — is a usage
+   error. *)
 let load_graph ?weights ~family ~size ~file ~prng () =
   let usage what = function
-    | Invalid_argument m | Failure m -> fail_usage (what ^ ": " ^ m)
+    | Invalid_argument m | Failure m | Sys_error m ->
+        fail_usage (what ^ ": " ^ m)
     | e -> raise e
   in
   let g =
     match (file, family) with
     | Some path, _ -> (
-        let ic = open_in path in
-        let len = in_channel_length ic in
-        let s = really_input_string ic len in
-        close_in ic;
-        try Graph.of_string s with e -> usage ("-g " ^ path) e)
+        try Graph.of_string (In_channel.with_open_bin path In_channel.input_all)
+        with e -> usage ("-g " ^ path) e)
     | None, fam -> (
         let fam = Option.value fam ~default:"lollipop" in
         try Gen.build prng (Gen.family_of_string fam) ~n:size
@@ -361,6 +361,11 @@ let load_graph ?weights ~family ~size ~file ~prng () =
   | Some w -> (
       try Gen.random_weights prng g ~max_weight:w
       with e -> usage "--weights" e)
+
+(* Sampling a tree or covering the graph needs every vertex reachable: the
+   samplers refuse a disconnected graph and a cover walk never ends on one. *)
+let require_connected g =
+  if not (Graph.is_connected g) then fail_usage "the graph is not connected"
 
 let print_tree tree =
   List.iter (fun (u, v) -> Printf.printf "%d %d\n" u v) (Tree.edges tree)
@@ -541,6 +546,7 @@ let sample_cmd =
       fail_usage "--alpha must be in [0, 1]";
     let prng = Prng.create ~seed in
     let g = load_graph ?weights ~family ~size ~file ~prng () in
+    require_connected g;
     let n = Graph.n g in
     match connect with
     | Some sock ->
@@ -682,6 +688,7 @@ let doubling_cmd =
   let run seed family size file tau fault_spec obs =
     let prng = Prng.create ~seed in
     let g = load_graph ~family ~size ~file ~prng () in
+    if tau <= 0 then require_connected g;
     let n = Graph.n g in
     let faults = injector fault_spec in
     let net = arm_faults faults (Net.create ~n) in
@@ -724,6 +731,7 @@ let walk_cmd =
     if trials < 1 then fail_usage "--trials must be >= 1";
     let prng = Prng.create ~seed in
     let g = load_graph ~family ~size ~file ~prng () in
+    if len <= 0 then require_connected g;
     if len > 0 then begin
       let w = Cc_walks.Walk.walk g prng ~start:0 ~len in
       Array.iter (fun v -> Printf.printf "%d " v) w;
@@ -822,6 +830,7 @@ let congest_cmd =
   let run seed family size file =
     let prng = Prng.create ~seed in
     let g = load_graph ~family ~size ~file ~prng () in
+    require_connected g;
     let cnet = Cc_congest.Cnet.create g in
     let naive = Cc_congest.Congest_walk.step_by_step cnet prng in
     let cnet2 = Cc_congest.Cnet.create g in
@@ -854,6 +863,7 @@ let sparsify_cmd =
     if trees < 1 then fail_usage "--trees must be >= 1";
     let prng = Prng.create ~seed in
     let g = load_graph ~family ~size ~file ~prng () in
+    require_connected g;
     let h =
       Cc_apps.Sparsifier.union prng
         (fun g prng -> Cc_walks.Wilson.sample_tree g prng)

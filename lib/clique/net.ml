@@ -181,35 +181,6 @@ let all_to_all t ~label ~words_each =
       ~sent:(for_sinks t per_machine) ~recv:(for_sinks t per_machine)
   end
 
-let aggregate t ~label ?(combinable = true) ~contributors ~dst words_each =
-  if dst < 0 || dst >= t.n then invalid_arg "Net.aggregate: bad destination";
-  if words_each < 0 then invalid_arg "Net.aggregate: negative payload";
-  let k =
-    List.fold_left
-      (fun acc src ->
-        if src < 0 || src >= t.n then invalid_arg "Net.aggregate: bad contributor";
-        if src = dst then acc else acc + 1)
-      0 contributors
-  in
-  if k > 0 && words_each > 0 then begin
-    let total = k * words_each in
-    let rounds =
-      if combinable then Float.of_int (max 1 ((words_each + t.n - 1) / t.n))
-      else Float.of_int ((total + t.n - 1) / t.n)
-    in
-    (* Each contributor emits its share; the destination takes delivery of
-       one combined value when combining is possible, all [k] otherwise. *)
-    let received = if combinable then words_each else total in
-    let sent = Array.make t.n 0 and recv = Array.make t.n 0 in
-    List.iter
-      (fun src -> if src <> dst then sent.(src) <- sent.(src) + words_each)
-      contributors;
-    recv.(dst) <- received;
-    book t ~kind:"aggregate" ~label ~rounds ~messages:k ~words:total
-      ~max_load:(Array.fold_left imax received sent)
-      ~sent ~recv
-  end
-
 let charge t ~label rounds =
   if not (Float.is_finite rounds && rounds >= 0.0) then
     invalid_arg "Net.charge: rounds must be finite and nonnegative";

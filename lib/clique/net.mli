@@ -96,20 +96,6 @@ val reliable_broadcast :
     Initialization (every machine i sends P^k[i,j] to machine j). *)
 val all_to_all : t -> label:string -> words_each:int -> unit
 
-(** [aggregate t ~label ~contributors ~dst ~words_each] models a converge-cast
-    in which each listed machine sends the final (positional) [words_each] words toward [dst]; sums
-    are combined along the way when [combinable] (default true), costing
-    [ceil(total / n)] rounds when not combinable and
-    [max 1 (ceil (words_each / n))] (tree combining) when combinable. *)
-val aggregate :
-  t ->
-  label:string ->
-  ?combinable:bool ->
-  contributors:int list ->
-  dst:int ->
-  int ->
-  unit
-
 (** [charge t ~label rounds] books rounds for a primitive whose cost is known
     analytically rather than routed (e.g. fast matrix multiplication with the
     Charged backend).
@@ -166,7 +152,7 @@ val ledger : t -> (string * float * int * int) list
     - [seq] is the net's booking index, counted from 0 at {!create}, so a
       sink subscribed after [k] bookings first sees [seq = k];
     - [kind] is the primitive's wire name (["exchange"], ["broadcast"],
-      ["all_to_all"], ["aggregate"] or ["charge"]);
+      ["all_to_all"] or ["charge"]);
     - [round_end] is {!rounds} right after the booking and [round_start]
       is [round_end -. rounds];
     - [max_load] is the most words any one machine sent or received — the

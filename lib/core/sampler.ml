@@ -62,7 +62,6 @@ exception Degrade of Fault.failure
    memo state. *)
 type plan = {
   state : Plan.t;
-  fingerprint : string;
   config : config;
   max_phases : int;
 }
@@ -83,14 +82,12 @@ let prepare ?(config = default_config) g =
     state =
       Plan.create ?rho:config.rho ?target_len:config.target_len
         ?bits:config.bits ~schur:config.schur ~lazy_walk:config.lazy_walk g;
-    fingerprint = Graph.fingerprint g;
     config;
     max_phases =
       (if config.max_phases > 0 then config.max_phases
        else 64 * (1 + int_of_float (sqrt (Float.of_int n))));
   }
 
-let plan_fingerprint plan = plan.fingerprint
 let plan_state plan = plan.state
 
 let plan_stats plan =

@@ -99,10 +99,6 @@ val prepare : ?config:config -> Cc_graph.Graph.t -> plan
     count. *)
 val draw : plan -> Cc_clique.Net.t -> Cc_util.Prng.t -> result
 
-(** [plan_fingerprint plan] is {!Cc_graph.Graph.fingerprint} of the prepared
-    graph — the plan cache's key material. *)
-val plan_fingerprint : plan -> string
-
 (** [plan_state plan] is the plan's graph-only state. *)
 val plan_state : plan -> Plan.t
 

@@ -87,7 +87,8 @@ val lemma4_bound : n:int -> k:int -> c:float -> float
     retry (fresh randomness), starting from [tau0]. Returns the tree and the
     total number of walk steps consumed. Under fault injection each doubling
     run self-heals (see {!run}); a degraded run still yields exact walks, so
-    the returned tree remains a valid Aldous–Broder sample. *)
+    the returned tree remains a valid Aldous–Broder sample.
+    @raise Invalid_argument if [tau0 < 1] or [g] is not connected. *)
 val sample_tree :
   Cc_clique.Net.t ->
   Cc_util.Prng.t ->

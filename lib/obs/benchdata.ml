@@ -121,16 +121,6 @@ let of_string s =
   let* v = Json.of_string s in
   of_json v
 
-let load file =
-  match
-    let ic = open_in_bin file in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error msg -> Error msg
-  | s -> of_string s
-
 (* --- aggregation ------------------------------------------------------- *)
 
 type agg = {

@@ -42,9 +42,6 @@ val of_json : Json.t -> (doc, string) result
 (** [of_string s] parses and interprets a document. *)
 val of_string : string -> (doc, string) result
 
-(** [load file] reads and parses [file]. I/O errors become [Error _]. *)
-val load : string -> (doc, string) result
-
 (** {1 Aggregation} *)
 
 type agg = {

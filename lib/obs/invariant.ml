@@ -139,12 +139,6 @@ let observe t (r : Recorder.record) =
             (Printf.sprintf
                "broadcast payload %d, receipts %d, booked %d (n = %d)"
                sum_sent sum_recv words n)
-    | "aggregate" ->
-        if sum_sent <> words || sum_recv > sum_sent || sum_recv <= 0 then
-          add "conservation"
-            (Printf.sprintf
-               "aggregate contributions %d (booked %d), delivered %d" sum_sent
-               words sum_recv)
     | "charge" ->
         if sum_sent <> 0 || sum_recv <> 0 || words <> 0 then
           add "conservation" "analytic charge moved words"

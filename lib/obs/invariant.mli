@@ -10,8 +10,7 @@
       reproduce);
     - [conservation] — per-kind flow balance: an exchange / all-to-all
       delivers exactly the words it sends, a broadcast delivers [n - 1]
-      copies of its payload, an aggregate delivers at most what was
-      contributed, an analytic charge moves nothing. Injected drops never
+      copies of its payload, an analytic charge moves nothing. Injected drops never
       unbalance a booked record — the metering layer books retransmission
       waves as ordinary [:retry] exchanges;
     - [monotonic] — the round clock never runs backwards and each record

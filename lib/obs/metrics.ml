@@ -199,38 +199,19 @@ let value_to_json = function
 
 let value_of_json v =
   let ( let* ) = Result.bind in
-  let str_field name =
-    match Option.bind (Json.member name v) Json.to_string_opt with
-    | Some s -> Ok s
-    | None -> Error (Printf.sprintf "missing field %S" name)
-  in
-  let int_field name =
-    match Json.member name v with
-    | Some (Json.Int i) -> Ok i
-    | _ -> Error (Printf.sprintf "field %S: expected int" name)
-  in
-  let float_field name =
-    match Option.bind (Json.member name v) Json.to_float_opt with
-    | Some f -> Ok f
-    | None -> (
-        (* non-finite floats serialize as null *)
-        match Json.member name v with
-        | Some Json.Null -> Ok Float.nan
-        | _ -> Error (Printf.sprintf "field %S: expected number" name))
-  in
-  let* ty = str_field "type" in
+  let* ty = Json.string_field "type" v in
   match ty with
   | "counter" ->
-      let* c = int_field "value" in
+      let* c = Json.int_field "value" v in
       Ok (Counter c)
   | "gauge" ->
-      let* g = float_field "value" in
+      let* g = Json.float_field "value" v in
       Ok (Gauge g)
   | "histogram" ->
-      let* count = int_field "count" in
-      let* sum = float_field "sum" in
-      let* mn = float_field "min" in
-      let* mx = float_field "max" in
+      let* count = Json.int_field "count" v in
+      let* sum = Json.float_field "sum" v in
+      let* mn = Json.float_field "min" v in
+      let* mx = Json.float_field "max" v in
       let* buckets =
         match Option.bind (Json.member "buckets" v) Json.to_list_opt with
         | None -> Ok [] (* tolerated: summary-only histogram *)

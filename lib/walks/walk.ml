@@ -62,7 +62,10 @@ let truncate_at_distinct walk_seq ~rho =
    with Exit -> ());
   if !cut < 0 then walk_seq else Array.sub walk_seq 0 (!cut + 1)
 
-let cover_time g prng ~start =
+(* Walks from [start] until every vertex is seen. [cover_time] and
+   [mean_cover_time] check first that [g] is connected: otherwise this
+   never returns. *)
+let cover g prng ~start =
   let n = Graph.n g in
   let visited = Array.make n false in
   visited.(start) <- true;
@@ -77,6 +80,11 @@ let cover_time g prng ~start =
     end
   done;
   !steps
+
+let cover_time g prng ~start =
+  if not (Graph.is_connected g) then
+    invalid_arg "Walk.cover_time: graph must be connected";
+  cover g prng ~start
 
 let time_to_distinct g prng ~start ~rho =
   if rho <= 0 then invalid_arg "Walk.time_to_distinct: rho <= 0";
@@ -99,9 +107,11 @@ let time_to_distinct g prng ~start ~rho =
 
 let mean_cover_time g prng ~trials =
   if trials <= 0 then invalid_arg "Walk.mean_cover_time: trials <= 0";
+  if not (Graph.is_connected g) then
+    invalid_arg "Walk.mean_cover_time: graph must be connected";
   let acc = ref 0.0 in
   for _ = 1 to trials do
-    acc := !acc +. float_of_int (cover_time g prng ~start:0)
+    acc := !acc +. float_of_int (cover g prng ~start:0)
   done;
   !acc /. float_of_int trials
 

@@ -29,7 +29,8 @@ val distinct_count : int array -> int
 val truncate_at_distinct : int array -> rho:int -> int array
 
 (** [cover_time g prng ~start] walks until all vertices are visited and
-    returns the number of steps. *)
+    returns the number of steps.
+    @raise Invalid_argument if [g] is not connected. *)
 val cover_time : Cc_graph.Graph.t -> Cc_util.Prng.t -> start:int -> int
 
 (** [time_to_distinct g prng ~start ~rho] walks until [rho] distinct vertices
@@ -38,7 +39,8 @@ val cover_time : Cc_graph.Graph.t -> Cc_util.Prng.t -> start:int -> int
 val time_to_distinct : Cc_graph.Graph.t -> Cc_util.Prng.t -> start:int -> rho:int -> int
 
 (** [mean_cover_time g prng ~trials] averages [cover_time] over random trials
-    (start vertex 0). *)
+    (start vertex 0).
+    @raise Invalid_argument if [trials <= 0] or [g] is not connected. *)
 val mean_cover_time : Cc_graph.Graph.t -> Cc_util.Prng.t -> trials:int -> float
 
 (** [stationary g] is the stationary distribution (weighted degree over total)

@@ -89,7 +89,7 @@ let test_ledger_tie_order () =
   Alcotest.(check string) "highest rounds first" "alpha"
     (match Net.ledger net with (l, _, _, _) :: _ -> l | [] -> "")
 
-(* --- broadcast / all_to_all / aggregate --- *)
+(* --- broadcast / all_to_all --- *)
 
 let test_broadcast_small_payload () =
   let net = Net.create ~n:16 in
@@ -106,19 +106,6 @@ let test_all_to_all () =
   Net.all_to_all net ~label:"t" ~words_each:3;
   check_rounds "3 words each" 3.0 net;
   Alcotest.(check int) "messages" (8 * 7) (Net.messages net)
-
-let test_aggregate_combinable () =
-  let net = Net.create ~n:8 in
-  Net.aggregate net ~label:"t" ~contributors:(List.init 8 (fun i -> i)) ~dst:0 1;
-  check_rounds "combinable sum" 1.0 net
-
-let test_aggregate_not_combinable () =
-  let net = Net.create ~n:8 in
-  Net.aggregate net ~label:"t" ~combinable:false
-    ~contributors:(List.init 8 (fun i -> i))
-    ~dst:0 8;
-  (* 7 contributors * 8 words = 56 words to one machine = ceil(56/8) = 7. *)
-  check_rounds "gather" 7.0 net
 
 (* --- per-machine load profile (a bus subscriber) --- *)
 
@@ -182,18 +169,6 @@ let test_broadcast_attributes_source () =
   Alcotest.(check int) "receiver load" 160 p.Profile.total_recv.(0);
   Alcotest.(check int) "max load = payload" 160 (Profile.max_load p)
 
-let test_aggregate_attributes_destination () =
-  let n = 8 in
-  let net, p = profiled_net n in
-  Net.aggregate net ~label:"agg" ~combinable:false
-    ~contributors:(List.init n (fun i -> i))
-    ~dst:0 8;
-  match Profile.hot p with
-  | (m, load) :: _ ->
-      Alcotest.(check int) "gather destination is hot" 0 m;
-      Alcotest.(check int) "destination receives everything" ((n - 1) * 8) load
-  | [] -> Alcotest.fail "no hot machine"
-
 let test_sink_sees_max_load () =
   let n = 8 in
   let net = Net.create ~n in
@@ -217,7 +192,6 @@ let test_profile_does_not_perturb () =
       (List.init (n - 1) (fun i -> { Net.src = 0; dst = i + 1; words = 3 }));
     if peek then ignore (Profile.render p);
     Net.broadcast net ~label:"b" ~src:2 ~words:40;
-    Net.aggregate net ~label:"c" ~contributors:[ 1; 2; 3 ] ~dst:0 4;
     if peek then ignore (Profile.render p);
     (Net.rounds net, Net.messages net, Net.words net, Net.ledger net)
   in
@@ -530,7 +504,6 @@ let test_invariant_clean_on_primitives () =
     (List.init (n - 1) (fun i -> { Net.src = i; dst = i + 1; words = 2 }));
   Net.broadcast net ~label:"b" ~src:0 ~words:10;
   Net.all_to_all net ~label:"a" ~words_each:3;
-  Net.aggregate net ~label:"g" ~contributors:[ 1; 2; 3 ] ~dst:0 4;
   Net.charge net ~label:"c" 2.5;
   Alcotest.(check int) "no online violations" 0 (Cc_obs.Invariant.count inv);
   Alcotest.(check int) "ledger reconciles" 0
@@ -592,8 +565,6 @@ let () =
           Alcotest.test_case "broadcast small" `Quick test_broadcast_small_payload;
           Alcotest.test_case "broadcast large" `Quick test_broadcast_large_payload;
           Alcotest.test_case "all-to-all" `Quick test_all_to_all;
-          Alcotest.test_case "aggregate combinable" `Quick test_aggregate_combinable;
-          Alcotest.test_case "aggregate gather" `Quick test_aggregate_not_combinable;
           Alcotest.test_case "words_for_bits" `Quick test_words_for_bits;
         ] );
       ( "profile",
@@ -604,8 +575,6 @@ let () =
             test_balanced_all_to_all_imbalance;
           Alcotest.test_case "broadcast source" `Quick
             test_broadcast_attributes_source;
-          Alcotest.test_case "aggregate destination" `Quick
-            test_aggregate_attributes_destination;
           Alcotest.test_case "sink max_load" `Quick test_sink_sees_max_load;
           Alcotest.test_case "profile does not perturb" `Quick
             test_profile_does_not_perturb;

@@ -297,6 +297,14 @@ let test_er_tree_rounds_within_theorem1_bound () =
     true
     (Net.rounds net < bound)
 
+let test_sample_tree_refuses_disconnected () =
+  (* Two components: the doubling loop would double tau forever. *)
+  let g = Graph.of_edges ~n:4 [ (0, 1, 1.0); (2, 3, 1.0) ] in
+  Alcotest.check_raises "disconnected"
+    (Invalid_argument "Doubling.sample_tree: graph must be connected")
+    (fun () ->
+      ignore (Doubling.sample_tree (Net.create ~n:4) (Prng.create ~seed:1) g ~tau0:4))
+
 (* --- PageRank application --- *)
 
 let test_pagerank_close_to_power_iteration () =
@@ -397,6 +405,8 @@ let () =
           Alcotest.test_case "valid trees" `Quick test_sample_tree_valid;
           Alcotest.test_case "uniform on K4" `Slow test_sample_tree_uniform_k4;
           Alcotest.test_case "ER rounds" `Quick test_er_tree_rounds_within_theorem1_bound;
+          Alcotest.test_case "refuses disconnected" `Quick
+            test_sample_tree_refuses_disconnected;
         ] );
       ( "pagerank",
         [

@@ -264,9 +264,7 @@ let test_plan_draw_matches_sample () =
   in
   Alcotest.(check bool) "same tree" true
     (Tree.equal r1.Sampler.tree r2.Sampler.tree);
-  Alcotest.(check string) "same digest" d1 d2;
-  Alcotest.(check string) "fingerprint" (Graph.fingerprint g)
-    (Sampler.plan_fingerprint plan)
+  Alcotest.(check string) "same digest" d1 d2
 
 let span_names roots =
   let rec go acc s =

@@ -69,6 +69,17 @@ let test_cover_time_path_scaling () =
     true
     (c16 /. c8 > 2.5 && c16 /. c8 < 6.5)
 
+let test_cover_time_refuses_disconnected () =
+  (* Two components: a cover walk from 0 would never reach 2 or 3. *)
+  let g = Graph.of_edges ~n:4 [ (0, 1, 1.0); (2, 3, 1.0) ] in
+  let prng = Prng.create ~seed:1 in
+  Alcotest.check_raises "cover_time"
+    (Invalid_argument "Walk.cover_time: graph must be connected")
+    (fun () -> ignore (Walk.cover_time g prng ~start:0));
+  Alcotest.check_raises "mean_cover_time"
+    (Invalid_argument "Walk.mean_cover_time: graph must be connected")
+    (fun () -> ignore (Walk.mean_cover_time g prng ~trials:3))
+
 let test_time_to_distinct () =
   let prng = Prng.create ~seed:4 in
   let g = Gen.path 16 in
@@ -653,6 +664,8 @@ let () =
           Alcotest.test_case "distinct count" `Quick test_distinct_count;
           Alcotest.test_case "truncate at distinct" `Quick test_truncate_at_distinct;
           Alcotest.test_case "cover time scaling" `Slow test_cover_time_path_scaling;
+          Alcotest.test_case "cover time refuses disconnected" `Quick
+            test_cover_time_refuses_disconnected;
           Alcotest.test_case "time to distinct" `Quick test_time_to_distinct;
           Alcotest.test_case "stationary" `Quick test_stationary_distribution;
           Alcotest.test_case "endpoint law" `Slow test_endpoint_distribution_matches_empirical;
