@@ -50,12 +50,17 @@ let bad_input path msg =
   exit exit_bad_input
 
 (* [load parse path] reads [path] once and parses it once; an I/O error or
-   a parse error exits 2. *)
+   a parse error exits 2, naming [path] once: a failed open's message
+   already starts with it, a failed read's does not. *)
 let load parse path =
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg ->
-      Printf.eprintf "ccprof: %s\n" msg;
-      exit exit_bad_input
+      let prefix = path ^ ": " in
+      bad_input path
+        (if String.starts_with ~prefix msg then
+           String.sub msg (String.length prefix)
+             (String.length msg - String.length prefix)
+         else msg)
   | s -> ( match parse s with Ok v -> v | Error msg -> bad_input path msg)
 
 let opt_f decimals = function

@@ -22,6 +22,7 @@ module Fault = Cc_clique.Fault
 module Prng = Cc_util.Prng
 module Sampler = Cc_sampler.Sampler
 module Doubling = Cc_doubling.Doubling
+module Methods = Cc_serve.Methods
 open Cmdliner
 
 let setup_logs verbose =
@@ -338,8 +339,8 @@ let exit_for_health = function
   | Fault.Healthy | Fault.Healed _ -> false
 
 (* A graph that cannot be built — unknown family, bad family parameter, a
-   size the family rejects, an unreadable or malformed -g file — is a usage
-   error. *)
+   size the family rejects, an unreadable or malformed -g file, or one with
+   fewer than 2 vertices, as no family builds — is a usage error. *)
 let load_graph ?weights ~family ~size ~file ~prng () =
   let usage what = function
     | Invalid_argument m | Failure m | Sys_error m ->
@@ -349,8 +350,13 @@ let load_graph ?weights ~family ~size ~file ~prng () =
   let g =
     match (file, family) with
     | Some path, _ -> (
-        try Graph.of_string (In_channel.with_open_bin path In_channel.input_all)
-        with e -> usage ("-g " ^ path) e)
+        let what = "-g " ^ path in
+        match
+          Graph.of_string (In_channel.with_open_bin path In_channel.input_all)
+        with
+        | g when Graph.n g < 2 -> fail_usage (what ^ ": need at least 2 vertices")
+        | g -> g
+        | exception e -> usage what e)
     | None, fam -> (
         let fam = Option.value fam ~default:"lollipop" in
         try Gen.build prng (Gen.family_of_string fam) ~n:size
@@ -407,14 +413,7 @@ let refuse_over_connect given =
           k, seed and method)")
   | None -> ()
 
-let run_connect ~sock ~g ~k ~seed ~method_ =
-  let meth =
-    match String.lowercase_ascii method_ with
-    | "cc" -> Cc_serve.Protocol.Cc
-    | "sequential" -> Cc_serve.Protocol.Sequential
-    | "doubling" -> Cc_serve.Protocol.Doubling
-    | m -> fail_usage ("--connect supports cc|sequential|doubling, got " ^ m)
-  in
+let run_connect ~sock ~g ~k ~seed ~meth =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (match Unix.connect fd (Unix.ADDR_UNIX sock) with
   | () -> ()
@@ -477,11 +476,12 @@ let sample_cmd =
   in
   let method_t =
     let doc =
-      "Sampler: cc (the Theorem 2 distributed sampler), sequential (the \
-       Section 1.2 phased reference), ab (Aldous-Broder), wilson, updown \
-       (basis-exchange MCMC), determinantal (leverage-score chain rule), \
-       biased (a deliberately wrong rejection sampler — the negative fixture \
-       the audit plane must reject)."
+      "Sampler: "
+      ^ String.concat ", "
+          (List.map
+             (fun m -> Printf.sprintf "%s (%s)" (Methods.name m) (Methods.doc m))
+             Methods.all)
+      ^ "."
     in
     Arg.(value & opt string "cc" & info [ "method" ] ~doc)
   in
@@ -491,8 +491,7 @@ let sample_cmd =
        (prepare once, draw $(docv) times). Unlike --trials, tree $(i,i) \
        draws from the $(i,i)-th sequential split of the master seed, so \
        its bytes are independent of $(docv) — and identical to what a \
-       ccserve request with the same seed streams back. Methods: cc, \
-       sequential, doubling."
+       ccserve request with the same seed streams back."
     in
     Arg.(value & opt int 0 & info [ "count" ] ~doc ~docv:"K")
   in
@@ -525,20 +524,11 @@ let sample_cmd =
   let run seed verbose family size file weights trials ledger alpha bits
       method_ count connect audit (fault_spec : Fault.spec) obs =
     setup_logs verbose;
-    let method_ = String.lowercase_ascii method_ in
-    let methods =
-      if count > 0 || connect <> None then [ "cc"; "sequential"; "doubling" ]
-      else
-        [ "cc"; "sequential"; "ab"; "wilson"; "updown"; "determinantal";
-          "biased" ]
+    let meth =
+      match Methods.of_string method_ with
+      | Ok m -> m
+      | Error e -> fail_usage ("--method: " ^ e)
     in
-    if not (List.mem method_ methods) then
-      fail_usage
-        (Printf.sprintf "--method: expected %s%s, got %S"
-           (String.concat "|" methods)
-           (if count > 0 || connect <> None then " with --count/--connect"
-            else "")
-           method_);
     (match bits with
     | Some b when b < 1 -> fail_usage "--bits must be >= 1"
     | _ -> ());
@@ -547,7 +537,7 @@ let sample_cmd =
     let prng = Prng.create ~seed in
     let g = load_graph ?weights ~family ~size ~file ~prng () in
     require_connected g;
-    let n = Graph.n g in
+    let k = if count > 0 then count else trials in
     match connect with
     | Some sock ->
         let d = Fault.default_spec in
@@ -570,18 +560,11 @@ let sample_cmd =
             ("--profile", obs.profile);
             ("--record", obs.record <> None);
           ];
-        run_connect ~sock ~g
-          ~k:(if count > 0 then count else trials)
-          ~seed ~method_
+        run_connect ~sock ~g ~k ~seed ~meth
     | None ->
     let faults = injector fault_spec in
-    let net = arm_faults faults (Net.create ~n) in
+    let net = arm_faults faults (Net.create ~n:(Graph.n g)) in
     let auditor = Option.map (fun spec -> (spec, Cc_audit.Audit.create g)) audit in
-    (* Every printed tree is also the auditor's next observation. *)
-    let emit tree =
-      print_tree tree;
-      Option.iter (fun (_, a) -> Cc_audit.Audit.observe a tree) auditor
-    in
     let config =
       {
         Sampler.default_config with
@@ -591,79 +574,24 @@ let sample_cmd =
     in
     let unrecoverable = ref false in
     with_obs obs net (fun () ->
-    (if count > 0 then
-      (* Prepare once, draw [count] times. Tree t draws from the t-th
-         sequential split of the master stream, so its bytes don't depend
-         on count — and match what a ccserve request with the same seed
-         streams back. *)
-      match method_ with
-      | "cc" ->
-          let plan = Sampler.prepare ~config g in
-          for t = 1 to count do
-            let p = Prng.split prng in
-            let r = Sampler.draw plan net p in
-            Printf.printf "# tree %d: %d phases, %.0f rounds, walk length %d\n"
-              t r.Sampler.phases r.Sampler.rounds r.Sampler.walk_total;
-            if faults <> None then
-              Format.printf "# health: %a@." Fault.pp_health r.Sampler.health;
-            if exit_for_health r.Sampler.health then unrecoverable := true;
-            emit r.Sampler.tree
-          done
-      | "sequential" ->
-          let plan = Cc_sampler.Sequential.prepare g in
-          for t = 1 to count do
-            let p = Prng.split prng in
-            let r = Cc_sampler.Sequential.draw plan p in
-            Printf.printf "# tree %d: %d phases, walk length %d\n" t
-              r.Cc_sampler.Sequential.phases
-              r.Cc_sampler.Sequential.walk_total;
-            emit r.Cc_sampler.Sequential.tree
-          done
-      | "doubling" ->
-          let plan = Doubling.prepare g ~tau0:n in
-          for t = 1 to count do
-            let p = Prng.split prng in
-            let tree, steps = Doubling.draw plan net p in
-            Printf.printf "# tree %d: %d walk steps\n" t steps;
-            emit tree
-          done
-      | _ -> assert false (* --method validated above *)
-    else
-    for t = 1 to trials do
-      (match method_ with
-      | "cc" ->
-          let r = Sampler.sample ~config net prng g in
-          Printf.printf "# tree %d: %d phases, %.0f rounds, walk length %d\n" t
-            r.Sampler.phases r.Sampler.rounds r.Sampler.walk_total;
-          if faults <> None then
-            Format.printf "# health: %a@." Fault.pp_health r.Sampler.health;
-          if exit_for_health r.Sampler.health then unrecoverable := true;
-          emit r.Sampler.tree
-      | "sequential" ->
-          let r = Cc_sampler.Sequential.sample g prng in
-          Printf.printf "# tree %d: %d phases, walk length %d\n" t
-            r.Cc_sampler.Sequential.phases r.Cc_sampler.Sequential.walk_total;
-          emit r.Cc_sampler.Sequential.tree
-      | "ab" ->
-          let tree, steps = Cc_walks.Aldous_broder.sample g prng ~start:0 in
-          Printf.printf "# tree %d: %d walk steps\n" t steps;
-          emit tree
-      | "wilson" ->
-          let tree, steps = Cc_walks.Wilson.sample g prng ~root:0 in
-          Printf.printf "# tree %d: %d walk steps\n" t steps;
-          emit tree
-      | "updown" ->
-          Printf.printf "# tree %d: %d chain steps\n" t
-            (Cc_walks.Updown.default_steps g);
-          emit (Cc_walks.Updown.sample_tree g prng)
-      | "determinantal" ->
-          Printf.printf "# tree %d (exact, leverage-score chain rule)\n" t;
-          emit (Cc_walks.Determinantal.sample_tree g prng)
-      | "biased" ->
-          Printf.printf "# tree %d (biased fixture; see --audit)\n" t;
-          emit (Cc_walks.Wilson.sample_biased g prng)
-      | _ -> assert false (* --method validated above *))
-    done);
+    (* Prepare once, draw k times. Under --count tree t draws from the t-th
+       sequential split of the master stream, so its bytes don't depend on
+       the count and match what a ccserve request with the same seed
+       streams back; under --trials every tree draws from the master
+       stream itself. *)
+    let plan = Methods.prepare ~config meth g in
+    for t = 1 to k do
+      let d = plan t net (if count > 0 then Prng.split prng else prng) in
+      print_string d.Methods.header;
+      Option.iter
+        (fun h ->
+          if faults <> None then Format.printf "# health: %a@." Fault.pp_health h;
+          if exit_for_health h then unrecoverable := true)
+        d.Methods.health;
+      (* Every printed tree is also the auditor's next observation. *)
+      print_tree d.Methods.tree;
+      Option.iter (fun (_, a) -> Cc_audit.Audit.observe a d.Methods.tree) auditor
+    done;
     print_fault_summary faults net;
     if ledger then Format.printf "%a@." Net.pp_ledger net;
     Option.iter finish_audit auditor);

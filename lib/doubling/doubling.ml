@@ -369,9 +369,12 @@ let run net prng g ~tau ~scheme =
     health;
   }
 
-(* The walk stitching behind [sample_tree] and [draw], which validate [g]
-   and [tau0] first: on a disconnected graph it would double tau forever. *)
-let stitch_tree net prng g ~tau0 =
+let sample_tree net prng g ~tau0 =
+  if tau0 < 1 then invalid_arg "Doubling.sample_tree: tau0 < 1";
+  (* On a disconnected graph the walk never covers and tau doubles
+     forever. *)
+  if not (Graph.is_connected g) then
+    invalid_arg "Doubling.sample_tree: graph must be connected";
   let n = Graph.n g in
   let scheme = default_scheme ~n in
   (* Build the walk by stitching independent doubling runs; never resample a
@@ -402,29 +405,6 @@ let stitch_tree net prng g ~tau0 =
     tau := 2 * !tau
   done;
   (Tree.of_edges ~n !tree_edges, !total)
-
-let sample_tree net prng g ~tau0 =
-  if tau0 < 1 then invalid_arg "Doubling.sample_tree: tau0 < 1";
-  if not (Graph.is_connected g) then
-    invalid_arg "Doubling.sample_tree: graph must be connected";
-  stitch_tree net prng g ~tau0
-
-(* Prepared plans, mirroring Sampler/Sequential for the ccserve cache. The
-   doubling pipeline has no reusable graph-only factorization — walks are
-   built by local neighbor stepping, re-randomized per draw — so the plan is
-   thin: it pins the validated graph and tau0. Caching one still saves the
-   server re-validating the graph per request, and gives the three methods
-   a uniform plan interface. *)
-type plan = { plan_graph : Graph.t; plan_tau0 : int }
-
-let prepare g ~tau0 =
-  if tau0 < 1 then invalid_arg "Doubling.prepare: tau0 < 1";
-  if not (Graph.is_connected g) then
-    invalid_arg "Doubling.prepare: graph must be connected";
-  { plan_graph = g; plan_tau0 = tau0 }
-
-let draw plan net prng =
-  stitch_tree net prng plan.plan_graph ~tau0:plan.plan_tau0
 
 let pagerank net prng g ~walks_per_node ~epsilon =
   if epsilon <= 0.0 || epsilon >= 1.0 then

@@ -96,21 +96,6 @@ val sample_tree :
   tau0:int ->
   Cc_graph.Tree.t * int
 
-(** {2 Prepared plans}
-
-    The uniform prepare/draw interface the ccserve plan cache expects. The
-    doubling pipeline has no reusable graph-only factorization (walks are
-    built by local stepping, re-randomized per draw), so the plan is thin:
-    the validated graph and [tau0]. [draw plan net prng] is exactly
-    [sample_tree net prng g ~tau0]. *)
-
-type plan
-
-(** @raise Invalid_argument if [tau0 < 1] or the graph is disconnected. *)
-val prepare : Cc_graph.Graph.t -> tau0:int -> plan
-
-val draw : plan -> Cc_clique.Net.t -> Cc_util.Prng.t -> Cc_graph.Tree.t * int
-
 (** [pagerank net prng g ~walks_per_node ~epsilon] estimates the PageRank
     vector with restart probability [epsilon] from the endpoints of
     geometrically-stopped walks (the Section 1.1 / BCX application): builds

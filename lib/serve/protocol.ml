@@ -1,19 +1,8 @@
 module Graph = Cc_graph.Graph
 module Json = Cc_obs.Json
 
-type method_ = Cc | Sequential | Doubling
-
-let method_name = function
-  | Cc -> "cc"
-  | Sequential -> "sequential"
-  | Doubling -> "doubling"
-
-let method_of_string s =
-  match String.lowercase_ascii s with
-  | "cc" -> Ok Cc
-  | "sequential" -> Ok Sequential
-  | "doubling" -> Ok Doubling
-  | m -> Error (Printf.sprintf "unknown method %S (cc|sequential|doubling)" m)
+type method_ = Methods.t =
+  | Cc | Sequential | Doubling | Ab | Wilson | Updown | Determinantal | Biased
 
 type request = {
   id : string option;
@@ -95,7 +84,7 @@ let parse_request line =
     | None -> Ok Cc
     | Some j -> (
         match Json.to_string_opt j with
-        | Some s -> method_of_string s
+        | Some s -> Methods.of_string s
         | None -> Error "\"method\" must be a string")
   in
   Ok { id; graph; k; seed; meth }
@@ -106,7 +95,7 @@ let request_line ?id ~graph ~k ~seed ~meth () =
       ("graph", Json.String (Graph.to_string graph));
       ("k", Json.Int k);
       ("seed", Json.Int seed);
-      ("method", Json.String (method_name meth));
+      ("method", Json.String (Methods.name meth));
     ]
   in
   let fields =

@@ -15,7 +15,10 @@
     - [seed] (default 0): master seed; tree [i] is drawn from the [i]-th
       sequential {!Cc_util.Prng.split} of the master stream, so tree [i] is
       independent of [k] (the [cctree sample --count] contract).
-    - [method] (default ["cc"]): ["cc"], ["sequential"], or ["doubling"].
+    - [method] (default ["cc"]): any {!Methods.name}: ["cc"],
+      ["sequential"], ["doubling"], ["ab"], ["wilson"], ["updown"],
+      ["determinantal"] or ["biased"]. ["biased"] is the audit plane's
+      deliberately wrong fixture; a client gets it only by naming it.
     - [id] (optional): echoed verbatim on every response line.
 
     The server answers with [k] tree lines followed by one done line — or
@@ -33,9 +36,9 @@
     request's flight-recorder chain digest over the Net events it booked,
     and [cache] is ["hit"] or ["miss"] for the plan lookup. *)
 
-type method_ = Cc | Sequential | Doubling
-
-val method_name : method_ -> string
+(** The request's sampler: the {!Methods} table's type, re-exported. *)
+type method_ = Methods.t =
+  | Cc | Sequential | Doubling | Ab | Wilson | Updown | Determinantal | Biased
 
 type request = {
   id : string option;

@@ -2,9 +2,6 @@ module Graph = Cc_graph.Graph
 module Tree = Cc_graph.Tree
 module Prng = Cc_util.Prng
 module Net = Cc_clique.Net
-module Sampler = Cc_sampler.Sampler
-module Sequential = Cc_sampler.Sequential
-module Doubling = Cc_doubling.Doubling
 module Metrics = Cc_obs.Metrics
 module Recorder = Cc_obs.Recorder
 
@@ -16,16 +13,9 @@ type config = { sock : string; cache_cap : int; max_requests : int option }
 
 let default_config ~sock = { sock; cache_cap = 8; max_requests = None }
 
-(* A cached plan. The three samplers expose the same prepare/draw shape but
-   distinct plan types; the cache stores the sum. *)
-type plan_entry =
-  | P_cc of Sampler.plan
-  | P_seq of Sequential.plan
-  | P_doub of Doubling.plan
-
 type job = {
   req : Protocol.request;
-  plan : plan_entry;
+  plan : Methods.plan;
   cache_hit : bool;
   net : Net.t;
   recorder : Recorder.t;
@@ -47,7 +37,7 @@ type conn = {
 type t = {
   config : config;
   listen_fd : Unix.file_descr;
-  cache : plan_entry Plan_cache.t;
+  cache : Methods.plan Plan_cache.t;
   mutable conns : conn list;
   mutable next_cid : int;
   mutable rr : int;  (* round-robin cursor over active jobs *)
@@ -116,17 +106,13 @@ let request_stop t = t.stop <- true
 (* --- request execution --- *)
 
 let plan_key req =
-  Protocol.method_name req.Protocol.meth ^ ":" ^ Graph.fingerprint req.Protocol.graph
-
-let make_plan (req : Protocol.request) =
-  match req.meth with
-  | Protocol.Cc -> P_cc (Sampler.prepare req.graph)
-  | Protocol.Sequential -> P_seq (Sequential.prepare req.graph)
-  | Protocol.Doubling ->
-      P_doub (Doubling.prepare req.graph ~tau0:(Graph.n req.graph))
+  Methods.name req.Protocol.meth ^ ":" ^ Graph.fingerprint req.Protocol.graph
 
 let start_job t conn (req : Protocol.request) =
-  let plan, cache_hit = Plan_cache.find_or_add t.cache (plan_key req) ~make:(fun () -> make_plan req) in
+  let plan, cache_hit =
+    Plan_cache.find_or_add t.cache (plan_key req) ~make:(fun () ->
+        Methods.prepare req.meth req.graph)
+  in
   let n = Graph.n req.graph in
   let net = Net.create ~n in
   let recorder = Recorder.create ~max_records:0 ~machines:n () in
@@ -134,7 +120,7 @@ let start_job t conn (req : Protocol.request) =
   Metrics.incr "server.requests";
   Log.info (fun m ->
       m "conn %d: request %s k=%d %s" conn.cid
-        (Protocol.method_name req.meth)
+        (Methods.name req.meth)
         req.k
         (if cache_hit then "hit" else "miss"));
   conn.job <-
@@ -149,32 +135,6 @@ let start_job t conn (req : Protocol.request) =
         drawn = 0;
         started = Unix.gettimeofday ();
       }
-
-(* Draw tree [job.drawn]; headers are the exact bytes [cctree sample
-   --count] prints for tree index+1, so clients can reproduce one-shot
-   stdout verbatim. *)
-let draw_tree job =
-  let i = job.drawn in
-  let prng = Prng.split job.master in
-  match job.plan with
-  | P_cc plan ->
-      let r = Sampler.draw plan job.net prng in
-      let header =
-        Printf.sprintf "# tree %d: %d phases, %.0f rounds, walk length %d\n"
-          (i + 1) r.Sampler.phases r.Sampler.rounds r.Sampler.walk_total
-      in
-      (header, Tree.edges r.Sampler.tree)
-  | P_seq plan ->
-      let r = Sequential.draw plan prng in
-      let header =
-        Printf.sprintf "# tree %d: %d phases, walk length %d\n" (i + 1)
-          r.Sequential.phases r.Sequential.walk_total
-      in
-      (header, Tree.edges r.Sequential.tree)
-  | P_doub plan ->
-      let tree, steps = Doubling.draw plan job.net prng in
-      let header = Printf.sprintf "# tree %d: %d walk steps\n" (i + 1) steps in
-      (header, Tree.edges tree)
 
 (* Every request that leaves the queue counts, done or failed; reaching
    [max_requests] starts the drain. *)
@@ -344,13 +304,16 @@ let step t =
         let c = List.nth jobs (t.rr mod List.length jobs) in
         t.rr <- t.rr + 1;
         let job = Option.get c.job in
-        (match draw_tree job with
-        | header, edges ->
+        (* Tree i draws from the i-th split of the master stream; its
+           header is the exact bytes [cctree sample --count] prints. *)
+        (match job.plan (job.drawn + 1) job.net (Prng.split job.master) with
+        | d ->
             job.drawn <- job.drawn + 1;
             c.out <-
               c.out
               ^ Protocol.tree_line ?id:job.req.Protocol.id
-                  ~index:(job.drawn - 1) ~header ~edges ();
+                  ~index:(job.drawn - 1) ~header:d.Methods.header
+                  ~edges:(Tree.edges d.Methods.tree) ();
             if job.drawn >= job.req.Protocol.k then finish_job t c job
         | exception (Invalid_argument m | Failure m) -> fail_job t c job m
         | exception e -> fail_job t c job (Printexc.to_string e)));

@@ -12,6 +12,7 @@ module Net = Cc_clique.Net
 module Prng = Cc_util.Prng
 module Sampler = Cc_sampler.Sampler
 module Protocol = Cc_serve.Protocol
+module Methods = Cc_serve.Methods
 module Plan_cache = Cc_serve.Plan_cache
 module Server = Cc_serve.Server
 
@@ -108,10 +109,14 @@ let check_trees_then_done ~g ~k responses =
         let tree = Tree.of_edges ~n:(Graph.n g) t.edges in
         Alcotest.(check bool) "spanning tree" true
           (Tree.is_spanning_tree g tree);
-        let prefix = Printf.sprintf "# tree %d:" (i + 1) in
+        (* "# tree N: …" or, for the determinantal and biased methods,
+           "# tree N (…)". *)
+        let named sep =
+          String.starts_with ~prefix:(Printf.sprintf "# tree %d%s" (i + 1) sep)
+            t.header
+        in
         Alcotest.(check bool) "header names the 1-based tree" true
-          (String.length t.header >= String.length prefix
-          && String.sub t.header 0 (String.length prefix) = prefix);
+          (named ":" || named " (");
         go (i + 1) rest
     | _ -> Alcotest.fail "unexpected response shape"
   in
@@ -172,7 +177,7 @@ let test_protocol_roundtrip () =
       Alcotest.(check int) "k" 3 r.Protocol.k;
       Alcotest.(check int) "seed" 9 r.Protocol.seed;
       Alcotest.(check string) "method" "sequential"
-        (Protocol.method_name r.Protocol.meth);
+        (Methods.name r.Protocol.meth);
       Alcotest.(check string) "graph survives the round trip"
         (Graph.fingerprint test_graph)
         (Graph.fingerprint r.Protocol.graph));
@@ -188,7 +193,7 @@ let test_protocol_roundtrip () =
         (Graph.edge_weight r.Protocol.graph 0 2);
       Alcotest.(check int) "default k" 1 r.Protocol.k;
       Alcotest.(check string) "default method" "cc"
-        (Protocol.method_name r.Protocol.meth));
+        (Methods.name r.Protocol.meth));
   List.iter
     (fun bad ->
       match Protocol.parse_request bad with
@@ -200,7 +205,7 @@ let test_protocol_roundtrip () =
       {|{"k": 1}|};
       {|{"graph": "n 2", "k": 0}|};
       {|{"graph": "garbage"}|};
-      {|{"graph": "n 3\ne 0 1 1\ne 1 2 1", "method": "wilson"}|};
+      {|{"graph": "n 3\ne 0 1 1\ne 1 2 1", "method": "bogus"}|};
       {|{"graph": {"n": 2, "edges": [[0]]}}|};
     ];
   let tree =
@@ -478,34 +483,37 @@ let test_serve_survives_client_hangup () =
   Unix.close c2.fd
 
 let test_serve_max_requests_and_methods () =
-  let srv = make_server ~max_requests:4 () in
+  let methods = List.length Methods.all in
+  let srv = make_server ~max_requests:(methods + 1) () in
   let c = connect srv in
-  send srv c (req ~seed:1 ~meth:Protocol.Cc ());
-  ignore (check_trees_then_done ~g:test_graph ~k:1 (collect srv c ~n:2));
-  send srv c (req ~seed:1 ~meth:Protocol.Sequential ());
-  ignore (check_trees_then_done ~g:test_graph ~k:1 (collect srv c ~n:2));
-  send srv c (req ~seed:1 ~meth:Protocol.Doubling ());
-  ignore (check_trees_then_done ~g:test_graph ~k:1 (collect srv c ~n:2));
+  List.iter
+    (fun meth ->
+      send srv c (req ~seed:1 ~meth ());
+      ignore (check_trees_then_done ~g:test_graph ~k:1 (collect srv c ~n:2)))
+    Methods.all;
   (* The last counted request fails: a disconnected graph parses, but
-     prepare rejects it. *)
+     prepare rejects it before a baseline method ever runs. *)
   let disconnected = Graph.of_unweighted_edges ~n:4 [ (0, 1); (2, 3) ] in
-  send srv c (Protocol.request_line ~graph:disconnected ~k:1 ~seed:1 ~meth:Protocol.Cc ());
+  send srv c
+    (Protocol.request_line ~graph:disconnected ~k:1 ~seed:1
+       ~meth:Protocol.Wilson ());
   (match collect srv c ~n:1 with
   | [ Protocol.Error _ ] -> ()
   | _ -> Alcotest.fail "expected error response");
-  (* Four requests answered, the last with an error: the server still
+  (* Every request answered, the last with an error: the server still
      drains itself, in a handful of steps. *)
   let steps = ref 0 in
   while Server.step srv && !steps < 1_000 do
     incr steps
   done;
-  Alcotest.(check int) "served" 4 (Server.served srv);
+  Alcotest.(check int) "served" (methods + 1) (Server.served srv);
   Alcotest.(check bool) "drained" false
     (Sys.file_exists (Server.sock_path srv));
-  (* Distinct methods prepare distinct plans: all three were cold, and so
+  (* Distinct methods prepare distinct plans: every one was cold, and so
      was the failed prepare. *)
   let hits, misses, _ = Server.cache_stats srv in
-  Alcotest.(check (pair int int)) "four misses" (0, 4) (hits, misses);
+  Alcotest.(check (pair int int)) "one miss per request" (0, methods + 1)
+    (hits, misses);
   Unix.close c.fd
 
 let () =
