@@ -483,7 +483,7 @@ let sample_cmd =
              Methods.all)
       ^ "."
     in
-    Arg.(value & opt string "cc" & info [ "method" ] ~doc)
+    Arg.(value & opt string Methods.(name Cc) & info [ "method" ] ~doc)
   in
   let count_t =
     let doc =

@@ -304,8 +304,8 @@ let step t =
         let c = List.nth jobs (t.rr mod List.length jobs) in
         t.rr <- t.rr + 1;
         let job = Option.get c.job in
-        (* Tree i draws from the i-th split of the master stream; its
-           header is the exact bytes [cctree sample --count] prints. *)
+        (* The header is the exact bytes [cctree sample --count] prints
+           for this tree, so a client reproduces one-shot stdout. *)
         (match job.plan (job.drawn + 1) job.net (Prng.split job.master) with
         | d ->
             job.drawn <- job.drawn + 1;

@@ -489,7 +489,21 @@ let test_serve_max_requests_and_methods () =
   List.iter
     (fun meth ->
       send srv c (req ~seed:1 ~meth ());
-      ignore (check_trees_then_done ~g:test_graph ~k:1 (collect srv c ~n:2)))
+      let responses = collect srv c ~n:2 in
+      ignore (check_trees_then_done ~g:test_graph ~k:1 responses);
+      (* Each method serves its own one-shot tree 1 at seed 1. *)
+      let d =
+        Methods.prepare meth test_graph 1
+          (Net.create ~n:(Graph.n test_graph))
+          (Prng.split (Prng.create ~seed:1))
+      in
+      match responses with
+      | Protocol.Tree t :: _ ->
+          let name = Methods.name meth in
+          Alcotest.(check string) (name ^ " header") d.header t.header;
+          Alcotest.(check (list (pair int int)))
+            (name ^ " edges") (Tree.edges d.tree) t.edges
+      | _ -> Alcotest.fail "expected a tree response")
     Methods.all;
   (* The last counted request fails: a disconnected graph parses, but
      prepare rejects it before a baseline method ever runs. *)
