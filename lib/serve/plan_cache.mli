@@ -2,11 +2,11 @@
 
     ccserve keys plans by the canonical graph digest
     ({!Cc_graph.Graph.fingerprint}) plus the sampling method, so repeated
-    requests for the same graph reuse the graph-only factorization
-    ({!Cc_sampler.Sampler.prepare}) and pay only the walk + matching phases.
-    The cache is a plain polymorphic map with last-used ticks — capacity is
-    small (plans hold O(n^2 log) floats), so O(cap) eviction scans are
-    irrelevant next to a single matrix multiply.
+    requests for the same graph and method reuse the graph-only work of
+    {!Methods.prepare} and pay only the draws. The cache is a plain
+    polymorphic map with last-used ticks — capacity is small (plans hold
+    O(n^2 log) floats), so O(cap) eviction scans are irrelevant next to a
+    single matrix multiply.
 
     Every lookup updates the metrics registry: [server.cache.hit],
     [server.cache.miss], [server.cache.evict]. *)
