@@ -1635,23 +1635,17 @@ let microbench () =
       ~positions:(Array.init 30 (fun j -> (j, j + 1)))
       ~weight:(fun ~v ~p ~q:_ -> 0.1 +. float_of_int (((7 * v) + (3 * p)) mod 11))
   in
-  (* One cc_expander phase's dense work at n = 96 (Er_log 6): the shortcut
-     inverse of I - T, with T the transition matrix minus the columns of an
-     S of every other vertex, and its LU alone; the Schur transition from
-     that S's shortcut matrix; the phase state the sampler computes instead,
-     from one solve on the visited block (|U| = |S| = 48); a dense product;
-     the transition matrix. Their own prng leaves the other rows' inputs as
-     they were. *)
+  (* One cc_expander phase's dense work at n = 96 (Er_log 6): the grounded
+     inverse, and the elimination of its 95 vertices alone; the Schur
+     transition from the shortcut matrix of an S of every other vertex; the
+     phase state the sampler computes instead, from one elimination of the
+     visited block (|U| = |S| = 48); a dense product; the transition
+     matrix. Their own prng leaves the other rows' inputs as they were. *)
   let prng96 = Prng.create ~seed:96 in
   let er96 = Gen.build prng96 (Gen.family_of_string "erlog:6") ~n:96 in
   let m96 =
     Mat.normalize_rows
       (Mat.init ~rows:96 ~cols:96 (fun _ _ -> Prng.float prng96 1.0 +. 0.01))
-  in
-  let i_minus_t96 =
-    let p = Graph.transition_matrix er96 in
-    Mat.init ~rows:96 ~cols:96 (fun w x ->
-        (if w = x then 1.0 else 0.0) -. if x mod 2 = 0 then 0.0 else Mat.get p w x)
   in
   let s96 = Array.init 48 (fun i -> 2 * i) in
   let q96 = Shortcut.exact er96 ~in_s:(Schur.members ~n:96 ~s:s96) in
@@ -1686,13 +1680,11 @@ let microbench () =
                   ~machine_of:Fun.id ~start:0 ~rho:8 ~target_len:(1 lsl 21)
                   ~matching:Phase_walk.Resample)));
       Test.make ~name:"mat-mul-64" (Staged.stage (fun () -> ignore (Mat.mul m64 m64)));
-      Test.make ~name:"lu-inverse-64"
-        (Staged.stage (fun () -> ignore (Cc_linalg.Solve.inverse m64)));
       Test.make ~name:"mat-mul-96" (Staged.stage (fun () -> ignore (Mat.mul m96 m96)));
-      Test.make ~name:"lu-inverse-96"
-        (Staged.stage (fun () -> ignore (Cc_linalg.Solve.inverse i_minus_t96)));
-      Test.make ~name:"lu-only-96"
-        (Staged.stage (fun () -> ignore (Cc_linalg.Solve.log_determinant i_minus_t96)));
+      Test.make ~name:"grounded-inverse-er96"
+        (Staged.stage (fun () -> ignore (Graph.grounded_inverse er96 ~ground:95)));
+      Test.make ~name:"eliminate-er96"
+        (Staged.stage (fun () -> ignore (Graph.eliminate er96 ~keep:[| 95 |])));
       Test.make ~name:"schur-via-shortcut-96"
         (Staged.stage (fun () -> ignore (Schur.transition_via_shortcut er96 q96 ~s:s96)));
       Test.make ~name:"schur-phase-er96"

@@ -163,7 +163,7 @@ let summary_metrics path instruments =
 
 let summary_cmd =
   let file_t =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE")
   in
   let parse s =
     Result.bind (Json.of_string s) (fun j ->
@@ -188,9 +188,9 @@ let summary_cmd =
 
 let diff_cmd =
   let old_t =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"BASELINE")
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"BASELINE")
   in
-  let new_t = Arg.(required & pos 1 (some file) None & info [] ~docv:"NEW") in
+  let new_t = Arg.(required & pos 1 (some string) None & info [] ~docv:"NEW") in
   let threshold_t =
     let doc =
       "Relative worsening of an experiment's mean measured/bound ratio that \
@@ -253,7 +253,7 @@ let diff_cmd =
 
 let heatmap_cmd =
   let file_t =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE")
   in
   let width_t =
     Arg.(
@@ -285,7 +285,7 @@ let heatmap_cmd =
 
 let trace_cmd =
   let file_t =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE")
   in
   let top_t =
     Arg.(value & opt int 15 & info [ "top" ] ~doc:"Rows to show per table.")
@@ -401,7 +401,7 @@ let trace_cmd =
 
 let timeline_cmd =
   let file_t =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE")
   in
   let out_t =
     let doc = "Write the Chrome JSON to $(docv) instead of stdout." in
@@ -452,8 +452,8 @@ let sparkline xs =
 (* --- history --- *)
 
 let history_cmd =
-  (* [string], not [file]: an absent history file means "no runs recorded
-     yet" — a normal state for a fresh checkout, not a usage error. *)
+  (* An absent history file means "no runs recorded yet" — a normal state
+     for a fresh checkout, not a usage error. *)
   let file_t =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE")
   in
@@ -563,7 +563,7 @@ let history_cmd =
 let audit_cmd =
   let module Audit = Cc_audit.Audit in
   let file_t =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE")
   in
   let warn_only_t =
     let doc = "Report statistical breaches but exit 0 anyway." in
@@ -705,7 +705,7 @@ let audit_cmd =
 
 let replay_cmd =
   let file_t =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE")
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE")
   in
   let check_cmd =
     let run file =
@@ -743,8 +743,8 @@ let replay_cmd =
     Cmd.v info Term.(const run $ file_t)
   in
   let diff_cmd =
-    let a_t = Arg.(required & pos 0 (some file) None & info [] ~docv:"A") in
-    let b_t = Arg.(required & pos 1 (some file) None & info [] ~docv:"B") in
+    let a_t = Arg.(required & pos 0 (some string) None & info [] ~docv:"A") in
+    let b_t = Arg.(required & pos 1 (some string) None & info [] ~docv:"B") in
     let run a_file b_file =
       let a = (load Recorder.of_jsonl a_file).Recorder.log
       and b = (load Recorder.of_jsonl b_file).Recorder.log in

@@ -66,7 +66,7 @@ let size_t =
 
 let file_t =
   let doc = "Read the graph from $(docv) instead of generating one." in
-  Arg.(value & opt (some file) None & info [ "g"; "graph" ] ~doc ~docv:"FILE")
+  Arg.(value & opt (some string) None & info [ "g"; "graph" ] ~doc ~docv:"FILE")
 
 (* --- fault-injection options (shared by sample / doubling) --- *)
 
@@ -356,6 +356,17 @@ let load_graph ?weights ~family ~size ~file ~prng () =
         with
         | g when Graph.n g < 2 -> fail_usage (what ^ ": need at least 2 vertices")
         | g -> g
+        (* A failed open's message already starts with the path, a failed
+           read's does not: name it once either way. *)
+        | exception Sys_error m ->
+            let prefix = path ^ ": " in
+            fail_usage
+              (what ^ ": "
+              ^
+              if String.starts_with ~prefix m then
+                String.sub m (String.length prefix)
+                  (String.length m - String.length prefix)
+              else m)
         | exception e -> usage what e)
     | None, fam -> (
         let fam = Option.value fam ~default:"lollipop" in
@@ -456,7 +467,11 @@ let run_connect ~sock ~g ~k ~seed ~meth =
 
 let sample_cmd =
   let trials_t =
-    Arg.(value & opt int 1 & info [ "trials" ] ~doc:"Number of trees to sample.")
+    let doc =
+      "Sample $(docv) trees, every one from the master stream (the default, \
+       with $(docv) = 1)."
+    in
+    Arg.(value & opt (some int) None & info [ "trials" ] ~doc ~docv:"K")
   in
   let ledger_t =
     Arg.(value & flag & info [ "ledger" ] ~doc:"Print the per-label round ledger.")
@@ -493,7 +508,7 @@ let sample_cmd =
        its bytes are independent of $(docv) — and identical to what a \
        ccserve request with the same seed streams back."
     in
-    Arg.(value & opt int 0 & info [ "count" ] ~doc ~docv:"K")
+    Arg.(value & opt (some int) None & info [ "count" ] ~doc ~docv:"K")
   in
   let connect_t =
     let doc =
@@ -534,10 +549,19 @@ let sample_cmd =
     | _ -> ());
     if not (alpha >= 0.0 && alpha <= 1.0) then
       fail_usage "--alpha must be in [0, 1]";
+    (* [split]: tree t draws from the t-th split of the master stream. *)
+    let k, split =
+      match (count, trials) with
+      | Some _, Some _ -> fail_usage "--count and --trials cannot be used together"
+      | Some k, None when k < 1 -> fail_usage "--count must be >= 1"
+      | None, Some k when k < 1 -> fail_usage "--trials must be >= 1"
+      | Some k, None -> (k, true)
+      | None, Some k -> (k, false)
+      | None, None -> (1, false)
+    in
     let prng = Prng.create ~seed in
     let g = load_graph ?weights ~family ~size ~file ~prng () in
     require_connected g;
-    let k = if count > 0 then count else trials in
     match connect with
     | Some sock ->
         let d = Fault.default_spec in
@@ -581,7 +605,7 @@ let sample_cmd =
        stream itself. *)
     let plan = Methods.prepare ~config meth g in
     for t = 1 to k do
-      let d = plan t net (if count > 0 then Prng.split prng else prng) in
+      let d = plan t net (if split then Prng.split prng else prng) in
       print_string d.Methods.header;
       Option.iter
         (fun h ->

@@ -13,8 +13,8 @@
     draw.
 
     A later phase's state is Q's rows of S and SCHUR(G, S)'s transition.
-    In [Exact_solve] mode both come from one solve on the visited block
-    V \ S ({!Cc_schur.Schur.phase_exact}); in [Powering] mode from
+    In [Exact_solve] mode both come from one elimination of the visited
+    block V \ S ({!Cc_schur.Schur.phase_exact}); in [Powering] mode from
     {!Cc_schur.Shortcut.approx} and
     {!Cc_schur.Schur.transition_via_shortcut}.
 

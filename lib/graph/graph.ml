@@ -116,53 +116,63 @@ let laplacian g =
   done;
   l
 
-let of_laplacian ?(tol = 1e-9) l =
-  let n = Cc_linalg.Mat.rows l in
-  let edge_list = ref [] in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      let w = -.Cc_linalg.Mat.get l u v in
-      if w > tol then edge_list := (u, v, w) :: !edge_list
-    done
+(* The rows of U = V \ keep from adjacency, in weight units, as
+   Gth.factor reads them: row r is U's r-th vertex in ascending order, the
+   columns are U's vertices and then [keep]'s, and only the entries right
+   of the diagonal are written. [col] maps every vertex to its column. *)
+let eliminate g ~keep =
+  let n = g.n and nk = Array.length keep in
+  let nu = n - nk in
+  let col = Array.make n (-1) in
+  Array.iteri
+    (fun c v ->
+      if v < 0 || v >= n then invalid_arg "Graph.eliminate: vertex out of range";
+      if col.(v) >= 0 then invalid_arg "Graph.eliminate: duplicate vertex";
+      col.(v) <- nu + c)
+    keep;
+  let u_of = Array.make nu 0 and next = ref 0 in
+  for v = 0 to n - 1 do
+    if col.(v) < 0 then begin
+      col.(v) <- !next;
+      u_of.(!next) <- v;
+      incr next
+    end
   done;
-  of_edges ~n !edge_list
-
-(* The Laplacian [l] of an [n]-vertex graph grounded at [v]: [l] without
-   row and column [v], and [pos], which maps every other vertex to its index
-   in that minor ([-1] for [v]). *)
-let grounded_minor l ~n v =
-  let keep = Array.init (n - 1) (fun i -> if i < v then i else i + 1) in
-  let pos = Array.make n (-1) in
-  Array.iteri (fun i orig -> pos.(orig) <- i) keep;
-  (Cc_linalg.Mat.submatrix l ~row_idx:keep ~col_idx:keep, pos)
+  let a = Array.make (nu * n) 0.0 in
+  Array.iteri
+    (fun r u ->
+      Array.iter
+        (fun (x, w) ->
+          let c = col.(x) in
+          if c > r then a.((r * n) + c) <- w)
+        g.adj.(u))
+    u_of;
+  (u_of, Cc_linalg.Gth.factor a ~nu ~nk)
 
 let effective_resistance g u v =
   if u < 0 || u >= g.n || v < 0 || v >= g.n then
     invalid_arg "Graph.effective_resistance: vertex out of range";
   if u = v then invalid_arg "Graph.effective_resistance: identical vertices";
-  (* Ground at v: R_eff(u,v) = e_u^T (L with row/col v removed)^{-1} e_u. *)
-  let reduced, pos = grounded_minor (laplacian g) ~n:g.n v in
+  (* Ground at v: R_eff(u,v) = e_u^T L_UU^{-1} e_u with U = V \ {v}, a
+     diagonal entry, so no difference is taken. *)
+  let _, f = eliminate g ~keep:[| v |] in
+  let r = if u < v then u else u - 1 in
   let b = Array.make (g.n - 1) 0.0 in
-  b.(pos.(u)) <- 1.0;
-  let x = Cc_linalg.Solve.solve reduced b in
-  x.(pos.(u))
+  b.(r) <- 1.0;
+  (Cc_linalg.Gth.solve f b).(r)
 
-(* L with row and column [ground] replaced by e_ground: partial pivoting
-   never picks that row before its own column, and its zero entries change
-   no other value, so the inverse is the grounded minor's inverse with a 1
-   at (ground, ground), which is then cleared. *)
+(* L_UU^{-1} for U = V \ {ground}, padded with a zero row and column. *)
 let grounded_inverse g ~ground =
   if ground < 0 || ground >= g.n then
     invalid_arg "Graph.grounded_inverse: ground out of range";
-  let l = laplacian g in
-  for i = 0 to g.n - 1 do
-    Cc_linalg.Mat.set l ground i 0.0;
-    Cc_linalg.Mat.set l i ground 0.0
-  done;
-  Cc_linalg.Mat.set l ground ground 1.0;
-  let x = Cc_linalg.Solve.inverse l in
-  Cc_linalg.Mat.set x ground ground 0.0;
-  x
+  let u_of, f = eliminate g ~keep:[| ground |] in
+  let x = Cc_linalg.Gth.inverse f and nu = g.n - 1 in
+  let out = Cc_linalg.Mat.create ~rows:g.n ~cols:g.n 0.0 in
+  let od = Cc_linalg.Mat.data out in
+  Array.iteri
+    (fun r u -> Array.iteri (fun c v -> od.((u * g.n) + v) <- x.((r * nu) + c)) u_of)
+    u_of;
+  out
 
 (* With y = X (e_u - e_v), R_eff(u, v) = y_u - y_v. *)
 let edge_resistances g =

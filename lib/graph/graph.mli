@@ -62,26 +62,31 @@ val transition_matrix : t -> Cc_linalg.Mat.t
     are [-0.0]. *)
 val laplacian : t -> Cc_linalg.Mat.t
 
-(** [of_laplacian l] reconstructs the weighted graph from a Laplacian
-    (off-diagonal entries are negated weights); entries with magnitude below
-    [tol] (default 1e-9) are treated as non-edges. *)
-val of_laplacian : ?tol:float -> Cc_linalg.Mat.t -> t
-
 (** {1 Electrical quantities} *)
 
-(** [effective_resistance g u v] between two distinct vertices of a connected
-    graph, via a Laplacian solve. @raise Invalid_argument if [u] or [v] is
-    not a vertex, or [u = v]. *)
+(** [eliminate g ~keep] fills the rows of U = V \ [keep] from adjacency,
+    in weight units, and eliminates U by {!Cc_linalg.Gth.factor}: U is
+    taken in ascending order, and the kept columns follow [keep]'s order.
+    It returns U's vertices in that order with the factor. Every exact
+    Laplacian oracle of the library reads this one factorization.
+    @raise Invalid_argument if [keep] holds a vertex out of range or twice. *)
+val eliminate : t -> keep:int array -> int array * Cc_linalg.Gth.t
+
+(** [effective_resistance g u v] between two distinct vertices of a
+    connected graph: the diagonal entry x_u of x = L_UU{^-1} e_u, grounded
+    at v. @raise Invalid_argument if [u] or [v] is not a vertex, or
+    [u = v]. @raise Failure as {!Cc_linalg.Gth.solve} if some component of
+    [g] avoids v. *)
 val effective_resistance : t -> int -> int -> float
 
-(** [grounded_inverse g ~ground] is the n x n matrix X that holds the
-    inverse of [g]'s Laplacian without row and column [ground], and zeros
-    in row and column [ground]: one LU. For b = e_u - e_v, b{^T} X b is
-    R_eff(u, v), and X's column difference y = X b gives the potentials of
-    a unit current from u to v with [ground] at 0.
+(** [grounded_inverse g ~ground] is the n x n matrix X that holds L_UU{^-1}
+    for U = V \ {[ground]}, and zeros in row and column [ground]: one
+    elimination and {!Cc_linalg.Gth.inverse}. For b = e_u - e_v,
+    b{^T} X b is R_eff(u, v), and X's column difference y = X b gives the
+    potentials of a unit current from u to v with [ground] at 0.
     @raise Invalid_argument if [ground] is not a vertex.
-    @raise Failure ["Solve.lu_solve: singular matrix"] if [g] is
-    disconnected. *)
+    @raise Failure ["Gth: some component of the graph has no kept vertex"]
+    if [g] is disconnected. *)
 val grounded_inverse : t -> ground:int -> Cc_linalg.Mat.t
 
 (** [edge_resistances g] is R_eff(u, v) for every edge [(u, v, _)], in

@@ -56,15 +56,7 @@ let weight g t =
 let log_count g =
   let n = Graph.n g in
   if n = 1 then 0.0
-  else
-    let l = Graph.laplacian g in
-    let keep = Array.init (n - 1) (fun i -> i) in
-    let minor = Cc_linalg.Mat.submatrix l ~row_idx:keep ~col_idx:keep in
-    match Cc_linalg.Solve.log_determinant minor with
-    | 0, _ -> neg_infinity
-    | s, logdet ->
-        assert (s > 0);
-        logdet
+  else Cc_linalg.Gth.log_det (snd (Graph.eliminate g ~keep:[| n - 1 |]))
 
 let count g =
   let lc = log_count g in

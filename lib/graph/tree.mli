@@ -43,8 +43,11 @@ val weight : Graph.t -> t -> float
     edge-weight products) by the Matrix–Tree theorem. *)
 val count : Graph.t -> float
 
-(** [log_count g] is the natural log of [count g] (robust for large graphs);
-    [neg_infinity] if disconnected. *)
+(** [log_count g] is the natural log of [count g] (robust for large
+    graphs): the sum of the pivots' logs of one elimination of every vertex
+    but n - 1 ({!Graph.eliminate}), each pivot a sum of weights, so scaling
+    every weight by c adds exactly (n - 1) ln c up to rounding. It is
+    [neg_infinity] exactly when [g] is disconnected, with no tolerance. *)
 val log_count : Graph.t -> float
 
 (** [enumerate g] lists all spanning trees by backtracking over edge subsets

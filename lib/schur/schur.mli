@@ -10,21 +10,24 @@
     the order of the [s] array; [s.(i)] is the original vertex of index i.
 
     Three computations:
-    - [graph_exact]/[transition_exact]: block elimination on L(G)
-      (Section 2.2) — the reference.
+    - [graph_exact]/[transition_exact]: block elimination (Section 2.2),
+      W_S = W_SS + W_SU·Y with Y the harmonic measures of U = V \ S from
+      one subtraction-free elimination ({!Cc_graph.Graph.eliminate},
+      DESIGN.md §18).
     - [transition_via_shortcut]/[approx]: the paper's distributed route
       (Corollary 4): from the shortcut matrix Q form R with
       [R[u,v] = 1/deg_S(u)] for edges u~v into S, take M = QR — M[u,v] is
       the probability that the first S-visit from u is v — and normalize each
       row off the diagonal by [1/(1 - M[u,u])].
     - [phase_exact]: a later phase's exact state, the transition and Q's
-      rows of S, from one solve on the visited block U = V \ S (DESIGN.md
-      §18). *)
+      rows of S, from the same elimination of U. *)
 
 (** [graph_exact g ~s] is the weighted Schur complement graph on [|s|]
-    relabeled vertices. @raise Invalid_argument if [s] is empty, has
-    duplicates, or the eliminated block is singular (e.g. disconnected
-    pieces entirely outside S). *)
+    relabeled vertices: its edges are the positive entries of W_S above
+    the diagonal, with no tolerance (an entry is 0 exactly when no path
+    through U joins its two vertices). @raise Invalid_argument if [s] is
+    empty or has duplicates, or if some component of [g] has no vertex in
+    S. *)
 val graph_exact : Cc_graph.Graph.t -> s:int array -> Cc_graph.Graph.t
 
 (** [transition_exact g ~s] is the |s| x |s| random-walk matrix of
@@ -46,17 +49,16 @@ type phase = {
           {!transition_exact} gives it up to rounding; not sanitized *)
 }
 
-(** [phase_exact g ~s] computes both from one solve on U = V \ S, taken in
-    ascending order, with P = D{^-1}A the non-lazy transition:
-    Y = (I - P_UU){^-1}P_US by {!Cc_linalg.Solve.solve_mat}. The transition
-    is M = P_SS + P_SU·Y off the diagonal, each row divided by its
-    off-diagonal sum. Q[s.(i), v] is w_S(v)/d(v) if v = s.(i) and exactly 0
-    for the other v in S, and Q[s.(i), u] = Y[u, i]·w_S(u)/d(s.(i)) for u in
-    U. About 2|U|³/3 + 2|U|²|S| + 2|U||S|² flops, against about 8n³/3 for
-    {!Shortcut.exact}. It runs in a [shortcut.exact] trace span.
-    @raise Invalid_argument as {!members}, or if [s] is empty.
-    @raise Failure if I - P_UU is singular: some vertex of U reaches no
-    vertex of S, as when G is disconnected. *)
+(** [phase_exact g ~s] computes both from one elimination of U = V \ S,
+    taken in ascending order: Y = L_UU{^-1}W_US by {!Cc_linalg.Gth.harmonic}.
+    The transition is W_S = W_SS + W_SU·Y off the diagonal, each row divided
+    by its off-diagonal sum, as in [graph_exact]; Q's rows of S are
+    {!Shortcut.rows_of_s}'s. About |U|³/6 + |U|²|S| multiply-adds for Y.
+    Every step adds nonnegative terms, so scaling every weight by one factor
+    moves the state only by rounding. It runs in a [shortcut.exact] trace
+    span. @raise Invalid_argument as {!members}, or if [s] is empty.
+    @raise Failure as {!Cc_linalg.Gth.harmonic} if some component of [g]
+    has no vertex in S. *)
 val phase_exact : Cc_graph.Graph.t -> s:int array -> phase
 
 (** [approx ?bits g ~s ~k] is the full paper pipeline: approximate Q by

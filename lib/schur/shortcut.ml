@@ -1,6 +1,6 @@
 module Graph = Cc_graph.Graph
 module Mat = Cc_linalg.Mat
-module Solve = Cc_linalg.Solve
+module Gth = Cc_linalg.Gth
 module Fixed = Cc_linalg.Fixed
 
 let check_s g ~in_s =
@@ -19,25 +19,65 @@ let s_mass p ~in_s w =
   done;
   !acc
 
+(* Total edge weight from u into S (= deg_S(u) on unweighted graphs): the
+   left fold over u's adjacency, as a plain loop so that no sum is boxed. *)
+let s_weight g ~in_s u =
+  let adj = Graph.neighbors g u in
+  let acc = ref 0.0 in
+  for e = 0 to Array.length adj - 1 do
+    let v, w = Array.unsafe_get adj e in
+    if in_s.(v) then acc := !acc +. w
+  done;
+  !acc
+
+(* Q's rows of S from Y, the harmonic measures of U = V \ S in ascending
+   order ([u_of]). A walk from s.(i) is at a vertex of S only at time 0, so
+   Q[s.(i), v] = delta(s.(i), v) w_S(v)/d(v) for v in S, written exactly;
+   for u in U, reversibility (d(x) P[x, y] = w(x, y)) turns
+   (P_SU (I - P_UU)^{-1})[i, u] w_S(u)/d(u) into Y[u, i] w_S(u)/d(s.(i)).
+   An isolated s.(i) keeps its self-loop, Q[s.(i), s.(i)] = 1. *)
+let rows_of_s g ~s ~ws ~u_of y =
+  let n = Graph.n g and k = Array.length s in
+  let q = Mat.create ~rows:k ~cols:n 0.0 in
+  let qd = Mat.data q in
+  for i = 0 to k - 1 do
+    let v = s.(i) in
+    let d = Graph.weighted_degree g v and row = i * n in
+    if d = 0.0 then qd.(row + v) <- 1.0
+    else begin
+      qd.(row + v) <- ws.(v) /. d;
+      Array.iteri
+        (fun a u -> qd.(row + u) <- y.((a * k) + i) *. ws.(u) /. d)
+        u_of
+    end
+  done;
+  q
+
+(* In the order (U, S), I - T is [[I - P_UU, 0], [-P_SU, I]], so Q's rows of
+   U are (I - P_UU)^{-1} diag(s_mass) = L_UU^{-1} diag(w_S) on U and 0 on
+   S, and its rows of S are [rows_of_s]'s. *)
 let exact g ~in_s =
   check_s g ~in_s;
   Cc_obs.Trace.with_span "shortcut.exact"
     ~args:[ ("n", string_of_int (Graph.n g)) ]
   @@ fun () ->
   let n = Graph.n g in
-  let p = Graph.transition_matrix g in
-  (* I - T, with T the transient chain: it moves only to vertices outside
-     S. Built in one pass, each entry as I[w,x] -. T[w,x]. *)
-  let i_minus_t =
-    Mat.init ~rows:n ~cols:n (fun w x ->
-        (if w = x then 1.0 else 0.0) -. if in_s.(x) then 0.0 else Mat.get p w x)
-  in
-  (* Q = (I - T)^{-1} diag(s_mass). Hoist the per-column S-mass out of the
-     n^2 init (it only depends on the column): one pass over the machines
-     instead of an O(n) rescan per entry. *)
-  let fundamental = Solve.inverse i_minus_t in
-  let sm = Array.init n (s_mass p ~in_s) in
-  Mat.init ~rows:n ~cols:n (fun u v -> Mat.get fundamental u v *. sm.(v))
+  let s = Array.of_list (List.filter (fun v -> in_s.(v)) (List.init n Fun.id)) in
+  let u_of, f = Graph.eliminate g ~keep:s in
+  let nu = Array.length u_of in
+  let ws = Array.init n (s_weight g ~in_s) in
+  let x = Gth.inverse f in
+  let q = Mat.create ~rows:n ~cols:n 0.0 in
+  let qd = Mat.data q in
+  Array.iteri
+    (fun r u ->
+      Array.iteri
+        (fun c v -> qd.((u * n) + v) <- x.((r * nu) + c) *. ws.(v))
+        u_of)
+    u_of;
+  let rows = Mat.data (rows_of_s g ~s ~ws ~u_of (Gth.harmonic f)) in
+  Array.iteri (fun i v -> Array.blit rows (i * n) qd (v * n) n) s;
+  q
 
 (* The 2n x 2n auxiliary chain of Corollary 3: states 0..n-1 are L-copies
    (walking, not yet entered S), states n..2n-1 are absorbing R-copies. *)
@@ -70,17 +110,6 @@ let approx ?bits g ~in_s ~k =
   in
   let rk = powers.(levels) in
   Mat.init ~rows:n ~cols:n (fun u v -> Mat.get rk u (n + v))
-
-(* Total edge weight from u into S (= deg_S(u) on unweighted graphs): the
-   left fold over u's adjacency, as a plain loop so that no sum is boxed. *)
-let s_weight g ~in_s u =
-  let adj = Graph.neighbors g u in
-  let acc = ref 0.0 in
-  for e = 0 to Array.length adj - 1 do
-    let v, w = Array.unsafe_get adj e in
-    if in_s.(v) then acc := !acc +. w
-  done;
-  !acc
 
 let first_visit_weights g q ~ws ~row ~target =
   if Array.length ws <> Graph.n g then

@@ -8,9 +8,10 @@
 
     Two computations are provided, both n x n over the original vertex set:
 
-    - [exact]: absorbing-chain solve on the auxiliary graph G' of
-      Corollary 3 — transient part restricted to "not yet entered S", so
-      Q = (I - T)^{-1} B where T moves among V\S-avoiding steps and B absorbs.
+    - [exact]: the absorbing chain of Corollary 3 solved exactly. In the
+      order (U, S) with U = V \ S, its rows of U are
+      Q_UU = L_UU{^-1}·diag(w_S) and Q_US = 0, and its rows of S are
+      {!rows_of_s}'s, from one elimination of U ({!Cc_graph.Graph.eliminate}).
     - [approx]: the paper's route — k-th power of the 2n x 2n chain R of
       Corollary 3 by repeated squaring, optionally truncating entries to
       [bits] fractional bits after every squaring. Subtractive error decays
@@ -23,8 +24,27 @@
     unchanged. *)
 
 (** [exact g ~in_s] returns Q; [in_s] is the characteristic vector of S.
-    @raise Invalid_argument if S is empty. *)
+    It runs in a [shortcut.exact] trace span.
+    @raise Invalid_argument if S is empty.
+    @raise Failure as {!Cc_linalg.Gth.harmonic} if some component of [g]
+    avoids S. *)
 val exact : Cc_graph.Graph.t -> in_s:bool array -> Cc_linalg.Mat.t
+
+(** [rows_of_s g ~s ~ws ~u_of y] is Q's rows of S, |s| x n, row i for
+    v = [s.(i)]: Q[v, v] = w_S(v)/d(v), 0 on the rest of S, and
+    Q[s.(i), u] = Y[u, i]·w_S(u)/d(s.(i)) for u in U; an isolated [s.(i)]
+    has Q[s.(i), s.(i)] = 1. [u_of] lists U = V \ S in ascending order and
+    [y] is {!Cc_linalg.Gth.harmonic}'s Y for it, as
+    [Graph.eliminate g ~keep:s] returns them; [ws.(v)] is {!s_weight} of
+    every vertex. Both {!exact} and [Schur.phase_exact] read their rows of
+    S here. *)
+val rows_of_s :
+  Cc_graph.Graph.t ->
+  s:int array ->
+  ws:float array ->
+  u_of:int array ->
+  float array ->
+  Cc_linalg.Mat.t
 
 (** [approx ?bits g ~in_s ~k] approximates Q by the k-th power of the
     auxiliary chain ([k] a power of two), squaring log2 k times through

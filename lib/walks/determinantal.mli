@@ -13,8 +13,8 @@
     {!marginals} reads every edge's leverage from one grounded inverse
     ({!Cc_graph.Graph.edge_resistances}). {!chain_rule} keeps the grounded
     inverse of the conditioned graph and moves it by one rank-one update
-    per decided edge: one LU and O(m n^2) in all, with a fresh LU only
-    after deleting a near-bridge. *)
+    per decided edge: one elimination and O(m n^2) in all, with a fresh
+    elimination only after deleting a near-bridge. *)
 
 (** [leverage g u v] = [w(u,v) * R_eff(u,v)] — the probability that edge
     (u,v) appears in the random spanning tree.

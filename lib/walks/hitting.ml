@@ -1,21 +1,16 @@
 module Graph = Cc_graph.Graph
 module Mat = Cc_linalg.Mat
-module Solve = Cc_linalg.Solve
 
+(* (I - P_UU) h = 1 for U = V \ {v} is L_UU h = d_U, which the elimination
+   solves without a subtraction. *)
 let to_target g v =
   let n = Graph.n g in
   if v < 0 || v >= n then invalid_arg "Hitting.to_target: bad vertex";
   if not (Graph.is_connected g) then invalid_arg "Hitting.to_target: disconnected";
-  let p = Graph.transition_matrix g in
-  let keep = Array.of_list (List.filter (fun i -> i <> v) (List.init n (fun i -> i))) in
-  let system =
-    Mat.init ~rows:(n - 1) ~cols:(n - 1) (fun i j ->
-        (if i = j then 1.0 else 0.0) -. Mat.get p keep.(i) keep.(j))
-  in
-  let rhs = Array.make (n - 1) 1.0 in
-  let h = Solve.solve system rhs in
+  let u_of, f = Graph.eliminate g ~keep:[| v |] in
+  let h = Cc_linalg.Gth.solve f (Array.map (Graph.weighted_degree g) u_of) in
   let out = Array.make n 0.0 in
-  Array.iteri (fun i orig -> out.(orig) <- h.(i)) keep;
+  Array.iteri (fun r u -> out.(u) <- h.(r)) u_of;
   out
 
 let matrix g =

@@ -1,4 +1,4 @@
-(** Exact hitting and commute times via linear solves.
+(** Exact hitting and commute times, by the subtraction-free elimination.
 
     H(u,v) = expected steps of a walk from u to first reach v. Wilson's
     algorithm runs in mean hitting time; commute times equal
@@ -6,8 +6,10 @@
     times) — both identities are checked in the test suite and used by the
     baseline benches. *)
 
-(** [to_target g v] is the vector of hitting times H(., v): solve
-    [(I - P restricted off v) h = 1]. *)
+(** [to_target g v] is the vector of hitting times H(., v): with U = V \ {v},
+    [(I - P_UU) h = 1] is [L_UU h = d_U] for the weighted degrees d, which
+    one elimination grounded at v solves ({!Cc_graph.Graph.eliminate}).
+    @raise Invalid_argument if [v] is not a vertex or [g] is disconnected. *)
 val to_target : Cc_graph.Graph.t -> int -> float array
 
 (** [matrix g] is the full H(u,v) matrix (n solves). *)

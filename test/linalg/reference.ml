@@ -1,11 +1,13 @@
-(* The dense kernels as lib/linalg computed them through the checked
-   [Mat.get]/[Mat.set]: LU with partial pivoting, forward/back substitution,
-   the column-by-column multi-RHS solve, the inverse, the log-determinant,
-   the Schur complement and the i-k-j product, and the power table squared
-   to its last level. The library's flat-array kernels must perform the same
-   float operations in the same order, so the properties in test_linalg
-   compare them with these bit for bit. Test-only: nothing in lib/ calls
-   this module. *)
+(* Checked dense kernels through [Mat.get]/[Mat.set]: LU with partial
+   pivoting against an absolute pivot tolerance of 1e-13, forward/back
+   substitution, the column-by-column multi-RHS solve, the inverse, the
+   log-determinant, the Schur complement and the i-k-j product, and the
+   power table squared to its last level. [Mat.mul] and the power tables
+   must perform the same float operations in the same order, so test_linalg
+   compares them with these bit for bit. The LU is the independent
+   reference that the library's subtraction-free elimination (Gth) is
+   compared against, to a tolerance, in test_linalg and test_schur.
+   Test-only: nothing in lib/ calls this module. *)
 
 module Mat = Cc_linalg.Mat
 
@@ -19,7 +21,7 @@ let pivot_tol = 1e-13
 
 let lu m =
   let n = Mat.rows m in
-  if Mat.cols m <> n then invalid_arg "Solve.lu: not square";
+  if Mat.cols m <> n then invalid_arg "Reference.lu: not square";
   let a = Mat.copy m in
   let perm = Array.init n (fun i -> i) in
   let swaps = ref 0 in
@@ -60,8 +62,8 @@ let is_singular f =
 
 let lu_solve f b =
   let n = Mat.rows f.lu_mat in
-  if Array.length b <> n then invalid_arg "Solve.lu_solve: dimension mismatch";
-  if is_singular f then failwith "Solve.lu_solve: singular matrix";
+  if Array.length b <> n then invalid_arg "Reference.lu_solve: dimension mismatch";
+  if is_singular f then failwith "Reference.lu_solve: singular matrix";
   let y = Array.init n (fun i -> b.(f.perm.(i))) in
   for i = 1 to n - 1 do
     for j = 0 to i - 1 do
@@ -126,12 +128,12 @@ let mul a b =
 
 let schur_complement m ~keep =
   let n = Mat.rows m in
-  if Mat.cols m <> n then invalid_arg "Solve.schur_complement: not square";
+  if Mat.cols m <> n then invalid_arg "Reference.schur_complement: not square";
   let in_keep = Array.make n false in
   Array.iter
     (fun i ->
-      if i < 0 || i >= n then invalid_arg "Solve.schur_complement: bad index";
-      if in_keep.(i) then invalid_arg "Solve.schur_complement: duplicate index";
+      if i < 0 || i >= n then invalid_arg "Reference.schur_complement: bad index";
+      if in_keep.(i) then invalid_arg "Reference.schur_complement: duplicate index";
       in_keep.(i) <- true)
     keep;
   let elim =

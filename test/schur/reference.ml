@@ -1,14 +1,15 @@
-(* The later-phase state as lib/schur computed it through checked accesses,
-   closures and the boxing folds of [Graph.weighted_degree] and
-   [Shortcut.s_weight]: [phase_exact] from one solve on the visited block,
-   and Algorithm 4's weights with each neighbour's w_S(u) folded again from
-   its adjacency. The library's loops must perform the same float
-   operations in the same order, so a property in test_schur compares them
-   with these bit for bit. Test-only: nothing in lib/ calls this module. *)
+(* The later-phase state as lib/schur computed it before the subtraction-
+   free elimination, through checked accesses, closures and the boxing
+   folds of [Graph.weighted_degree] and [Shortcut.s_weight]: [phase_exact]
+   from one LU solve of I - P_UU in transition units (test/linalg's
+   reference LU), and Algorithm 4's weights with each neighbour's w_S(u)
+   folded again from its adjacency. test_schur holds the library's state
+   within a tolerance of this one, and its first-visit weights to these
+   bit for bit. Test-only: nothing in lib/ calls this module. *)
 
 module Graph = Cc_graph.Graph
 module Mat = Cc_linalg.Mat
-module Solve = Cc_linalg.Solve
+module Lu = Linalg_reference.Reference
 module Schur = Cc_schur.Schur
 
 let weighted_degree g u =
@@ -53,7 +54,7 @@ let phase_exact g ~s =
               (Graph.neighbors g u)
           end)
         u_of;
-      Mat.data (Solve.solve_mat lhs rhs)
+      Mat.data (Lu.solve_mat lhs rhs)
     end
   in
   let q_rows = Mat.create ~rows:k ~cols:n 0.0 in
