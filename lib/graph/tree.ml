@@ -54,9 +54,7 @@ let weight g t =
   Array.fold_left (fun acc (u, v) -> acc *. Graph.edge_weight g u v) 1.0 t.sorted
 
 let log_count g =
-  let n = Graph.n g in
-  if n = 1 then 0.0
-  else Cc_linalg.Gth.log_det (snd (Graph.eliminate g ~keep:[| n - 1 |]))
+  Cc_linalg.Gth.log_det (snd (Graph.eliminate g ~keep:[| Graph.n g - 1 |]))
 
 let count g =
   let lc = log_count g in
