@@ -399,7 +399,8 @@ let test_rounded_power_rejects_non_power_of_two () =
     (Invalid_argument "Fixed.rounded_power: k must be a positive power of two")
     (fun () -> ignore (Fixed.rounded_power ~bits:10 m 3))
 
-(* --- bit identity with the checked reference kernels --- *)
+(* --- against the checked reference: Mat.mul bit for bit, the elimination
+   within a tolerance --- *)
 
 let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
 
