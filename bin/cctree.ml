@@ -384,6 +384,28 @@ let load_graph ?weights ~family ~size ~file ~prng () =
 let require_connected g =
   if not (Graph.is_connected g) then fail_usage "the graph is not connected"
 
+(* A walk cannot leave a vertex with no neighbour. *)
+let require_neighbours g v =
+  if Array.length (Graph.neighbors g v) = 0 then
+    fail_usage (Printf.sprintf "vertex %d is isolated" v)
+
+(* SCHUR(G, S) is defined only when every component of G meets S: search
+   from S and require every vertex found. *)
+let require_meets_every_component g ~in_s =
+  let seen = Array.copy in_s in
+  let rec visit u =
+    Array.iter
+      (fun (v, _) ->
+        if not seen.(v) then begin
+          seen.(v) <- true;
+          visit v
+        end)
+      (Graph.neighbors g u)
+  in
+  Array.iteri (fun u s -> if s then visit u) in_s;
+  if not (Array.for_all Fun.id seen) then
+    fail_usage "--subset: a component of the graph has no vertex in S"
+
 let print_tree tree =
   List.iter (fun (u, v) -> Printf.printf "%d %d\n" u v) (Tree.edges tree)
 
@@ -640,8 +662,9 @@ let doubling_cmd =
   let run seed family size file tau fault_spec obs =
     let prng = Prng.create ~seed in
     let g = load_graph ~family ~size ~file ~prng () in
-    if tau <= 0 then require_connected g;
     let n = Graph.n g in
+    if tau <= 0 then require_connected g
+    else for v = 0 to n - 1 do require_neighbours g v done;
     let faults = injector fault_spec in
     let net = arm_faults faults (Net.create ~n) in
     let unrecoverable = ref false in
@@ -683,7 +706,7 @@ let walk_cmd =
     if trials < 1 then fail_usage "--trials must be >= 1";
     let prng = Prng.create ~seed in
     let g = load_graph ~family ~size ~file ~prng () in
-    if len <= 0 then require_connected g;
+    if len <= 0 then require_connected g else require_neighbours g 0;
     if len > 0 then begin
       let w = Cc_walks.Walk.walk g prng ~start:0 ~len in
       Array.iter (fun v -> Printf.printf "%d " v) w;
@@ -726,6 +749,7 @@ let schur_cmd =
       try Cc_schur.Schur.members ~n ~s
       with Invalid_argument m -> fail_usage ("--subset: " ^ m)
     in
+    require_meets_every_component g ~in_s;
     Format.printf "S = [%s]@."
       (String.concat "; " (List.map string_of_int (Array.to_list s)));
     Format.printf "@.SCHUR(G,S) transition matrix (rows/cols in S order):@.%a@."
@@ -763,6 +787,7 @@ let pagerank_cmd =
     let prng = Prng.create ~seed in
     let g = load_graph ~family ~size ~file ~prng () in
     let n = Graph.n g in
+    for v = 0 to n - 1 do require_neighbours g v done;
     let net = Net.create ~n in
     with_obs obs net (fun () ->
     let est = Doubling.pagerank net prng g ~walks_per_node:walks ~epsilon in

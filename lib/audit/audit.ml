@@ -202,10 +202,6 @@ let create ?(alpha = 1e-3) ?(min_trials = 32) ?(small_limit = 8)
 (* ------------------------------------------------------------------ *)
 (* Statistics                                                          *)
 
-let trials t = t.trials
-let alpha t = t.alpha
-let invalid_trees t = t.invalid
-
 let z_of t i =
   if t.is_bridge.(i) || t.trials = 0 then 0.0
   else

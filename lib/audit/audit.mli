@@ -63,8 +63,8 @@ val create :
 
 (** [observe t tree] folds one sampled tree into the audit state: O(n + m)
     per call, no randomness, no I/O. Trees that are not spanning trees of the
-    audited graph are counted ([invalid_trees]) and excluded from the
-    statistics; a nonzero invalid count breaches the verdict. *)
+    audited graph are counted and excluded from the statistics; a nonzero
+    invalid count breaches the verdict's ["valid-trees"] gate. *)
 val observe : t -> Cc_graph.Tree.t -> unit
 
 (** {1 Statistics} *)
@@ -77,10 +77,6 @@ type edge_stat = {
   z : float;  (** standardized deviation; [0.] for bridges *)
   bridge : bool;  (** leverage ≈ 1: the edge is in every spanning tree *)
 }
-
-val trials : t -> int
-val alpha : t -> float
-val invalid_trees : t -> int
 
 (** [edge_stats t] is one entry per graph edge, in {!Cc_graph.Graph.edges}
     order. *)
@@ -114,10 +110,9 @@ val ess : t -> float
 
 (** [small_tv t] is the running TV distance between the empirical tree
     distribution and the exact Matrix–Tree one; [None] when the instance is
-    not small enough for enumeration. Likewise [small_kl]. *)
+    not small enough for enumeration. The artifact's small line also
+    carries the KL divergence. *)
 val small_tv : t -> float option
-
-val small_kl : t -> float option
 
 (** {1 Verdict} *)
 

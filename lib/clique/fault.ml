@@ -28,7 +28,6 @@ type t = {
   prng : Prng.t;
   crashed_set : (int, unit) Hashtbl.t;
   mutable pending_crashes : (int * float) list; (* sorted by round *)
-  mutable n_drops : int;
   mutable n_retransmits : int;
   mutable n_reroutes : int;
   mutable n_reruns : int;
@@ -55,7 +54,6 @@ let create spec =
     crashed_set = Hashtbl.create 4;
     pending_crashes =
       List.sort (fun (_, r1) (_, r2) -> compare r1 r2) spec.crashes;
-    n_drops = 0;
     n_retransmits = 0;
     n_reroutes = 0;
     n_reruns = 0;
@@ -69,15 +67,10 @@ let attempt t =
   if t.spec.drop_prob = 0.0 && t.spec.corrupt_prob = 0.0 then Deliver
   else begin
     let x = Prng.float t.prng 1.0 in
-    if x < t.spec.drop_prob then begin
-      t.n_drops <- t.n_drops + 1;
-      Drop
-    end
+    if x < t.spec.drop_prob then Drop
     else if x < t.spec.drop_prob +. t.spec.corrupt_prob then Corrupt
     else Deliver
   end
-
-let corrupt_word t w = w lxor (1 lsl (Prng.int t.prng 62))
 
 let straggle_rounds t =
   if t.spec.straggle_prob = 0.0 then 0
@@ -123,10 +116,6 @@ let next_live t ~n from =
     in
     go (((from mod n) + n) mod n) n
 
-let drops t = t.n_drops
-let retransmits t = t.n_retransmits
-let reroutes t = t.n_reroutes
-let reruns t = t.n_reruns
 let note_retransmit t k = t.n_retransmits <- t.n_retransmits + k
 let note_reroute t k = t.n_reroutes <- t.n_reroutes + k
 let note_rerun t = t.n_reruns <- t.n_reruns + 1

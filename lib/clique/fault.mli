@@ -70,11 +70,6 @@ type verdict = Deliver | Drop | Corrupt
     counters. *)
 val attempt : t -> verdict
 
-(** [corrupt_word t w] flips one uniformly chosen bit among the low 62 bits
-    of the fixed-point word [w] — the payload-level counterpart of a
-    [Corrupt] verdict, for callers that materialize payloads. *)
-val corrupt_word : t -> int -> int
-
 (** [straggle_rounds t] is the straggler delay for one primitive: 0 with
     probability [1 - straggle_prob], otherwise 1 + Geometric(1/2) extra
     rounds. *)
@@ -86,9 +81,6 @@ val straggle_rounds : t -> int
     booked so far): machines whose scheduled crash round is [<= now] fail
     permanently. *)
 val advance : t -> now:float -> unit
-
-(** [crash_now t m] crashes machine [m] immediately (for tests). *)
-val crash_now : t -> int -> unit
 
 val is_crashed : t -> int -> bool
 
@@ -113,14 +105,6 @@ val next_live : t -> n:int -> int -> int option
 
     Monotone counters across the injector's lifetime; algorithms snapshot
     them before/after a run to report {!health}. *)
-
-val drops : t -> int  (** transmission attempts that were dropped. *)
-
-val retransmits : t -> int  (** packets retransmitted by the reliable layer. *)
-
-val reroutes : t -> int  (** tuples re-routed around a crashed machine. *)
-
-val reruns : t -> int  (** iteration / phase re-runs forced by corruption. *)
 
 val note_retransmit : t -> int -> unit
 val note_reroute : t -> int -> unit

@@ -57,13 +57,6 @@ val backend_name : backend -> string
     graph G' of Corollary 3 — each machine then simulates O(dim/n) rows). *)
 val mul_cost : Net.t -> backend -> dim:int -> float
 
-(** [book_mul net backend ~dim] books the rounds of one [dim x dim] product
-    under label ["matmul"], without performing any arithmetic: the routed
-    backends meter their real pattern at [dim = n], and every other product
-    (the |S| x |S| Schur matrices of later phases, the 2n x 2n auxiliary
-    chain) is charged [mul_cost ~dim]. *)
-val book_mul : Net.t -> backend -> dim:int -> unit
-
 (** [power_table_pure ?bits m ~levels] returns
     [[| m; m^2; m^4; ...; m^(2^levels) |]] (length [levels + 1]),
     optionally truncating entries to [bits] fractional bits before the
@@ -84,7 +77,9 @@ val power_table_pure :
     Step for a table of [dim x dim] matrices with [levels] squarings: the
     base matrix's transpose-distribution ([all_to_all] of one entry per
     machine pair, label ["power-table transpose"]), then [levels] times
-    [book_mul] and the level's transpose. It is the only code that books a
+    one product's rounds (label ["matmul"]: the routed backends meter their
+    real pattern at [dim = n], any other product is charged {!mul_cost})
+    and the level's transpose. It is the only code that books a
     power table, and it books every level whether or not
     [power_table_pure] stopped squaring there, so the bookings never depend
     on the table's values. Runs in a ["matmul.power_table"] span. *)

@@ -195,7 +195,6 @@ let note_overhead t rounds =
   t.overhead_rounds <- t.overhead_rounds +. rounds
 
 let rounds t = t.total_rounds
-let messages t = t.total_messages
 let words t = t.total_words
 let retransmits t = t.total_retransmits
 let dropped t = t.total_dropped

@@ -115,7 +115,6 @@ val note_overhead : t -> float -> unit
 (** {1 Accounting} *)
 
 val rounds : t -> float
-val messages : t -> int
 val words : t -> int
 
 (** [retransmits t] counts packets retransmitted by the reliable layer. *)
@@ -181,9 +180,6 @@ val words_for_bits : t -> int -> int
     entry of O(log^2 n) bits (Section 3.5) — i.e. [words_for_bits] of
     [log2 n * log2 n], at least 1. *)
 val entry_words : t -> int
-
-(** [pp_totals fmt t] prints the one-line rounds/messages/words totals. *)
-val pp_totals : Format.formatter -> t -> unit
 
 (** [pp_fault_summary fmt t] prints the one-line retransmit/drop/overhead
     summary. *)

@@ -17,7 +17,7 @@
     - {b Midpoint Placement}: collect only the multiset of midpoints, place
       the final midpoint exactly, and re-place the rest by sampling a
       weighted perfect matching between midpoint identities and
-      (start,end)-pair positions ({!place}: the exact DP on the cheaper
+      (start,end)-pair positions (the exact DP on the cheaper
       margin of the contingency table, or the "magical" assignment past its
       state cap and in the ablation mode — by Theorem 3 both induce the same
       walk law).
@@ -43,23 +43,6 @@ type stats = {
           margins, that kept the magical order. The name predates the
           magical fallback: these once ran a swap chain from that order. *)
 }
-
-(** [place prng ~identities ~positions ~weight] is one level's Midpoint
-    Placement. [identities] are the midpoints in their magical order, one per
-    position, and [weight ~v ~p ~q] is the Formula 1 weight of midpoint [v]
-    between [p] and [q]. It returns the midpoint placed at each position, and
-    [true] if the exact DP drew them: on the cheaper eligible margin of the
-    contingency table ({!Cc_matching.Placement.cheaper}), a margin being
-    eligible with at most 50,000 states. Past that cap on both margins it
-    returns [identities] itself, the magical order, and draws nothing: given
-    the multiset, the magical order is already an exact draw from the
-    placement law (Theorem 3). *)
-val place :
-  Cc_util.Prng.t ->
-  identities:int array ->
-  positions:(int * int) array ->
-  weight:(v:int -> p:int -> q:int -> float) ->
-  int array * bool
 
 (** [run net prng ~backend ~powers ~machine_of ~start ~rho ~target_len
     ~matching] returns the walk (as indices into the phase graph) ending

@@ -21,10 +21,6 @@ val star : int -> Graph.t
 (** [grid ~rows ~cols] is the rows x cols grid graph. *)
 val grid : rows:int -> cols:int -> Graph.t
 
-(** [binary_tree n] is the complete-binary-tree-shaped graph on n vertices
-    (heap indexing). *)
-val binary_tree : int -> Graph.t
-
 (** [lollipop ~clique ~tail] is K_clique with a path of [tail] extra vertices
     attached — cover time Θ(clique^2 · tail); with tail ≈ clique ≈ n/2 this
     realizes the Θ(mn) = Θ(n^3) worst case. *)
@@ -32,9 +28,6 @@ val lollipop : clique:int -> tail:int -> Graph.t
 
 (** [barbell k] is two K_k cliques joined by a single edge. *)
 val barbell : int -> Graph.t
-
-(** [erdos_renyi prng ~n ~p] is G(n,p). *)
-val erdos_renyi : Cc_util.Prng.t -> n:int -> p:float -> Graph.t
 
 (** [erdos_renyi_connected prng ~n ~p] resamples until connected
     (@raise Failure after 1000 attempts). *)

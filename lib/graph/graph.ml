@@ -45,7 +45,6 @@ let n g = g.n
 let num_edges g = List.length g.edges
 let edges g = g.edges
 let neighbors g u = g.adj.(u)
-let degree g u = Array.length g.adj.(u)
 
 (* The left fold of u's weights, as a plain loop so that no sum is boxed. *)
 let weighted_degree g u =
@@ -68,11 +67,6 @@ let edge_weight g u v =
   go 0
 
 let has_edge g u v = edge_weight g u v > 0.0
-
-let deg_in g u ~members =
-  Array.fold_left
-    (fun acc (v, _) -> if members.(v) then acc + 1 else acc)
-    0 g.adj.(u)
 
 let is_connected g =
   let visited = Array.make g.n false in
@@ -107,15 +101,6 @@ let transition_matrix g =
   done;
   p
 
-(* A non-edge is -.0.0, the negated zero weight of D - A. *)
-let laplacian g =
-  let l = Cc_linalg.Mat.create ~rows:g.n ~cols:g.n (-0.0) in
-  for u = 0 to g.n - 1 do
-    Cc_linalg.Mat.set l u u (weighted_degree g u);
-    Array.iter (fun (v, w) -> Cc_linalg.Mat.set l u v (-.w)) g.adj.(u)
-  done;
-  l
-
 (* The rows of U = V \ keep from adjacency, in weight units, as
    Gth.factor reads them: row r is U's r-th vertex in ascending order, the
    columns are U's vertices and then [keep]'s, and only the entries right
@@ -148,18 +133,6 @@ let eliminate g ~keep =
         g.adj.(u))
     u_of;
   (u_of, Cc_linalg.Gth.factor a ~nu ~nk)
-
-let effective_resistance g u v =
-  if u < 0 || u >= g.n || v < 0 || v >= g.n then
-    invalid_arg "Graph.effective_resistance: vertex out of range";
-  if u = v then invalid_arg "Graph.effective_resistance: identical vertices";
-  (* Ground at v: R_eff(u,v) = e_u^T L_UU^{-1} e_u with U = V \ {v}, a
-     diagonal entry, so no difference is taken. *)
-  let _, f = eliminate g ~keep:[| v |] in
-  let r = if u < v then u else u - 1 in
-  let b = Array.make (g.n - 1) 0.0 in
-  b.(r) <- 1.0;
-  (Cc_linalg.Gth.solve f b).(r)
 
 (* L_UU^{-1} for U = V \ {ground}, padded with a zero row and column. *)
 let grounded_inverse g ~ground =
@@ -258,8 +231,3 @@ let of_string s =
           rest
       in
       of_edges ~n:nv edge_list
-
-let pp fmt g =
-  Format.fprintf fmt "@[<v>graph on %d vertices, %d edges@," g.n (num_edges g);
-  List.iter (fun (u, v, w) -> Format.fprintf fmt "  %d -- %d (%g)@," u v w) g.edges;
-  Format.fprintf fmt "@]"

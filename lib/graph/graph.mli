@@ -29,9 +29,6 @@ val edges : t -> (int * int * float) list
 (** [neighbors g u] is the array of [(v, w)] incident to [u]. *)
 val neighbors : t -> int -> (int * float) array
 
-(** [degree g u] is the number of incident edges. *)
-val degree : t -> int -> int
-
 (** [weighted_degree g u] is the total incident weight. *)
 val weighted_degree : t -> int -> float
 
@@ -39,11 +36,6 @@ val has_edge : t -> int -> int -> bool
 
 (** [edge_weight g u v] is the weight, or 0 if absent. *)
 val edge_weight : t -> int -> int -> float
-
-(** [deg_in g u ~members] counts neighbors of [u] inside the vertex set given
-    by the [members] characteristic array — the paper's [deg_S(u)]
-    (unweighted count, as used by Algorithm 4 on the original graph G). *)
-val deg_in : t -> int -> members:bool array -> int
 
 (** [is_connected g] *)
 val is_connected : t -> bool
@@ -58,10 +50,6 @@ val total_weight : t -> float
     self-loops. *)
 val transition_matrix : t -> Cc_linalg.Mat.t
 
-(** [laplacian g] is L = D - A with weighted degrees; its non-edge entries
-    are [-0.0]. *)
-val laplacian : t -> Cc_linalg.Mat.t
-
 (** {1 Electrical quantities} *)
 
 (** [eliminate g ~keep] fills the rows of U = V \ [keep] from adjacency,
@@ -71,13 +59,6 @@ val laplacian : t -> Cc_linalg.Mat.t
     Laplacian oracle of the library reads this one factorization.
     @raise Invalid_argument if [keep] holds a vertex out of range or twice. *)
 val eliminate : t -> keep:int array -> int array * Cc_linalg.Gth.t
-
-(** [effective_resistance g u v] between two distinct vertices of a
-    connected graph: the diagonal entry x_u of x = L_UU{^-1} e_u, grounded
-    at v. @raise Invalid_argument if [u] or [v] is not a vertex, or
-    [u = v]. @raise Failure as {!Cc_linalg.Gth.solve} if some component of
-    [g] avoids v. *)
-val effective_resistance : t -> int -> int -> float
 
 (** [grounded_inverse g ~ground] is the n x n matrix X that holds L_UU{^-1}
     for U = V \ {[ground]}, and zeros in row and column [ground]: one
@@ -91,11 +72,12 @@ val grounded_inverse : t -> ground:int -> Cc_linalg.Mat.t
 
 (** [edge_resistances g] is R_eff(u, v) for every edge [(u, v, _)], in
     {!edges} order, read from one {!grounded_inverse} at vertex n - 1 as
-    y_u - y_v, y = X (e_u - e_v). It agrees with {!effective_resistance},
-    which grounds at v, up to rounding: X_uu + X_vv - X_uv - X_vu cancels
-    where the per-pair solve does not, and test_graph bounds the leverage
-    gap w·|ΔR| by 1e-8 on weights from 1e-3 to 1e3.
-    @raise Failure as {!effective_resistance} does if [g] is disconnected. *)
+    y_u - y_v, y = X (e_u - e_v). It agrees with the per-pair resistance
+    grounded at v (test/shared's [effective_resistance]) up to rounding:
+    X_uu + X_vv - X_uv - X_vu cancels where the per-pair solve does not,
+    and test_graph bounds the leverage gap w·|ΔR| by 1e-8 on weights from
+    1e-3 to 1e3.
+    @raise Failure as {!grounded_inverse} does if [g] is disconnected. *)
 val edge_resistances : t -> float array
 
 (** {1 Identity} *)
@@ -114,4 +96,3 @@ val fingerprint : t -> string
 val to_string : t -> string
 
 val of_string : string -> t
-val pp : Format.formatter -> t -> unit

@@ -49,24 +49,6 @@ let second_eigenvalue ?(iters = 10_000) ?(seed = 1) g =
   let m = symmetrized g in
   extreme_eigenvalue m ~deflate:[ stationary_direction g ] ~seed ~iters
 
-let smallest_eigenvalue ?(iters = 10_000) ?(seed = 1) g =
-  if not (Graph.is_connected g) then invalid_arg "Spectral: disconnected graph";
-  (* Power iteration on -N finds the most negative eigenvalue of N. *)
-  let m = Mat.scale (-1.0) (symmetrized g) in
-  -.extreme_eigenvalue m ~deflate:[] ~seed ~iters
-
 let gap ?iters ?seed g =
   let l2 = second_eigenvalue ?iters ?seed g in
   (1.0 -. l2) /. 2.0
-
-let mixing_time_bound ?iters ?seed g ~eps =
-  if eps <= 0.0 || eps >= 1.0 then invalid_arg "Spectral.mixing_time_bound: eps";
-  let n = Graph.n g in
-  let total = 2.0 *. Graph.total_weight g in
-  let pi_min =
-    Array.fold_left Float.min infinity
-      (Array.init n (fun i -> Graph.weighted_degree g i /. total))
-  in
-  let gp = gap ?iters ?seed g in
-  if gp <= 0.0 then infinity
-  else Float.log (float_of_int n /. (eps *. pi_min)) /. gp

@@ -1,28 +1,15 @@
-(** Spectral quantities of the random walk: gap, mixing time.
+(** The spectral gap of the random walk.
 
     The paper's two algorithms split the world by cover time, and cover time
     is governed by the walk's spectral gap (expanders: constant gap, hence
     O(n log n) cover; lollipops: Theta(1/n^2)-scale gap). This module
-    computes the relevant eigenvalues by power iteration on the symmetrized
-    walk matrix [N = D^{-1/2} A D^{-1/2}] (similar to P, so same spectrum)
-    and derives standard mixing estimates — used by bench E9+ to connect the
-    measured cover times to spectra, and by tests on families with known
-    eigenvalues. *)
-
-(** [second_eigenvalue ?iters ?seed g] is lambda_2 of the walk matrix of the
-    connected graph [g] (power iteration with deflation of the stationary
-    eigenvector; [iters] defaults to 10_000). *)
-val second_eigenvalue : ?iters:int -> ?seed:int -> Graph.t -> float
-
-(** [smallest_eigenvalue ?iters ?seed g] is lambda_n (possibly -1 on
-    bipartite graphs), via power iteration on a shifted matrix. *)
-val smallest_eigenvalue : ?iters:int -> ?seed:int -> Graph.t -> float
+    computes lambda_2 by power iteration on the symmetrized walk matrix
+    [N = D^{-1/2} A D^{-1/2}] (similar to P, so same spectrum) — used by
+    bench E9+ to connect the measured cover times to spectra, and by tests
+    on families with known eigenvalues. *)
 
 (** [gap ?iters ?seed g] is the {e lazy} spectral gap
     [(1 - lambda_2) / 2] — the gap of (I+P)/2, insensitive to
     bipartiteness, matching the sampler's lazy default. *)
 val gap : ?iters:int -> ?seed:int -> Graph.t -> float
 
-(** [mixing_time_bound ?iters ?seed g ~eps] is the standard upper estimate
-    [log(n / (eps * pi_min)) / gap] on the lazy chain's eps-mixing time. *)
-val mixing_time_bound : ?iters:int -> ?seed:int -> Graph.t -> eps:float -> float

@@ -9,8 +9,6 @@ let of_edges ~n edge_list =
   { n; sorted = arr }
 
 let edges t = Array.to_list t.sorted
-let num_edges t = Array.length t.sorted
-
 let mem t u v =
   let key = if u < v then (u, v) else (v, u) in
   let lo = ref 0 and hi = ref (Array.length t.sorted - 1) in
@@ -25,9 +23,6 @@ let mem t u v =
   !found
 
 let compare_trees a b = compare (a.n, a.sorted) (b.n, b.sorted)
-let compare = compare_trees
-let equal a b = compare_trees a b = 0
-
 let canonical_key t =
   let buf = Buffer.create (8 * Array.length t.sorted) in
   Array.iter (fun (u, v) -> Buffer.add_string buf (Printf.sprintf "%d-%d;" u v)) t.sorted;

@@ -2,7 +2,7 @@
 
     A sampled tree is a set of edges of the host graph. [count] implements the
     Matrix–Tree theorem (determinant of a Laplacian minor), which the paper
-    cites as the classical starting point; [enumerate] exhaustively lists all
+    cites as the classical starting point; [index] exhaustively lists all
     spanning trees of small graphs — the ground truth for the TV-distance
     experiments (E5). For weighted graphs the target distribution puts mass on
     a tree proportional to the product of its edge weights (footnote 1), which
@@ -16,7 +16,6 @@ type t
 val of_edges : n:int -> (int * int) list -> t
 
 val edges : t -> (int * int) list
-val num_edges : t -> int
 
 (** [mem t u v] tests membership (order-insensitive). *)
 val mem : t -> int -> int -> bool
@@ -25,17 +24,8 @@ val mem : t -> int -> int -> bool
     connects all of [g]'s vertices. *)
 val is_spanning_tree : Graph.t -> t -> bool
 
-(** [equal a b] *)
-val equal : t -> t -> bool
-
-(** [compare a b] is a total order usable as a map key. *)
-val compare : t -> t -> int
-
 (** [canonical_key t] is a stable string key identifying the tree. *)
 val canonical_key : t -> string
-
-(** [weight g t] is the product of the tree's edge weights in [g]. *)
-val weight : Graph.t -> t -> float
 
 (** {1 Counting and enumeration} *)
 
@@ -50,13 +40,9 @@ val count : Graph.t -> float
     [neg_infinity] exactly when [g] is disconnected, with no tolerance. *)
 val log_count : Graph.t -> float
 
-(** [enumerate g] lists all spanning trees by backtracking over edge subsets
-    (with connectivity pruning). Intended for small graphs; @raise
-    Invalid_argument if the count exceeds [limit] (default 200_000). *)
-val enumerate : ?limit:int -> Graph.t -> t list
-
-(** [index g] pairs [enumerate] with a lookup table: returns the tree list
-    and a function mapping a tree to its index (for histogramming samples).
+(** [index g] lists all spanning trees by backtracking over edge subsets
+    (with connectivity pruning), for small graphs, and pairs the list with a
+    lookup table: it returns the trees and a function mapping a tree to its index (for histogramming samples).
     The target distribution over indexes is [weighted_distribution]. *)
 val index : ?limit:int -> Graph.t -> t array * (t -> int)
 

@@ -2,15 +2,10 @@
 
     Section 3.5 and Lemma 3 analyze the algorithm when every matrix entry is
     truncated to O(log^2 n) bits, yielding one-sided ("subtractive") error:
-    every approximate entry under-approximates the exact one. [round_down]
-    truncates a nonnegative float to [bits] fractional bits, exactly the
+    every approximate entry under-approximates the exact one. [round_mat]
+    truncates each nonnegative entry to [bits] fractional bits, exactly the
     paper's [round]. [rounded_power] computes M'(k) = round([M'(k/2)]^2) as in
     the proof of Lemma 3 and is compared against exact powers in bench E6. *)
-
-(** [round_down ~bits x] truncates nonnegative [x] to [bits] fractional
-    binary digits (floor to a multiple of 2^-bits). Subtractive error is in
-    [0, 2^-bits). @raise Invalid_argument on negative input or bits < 1. *)
-val round_down : bits:int -> float -> float
 
 (** [round_mat ~bits m] truncates every entry. *)
 val round_mat : bits:int -> Mat.t -> Mat.t

@@ -73,42 +73,13 @@ let add_outer_in_place m s y =
     done
   done
 
-let of_arrays a =
-  let r = Array.length a in
-  if r = 0 then invalid_arg "Mat.of_arrays: empty";
-  let c = Array.length a.(0) in
-  Array.iter
-    (fun row ->
-      if Array.length row <> c then invalid_arg "Mat.of_arrays: ragged rows")
-    a;
-  init ~rows:r ~cols:c (fun i j -> a.(i).(j))
-
-let to_arrays m =
-  Array.init m.rows (fun i -> Array.sub m.data (i * m.cols) m.cols)
-
 let row m i =
   if i < 0 || i >= m.rows then invalid_arg "Mat.row";
   Array.sub m.data (i * m.cols) m.cols
 
-let col m j =
-  if j < 0 || j >= m.cols then invalid_arg "Mat.col";
-  Array.init m.rows (fun i -> m.data.((i * m.cols) + j))
-
 let dims_must_match a b name =
   if a.rows <> b.rows || a.cols <> b.cols then
     invalid_arg (name ^ ": dimension mismatch")
-
-let add a b =
-  dims_must_match a b "Mat.add";
-  { a with data = Array.mapi (fun k x -> x +. b.data.(k)) a.data }
-
-let sub a b =
-  dims_must_match a b "Mat.sub";
-  { a with data = Array.mapi (fun k x -> x -. b.data.(k)) a.data }
-
-let scale s m = { m with data = Array.map (fun x -> s *. x) m.data }
-
-let transpose m = init ~rows:m.cols ~cols:m.rows (fun i j -> get m j i)
 
 (* Row [i] of [a * b] into [out]. Entry (i, j) adds [a[i,k] *. b[k,j]] for
    each nonzero [a[i,k]] in ascending k, one [+.] per term ({!mul}'s
@@ -267,9 +238,8 @@ let half_lazy m =
 let converged_tol = 1e-12
 
 (* Every entry is nonnegative and every row sums, left to right, to within
-   [converged_tol] of 1. NaN fails both. Unlike [is_row_stochastic] it
-   allows no negative dust, which the rows test's proof cannot absorb, and
-   boxes no float. *)
+   [converged_tol] of 1. NaN fails both. It allows no negative dust, which
+   the rows test's proof cannot absorb, and boxes no float. *)
 let stochastic_within_tol m =
   let d = m.data and c = m.cols in
   let rec from i =
@@ -357,9 +327,6 @@ let max_abs_diff a b =
     a.data;
   !acc
 
-let equal ?(tol = 1e-12) a b =
-  a.rows = b.rows && a.cols = b.cols && max_abs_diff a b <= tol
-
 let max_subtractive_error ~exact ~approx =
   dims_must_match exact approx "Mat.max_subtractive_error";
   let acc = ref 0.0 in
@@ -367,30 +334,6 @@ let max_subtractive_error ~exact ~approx =
     (fun k x -> acc := Float.max !acc (x -. approx.data.(k)))
     exact.data;
   Float.max !acc 0.0
-
-let row_sums m =
-  Array.init m.rows (fun i ->
-      let acc = ref 0.0 in
-      for j = 0 to m.cols - 1 do
-        acc := !acc +. m.data.((i * m.cols) + j)
-      done;
-      !acc)
-
-let is_row_stochastic ?(tol = 1e-9) m =
-  Array.for_all (fun x -> x >= -.tol) m.data
-  && Array.for_all (fun s -> Float.abs (s -. 1.0) <= tol) (row_sums m)
-
-let is_symmetric ?(tol = 1e-9) m =
-  m.rows = m.cols
-  &&
-  try
-    for i = 0 to m.rows - 1 do
-      for j = i + 1 to m.cols - 1 do
-        if Float.abs (get m i j -. get m j i) > tol then raise Exit
-      done
-    done;
-    true
-  with Exit -> false
 
 let normalize_rows m =
   let out = copy m in

@@ -11,8 +11,6 @@ type t
 
 val create : rows:int -> cols:int -> float -> t
 val init : rows:int -> cols:int -> (int -> int -> float) -> t
-val identity : int -> t
-val copy : t -> t
 val rows : t -> int
 val cols : t -> int
 
@@ -54,23 +52,11 @@ val add_outer_in_place : t -> float -> float array -> unit
     is at [i * cols m + j]. For the kernels of [lib/linalg] only. *)
 val data : t -> float array
 
-(** [of_arrays a] builds a matrix from a rectangular array of rows. *)
-val of_arrays : float array array -> t
-
-val to_arrays : t -> float array array
-
 (** [row m i] is a fresh copy of row [i]. *)
 val row : t -> int -> float array
 
-(** [col m j] is a fresh copy of column [j]. *)
-val col : t -> int -> float array
-
 (** {1 Arithmetic} *)
 
-val add : t -> t -> t
-val sub : t -> t -> t
-val scale : float -> t -> t
-val transpose : t -> t
 
 (** [mul a b] is the matrix product, O(n^3). Every sample and recorder
     digest depends on its exact bits, so each entry's value is fixed:
@@ -130,8 +116,6 @@ val submatrix : t -> row_idx:int array -> col_idx:int array -> t
 
 (** {1 Predicates and norms} *)
 
-val equal : ?tol:float -> t -> t -> bool
-
 (** [max_abs_diff a b] is the entrywise l-infinity distance. *)
 val max_abs_diff : t -> t -> float
 
@@ -139,15 +123,6 @@ val max_abs_diff : t -> t -> float
     [approx] falls below [exact]; negative entries of [exact - approx] do not
     contribute (Lemma 3 speaks of one-sided, subtractive error). *)
 val max_subtractive_error : exact:t -> approx:t -> float
-
-(** [row_sums m] is the vector of row sums. *)
-val row_sums : t -> float array
-
-(** [is_row_stochastic ?tol m] checks nonnegativity and unit row sums. *)
-val is_row_stochastic : ?tol:float -> t -> bool
-
-(** [is_symmetric ?tol m] *)
-val is_symmetric : ?tol:float -> t -> bool
 
 (** [normalize_rows m] divides each row by its sum; rows summing to zero are
     left untouched. *)

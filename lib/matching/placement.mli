@@ -19,7 +19,7 @@
     program over either margin of the table (see {!margin}), then assigns
     labeled instances and positions uniformly within classes. This is
     {e exact}, and handles instances with thousands of midpoints as long as
-    one margin has few classes. Past that, [Phase_walk.place] keeps the
+    one margin has few classes. Past that, the phase walk keeps the
     magical order.
 
     {b Storage.} An instance is kept as its contingency table: one weight per

@@ -24,9 +24,6 @@ val float_opt : float -> t
     quotes). *)
 val escape : string -> string
 
-(** [to_buffer buf v] appends the compact serialization of [v]. *)
-val to_buffer : Buffer.t -> t -> unit
-
 (** [to_string v] is the compact one-line serialization of [v]. *)
 val to_string : t -> string
 

@@ -137,16 +137,10 @@ let summary_of_hstate st =
   summary_of_dense ~count:st.hcount ~sum:st.moments.(0) ~min:st.moments.(1)
     ~max:st.moments.(2) st.hbuckets
 
-let percentile h q =
-  percentile_dense ~count:h.count ~min:h.min ~max:h.max
-    (dense_of_sparse h.buckets) q
-
 let value_of_entry = function
   | C r -> Counter r.c
   | G r -> Gauge r.g
   | H st -> Histogram (summary_of_hstate st)
-
-let get name = Option.map value_of_entry (Hashtbl.find_opt registry name)
 
 let snapshot () =
   Hashtbl.fold (fun name e acc -> (name, value_of_entry e) :: acc) registry []

@@ -37,16 +37,6 @@ type value =
   | Gauge of float
   | Histogram of histogram
 
-(** Number of log buckets (indices [0 .. n_buckets - 1]). *)
-val n_buckets : int
-
-(** [bucket_of x] is the log-bucket index observations of [x] fold into. *)
-val bucket_of : float -> int
-
-(** [percentile h q] re-derives the [q]-quantile ([0 < q <= 1]) of [h] from
-    its buckets; [nan] when [h] is empty. *)
-val percentile : histogram -> float -> float
-
 (** [incr ?by name] adds [by] (default 1) to counter [name]. *)
 val incr : ?by:int -> string -> unit
 
@@ -57,9 +47,6 @@ val set_gauge : string -> float -> unit
     the log bucket of [x]). Allocation-free after the instrument exists. *)
 val observe : string -> float -> unit
 
-(** [get name] is the current value bound to [name], if any. *)
-val get : string -> value option
-
 (** [snapshot ()] is every instrument, sorted by name. *)
 val snapshot : unit -> (string * value) list
 
@@ -68,11 +55,9 @@ val reset : unit -> unit
 
 (** {1 Serialization} *)
 
-(** [value_to_json v] / [value_of_json j] round-trip one instrument value —
-    the per-instrument form of {!to_json}, which [ccprof summary] reads
-    back. Histogram buckets serialize as sparse [[index, count]] pairs. *)
-val value_to_json : value -> Json.t
-
+(** [value_of_json j] reads back one instrument value of {!to_json}'s
+    object, which [ccprof summary] reads. Histogram buckets serialize as
+    sparse [[index, count]] pairs. *)
 val value_of_json : Json.t -> (value, string) result
 
 (** [pp fmt ()] renders the registry, one instrument per line (histograms

@@ -51,21 +51,10 @@ val add : t -> Recorder.record -> unit
 (** [max_load t] is the hottest machine's load. *)
 val max_load : t -> int
 
-(** [mean_load t] is the balanced ideal [total_words / machines]. *)
-val mean_load : t -> float
-
 (** [imbalance t] is [max_load /. mean_load] — how many times more rounds
     the run's hottest machine costs than a perfectly balanced schedule.
     [1.0] when the profile carries no traffic. *)
 val imbalance : t -> float
-
-(** [quantile t q] is the [q]-quantile (linear interpolation) of the
-    per-machine loads, e.g. [quantile t 0.95]. *)
-val quantile : t -> float -> float
-
-(** [hot ?k t] is the [k] (default 3) hottest machines as
-    [(machine, load)], descending, zero-load machines omitted. *)
-val hot : ?k:int -> t -> (int * int) list
 
 (** {1 Rendering} *)
 

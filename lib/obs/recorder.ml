@@ -344,8 +344,6 @@ let add t r =
 let machines t = t.machines
 let records t = List.rev t.rev_records
 let total t = t.total
-let stored t = t.stored
-let dropped_records t = t.total - t.stored
 let digest_hex t = Printf.sprintf "fnv64:%016Lx" t.digest
 
 (* --- JSONL export / reload --- *)

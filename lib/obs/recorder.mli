@@ -47,7 +47,7 @@ type t
 (** [create ~machines ()] builds an empty recorder for a [machines]-machine
     clique. At most [max_records] records (default [200_000]) are kept in
     memory; excess records still extend the digest chain but are dropped
-    from the log and counted in {!dropped_records}. [~max_records:0] keeps
+    from the log ({!total} still counts them). [~max_records:0] keeps
     the digest chain and nothing else: that is what ccserve attaches to
     each request, since it reports only {!digest_hex}. *)
 val create : ?max_records:int -> machines:int -> unit -> t
@@ -67,12 +67,6 @@ val records : t -> record list
 
 (** [total t] counts every record ever added (stored or not). *)
 val total : t -> int
-
-val stored : t -> int
-
-(** [dropped_records t] is [total - stored]: records beyond [max_records]
-    that extended the digest but were not kept. *)
-val dropped_records : t -> int
 
 (** [digest_hex t] is the running chain digest as ["fnv64:<16 hex digits>"].
     Byte-identical event streams — and only those — agree on it. *)

@@ -100,8 +100,6 @@ let roots t = List.rev t.roots
 let dropped_events t = t.bookings
 
 let sum f spans = List.fold_left (fun a sp -> a +. f sp) 0.0 spans
-let total_rounds t = sum (fun sp -> sp.net_rounds) t.roots
-
 let span_wall sp =
   if Float.is_nan sp.stop_ts then 0.0 else sp.stop_ts -. sp.start_ts
 

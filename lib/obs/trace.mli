@@ -79,9 +79,6 @@ val roots : t -> span list
     it; no event is stored, so none is dropped. *)
 val dropped_events : t -> int
 
-(** [total_rounds t] sums [net_rounds] over the top-level spans. *)
-val total_rounds : t -> float
-
 (** {1 Self time} *)
 
 (** One row per span name. A span's self cost is its own minus its

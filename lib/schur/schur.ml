@@ -52,32 +52,40 @@ let schur_weights g ~s ~in_s =
   done;
   (u_of, y, wm)
 
-(* Its edges are the positive weights above the diagonal: W_S is symmetric
-   up to rounding, and an entry is 0 exactly when no path through U joins
-   its two vertices. *)
-let graph_exact g ~s =
+(* The random walk on W_S: each row divided by its off-diagonal sum (the
+   diagonal is 0), and a row with no Schur weight a self-loop, as
+   [Graph.transition_matrix] makes an isolated vertex's row. The first
+   S-visit after time 0 has law (W_SS + W_SU Y)/d(s.(i)), and the degree
+   cancels. *)
+let normalize_rows wm =
+  let k = Mat.rows wm and td = Mat.data wm in
+  for i = 0 to k - 1 do
+    let row = i * k in
+    let total = ref 0.0 in
+    for j = row to row + k - 1 do
+      total := !total +. unsafe_get td j
+    done;
+    let total = !total in
+    if total > 0.0 then
+      for j = row to row + k - 1 do
+        unsafe_set td j (unsafe_get td j /. total)
+      done
+    else unsafe_set td (row + i) 1.0
+  done
+
+let transition_exact g ~s =
   let k = Array.length s in
-  if k = 0 then invalid_arg "Schur.graph_exact: empty S";
+  if k = 0 then invalid_arg "Schur.transition_exact: empty S";
   let in_s = members ~n:(Graph.n g) ~s in
   Cc_obs.Trace.with_span "schur.exact"
     ~args:[ ("n", string_of_int (Graph.n g)); ("keep", string_of_int k) ]
   @@ fun () ->
-  let ws =
-    match schur_weights g ~s ~in_s with
-    | _, _, wm -> Mat.data wm
-    | exception Failure _ ->
-        invalid_arg "Schur.graph_exact: a component of G has no vertex in S"
-  in
-  let edges = ref [] in
-  for i = 0 to k - 1 do
-    for j = i + 1 to k - 1 do
-      let w = ws.((i * k) + j) in
-      if w > 0.0 then edges := (i, j, w) :: !edges
-    done
-  done;
-  Graph.of_edges ~n:k !edges
-
-let transition_exact g ~s = Graph.transition_matrix (graph_exact g ~s)
+  match schur_weights g ~s ~in_s with
+  | _, _, wm ->
+      normalize_rows wm;
+      wm
+  | exception Failure _ ->
+      invalid_arg "Schur.transition_exact: a component of G has no vertex in S"
 
 let transition_via_shortcut g q ~s =
   let n = Graph.n g in
@@ -120,23 +128,9 @@ let phase_exact g ~s =
     ~args:[ ("n", string_of_int n) ]
   @@ fun () ->
   let u_of, y, transition = schur_weights g ~s ~in_s in
-  let td = Mat.data transition in
   let ws = Array.init n (Shortcut.s_weight g ~in_s) in
   let q_rows = Shortcut.rows_of_s g ~s ~ws ~u_of y in
-  (* The transition is W_S's row divided by its off-diagonal sum: the
-     first S-visit after time 0 has law (W_SS + W_SU Y)/d(s.(i)), and the
-     degree cancels. *)
-  for i = 0 to k - 1 do
-    let row = i * k in
-    let total = ref 0.0 in
-    for j = row to row + k - 1 do
-      total := !total +. unsafe_get td j
-    done;
-    let total = !total in
-    for j = row to row + k - 1 do
-      unsafe_set td j (if total > 0.0 then unsafe_get td j /. total else 0.0)
-    done
-  done;
+  normalize_rows transition;
   { q_rows; transition }
 
 let approx ?bits g ~s ~k =

@@ -10,7 +10,7 @@
     the order of the [s] array; [s.(i)] is the original vertex of index i.
 
     Three computations:
-    - [graph_exact]/[transition_exact]: block elimination (Section 2.2),
+    - [transition_exact]: block elimination (Section 2.2),
       W_S = W_SS + W_SU·Y with Y the harmonic measures of U = V \ S from
       one subtraction-free elimination ({!Cc_graph.Graph.eliminate},
       DESIGN.md §18).
@@ -22,16 +22,11 @@
     - [phase_exact]: a later phase's exact state, the transition and Q's
       rows of S, from the same elimination of U. *)
 
-(** [graph_exact g ~s] is the weighted Schur complement graph on [|s|]
-    relabeled vertices: its edges are the positive entries of W_S above
-    the diagonal, with no tolerance (an entry is 0 exactly when no path
-    through U joins its two vertices). @raise Invalid_argument if [s] is
-    empty or has duplicates, or if some component of [g] has no vertex in
-    S. *)
-val graph_exact : Cc_graph.Graph.t -> s:int array -> Cc_graph.Graph.t
-
 (** [transition_exact g ~s] is the |s| x |s| random-walk matrix of
-    [graph_exact]. *)
+    SCHUR(G, S): row i of W_S divided by its off-diagonal sum, or a
+    self-loop when s.(i) has no Schur edge. It runs in a [schur.exact]
+    trace span. @raise Invalid_argument as {!members}, if [s] is empty, or
+    if some component of [g] has no vertex in S. *)
 val transition_exact : Cc_graph.Graph.t -> s:int array -> Cc_linalg.Mat.t
 
 (** [transition_via_shortcut g q ~s] applies the Corollary 4 normalization to
@@ -52,7 +47,7 @@ type phase = {
 (** [phase_exact g ~s] computes both from one elimination of U = V \ S,
     taken in ascending order: Y = L_UU{^-1}W_US by {!Cc_linalg.Gth.harmonic}.
     The transition is W_S = W_SS + W_SU·Y off the diagonal, each row divided
-    by its off-diagonal sum, as in [graph_exact]; Q's rows of S are
+    by its off-diagonal sum, as in {!transition_exact}; Q's rows of S are
     {!Shortcut.rows_of_s}'s. About |U|³/6 + |U|²|S| multiply-adds for Y.
     Every step adds nonnegative terms, so scaling every weight by one factor
     moves the state only by rounding. It runs in a [shortcut.exact] trace

@@ -22,10 +22,6 @@ let create ~cap =
     evictions = 0;
   }
 
-let cap t = t.cap
-let length t = Hashtbl.length t.table
-let mem t key = Hashtbl.mem t.table key
-
 let evict_lru t =
   let victim =
     Hashtbl.fold

@@ -17,10 +17,6 @@ type 'a t
     @raise Invalid_argument if [cap < 1]. *)
 val create : cap:int -> 'a t
 
-val cap : 'a t -> int
-val length : 'a t -> int
-val mem : 'a t -> string -> bool
-
 (** [find_or_add t key ~make] returns [(value, hit)]: the cached value with
     [hit = true], or [make ()] — inserted, evicting the least-recently-used
     entry when full — with [hit = false]. [make] is not called on a hit. *)

@@ -65,5 +65,4 @@ val sock_path : t -> string
 (** [served t] is the number of completed (done or error) requests. *)
 val served : t -> int
 
-val connections : t -> int
 val cache_stats : t -> int * int * int  (** (hits, misses, evictions) *)

@@ -38,16 +38,8 @@ let uniform n =
   if n <= 0 then invalid_arg "Dist.uniform";
   of_weights (Array.make n 1.0)
 
-let point ~support_size i =
-  if i < 0 || i >= support_size then invalid_arg "Dist.point";
-  let w = Array.make support_size 0.0 in
-  w.(i) <- 1.0;
-  of_weights w
-
 let support_size d = Array.length d.probs
 let prob d i = d.probs.(i)
-let probs d = Array.copy d.probs
-
 let search cdf u =
   (* Smallest index with cdf.(i) > u. *)
   let lo = ref 0 and hi = ref (Array.length cdf - 1) in
@@ -56,8 +48,6 @@ let search cdf u =
     if cdf.(mid) > u then hi := mid else lo := mid + 1
   done;
   !lo
-
-let sample d prng = search d.cdf (Prng.float prng 1.0)
 
 (* Checks each weight and takes the left-fold total, then draws the first
    index whose running sum passes [u] (the last if none does). Monomorphic

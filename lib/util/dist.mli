@@ -20,22 +20,10 @@ val of_weights : float array -> t
 (** [uniform n] is the uniform distribution on [0..n-1]. *)
 val uniform : int -> t
 
-(** [point ~support_size i] puts all mass on outcome [i]. *)
-val point : support_size:int -> int -> t
-
-val support_size : t -> int
-
 (** [prob d i] is the probability of outcome [i]. *)
 val prob : t -> int -> float
 
-(** [probs d] is a fresh copy of the probability vector. *)
-val probs : t -> float array
-
 (** {1 Sampling} *)
-
-(** [sample d prng] draws one outcome by inverse-CDF binary search,
-    O(log support). *)
-val sample : t -> Prng.t -> int
 
 (** [cdf_in_place w] overwrites the weights [w] with their cumulative law,
     the array [of_weights w] samples from, bit for bit: the same checks,
@@ -46,8 +34,8 @@ val sample : t -> Prng.t -> int
 val cdf_in_place : float array -> unit
 
 (** [search cdf u] is the smallest index whose entry of the cumulative law
-    [cdf] exceeds [u]: [sample d prng] is [search] on [d]'s law at
-    [u = Prng.float prng 1.0]. *)
+    [cdf] exceeds [u]: at [u = Prng.float prng 1.0] it draws from the law
+    [cdf] holds. *)
 val search : float array -> float -> int
 
 (** [sample_weights w prng] draws directly from unnormalized weights without

@@ -30,5 +30,3 @@ let apply2 h ~encode_bound x y =
   if encoded >= field_prime then
     invalid_arg "Kwise_hash.apply2: encoded pair exceeds field";
   apply h encoded
-
-let description_bits h = Array.length h.coeffs * 31

@@ -8,25 +8,15 @@
 
 type t
 
-(** The prime modulus of the field used by the construction (2^31 - 1). *)
-val field_prime : int
-
 (** [create prng ~independence ~domain ~range] samples a hash function from a
     family that is [independence]-wise independent on inputs in
-    [0, domain) mapped to [0, range). Requires [0 < domain < field_prime],
+    [0, domain) mapped to [0, range). Requires [0 < domain < 2^31 - 1] (the field's prime),
     [independence > 0], and [range > 0]; [range] may exceed [domain].
     @raise Invalid_argument when any requirement fails. *)
 val create : Prng.t -> independence:int -> domain:int -> range:int -> t
-
-(** [apply h x] evaluates the hash at [x] (0 <= x < domain). *)
-val apply : t -> int -> int
 
 (** [apply2 h ~encode_bound x y] evaluates the hash on the pair [(x, y)]
     encoded as [x * encode_bound + y], matching the paper's
     [h : [n] x [k] -> [n]] signature. *)
 val apply2 : t -> encode_bound:int -> int -> int -> int
 
-(** Number of random bits consumed to describe the function:
-    [independence * bits_per_coefficient]. Exposed so benches can report the
-    seed-length claim (O(t log N) bits). *)
-val description_bits : t -> int

@@ -15,10 +15,6 @@ let float t bound = Random.State.float t bound
 
 let bool t = Random.State.bool t
 
-let bits t ~width =
-  if width <= 0 || width > 62 then invalid_arg "Prng.bits: width out of range";
-  Random.State.int64 t (Int64.shift_left 1L width) |> Int64.to_int
-
 let choose t arr =
   if Array.length arr = 0 then invalid_arg "Prng.choose: empty array";
   arr.(int t (Array.length arr))
@@ -30,11 +26,6 @@ let shuffle t arr =
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done
-
-let permutation t n =
-  let arr = Array.init n (fun i -> i) in
-  shuffle t arr;
-  arr
 
 let subset t ~size arr =
   let n = Array.length arr in

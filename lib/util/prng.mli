@@ -28,19 +28,12 @@ val float : t -> float -> float
 (** [bool t] is a fair coin flip. *)
 val bool : t -> bool
 
-(** [bits t ~width] is a uniform integer with [width] random bits
-    (0 < width <= 62). *)
-val bits : t -> width:int -> int
-
 (** [choose t arr] picks a uniform element of [arr].
     @raise Invalid_argument on an empty array. *)
 val choose : t -> 'a array -> 'a
 
 (** [shuffle t arr] permutes [arr] in place uniformly (Fisher–Yates). *)
 val shuffle : t -> 'a array -> unit
-
-(** [permutation t n] is a uniform permutation of [0..n-1]. *)
-val permutation : t -> int -> int array
 
 (** [subset t ~size arr] samples [size] distinct elements of [arr] uniformly
     without replacement. @raise Invalid_argument if [size > Array.length arr]. *)

@@ -1,35 +1,6 @@
-type summary = {
-  count : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-  median : float;
-}
-
 let mean xs =
   if Array.length xs = 0 then invalid_arg "Stats.mean: empty input";
   Array.fold_left ( +. ) 0.0 xs /. float_of_int (Array.length xs)
-
-let variance xs =
-  let n = Array.length xs in
-  if n = 0 then invalid_arg "Stats.variance: empty input";
-  (* A single observation has no spread; the n-1 denominator would give
-     0/0, so the singleton case is defined as 0 rather than NaN. *)
-  if n = 1 then 0.0
-  else
-    let m = mean xs in
-    let acc = ref 0.0 in
-    Array.iter
-      (fun x ->
-        let d = x -. m in
-        acc := !acc +. (d *. d))
-      xs;
-    !acc /. float_of_int (n - 1)
-
-let stddev xs =
-  if Array.length xs = 0 then invalid_arg "Stats.stddev: empty input";
-  sqrt (variance xs)
 
 let quantile q xs =
   if Array.length xs = 0 then invalid_arg "Stats.quantile: empty input";
@@ -42,17 +13,6 @@ let quantile q xs =
   let hi = min (lo + 1) (n - 1) in
   let frac = pos -. float_of_int lo in
   (sorted.(lo) *. (1.0 -. frac)) +. (sorted.(hi) *. frac)
-
-let summarize xs =
-  if Array.length xs = 0 then invalid_arg "Stats.summarize: empty input";
-  {
-    count = Array.length xs;
-    mean = mean xs;
-    stddev = stddev xs;
-    min = Array.fold_left Float.min infinity xs;
-    max = Array.fold_left Float.max neg_infinity xs;
-    median = quantile 0.5 xs;
-  }
 
 let linear_fit xs ys =
   let n = Array.length xs in
@@ -78,18 +38,6 @@ let fit_power xs ys =
   let lx = Array.map Float.log xs and ly = Array.map Float.log ys in
   let slope, intercept = linear_fit lx ly in
   (slope, Float.exp intercept)
-
-let r_squared xs ys (slope, intercept) =
-  let my = mean ys in
-  let ss_res = ref 0.0 and ss_tot = ref 0.0 in
-  Array.iteri
-    (fun i x ->
-      let pred = (slope *. x) +. intercept in
-      let res = ys.(i) -. pred and dev = ys.(i) -. my in
-      ss_res := !ss_res +. (res *. res);
-      ss_tot := !ss_tot +. (dev *. dev))
-    xs;
-  if !ss_tot = 0.0 then 1.0 else 1.0 -. (!ss_res /. !ss_tot)
 
 let binomial_confidence ~n ~p =
   if n <= 0 then invalid_arg "Stats.binomial_confidence";

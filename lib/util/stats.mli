@@ -4,56 +4,22 @@
     exponents over a ladder of problem sizes ([fit_power]) or checking that a
     polylog-normalized series is flat. *)
 
-type summary = {
-  count : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  max : float;
-  median : float;
-}
-
 (** {1 Edge cases}
 
-    Every summary function below rejects an empty input by raising
-    [Invalid_argument "Stats.<fn>: empty input"] — never by silently
-    returning NaN or an infinity. A singleton input is well-defined:
-    [mean [|x|] = x], [variance]/[stddev] are [0.] (a single observation
-    has no spread; the [n-1] denominator would otherwise give 0/0), every
-    [quantile] is [x], and [summarize] reports [min = max = median = x]
-    with [stddev = 0.]. *)
-
-(** [summarize xs] is the count/mean/stddev/min/max/median of [xs].
-    @raise Invalid_argument on an empty input. *)
-val summarize : float array -> summary
-
-(** @raise Invalid_argument on an empty input. *)
-val mean : float array -> float
-
-(** Sample variance ([n-1] denominator); [0.] for a singleton.
-    @raise Invalid_argument on an empty input. *)
-val variance : float array -> float
-
-(** [sqrt (variance xs)]; [0.] for a singleton.
-    @raise Invalid_argument on an empty input. *)
-val stddev : float array -> float
+    [quantile] rejects an empty input by raising
+    [Invalid_argument "Stats.quantile: empty input"] — never by silently
+    returning NaN or an infinity — and [fit_power] one of fewer than two
+    points. A singleton input is well-defined: its every quantile is its
+    sole element. *)
 
 (** [quantile q xs] with [0 <= q <= 1]; linear interpolation between order
     statistics. A singleton's every quantile is its sole element.
     @raise Invalid_argument on an empty input or [q] outside [0, 1]. *)
 val quantile : float -> float array -> float
 
-(** [linear_fit xs ys] returns [(slope, intercept)] of the least-squares line.
-    @raise Invalid_argument on mismatched lengths or fewer than two points. *)
-val linear_fit : float array -> float array -> float * float
-
 (** [fit_power xs ys] fits [y = c * x^e] by regressing log y on log x and
     returns [(e, c)]. All inputs must be positive. *)
 val fit_power : float array -> float array -> float * float
-
-(** [r_squared xs ys (slope, intercept)] is the coefficient of determination
-    of the fitted line. *)
-val r_squared : float array -> float array -> float * float -> float
 
 (** [binomial_confidence ~n ~p] is a ~2-sigma half-width for an empirical
     frequency estimated from [n] samples of a Bernoulli(p): used to set

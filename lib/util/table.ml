@@ -61,19 +61,3 @@ let render t =
 let print t =
   print_string (render t);
   print_newline ()
-
-let escape_csv cell =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n') cell then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' cell) ^ "\""
-  else cell
-
-let to_csv t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf ("# " ^ t.title ^ "\n");
-  let line row =
-    Buffer.add_string buf (String.concat "," (List.map escape_csv row));
-    Buffer.add_char buf '\n'
-  in
-  line t.columns;
-  List.iter line (List.rev t.rows);
-  Buffer.contents buf

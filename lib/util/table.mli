@@ -22,5 +22,3 @@ val render : t -> string
 (** [print t] renders to stdout followed by a newline. *)
 val print : t -> unit
 
-(** [to_csv t] renders as CSV (title as a comment line). *)
-val to_csv : t -> string

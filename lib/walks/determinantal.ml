@@ -3,11 +3,6 @@ module Tree = Cc_graph.Tree
 module Prng = Cc_util.Prng
 module Mat = Cc_linalg.Mat
 
-let leverage g u v =
-  let w = Graph.edge_weight g u v in
-  if w <= 0.0 then invalid_arg "Determinantal.leverage: no such edge";
-  w *. Graph.effective_resistance g u v
-
 let marginals g =
   let r = Graph.edge_resistances g in
   List.mapi (fun i (u, v, w) -> ((u, v), w *. r.(i))) (Graph.edges g)

@@ -16,11 +16,6 @@
     per decided edge: one elimination and O(m n^2) in all, with a fresh
     elimination only after deleting a near-bridge. *)
 
-(** [leverage g u v] = [w(u,v) * R_eff(u,v)] — the probability that edge
-    (u,v) appears in the random spanning tree.
-    @raise Invalid_argument if the edge does not exist. *)
-val leverage : Cc_graph.Graph.t -> int -> int -> float
-
 (** [marginals g] lists every edge with its leverage score. The scores of a
     connected graph sum to n - 1 (Foster's theorem) — checked in tests. *)
 val marginals : Cc_graph.Graph.t -> ((int * int) * float) list
@@ -33,9 +28,9 @@ val marginals : Cc_graph.Graph.t -> ((int * int) * float) list
 
     [p] is read from the conditioned graph's grounded inverse, which a kept
     edge updates by a contraction and a rejected one by a deletion. It is
-    not the bits that rebuilding the graph and calling
-    {!Cc_graph.Graph.effective_resistance} give: test_walks bounds the gap
-    by 1e-8 on every offer. A deletion with 1 - p < 1e-2 would amplify the
+    not the bits that rebuilding the graph and grounding its Laplacian at
+    v give (test/walks/reference.ml): test_walks bounds the gap by 1e-8 on
+    every offer. A deletion with 1 - p < 1e-2 would amplify the
     inverse's rounding by 1 / (1 - p), so the inverse is then recomputed
     from the kept and undecided edges. An edge with p >= 1 - 1e-9 (the
     audit's bridge threshold) is a bridge and is offered exactly 1.0.
@@ -50,15 +45,6 @@ val chain_rule : Cc_graph.Graph.t -> coin:(float -> bool) -> Cc_graph.Tree.t
     tree: {!chain_rule} with the coin [Prng.float prng 1.0 < p].
     @raise Invalid_argument if [g] is disconnected. *)
 val sample_tree : Cc_graph.Graph.t -> Cc_util.Prng.t -> Cc_graph.Tree.t
-
-(** [empirical_marginals ~trials sampler g] estimates edge marginals of any
-    tree sampler, keyed like [marginals] — the comparison helper used to
-    validate samplers at sizes where tree enumeration is infeasible. *)
-val empirical_marginals :
-  trials:int ->
-  (Cc_graph.Graph.t -> Cc_graph.Tree.t) ->
-  Cc_graph.Graph.t ->
-  ((int * int) * float) list
 
 (** [max_marginal_gap g ~trials sampler] = the l-infinity distance between
     [marginals g] and the sampler's empirical marginals. *)

@@ -24,11 +24,6 @@ let matrix g =
   done;
   out
 
-let commute g u v =
-  let h1 = (to_target g v).(u) in
-  let h2 = (to_target g u).(v) in
-  h1 +. h2
-
 let mean_hitting_time g =
   let n = Graph.n g in
   let total = 2.0 *. Graph.total_weight g in

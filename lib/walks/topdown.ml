@@ -42,17 +42,6 @@ let fill_level_truncated prng powers w ~rho =
   let filled = fill_level prng powers w in
   { filled with verts = Walk.truncate_at_distinct filled.verts ~rho }
 
-let power_table_for g ~levels =
-  Mat.power_table (Graph.transition_matrix g) ~max_exp:levels
-
-let sample_walk g prng ~start ~len =
-  if len <= 0 || len land (len - 1) <> 0 then
-    invalid_arg "Topdown.sample_walk: len must be a positive power of two";
-  let levels = levels_for ~len in
-  let powers = power_table_for g ~levels in
-  let rec go w = if w.gap_exp = 0 then w.verts else go (fill_level prng powers w) in
-  go (initial_walk prng powers ~start ~levels)
-
 let sample_truncated_matrix prng ~powers ~start ~target_len ~rho
     ?(max_material = 4_000_000) () =
   if target_len <= 0 then
@@ -67,9 +56,3 @@ let sample_truncated_matrix prng ~powers ~start ~target_len ~rho
     else go (fill_level_truncated prng powers w ~rho)
   in
   go (initial_walk prng powers ~start ~levels)
-
-let sample_truncated g prng ~start ~target_len ~rho ?max_material () =
-  if target_len <= 0 then
-    invalid_arg "Topdown.sample_truncated_matrix: target_len <= 0";
-  let powers = power_table_for g ~levels:(levels_for ~len:target_len) in
-  sample_truncated_matrix prng ~powers ~start ~target_len ~rho ?max_material ()

@@ -14,9 +14,6 @@
     Used by bench A2 (samplers ablation) and cross-validated against
     Aldous-Broder/Wilson/Matrix-Tree in the test suite. *)
 
-(** [step g prng tree] performs one down-up exchange. *)
-val step : Cc_graph.Graph.t -> Cc_util.Prng.t -> Cc_graph.Tree.t -> Cc_graph.Tree.t
-
 (** [sample g prng ~steps ~init] runs the chain for [steps] exchanges from
     [init] (which must be a spanning tree of [g]). *)
 val sample :

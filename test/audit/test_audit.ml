@@ -73,7 +73,8 @@ let test_honest_wilson_passes () =
   Alcotest.(check int) "trials" 400 v.Audit.at_trials;
   Alcotest.(check bool) "max z under threshold" true
     (Audit.max_z aud < Audit.z_threshold aud);
-  Alcotest.(check int) "no invalid trees" 0 (Audit.invalid_trees aud)
+  Alcotest.(check (float 0.0)) "no invalid trees" 0.0
+    (gate aud "valid-trees").Audit.statistic
 
 let test_honest_sequential_passes () =
   let aud =
@@ -97,9 +98,12 @@ let test_small_distribution () =
   (match Audit.small_tv aud with
   | None -> Alcotest.fail "K4 should be small enough to enumerate"
   | Some tv -> Alcotest.(check bool) "tv small" true (tv < 0.15));
-  match Audit.small_kl aud with
-  | None -> Alcotest.fail "small kl missing"
-  | Some kl -> Alcotest.(check bool) "kl finite and small" true (kl >= 0.0 && kl < 0.2)
+  match Audit.of_jsonl (Audit.to_jsonl aud) with
+  | Ok { Audit.r_small = Some s; _ } ->
+      let kl = s.Audit.r_small_kl in
+      Alcotest.(check bool) "kl finite and small" true (kl >= 0.0 && kl < 0.2)
+  | Ok _ -> Alcotest.fail "small kl missing"
+  | Error e -> Alcotest.failf "reload: %s" e
 
 let test_small_skipped_on_large () =
   (* n > small_limit: the exact-distribution layer must switch itself off. *)
@@ -171,9 +175,9 @@ let test_invalid_tree_breaches () =
      invalid count and flip the valid-trees gate. *)
   let aud = Audit.create (Gen.path 4) in
   Audit.observe aud (Tree.of_edges ~n:4 [ (0, 1); (0, 2); (0, 3) ]);
-  Alcotest.(check int) "invalid counted" 1 (Audit.invalid_trees aud);
-  Alcotest.(check int) "not a trial" 0 (Audit.trials aud);
   let v = gate aud "valid-trees" in
+  Alcotest.(check (float 0.0)) "invalid counted" 1.0 v.Audit.statistic;
+  Alcotest.(check int) "not a trial" 0 (Audit.verdict aud).Audit.at_trials;
   Alcotest.(check bool) "valid-trees breached" true
     (v.Audit.applied && v.Audit.breached);
   Alcotest.(check bool) "verdict fail" false (Audit.verdict aud).Audit.pass
@@ -252,10 +256,12 @@ let test_zero_perturbation_digest () =
   let d0, t0, _ = run ~audited:false in
   let d1, t1, aud = run ~audited:true in
   Alcotest.(check string) "digest identical" d0 d1;
-  Alcotest.(check bool) "trees identical" true (List.equal Tree.equal t0 t1);
+  Alcotest.(check bool) "trees identical" true
+    (List.map Tree.edges t0 = List.map Tree.edges t1);
   match aud with
   | None -> Alcotest.fail "auditor missing"
-  | Some aud -> Alcotest.(check int) "auditor saw both trees" 2 (Audit.trials aud)
+  | Some aud ->
+      Alcotest.(check int) "auditor saw both trees" 2 (Audit.verdict aud).Audit.at_trials
 
 let () =
   Alcotest.run "cc_audit"

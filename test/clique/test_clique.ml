@@ -105,7 +105,7 @@ let test_all_to_all () =
   let net = Net.create ~n:8 in
   Net.all_to_all net ~label:"t" ~words_each:3;
   check_rounds "3 words each" 3.0 net;
-  Alcotest.(check int) "messages" (8 * 7) (Net.messages net)
+  Alcotest.(check int) "messages" (8 * 7) (Shared.messages net)
 
 (* --- per-machine load profile (a bus subscriber) --- *)
 
@@ -128,11 +128,9 @@ let test_skewed_exchange_imbalance () =
     (Profile.max_load p);
   Alcotest.(check (float 1e-9)) "imbalance = n" (float_of_int n)
     (Profile.imbalance p);
-  (match Profile.hot p with
-  | (m, load) :: _ ->
-      Alcotest.(check int) "hot machine id" 0 m;
-      Alcotest.(check int) "hot machine load" (n * (n - 1)) load
-  | [] -> Alcotest.fail "no hot machine");
+  Alcotest.(check string) "hot machine"
+    "load: max 56  mean 7.0  p50 8.0  p95 39.2  imbalance 8.00  hot machine 0 (56 words)"
+    (Shared.profile_summary p);
   Alcotest.(check int) "sender words" (n * (n - 1)) p.Profile.total_sent.(0);
   Alcotest.(check int) "receiver words" n p.Profile.total_recv.(1);
   (* The heatmap marks the hot machine's column. *)
@@ -153,9 +151,9 @@ let test_balanced_all_to_all_imbalance () =
   Net.all_to_all net ~label:"dense" ~words_each:3;
   Alcotest.(check int) "per-machine load" (3 * (n - 1)) (Profile.max_load p);
   Alcotest.(check (float 1e-9)) "imbalance = 1" 1.0 (Profile.imbalance p);
-  Alcotest.(check (float 1e-9)) "p50 = max (flat profile)"
-    (float_of_int (Profile.max_load p))
-    (Profile.quantile p 0.5)
+  Alcotest.(check string) "p50 = max (flat profile)"
+    "load: max 21  mean 21.0  p50 21.0  p95 21.0  imbalance 1.00  hot machine 0 (21 words)"
+    (Shared.profile_summary p)
 
 let test_broadcast_attributes_source () =
   (* The source emits the payload once, every other machine takes a copy —
@@ -193,7 +191,7 @@ let test_profile_does_not_perturb () =
     if peek then ignore (Profile.render p);
     Net.broadcast net ~label:"b" ~src:2 ~words:40;
     if peek then ignore (Profile.render p);
-    (Net.rounds net, Net.messages net, Net.words net, Net.ledger net)
+    (Net.rounds net, Shared.messages net, Net.words net, Net.ledger net)
   in
   let bare = drive false and observed = drive true in
   Alcotest.(check bool) "ledger bit-identical" true (bare = observed)
@@ -215,11 +213,16 @@ let test_words_for_bits () =
 let random_stochastic prng n =
   Mat.normalize_rows (Mat.init ~rows:n ~cols:n (fun _ _ -> Prng.float prng 1.0 +. 0.01))
 
-(* The rounds [book_mul] books for one [dim x dim] product. *)
+(* The rounds one [dim x dim] product books: a one-level power table books
+   the base transpose, one product and its transpose, a zero-level one the
+   base transpose alone. *)
 let booked_rounds ~n backend ~dim =
-  let net = Net.create ~n in
-  Matmul.book_mul net backend ~dim;
-  Net.rounds net
+  let rounds levels =
+    let net = Net.create ~n in
+    Matmul.book_power_table net backend ~dim ~levels;
+    Net.rounds net
+  in
+  rounds 1 -. (2.0 *. rounds 0)
 
 let test_matmul_backends_agree () =
   (* Every backend books an off-size product at its analytic cost; at
@@ -258,12 +261,11 @@ let test_matmul_charged_cost_scaling () =
 
 let test_matmul_routed_cost_linear () =
   let n = 16 in
-  let net = Net.create ~n in
-  Matmul.book_mul net Matmul.Routed_broadcast ~dim:n;
   (* Each machine sends/receives (n-1) * n * entry_words words:
      rounds = ceil((n-1) * n * ew / n) = (n-1) * ew. *)
-  let ew = Net.entry_words net in
-  check_rounds "routed cost" (float_of_int ((n - 1) * ew)) net
+  let ew = Net.entry_words (Net.create ~n) in
+  Alcotest.(check (float 1e-9)) "routed cost" (float_of_int ((n - 1) * ew))
+    (booked_rounds ~n Matmul.Routed_broadcast ~dim:n)
 
 let test_power_table_values () =
   let prng = Prng.create ~seed:3 in
@@ -272,7 +274,7 @@ let test_power_table_values () =
   let table = Matmul.power_table_pure m ~levels:3 in
   Alcotest.(check int) "length" 4 (Array.length table);
   Alcotest.(check bool) "m^8" true
-    (Mat.equal ~tol:1e-9 table.(3) (Mat.power m 8))
+    (Shared.mat_equal ~tol:1e-9 table.(3) (Mat.power m 8))
 
 let test_power_table_books_rounds () =
   let n = 8 in
@@ -291,18 +293,19 @@ let lazy_k8 () =
     (Mat.init ~rows:8 ~cols:8 (fun i j -> if i = j then 0.0 else 1.0 /. 7.0))
 
 let counter name =
-  match Cc_obs.Metrics.get name with
+  match Shared.metric name with
   | Some (Cc_obs.Metrics.Counter c) -> c
   | _ -> 0
 
 let same_bits a b =
-  let bits m = Array.map (Array.map Int64.bits_of_float) (Mat.to_arrays m) in
+  let bits m = Array.map Int64.bits_of_float (Mat.data m) in
   bits a = bits b
 
 let test_power_table_stop_books_every_level () =
   (* A table that stops squaring is still booked level by level:
      [book_power_table] books the same digest and rounds as the base
-     transpose and 20 x (product; transpose) booked by hand. The pure table
+     transpose and 20 x (product; transpose) booked by hand, a charged
+     product being one ["matmul"] charge of [mul_cost]. The pure table
      stops early, aliases its skipped levels to the stop and counts both. *)
   let n = 8 and levels = 20 in
   let backend = Matmul.charged () in
@@ -324,7 +327,7 @@ let test_power_table_stop_books_every_level () =
         in
         transpose ();
         for _ = 1 to levels do
-          Matmul.book_mul net backend ~dim:n;
+          Net.charge net ~label:"matmul" (Matmul.mul_cost net backend ~dim:n);
           transpose ()
         done)
   in
@@ -437,7 +440,7 @@ let qcheck_tests =
         let load = Array.fold_left max 0 (Array.append sent recv) in
         let expected = if load = 0 then 0.0 else float_of_int ((load + n - 1) / n) in
         feq expected (Net.rounds net)
-        && Net.messages net = !msgs
+        && Shared.messages net = !msgs
         && Net.words net = !wtotal);
   ]
 

@@ -8,6 +8,12 @@ module Fault = Cc_clique.Fault
 
 let mk ?(n = 8) spec = Net.with_faults (Fault.create spec) (Net.create ~n)
 
+(* A fault state whose schedule crashes [machines] at round 0, fired. *)
+let crashed machines =
+  let f = Fault.create (Fault.spec ~crashes:(List.map (fun m -> (m, 0.0)) machines) ()) in
+  Fault.advance f ~now:0.0;
+  f
+
 let ring n words =
   List.init n (fun i -> { Net.src = i; dst = (i + 1) mod n; words })
 
@@ -83,9 +89,7 @@ let test_free_packets_always_delivered () =
 (* --- crash-stop --- *)
 
 let test_crash_loses_packets_no_exception () =
-  let f = Fault.create (Fault.spec ()) in
-  let net = Net.with_faults f (Net.create ~n:8) in
-  Fault.crash_now f 3;
+  let net = Net.with_faults (crashed [ 3 ]) (Net.create ~n:8) in
   let dv = Net.reliable_exchange net ~label:"x" (ring 8 2) in
   (* Ring packets 2->3 and 3->4 touch the crashed machine. *)
   Alcotest.check delivery "into crashed" Net.Lost dv.(2);
@@ -117,9 +121,7 @@ let test_crash_outside_net_rejected () =
   ignore (arm [ (3, 0.0) ])
 
 let test_reliable_broadcast_crashed_source () =
-  let f = Fault.create (Fault.spec ()) in
-  let net = Net.with_faults f (Net.create ~n:4) in
-  Fault.crash_now f 1;
+  let net = Net.with_faults (crashed [ 1 ]) (Net.create ~n:4) in
   let dv = Net.reliable_broadcast net ~label:"seed" ~src:1 ~words:3 in
   Alcotest.check delivery "own slot" Net.Delivered dv.(1);
   List.iter
@@ -132,23 +134,18 @@ let test_reliable_broadcast_heals_drops () =
   Array.iter (Alcotest.check delivery "delivered" Net.Delivered) dv
 
 let test_next_live () =
-  let f = Fault.create (Fault.spec ()) in
-  Fault.crash_now f 2;
-  Fault.crash_now f 3;
+  let f = crashed [ 2; 3 ] in
   Alcotest.(check (option int)) "skips crashed" (Some 4) (Fault.next_live f ~n:5 2);
   Alcotest.(check (option int)) "wraps" (Some 0) (Fault.next_live f ~n:4 2);
-  for m = 0 to 4 do Fault.crash_now f m done;
-  Alcotest.(check (option int)) "all dead" None (Fault.next_live f ~n:5 0)
+  Alcotest.(check (option int)) "all dead" None
+    (Fault.next_live (crashed [ 0; 1; 2; 3; 4 ]) ~n:5 0)
 
 (* The documented contract: with every machine of [0, n) crashed, next_live
    is None for *every* start index — in range, negative, or past n — and
    out-of-range machines in the crash set must not fool the early exit. *)
 let test_next_live_all_crashed_all_starts () =
   let n = 5 in
-  let f = Fault.create (Fault.spec ()) in
-  for m = 0 to n - 1 do
-    Fault.crash_now f m
-  done;
+  let f = crashed (List.init n Fun.id) in
   for from = -2 * n to 2 * n do
     Alcotest.(check (option int))
       (Printf.sprintf "all crashed, from=%d" from)
@@ -157,10 +154,7 @@ let test_next_live_all_crashed_all_starts () =
   done;
   (* Crashing a machine outside [0, n) must not change the verdict at a
      smaller n where the rest are live. *)
-  let g = Fault.create (Fault.spec ()) in
-  Fault.crash_now g 7;
-  (* out of range for n=4 *)
-  Fault.crash_now g 1;
+  let g = crashed [ 7; 1 ] (* 7 is out of range for n=4 *) in
   for from = -4 to 8 do
     Alcotest.(check bool)
       (Printf.sprintf "survivors remain, from=%d" from)
@@ -172,16 +166,6 @@ let test_next_live_all_crashed_all_starts () =
       ignore (Fault.next_live f ~n:0 0))
 
 (* --- corruption and stragglers --- *)
-
-let test_corrupt_word_flips_one_bit () =
-  let f = Fault.create (Fault.spec ~seed:7 ()) in
-  for _ = 1 to 100 do
-    let w = 0x123456789 in
-    let c = Fault.corrupt_word f w in
-    let diff = w lxor c in
-    Alcotest.(check bool) "exactly one bit" true
-      (diff <> 0 && diff land (diff - 1) = 0)
-  done
 
 let test_corruption_surfaces_not_retried () =
   let net = mk (Fault.spec ~corrupt_prob:0.5 ~seed:2 ()) in
@@ -302,7 +286,6 @@ let () =
         ] );
       ( "corruption",
         [
-          Alcotest.test_case "corrupt_word one bit" `Quick test_corrupt_word_flips_one_bit;
           Alcotest.test_case "corruption surfaces" `Quick test_corruption_surfaces_not_retried;
           Alcotest.test_case "straggler label" `Quick test_straggler_label;
         ] );

@@ -70,7 +70,7 @@ let test_endpoint_distribution () =
      correct — histogram over independent runs. *)
   let g = Gen.complete 5 in
   let tau = 8 in
-  let exact = Walk.endpoint_distribution g ~start:0 ~len:tau in
+  let exact = Shared.endpoint_distribution g ~start:0 ~len:tau in
   let counts = Array.make 5 0 in
   let trials = 6000 in
   let n = Graph.n g in
@@ -87,7 +87,7 @@ let test_endpoint_distribution () =
 let test_interior_marginal () =
   let g = Gen.cycle 6 in
   let tau = 8 and probe = 5 in
-  let exact = Walk.endpoint_distribution g ~start:2 ~len:probe in
+  let exact = Shared.endpoint_distribution g ~start:2 ~len:probe in
   let counts = Array.make 6 0 in
   let trials = 6000 in
   let net = Net.create ~n:6 in

@@ -1,8 +1,9 @@
 (* Checked dense kernels through [Mat.get]/[Mat.set]: LU with partial
    pivoting against an absolute pivot tolerance of 1e-13, forward/back
    substitution, the column-by-column multi-RHS solve, the inverse, the
-   log-determinant, the Schur complement and the i-k-j product, and the
-   power table squared to its last level. [Mat.mul] and the power tables
+   log-determinant, the Schur complement and the i-k-j product, the power
+   table squared to its last level, and the entrywise copy, column,
+   identity, difference and transpose they and the tests build on. [Mat.mul] and the power tables
    must perform the same float operations in the same order, so test_linalg
    compares them with these bit for bit. The LU is the independent
    reference that the library's subtraction-free elimination (Gth) is
@@ -10,6 +11,16 @@
    Test-only: nothing in lib/ calls this module. *)
 
 module Mat = Cc_linalg.Mat
+
+let copy m = Mat.init ~rows:(Mat.rows m) ~cols:(Mat.cols m) (Mat.get m)
+let col m j = Array.init (Mat.rows m) (fun i -> Mat.get m i j)
+let identity n = Mat.init ~rows:n ~cols:n (fun i j -> if i = j then 1.0 else 0.0)
+
+let sub a b =
+  Mat.init ~rows:(Mat.rows a) ~cols:(Mat.cols a) (fun i j ->
+      Mat.get a i j -. Mat.get b i j)
+
+let transpose m = Mat.init ~rows:(Mat.cols m) ~cols:(Mat.rows m) (fun i j -> Mat.get m j i)
 
 type lu = {
   lu_mat : Mat.t; (* L below diagonal (unit diag implicit), U on and above *)
@@ -22,7 +33,7 @@ let pivot_tol = 1e-13
 let lu m =
   let n = Mat.rows m in
   if Mat.cols m <> n then invalid_arg "Reference.lu: not square";
-  let a = Mat.copy m in
+  let a = copy m in
   let perm = Array.init n (fun i -> i) in
   let swaps = ref 0 in
   for k = 0 to n - 1 do
@@ -85,14 +96,14 @@ let solve_mat m b =
   let n = Mat.rows b and k = Mat.cols b in
   let out = Mat.create ~rows:n ~cols:k 0.0 in
   for j = 0 to k - 1 do
-    let x = lu_solve f (Mat.col b j) in
+    let x = lu_solve f (col b j) in
     for i = 0 to n - 1 do
       Mat.set out i j x.(i)
     done
   done;
   out
 
-let inverse m = solve_mat m (Mat.identity (Mat.rows m))
+let inverse m = solve_mat m (identity (Mat.rows m))
 
 let log_determinant m =
   let f = lu m in
@@ -147,7 +158,7 @@ let schur_complement m ~keep =
     let m_es = Mat.submatrix m ~row_idx:elim ~col_idx:keep in
     let m_ee = Mat.submatrix m ~row_idx:elim ~col_idx:elim in
     let x = solve_mat m_ee m_es in
-    Mat.sub m_ss (mul m_se x)
+    sub m_ss (mul m_se x)
   end
 
 (* The plain repeated squaring of a power table: [levels] products, each of

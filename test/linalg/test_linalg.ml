@@ -17,6 +17,9 @@ let check_float ?(eps = 1e-9) msg expected actual =
   if not (feq ~eps expected actual) then
     Alcotest.failf "%s: expected %.12g, got %.12g" msg expected actual
 
+let of_rows a =
+  Mat.init ~rows:(Array.length a) ~cols:(Array.length a.(0)) (fun i j -> a.(i).(j))
+
 let random_matrix prng ~rows ~cols =
   Mat.init ~rows ~cols (fun _ _ -> Prng.float prng 2.0 -. 1.0)
 
@@ -28,13 +31,13 @@ let random_stochastic prng n =
 let test_identity_mul () =
   let prng = Prng.create ~seed:1 in
   let a = random_matrix prng ~rows:5 ~cols:5 in
-  let i = Mat.identity 5 in
-  Alcotest.(check bool) "I*A = A" true (Mat.equal (Mat.mul i a) a);
-  Alcotest.(check bool) "A*I = A" true (Mat.equal (Mat.mul a i) a)
+  let i = Reference.identity 5 in
+  Alcotest.(check bool) "I*A = A" true (Shared.mat_equal (Mat.mul i a) a);
+  Alcotest.(check bool) "A*I = A" true (Shared.mat_equal (Mat.mul a i) a)
 
 let test_mul_known () =
-  let a = Mat.of_arrays [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
-  let b = Mat.of_arrays [| [| 5.0; 6.0 |]; [| 7.0; 8.0 |] |] in
+  let a = of_rows [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
+  let b = of_rows [| [| 5.0; 6.0 |]; [| 7.0; 8.0 |] |] in
   let c = Mat.mul a b in
   check_float "c00" 19.0 (Mat.get c 0 0);
   check_float "c01" 22.0 (Mat.get c 0 1);
@@ -44,19 +47,19 @@ let test_mul_known () =
 let test_transpose_involution () =
   let prng = Prng.create ~seed:2 in
   let a = random_matrix prng ~rows:4 ~cols:7 in
-  Alcotest.(check bool) "(A^T)^T = A" true (Mat.equal (Mat.transpose (Mat.transpose a)) a)
+  Alcotest.(check bool) "(A^T)^T = A" true (Shared.mat_equal (Reference.transpose (Reference.transpose a)) a)
 
 let test_power_matches_repeated_mul () =
   let prng = Prng.create ~seed:3 in
   let a = random_stochastic prng 5 in
   let direct = Mat.mul (Mat.mul a a) (Mat.mul a a) in
-  Alcotest.(check bool) "A^4" true (Mat.equal ~tol:1e-9 (Mat.power a 4) direct)
+  Alcotest.(check bool) "A^4" true (Shared.mat_equal ~tol:1e-9 (Mat.power a 4) direct)
 
 let test_power_zero_and_one () =
   let prng = Prng.create ~seed:4 in
   let a = random_stochastic prng 4 in
-  Alcotest.(check bool) "A^0 = I" true (Mat.equal (Mat.power a 0) (Mat.identity 4));
-  Alcotest.(check bool) "A^1 = A" true (Mat.equal (Mat.power a 1) a)
+  Alcotest.(check bool) "A^0 = I" true (Shared.mat_equal (Mat.power a 0) (Reference.identity 4));
+  Alcotest.(check bool) "A^1 = A" true (Shared.mat_equal (Mat.power a 1) a)
 
 let test_power_table () =
   let prng = Prng.create ~seed:5 in
@@ -68,7 +71,7 @@ let test_power_table () =
       Alcotest.(check bool)
         (Printf.sprintf "table entry 2^%d" i)
         true
-        (Mat.equal ~tol:1e-8 m (Mat.power a (1 lsl i))))
+        (Shared.mat_equal ~tol:1e-8 m (Mat.power a (1 lsl i))))
     table
 
 (* The Formula 1 kernels multiply the same two entries Mat.get reads, so
@@ -115,7 +118,7 @@ let test_rank_one_kernels () =
     if bits y.(i) <> bits (Mat.get m i 4 -. Mat.get m i 1) then
       Alcotest.failf "col_diff %d" i
   done;
-  let updated = Mat.copy m in
+  let updated = Reference.copy m in
   Mat.add_outer_in_place updated (-0.3) y;
   for i = 0 to 5 do
     for j = 0 to 5 do
@@ -140,7 +143,7 @@ let test_rank_one_kernels () =
     (refused (fun () -> Mat.add_outer_in_place wide 1.0 y))
 
 let test_mul_vec () =
-  let a = Mat.of_arrays [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
+  let a = of_rows [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
   let y = Mat.mul_vec a [| 1.0; 1.0 |] in
   check_float "y0" 3.0 y.(0);
   check_float "y1" 7.0 y.(1);
@@ -165,14 +168,14 @@ let test_submatrix () =
 let test_row_stochastic_checks () =
   let prng = Prng.create ~seed:6 in
   let a = random_stochastic prng 6 in
-  Alcotest.(check bool) "stochastic" true (Mat.is_row_stochastic a);
-  let b = Mat.copy a in
+  Alcotest.(check bool) "stochastic" true (Shared.is_row_stochastic a);
+  let b = Reference.copy a in
   Mat.set b 0 0 (Mat.get b 0 0 +. 0.5);
-  Alcotest.(check bool) "broken" false (Mat.is_row_stochastic b)
+  Alcotest.(check bool) "broken" false (Shared.is_row_stochastic b)
 
 let test_max_subtractive_error () =
-  let exact = Mat.of_arrays [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
-  let approx = Mat.of_arrays [| [| 0.9; 2.0 |]; [| 3.2; 3.5 |] |] in
+  let exact = of_rows [| [| 1.0; 2.0 |]; [| 3.0; 4.0 |] |] in
+  let approx = of_rows [| [| 0.9; 2.0 |]; [| 3.2; 3.5 |] |] in
   (* Largest under-approximation: 4.0 - 3.5 = 0.5; the over-approximation at
      (1,0) must not count. *)
   check_float "subtractive" 0.5 (Mat.max_subtractive_error ~exact ~approx)
@@ -180,7 +183,7 @@ let test_max_subtractive_error () =
 (* --- the elimination (Gth, through Graph.eliminate) --- *)
 
 (* L_UU, the Laplacian's minor on U in the order [eliminate] returns. *)
-let minor g u_of = Mat.submatrix (Graph.laplacian g) ~row_idx:u_of ~col_idx:u_of
+let minor g u_of = Mat.submatrix (Shared.laplacian g) ~row_idx:u_of ~col_idx:u_of
 
 let of_flat ~rows ~cols a = Mat.init ~rows ~cols (fun i j -> a.((i * cols) + j))
 
@@ -207,9 +210,9 @@ let test_inverse () =
   let nu = Array.length u_of in
   let inv = of_flat ~rows:nu ~cols:nu (Gth.inverse f) in
   Alcotest.(check bool) "L_UU * L_UU^-1 = I" true
-    (Mat.equal ~tol:1e-9 (Mat.mul (minor g u_of) inv) (Mat.identity nu));
+    (Shared.mat_equal ~tol:1e-9 (Mat.mul (minor g u_of) inv) (Reference.identity nu));
   Alcotest.(check bool) "symmetric bit for bit" true
-    (Mat.equal ~tol:0.0 inv (Mat.transpose inv))
+    (Shared.mat_equal ~tol:0.0 inv (Reference.transpose inv))
 
 (* Matrix–Tree: K4 has 16 spanning trees, and a triangle with weights a, b,
    c has weighted count ab + bc + ca. *)
@@ -304,7 +307,7 @@ let test_schur_block_identity () =
   let _, f = Graph.eliminate g ~keep:[| 2; 3 |] in
   Alcotest.(check (array (float 0.0))) "Y" [| 0.25; 0.75; 0.5; 0.5 |]
     (Gth.harmonic f);
-  let block = Reference.schur_complement (Graph.laplacian g) ~keep:[| 2; 3 |] in
+  let block = Reference.schur_complement (Shared.laplacian g) ~keep:[| 2; 3 |] in
   check_float "block formula" (-2.75) (Mat.get block 0 1);
   check_float "W_S" 2.75 (Graph.edge_weight (schur_graph g ~keep:[| 2; 3 |]) 0 1)
 
@@ -353,16 +356,20 @@ let test_schur_determinant_identity () =
 
 (* --- Fixed --- *)
 
+(* The paper's round operator on one entry, through [round_mat]. *)
+let round_down ~bits x =
+  Mat.get (Fixed.round_mat ~bits (Mat.create ~rows:1 ~cols:1 x)) 0 0
+
 let test_round_down_basic () =
-  check_float "1/3 at 2 bits" 0.25 (Fixed.round_down ~bits:2 (1.0 /. 3.0));
-  check_float "exact dyadic" 0.5 (Fixed.round_down ~bits:4 0.5);
-  check_float "zero" 0.0 (Fixed.round_down ~bits:8 0.0)
+  check_float "1/3 at 2 bits" 0.25 (round_down ~bits:2 (1.0 /. 3.0));
+  check_float "exact dyadic" 0.5 (round_down ~bits:4 0.5);
+  check_float "zero" 0.0 (round_down ~bits:8 0.0)
 
 let test_round_down_subtractive () =
   let prng = Prng.create ~seed:12 in
   for _ = 1 to 1000 do
     let x = Prng.float prng 1.0 in
-    let r = Fixed.round_down ~bits:10 x in
+    let r = round_down ~bits:10 x in
     if r > x || x -. r >= Float.pow 2.0 (-10.0) then
       Alcotest.failf "round_down not subtractive at %.17g -> %.17g" x r
   done
@@ -394,7 +401,7 @@ let test_lemma3_bits_sufficient () =
     true (bound <= beta)
 
 let test_rounded_power_rejects_non_power_of_two () =
-  let m = Mat.identity 2 in
+  let m = Reference.identity 2 in
   Alcotest.check_raises "k=3"
     (Invalid_argument "Fixed.rounded_power: k must be a positive power of two")
     (fun () -> ignore (Fixed.rounded_power ~bits:10 m 3))
@@ -409,7 +416,7 @@ let same_vec a b = Array.length a = Array.length b && Array.for_all2 same_bits a
 let same_mat a b =
   Mat.rows a = Mat.rows b
   && Mat.cols a = Mat.cols b
-  && Array.for_all2 same_vec (Mat.to_arrays a) (Mat.to_arrays b)
+  && same_vec (Mat.data a) (Mat.data b)
 
 (* Entries in [-1, 1], a fifth of them exactly 0, so the products skip zero
    entries. *)
@@ -477,7 +484,7 @@ let kernel_tests =
         let c = kernel_matrix prng ~rows:k ~cols:(1 + Prng.int prng 40) in
         (* 0 * inf is NaN, so only a product that skips a's zero entries
            keeps the rows that meet the infinity through a zero finite. *)
-        let b_inf = Mat.copy b in
+        let b_inf = Reference.copy b in
         Mat.set b_inf (Prng.int prng n) (Prng.int prng k) infinity;
         same_mat (Mat.mul a b) (Reference.mul a b)
         && same_mat (Mat.mul a b_inf) (Reference.mul a b_inf)
@@ -721,20 +728,20 @@ let qcheck_tests =
         let a = random_matrix prng ~rows:n ~cols:n in
         let b = random_matrix prng ~rows:n ~cols:n in
         let c = random_matrix prng ~rows:n ~cols:n in
-        Mat.equal ~tol:1e-8 (Mat.mul (Mat.mul a b) c) (Mat.mul a (Mat.mul b c)));
+        Shared.mat_equal ~tol:1e-8 (Mat.mul (Mat.mul a b) c) (Mat.mul a (Mat.mul b c)));
     Test.make ~name:"transpose reverses products" ~count:50 seeded
       (fun (n, seed) ->
         let prng = Prng.create ~seed in
         let a = random_matrix prng ~rows:n ~cols:n in
         let b = random_matrix prng ~rows:n ~cols:n in
-        Mat.equal ~tol:1e-9
-          (Mat.transpose (Mat.mul a b))
-          (Mat.mul (Mat.transpose b) (Mat.transpose a)));
+        Shared.mat_equal ~tol:1e-9
+          (Reference.transpose (Mat.mul a b))
+          (Mat.mul (Reference.transpose b) (Reference.transpose a)));
     Test.make ~name:"stochastic matrices are closed under product" ~count:50
       seeded (fun (n, seed) ->
         let prng = Prng.create ~seed in
         let a = random_stochastic prng n and b = random_stochastic prng n in
-        Mat.is_row_stochastic ~tol:1e-7 (Mat.mul a b));
+        Shared.is_row_stochastic ~tol:1e-7 (Mat.mul a b));
     Test.make ~name:"solve then multiply recovers rhs" ~count:50 seeded
       (fun (n, seed) ->
         let prng = Prng.create ~seed in

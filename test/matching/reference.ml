@@ -138,7 +138,10 @@ module Sampler = struct
     if steps < 0 then invalid_arg "Matching.Sampler.mcmc: negative steps";
     let sigma =
       match init with
-      | None -> Prng.permutation prng k
+      | None ->
+          let sigma = Array.init k Fun.id in
+          Prng.shuffle prng sigma;
+          sigma
       | Some s ->
           if Array.length s <> k then
             invalid_arg "Matching.Sampler.mcmc: bad init length";

@@ -339,8 +339,8 @@ let test_placement_state_bound () =
   Alcotest.check_raises "explicit bound"
     (Invalid_argument "Placement.sample_exact: state space too large") (fun () ->
       ignore (Placement.sample_exact ~max_states:((1 lsl 24) - 1) prng t));
-  Alcotest.(check int) "no draw consumed" (Prng.bits fresh ~width:30)
-    (Prng.bits prng ~width:30)
+  Alcotest.(check int) "no draw consumed" (Prng.int fresh (1 lsl 30))
+    (Prng.int prng (1 lsl 30))
 
 let test_placement_over_cap_on_both_margins () =
   (* 24 distinct identities at 24 distinct pairs: 2^24 states on either
@@ -361,8 +361,8 @@ let test_placement_over_cap_on_both_margins () =
         (Invalid_argument "Placement.sample_exact: state space too large")
         (fun () -> ignore (Placement.sample_exact ~max_states:50_000 ~margin prng t)))
     [ Placement.Classes; Placement.Rows ];
-  Alcotest.(check int) "no draw consumed" (Prng.bits fresh ~width:30)
-    (Prng.bits prng ~width:30)
+  Alcotest.(check int) "no draw consumed" (Prng.int fresh (1 lsl 30))
+    (Prng.int prng (1 lsl 30))
 
 let test_placement_dp_with_zero_weights () =
   (* Class-compressed DP on a sparse-support instance must match the exact
@@ -445,7 +445,7 @@ let agrees_with_reference (identities, positions, weight) seed =
       | sigma -> Ok sigma
       | exception Failure msg -> Error msg
     in
-    (result, Array.init 4 (fun _ -> Prng.bits prng ~width:30))
+    (result, Array.init 4 (fun _ -> Prng.int prng (1 lsl 30)))
   in
   let rejects sample =
     match sample ~max_states:(states - 1) (Prng.create ~seed) with

@@ -1,12 +1,13 @@
 (* [Phase_walk.run] as it filled walks before its level loop was rewritten
    to cost its arithmetic: each pair class's Formula 1 law built through
-   [Mat.get] and [Dist.of_weights], its midpoints drawn with [Dist.sample],
+   [Mat.get] and its cumulative law, its midpoints drawn by inverse CDF,
    pair classes indexed by [index_pairs], and every probe of Algorithm 3's
    binary search rescanning its prefix. It is kept verbatim minus its log
    line, metrics and trace spans, takes the caller's power table and books
-   it as the library does, and calls the library's [place], so a property
-   in test_sampler pins [Phase_walk.run] to it: the same walk and stats,
-   the same booked events and the same PRNG state afterwards.
+   it as the library does, and places midpoints as the library's level loop
+   does ([place]), so a property in test_sampler pins [Phase_walk.run] to
+   it: the same walk and stats, the same booked events and the same PRNG
+   state afterwards.
    Test-only: nothing in lib/ calls this module. *)
 
 module Net = Cc_clique.Net
@@ -15,6 +16,7 @@ module Mat = Cc_linalg.Mat
 module Prng = Cc_util.Prng
 module Dist = Cc_util.Dist
 module Phase_walk = Cc_sampler.Phase_walk
+module Placement = Cc_matching.Placement
 
 let max_materialized = 2_000_000
 
@@ -56,6 +58,21 @@ let index_pairs table ~width walk =
   let classes = Array.of_list (List.rev !classes) in
   Array.iter (fun (p, q) -> table.((p * width) + q) <- -1) classes;
   { classes; class_of; rank; counts = Array.sub counts 0 !nclasses }
+
+(* Midpoint Placement: the exact DP on the cheaper margin with at most
+   50,000 states, else the magical order itself with nothing drawn. It
+   returns the midpoint at each position, and [true] if the DP drew them. *)
+let dp_max_states = 50_000
+
+let place prng ~identities ~positions ~weight =
+  let instance = Placement.build ~identities ~positions ~weight in
+  match Placement.cheaper ~max_states:dp_max_states instance with
+  | Some margin ->
+      let sigma =
+        Placement.sample_exact ~max_states:dp_max_states ~margin prng instance
+      in
+      (Array.map (fun i -> identities.(i)) sigma, true)
+  | None -> (identities, false)
 
 (* Book a routed pattern given per-machine word loads (avoids materializing
    huge packet lists for dense request patterns). *)
@@ -145,11 +162,10 @@ let run net prng ~backend ~powers ~machine_of ~start ~rho ~target_len
           let weights =
             Array.init s_count (fun j -> Mat.get half p j *. Mat.get half j q)
           in
-          let d =
-            try Dist.of_weights weights
-            with Invalid_argument _ -> degenerate ()
-          in
-          Array.init pairs.counts.(k) (fun _ -> Dist.sample d prng))
+          (try Dist.cdf_in_place weights
+           with Invalid_argument _ -> degenerate ());
+          Array.init pairs.counts.(k) (fun _ ->
+              Dist.search weights (Prng.float prng 1.0)))
     in
     (* The "magical" filled walk: position 2i is walk.(i), position 2i+1 is
        pi.(class).(rank). Used only as the machines would: for Check queries,
@@ -280,7 +296,7 @@ let run net prng ~backend ~powers ~machine_of ~start ~rho ~target_len
               Array.init k_match (fun j -> (walk.(j), walk.(j + 1)))
             in
             let placed, exact =
-              Phase_walk.place prng ~identities:midpoints ~positions
+              place prng ~identities:midpoints ~positions
                 ~weight:(fun ~v ~p ~q -> Mat.get half p v *. Mat.get half v q)
             in
             if exact then counters.c_exact <- counters.c_exact + 1

@@ -1,16 +1,33 @@
-(* The later-phase state as lib/schur computed it before the subtraction-
-   free elimination, through checked accesses, closures and the boxing
+(* The Schur complement graph, and the later-phase state as lib/schur
+   computed it before the subtraction-free elimination, through checked accesses, closures and the boxing
    folds of [Graph.weighted_degree] and [Shortcut.s_weight]: [phase_exact]
    from one LU solve of I - P_UU in transition units (test/linalg's
    reference LU), and Algorithm 4's weights with each neighbour's w_S(u)
    folded again from its adjacency. test_schur holds the library's state
    within a tolerance of this one, and its first-visit weights to these
-   bit for bit. Test-only: nothing in lib/ calls this module. *)
+   bit for bit. [graph_exact] is SCHUR(G, S) as a weighted graph, from the
+   Schur complement of test/shared's Laplacian by the same reference LU.
+   Test-only: nothing in lib/ calls this module. *)
 
 module Graph = Cc_graph.Graph
 module Mat = Cc_linalg.Mat
 module Lu = Linalg_reference.Reference
 module Schur = Cc_schur.Schur
+
+(* SCHUR(G, S) on [|s|] relabeled vertices: the edges are the positive
+   negated off-diagonal entries of the Laplacian's Schur complement onto S,
+   above the diagonal. *)
+let graph_exact g ~s =
+  let k = Array.length s in
+  let l = Lu.schur_complement (Shared.laplacian g) ~keep:s in
+  let edges = ref [] in
+  for i = 0 to k - 1 do
+    for j = i + 1 to k - 1 do
+      let w = -.Mat.get l i j in
+      if w > 0.0 then edges := (i, j, w) :: !edges
+    done
+  done;
+  Graph.of_edges ~n:k !edges
 
 let weighted_degree g u =
   Array.fold_left (fun acc (_, w) -> acc +. w) 0.0 (Graph.neighbors g u)

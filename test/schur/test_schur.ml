@@ -58,14 +58,14 @@ let test_schur_is_stochastic () =
   let g = Gen.random_connected prng ~n:10 ~extra_edges:8 in
   let s = [| 0; 2; 5; 7; 9 |] in
   let t = Schur.transition_exact g ~s in
-  Alcotest.(check bool) "stochastic" true (Mat.is_row_stochastic ~tol:1e-7 t)
+  Alcotest.(check bool) "stochastic" true (Shared.is_row_stochastic ~tol:1e-7 t)
 
 let test_schur_keep_all_is_identity () =
   let g = Gen.cycle 6 in
   let s = Array.init 6 (fun i -> i) in
   let t = Schur.transition_exact g ~s in
   Alcotest.(check bool) "same transition" true
-    (Mat.equal ~tol:1e-9 t (Graph.transition_matrix g))
+    (Shared.mat_equal ~tol:1e-9 t (Graph.transition_matrix g))
 
 let test_schur_path_elimination () =
   (* Path 0-1-2 with S = {0,2}: eliminating the middle vertex yields a single
@@ -79,7 +79,7 @@ let test_schur_graph_weights_path () =
   (* Series resistors: eliminating the middle of a path of two unit edges
      gives a single edge of weight 1/2 (conductances in series). *)
   let g = Gen.path 3 in
-  let sg = Schur.graph_exact g ~s:[| 0; 2 |] in
+  let sg = Reference.graph_exact g ~s:[| 0; 2 |] in
   Alcotest.(check int) "one edge" 1 (Graph.num_edges sg);
   check_float ~eps:1e-9 "weight 1/2" 0.5 (Graph.edge_weight sg 0 1)
 
@@ -92,7 +92,7 @@ let schur_walk_equivalence ~seed ~n ~extra ~s_size ~steps ~trials =
   let g = Gen.random_connected prng ~n ~extra_edges:extra in
   let s = Prng.subset prng ~size:s_size (Array.init n (fun i -> i)) in
   Array.sort compare s;
-  let sg = Schur.graph_exact g ~s in
+  let t = Schur.transition_exact g ~s in
   let pos_of = Hashtbl.create s_size in
   Array.iteri (fun i v -> Hashtbl.add pos_of v i) s;
   let in_s = Schur.members ~n ~s in
@@ -103,7 +103,7 @@ let schur_walk_equivalence ~seed ~n ~extra ~s_size ~steps ~trials =
     (* Walk directly on the Schur graph. *)
     let v = ref 0 in
     for _ = 1 to steps do
-      v := Walk.step sg prng !v
+      v := Dist.sample_weights (Mat.row t !v) prng
     done;
     counts_schur.(!v) <- counts_schur.(!v) + 1;
     (* Walk on G; one Schur transition = first arrival at an S vertex
@@ -135,7 +135,7 @@ let test_schur_quotient_property_graphs () =
   let s1 = [| 0; 2; 3; 5; 7; 9 |] in
   let s2 = [| 0; 3; 7; 9 |] in
   let direct = Schur.transition_exact g ~s:s2 in
-  let stage1 = Schur.graph_exact g ~s:s1 in
+  let stage1 = Reference.graph_exact g ~s:s1 in
   (* Positions of s2's vertices inside s1's ordering. *)
   let pos v =
     let rec go i = if s1.(i) = v then i else go (i + 1) in
@@ -149,7 +149,7 @@ let test_schur_weighted_graph () =
   (* The Schur machinery must respect edge weights end to end. *)
   let g = Graph.of_edges ~n:4 [ (0, 1, 2.0); (1, 2, 1.0); (2, 3, 3.0); (3, 0, 1.0) ] in
   let t = Schur.transition_exact g ~s:[| 0; 2 |] in
-  Alcotest.(check bool) "stochastic" true (Mat.is_row_stochastic ~tol:1e-9 t);
+  Alcotest.(check bool) "stochastic" true (Shared.is_row_stochastic ~tol:1e-9 t);
   (* Both S-vertices always reach the other one first (the only S vertex
      besides themselves). *)
   Alcotest.(check (float 1e-9)) "forced transition" 1.0 (Mat.get t 0 1)
@@ -161,7 +161,7 @@ let test_shortcut_rows_stochastic () =
   let g = Gen.random_connected prng ~n:8 ~extra_edges:6 in
   let in_s = Array.init 8 (fun i -> i mod 2 = 0) in
   let q = Shortcut.exact g ~in_s in
-  Alcotest.(check bool) "rows sum to 1" true (Mat.is_row_stochastic ~tol:1e-7 q)
+  Alcotest.(check bool) "rows sum to 1" true (Shared.is_row_stochastic ~tol:1e-7 q)
 
 let test_shortcut_empirical () =
   (* Monte-Carlo the definition: from u, record the vertex visited just
@@ -299,8 +299,8 @@ let same_mat a b =
   Mat.rows a = Mat.rows b
   && Mat.cols a = Mat.cols b
   && Array.for_all2
-       (Array.for_all2 (fun x y -> Int64.equal (bits x) (bits y)))
-       (Mat.to_arrays a) (Mat.to_arrays b)
+       (fun x y -> Int64.equal (bits x) (bits y))
+       (Mat.data a) (Mat.data b)
 
 (* --- the visited-block state --- *)
 
@@ -393,9 +393,9 @@ let phase_state_matches_reference weights (g, s) =
        (Array.init (Array.length s) Fun.id)
 
 (* Every oracle is invariant under scaling every weight by c, up to the
-   power of c its units carry: the phase state and the hitting times do not
-   move, SCHUR(G, S)'s weights scale by c, the log-count by (n - 1) ln c and
-   the grounded inverse by 1/c. Each result of the scaled graph, brought
+   power of c its units carry: the phase state, SCHUR(G, S)'s transition
+   and the mean hitting time do not move, the log-count moves by
+   (n - 1) ln c and the grounded inverse by 1/c. Each result of the scaled graph, brought
    back by that power, stays within 1e-12 of the unscaled one, relative to
    its largest entry, at c = 1e-14 and 1e14; the log-count relative to the
    scaled one, a sum of logs near (n - 1) ln c whose own rounding is
@@ -409,25 +409,18 @@ let scaling_moves_nothing (g, s) =
     Array.iteri (fun i x -> gap := Float.max !gap (Float.abs (x -. b.(i)))) a;
     !gap <= 1e-12 *. scale
   in
-  let weights h =
-    let k = Array.length s in
-    let m = Array.make (k * k) 0.0 in
-    List.iter (fun (i, j, w) -> m.((i * k) + j) <- w) (Graph.edges h);
-    m
-  in
-  let ph = Schur.phase_exact g ~s and schur = weights (Schur.graph_exact g ~s) in
+  let ph = Schur.phase_exact g ~s in
+  let schur = Mat.data (Schur.transition_exact g ~s) in
   let log_count = Cc_graph.Tree.log_count g in
   let inverse = Mat.data (Graph.grounded_inverse g ~ground:s.(0)) in
-  let hitting = Cc_walks.Hitting.to_target g s.(0) in
+  let hitting = [| Cc_walks.Hitting.mean_hitting_time g |] in
   List.for_all
     (fun c ->
       let gc = reweight () g ~f:(fun () w -> w *. c) in
       let phc = Schur.phase_exact gc ~s in
       relative (Mat.data phc.q_rows) (Mat.data ph.q_rows)
       && relative (Mat.data phc.transition) (Mat.data ph.transition)
-      && relative
-           (Array.map (fun w -> w /. c) (weights (Schur.graph_exact gc ~s)))
-           schur
+      && relative (Mat.data (Schur.transition_exact gc ~s)) schur
       && (let scaled = Cc_graph.Tree.log_count gc in
           Float.abs (scaled -. (float_of_int (n - 1) *. Float.log c) -. log_count)
           <= 1e-12 *. Float.max 1.0 (Float.abs scaled))
@@ -435,7 +428,7 @@ let scaling_moves_nothing (g, s) =
            (Array.map (fun x -> x *. c)
               (Mat.data (Graph.grounded_inverse gc ~ground:s.(0))))
            inverse
-      && relative (Cc_walks.Hitting.to_target gc s.(0)) hitting)
+      && relative [| Cc_walks.Hitting.mean_hitting_time gc |] hitting)
     [ 1e-14; 1e14 ]
 
 (* --- qcheck --- *)
@@ -476,7 +469,7 @@ let qcheck_tests =
         let size = max 2 (n / 2) in
         let s = Prng.subset prng ~size (Array.init n (fun i -> i)) in
         Array.sort compare s;
-        Mat.is_row_stochastic ~tol:1e-6 (Schur.transition_exact g ~s));
+        Shared.is_row_stochastic ~tol:1e-6 (Schur.transition_exact g ~s));
     Test.make ~name:"schur graph is connected when G is" ~count:50 params
       (fun (n, seed) ->
         let prng = Prng.create ~seed in
@@ -484,13 +477,21 @@ let qcheck_tests =
         let size = max 2 (n / 2) in
         let s = Prng.subset prng ~size (Array.init n (fun i -> i)) in
         Array.sort compare s;
-        Graph.is_connected (Schur.graph_exact g ~s));
+        (* The walk's support: an edge wherever a transition is positive. *)
+        let t = Schur.transition_exact g ~s in
+        let edges = ref [] in
+        for i = 0 to size - 1 do
+          for j = i + 1 to size - 1 do
+            if Mat.get t i j > 0.0 then edges := (i, j, 1.0) :: !edges
+          done
+        done;
+        Graph.is_connected (Graph.of_edges ~n:size !edges));
     Test.make ~name:"shortcut rows are stochastic" ~count:50 params
       (fun (n, seed) ->
         let prng = Prng.create ~seed in
         let g = Cc_graph.Gen.random_connected prng ~n ~extra_edges:n in
         let in_s = Array.init n (fun i -> i mod 2 = 0) in
-        Mat.is_row_stochastic ~tol:1e-6 (Shortcut.exact g ~in_s));
+        Shared.is_row_stochastic ~tol:1e-6 (Shortcut.exact g ~in_s));
     Test.make ~name:"shortcut approx underapproximates exact" ~count:30 params
       (fun (n, seed) ->
         let prng = Prng.create ~seed in

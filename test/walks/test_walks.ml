@@ -1,7 +1,7 @@
 (* Tests for Cc_walks: walk primitives, Aldous-Broder, Wilson, and the
-   sequential top-down filling algorithms (Lemmas 1-2). The statistical tests
-   compare empirical distributions against exact ground truth (matrix powers,
-   Matrix-Tree enumeration). *)
+   sequential top-down filling algorithms (Lemmas 1-2, driven from a graph
+   by test/shared). The statistical tests compare empirical distributions
+   against exact ground truth (matrix powers, Matrix-Tree enumeration). *)
 
 module Graph = Cc_graph.Graph
 module Gen = Cc_graph.Gen
@@ -48,10 +48,10 @@ let test_first_visit_edges () =
   let w = [| 0; 1; 0; 2; 1; 3 |] in
   Alcotest.(check (list (pair int int)))
     "edges" [ (0, 1); (0, 2); (1, 3) ]
-    (Walk.first_visit_edges w)
+    (Reference.first_visit_edges w)
 
 let test_distinct_count () =
-  Alcotest.(check int) "distinct" 3 (Walk.distinct_count [| 5; 5; 2; 9; 2 |])
+  Alcotest.(check int) "distinct" 3 (Shared.distinct_count [| 5; 5; 2; 9; 2 |])
 
 let test_truncate_at_distinct () =
   let w = [| 0; 1; 0; 2; 1; 3; 4 |] in
@@ -73,9 +73,6 @@ let test_cover_time_refuses_disconnected () =
   (* Two components: a cover walk from 0 would never reach 2 or 3. *)
   let g = Graph.of_edges ~n:4 [ (0, 1, 1.0); (2, 3, 1.0) ] in
   let prng = Prng.create ~seed:1 in
-  Alcotest.check_raises "cover_time"
-    (Invalid_argument "Walk.cover_time: graph must be connected")
-    (fun () -> ignore (Walk.cover_time g prng ~start:0));
   Alcotest.check_raises "mean_cover_time"
     (Invalid_argument "Walk.mean_cover_time: graph must be connected")
     (fun () -> ignore (Walk.mean_cover_time g prng ~trials:3))
@@ -83,22 +80,15 @@ let test_cover_time_refuses_disconnected () =
 let test_time_to_distinct () =
   let prng = Prng.create ~seed:4 in
   let g = Gen.path 16 in
-  Alcotest.(check int) "rho=1 is free" 0 (Walk.time_to_distinct g prng ~start:0 ~rho:1);
-  let t = Walk.time_to_distinct g prng ~start:0 ~rho:4 in
+  Alcotest.(check int) "rho=1 is free" 0 (Reference.time_to_distinct g prng ~start:0 ~rho:1);
+  let t = Reference.time_to_distinct g prng ~start:0 ~rho:4 in
   Alcotest.(check bool) "at least rho-1 steps" true (t >= 3)
-
-let test_stationary_distribution () =
-  let g = Gen.star 5 in
-  let pi = Walk.stationary g in
-  (* Star: center degree 4, leaves degree 1, total weight 2m = 8. *)
-  Alcotest.(check (float 1e-9)) "center" 0.5 (Dist.prob pi 0);
-  Alcotest.(check (float 1e-9)) "leaf" 0.125 (Dist.prob pi 1)
 
 let test_endpoint_distribution_matches_empirical () =
   let prng = Prng.create ~seed:5 in
   let g = Gen.cycle 6 in
   let len = 5 in
-  let exact = Walk.endpoint_distribution g ~start:0 ~len in
+  let exact = Shared.endpoint_distribution g ~start:0 ~len in
   let counts = Array.make 6 0 in
   let trials = 30_000 in
   for _ = 1 to trials do
@@ -175,7 +165,7 @@ let test_samplers_always_valid () =
 let test_topdown_is_valid_walk () =
   let prng = Prng.create ~seed:12 in
   let g = Gen.cycle 9 in
-  let w = Topdown.sample_walk g prng ~start:0 ~len:64 in
+  let w = Shared.sample_walk g prng ~start:0 ~len:64 in
   Alcotest.(check int) "length" 65 (Array.length w);
   Alcotest.(check int) "start" 0 w.(0);
   for i = 1 to 64 do
@@ -188,11 +178,11 @@ let test_topdown_endpoint_distribution () =
   let prng = Prng.create ~seed:13 in
   let g = Gen.complete 5 in
   let len = 8 in
-  let exact = Walk.endpoint_distribution g ~start:0 ~len in
+  let exact = Shared.endpoint_distribution g ~start:0 ~len in
   let counts = Array.make 5 0 in
   let trials = 30_000 in
   for _ = 1 to trials do
-    let w = Topdown.sample_walk g prng ~start:0 ~len in
+    let w = Shared.sample_walk g prng ~start:0 ~len in
     counts.(w.(len)) <- counts.(w.(len)) + 1
   done;
   let tv = Dist.tv_counts ~counts exact in
@@ -204,11 +194,11 @@ let test_topdown_midpoint_distribution () =
   let prng = Prng.create ~seed:14 in
   let g = Gen.cycle 7 in
   let len = 16 in
-  let exact = Walk.endpoint_distribution g ~start:0 ~len:(len / 2) in
+  let exact = Shared.endpoint_distribution g ~start:0 ~len:(len / 2) in
   let counts = Array.make 7 0 in
   let trials = 30_000 in
   for _ = 1 to trials do
-    let w = Topdown.sample_walk g prng ~start:0 ~len in
+    let w = Shared.sample_walk g prng ~start:0 ~len in
     counts.(w.(len / 2)) <- counts.(w.(len / 2)) + 1
   done;
   let tv = Dist.tv_counts ~counts exact in
@@ -223,7 +213,7 @@ let test_topdown_transition_frequencies () =
   let counts = Array.make 4 0 in
   let trials = 4000 in
   for _ = 1 to trials do
-    let w = Topdown.sample_walk g prng ~start:0 ~len:16 in
+    let w = Shared.sample_walk g prng ~start:0 ~len:16 in
     for i = 0 to 15 do
       if w.(i) = 0 then counts.(w.(i + 1)) <- counts.(w.(i + 1)) + 1
     done
@@ -235,8 +225,8 @@ let test_truncated_ends_at_rho_distinct () =
   let prng = Prng.create ~seed:16 in
   let g = Gen.path 20 in
   for _ = 1 to 30 do
-    let w = Topdown.sample_truncated g prng ~start:0 ~target_len:1024 ~rho:5 () in
-    let d = Walk.distinct_count w in
+    let w = Shared.sample_truncated g prng ~start:0 ~target_len:1024 ~rho:5 () in
+    let d = Shared.distinct_count w in
     Alcotest.(check bool) "at most rho distinct" true (d <= 5);
     if d = 5 then begin
       (* The final vertex must be the 5th distinct one: appears exactly once
@@ -252,7 +242,7 @@ let test_truncated_walk_is_valid () =
   let prng = Prng.create ~seed:17 in
   let g = Gen.lollipop ~clique:5 ~tail:5 in
   for _ = 1 to 20 do
-    let w = Topdown.sample_truncated g prng ~start:0 ~target_len:4096 ~rho:4 () in
+    let w = Shared.sample_truncated g prng ~start:0 ~target_len:4096 ~rho:4 () in
     for i = 1 to Array.length w - 1 do
       if not (Graph.has_edge g w.(i - 1) w.(i)) then
         Alcotest.failf "invalid transition %d -> %d" w.(i - 1) w.(i)
@@ -266,10 +256,10 @@ let test_truncated_tau_distribution () =
   let rho = 3 in
   let trials = 8000 in
   let sample_tau_direct prng =
-    Walk.time_to_distinct g prng ~start:0 ~rho
+    Reference.time_to_distinct g prng ~start:0 ~rho
   in
   let sample_tau_topdown prng =
-    Array.length (Topdown.sample_truncated g prng ~start:0 ~target_len:256 ~rho ()) - 1
+    Array.length (Shared.sample_truncated g prng ~start:0 ~target_len:256 ~rho ()) - 1
   in
   let histo f seed =
     let prng = Prng.create ~seed in
@@ -303,8 +293,8 @@ let test_topdown_first_visit_tree_uniform () =
   let g = Gen.complete 4 in
   let trials = 12_000 in
   let sampler g prng =
-    let w = Topdown.sample_truncated g prng ~start:0 ~target_len:4096 ~rho:4 () in
-    Tree.of_edges ~n:4 (Walk.first_visit_edges w)
+    let w = Shared.sample_truncated g prng ~start:0 ~target_len:4096 ~rho:4 () in
+    Tree.of_edges ~n:4 (Reference.first_visit_edges w)
   in
   let tv, support = tree_sampler_tv g sampler trials 20 in
   let floor = 3.0 *. Stats.tv_noise_floor ~samples:trials ~support +. 0.01 in
@@ -324,46 +314,65 @@ let test_midpoint_weights_formula () =
 
 (* --- hitting times --- *)
 
+(* [mean_hitting_time] is the mean of H(u, v) over u and v drawn from the
+   stationary law pi: the sum over u, v of pi_u pi_v H(u, v). *)
+let stationary g =
+  let total = 2.0 *. Graph.total_weight g in
+  Array.init (Graph.n g) (fun u -> Graph.weighted_degree g u /. total)
+
+let mean_over_pi g h =
+  let pi = stationary g in
+  let acc = ref 0.0 in
+  Array.iteri
+    (fun u pu -> Array.iteri (fun v pv -> acc := !acc +. (pu *. pv *. h u v)) pi)
+    pi;
+  !acc
+
 let test_hitting_path_endpoints () =
-  (* Path 0..n-1: H(0, n-1) = (n-1)^2. *)
+  (* Path 0..n-1: a walk from u reaches v > u in v^2 - u^2 steps, so the
+     endpoints are (n-1)^2 apart, and by symmetry v < u in
+     (n-1-v)^2 - (n-1-u)^2. *)
   let n = 6 in
+  let h u v =
+    let sq x = float_of_int (x * x) in
+    if u <= v then sq v -. sq u else sq (n - 1 - v) -. sq (n - 1 - u)
+  in
+  Alcotest.(check (float 1e-12)) "H(0,end)" (float_of_int ((n - 1) * (n - 1))) (h 0 (n - 1));
   let g = Gen.path n in
-  let h = Cc_walks.Hitting.to_target g (n - 1) in
-  Alcotest.(check (float 1e-7)) "H(0,end)" (float_of_int ((n - 1) * (n - 1))) h.(0);
-  Alcotest.(check (float 1e-7)) "H(end,end)" 0.0 h.(n - 1)
+  Alcotest.(check (float 1e-7)) "mean over pi" (mean_over_pi g h)
+    (Cc_walks.Hitting.mean_hitting_time g)
 
 let test_hitting_complete_graph () =
-  (* K_n: H(u,v) = n - 1 for u <> v. *)
+  (* K_n: H(u,v) = n - 1 for u <> v, so the mean is (n-1)^2 / n. *)
   let n = 7 in
-  let h = Cc_walks.Hitting.matrix (Gen.complete n) in
-  for u = 0 to n - 1 do
-    for v = 0 to n - 1 do
-      let expected = if u = v then 0.0 else float_of_int (n - 1) in
-      Alcotest.(check (float 1e-7)) "K7 hitting" expected (Mat.get h u v)
-    done
-  done
+  let expected = float_of_int ((n - 1) * (n - 1)) /. float_of_int n in
+  Alcotest.(check (float 1e-7)) "K7 mean hitting" expected
+    (Cc_walks.Hitting.mean_hitting_time (Gen.complete n))
 
 let test_commute_time_identity () =
-  (* Chandra et al.: commute(u,v) = 2 W R_eff(u,v). *)
+  (* Chandra et al.: H(u,v) + H(v,u) = 2 W R_eff(u,v), so the mean over pi,
+     which counts each pair both ways, is W times the mean of R_eff. *)
   let prng = Prng.create ~seed:50 in
   let g = Gen.random_connected prng ~n:9 ~extra_edges:6 in
-  let total = Graph.total_weight g in
-  List.iter
-    (fun (u, v, _) ->
-      let expected = 2.0 *. total *. Graph.effective_resistance g u v in
-      Alcotest.(check (float 1e-6)) "commute identity" expected
-        (Cc_walks.Hitting.commute g u v))
-    (Graph.edges g)
+  let expected =
+    Graph.total_weight g
+    *. mean_over_pi g (fun u v ->
+           if u = v then 0.0 else Shared.effective_resistance g u v)
+  in
+  Alcotest.(check (float 1e-6)) "commute identity" expected
+    (Cc_walks.Hitting.mean_hitting_time g)
 
 let test_hitting_empirical () =
+  (* Walks from u to v, both drawn from pi, against the exact mean. *)
   let prng = Prng.create ~seed:51 in
   let g = Gen.lollipop ~clique:4 ~tail:2 in
-  let target = 5 in
-  let exact = (Cc_walks.Hitting.to_target g target).(0) in
+  let exact = Cc_walks.Hitting.mean_hitting_time g in
+  let pi = stationary g in
   let trials = 4000 in
   let acc = ref 0 in
   for _ = 1 to trials do
-    let c = ref 0 and steps = ref 0 in
+    let c = ref (Dist.sample_weights pi prng) in
+    let target = Dist.sample_weights pi prng and steps = ref 0 in
     while !c <> target do
       c := Walk.step g prng !c;
       incr steps
@@ -388,7 +397,7 @@ let test_updown_step_preserves_treeness () =
   let g = Gen.lollipop ~clique:4 ~tail:3 in
   let t = ref (Updown.bfs_tree g) in
   for _ = 1 to 200 do
-    t := Updown.step g prng !t;
+    t := Updown.sample g prng ~steps:1 ~init:!t;
     if not (Tree.is_spanning_tree g !t) then Alcotest.fail "lost treeness"
   done
 
@@ -425,19 +434,13 @@ let test_bfs_tree_is_spanning () =
 
 let test_leverage_known_values () =
   (* Triangle: every edge has leverage 2/3 (R_eff = 2/3 for unit weights). *)
-  let g = Gen.cycle 3 in
   List.iter
-    (fun (u, v, _) ->
-      Alcotest.(check (float 1e-9)) "triangle leverage" (2.0 /. 3.0)
-        (Determinantal.leverage g u v))
-    (Graph.edges g);
+    (fun (_, p) -> Alcotest.(check (float 1e-9)) "triangle leverage" (2.0 /. 3.0) p)
+    (Determinantal.marginals (Gen.cycle 3));
   (* Tree edges (bridges) have leverage exactly 1. *)
-  let p = Gen.path 5 in
   List.iter
-    (fun (u, v, _) ->
-      Alcotest.(check (float 1e-9)) "bridge leverage" 1.0
-        (Determinantal.leverage p u v))
-    (Graph.edges p)
+    (fun (_, p) -> Alcotest.(check (float 1e-9)) "bridge leverage" 1.0 p)
+    (Determinantal.marginals (Gen.path 5))
 
 let test_fosters_theorem () =
   (* Sum of leverages = n - 1 on any connected graph. *)
@@ -619,7 +622,7 @@ let qcheck_tests =
       (fun (n, seed) ->
         let prng = Prng.create ~seed in
         let g = Cc_graph.Gen.random_connected prng ~n ~extra_edges:3 in
-        let w = Topdown.sample_walk g prng ~start:0 ~len:32 in
+        let w = Shared.sample_walk g prng ~start:0 ~len:32 in
         let ok = ref true in
         for i = 1 to Array.length w - 1 do
           if not (Graph.has_edge g w.(i - 1) w.(i)) then ok := false
@@ -630,8 +633,8 @@ let qcheck_tests =
         let prng = Prng.create ~seed in
         let g = Cc_graph.Gen.random_connected prng ~n ~extra_edges:2 in
         let rho = max 2 (n / 2) in
-        let w = Topdown.sample_truncated g prng ~start:0 ~target_len:1024 ~rho () in
-        Walk.distinct_count w <= rho);
+        let w = Shared.sample_truncated g prng ~start:0 ~target_len:1024 ~rho () in
+        Shared.distinct_count w <= rho);
     Test.make ~name:"chain rule offers the reference's p within 1e-8"
       ~count:100 params (fun (n, seed) ->
         let g = dense_weighted (Prng.create ~seed) ~n:(n + 6) in
@@ -642,14 +645,15 @@ let qcheck_tests =
       ~count:50 params (fun (n, seed) ->
         let g = dense_weighted (Prng.create ~seed) ~n:(n + 6) in
         let a = Prng.create ~seed and b = Prng.create ~seed in
-        Tree.equal (Determinantal.sample_tree g a) (Reference.sample_tree g b)
-        && Prng.bits a ~width:30 = Prng.bits b ~width:30);
+        Tree.edges (Determinantal.sample_tree g a)
+        = Tree.edges (Reference.sample_tree g b)
+        && Prng.int a (1 lsl 30) = Prng.int b (1 lsl 30));
     Test.make ~name:"first_visit_edges covers all distinct vertices" ~count:50
       params (fun (n, seed) ->
         let prng = Prng.create ~seed in
         let g = Cc_graph.Gen.random_connected prng ~n ~extra_edges:3 in
         let w = Walk.walk g prng ~start:0 ~len:(4 * n) in
-        List.length (Walk.first_visit_edges w) = Walk.distinct_count w - 1);
+        List.length (Reference.first_visit_edges w) = Shared.distinct_count w - 1);
   ]
 
 let () =
@@ -667,7 +671,6 @@ let () =
           Alcotest.test_case "cover time refuses disconnected" `Quick
             test_cover_time_refuses_disconnected;
           Alcotest.test_case "time to distinct" `Quick test_time_to_distinct;
-          Alcotest.test_case "stationary" `Quick test_stationary_distribution;
           Alcotest.test_case "endpoint law" `Slow test_endpoint_distribution_matches_empirical;
         ] );
       ( "tree_samplers",
