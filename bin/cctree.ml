@@ -392,17 +392,17 @@ let require_neighbours g v =
 (* SCHUR(G, S) is defined only when every component of G meets S: search
    from S and require every vertex found. *)
 let require_meets_every_component g ~in_s =
-  let seen = Array.copy in_s in
-  let rec visit u =
+  let seen = Array.copy in_s and queue = Queue.create () in
+  Array.iteri (fun u s -> if s then Queue.add u queue) in_s;
+  while not (Queue.is_empty queue) do
     Array.iter
       (fun (v, _) ->
         if not seen.(v) then begin
           seen.(v) <- true;
-          visit v
+          Queue.add v queue
         end)
-      (Graph.neighbors g u)
-  in
-  Array.iteri (fun u s -> if s then visit u) in_s;
+      (Graph.neighbors g (Queue.pop queue))
+  done;
   if not (Array.for_all Fun.id seen) then
     fail_usage "--subset: a component of the graph has no vertex in S"
 

@@ -57,7 +57,7 @@ let schur_weights g ~s ~in_s =
    [Graph.transition_matrix] makes an isolated vertex's row. The first
    S-visit after time 0 has law (W_SS + W_SU Y)/d(s.(i)), and the degree
    cancels. *)
-let normalize_rows wm =
+let walk_of_weights wm =
   let k = Mat.rows wm and td = Mat.data wm in
   for i = 0 to k - 1 do
     let row = i * k in
@@ -82,7 +82,7 @@ let transition_exact g ~s =
   @@ fun () ->
   match schur_weights g ~s ~in_s with
   | _, _, wm ->
-      normalize_rows wm;
+      walk_of_weights wm;
       wm
   | exception Failure _ ->
       invalid_arg "Schur.transition_exact: a component of G has no vertex in S"
@@ -130,7 +130,7 @@ let phase_exact g ~s =
   let u_of, y, transition = schur_weights g ~s ~in_s in
   let ws = Array.init n (Shortcut.s_weight g ~in_s) in
   let q_rows = Shortcut.rows_of_s g ~s ~ws ~u_of y in
-  normalize_rows transition;
+  walk_of_weights transition;
   { q_rows; transition }
 
 let approx ?bits g ~s ~k =
