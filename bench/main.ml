@@ -90,7 +90,7 @@ let e1 () =
         (fun tau ->
           let net = Net.create ~n in
           Report.subscribe_profile ~id:"E1" net;
-          let r = Doubling.run net prng g ~tau ~scheme:(Doubling.default_scheme ~n) in
+          let r = Doubling.run net prng g ~tau ~scheme:Doubling.Load_balanced in
           let log_n = Float.log2 (float_of_int n) in
           let log_tau = Float.max 1.0 (Float.log2 (float_of_int tau)) in
           let low_regime = float_of_int tau < float_of_int n /. log_n in
@@ -146,7 +146,7 @@ let e2 () =
     let prng = Prng.create ~seed in
     (Doubling.run net prng g ~tau ~scheme).Doubling.max_tuples_received
   in
-  let lb = run (Doubling.default_scheme ~n) 2 in
+  let lb = run Doubling.Load_balanced 2 in
   let ub = run Doubling.Unbalanced 2 in
   let rec pow2 e = if e = 0 then 1 else 2 * pow2 (e - 1) in
   let iterations = Array.length lb in
@@ -748,9 +748,7 @@ let f2 () =
           Net.with_faults (Fault.create (Fault.spec ~drop_prob ~seed:7 ())) net
         else net
       in
-      let r =
-        Doubling.run net prng g ~tau ~scheme:(Doubling.default_scheme ~n)
-      in
+      let r = Doubling.run net prng g ~tau ~scheme:Doubling.Load_balanced in
       let total = Net.rounds net in
       let overhead = Net.overhead_rounds net in
       Report.record ~id:"F2"
@@ -1028,7 +1026,7 @@ let a3 () =
     [
       ("default (exact-solve Schur)", Sampler.default_config);
       ("magical matching", { Sampler.default_config with matching = Phase_walk.Magical });
-      ("powering Schur", { Sampler.default_config with schur = Sampler.Powering { k = None } });
+      ("powering Schur", { Sampler.default_config with schur = Sampler.Powering });
       ("40-bit fixed point", { Sampler.default_config with bits = Some 40 });
       ("non-lazy walk", { Sampler.default_config with lazy_walk = false });
       ("alpha = 1/3",
@@ -1718,8 +1716,7 @@ let microbench () =
         (Staged.stage (fun () ->
              let net = Net.create ~n:32 in
              ignore
-               (Doubling.run net prng er32 ~tau:256
-                  ~scheme:(Doubling.default_scheme ~n:32))));
+               (Doubling.run net prng er32 ~tau:256 ~scheme:Doubling.Load_balanced)));
       Test.make ~name:"schur-exact-er-32"
         (Staged.stage (fun () ->
              ignore (Schur.transition_exact er32 ~s:(Array.init 16 (fun i -> 2 * i)))));

@@ -30,7 +30,8 @@
    Exit codes: 0 ok; 1 diff found a regression (unless --warn-only),
    trace --budget saw a span's share exceeded, audit saw a statistical
    breach, or replay found a divergence or a failed validation;
-   2 unreadable or malformed input. *)
+   2 unreadable or malformed input, or a diff --threshold that is not a
+   finite fraction >= 0. *)
 
 module Json = Cc_obs.Json
 module Benchdata = Cc_obs.Benchdata
@@ -203,6 +204,12 @@ let diff_cmd =
     Arg.(value & flag & info [ "warn-only" ] ~doc)
   in
   let run old_file new_file threshold warn_only =
+    (* A NaN threshold passes every change, and a negative one flags each
+       change as both a regression and an improvement. *)
+    if not (Float.is_finite threshold && threshold >= 0.0) then begin
+      prerr_endline "ccprof: --threshold must be a finite fraction >= 0";
+      exit exit_bad_input
+    end;
     let baseline = load Benchdata.of_string old_file
     and current = load Benchdata.of_string new_file in
     let d = Benchdata.diff ~threshold ~baseline current in

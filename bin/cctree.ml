@@ -138,6 +138,7 @@ let faults_t =
       & info [ "max-retries" ] ~doc)
   in
   let combine drop_prob corrupt_prob straggle_prob crashes seed max_retries =
+    if max_retries < 0 then fail_usage "--max-retries must be >= 0";
     Fault.spec ~drop_prob ~corrupt_prob ~straggle_prob ~max_retries ~crashes
       ~seed ()
   in
@@ -627,7 +628,18 @@ let sample_cmd =
        stream itself. *)
     let plan = Methods.prepare ~config meth g in
     for t = 1 to k do
-      let d = plan t net (if split then Prng.split prng else prng) in
+      let d =
+        try plan t net (if split then Prng.split prng else prng)
+        with
+        (* At too few --bits all of a walk law's truncated probabilities
+           can round to zero, which Phase_walk detects and says. *)
+        | Failure m
+          when bits <> None
+               && String.starts_with ~prefix:"Phase_walk: truncated" m ->
+          fail_usage
+            (Printf.sprintf "--bits %d is too few for this graph: %s"
+               (Option.get bits) m)
+      in
       print_string d.Methods.header;
       Option.iter
         (fun h ->
@@ -660,17 +672,18 @@ let doubling_cmd =
     Arg.(value & opt int 0 & info [ "tau" ] ~doc:"Walk length (0 = sample a tree instead).")
   in
   let run seed family size file tau fault_spec obs =
+    if tau < 0 then fail_usage "--tau must be >= 0";
     let prng = Prng.create ~seed in
     let g = load_graph ~family ~size ~file ~prng () in
     let n = Graph.n g in
-    if tau <= 0 then require_connected g
+    if tau = 0 then require_connected g
     else for v = 0 to n - 1 do require_neighbours g v done;
     let faults = injector fault_spec in
     let net = arm_faults faults (Net.create ~n) in
     let unrecoverable = ref false in
     with_obs obs net (fun () ->
     if tau > 0 then begin
-      let r = Doubling.run net prng g ~tau ~scheme:(Doubling.default_scheme ~n) in
+      let r = Doubling.run net prng g ~tau ~scheme:Doubling.Load_balanced in
       Printf.printf "# %d iterations, %.0f rounds; walk from vertex 0:\n"
         r.Doubling.iterations r.Doubling.rounds;
       if faults <> None then
@@ -704,9 +717,10 @@ let walk_cmd =
   let trials_t = Arg.(value & opt int 20 & info [ "trials" ] ~doc:"Cover-time trials.") in
   let run seed family size file len trials =
     if trials < 1 then fail_usage "--trials must be >= 1";
+    if len < 0 then fail_usage "--len must be >= 0";
     let prng = Prng.create ~seed in
     let g = load_graph ~family ~size ~file ~prng () in
-    if len <= 0 then require_connected g else require_neighbours g 0;
+    if len = 0 then require_connected g else require_neighbours g 0;
     if len > 0 then begin
       let w = Cc_walks.Walk.walk g prng ~start:0 ~len in
       Array.iter (fun v -> Printf.printf "%d " v) w;

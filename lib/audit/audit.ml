@@ -15,6 +15,14 @@ let bridge_eps = 1e-9
 let ess_info_lo = 0.01
 let ess_info_hi = 0.99
 
+(* The sample size below which the asymptotic gates abstain. *)
+let min_trials = 32
+
+(* The exact tree distribution is enumerated for n <= [small_limit] when
+   the graph has at most [small_support] spanning trees. *)
+let small_limit = 8
+let small_support = 20_000
+
 type edge_stat = {
   u : int;
   v : int;
@@ -59,7 +67,6 @@ type t = {
   n : int;
   m : int;
   alpha : float;
-  min_trials : int;
   edge_u : int array;
   edge_v : int array;
   leverage : float array;
@@ -125,8 +132,7 @@ let features_of ~n tree =
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 
-let create ?(alpha = 1e-3) ?(min_trials = 32) ?(small_limit = 8)
-    ?(small_support = 20_000) g =
+let create ?(alpha = 1e-3) g =
   if not (alpha > 0.0 && alpha < 1.0) then
     invalid_arg "Audit.create: alpha must lie in (0, 1)";
   if not (Graph.is_connected g) then
@@ -182,7 +188,6 @@ let create ?(alpha = 1e-3) ?(min_trials = 32) ?(small_limit = 8)
     n;
     m;
     alpha;
-    min_trials;
     edge_u;
     edge_v;
     leverage;
@@ -315,7 +320,7 @@ let chi2_upper ~df ~alpha =
   df +. (2.0 *. Float.sqrt (df *. x)) +. (2.0 *. x)
 
 let verdict t =
-  let asymptotic_ready = t.trials >= t.min_trials in
+  let asymptotic_ready = t.trials >= min_trials in
   let nb = nonbridge_count t in
   let bridges = t.m - nb in
   let gates = ref [] in
@@ -491,7 +496,7 @@ let to_jsonl t =
          ("n", Json.Int t.n);
          ("m", Json.Int t.m);
          ("alpha", Json.Float t.alpha);
-         ("min_trials", Json.Int t.min_trials);
+         ("min_trials", Json.Int min_trials);
          ("trials", Json.Int t.trials);
          ("invalid", Json.Int t.invalid);
          ("ess", Json.float_opt (ess t));

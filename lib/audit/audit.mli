@@ -20,7 +20,7 @@
       slowly-mixing chains);
     - running TV/KL estimates between the empirical edge-marginal vector and
       the oracle, via {!Cc_util.Dist};
-    - on small instances (n ≤ [small_limit] and an enumerable tree support),
+    - on small instances (n ≤ 8 and at most 20,000 spanning trees),
       the full empirical distribution over spanning trees against the exact
       Matrix–Tree one: TV, KL, and a chi-square gate over the enumerated
       support.
@@ -35,29 +35,18 @@ type t
 
 (** {1 Construction} *)
 
-(** [create g] precomputes the leverage-score oracle
+(** [create ?alpha g] precomputes the leverage-score oracle
     ({!Cc_graph.Graph.edge_resistances}: every edge's resistance read from
     one inverse of the Laplacian grounded at vertex n - 1) and, when
-    [n <= small_limit] and the spanning-tree count is at most
-    [small_support], the enumerated support and exact tree distribution.
-
-    - [alpha] is the false-positive budget shared by every gate
-      (default [1e-3]);
-    - [min_trials] is the sample size below which the asymptotic gates
-      abstain rather than fire (default [32]);
-    - [small_limit] bounds the vertex count for exact-distribution checking
-      (default [8]);
-    - [small_support] bounds the enumerated support size (default [20_000]).
+    n <= 8 and the spanning-tree count is at most 20,000, the enumerated
+    support and exact tree distribution. [alpha] is the false-positive
+    budget shared by every gate (default [1e-3]). The asymptotic gates
+    (["bonferroni-z"], ["chi2-edges"] and ["small-chi2"]) abstain below
+    32 trees.
 
     @raise Invalid_argument if [g] is disconnected or [alpha] is outside
     (0, 1). *)
-val create :
-  ?alpha:float ->
-  ?min_trials:int ->
-  ?small_limit:int ->
-  ?small_support:int ->
-  Cc_graph.Graph.t ->
-  t
+val create : ?alpha:float -> Cc_graph.Graph.t -> t
 
 (** {1 Accumulation} *)
 

@@ -2,13 +2,13 @@ module Mat = Cc_linalg.Mat
 module Fixed = Cc_linalg.Fixed
 
 type backend =
-  | Charged of { alpha : float; coeff : float }
+  | Charged of { alpha : float }
   | Routed_broadcast
   | Routed_semiring
 
 let default_alpha = 0.158
 
-let charged ?(alpha = default_alpha) ?(coeff = 1.0) () = Charged { alpha; coeff }
+let charged ?(alpha = default_alpha) () = Charged { alpha }
 
 let backend_name = function
   | Charged _ -> "charged"
@@ -23,8 +23,7 @@ let mul_cost net backend ~dim =
      the clique's native n x n cost. *)
   let blocks = Float.max 1.0 ((df /. nf) ** 2.0) in
   match backend with
-  | Charged { alpha; coeff } ->
-      Float.max 1.0 (coeff *. blocks *. (nf ** alpha) *. ew)
+  | Charged { alpha } -> Float.max 1.0 (blocks *. (nf ** alpha) *. ew)
   | Routed_broadcast -> blocks *. nf *. ew
   | Routed_semiring ->
       (* Each machine receives two n^(2/3) x n^(2/3) blocks and emits

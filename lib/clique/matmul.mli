@@ -5,7 +5,7 @@
     product. Two cost backends:
 
     - [Charged]: the product is computed locally and
-      [coeff * n^alpha * entry_words] rounds are booked — the paper's
+      [n^alpha * entry_words] rounds are booked — the paper's
       accounting, with alpha = 0.158 by default (their Theorem for semiring-
       free matrix exponent in the clique). This is the backend the
       sublinear-sampler benches use.
@@ -30,7 +30,7 @@
     and every draw books them. *)
 
 type backend =
-  | Charged of { alpha : float; coeff : float }
+  | Charged of { alpha : float }
   | Routed_broadcast
   | Routed_semiring
       (** the semiring algorithm of Censor-Hillel et al. [14]: machines are
@@ -45,8 +45,8 @@ type backend =
     [1 - 2/omega] with omega ~ 2.372: 0.158. *)
 val default_alpha : float
 
-(** [charged ()] is [Charged { alpha = default_alpha; coeff = 1.0 }]. *)
-val charged : ?alpha:float -> ?coeff:float -> unit -> backend
+(** [charged ()] is [Charged { alpha = default_alpha }]. *)
+val charged : ?alpha:float -> unit -> backend
 
 (** [backend_name b] is a short stable name (["charged"],
     ["routed-broadcast"], ["routed-semiring"]) for traces and reports. *)

@@ -6,7 +6,6 @@ type t = {
   dist : int array; (* BFS depth of each vertex *)
   depth : int;
   mutable total_rounds : float;
-  by_label : (string, float) Hashtbl.t;
 }
 
 let create g =
@@ -29,26 +28,16 @@ let create g =
       (Graph.neighbors g u)
   done;
   let depth = Array.fold_left max 0 dist in
-  {
-    graph = g;
-    parent;
-    dist;
-    depth;
-    total_rounds = 0.0;
-    by_label = Hashtbl.create 16;
-  }
+  { graph = g; parent; dist; depth; total_rounds = 0.0 }
 
 let graph t = t.graph
 let rounds t = t.total_rounds
 
-let book t ~label r =
-  t.total_rounds <- t.total_rounds +. r;
-  Hashtbl.replace t.by_label label
-    (r +. Option.value ~default:0.0 (Hashtbl.find_opt t.by_label label))
+let book t r = t.total_rounds <- t.total_rounds +. r
 
 type packet = { src : int; dst : int; words : int }
 
-let exchange t ~label packets =
+let exchange t packets =
   let load = Hashtbl.create 64 in
   List.iter
     (fun { src; dst; words } ->
@@ -61,11 +50,11 @@ let exchange t ~label packets =
       end)
     packets;
   let max_load = Hashtbl.fold (fun _ w acc -> max w acc) load 0 in
-  if max_load > 0 then book t ~label (Float.of_int max_load)
+  if max_load > 0 then book t (Float.of_int max_load)
 
 let depth t = t.depth
 
-let token_route t ~label ~src ~dst ~words =
+let token_route t ~src ~dst ~words =
   if src < 0 || src >= Graph.n t.graph || dst < 0 || dst >= Graph.n t.graph then
     invalid_arg "Cnet.token_route: bad endpoint";
   if words < 0 then invalid_arg "Cnet.token_route: negative payload";
@@ -75,14 +64,10 @@ let token_route t ~label ~src ~dst ~words =
        bound on the shortest path, and every hop carries [words] words. *)
     let hops = t.dist.(src) + t.dist.(dst) in
     let r = Float.of_int (hops * words) in
-    book t ~label r;
+    book t r;
     r
   end
 
-let charge t ~label r =
+let charge t r =
   if r < 0.0 then invalid_arg "Cnet.charge: negative rounds";
-  book t ~label r
-
-let ledger t =
-  Hashtbl.fold (fun label r acc -> (label, r) :: acc) t.by_label []
-  |> List.sort (fun (_, a) (_, b) -> compare b a)
+  book t r

@@ -20,24 +20,21 @@ val rounds : t -> float
 
 type packet = { src : int; dst : int; words : int }
 
-(** [exchange t ~label packets] delivers packets between {e adjacent}
+(** [exchange t packets] delivers packets between {e adjacent}
     vertices; rounds = max over directed edges of the words crossing it.
     @raise Invalid_argument if some packet's endpoints are not adjacent. *)
-val exchange : t -> label:string -> packet list -> unit
+val exchange : t -> packet list -> unit
 
 (** [depth t] is the BFS depth from vertex 0 — the diameter proxy D used by
     tree-routing costs. *)
 val depth : t -> int
 
-(** [token_route t ~label ~src ~dst ~words] moves a [words]-word token
+(** [token_route t ~src ~dst ~words] moves a [words]-word token
     between two arbitrary vertices by routing over the BFS tree:
     charges [words * (dist to root + dist from root)] upper-bounded rounds
     (<= 2 * depth * words). Returns the charged rounds. *)
-val token_route : t -> label:string -> src:int -> dst:int -> words:int -> float
+val token_route : t -> src:int -> dst:int -> words:int -> float
 
-(** [charge t ~label rounds] books analytic rounds (e.g. the flooding cost
+(** [charge t rounds] books analytic rounds (e.g. the flooding cost
     of the initial BFS construction, = depth). *)
-val charge : t -> label:string -> float -> unit
-
-(** [ledger t] is the per-label round breakdown, descending. *)
-val ledger : t -> (string * float) list
+val charge : t -> float -> unit

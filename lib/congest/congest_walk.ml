@@ -36,8 +36,7 @@ let step_by_step net prng =
   let current = ref 0 and steps = ref 0 in
   while st.remaining > 0 do
     let next = Walk.step g prng !current in
-    Cnet.exchange net ~label:"token step"
-      [ { Cnet.src = !current; dst = next; words = 1 } ];
+    Cnet.exchange net [ { Cnet.src = !current; dst = next; words = 1 } ];
     consume_step st ~from:!current ~to_:next;
     current := next;
     incr steps
@@ -77,7 +76,7 @@ let build_short_walks net prng ~lambda ~eta =
           per_vertex)
       walks;
     let worst = Hashtbl.fold (fun _ c acc -> max c acc) congestion 0 in
-    Cnet.charge net ~label:"short-walk phase" (Float.of_int worst)
+    Cnet.charge net (Float.of_int worst)
   done;
   (* Stacks of unused walks per vertex, oldest first; trails are reversed. *)
   Array.map
@@ -107,8 +106,7 @@ let das_sarma net prng ~lambda ~eta =
     if Stack.is_empty !stock.(!current) then begin
       (* Fallback: one token step, one round. *)
       let next = Walk.step g prng !current in
-      Cnet.exchange net ~label:"token step"
-        [ { Cnet.src = !current; dst = next; words = 1 } ];
+      Cnet.exchange net [ { Cnet.src = !current; dst = next; words = 1 } ];
       consume_step st ~from:!current ~to_:next;
       current := next;
       incr steps
@@ -122,8 +120,7 @@ let das_sarma net prng ~lambda ~eta =
       steps := !steps + Array.length trail - 1;
       incr stitches;
       let endpoint = trail.(Array.length trail - 1) in
-      ignore
-        (Cnet.token_route net ~label:"stitch" ~src:!current ~dst:endpoint ~words:1);
+      ignore (Cnet.token_route net ~src:!current ~dst:endpoint ~words:1);
       current := endpoint
     end
   done;

@@ -6,7 +6,7 @@ module Schur = Cc_schur.Schur
 module Shortcut = Cc_schur.Shortcut
 module Topdown = Cc_walks.Topdown
 
-type schur_mode = Exact_solve | Powering of { k : int option }
+type schur_mode = Exact_solve | Powering
 
 (* Later-phase vertex sets are seed-dependent, so the memo is bounded by
    the words its entries hold, never by their number. *)
@@ -34,21 +34,13 @@ type t = {
   memo : memo;
 }
 
-let create ?rho ?target_len ?bits ?(schur = Exact_solve) ~lazy_walk g =
+let create ?bits ?(schur = Exact_solve) ~lazy_walk g =
   let n = Graph.n g in
-  let rho =
-    match rho with
-    | Some r -> max 2 (min r n)
-    | None -> max 2 (int_of_float (Float.ceil (sqrt (Float.of_int n))))
-  in
-  let len =
-    match target_len with
-    | Some l -> l
-    | None ->
-        let lg = max 1 (int_of_float (Float.ceil (Float.log2 (Float.of_int n)))) in
-        n * n * n * lg
-  in
-  let levels = Topdown.levels_for ~len:(max 2 len) in
+  (* Theorem 2's ceil(sqrt n) distinct vertices per phase, and Section
+     3.1's Theta(n^3 log n) target length, rounded up to a power of two. *)
+  let rho = max 2 (int_of_float (Float.ceil (sqrt (Float.of_int n)))) in
+  let lg = max 1 (int_of_float (Float.ceil (Float.log2 (Float.of_int n)))) in
+  let levels = Topdown.levels_for ~len:(max 2 (n * n * n * lg)) in
   let trans1 = Graph.transition_matrix g in
   (* Lazy mixing (I + P) / 2 kills the periodicity of bipartite (sub)graphs
      so that coarse-level truncation can fire; self-loop steps never produce
@@ -77,11 +69,8 @@ let create ?rho ?target_len ?bits ?(schur = Exact_solve) ~lazy_walk g =
   }
 
 let schur_k t =
-  match t.memo.schur with
-  | Powering { k = Some k } -> k
-  | Exact_solve | Powering { k = None } ->
-      let n = Graph.n t.graph in
-      1 lsl Topdown.levels_for ~len:(16 * n * n * n)
+  let n = Graph.n t.graph in
+  1 lsl Topdown.levels_for ~len:(16 * n * n * n)
 
 type stats = { draws : int; hits : int; misses : int; words : int }
 
@@ -114,7 +103,7 @@ let compute t ~s ~in_s =
   let { Schur.q_rows; transition } =
     match m.schur with
     | Exact_solve -> Schur.phase_exact g ~s
-    | Powering _ ->
+    | Powering ->
         let q = Shortcut.approx ?bits:m.bits g ~in_s ~k:(schur_k t) in
         {
           q_rows =

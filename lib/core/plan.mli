@@ -5,10 +5,10 @@
     every later phase walks on SCHUR(G, S) for S = {current} ∪ unvisited
     and recovers the G-entry edge of each newly visited vertex through
     Shortcut(G, S) by Algorithm 4. They differ only in how a phase's walk is
-    filled. A plan holds what depends on the graph alone: the resolved rho,
-    target length and levels, the power table of the (lazy-mixed) phase-1
-    transition, and a memo of later phases' state keyed by S. Every power
-    table a phase walks on is computed here, by
+    filled. A plan holds what depends on the graph alone: rho, the target
+    length and levels resolved against n, the power table of the
+    (lazy-mixed) phase-1 transition, and a memo of later phases' state
+    keyed by S. Every power table a phase walks on is computed here, by
     {!Cc_clique.Matmul.power_table_pure}; the CC sampler books it on every
     draw.
 
@@ -29,7 +29,7 @@
     thread-safe. *)
 
 (** Re-exported, with its documentation, as {!Sampler.schur_mode}. *)
-type schur_mode = Exact_solve | Powering of { k : int option }
+type schur_mode = Exact_solve | Powering
 
 (** The per-S memo, the settings its entries are computed with, and the
     plan's counters. *)
@@ -37,32 +37,28 @@ type memo
 
 type t = private {
   graph : Cc_graph.Graph.t;
-  rho : int;  (** distinct vertices per phase: ceil(sqrt n) unless set *)
+  rho : int;  (** distinct vertices per phase: max 2 (ceil (sqrt n)) *)
   target_len : int;
-      (** per-phase walk length, a power of two: next_pow2(n^3 log2 n)
-          unless set *)
+      (** per-phase walk length: next_pow2(n^3 · max 1 (ceil (log2 n))) *)
   powers1 : Cc_linalg.Mat.t array;
       (** the power table of phase 1's transition, lazy-mixed if asked,
           computed purely *)
   memo : memo;
 }
 
-(** [create ?rho ?target_len ?bits ?schur ~lazy_walk g] resolves the
-    settings against n and computes the phase-1 state; [bits] rounds every
-    power table (Section 3.5), and [schur] (default [Exact_solve]) picks how
-    a miss computes a later phase's state. The caller checks that [g] is
+(** [create ?bits ?schur ~lazy_walk g] resolves rho and the target length
+    against n and computes the phase-1 state; [bits] rounds every power
+    table (Section 3.5), and [schur] (default [Exact_solve]) picks how a
+    miss computes a later phase's state. The caller checks that [g] is
     connected. *)
 val create :
-  ?rho:int ->
-  ?target_len:int ->
   ?bits:int ->
   ?schur:schur_mode ->
   lazy_walk:bool ->
   Cc_graph.Graph.t ->
   t
 
-(** [schur_k t] is the powering depth k: the one [Powering] names, else the
-    power of two at least 16·n³. *)
+(** [schur_k t] is the powering depth k, the power of two at least 16·n³. *)
 val schur_k : t -> int
 
 type stats = {

@@ -8,16 +8,13 @@ let log_src = Logs.Src.create "cc.sampler" ~doc:"phase driver"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-type schur_mode = Plan.schur_mode = Exact_solve | Powering of { k : int option }
+type schur_mode = Plan.schur_mode = Exact_solve | Powering
 
 type config = {
   backend : Matmul.backend;
   bits : int option;
-  rho : int option;
-  target_len : int option;
   schur : schur_mode;
   matching : Phase_walk.matching_mode;
-  max_phases : int;
   lazy_walk : bool;
 }
 
@@ -25,11 +22,8 @@ let default_config =
   {
     backend = Matmul.charged ();
     bits = None;
-    rho = None;
-    target_len = None;
     schur = Exact_solve;
     matching = Phase_walk.Resample;
-    max_phases = 0 (* resolved against n at sample time *);
     lazy_walk = true;
   }
 
@@ -64,6 +58,9 @@ type plan = {
   state : Plan.t;
   config : config;
   max_phases : int;
+      (* Bounds the phase loop, which ends only with probability 1: at the
+         Theta(n^3 log n) target length a phase reaches its rho distinct
+         vertices with high probability, so passing the bound is a defect. *)
 }
 
 let prepare ?(config = default_config) g =
@@ -80,12 +77,10 @@ let prepare ?(config = default_config) g =
   @@ fun () ->
   {
     state =
-      Plan.create ?rho:config.rho ?target_len:config.target_len
-        ?bits:config.bits ~schur:config.schur ~lazy_walk:config.lazy_walk g;
+      Plan.create ?bits:config.bits ~schur:config.schur
+        ~lazy_walk:config.lazy_walk g;
     config;
-    max_phases =
-      (if config.max_phases > 0 then config.max_phases
-       else 64 * (1 + int_of_float (sqrt (Float.of_int n))));
+    max_phases = 64 * (1 + int_of_float (sqrt (Float.of_int n)));
   }
 
 let plan_state plan = plan.state
@@ -109,7 +104,7 @@ let draw plan net prng =
         ( "schur",
           match config.schur with
           | Exact_solve -> "exact-solve"
-          | Powering _ -> "powering" );
+          | Powering -> "powering" );
         ( "matching",
           match config.matching with
           | Phase_walk.Resample -> "resample"
@@ -221,15 +216,14 @@ let draw plan net prng =
     Log.debug (fun m ->
         m "phase %d: %d unvisited, walk at vertex %d" !phases !remaining !current);
     if !phases > plan.max_phases then
-      failwith "Sampler.sample: max_phases exceeded (target_len too small?)";
+      failwith "Sampler.sample: max_phases exceeded";
     if !phases = 1 then begin
       (* Phase 1: walk on G itself; first-visit edges read off directly.
-         When fewer than rho vertices exist, truncate at full coverage
-         instead (the walk past cover time adds no first-visit edges). The
-         power table comes from the plan; Phase_walk books it. *)
+         rho = max 2 (ceil (sqrt n)) never exceeds n. The power table comes
+         from the plan; Phase_walk books it. *)
       let walk, _ =
         Phase_walk.run net prng ~backend:config.backend ~powers:st.powers1
-          ~machine_of:Fun.id ~start:0 ~rho:(min rho n) ~target_len
+          ~machine_of:Fun.id ~start:0 ~rho ~target_len
           ~matching:config.matching
       in
       walk_total := !walk_total + Array.length walk - 1;
@@ -331,9 +325,7 @@ let draw plan net prng =
        still an exact sample; only the round complexity is lost. *)
     Log.warn (fun m -> m "degrading to sequential sampler: %a" Fault.pp_health
         (Fault.Unrecoverable failure));
-    let seq = Sequential.sample ?rho:config.rho ?target_len:config.target_len
-        ~lazy_walk:config.lazy_walk g prng
-    in
+    let seq = Sequential.sample ~lazy_walk:config.lazy_walk g prng in
     Net.charge_overhead net ~label:"sequential fallback:retry" (Float.of_int n);
     {
       tree = seq.Sequential.tree;

@@ -22,23 +22,18 @@ type schur_mode = Plan.schur_mode =
       (** compute SCHUR/SHORTCUT by exact linear algebra; rounds are still
           charged as the paper's powering pipeline (the solve is a simulator
           shortcut, not a different distributed algorithm). *)
-  | Powering of { k : int option }
+  | Powering
       (** the paper's route (Corollaries 3-4): k-step powering of the
-          absorbing chain; [None] picks the O(n^3 log)-scale default. *)
+          absorbing chain, k = {!Plan.schur_k}, the power of two at least
+          16·n³. *)
 
 type config = {
   backend : Cc_clique.Matmul.backend;
   bits : int option;
       (** fixed-point fractional bits for every matrix pipeline (Section 3.5);
           [None] = IEEE double ("exact") arithmetic. *)
-  rho : int option;  (** distinct-vertex budget per phase; default ceil(sqrt n). *)
-  target_len : int option;
-      (** per-phase target walk length l; default next_pow2(n^3 log2 n),
-          the Theta(n^3 log c_2) of Section 3.1. Smaller values trade more
-          phases for less materialized walk. *)
   schur : schur_mode;
   matching : Phase_walk.matching_mode;
-  max_phases : int;  (** safety bound; exceeded only if target_len is tiny. *)
   lazy_walk : bool;
       (** run each phase on the lazy chain (I+P)/2. Default true: on
           bipartite (sub)graphs the plain chain is periodic, so entries at
@@ -53,7 +48,13 @@ type config = {
 }
 
 (** [default_config]: Charged matmul at alpha 0.158, exact arithmetic,
-    Exact_solve Schur, Resample matching, max_phases = 64 * sqrt n. *)
+    Exact_solve Schur, Resample matching, the lazy walk.
+
+    Every config shares the paper's phase parameters, resolved against n
+    by {!Plan.create}: rho = max 2 (ceil (sqrt n)) distinct vertices per
+    phase, and a per-phase target length of
+    next_pow2(n^3 · max 1 (ceil (log2 n))), the Theta(n^3 log n) of
+    Section 3.1. *)
 val default_config : config
 
 type result = {
@@ -121,8 +122,10 @@ val plan_stats : plan -> int * int * int
     sequential baseline with [health = Unrecoverable] — no exception
     escapes for injected faults.
     @raise Invalid_argument on disconnected input or clique size mismatch.
-    @raise Failure if [max_phases] is exhausted (a configuration error, not
-    an injected fault). *)
+    @raise Failure if the phase loop passes its bound of
+    64·(1 + floor (sqrt n)) phases, which only a defect does: the loop ends
+    with probability 1, and at the paper's target length in about sqrt n
+    phases with high probability. *)
 val sample :
   ?config:config ->
   Cc_clique.Net.t ->

@@ -9,10 +9,10 @@ type result = { tree : Tree.t; phases : int; walk_total : int }
    caller except in time, and the prng stream is untouched by caching. *)
 type plan = Plan.t
 
-let prepare ?rho ?target_len ?(lazy_walk = true) g =
+let prepare ?(lazy_walk = true) g =
   if not (Graph.is_connected g) then
     invalid_arg "Sequential.prepare: graph must be connected";
-  Plan.create ?rho ?target_len ~lazy_walk g
+  Plan.create ~lazy_walk g
 
 let draw (plan : plan) prng =
   let g = plan.graph and target_len = plan.target_len in
@@ -47,7 +47,7 @@ let draw (plan : plan) prng =
       claim_walk
         (fun prev _ -> prev)
         (Topdown.sample_truncated_matrix prng ~powers:plan.powers1 ~start:0
-           ~target_len ~rho:(min plan.rho n) ())
+           ~target_len ~rho:plan.rho)
     else begin
       let ph = Plan.phase plan ~visited ~current:!current in
       let entry prev v = fst (Plan.first_visit plan ph prng ~prev v) in
@@ -59,16 +59,16 @@ let draw (plan : plan) prng =
           (Array.map (fun i -> s.(i))
              (Topdown.sample_truncated_matrix prng
                 ~powers:(Lazy.force ph.powers) ~start:ph.start ~target_len
-                ~rho:(min plan.rho (Array.length s)) ()))
+                ~rho:(min plan.rho (Array.length s))))
     end
   done;
   let tree = Tree.of_edges ~n !tree_edges in
   assert (Tree.is_spanning_tree g tree);
   { tree; phases = !phases; walk_total = !walk_total }
 
-let sample ?rho ?target_len ?(lazy_walk = true) g prng =
+let sample ?(lazy_walk = true) g prng =
   if not (Graph.is_connected g) then
     invalid_arg "Sequential.sample: graph must be connected";
-  draw (prepare ?rho ?target_len ~lazy_walk g) prng
+  draw (prepare ~lazy_walk g) prng
 
 let sample_tree g prng = (sample g prng).tree

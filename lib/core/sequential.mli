@@ -34,25 +34,19 @@ type result = {
 type plan = Plan.t
 
 (** @raise Invalid_argument on disconnected input. *)
-val prepare :
-  ?rho:int -> ?target_len:int -> ?lazy_walk:bool -> Cc_graph.Graph.t -> plan
+val prepare : ?lazy_walk:bool -> Cc_graph.Graph.t -> plan
 
 val draw : plan -> Cc_util.Prng.t -> result
 
 (** {1 One-shot sampling} *)
 
-(** [sample ?rho ?target_len ?lazy_walk g prng] draws a spanning tree of the
-    connected graph [g], starting the underlying walk at vertex 0.
-    Defaults mirror {!Sampler.default_config}: rho = ceil(sqrt n),
-    target_len = next_pow2(n^3 log2 n), lazy_walk = true.
-    Equivalent to [draw (prepare ?rho ?target_len ?lazy_walk g) prng]. *)
-val sample :
-  ?rho:int ->
-  ?target_len:int ->
-  ?lazy_walk:bool ->
-  Cc_graph.Graph.t ->
-  Cc_util.Prng.t ->
-  result
+(** [sample ?lazy_walk g prng] draws a spanning tree of the connected
+    graph [g], starting the underlying walk at vertex 0, with
+    {!Sampler}'s phase parameters (rho and the target length of
+    {!Plan.create}); [lazy_walk] defaults to true, as in
+    {!Sampler.default_config}. Equivalent to
+    [draw (prepare ?lazy_walk g) prng]. *)
+val sample : ?lazy_walk:bool -> Cc_graph.Graph.t -> Cc_util.Prng.t -> result
 
 (** [sample_tree g prng] is [sample] discarding statistics. *)
 val sample_tree : Cc_graph.Graph.t -> Cc_util.Prng.t -> Cc_graph.Tree.t

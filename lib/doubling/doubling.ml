@@ -7,9 +7,7 @@ module Prng = Cc_util.Prng
 module Kwise_hash = Cc_util.Kwise_hash
 module Mat = Cc_linalg.Mat
 
-type scheme =
-  | Load_balanced of { independence : int }
-  | Unbalanced
+type scheme = Load_balanced | Unbalanced
 
 type result = {
   walks : int array array;
@@ -18,10 +16,6 @@ type result = {
   rounds : float;
   health : Fault.health;
 }
-
-let default_scheme ~n =
-  let log_n = max 1 (int_of_float (Float.ceil (Float.log2 (Float.of_int n)))) in
-  Load_balanced { independence = 8 * log_n }
 
 let lemma4_bound ~n ~k ~c =
   16.0 *. c *. Float.of_int k *. Float.log2 (Float.of_int n)
@@ -55,7 +49,7 @@ let max_reruns = 16
    or exhaustion of the re-run budget — degrades the run to the local
    step-by-step baseline behind [Fault.Unrecoverable]. *)
 let scheme_name = function
-  | Load_balanced _ -> "load-balanced"
+  | Load_balanced -> "load-balanced"
   | Unbalanced -> "unbalanced"
 
 let run_multi net prng g ~tau ~walks_per_node ~scheme =
@@ -194,7 +188,11 @@ let run_multi net prng g ~tau ~walks_per_node ~scheme =
     (* Step 1: machine 0 broadcasts the O(log^2 n)-bit hash seed. *)
     let route =
       match scheme with
-      | Load_balanced { independence } ->
+      | Load_balanced ->
+          (* Lemma 4's 8c log n-wise independence, at c = 1. *)
+          let independence =
+            8 * max 1 (int_of_float (Float.ceil (Float.log2 (Float.of_int n))))
+          in
           let seed_words = Net.words_for_bits net (independence * 31) in
           (match faults with
           | None ->
@@ -376,7 +374,6 @@ let sample_tree net prng g ~tau0 =
   if not (Graph.is_connected g) then
     invalid_arg "Doubling.sample_tree: graph must be connected";
   let n = Graph.n g in
-  let scheme = default_scheme ~n in
   (* Build the walk by stitching independent doubling runs; never resample a
      prefix, so the overall walk is an exact random walk and Aldous-Broder
      applies without conditioning bias. *)
@@ -397,7 +394,7 @@ let sample_tree net prng g ~tau0 =
   let current_end = ref 0 in
   let tau = ref tau0 and total = ref 0 in
   while !remaining > 0 do
-    let r = run net prng g ~tau:!tau ~scheme in
+    let r = run net prng g ~tau:!tau ~scheme:Load_balanced in
     let segment = r.walks.(!current_end) in
     consume segment;
     current_end := segment.(Array.length segment - 1);
@@ -410,7 +407,6 @@ let pagerank net prng g ~walks_per_node ~epsilon =
   if epsilon <= 0.0 || epsilon >= 1.0 then
     invalid_arg "Doubling.pagerank: epsilon out of range";
   let n = Graph.n g in
-  let scheme = default_scheme ~n in
   (* Walk length such that a Geometric(epsilon) stop exceeds it with
      probability <= 1/n^3. *)
   let len =
@@ -419,7 +415,7 @@ let pagerank net prng g ~walks_per_node ~epsilon =
          (Float.ceil (3.0 *. Float.log (Float.of_int n) /. epsilon)))
   in
   let walks, _, _, _, _ =
-    run_multi net prng g ~tau:len ~walks_per_node ~scheme
+    run_multi net prng g ~tau:len ~walks_per_node ~scheme:Load_balanced
   in
   let counts = Array.make n 0 in
   Array.iter

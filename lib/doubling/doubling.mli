@@ -43,8 +43,9 @@
     {!Cc_clique.Fault.Unrecoverable} — no exception ever escapes. *)
 
 type scheme =
-  | Load_balanced of { independence : int }
-      (** hash-family independence; the paper uses [8c log n]. *)
+  | Load_balanced
+      (** the hash family is [8c log n]-wise independent at c = 1:
+          [8 * max 1 (ceil (log2 n))]. *)
   | Unbalanced
 
 type result = {
@@ -72,10 +73,6 @@ val run :
   tau:int ->
   scheme:scheme ->
   result
-
-(** [default_scheme ~n] is [Load_balanced] with the paper's [8c log n]
-    independence at c = 1. *)
-val default_scheme : n:int -> scheme
 
 (** [lemma4_bound ~n ~k ~c] = [16 c k log2 n], the w.h.p. receiver-load bound
     of Lemma 4. *)

@@ -159,33 +159,6 @@ let edge_resistances g =
     g.edges;
   r
 
-(* FNV-1a 64 over the canonical serialization. [edges] is stored sorted with
-   [u < v], so two graphs built from permuted edge lists serialize — and hash
-   — identically, while any weight change (printed at full [%.17g] precision)
-   lands in the digest. Constants and loop match lib/obs's recorder chain,
-   which keeps its fold private (lib/graph does link cc_obs, through
-   cc_linalg). A plain [for] loop keeps the accumulator unboxed. *)
-let fnv_basis = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-
-let fnv64_string h s =
-  let h = ref h in
-  for i = 0 to String.length s - 1 do
-    h :=
-      Int64.mul
-        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
-        fnv_prime
-  done;
-  !h
-
-let fingerprint g =
-  let h = ref (fnv64_string fnv_basis (Printf.sprintf "n %d\n" g.n)) in
-  List.iter
-    (fun (u, v, w) ->
-      h := fnv64_string !h (Printf.sprintf "e %d %d %.17g\n" u v w))
-    g.edges;
-  Printf.sprintf "fnv64:%016Lx" !h
-
 let to_string g =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (Printf.sprintf "n %d\n" g.n);
@@ -193,6 +166,11 @@ let to_string g =
     (fun (u, v, w) -> Buffer.add_string buf (Printf.sprintf "e %d %d %.17g\n" u v w))
     g.edges;
   Buffer.contents buf
+
+(* [edges] is stored sorted with [u < v], so two graphs built from permuted
+   edge lists serialize — and hash — identically, while any weight change
+   (printed at full [%.17g] precision) lands in the digest. *)
+let fingerprint g = Cc_obs.Recorder.fnv64_hex (to_string g)
 
 let of_string s =
   let lines =

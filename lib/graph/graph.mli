@@ -83,10 +83,10 @@ val edge_resistances : t -> float array
 (** {1 Identity} *)
 
 (** [fingerprint g] is a canonical digest of the graph ("fnv64:<16 hex>"):
-    FNV-1a 64 over the vertex count and the sorted edge list with weights at
-    full precision. Edge-order permutations of the same graph fingerprint
-    identically; any weight or topology change does not. Keys the ccserve
-    plan cache. *)
+    {!Cc_obs.Recorder.fnv64_hex} of [to_string g], the vertex count and
+    the sorted edge list with weights at full precision. Edge-order
+    permutations of the same graph fingerprint identically; any weight or
+    topology change does not. Keys the ccserve plan cache. *)
 val fingerprint : t -> string
 
 (** {1 Serialization} *)

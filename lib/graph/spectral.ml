@@ -20,10 +20,11 @@ let dot a b =
 
 (* Power iteration on [m], deflating the given orthonormal directions; the
    Rayleigh quotient can be negative, so iterate on a shifted matrix
-   (m + 2I, eigenvalues in [1,3]) and shift back. *)
-let extreme_eigenvalue m ~deflate ~seed ~iters =
+   (m + 2I, eigenvalues in [1,3]) and shift back. The start vector is
+   drawn from a fixed seed, so the result is deterministic. *)
+let extreme_eigenvalue m ~deflate ~iters =
   let n = Mat.rows m in
-  let prng = Cc_util.Prng.create ~seed in
+  let prng = Cc_util.Prng.create ~seed:1 in
   let v = ref (normalize (Array.init n (fun _ -> Cc_util.Prng.float prng 2.0 -. 1.0))) in
   let project x =
     List.iter
@@ -44,11 +45,11 @@ let extreme_eigenvalue m ~deflate ~seed ~iters =
 let stationary_direction g =
   normalize (Array.init (Graph.n g) (fun i -> sqrt (Graph.weighted_degree g i)))
 
-let second_eigenvalue ?(iters = 10_000) ?(seed = 1) g =
+let second_eigenvalue ?(iters = 10_000) g =
   if not (Graph.is_connected g) then invalid_arg "Spectral: disconnected graph";
   let m = symmetrized g in
-  extreme_eigenvalue m ~deflate:[ stationary_direction g ] ~seed ~iters
+  extreme_eigenvalue m ~deflate:[ stationary_direction g ] ~iters
 
-let gap ?iters ?seed g =
-  let l2 = second_eigenvalue ?iters ?seed g in
+let gap ?iters g =
+  let l2 = second_eigenvalue ?iters g in
   (1.0 -. l2) /. 2.0

@@ -8,8 +8,10 @@
     bench E9+ to connect the measured cover times to spectra, and by tests
     on families with known eigenvalues. *)
 
-(** [gap ?iters ?seed g] is the {e lazy} spectral gap
+(** [gap ?iters g] is the {e lazy} spectral gap
     [(1 - lambda_2) / 2] — the gap of (I+P)/2, insensitive to
-    bipartiteness, matching the sampler's lazy default. *)
-val gap : ?iters:int -> ?seed:int -> Graph.t -> float
+    bipartiteness, matching the sampler's lazy default — after [iters]
+    (default 10,000) power iterations from a start vector drawn with
+    seed 1. *)
+val gap : ?iters:int -> Graph.t -> float
 

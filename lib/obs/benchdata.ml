@@ -231,7 +231,7 @@ type diff = {
   only_new : string list;
 }
 
-let diff ?(threshold = 0.10) ~baseline current =
+let diff ~threshold ~baseline current =
   let ratios doc =
     aggregate doc
     |> List.filter_map (fun a ->

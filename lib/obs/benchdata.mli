@@ -80,9 +80,9 @@ type diff = {
   only_new : string list;  (** experiments the old run lacked. *)
 }
 
-(** [diff ?threshold ~baseline current] compares per-experiment mean ratios
-    ([threshold] defaults to [0.10], i.e. a 10% relative worsening is a
-    regression). Experiments without a ratio on either side are ignored;
-    experiments present on only one side are reported but never count as
+(** [diff ~threshold ~baseline current] compares per-experiment mean ratios
+    ([threshold] 0.10 makes a 10% relative worsening a regression).
+    Experiments without a ratio on either side are ignored; experiments
+    present on only one side are reported but never count as
     regressions. *)
-val diff : ?threshold:float -> baseline:doc -> doc -> diff
+val diff : threshold:float -> baseline:doc -> doc -> diff

@@ -344,7 +344,9 @@ let add t r =
 let machines t = t.machines
 let records t = List.rev t.rev_records
 let total t = t.total
-let digest_hex t = Printf.sprintf "fnv64:%016Lx" t.digest
+let hex h = Printf.sprintf "fnv64:%016Lx" h
+let digest_hex t = hex t.digest
+let fnv64_hex s = hex (fnv64 fnv_basis s)
 
 (* --- JSONL export / reload --- *)
 
@@ -565,7 +567,7 @@ let diff ta tb =
 
 let intensity = [| '.'; ':'; '-'; '='; '+'; '*'; '#'; '%'; '@' |]
 
-let timeline ?(width = 64) t =
+let timeline ~width t =
   let width = max 8 width in
   let rs = records t in
   let span = List.fold_left (fun acc r -> Float.max acc r.round_end) 0.0 rs in

@@ -72,6 +72,11 @@ val total : t -> int
     Byte-identical event streams — and only those — agree on it. *)
 val digest_hex : t -> string
 
+(** [fnv64_hex s] is the FNV-1a 64-bit fold of [s]'s bytes from the
+    standard basis, the fold {!digest_hex} chains over a log's lines, in
+    the same ["fnv64:<16 hex digits>"] form. *)
+val fnv64_hex : string -> string
+
 (** {1 JSONL export / reload}
 
     The export is one JSON object per line: a header
@@ -115,8 +120,8 @@ type divergence = {
     records field by field in stream order ([None] when identical). *)
 val diff : t -> t -> divergence option
 
-(** [timeline ?width t] renders an ASCII per-round timeline: one lane per
+(** [timeline ~width t] renders an ASCII per-round timeline: one lane per
     label (first-appearance order), the run's round interval bucketed into
-    [width] (default 64) columns, cell intensity = the fraction of that
+    [width] columns (at least 8), cell intensity = the fraction of that
     bucket's rounds booked under the lane's label. *)
-val timeline : ?width:int -> t -> string
+val timeline : width:int -> t -> string

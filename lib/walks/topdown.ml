@@ -42,8 +42,10 @@ let fill_level_truncated prng powers w ~rho =
   let filled = fill_level prng powers w in
   { filled with verts = Walk.truncate_at_distinct filled.verts ~rho }
 
-let sample_truncated_matrix prng ~powers ~start ~target_len ~rho
-    ?(max_material = 4_000_000) () =
+(* The longest partial walk a level may hold before the next is filled. *)
+let max_material = 4_000_000
+
+let sample_truncated_matrix prng ~powers ~start ~target_len ~rho =
   if target_len <= 0 then
     invalid_arg "Topdown.sample_truncated_matrix: target_len <= 0";
   let levels = levels_for ~len:target_len in

@@ -24,15 +24,14 @@ val levels_for : len:int -> int
     rather than by a graph — the form later phases need (the phase graph is
     a Schur complement given as a matrix), and the form in which a prepared
     plan reuses one table across many draws.
-    @raise Invalid_argument if [target_len <= 0] or [powers] is too short. *)
+    @raise Invalid_argument if [target_len <= 0] or [powers] is too short.
+    @raise Failure if a partial walk grows past 4,000,000 vertices. *)
 val sample_truncated_matrix :
   Cc_util.Prng.t ->
   powers:Cc_linalg.Mat.t array ->
   start:int ->
   target_len:int ->
   rho:int ->
-  ?max_material:int ->
-  unit ->
   int array
 
 (** [midpoint_weights powers ~gap_exp ~a ~b] is the unnormalized Formula 1

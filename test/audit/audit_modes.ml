@@ -26,7 +26,7 @@ let () =
       let config =
         match mode with
         | "powering" ->
-            { Sampler.default_config with schur = Sampler.Powering { k = None } }
+            { Sampler.default_config with schur = Sampler.Powering }
         | "nonlazy" -> { Sampler.default_config with lazy_walk = false }
         | _ -> usage ()
       in

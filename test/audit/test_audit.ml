@@ -106,9 +106,31 @@ let test_small_distribution () =
   | Error e -> Alcotest.failf "reload: %s" e
 
 let test_small_skipped_on_large () =
-  (* n > small_limit: the exact-distribution layer must switch itself off. *)
-  let aud = Audit.create (Gen.cycle 12) in
-  Alcotest.(check bool) "no small state" true (Audit.small_tv aud = None)
+  (* The exact-distribution layer covers n <= 8 with at most 20,000
+     spanning trees: K7 has 16,807, K8 has 262,144, and cycle 9 has n > 8. *)
+  let small_gates g =
+    List.filter_map
+      (fun gt ->
+        if String.starts_with ~prefix:"small-" gt.Audit.gate then Some gt.Audit.gate
+        else None)
+      (Audit.verdict (Audit.create g)).Audit.gates
+  in
+  Alcotest.(check (list string)) "K7" [ "small-chi2"; "small-support" ]
+    (small_gates (Gen.complete 7));
+  Alcotest.(check (list string)) "K8" [] (small_gates (Gen.complete 8));
+  Alcotest.(check (list string)) "cycle 9" [] (small_gates (Gen.cycle 9));
+  Alcotest.(check bool) "no small state" true
+    (Audit.small_tv (Audit.create (Gen.cycle 12)) = None)
+
+let test_asymptotic_gates_wait () =
+  (* The asymptotic gates abstain below 32 trees. *)
+  let g = Gen.complete 4 in
+  let aud = feed ~trials:31 (fun g p -> Cc_walks.Wilson.sample_tree g p) g in
+  Alcotest.(check bool) "31 trees: bonferroni-z abstains" false
+    (gate aud "bonferroni-z").Audit.applied;
+  Audit.observe aud (Cc_walks.Wilson.sample_tree g (Prng.create ~seed:8));
+  Alcotest.(check bool) "32 trees: bonferroni-z applies" true
+    (gate aud "bonferroni-z").Audit.applied
 
 (* --- diagnostics --- *)
 
@@ -280,6 +302,8 @@ let () =
           Alcotest.test_case "biased fixture rejected" `Quick
             test_biased_fixture_rejected;
           Alcotest.test_case "invalid tree breaches" `Quick test_invalid_tree_breaches;
+          Alcotest.test_case "asymptotic gates wait for 32 trees" `Quick
+            test_asymptotic_gates_wait;
         ] );
       ( "small",
         [

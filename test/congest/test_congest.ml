@@ -14,16 +14,16 @@ module Stats = Cc_util.Stats
 
 let test_exchange_adjacency () =
   let net = Cnet.create (Gen.path 4) in
-  Cnet.exchange net ~label:"t" [ { Cnet.src = 0; dst = 1; words = 1 } ];
+  Cnet.exchange net [ { Cnet.src = 0; dst = 1; words = 1 } ];
   Alcotest.(check (float 1e-9)) "1 round" 1.0 (Cnet.rounds net);
   Alcotest.check_raises "non-adjacent"
     (Invalid_argument "Cnet.exchange: endpoints not adjacent") (fun () ->
-      Cnet.exchange net ~label:"t" [ { Cnet.src = 0; dst = 3; words = 1 } ])
+      Cnet.exchange net [ { Cnet.src = 0; dst = 3; words = 1 } ])
 
 let test_exchange_congestion () =
   (* Two packets over the same directed edge serialize. *)
   let net = Cnet.create (Gen.star 5) in
-  Cnet.exchange net ~label:"t"
+  Cnet.exchange net
     [
       { Cnet.src = 1; dst = 0; words = 2 };
       { Cnet.src = 1; dst = 0; words = 3 };
@@ -40,20 +40,17 @@ let test_token_route_cost () =
   let net = Cnet.create (Gen.path 8) in
   (* 0..7 path rooted at 0: routing 3 -> 6 over the tree costs
      (dist 3) + (dist 6) = 9 hops. *)
-  let r = Cnet.token_route net ~label:"t" ~src:3 ~dst:6 ~words:1 in
+  let r = Cnet.token_route net ~src:3 ~dst:6 ~words:1 in
   Alcotest.(check (float 1e-9)) "hops" 9.0 r;
   Alcotest.(check (float 1e-9)) "self is free" 0.0
-    (Cnet.token_route net ~label:"t" ~src:3 ~dst:3 ~words:5)
+    (Cnet.token_route net ~src:3 ~dst:3 ~words:5)
 
-let test_reset_and_ledger () =
+let test_charge_totals () =
   let net = Cnet.create (Gen.cycle 5) in
-  Alcotest.(check int) "fresh ledger empty" 0 (List.length (Cnet.ledger net));
-  Cnet.charge net ~label:"a" 3.0;
-  Cnet.charge net ~label:"b" 1.0;
-  Alcotest.(check int) "two labels" 2 (List.length (Cnet.ledger net));
-  Cnet.charge net ~label:"c" 2.0;
-  Alcotest.(check (list (pair string (float 1e-9)))) "per label, descending"
-    [ ("a", 3.0); ("c", 2.0); ("b", 1.0) ] (Cnet.ledger net);
+  Alcotest.(check (float 0.0)) "fresh net" 0.0 (Cnet.rounds net);
+  Cnet.charge net 3.0;
+  Cnet.charge net 1.0;
+  Cnet.charge net 2.0;
   Alcotest.(check (float 1e-9)) "total rounds" 6.0 (Cnet.rounds net)
 
 (* --- baselines --- *)
@@ -144,7 +141,7 @@ let qcheck_tests =
               { Cnet.src; dst; words = 1 + (r mod 3) })
             raw
         in
-        Cnet.exchange net ~label:"t" packets;
+        Cnet.exchange net packets;
         let load = Hashtbl.create 16 in
         List.iter
           (fun { Cnet.src; dst; words } ->
@@ -165,7 +162,7 @@ let () =
           Alcotest.test_case "congestion" `Quick test_exchange_congestion;
           Alcotest.test_case "depth" `Quick test_depth;
           Alcotest.test_case "token route" `Quick test_token_route_cost;
-          Alcotest.test_case "reset/ledger" `Quick test_reset_and_ledger;
+          Alcotest.test_case "reset/ledger" `Quick test_charge_totals;
         ] );
       ( "baselines",
         [

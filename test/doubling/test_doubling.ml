@@ -13,13 +13,10 @@ module Prng = Cc_util.Prng
 module Dist = Cc_util.Dist
 module Stats = Cc_util.Stats
 
-let scheme_lb n = Doubling.default_scheme ~n
-
-let run_walks ?(seed = 1) ?(scheme_of = scheme_lb) g tau =
-  let n = Graph.n g in
-  let net = Net.create ~n in
+let run_walks ?(seed = 1) ?(scheme = Doubling.Load_balanced) g tau =
+  let net = Net.create ~n:(Graph.n g) in
   let prng = Prng.create ~seed in
-  Doubling.run net prng g ~tau ~scheme:(scheme_of n)
+  Doubling.run net prng g ~tau ~scheme
 
 (* --- structural validity --- *)
 
@@ -52,7 +49,7 @@ let test_iterations_logarithmic () =
 
 let test_unbalanced_walks_also_valid () =
   let g = Gen.star 10 in
-  let r = run_walks ~scheme_of:(fun _ -> Doubling.Unbalanced) g 8 in
+  let r = run_walks ~scheme:Doubling.Unbalanced g 8 in
   Array.iteri
     (fun v w ->
       Alcotest.(check int) "starts at v" v w.(0);
@@ -77,7 +74,7 @@ let test_endpoint_distribution () =
   let net = Net.create ~n in
   let prng = Prng.create ~seed:3 in
   for _ = 1 to trials do
-    let r = Doubling.run net prng g ~tau ~scheme:(scheme_lb n) in
+    let r = Doubling.run net prng g ~tau ~scheme:Doubling.Load_balanced in
     let w = r.Doubling.walks.(0) in
     counts.(w.(tau)) <- counts.(w.(tau)) + 1
   done;
@@ -93,7 +90,7 @@ let test_interior_marginal () =
   let net = Net.create ~n:6 in
   let prng = Prng.create ~seed:4 in
   for _ = 1 to trials do
-    let r = Doubling.run net prng g ~tau ~scheme:(scheme_lb 6) in
+    let r = Doubling.run net prng g ~tau ~scheme:Doubling.Load_balanced in
     let w = r.Doubling.walks.(2) in
     counts.(w.(probe)) <- counts.(w.(probe)) + 1
   done;
@@ -108,7 +105,7 @@ let test_walks_share_randomness_but_each_is_valid () =
   let g = Gen.complete 6 in
   let net = Net.create ~n:6 in
   let prng = Prng.create ~seed:40 in
-  let r = Doubling.run net prng g ~tau:16 ~scheme:(scheme_lb 6) in
+  let r = Doubling.run net prng g ~tau:16 ~scheme:Doubling.Load_balanced in
   let shared = ref false in
   let w = r.Doubling.walks in
   for a = 0 to 5 do
@@ -125,7 +122,8 @@ let test_doubling_deterministic_given_seed () =
   let g = Gen.cycle 7 in
   let run seed =
     let net = Net.create ~n:7 in
-    (Doubling.run net (Prng.create ~seed) g ~tau:8 ~scheme:(scheme_lb 7)).Doubling.walks
+    (Doubling.run net (Prng.create ~seed) g ~tau:8 ~scheme:Doubling.Load_balanced)
+      .Doubling.walks
   in
   Alcotest.(check bool) "same seed, same walks" true (run 9 = run 9);
   Alcotest.(check bool) "different seeds differ" true (run 9 <> run 10)
@@ -147,7 +145,7 @@ let run_faulty ?(seed = 1) spec g tau =
   let n = Graph.n g in
   let net = Net.with_faults (Fault.create spec) (Net.create ~n) in
   let prng = Prng.create ~seed in
-  (Doubling.run net prng g ~tau ~scheme:(scheme_lb n), net)
+  (Doubling.run net prng g ~tau ~scheme:Doubling.Load_balanced, net)
 
 let test_faulty_drops_heal () =
   let g = Gen.cycle 12 in
@@ -226,7 +224,7 @@ let test_load_balanced_beats_unbalanced_on_star () =
   let g = Gen.star n in
   let tau = 32 in
   let r_lb = run_walks ~seed:5 g tau in
-  let r_ub = run_walks ~seed:5 ~scheme_of:(fun _ -> Doubling.Unbalanced) g tau in
+  let r_ub = run_walks ~seed:5 ~scheme:Doubling.Unbalanced g tau in
   let max_lb = Array.fold_left max 0 r_lb.Doubling.max_tuples_received in
   let max_ub = Array.fold_left max 0 r_ub.Doubling.max_tuples_received in
   Alcotest.(check bool)
@@ -341,7 +339,7 @@ let qcheck_tests =
         let prng = Prng.create ~seed in
         let g = Cc_graph.Gen.random_connected prng ~n ~extra_edges:n in
         let net = Net.create ~n in
-        let r = Doubling.run net prng g ~tau:8 ~scheme:(scheme_lb n) in
+        let r = Doubling.run net prng g ~tau:8 ~scheme:Doubling.Load_balanced in
         Array.for_all
           (fun w ->
             let ok = ref (Array.length w = 9) in
@@ -364,7 +362,7 @@ let qcheck_tests =
         let prng = Prng.create ~seed in
         let g = Cc_graph.Gen.cycle 6 in
         let net = Net.create ~n:6 in
-        let r = Doubling.run net prng g ~tau ~scheme:(scheme_lb 6) in
+        let r = Doubling.run net prng g ~tau ~scheme:Doubling.Load_balanced in
         let rec lg p e = if p >= tau then e else lg (2 * p) (e + 1) in
         r.Doubling.iterations = lg 1 0);
   ]

@@ -94,6 +94,8 @@ let test_fingerprint_sensitivity () =
 (* Fingerprints key the ccserve plan cache and head every benchmark's
    [# input] line, so their values are pinned across commits. *)
 let test_fingerprint_pinned () =
+  Alcotest.(check string) "K5" "fnv64:98588e01679eb3e0"
+    (Graph.fingerprint (Gen.complete 5));
   Alcotest.(check string) "lollipop 8+8" "fnv64:c2dd69e2ea344410"
     (Graph.fingerprint (Gen.lollipop ~clique:8 ~tail:8));
   let weighted =

@@ -825,7 +825,7 @@ let test_benchdata_diff_partitions () =
   let current =
     doc_of_ratios [ ("A", 1.2); ("B", 0.8); ("C", 1.05); ("E", 1.0) ]
   in
-  let d = Benchdata.diff ~baseline current in
+  let d = Benchdata.diff ~threshold:0.10 ~baseline current in
   Alcotest.(check (list string)) "regressions" [ "A" ] (delta_ids d.Benchdata.regressions);
   Alcotest.(check (list string)) "improvements" [ "B" ] (delta_ids d.Benchdata.improvements);
   Alcotest.(check (list string)) "unchanged" [ "C" ] (delta_ids d.Benchdata.unchanged);
@@ -847,7 +847,7 @@ let test_benchdata_diff_partitions () =
 
 let test_benchdata_diff_self_is_clean () =
   let doc = doc_of_ratios [ ("A", 1.37); ("B", 0.92) ] in
-  let d = Benchdata.diff ~baseline:doc doc in
+  let d = Benchdata.diff ~threshold:0.10 ~baseline:doc doc in
   Alcotest.(check (list string)) "no regressions" [] (delta_ids d.Benchdata.regressions);
   Alcotest.(check (list string)) "no improvements" [] (delta_ids d.Benchdata.improvements);
   Alcotest.(check int) "all unchanged" 2 (List.length d.Benchdata.unchanged);

@@ -147,9 +147,7 @@ let test_phase_walk_tau_matches_sequential () =
     (Array.length w - 1, w.(Array.length w - 1))
   in
   let sequential prng =
-    let w =
-      Shared.sample_truncated g prng ~start:0 ~target_len ~rho ()
-    in
+    let w = Shared.sample_truncated g prng ~start:0 ~target_len ~rho in
     (Array.length w - 1, w.(Array.length w - 1))
   in
   let d = tv (histo distributed 3) (histo sequential 4) in
@@ -228,6 +226,25 @@ let test_sampler_phase_count_scales_with_rho () =
     (Printf.sprintf "phases %d in [4, 16]" r.Sampler.phases)
     true
     (r.Sampler.phases >= 4 && r.Sampler.phases <= 16)
+
+(* The phase parameters are constants of n: rho = max 2 ceil(sqrt n),
+   target_len = next_pow2(n^3 · max 1 ceil(log2 n)) and the powering depth
+   k = next_pow2(16 n^3), read through a prepared plan. *)
+let test_plan_constants () =
+  let rec next_pow2 ?(p = 1) x = if p >= x then p else next_pow2 ~p:(2 * p) x in
+  let rec ceil_sqrt ?(r = 0) n = if r * r >= n then r else ceil_sqrt ~r:(r + 1) n in
+  let rec ceil_log2 ?(l = 0) n = if 1 lsl l >= n then l else ceil_log2 ~l:(l + 1) n in
+  List.iter
+    (fun n ->
+      let st = Sampler.plan_state (Sampler.prepare (Gen.complete n)) in
+      let n3 = n * n * n in
+      Alcotest.(check int) (Printf.sprintf "n = %d: rho" n)
+        (max 2 (ceil_sqrt n)) st.Plan.rho;
+      Alcotest.(check int) (Printf.sprintf "n = %d: target_len" n)
+        (next_pow2 (n3 * max 1 (ceil_log2 n))) st.Plan.target_len;
+      Alcotest.(check int) (Printf.sprintf "n = %d: schur_k" n)
+        (next_pow2 (16 * n3)) (Plan.schur_k st))
+    [ 2; 3; 16; 17; 96 ]
 
 let test_sampler_deterministic_given_seed () =
   let g = Gen.lollipop ~clique:4 ~tail:3 in
@@ -487,7 +504,7 @@ let test_uniform_k4_magical () =
 
 let test_uniform_k4_powering_schur () =
   check_uniform
-    ~config:{ default with schur = Sampler.Powering { k = None } }
+    ~config:{ default with schur = Sampler.Powering }
     (Gen.complete 4) 8_000 14 "K4 powering"
 
 let test_uniform_k4_fixed_point () =
@@ -568,26 +585,6 @@ let test_phase_walk_argument_validation () =
         (fun () -> run ~target_len ~table_len ()))
     [ (16, 8); (8, 16) ];
   Alcotest.(check (float 0.0)) "nothing booked" 0.0 (Net.rounds net)
-
-let test_tiny_target_len_still_terminates () =
-  (* A tiny per-phase target length forces many short phases; the sampler
-     must still terminate with a valid tree (more phases, same law). *)
-  let g = Gen.lollipop ~clique:5 ~tail:4 in
-  let net = Net.create ~n:9 in
-  let prng = Prng.create ~seed:27 in
-  let config = { default with target_len = Some 8 } in
-  let r = Sampler.sample ~config net prng g in
-  Alcotest.(check bool) "valid" true (Tree.is_spanning_tree g r.Sampler.tree);
-  Alcotest.(check bool) "more phases than default" true (r.Sampler.phases >= 3)
-
-let test_max_phases_exhaustion_raises () =
-  let g = Gen.lollipop ~clique:5 ~tail:4 in
-  let net = Net.create ~n:9 in
-  let prng = Prng.create ~seed:28 in
-  let config = { default with target_len = Some 2; max_phases = 2 } in
-  (match Sampler.sample ~config net prng g with
-  | _ -> Alcotest.fail "expected Failure"
-  | exception Failure _ -> ())
 
 let test_weighted_marginals_match_leverage () =
   (* Footnote 1 end-to-end at a non-enumerable size: integer-weighted graph,
@@ -827,7 +824,7 @@ let test_schur_pipeline_booked_per_phase () =
         (name ^ ": shortcut powering") powering (booked "shortcut powering");
       Alcotest.(check (float (1e-9 *. normalize)))
         (name ^ ": schur normalize") normalize (booked "schur normalize"))
-    [ ("exact solve", Sampler.Exact_solve); ("powering", Sampler.Powering { k = None }) ]
+    [ ("exact solve", Sampler.Exact_solve); ("powering", Sampler.Powering) ]
 
 (* --- Phase_walk vs its reference (test/sampler/reference.ml) --- *)
 
@@ -955,6 +952,7 @@ let () =
           Alcotest.test_case "spanning trees" `Quick test_sampler_produces_spanning_trees;
           Alcotest.test_case "input validation" `Quick test_sampler_rejects_bad_input;
           Alcotest.test_case "phase count" `Quick test_sampler_phase_count_scales_with_rho;
+          Alcotest.test_case "plan constants" `Quick test_plan_constants;
           Alcotest.test_case "determinism" `Quick test_sampler_deterministic_given_seed;
           Alcotest.test_case "plan draw = sample" `Quick test_plan_draw_matches_sample;
           Alcotest.test_case "plan reuse skips compute" `Quick test_plan_reuse_skips_compute;
@@ -984,8 +982,6 @@ let () =
         [
           Alcotest.test_case "phase walk validation" `Quick test_phase_walk_argument_validation;
           Alcotest.test_case "phase walk stats" `Quick test_phase_walk_stats_sanity;
-          Alcotest.test_case "tiny target_len" `Quick test_tiny_target_len_still_terminates;
-          Alcotest.test_case "max_phases raises" `Quick test_max_phases_exhaustion_raises;
           Alcotest.test_case "weighted marginals" `Slow test_weighted_marginals_match_leverage;
         ] );
       ( "faults",

@@ -69,20 +69,19 @@ let endpoint_distribution g ~start ~len =
 
 (* Lemma 2: the endpoint from P^l, then every level's midpoints by
    Formula 1, each level truncated at the rho-th distinct vertex. *)
-let sample_truncated g prng ~start ~target_len ~rho ?max_material () =
+let sample_truncated g prng ~start ~target_len ~rho =
   let powers =
     Mat.power_table (Graph.transition_matrix g)
       ~max_exp:(Topdown.levels_for ~len:target_len)
   in
   Topdown.sample_truncated_matrix prng ~powers ~start ~target_len ~rho
-    ?max_material ()
 
 (* Lemma 1: with rho past n no level truncates, so every level is filled
    and the walk has [len] steps. *)
 let sample_walk g prng ~start ~len =
   if len <= 0 || len land (len - 1) <> 0 then
     invalid_arg "Shared.sample_walk: len must be a positive power of two";
-  sample_truncated g prng ~start ~target_len:len ~rho:(Graph.n g + 1) ()
+  sample_truncated g prng ~start ~target_len:len ~rho:(Graph.n g + 1)
 
 let distinct_count walk = List.length (List.sort_uniq compare (Array.to_list walk))
 

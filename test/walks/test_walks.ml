@@ -225,7 +225,7 @@ let test_truncated_ends_at_rho_distinct () =
   let prng = Prng.create ~seed:16 in
   let g = Gen.path 20 in
   for _ = 1 to 30 do
-    let w = Shared.sample_truncated g prng ~start:0 ~target_len:1024 ~rho:5 () in
+    let w = Shared.sample_truncated g prng ~start:0 ~target_len:1024 ~rho:5 in
     let d = Shared.distinct_count w in
     Alcotest.(check bool) "at most rho distinct" true (d <= 5);
     if d = 5 then begin
@@ -242,7 +242,7 @@ let test_truncated_walk_is_valid () =
   let prng = Prng.create ~seed:17 in
   let g = Gen.lollipop ~clique:5 ~tail:5 in
   for _ = 1 to 20 do
-    let w = Shared.sample_truncated g prng ~start:0 ~target_len:4096 ~rho:4 () in
+    let w = Shared.sample_truncated g prng ~start:0 ~target_len:4096 ~rho:4 in
     for i = 1 to Array.length w - 1 do
       if not (Graph.has_edge g w.(i - 1) w.(i)) then
         Alcotest.failf "invalid transition %d -> %d" w.(i - 1) w.(i)
@@ -259,7 +259,7 @@ let test_truncated_tau_distribution () =
     Reference.time_to_distinct g prng ~start:0 ~rho
   in
   let sample_tau_topdown prng =
-    Array.length (Shared.sample_truncated g prng ~start:0 ~target_len:256 ~rho ()) - 1
+    Array.length (Shared.sample_truncated g prng ~start:0 ~target_len:256 ~rho) - 1
   in
   let histo f seed =
     let prng = Prng.create ~seed in
@@ -293,7 +293,7 @@ let test_topdown_first_visit_tree_uniform () =
   let g = Gen.complete 4 in
   let trials = 12_000 in
   let sampler g prng =
-    let w = Shared.sample_truncated g prng ~start:0 ~target_len:4096 ~rho:4 () in
+    let w = Shared.sample_truncated g prng ~start:0 ~target_len:4096 ~rho:4 in
     Tree.of_edges ~n:4 (Reference.first_visit_edges w)
   in
   let tv, support = tree_sampler_tv g sampler trials 20 in
@@ -633,7 +633,7 @@ let qcheck_tests =
         let prng = Prng.create ~seed in
         let g = Cc_graph.Gen.random_connected prng ~n ~extra_edges:2 in
         let rho = max 2 (n / 2) in
-        let w = Shared.sample_truncated g prng ~start:0 ~target_len:1024 ~rho () in
+        let w = Shared.sample_truncated g prng ~start:0 ~target_len:1024 ~rho in
         Shared.distinct_count w <= rho);
     Test.make ~name:"chain rule offers the reference's p within 1e-8"
       ~count:100 params (fun (n, seed) ->
