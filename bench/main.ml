@@ -1663,10 +1663,11 @@ let microbench () =
      (Formula 1 laws, Check probes, gather and placement). Each run starts
      from the same seed, so every run fills the same walk. *)
   let lollipop64 = Gen.lollipop ~clique:32 ~tail:32 in
-  let powers64 =
-    Matmul.power_table_pure
-      (Mat.half_lazy (Graph.transition_matrix lollipop64))
-      ~levels:21
+  let table64 =
+    Cc_walks.Topdown.table
+      (Matmul.power_table_pure
+         (Mat.half_lazy (Graph.transition_matrix lollipop64))
+         ~levels:21)
   in
   let tests =
     [
@@ -1674,7 +1675,7 @@ let microbench () =
         (Staged.stage (fun () ->
              ignore
                (Phase_walk.run (Net.create ~n:64) (Prng.create ~seed:1)
-                  ~backend:(Matmul.charged ()) ~powers:powers64
+                  ~backend:(Matmul.charged ()) ~table:table64
                   ~machine_of:Fun.id ~start:0 ~rho:8 ~target_len:(1 lsl 21)
                   ~matching:Phase_walk.Resample)));
       Test.make ~name:"mat-mul-64" (Staged.stage (fun () -> ignore (Mat.mul m64 m64)));

@@ -70,15 +70,7 @@ let file_t =
 
 (* --- fault-injection options (shared by sample / doubling) --- *)
 
-let prob_conv =
-  let parse s =
-    match float_of_string_opt s with
-    | Some p when p >= 0.0 && p < 1.0 -> Ok p
-    | Some _ -> Error (`Msg "probability must be in [0, 1)")
-    | None -> Error (`Msg (Printf.sprintf "invalid probability %S" s))
-  in
-  Arg.conv (parse, Format.pp_print_float)
-
+(* The syntax of a crash spec; [faults_t] checks its range. *)
 let crash_conv =
   let parse s =
     let fail () =
@@ -92,28 +84,24 @@ let crash_conv =
             float_of_string_opt
               (String.sub s (i + 1) (String.length s - i - 1)) )
         with
-        | Some m, Some r when m >= 0 && r >= 0.0 -> Ok (m, r)
+        | Some m, Some r -> Ok (m, r)
         | _ -> fail ())
     | None -> (
-        match int_of_string_opt s with
-        | Some m when m >= 0 -> Ok (m, 0.0)
-        | _ -> fail ())
+        match int_of_string_opt s with Some m -> Ok (m, 0.0) | None -> fail ())
   in
   let print ppf (m, r) = Format.fprintf ppf "%d@%g" m r in
   Arg.conv (parse, print)
 
 let faults_t =
-  let drop_t =
-    let doc = "Per-message drop probability in [0, 1)." in
-    Arg.(value & opt prob_conv 0.0 & info [ "drop-prob" ] ~doc ~docv:"P")
+  let prob_t name doc =
+    Arg.(value & opt float 0.0 & info [ name ] ~doc ~docv:"P")
   in
+  let drop_t = prob_t "drop-prob" "Per-message drop probability in [0, 1)." in
   let corrupt_t =
-    let doc = "Per-message payload-corruption probability in [0, 1)." in
-    Arg.(value & opt prob_conv 0.0 & info [ "corrupt-prob" ] ~doc ~docv:"P")
+    prob_t "corrupt-prob" "Per-message payload-corruption probability in [0, 1)."
   in
   let straggle_t =
-    let doc = "Per-primitive straggler probability in [0, 1)." in
-    Arg.(value & opt prob_conv 0.0 & info [ "straggle-prob" ] ~doc ~docv:"P")
+    prob_t "straggle-prob" "Per-primitive straggler probability in [0, 1)."
   in
   let crash_t =
     let doc =
@@ -138,6 +126,18 @@ let faults_t =
       & info [ "max-retries" ] ~doc)
   in
   let combine drop_prob corrupt_prob straggle_prob crashes seed max_retries =
+    let check_prob flag p =
+      if not (p >= 0.0 && p < 1.0) then fail_usage (flag ^ " must be in [0, 1)")
+    in
+    check_prob "--drop-prob" drop_prob;
+    check_prob "--corrupt-prob" corrupt_prob;
+    check_prob "--straggle-prob" straggle_prob;
+    List.iter
+      (fun (m, r) ->
+        if not (m >= 0 && r >= 0.0) then
+          fail_usage
+            (Printf.sprintf "--crash %d@%g: machine and round must be >= 0" m r))
+      crashes;
     if max_retries < 0 then fail_usage "--max-retries must be >= 0";
     Fault.spec ~drop_prob ~corrupt_prob ~straggle_prob ~max_retries ~crashes
       ~seed ()

@@ -58,20 +58,25 @@ val backend_name : backend -> string
 val mul_cost : Net.t -> backend -> dim:int -> float
 
 (** [power_table_pure ?bits m ~levels] returns
-    [[| m; m^2; m^4; ...; m^(2^levels) |]] (length [levels + 1]),
-    optionally truncating entries to [bits] fractional bits before the
-    first squaring and after every one (Lemma 3's rounded powering). It
-    books nothing. Both phased samplers' tables come from here, through
-    their plan.
+    [[| m; m^2; m^4; ...; m^(2^levels) |]] (length [levels + 1]) and its
+    mixed level, optionally truncating entries to [bits] fractional bits
+    before the first squaring and after every one (Lemma 3's rounded
+    powering). It books nothing. Both phased samplers' tables come from
+    here, through their plan.
 
     Squaring goes through {!Cc_linalg.Mat.squarings}: it stops at a level
     that repeats the previous one bit for bit or, without [bits] and for a
     row-stochastic [m], whose rows agree to within 1e-12 in l1; the later
-    levels alias that level. Each computed squaring runs in a
-    ["matmul.mul"] span and counts one ["matmul.muls"]; each aliased level
-    counts one ["matmul.squarings_skipped"]. *)
+    levels alias that level, which is the mixed level when every entry
+    also agrees with row 0's to a relative 1e-10. A table with [bits] has
+    no mixed level. Each computed squaring runs in a ["matmul.mul"] span
+    and counts one ["matmul.muls"]; each aliased level counts one
+    ["matmul.squarings_skipped"]. *)
 val power_table_pure :
-  ?bits:int -> Cc_linalg.Mat.t -> levels:int -> Cc_linalg.Mat.t array
+  ?bits:int ->
+  Cc_linalg.Mat.t ->
+  levels:int ->
+  Cc_linalg.Mat.t array * int option
 
 (** [book_power_table net backend ~dim ~levels] books the Initialization
     Step for a table of [dim x dim] matrices with [levels] squarings: the

@@ -4,6 +4,7 @@ module Mat = Cc_linalg.Mat
 module Prng = Cc_util.Prng
 module Dist = Cc_util.Dist
 module Placement = Cc_matching.Placement
+module Topdown = Cc_walks.Topdown
 
 let log_src = Logs.Src.create "cc.phase_walk" ~doc:"per-level walk filling"
 
@@ -17,6 +18,7 @@ type stats = {
   midpoints_placed : int;
   matchings_exact : int;
   matchings_mcmc : int;
+  placements_mixed : int;
 }
 
 let max_materialized = 2_000_000
@@ -27,6 +29,7 @@ type counters = {
   mutable c_midpoints : int;
   mutable c_exact : int;
   mutable c_magical : int;
+  mutable c_mixed : int;
 }
 
 (* Pair classes of one level, numbered in order of first appearance: pair
@@ -90,11 +93,11 @@ let place prng ~identities ~positions ~weight =
       (Array.map (fun i -> identities.(i)) sigma, true)
   | None -> (identities, false)
 
-let run net prng ~backend ~powers ~machine_of ~start ~rho ~target_len
-    ~matching =
+let run net prng ~backend ~(table : Topdown.table) ~machine_of ~start ~rho
+    ~target_len ~matching =
   if rho < 2 then invalid_arg "Phase_walk.run: rho < 2";
   if target_len < 2 then invalid_arg "Phase_walk.run: target_len < 2";
-  let levels = Cc_walks.Topdown.levels_for ~len:target_len in
+  let levels = Topdown.levels_for ~len:target_len and powers = table.powers in
   if Array.length powers <> levels + 1 then
     invalid_arg "Phase_walk.run: power table length is not levels + 1";
   let s_count = Mat.rows powers.(0) in
@@ -103,7 +106,9 @@ let run net prng ~backend ~powers ~machine_of ~start ~rho ~target_len
   if start < 0 || start >= s_count then invalid_arg "Phase_walk.run: bad start";
   let n = Net.n net in
   let ew = Net.entry_words net in
-  let counters = { c_checks = 0; c_midpoints = 0; c_exact = 0; c_magical = 0 } in
+  let counters =
+    { c_checks = 0; c_midpoints = 0; c_exact = 0; c_magical = 0; c_mixed = 0 }
+  in
   (* Initialization Step (Algorithm 1): the table is computed by the
      caller's plan; the clique pays for it here, then draws the endpoint. *)
   Matmul.book_power_table net backend ~dim:s_count ~levels;
@@ -138,8 +143,10 @@ let run net prng ~backend ~powers ~machine_of ~start ~rho ~target_len
   let seen = Array.make s_count 0 in
   let law = Array.make s_count 0.0 in
   (* One level: walk with entries spaced 2^gap apart -> entries spaced
-     2^(gap-1), truncated at the rho-th distinct vertex. *)
-  let level walk gap =
+     2^(gap-1), truncated at the rho-th distinct vertex. At a mixed level
+     ([half] is the table's mixed matrix) every class draws from the
+     table's shared law, and placement keeps the magical order. *)
+  let level walk gap ~mixed =
     let half = powers.(gap - 1) in
     let l = Array.length walk - 1 in
     let nclasses, first, next = index_pairs pair_table ~width:s_count walk in
@@ -165,7 +172,9 @@ let run net prng ~backend ~powers ~machine_of ~start ~rho ~target_len
        class, each class's draws going to its pairs in order. The "magical"
        filled walk holds them: position 2i is walk.(i), position 2i+1 the
        midpoint drawn for pair i. The machines use it only as they would:
-       for Check queries, the final midpoint, and the multiset.
+       for Check queries, the final midpoint, and the multiset. A mixed
+       level draws in the same order from the shared law, whose cdf the
+       table already holds.
        [new_in_class.(i)] is the pair machine of pair i's class when its
        midpoint is the class's first draw of that vertex, -1 otherwise. *)
     let magical = Array.make ((2 * l) + 1) 0 in
@@ -175,11 +184,17 @@ let run net prng ~backend ~powers ~machine_of ~start ~rho ~target_len
     let new_in_class = Array.make l (-1) in
     for k = 0 to nclasses - 1 do
       let i = ref first.(k) in
-      Mat.two_step_into half ~p:walk.(!i) ~q:walk.(!i + 1) law;
-      (try Dist.cdf_in_place law with Invalid_argument _ -> degenerate ());
+      let cdf =
+        if mixed then table.shared
+        else begin
+          Mat.two_step_into half ~p:walk.(!i) ~q:walk.(!i + 1) law;
+          (try Dist.cdf_in_place law with Invalid_argument _ -> degenerate ());
+          law
+        end
+      in
       let in_class = fresh () in
       while !i >= 0 do
-        let v = Dist.search law (Prng.float prng 1.0) in
+        let v = Dist.search cdf (Prng.float prng 1.0) in
         magical.((2 * !i) + 1) <- v;
         if seen.(v) <> in_class then begin
           seen.(v) <- in_class;
@@ -281,6 +296,11 @@ let run net prng ~backend ~powers ~machine_of ~start ~rho ~target_len
       Net.exchange net ~label:"multiset+submatrix gather" !packets;
       match matching with
       | Magical -> ()
+      | Resample when mixed ->
+          (* i.i.d. midpoints are exchangeable, so their magical order
+             already has the uniform law that the DP would draw on equal
+             weights (DESIGN.md §14). *)
+          counters.c_mixed <- counters.c_mixed + 1
       | Resample ->
           (* The midpoints in their magical order, one per position. *)
           let midpoints = Array.init k_match (fun j -> magical.((2 * j) + 1)) in
@@ -300,21 +320,24 @@ let run net prng ~backend ~powers ~machine_of ~start ~rho ~target_len
     if Array.length !walk > max_materialized then
       failwith "Phase_walk.run: materialized walk exceeds cap";
     Log.debug (fun m -> m "level gap=2^%d, %d entries" gap (Array.length !walk));
+    let mixed = gap - 1 >= table.mixed in
     let args =
       if Cc_obs.Trace.enabled () then
         [
           ("gap", string_of_int gap);
           ("entries", string_of_int (Array.length !walk));
+          ("mixed", string_of_bool mixed);
         ]
       else []
     in
     Cc_obs.Trace.with_span "phase_walk.level" ~args (fun () ->
-        walk := level !walk gap)
+        walk := level !walk gap ~mixed)
   done;
   Cc_obs.Metrics.incr ~by:counters.c_checks "phase_walk.checks";
   Cc_obs.Metrics.incr ~by:counters.c_midpoints "phase_walk.midpoints";
   Cc_obs.Metrics.incr ~by:counters.c_exact "phase_walk.matchings_exact";
   Cc_obs.Metrics.incr ~by:counters.c_magical "phase_walk.matchings_mcmc";
+  Cc_obs.Metrics.incr ~by:counters.c_mixed "phase_walk.placements_mixed";
   ( !walk,
     {
       levels;
@@ -322,4 +345,5 @@ let run net prng ~backend ~powers ~machine_of ~start ~rho ~target_len
       midpoints_placed = counters.c_midpoints;
       matchings_exact = counters.c_exact;
       matchings_mcmc = counters.c_magical;
+      placements_mixed = counters.c_mixed;
     } )

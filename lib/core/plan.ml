@@ -12,7 +12,7 @@ type schur_mode = Exact_solve | Powering
    the words its entries hold, never by their number. *)
 let memo_budget = 1 lsl 18
 
-type entry = { e_q_rows : Mat.t; e_powers : Mat.t array Lazy.t }
+type entry = { e_q_rows : Mat.t; e_table : Topdown.table Lazy.t }
 
 type memo = {
   levels : int;
@@ -30,7 +30,7 @@ type t = {
   graph : Graph.t;
   rho : int;
   target_len : int;
-  powers1 : Mat.t array;
+  table1 : Topdown.table;
   memo : memo;
 }
 
@@ -53,7 +53,7 @@ let create ?bits ?(schur = Exact_solve) ~lazy_walk g =
     graph = g;
     rho;
     target_len = 1 lsl levels;
-    powers1 = Matmul.power_table_pure ?bits trans1 ~levels;
+    table1 = Topdown.table (Matmul.power_table_pure ?bits trans1 ~levels);
     memo =
       {
         levels;
@@ -84,7 +84,7 @@ type phase = {
   start : int;
   ws : float array;
   q_rows : Mat.t;
-  powers : Mat.t array Lazy.t;
+  table : Topdown.table Lazy.t;
 }
 
 (* The number of vertices of the ascending [s] below [v]: v's index in s
@@ -113,13 +113,13 @@ let compute t ~s ~in_s =
   in
   (* Clamp numeric dust and renormalize, so the walk receives a proper
      stochastic matrix. *)
-  let powers =
+  let table =
     lazy
       (let p = Mat.sanitize_stochastic transition in
        let trans = if m.lazy_walk then Mat.half_lazy p else p in
-       Matmul.power_table_pure ?bits:m.bits trans ~levels:m.levels)
+       Topdown.table (Matmul.power_table_pure ?bits:m.bits trans ~levels:m.levels))
   in
-  { e_q_rows = q_rows; e_powers = powers }
+  { e_q_rows = q_rows; e_table = table }
 
 let phase t ~visited ~current =
   let n = Array.length visited and m = t.memo in
@@ -139,11 +139,13 @@ let phase t ~visited ~current =
         let e = compute t ~s ~in_s in
         (* Q's rows of S are |S| x n; the power table's [levels + 1]
            matrices, and the transition it squares while it is built, are
-           |S| x |S|. An upper bound: a table that stopped squaring aliases
-           its later levels (Mat.squarings), but counting only distinct
-           matrices would retain more entries. *)
+           |S| x |S|, and its shared cdf |S| long. An upper bound: a table
+           that stopped squaring aliases its later levels (Mat.squarings),
+           and one without a mixed level has no cdf, but the table is built
+           lazily and counting only what it holds would retain more
+           entries. *)
         let k = Array.length s in
-        let words = (k * n) + ((m.levels + 2) * k * k) in
+        let words = (k * n) + ((m.levels + 2) * k * k) + k in
         if m.words + words <= memo_budget then begin
           Hashtbl.add m.table key e;
           m.words <- m.words + words
@@ -153,7 +155,7 @@ let phase t ~visited ~current =
   (* w_S of every vertex, for first_visit. It costs O(n + m), so a hit
      recomputes it rather than the memo's entries holding n more words. *)
   let ws = Array.init n (Shortcut.s_weight t.graph ~in_s) in
-  { s; start; ws; q_rows = e.e_q_rows; powers = e.e_powers }
+  { s; start; ws; q_rows = e.e_q_rows; table = e.e_table }
 
 let first_visit t ph prng ~prev v =
   let row = rank ph.s prev in

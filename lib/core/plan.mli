@@ -9,7 +9,9 @@
     length and levels resolved against n, the power table of the
     (lazy-mixed) phase-1 transition, and a memo of later phases' state
     keyed by S. Every power table a phase walks on is computed here, by
-    {!Cc_clique.Matmul.power_table_pure}; the CC sampler books it on every
+    {!Cc_clique.Matmul.power_table_pure}, and kept as a
+    {!Cc_walks.Topdown.table}: beside its matrices, its mixed level and
+    the shared law drawn from there. The CC sampler books it on every
     draw.
 
     A later phase's state is Q's rows of S and SCHUR(G, S)'s transition.
@@ -20,8 +22,9 @@
 
     The memo is bounded by the words it holds. An entry holds Q's rows of S
     (|S|·n words) and a power table, counted with the transition it squares
-    as (levels + 2)·|S|² words (an upper bound: a table that stopped
-    squaring aliases its later levels). An entry is retained only while the
+    and its shared law as (levels + 2)·|S|² + |S| words (an upper bound: a
+    table that stopped squaring aliases its later levels, and one without
+    a mixed level has no shared law). An entry is retained only while the
     plan's total stays within 2{^18} words (2 MiB), and none is evicted:
     past the budget a phase recomputes its state, which costs time, never
     correctness. All of it is pure compute, so a hit and a miss yield the
@@ -40,7 +43,7 @@ type t = private {
   rho : int;  (** distinct vertices per phase: max 2 (ceil (sqrt n)) *)
   target_len : int;
       (** per-phase walk length: next_pow2(n^3 · max 1 (ceil (log2 n))) *)
-  powers1 : Cc_linalg.Mat.t array;
+  table1 : Cc_walks.Topdown.table;
       (** the power table of phase 1's transition, lazy-mixed if asked,
           computed purely *)
   memo : memo;
@@ -81,7 +84,7 @@ type phase = {
           {!phase}, hit or miss, and not held by the memo *)
   q_rows : Cc_linalg.Mat.t;
       (** |S| x n: row i is Shortcut(G, S)'s row of [s.(i)] *)
-  powers : Cc_linalg.Mat.t array Lazy.t;
+  table : Cc_walks.Topdown.table Lazy.t;
       (** the power table of SCHUR(G, S)'s transition, lazy-mixed if the
           plan is, by {!Cc_clique.Matmul.power_table_pure} with the plan's
           bits and levels; forced by the first walk on S, and never by a

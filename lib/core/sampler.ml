@@ -222,7 +222,7 @@ let draw plan net prng =
          rho = max 2 (ceil (sqrt n)) never exceeds n. The power table comes
          from the plan; Phase_walk books it. *)
       let walk, _ =
-        Phase_walk.run net prng ~backend:config.backend ~powers:st.powers1
+        Phase_walk.run net prng ~backend:config.backend ~table:st.table1
           ~machine_of:Fun.id ~start:0 ~rho ~target_len
           ~matching:config.matching
       in
@@ -272,7 +272,7 @@ let draw plan net prng =
            appear), keeping the materialized walk near the phase cover time. *)
         let walk_local, _ =
           Phase_walk.run net prng ~backend:config.backend
-            ~powers:(Lazy.force ph.powers)
+            ~table:(Lazy.force ph.table)
             ~machine_of:(fun i -> s.(i)) ~start:ph.start
             ~rho:(min rho (Array.length s)) ~target_len
             ~matching:config.matching

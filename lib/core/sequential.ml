@@ -46,7 +46,7 @@ let draw (plan : plan) prng =
     if !phases = 1 then
       claim_walk
         (fun prev _ -> prev)
-        (Topdown.sample_truncated_matrix prng ~powers:plan.powers1 ~start:0
+        (Topdown.sample_truncated_matrix prng ~table:plan.table1 ~start:0
            ~target_len ~rho:plan.rho)
     else begin
       let ph = Plan.phase plan ~visited ~current:!current in
@@ -58,7 +58,7 @@ let draw (plan : plan) prng =
         claim_walk entry
           (Array.map (fun i -> s.(i))
              (Topdown.sample_truncated_matrix prng
-                ~powers:(Lazy.force ph.powers) ~start:ph.start ~target_len
+                ~table:(Lazy.force ph.table) ~start:ph.start ~target_len
                 ~rho:(min plan.rho (Array.length s))))
     end
   done;

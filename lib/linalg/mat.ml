@@ -237,6 +237,11 @@ let half_lazy m =
    allows. *)
 let converged_tol = 1e-12
 
+(* delta_max, the relative bound of the mixed-level check: every Formula 1
+   law at a mixed level is within this much of the shared one in total
+   variation (DESIGN.md §17). Also a constant. *)
+let mixed_tol = 1e-10
+
 (* Every entry is nonnegative and every row sums, left to right, to within
    [converged_tol] of 1. NaN fails both. It allows no negative dust, which
    the rows test's proof cannot absorb, and boxes no float. *)
@@ -286,28 +291,55 @@ let rows_agree m =
   in
   from 1
 
+(* Every entry within [mixed_tol] of row 0's entry in its column, relative
+   to that entry: |m[r,j] - m[0,j]| <= mixed_tol * m[0,j]. A zero in row 0
+   admits only zeros below it, and NaN fails. O(rows * cols), stopping at
+   the first entry past the bound. *)
+let columns_agree m =
+  let d = m.data and c = m.cols in
+  let rec from i =
+    i >= m.rows
+    ||
+    let base = i * c in
+    let j = ref 0 in
+    while
+      !j < c
+      &&
+      let x0 = unsafe_get d !j in
+      Float.abs (unsafe_get d (base + !j) -. x0) <= mixed_tol *. x0
+    do
+      incr j
+    done;
+    !j = c && from (i + 1)
+  in
+  from 1
+
 let squarings ~exact ~square m ~levels =
   if m.rows <> m.cols then invalid_arg "Mat.squarings: not square";
   if levels < 0 then invalid_arg "Mat.squarings: negative levels";
   let table = Array.make (levels + 1) m in
   let rows_may_stop = (not exact) && stochastic_within_tol m in
   let rec level i =
-    if i <= levels then begin
+    if i > levels then None
+    else begin
       let prev = table.(i - 1) in
       let t = square prev in
       table.(i) <- t;
-      if same_bits t prev || (rows_may_stop && rows_agree t) then
-        Array.fill table (i + 1) (levels - i) t
+      let repeat = same_bits t prev in
+      if repeat || (rows_may_stop && rows_agree t) then begin
+        Array.fill table (i + 1) (levels - i) t;
+        if (not repeat) && columns_agree t then Some i else None
+      end
       else level (i + 1)
     end
   in
-  level 1;
-  table
+  let mixed = level 1 in
+  (table, mixed)
 
 let power_table m ~max_exp =
   if m.rows <> m.cols then invalid_arg "Mat.power_table: not square";
   if max_exp < 0 then invalid_arg "Mat.power_table: negative exponent";
-  squarings ~exact:false ~square:(fun t -> mul t t) m ~levels:max_exp
+  fst (squarings ~exact:false ~square:(fun t -> mul t t) m ~levels:max_exp)
 
 let submatrix m ~row_idx ~col_idx =
   let in_range bound i = i >= 0 && i < bound in

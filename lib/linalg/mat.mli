@@ -85,21 +85,32 @@ val half_lazy : t -> t
 
 (** [squarings ~exact ~square m ~levels] is the table
     [[| m; square m; square (square m); ... |]] of length [levels + 1], the
-    repeated squaring behind every power table. It stops calling [square]
-    after the first level i >= 1 that either has the bits of level i - 1,
-    entry for entry, or, when [exact] is false and [m] is row-stochastic
-    (every entry >= 0, every row sum within 1e-12 of 1), has every row
-    within 1e-12 of row 0 in l1. Every later level is then level i itself,
-    not a copy, so the skipped levels are those physically equal to their
-    predecessor. [square] must be a pure function of its argument.
+    repeated squaring behind every power table, and its mixed level. It
+    stops calling [square] after the first level i >= 1 that either has the
+    bits of level i - 1, entry for entry, or, when [exact] is false and [m]
+    is row-stochastic (every entry >= 0, every row sum within 1e-12 of 1),
+    has every row within 1e-12 of row 0 in l1. Every later level is then
+    level i itself, not a copy, so the skipped levels are those physically
+    equal to their predecessor. [square] must be a pure function of its
+    argument.
 
     The first stop is exact: every later square would repeat the bits. The
     second leaves every filled row within 2e-12 in l1 of the exact power's
     row, up to level i's own rounding, because each row of a later power of
     a stochastic matrix is a convex combination of level i's rows
     (DESIGN.md §17). Pass [exact:true] where the rounded values themselves
-    matter (Lemma 3's truncated powering). *)
-val squarings : exact:bool -> square:(t -> t) -> t -> levels:int -> t array
+    matter (Lemma 3's truncated powering).
+
+    The mixed level is [Some i] when the table stopped at level i on the
+    second test and every entry of level i is also within a relative
+    delta_max = 1e-10 of row 0's entry in its column
+    (|T[r,j] - T[0,j]| <= 1e-10·T[0,j], so a zero in row 0 admits only
+    zeros below it). Then every Formula 1 law read from level i is within
+    1e-10 in total variation of row 0's law (DESIGN.md §17). It is [None]
+    for a table that stopped on an exact repeat, that never stopped, or
+    that [exact] keeps exact. *)
+val squarings :
+  exact:bool -> square:(t -> t) -> t -> levels:int -> t array * int option
 
 (** [power_table m ~max_exp] returns [[m; m^2; m^4; ...]] up to the largest
     power of two <= 2^max_exp — the table built by the Initialization Step —

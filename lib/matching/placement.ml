@@ -162,7 +162,9 @@ let margin_table margin t =
    Removing one unit of choice c gives the smaller code s - radix.(c), so one
    upward pass fills z. Each state takes its max, then its exp-sum, over
    choices in descending index: the order of the memoised reference in the
-   tests, which keeps every value, and so every draw, bit-identical to it. *)
+   tests, which keeps every value, and so every draw, bit-identical to it.
+   A term equal to the max adds exp 0.0 = 1.0 and a term at -infinity adds
+   exp -infinity = 0.0 (the max is finite there), so neither calls [exp]. *)
 let log_z_table units capacities states =
   let k = Array.length units and choices = Array.length capacities in
   let radix = Array.make choices 1 in
@@ -195,7 +197,11 @@ let log_z_table units capacities states =
     else begin
       let acc = ref 0.0 in
       for c = choices - 1 downto 0 do
-        if caps.(c) > 0 then acc := !acc +. Float.exp (xs.(c) -. m)
+        if caps.(c) > 0 then begin
+          let x = xs.(c) in
+          if x = m then acc := !acc +. 1.0
+          else if x <> neg_infinity then acc := !acc +. Float.exp (x -. m)
+        end
       done;
       z.(s) <- m +. Float.log !acc
     end
@@ -203,7 +209,8 @@ let log_z_table units capacities states =
   (z, radix)
 
 (* Forward sampling: the choice of each unit in order, drawn exactly
-   proportional to the product of the chosen weights. *)
+   proportional to the product of the chosen weights. As in [log_z_table],
+   a term at the max is exp 0.0 = 1.0 without the call. *)
 let draw prng (units, capacities, states) =
   let z, radix = log_z_table units capacities states in
   let s = ref (states - 1) in
@@ -219,8 +226,11 @@ let draw prng (units, capacities, states) =
       done;
       let m = Array.fold_left Float.max neg_infinity xs in
       for c = 0 to choices - 1 do
+        let x = xs.(c) in
         probs.(c) <-
-          (if xs.(c) = neg_infinity then 0.0 else Float.exp (xs.(c) -. m))
+          (if x = neg_infinity then 0.0
+           else if x = m then 1.0
+           else Float.exp (x -. m))
       done;
       let c = Cc_util.Dist.sample_weights probs prng in
       caps.(c) <- caps.(c) - 1;

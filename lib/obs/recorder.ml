@@ -10,9 +10,10 @@
 
    One writer ([write_record]) defines the record line for both the digest
    and the export. It appends straight into a growable byte buffer, so
-   [add] builds no JSON tree and no intermediate string: the recorder folds
-   its own buffer in place and reuses it for the next line. A stored record
-   is the one [add] was handed: the net never touches it again. *)
+   [add] builds no JSON tree and no intermediate string, and it folds the
+   line into the digest as it writes it: each constant key in O(1) through
+   its table, every other byte one at a time. A stored record is the one
+   [add] was handed: the net never touches it again. *)
 
 type record = {
   seq : int;
@@ -38,12 +39,15 @@ type slot = { mutable value : float; text : Bytes.t; mutable len : int }
    [Buffer.t] only hands them out as a fresh copy), with two slots: [clock]
    for the round clock, since a record's [round_start] is usually the
    previous record's [round_end], and [amount] for its [rounds], since a
-   fractional charge usually repeats an earlier one. *)
+   fractional charge usually repeats an earlier one. [hash] holds, as 8
+   native-endian bytes so that it is never boxed, the FNV-1a state that
+   [write_record] folds the line into. *)
 type out = {
   mutable bytes : Bytes.t;
   mutable len : int;
   clock : slot;
   amount : slot;
+  hash : Bytes.t;
 }
 
 type t = {
@@ -62,9 +66,9 @@ let fnv_basis = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
 (* A plain loop, so the accumulator stays an unboxed register. *)
-let fnv64_prefix h s len =
+let fnv64 h s =
   let h = ref h in
-  for i = 0 to len - 1 do
+  for i = 0 to String.length s - 1 do
     h :=
       Int64.mul
         (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
@@ -72,7 +76,27 @@ let fnv64_prefix h s len =
   done;
   !h
 
-let fnv64 h s = fnv64_prefix h s (String.length s)
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
+(* A constant string folded in O(1). One FNV-1a step maps h to
+   (h xor b)·p, and the xor moves only h's low byte: h xor b =
+   h + ((h land 0xff) xor b) - (h land 0xff). So a step is p·h plus a term
+   of h's low byte alone, and the low byte of its result depends on h's low
+   byte alone; by induction, folding c maps h to p^|c|·h + k_c(h land 0xff)
+   (mod 2^64), where k_c(x) = fold_c(x) - p^|c|·x. [offsets] holds k_c's
+   256 values, 8 bytes each. *)
+type key = { text : string; scale : int64; offsets : Bytes.t }
+
+let key text =
+  let scale = ref 1L in
+  String.iter (fun _ -> scale := Int64.mul !scale fnv_prime) text;
+  let scale = !scale and offsets = Bytes.create (256 * 8) in
+  for x = 0 to 255 do
+    let h = Int64.of_int x in
+    set64 offsets (8 * x) (Int64.sub (fnv64 h text) (Int64.mul scale h))
+  done;
+  { text; scale; offsets }
 
 (* --- canonical serialization --- *)
 
@@ -86,6 +110,7 @@ let out_create size =
     len = 0;
     clock = slot_create ();
     amount = slot_create ();
+    hash = Bytes.make 8 '\000';
   }
 
 let out_grow o k =
@@ -105,6 +130,27 @@ let out_string o s =
   out_reserve o k;
   Bytes.unsafe_blit_string s 0 o.bytes o.len k;
   o.len <- o.len + k
+
+(* Fold the bytes written since [start] into the line's hash, in a loop of
+   its own so that the state stays unboxed. *)
+let fold_since o start =
+  let s = Bytes.unsafe_to_string o.bytes in
+  let h = ref (get64 o.hash 0) in
+  for i = start to o.len - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        fnv_prime
+  done;
+  set64 o.hash 0 !h
+
+(* Write a constant key and fold it through its table. *)
+let out_key o k =
+  out_string o k.text;
+  let h = get64 o.hash 0 in
+  set64 o.hash 0
+    (Int64.add (Int64.mul k.scale h)
+       (get64 k.offsets (8 * (Int64.to_int h land 0xff))))
 
 (* Decimal digits of [-n] for [n <= 0], written from the last one back;
    counting on the negative side makes [min_int] safe. *)
@@ -247,11 +293,51 @@ let header_line ~machines =
          ("machines", Json.Int machines);
        ])
 
-(* The record line, without its newline. Field order and bytes are the
-   digest contract. The quotes around [kind] and [label] ride on the
-   constants beside them, and so do the zero fields of a charge, which
-   routes no traffic, and of a run without faults: each writes what the
-   field-by-field path would. *)
+(* A value of a record line, written and folded byte by byte. *)
+let fold_int o x =
+  let start = o.len in
+  out_int o x;
+  fold_since o start
+
+let fold_body o x =
+  let start = o.len in
+  out_json_body o x;
+  fold_since o start
+
+let fold_float o slot x =
+  let start = o.len in
+  out_float o slot x;
+  fold_since o start
+
+let fold_ints o x =
+  let start = o.len in
+  out_ints o x;
+  fold_since o start
+
+(* The constant keys of a record line. *)
+let k_seq = key {|{"type":"record","seq":|}
+let k_kind = key {|,"kind":"|}
+let k_label = key {|","label":"|}
+let k_round_start = key {|","round_start":|}
+let k_round_end = key {|,"round_end":|}
+let k_rounds = key {|,"rounds":|}
+let k_no_traffic = key {|,"messages":0,"words":0,"max_load":0,"sent":[],"recv":[]|}
+let k_messages = key {|,"messages":|}
+let k_words = key {|,"words":|}
+let k_max_load = key {|,"max_load":|}
+let k_sent = key {|,"sent":|}
+let k_recv = key {|,"recv":|}
+let k_no_faults = key {|,"retransmits":0,"dropped":0}|}
+let k_retransmits = key {|,"retransmits":|}
+let k_dropped = key {|,"dropped":|}
+let k_close = key "}"
+
+(* The record line, without its newline, folded into [o.hash] as it is
+   written: each key through its table, each value byte by byte. Field
+   order and bytes are the digest contract. The quotes around [kind] and
+   [label] ride on the keys beside them, and so do the zero fields of a
+   charge, which routes no traffic, and of a run without faults: each
+   writes what the field-by-field path would. *)
 let write_record o
     {
       seq;
@@ -268,43 +354,42 @@ let write_record o
       retransmits;
       dropped;
     } =
-  out_string o {|{"type":"record","seq":|};
-  out_int o seq;
-  out_string o {|,"kind":"|};
-  out_json_body o kind;
-  out_string o {|","label":"|};
-  out_json_body o label;
-  out_string o {|","round_start":|};
-  out_float o o.clock round_start;
-  out_string o {|,"round_end":|};
-  out_float o o.clock round_end;
-  out_string o {|,"rounds":|};
-  out_float o o.amount rounds;
+  out_key o k_seq;
+  fold_int o seq;
+  out_key o k_kind;
+  fold_body o kind;
+  out_key o k_label;
+  fold_body o label;
+  out_key o k_round_start;
+  fold_float o o.clock round_start;
+  out_key o k_round_end;
+  fold_float o o.clock round_end;
+  out_key o k_rounds;
+  fold_float o o.amount rounds;
   if
     messages = 0 && words = 0 && max_load = 0
     && Array.length sent = 0
     && Array.length recv = 0
-  then out_string o {|,"messages":0,"words":0,"max_load":0,"sent":[],"recv":[]|}
+  then out_key o k_no_traffic
   else begin
-    out_string o {|,"messages":|};
-    out_int o messages;
-    out_string o {|,"words":|};
-    out_int o words;
-    out_string o {|,"max_load":|};
-    out_int o max_load;
-    out_string o {|,"sent":|};
-    out_ints o sent;
-    out_string o {|,"recv":|};
-    out_ints o recv
+    out_key o k_messages;
+    fold_int o messages;
+    out_key o k_words;
+    fold_int o words;
+    out_key o k_max_load;
+    fold_int o max_load;
+    out_key o k_sent;
+    fold_ints o sent;
+    out_key o k_recv;
+    fold_ints o recv
   end;
-  if retransmits = 0 && dropped = 0 then
-    out_string o {|,"retransmits":0,"dropped":0}|}
+  if retransmits = 0 && dropped = 0 then out_key o k_no_faults
   else begin
-    out_string o {|,"retransmits":|};
-    out_int o retransmits;
-    out_string o {|,"dropped":|};
-    out_int o dropped;
-    out_char o '}'
+    out_key o k_retransmits;
+    fold_int o retransmits;
+    out_key o k_dropped;
+    fold_int o dropped;
+    out_key o k_close
   end
 
 (* --- construction --- *)
@@ -331,8 +416,9 @@ let add t r =
       "Recorder.add: per-machine arrays must be empty or one slot per machine";
   let o = t.line in
   o.len <- 0;
+  set64 o.hash 0 t.digest;
   write_record o r;
-  t.digest <- fnv64_prefix t.digest (Bytes.unsafe_to_string o.bytes) o.len;
+  t.digest <- get64 o.hash 0;
   t.total <- t.total + 1;
   if t.stored < t.max_records then begin
     t.rev_records <- r :: t.rev_records;

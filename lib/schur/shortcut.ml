@@ -103,7 +103,7 @@ let approx ?bits g ~in_s ~k =
   let rec log2 k = if k = 1 then 0 else 1 + log2 (k / 2) in
   let levels = log2 k in
   (* R^k by log2 k squarings. *)
-  let powers =
+  let powers, _ =
     Mat.squarings ~exact:(bits <> None)
       ~square:(fun m -> maybe_round (Mat.mul m m))
       (maybe_round r) ~levels

@@ -271,7 +271,7 @@ let test_power_table_values () =
   let prng = Prng.create ~seed:3 in
   let n = 8 in
   let m = random_stochastic prng n in
-  let table = Matmul.power_table_pure m ~levels:3 in
+  let table, _ = Matmul.power_table_pure m ~levels:3 in
   Alcotest.(check int) "length" 4 (Array.length table);
   Alcotest.(check bool) "m^8" true
     (Shared.mat_equal ~tol:1e-9 table.(3) (Mat.power m 8))
@@ -334,10 +334,11 @@ let test_power_table_stop_books_every_level () =
   Alcotest.(check string) "digest" d_hand d_table;
   Alcotest.(check (float 0.0)) "rounds" r_hand r_table;
   Cc_obs.Metrics.reset ();
-  let table = Matmul.power_table_pure (lazy_k8 ()) ~levels in
+  let table, mixed = Matmul.power_table_pure (lazy_k8 ()) ~levels in
   let muls = counter "matmul.muls" and skipped = counter "matmul.squarings_skipped" in
   let stop = levels - skipped in
   Alcotest.(check bool) "stops early" true (skipped > 0 && stop < 10);
+  Alcotest.(check (option int)) "mixed at the stop" (Some stop) mixed;
   Alcotest.(check int) "computed levels" stop muls;
   for i = 1 to stop do
     Alcotest.(check bool) (Printf.sprintf "level %d is the squaring" i) true
@@ -360,8 +361,9 @@ let test_power_table_pure_bits_is_rounded_squaring () =
   let bits = 20 in
   List.iter
     (fun (name, m, levels) ->
-      let table = Matmul.power_table_pure ~bits m ~levels in
+      let table, mixed = Matmul.power_table_pure ~bits m ~levels in
       Alcotest.(check int) (name ^ ": length") (levels + 1) (Array.length table);
+      Alcotest.(check (option int)) (name ^ ": no mixed level") None mixed;
       Array.iteri
         (fun i t ->
           if not (same_bits t (Cc_linalg.Fixed.rounded_power ~bits m (1 lsl i)))

@@ -643,38 +643,68 @@ let test_unstochastic_and_periodic_never_stop () =
      do reach an exact fixed point (level 8 repeats level 7 bit for bit),
      where the table may stop, and every level is still the plain loop's. *)
   let cycle = Graph.transition_matrix (Graph_gen.cycle 6) in
-  let table = Mat.power_table cycle ~max_exp:24 in
+  let table, mixed =
+    Mat.squarings ~exact:false ~square:(fun t -> Mat.mul t t) cycle ~levels:24
+  in
   let reference = Reference.power_table cycle ~levels:24 in
   check_same_table "cycle 6" table reference;
   let stop = stop_level table in
   Alcotest.(check bool) "cycle 6 stops only where a level repeats" true
-    (stop = 24 || same_mat reference.(stop) reference.(stop - 1))
+    (stop = 24 || same_mat reference.(stop) reference.(stop - 1));
+  Alcotest.(check (option int)) "an exact repeat is no mixed level" None mixed
+
+(* The mixed level needs the rows test's stop and every entry within a
+   relative 1e-10 of row 0's in its column. [square] hands back a fixed
+   level whose rows are 2e-14 apart in l1 in each case, so the rows test
+   stops there and the relative spread alone decides. *)
+let test_mixed_level_is_relative () =
+  let base = Mat.create ~rows:3 ~cols:3 (1.0 /. 3.0) in
+  let mixed_of rows =
+    let level = Mat.init ~rows:3 ~cols:3 (fun i j -> rows.(min i 1).(j)) in
+    snd (Mat.squarings ~exact:false ~square:(fun _ -> level) base ~levels:4)
+  in
+  Alcotest.(check (option int)) "relative 4e-14: mixed" (Some 1)
+    (mixed_of [| [| 0.5; 0.25; 0.25 |]; [| 0.5; 0.25 +. 1e-14; 0.25 -. 1e-14 |] |]);
+  Alcotest.(check (option int)) "a zero above a nonzero: not mixed" None
+    (mixed_of [| [| 0.5; 0.5; 0.0 |]; [| 0.5; 0.5 -. 1e-14; 1e-14 |] |]);
+  Alcotest.(check (option int)) "relative 1e-9: not mixed" None
+    (mixed_of
+       [|
+         [| 0.5; 0.5 -. 1e-5; 1e-5 |];
+         [| 0.5; 0.5 -. 1e-5 -. 1e-14; 1e-5 +. 1e-14 |];
+       |]);
+  let repeat = Mat.create ~rows:2 ~cols:2 0.5 in
+  Alcotest.(check (option int)) "an exact repeat is not mixed" None
+    (snd (Mat.squarings ~exact:false ~square:(fun m -> m) repeat ~levels:4))
 
 let test_squarings_stop_and_skip () =
   let m = lazy_chain (Graph_gen.complete 8) in
   let levels = 20 in
   let run ~exact =
     let squared = ref 0 in
-    let table =
+    let table, mixed =
       Mat.squarings ~exact
         ~square:(fun t ->
           incr squared;
           Mat.mul t t)
         m ~levels
     in
-    (table, levels - !squared)
+    (table, mixed, levels - !squared)
   in
-  let table, skipped = run ~exact:false in
+  let table, mixed, skipped = run ~exact:false in
   let stop = stop_level table in
   Alcotest.(check bool) "lazy K8 stops early" true (stop < 10);
   Alcotest.(check int) "no square past the stop" (levels - stop) skipped;
+  Alcotest.(check (option int)) "mixed at the rows stop" (Some stop) mixed;
   check_same_table "up to the stop"
     (Array.sub table 0 (stop + 1))
     (Array.sub (Reference.power_table m ~levels) 0 (stop + 1));
-  (* Exact mode waits for a level to repeat bit for bit. *)
-  let exact_table, exact_skipped = run ~exact:true in
+  (* Exact mode waits for a level to repeat bit for bit, and has no mixed
+     level. *)
+  let exact_table, exact_mixed, exact_skipped = run ~exact:true in
   let exact_stop = stop_level exact_table in
   Alcotest.(check bool) "exact stops no earlier" true (exact_stop >= stop);
+  Alcotest.(check (option int)) "exact: no mixed level" None exact_mixed;
   Alcotest.(check int) "exact skips the rest" (levels - exact_stop) exact_skipped;
   if exact_stop < levels then
     Alcotest.(check bool) "at a level that repeats" true
@@ -777,6 +807,8 @@ let () =
           Alcotest.test_case "power" `Quick test_power_matches_repeated_mul;
           Alcotest.test_case "power 0/1" `Quick test_power_zero_and_one;
           Alcotest.test_case "power table" `Quick test_power_table;
+          Alcotest.test_case "mixed level is relative" `Quick
+            test_mixed_level_is_relative;
           Alcotest.test_case "two-step kernels" `Quick test_two_step;
           Alcotest.test_case "rank-one kernels" `Quick test_rank_one_kernels;
           Alcotest.test_case "mat-vec" `Quick test_mul_vec;

@@ -7,7 +7,10 @@
    it as the library does, and places midpoints as the library's level loop
    does ([place]), so a property in test_sampler pins [Phase_walk.run] to
    it: the same walk and stats, the same booked events and the same PRNG
-   state afterwards.
+   state afterwards. Its one addition is the mixed-level rule, spelled out
+   here on its own: a level whose half-gap matrix is physically the
+   table's mixed matrix draws every class's midpoints from row 0 of that
+   matrix, read through [Mat.get], and keeps them in the magical order.
    Test-only: nothing in lib/ calls this module. *)
 
 module Net = Cc_clique.Net
@@ -26,6 +29,7 @@ type counters = {
   mutable c_midpoints : int;
   mutable c_exact : int;
   mutable c_magical : int;
+  mutable c_mixed : int;
 }
 
 (* Pair-class bookkeeping for one level: walk.(i), walk.(i+1) for
@@ -84,8 +88,9 @@ let book_loads net ~label ~sent ~recv =
   done;
   if !load > 0 then Net.charge net ~label (Float.of_int ((!load + n - 1) / n))
 
-let run net prng ~backend ~powers ~machine_of ~start ~rho ~target_len
-    ~matching =
+let run net prng ~backend ~(table : Cc_walks.Topdown.table) ~machine_of
+    ~start ~rho ~target_len ~matching =
+  let powers = table.powers in
   if rho < 2 then invalid_arg "Phase_walk.run: rho < 2";
   if target_len < 2 then invalid_arg "Phase_walk.run: target_len < 2";
   let levels = Cc_walks.Topdown.levels_for ~len:target_len in
@@ -97,7 +102,9 @@ let run net prng ~backend ~powers ~machine_of ~start ~rho ~target_len
   if start < 0 || start >= s_count then invalid_arg "Phase_walk.run: bad start";
   let n = Net.n net in
   let ew = Net.entry_words net in
-  let counters = { c_checks = 0; c_midpoints = 0; c_exact = 0; c_magical = 0 } in
+  let counters =
+    { c_checks = 0; c_midpoints = 0; c_exact = 0; c_magical = 0; c_mixed = 0 }
+  in
   (* Initialization Step (Algorithm 1): book the caller's power table, then
      draw the endpoint. *)
   Matmul.book_power_table net backend ~dim:s_count ~levels;
@@ -134,6 +141,9 @@ let run net prng ~backend ~powers ~machine_of ~start ~rho ~target_len
      2^(gap-1), truncated at the rho-th distinct vertex. *)
   let level walk gap =
     let half = powers.(gap - 1) in
+    let mixed =
+      table.mixed < Array.length powers && half == powers.(table.mixed)
+    in
     let l = Array.length walk - 1 in
     let pairs = index_pairs pair_table ~width:s_count walk in
     let nclasses = Array.length pairs.classes in
@@ -155,12 +165,15 @@ let run net prng ~backend ~powers ~machine_of ~start ~rho ~target_len
       recv.(pair_machine k) <- recv.(pair_machine k) + (s_count * ew)
     done;
     book_loads net ~label:"midpoint distributions" ~sent ~recv;
-    (* Pair machines sample their midpoint sequences Pi_{p,q}. *)
+    (* Pair machines sample their midpoint sequences Pi_{p,q}, at a mixed
+       level all from row 0 of [half]. *)
     let pi =
       Array.init nclasses (fun k ->
           let p, q = pairs.classes.(k) in
           let weights =
-            Array.init s_count (fun j -> Mat.get half p j *. Mat.get half j q)
+            Array.init s_count (fun j ->
+                if mixed then Mat.get half 0 j
+                else Mat.get half p j *. Mat.get half j q)
           in
           (try Dist.cdf_in_place weights
            with Invalid_argument _ -> degenerate ());
@@ -291,6 +304,9 @@ let run net prng ~backend ~powers ~machine_of ~start ~rho ~target_len
       let placed =
         match matching with
         | Phase_walk.Magical -> midpoints
+        | Phase_walk.Resample when mixed ->
+            counters.c_mixed <- counters.c_mixed + 1;
+            midpoints
         | Phase_walk.Resample ->
             let positions =
               Array.init k_match (fun j -> (walk.(j), walk.(j + 1)))
@@ -320,4 +336,5 @@ let run net prng ~backend ~powers ~machine_of ~start ~rho ~target_len
       midpoints_placed = counters.c_midpoints;
       matchings_exact = counters.c_exact;
       matchings_mcmc = counters.c_magical;
+      placements_mixed = counters.c_mixed;
     } )

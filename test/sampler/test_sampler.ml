@@ -30,16 +30,17 @@ let default = Sampler.default_config
 
 (* The power table [Phase_walk.run] walks on, as a plan computes it. *)
 let table ?bits trans ~target_len =
-  Matmul.power_table_pure ?bits trans
-    ~levels:(Cc_walks.Topdown.levels_for ~len:target_len)
+  Cc_walks.Topdown.table
+    (Matmul.power_table_pure ?bits trans
+       ~levels:(Cc_walks.Topdown.levels_for ~len:target_len))
 
 let phase_walk_once ?(matching = Phase_walk.Resample) g
     ~rho ~target_len prng =
   let n = Graph.n g in
   let net = Net.create ~n in
-  let powers = table (Graph.transition_matrix g) ~target_len in
+  let table = table (Graph.transition_matrix g) ~target_len in
   fst
-    (Phase_walk.run net prng ~backend:(Matmul.charged ()) ~powers
+    (Phase_walk.run net prng ~backend:(Matmul.charged ()) ~table
        ~machine_of:(fun i -> i)
        ~start:0 ~rho ~target_len ~matching)
 
@@ -87,7 +88,7 @@ let test_phase_walk_mcmc_fallback () =
   let prng = Prng.create ~seed:1 in
   let w, stats =
     Phase_walk.run net prng ~backend:(Matmul.charged ())
-      ~powers:(table (Graph.transition_matrix g) ~target_len:1024)
+      ~table:(table (Graph.transition_matrix g) ~target_len:1024)
       ~machine_of:(fun i -> i)
       ~start:0 ~rho:12 ~target_len:1024
       ~matching:Phase_walk.Resample
@@ -245,6 +246,50 @@ let test_plan_constants () =
       Alcotest.(check int) (Printf.sprintf "n = %d: schur_k" n)
         (next_pow2 (16 * n3)) (Plan.schur_k st))
     [ 2; 3; 16; 17; 96 ]
+
+(* --- mixed levels (DESIGN.md §17) --- *)
+
+(* A table's mixed level is where its squaring stopped: a computed level,
+   which every later level aliases. *)
+let mixed_at_stop (t : Cc_walks.Topdown.table) =
+  let p = t.powers and m = t.mixed in
+  m >= 1
+  && m < Array.length p
+  && p.(m) != p.(m - 1)
+  && Array.for_all (fun x -> x == p.(m)) (Array.sub p m (Array.length p - m))
+
+let test_mixed_levels () =
+  List.iter
+    (fun (name, g) ->
+      let t = (Plan.create ~lazy_walk:true g).Plan.table1 in
+      Alcotest.(check bool) (name ^ ": mixed at its stop") true (mixed_at_stop t);
+      let cdf = Mat.row t.powers.(t.mixed) 0 in
+      Dist.cdf_in_place cdf;
+      Alcotest.(check (array (float 0.0)))
+        (name ^ ": the shared law is row 0's cdf") cdf t.shared)
+    [
+      ("lazy K8", Gen.complete 8);
+      ("lazy K16", Gen.complete 16);
+      ("lollipop 16", Gen.lollipop ~clique:8 ~tail:8);
+    ];
+  let none name (t : Cc_walks.Topdown.table) =
+    Alcotest.(check int) (name ^ ": no mixed level") (Array.length t.powers)
+      t.mixed;
+    Alcotest.(check int) (name ^ ": no shared law") 0 (Array.length t.shared)
+  in
+  (* An exact repeat stops the periodic chain; --bits keeps every table
+     exact, later phases' included. *)
+  none "non-lazy cycle 6" (Plan.create ~lazy_walk:false (Gen.cycle 6)).Plan.table1;
+  List.iter
+    (fun (name, g) ->
+      let st = Plan.create ~bits:40 ~lazy_walk:true g in
+      none (name ^ " --bits 40") st.Plan.table1;
+      let n = Graph.n g in
+      let visited = Array.init n (fun v -> v < n / 2) in
+      none
+        (name ^ " --bits 40, a later phase")
+        (Lazy.force (Plan.phase st ~visited ~current:0).Plan.table))
+    [ ("lazy K8", Gen.complete 8); ("lollipop 16", Gen.lollipop ~clique:8 ~tail:8) ]
 
 let test_sampler_deterministic_given_seed () =
   let g = Gen.lollipop ~clique:4 ~tail:3 in
@@ -541,9 +586,9 @@ let test_phase_walk_stats_sanity () =
   let g = Gen.complete 6 in
   let net = Net.create ~n:6 in
   let prng = Prng.create ~seed:60 in
-  let powers = table (Graph.transition_matrix g) ~target_len:256 in
+  let table = table (Graph.transition_matrix g) ~target_len:256 in
   let _, stats =
-    Phase_walk.run net prng ~backend:(Matmul.charged ()) ~powers
+    Phase_walk.run net prng ~backend:(Matmul.charged ()) ~table
       ~machine_of:(fun i -> i)
       ~start:0 ~rho:3 ~target_len:256
       ~matching:Phase_walk.Resample
@@ -551,7 +596,11 @@ let test_phase_walk_stats_sanity () =
   Alcotest.(check int) "levels = log2 256" 8 stats.Phase_walk.levels;
   Alcotest.(check bool) "binary search probed" true (stats.Phase_walk.checks > 0);
   Alcotest.(check bool) "placements recorded" true
-    (stats.Phase_walk.matchings_exact + stats.Phase_walk.matchings_mcmc > 0)
+    (stats.Phase_walk.matchings_exact + stats.Phase_walk.matchings_mcmc > 0);
+  (* K6 mixes by level 5, so the top levels of a 256-step walk are mixed
+     and place without the DP. *)
+  Alcotest.(check bool) "mixed placements recorded" true
+    (stats.Phase_walk.placements_mixed > 0)
 
 (* --- failure injection / argument validation --- *)
 
@@ -560,11 +609,11 @@ let test_phase_walk_argument_validation () =
   let prng = Prng.create ~seed:26 in
   let trans = Graph.transition_matrix (Gen.complete 4) in
   let run ?(rho = 2) ?(target_len = 8) ?table_len ?(start = 0) () =
-    let powers =
+    let table =
       table trans ~target_len:(Option.value table_len ~default:target_len)
     in
     ignore
-      (Phase_walk.run net prng ~backend:(Matmul.charged ()) ~powers
+      (Phase_walk.run net prng ~backend:(Matmul.charged ()) ~table
          ~machine_of:(fun i -> i)
          ~start ~rho ~target_len
          ~matching:Phase_walk.Resample)
@@ -884,18 +933,62 @@ let same_walk_as_reference (n, seed) =
   let offset = Prng.int prng machines in
   let machine_of i = (i + offset) mod machines in
   let start = Prng.int prng n in
-  let powers = table ?bits trans ~target_len in
+  let table = table ?bits trans ~target_len in
   let walk_seed = Prng.int prng 1_000_000 in
   let ours =
     observe_walk ~machines ~seed:walk_seed (fun net prng ->
-        Phase_walk.run net prng ~backend:(Matmul.charged ()) ~powers
+        Phase_walk.run net prng ~backend:(Matmul.charged ()) ~table
           ~machine_of ~start ~rho ~target_len ~matching)
   and theirs =
     observe_walk ~machines ~seed:walk_seed (fun net prng ->
-        Reference.run net prng ~backend:(Matmul.charged ()) ~powers
+        Reference.run net prng ~backend:(Matmul.charged ()) ~table
           ~machine_of ~start ~rho ~target_len ~matching)
   in
   ours = theirs
+
+(* At a table's mixed level m, every pair class's Formula 1 law
+   T[p,j]·T[j,q] / sum is within delta_t in total variation of the shared
+   law T[0,j] / sum, where delta_t <= 1e-10 is the table's largest relative
+   spread |T[r,j] - T[0,j]| / T[0,j] (DESIGN.md §17; 1e-13 absorbs the
+   rounding of this check). Every mixed level reads T itself. *)
+let mixed_laws_within_bound (n, seed) =
+  let prng = Prng.create ~seed in
+  let g =
+    Cc_graph.Gen.build prng
+      families.(Prng.int prng (Array.length families))
+      ~n
+  in
+  let g =
+    if Prng.bool prng then Cc_graph.Gen.random_weights prng g ~max_weight:1000
+    else g
+  in
+  let t = table (Mat.half_lazy (Graph.transition_matrix g)) ~target_len:(1 lsl 20) in
+  t.mixed >= Array.length t.powers
+  ||
+  let m = t.powers.(t.mixed) in
+  let d = Mat.rows m in
+  let spread = ref 0.0 in
+  for r = 1 to d - 1 do
+    for j = 0 to d - 1 do
+      let x0 = Mat.get m 0 j in
+      if x0 > 0.0 then
+        spread := Float.max !spread (Float.abs (Mat.get m r j -. x0) /. x0)
+    done
+  done;
+  let normalized w =
+    let total = Array.fold_left ( +. ) 0.0 w in
+    Array.map (fun x -> x /. total) w
+  in
+  let shared = normalized (Mat.row m 0) and worst = ref 0.0 in
+  for p = 0 to d - 1 do
+    for q = 0 to d - 1 do
+      let law = normalized (Array.init d (fun j -> Mat.get m p j *. Mat.get m j q)) in
+      let tv = ref 0.0 in
+      Array.iteri (fun j x -> tv := !tv +. Float.abs (x -. shared.(j))) law;
+      worst := Float.max !worst (0.5 *. !tv)
+    done
+  done;
+  !spread <= 1e-10 && !worst <= !spread +. 1e-13
 
 (* --- qcheck --- *)
 
@@ -908,6 +1001,12 @@ let qcheck_tests =
          ~print:Print.(pair int int)
          Gen.(pair (int_range 4 14) (int_range 0 1_000_000)))
       same_walk_as_reference;
+    Test.make ~name:"mixed levels: every Formula 1 law within the bound"
+      ~count:100
+      (make
+         ~print:Print.(pair int int)
+         Gen.(pair (int_range 4 14) (int_range 0 1_000_000)))
+      mixed_laws_within_bound;
     Test.make ~name:"sampler returns spanning trees on random graphs"
       ~count:20
       (make Gen.(pair (int_range 4 12) (int_range 0 10_000)))
@@ -953,6 +1052,7 @@ let () =
           Alcotest.test_case "input validation" `Quick test_sampler_rejects_bad_input;
           Alcotest.test_case "phase count" `Quick test_sampler_phase_count_scales_with_rho;
           Alcotest.test_case "plan constants" `Quick test_plan_constants;
+          Alcotest.test_case "mixed levels" `Quick test_mixed_levels;
           Alcotest.test_case "determinism" `Quick test_sampler_deterministic_given_seed;
           Alcotest.test_case "plan draw = sample" `Quick test_plan_draw_matches_sample;
           Alcotest.test_case "plan reuse skips compute" `Quick test_plan_reuse_skips_compute;

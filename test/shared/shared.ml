@@ -68,13 +68,16 @@ let endpoint_distribution g ~start ~len =
   Dist.of_weights (Mat.row (Mat.power (Graph.transition_matrix g) len) start)
 
 (* Lemma 2: the endpoint from P^l, then every level's midpoints by
-   Formula 1, each level truncated at the rho-th distinct vertex. *)
+   Formula 1, each level truncated at the rho-th distinct vertex. The table
+   has no mixed level, so every level reads its pairs' own laws. *)
 let sample_truncated g prng ~start ~target_len ~rho =
   let powers =
     Mat.power_table (Graph.transition_matrix g)
       ~max_exp:(Topdown.levels_for ~len:target_len)
   in
-  Topdown.sample_truncated_matrix prng ~powers ~start ~target_len ~rho
+  Topdown.sample_truncated_matrix prng
+    ~table:(Topdown.table (powers, None))
+    ~start ~target_len ~rho
 
 (* Lemma 1: with rho past n no level truncates, so every level is filled
    and the walk has [len] steps. *)
